@@ -235,11 +235,6 @@ class TwirledCubicDensity:
         return float(np.sum(_normal_1d(self.sigma_q, vq) * inner) * dq)
 
 
-def cubic_twirled_density(delta: float, lam: float, v) -> float:
-    """Density value of the exact cubic twirled distribution at v = (v_q, v_p)."""
-    return float(TwirledCubicDensity(delta, lam)(v[0], v[1]))
-
-
 # ---------------------------------------------------------------------------
 # Optimal bias and the fault-tolerance bound
 # ---------------------------------------------------------------------------

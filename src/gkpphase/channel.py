@@ -9,9 +9,10 @@ surrounding QEC rounds).  Everything downstream — average gate fidelity,
 magic-state fidelity, (n̄, λ) sweeps, and the vacuum-state baseline — is
 assembled from single-state Pauli expectations.
 
-The heavy objects (position eigenbases, Pauli diagonals) depend only on the
-truncation dimensions and on (Δ, λ), so they are cached per process and
-optionally persisted through the operator cache.
+The heavy objects, the position eigensystems at d_out and at the readout
+dimension, depend only on the truncation; they come from
+`fock.q_eigensystem`, which keeps them per process and, given an operator
+cache, on disk.  The Pauli diagonals are recomputed per (Δ, λ).
 """
 
 from __future__ import annotations
@@ -91,12 +92,7 @@ def default_smear(params: fock.GkpParams) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ChannelConfig:
-    """One logical-channel instance: gate polynomial, code params, readout.
-
-    precision 128 is the complex128 default; 64 runs the engine in
-    complex64/float32 as a fast smoke mode with correspondingly relaxed
-    accuracy.
-    """
+    """One logical-channel instance: gate polynomial, code params, readout."""
 
     gate: RationalPolynomial
     params: fock.GkpParams
@@ -104,11 +100,6 @@ class ChannelConfig:
     smear: np.ndarray | None | str = "auto"
     target: str | np.ndarray = "I"
     n_cut: int = 59
-    precision: int = 128
-
-    def __post_init__(self):
-        if self.precision not in (64, 128):
-            raise ValueError(f"precision must be 64 or 128, got {self.precision}")
 
     def smear_matrix(self) -> np.ndarray | None:
         if isinstance(self.smear, str):
@@ -138,17 +129,6 @@ class LogicalReadout:
         return rho
 
 
-@lru_cache(maxsize=8)
-def _gate_eig(d_out: int):
-    return fock.q_eigensystem(d_out)
-
-
-@lru_cache(maxsize=4)
-def _readout_eig(d_temp: int):
-    x, v = fock.q_eigensystem(d_temp)
-    return x, v, fock.number_parity_phases(d_temp)
-
-
 class ChannelEngine:
     """Matrix-free evaluator of Pauli expectations for one ChannelConfig.
 
@@ -167,18 +147,11 @@ class ChannelEngine:
         self.d_out = plan.d_out
         self.d_temp = plan.d_temp(plan.d_out)
 
-        if cache is not None:
-            qe = cache.get_or_create(
-                "qeig-values", {"d": self.d_temp}, lambda: _readout_eig(self.d_temp)[0]
-            )
-            qv = cache.get_or_create(
-                "qeig-vectors", {"d": self.d_temp}, lambda: _readout_eig(self.d_temp)[1]
-            )
-            self.x2, self.v2 = qe, qv
-            self.r2 = fock.number_parity_phases(self.d_temp)
-        else:
-            self.x2, self.v2, self.r2 = _readout_eig(self.d_temp)
-        self.x1, self.v1 = _gate_eig(self.d_out)
+        # The larger readout system first: its solve then peaks with no
+        # other eigenvector matrix resident.
+        self.x2, self.v2 = fock.q_eigensystem(self.d_temp, cache)
+        self.r2 = fock.number_parity_phases(self.d_temp)
+        self.x1, self.v1 = fock.q_eigensystem(self.d_out, cache)
 
         self.gate_phase = fock.phase_profile(config.gate, lam, self.x1)
         smear = config.smear_matrix()
@@ -187,16 +160,6 @@ class ChannelEngine:
         c0 = fock.gkp_codeword(0, config.params.delta, lam, self.d_init)
         c1 = fock.gkp_codeword(1, config.params.delta, lam, self.d_init)
         self.e0, self.e1 = fock.orthonormalize(c0, c1)
-
-        if config.precision == 64:
-            self.v1 = self.v1.astype(np.float32)
-            self.v2 = self.v2.astype(np.float32)
-            self.r2 = self.r2.astype(np.complex64)
-            self.gate_phase = self.gate_phase.astype(np.complex64)
-            self.g_z = self.g_z.astype(np.complex64)
-            self.h_x = self.h_x.astype(np.complex64)
-            self.e0 = fock.FockVector(self.e0.amplitudes.astype(np.complex64))
-            self.e1 = fock.FockVector(self.e1.amplitudes.astype(np.complex64))
 
     def _encode(self, qubit: np.ndarray) -> np.ndarray:
         a, b = qubit
@@ -301,6 +264,8 @@ def average_gate_fidelity_reconstructed(
 
     Reconstructs E(σ_j) by linearity from the four output density matrices
     and applies the Nielsen formula F = [Σ_j tr(U σ_j U† E(σ_j)) + 4]/12.
+    Test oracle only: the package computes F with
+    `average_gate_fidelity_from_readout`.
     """
     u = target_unitary(target)
     outs = {name: readout.output_density(name) for name in INPUT_ORDER}
@@ -351,13 +316,9 @@ class SweepResult:
     failures: dict[tuple[str, float, float], str]
 
 
-_WORKER_CACHE: dict[str, OperatorCache] = {}
-
-
 def _sweep_point(args) -> tuple[int, float | None, float | None, str | None]:
     """One grid point; failures are reported, not raised, so sweeps continue."""
-    (idx, gate_label, n_bar, lam, d_init, expand, n_cut, smear_off,
-     cache_dir, precision) = args
+    idx, gate_label, n_bar, lam, d_init, expand, n_cut, smear_off, cache_dir = args
     poly, _level = GATE_TABLE[gate_label]
     params = fock.GkpParams.from_n_bar(n_bar, lam)
     config = ChannelConfig(
@@ -367,11 +328,8 @@ def _sweep_point(args) -> tuple[int, float | None, float | None, str | None]:
         smear=None if smear_off else "auto",
         target=gate_label,
         n_cut=n_cut,
-        precision=precision,
     )
-    cache = None
-    if cache_dir is not None:
-        cache = _WORKER_CACHE.setdefault(cache_dir, OperatorCache(cache_dir))
+    cache = None if cache_dir is None else OperatorCache(cache_dir)
     try:
         engine = ChannelEngine(config, cache)
         readout = engine.readout()
@@ -394,7 +352,6 @@ def sweep(
     n_cut: int = 59,
     smear_off: bool = False,
     cache_dir=None,
-    precision: int = 128,
 ) -> SweepResult:
     """Average-gate / T-state infidelities over a (gate, n̄, λ) grid.
 
@@ -421,7 +378,7 @@ def sweep(
                 idx = len(tasks)
                 tasks.append(
                     (idx, g, nb, lam, plan.d_init, plan.expand_factor,
-                     n_cut, smear_off, cache_dir, precision)
+                     n_cut, smear_off, cache_dir)
                 )
                 meta.append((g, nb, lam))
 

@@ -108,6 +108,24 @@ def _gate_name(level: int, n_qubits: int = 1) -> str:
     return f"C^{n_qubits-1}Lambda_{level}"
 
 
+def _lift_input(path: str) -> polyalg.RationalPolynomial:
+    """Polynomial stored by `synth --out`, or its inner "polynomial" object."""
+    with open(path) as fh:
+        data = json.load(fh)
+    if isinstance(data, dict) and isinstance(data.get("polynomial"), dict):
+        data = data["polynomial"]
+    coeffs = data.get("coefficients") if isinstance(data, dict) else None
+    try:
+        if isinstance(coeffs, list):
+            return polyalg.RationalPolynomial([Fraction(c) for c in coeffs])
+    except (TypeError, ValueError, ZeroDivisionError):
+        pass
+    raise ValueError(
+        f"{path}: expected single-qubit synth output or its \"polynomial\" "
+        "object, with a \"coefficients\" list of rationals"
+    )
+
+
 def cmd_synth(args) -> int:
     m = args.level
     if args.qubits > 1:
@@ -132,11 +150,7 @@ def cmd_synth(args) -> int:
         )
         return 0
     if args.start.startswith("lift:"):
-        path = args.start.split(":", 1)[1]
-        with open(path) as fh:
-            data = json.load(fh)
-        coeffs = [Fraction(c) for c in data["coefficients"]]
-        prev = polyalg.RationalPolynomial(coeffs)
+        prev = _lift_input(args.start.split(":", 1)[1])
         start = polyalg.lift_representation(prev, m - 1)
     elif args.start == "power":
         start = polyalg.starting_representation(m)
@@ -246,7 +260,6 @@ def cmd_sweep(args) -> int:
     result = channel.sweep(
         [args.gate], n_bars, lams, plan,
         workers=args.workers, n_cut=args.ncut, cache_dir=args.cache_dir,
-        precision=int(args.precision),
     )
     header = [
         "gate", "n_bar", "delta", "delta_db", "lam",
@@ -341,6 +354,8 @@ def cmd_twirl_density(args) -> int:
 
 
 def cmd_cache(args) -> int:
+    if args.cache_dir is None:
+        raise ValueError(f"cache {args.action} needs --cache-dir")
     cache = OperatorCache(args.cache_dir)
     if args.action == "list":
         entries = [
@@ -360,31 +375,15 @@ def cmd_cache(args) -> int:
         _emit_json(args, {"purged": n})
         return 0
     if args.action == "prewarm":
+        # The two eigensystems a sweep reads: the readout's at d_temp(d_out)
+        # and the gate's at d_out, larger first to keep the peak low.
         plan = fock.TruncationPlan(d_init=args.dinit, expand_factor=args.expand_factor)
-        d_temp = plan.d_temp(plan.d_out)
+        dims = (plan.d_temp(plan.d_out), plan.d_out)
         t0 = time.time()
-        x = cache.get_or_create(
-            "qeig-values", {"d": d_temp}, lambda: fock.q_eigensystem(d_temp)[0]
-        )
-        cache.get_or_create(
-            "qeig-vectors", {"d": d_temp}, lambda: fock.q_eigensystem(d_temp)[1]
-        )
-        built = 2
-        for nb in np.arange(args.nbar_min, args.nbar_max + 1e-9, args.nbar_step):
-            for lam in np.linspace(args.lam_min, args.lam_max, args.lam_count):
-                params = fock.GkpParams.from_n_bar(float(nb), float(lam))
-                smear = channel.default_smear(params)
-                key = {
-                    "d": d_temp, "lam": round(float(lam), 12),
-                    "delta": round(params.delta, 12), "n_cut": args.ncut,
-                    "smear": "biased-auto",
-                }
-                def build(lam=lam, smear=smear):
-                    g, h = fock.pauli_profiles(float(lam), smear, x, args.ncut)
-                    return np.stack([g, h])
-                cache.get_or_create("pauli-diag-zx", key, build)
-                built += 1
-        _emit_json(args, {"prewarmed": built, "seconds": time.time() - t0})
+        for d in dims:
+            fock.q_eigensystem(d, cache)
+        # two entries (values, vectors) per eigensystem
+        _emit_json(args, {"prewarmed": 2 * len(dims), "seconds": time.time() - t0})
         return 0
     raise ValueError(f"unknown cache action {args.action!r}")
 
@@ -404,8 +403,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--cache-dir", default=None)
         p.add_argument("--workers", type=int, default=1)
         p.add_argument("--seed", type=int, default=12345)
-        p.add_argument("--precision", choices=("64", "128"), default="128",
-                       help="complex precision; 64 is a fast smoke mode")
 
     p = sub.add_parser("synth", help="minimal polynomial phase gate synthesis")
     common(p)
@@ -462,16 +459,19 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("cache", help="operator cache maintenance")
     common(p)
-    p.add_argument("action", choices=("list", "purge", "prewarm"))
+    p.add_argument("action", choices=("list", "purge", "prewarm"),
+                   help="every action needs --cache-dir")
     p.add_argument("--dinit", type=int, default=256)
     p.add_argument("--expand-factor", type=int, default=3)
-    p.add_argument("--ncut", type=int, default=59)
-    p.add_argument("--nbar-min", type=float, default=2.0)
-    p.add_argument("--nbar-max", type=float, default=12.0)
-    p.add_argument("--nbar-step", type=float, default=1.0)
-    p.add_argument("--lam-min", type=float, default=1.0)
-    p.add_argument("--lam-max", type=float, default=5.0)
-    p.add_argument("--lam-count", type=int, default=16)
+    # Accepted so that a sweep's grid flags can be passed unchanged.
+    ignored = "ignored: the cached eigensystems depend only on --dinit and --expand-factor"
+    p.add_argument("--ncut", type=int, default=59, help=ignored)
+    p.add_argument("--nbar-min", type=float, default=2.0, help=ignored)
+    p.add_argument("--nbar-max", type=float, default=12.0, help=ignored)
+    p.add_argument("--nbar-step", type=float, default=1.0, help=ignored)
+    p.add_argument("--lam-min", type=float, default=1.0, help=ignored)
+    p.add_argument("--lam-max", type=float, default=5.0, help=ignored)
+    p.add_argument("--lam-count", type=int, default=16, help=ignored)
     p.set_defaults(func=cmd_cache)
 
     return top

@@ -11,11 +11,11 @@ Conventions (single mode, [q, p] = i):
 Truncation plan: states are synthesised at d_init; an operator applied to a
 d-dimensional state is exponentiated at d_temp = expand_factor * d and then
 cut back, and gates keep their full output rows (d_out x d_init) so the
-output state lives at the higher dimension.  Operators that are functions of
-a single quadrature (polynomial phase gates, single-axis displacement sums)
-are built through the eigendecomposition of the tridiagonal position matrix,
-which equals exponentiating the same truncated generator; everything else
-goes through scipy's scaling-and-squaring expm.
+output state lives at the higher dimension.  Every operator here is a
+function of one (possibly rotated) quadrature: polynomial phase gates,
+single-axis displacement sums and displacements are all built from the
+eigensystem of the tridiagonal position matrix (`q_eigensystem`, the one
+provider of it), which equals exponentiating the same truncated generator.
 """
 
 from __future__ import annotations
@@ -23,11 +23,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
+from pathlib import Path
 
 import numpy as np
 import scipy.linalg
 import scipy.special
 
+from .opcache import OperatorCache
 from .polyalg import RationalPolynomial
 
 SQRT2PI = math.sqrt(2.0 * math.pi)
@@ -170,7 +172,10 @@ def annihilation(d: int) -> np.ndarray:
 
 
 def quadratures(d: int) -> tuple[FockOperator, FockOperator]:
-    """q = (a + a†)/sqrt(2), p = i(a† - a)/sqrt(2) at truncation d."""
+    """q = (a + a†)/sqrt(2), p = i(a† - a)/sqrt(2) at truncation d.
+
+    Test oracle only: the package works in the eigenbasis of `q_eigensystem`.
+    """
     a = annihilation(d)
     q = (a + a.T) / math.sqrt(2.0)
     p = 1j * (a.T - a) / math.sqrt(2.0)
@@ -178,16 +183,36 @@ def quadratures(d: int) -> tuple[FockOperator, FockOperator]:
 
 
 @lru_cache(maxsize=6)
-def q_eigensystem(d: int) -> tuple[np.ndarray, np.ndarray]:
+def _q_eigensystem(d: int, directory: Path | None) -> tuple[np.ndarray, np.ndarray]:
+    if directory is None:
+        off = np.sqrt(np.arange(1.0, d) / 2.0)
+        x, v = scipy.linalg.eigh_tridiagonal(np.zeros(d), off)
+        # shared by every caller, like the read-only disk copy
+        x.flags.writeable = v.flags.writeable = False
+        return x, v
+    cache = OperatorCache(directory)
+    key = {"d": d}
+    x = cache.get_or_create("qeig-values", key, lambda: _q_eigensystem(d, None)[0])
+    v = cache.get_or_create("qeig-vectors", key, lambda: _q_eigensystem(d, None)[1])
+    return x, v
+
+
+def q_eigensystem(d: int, cache: OperatorCache | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues and eigenvectors of the truncated position matrix.
 
     q is real symmetric tridiagonal (zero diagonal, off-diagonal
     sqrt((n+1)/2)), so this is cheap even at d of a few thousand.  The
     p eigensystem follows from p = R q R† with R = diag(i^n).
+
+    This is the package's one provider of the object, backed by one bounded
+    in-process map keyed by d and the cache directory.  With a `cache`, the
+    first call for d and that directory reads each half from the disk copy (a memory map in the
+    solver's column-major layout, so results are bitwise those of a fresh
+    solve) or, when the file is missing, writes it, taking the solution from
+    memory when it is already held there.  Later calls return the same
+    arrays, so a mapped copy is faulted in once per process.
     """
-    off = np.sqrt(np.arange(1.0, d) / 2.0)
-    x, v = scipy.linalg.eigh_tridiagonal(np.zeros(d), off)
-    return x, v
+    return _q_eigensystem(d, None if cache is None else cache.directory)
 
 
 def number_parity_phases(d: int) -> np.ndarray:
@@ -195,41 +220,22 @@ def number_parity_phases(d: int) -> np.ndarray:
     return 1j ** np.arange(d)
 
 
-# ---------------------------------------------------------------------------
-# Matrix exponentials
-# ---------------------------------------------------------------------------
-
-
-def expm(op: FockOperator, plan: TruncationPlan, out_rows: int | None = None) -> FockOperator:
-    """exp of a square operator, evaluated at d_temp and truncated back.
-
-    The input block is embedded (zero-padded) at d_temp(d); scaling-and-
-    squaring with the degree-13 Padé approximant does the exponential.  Rows
-    are cut to `out_rows` (default d) and columns to d, the rectangular-gate
-    shape used downstream.
-    """
-    m = op.matrix
-    if m.shape[0] != m.shape[1]:
-        raise ValueError("expm needs a square operator")
-    d = m.shape[0]
-    dt = plan.d_temp(d)
-    big = np.zeros((dt, dt), dtype=complex)
-    big[:d, :d] = m
-    e = scipy.linalg.expm(big)
-    rows = d if out_rows is None else out_rows
-    return FockOperator(e[:rows, :d])
-
-
 def displacement(v: tuple[float, float], d: int, plan: TruncationPlan) -> FockOperator:
-    """W(v) = exp[i sqrt(2π)(v_p q - v_q p)], built at d_temp and cut to d."""
+    """W(v) = exp[i sqrt(2π)(v_p q - v_q p)], built at d_temp and cut to d.
+
+    v_p q - v_q p = |v| R_θ q R_θ† with R_θ = diag(e^{-iθn}) and
+    θ = atan2(v_q, v_p).  R_θ is diagonal, so it commutes with the
+    truncation, and W is R_θ V diag(e^{i sqrt(2π)|v| x}) Vᵀ R_θ† with the
+    position eigensystem (x, V) at d_temp.
+    """
     v_q, v_p = float(v[0]), float(v[1])
     if not (math.isfinite(v_q) and math.isfinite(v_p)):
         raise ValueError("displacement needs finite components")
-    dt = plan.d_temp(d)
-    q, p = quadratures(dt)
-    gen = 1j * SQRT2PI * (v_p * q.matrix - v_q * p.matrix)
-    e = scipy.linalg.expm(gen)
-    return FockOperator(e[:d, :d])
+    x, vecs = q_eigensystem(plan.d_temp(d))
+    head = vecs[:d]
+    w = (head * np.exp(1j * SQRT2PI * math.hypot(v_q, v_p) * x)) @ head.T
+    r = np.exp(-1j * math.atan2(v_q, v_p) * np.arange(d))
+    return FockOperator(r[:, None] * w * r.conj())
 
 
 # ---------------------------------------------------------------------------
@@ -359,6 +365,8 @@ def gkp_codeword_position_oracle(
     position comb at (2n+bit) sqrt(λπ) analytically, samples the resulting
     sum of Gaussians on a uniform grid, and projects onto numerically
     generated Hermite functions.  Shares no code with gkp_codeword.
+
+    Test oracle only: nothing in the package calls it.
     """
     if bit not in (0, 1):
         raise ValueError(f"bit must be 0 or 1, got {bit!r}")
@@ -440,6 +448,8 @@ def poly_phase_gate(
     The generator is diagonal in the position eigenbasis at d_temp(d_init)
     (= d_out), so the exponential is exact there; only the input columns are
     truncated, keeping the gate's photon-number growth inside the output.
+
+    Test oracle only: `channel.ChannelEngine` applies the same gate matrix-free.
     """
     dt = plan.d_temp(plan.d_init)
     x, v = q_eigensystem(dt)
@@ -504,6 +514,9 @@ def pauli_measurement_operator(
     X and Z are lattice sums of single-axis displacements, assembled in the
     matching quadrature eigenbasis at expand_factor*d and truncated; Y uses
     the numerically symmetric product form (i X Z - i Z X)/2.
+
+    Test oracle only: `channel.ChannelEngine` applies the same diagonals
+    matrix-free.
     """
     which = which.upper()
     if which not in ("X", "Y", "Z"):

@@ -71,16 +71,6 @@ class RationalPolynomial:
             return cls(())
         return cls((0,) * degree + (c,))
 
-    @classmethod
-    def from_dict(cls, terms: Mapping[int, object]) -> "RationalPolynomial":
-        if not terms:
-            return cls(())
-        deg = max(terms)
-        cs = [Fraction(0)] * (deg + 1)
-        for k, c in terms.items():
-            cs[k] = _as_fraction(c)
-        return cls(cs)
-
     # -- basic queries -----------------------------------------------------
 
     @property
@@ -100,12 +90,6 @@ class RationalPolynomial:
         acc = Fraction(0)
         for c in reversed(self.coeffs):
             acc = acc * x + c
-        return acc
-
-    def evaluate_float(self, x: float) -> float:
-        acc = 0.0
-        for c in reversed(self.coeffs):
-            acc = acc * x + float(c)
         return acc
 
     # -- arithmetic ---------------------------------------------------------
@@ -198,9 +182,6 @@ class LexOrder(enum.Enum):
     LESS = "less"
     GREATER = "greater"
     EQUAL = "equal"
-    # Kept for API completeness; the magnitude scan below is total, so this
-    # value is never produced.
-    INCOMPARABLE = "incomparable"
 
 
 @dataclass(frozen=True)

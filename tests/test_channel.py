@@ -1,9 +1,11 @@
 """Logical channel assembly, fidelities, sweeps, and the vacuum baseline."""
 
+import functools
 import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from gkpphase import channel as ch, fock as fk
 
@@ -166,20 +168,6 @@ def test_truncation_robustness_spot_points():
         assert abs(infs[0] / infs[1] - 1.0) < 0.05, (gate, n_bar, lam, infs)
 
 
-def test_precision_64_smoke_mode():
-    full = ch.average_gate_fidelity(cfg("T3", lam=2.0))
-    config = cfg("T3", lam=2.0)
-    smoke = ch.average_gate_fidelity(
-        ch.ChannelConfig(gate=config.gate, params=config.params, plan=config.plan,
-                         target="T3", precision=64)
-    )
-    assert abs(full - smoke) < 1e-4  # relaxed single-precision agreement
-    import pytest as _pytest
-
-    with _pytest.raises(ValueError):
-        ch.ChannelConfig(gate=config.gate, params=config.params, precision=32)
-
-
 def test_sweep_uses_operator_cache(tmp_path):
     from gkpphase.opcache import OperatorCache
 
@@ -192,6 +180,39 @@ def test_sweep_uses_operator_cache(tmp_path):
     assert cache.get("qeig-values", {"d": d_temp}) is not None
     again = ch.sweep(["I"], n_bars, lams, PLAN_SMALL, cache_dir=tmp_path)
     assert again.rows == plain.rows
+
+
+def _fresh_provider(monkeypatch):
+    # an empty in-process map, so eigensystems come from disk or a new solve
+    monkeypatch.setattr(fk, "_q_eigensystem",
+                        functools.lru_cache(maxsize=6)(fk._q_eigensystem.__wrapped__))
+
+
+def test_sweep_rows_read_from_disk_equal_uncached(tmp_path, monkeypatch):
+    plan = fk.TruncationPlan(d_init=128)
+    n_bars, lams = [3.0, 6.0], [1.0, 1.8, 3.0]
+    plain = ch.sweep(["T3"], n_bars, lams, plan)
+    ch.sweep(["T3"], n_bars, lams[:1], plan, cache_dir=tmp_path)  # fills the files
+    _fresh_provider(monkeypatch)
+    cached = ch.sweep(["T3"], n_bars, lams, plan, cache_dir=tmp_path)
+    assert len(plain.rows) >= 5
+    assert cached.rows == plain.rows  # equal as floats, not just close
+
+
+def test_no_eigensolve_after_prewarm(tmp_path, monkeypatch):
+    from gkpphase import cli
+
+    assert cli.dispatch(["cache", "prewarm", "--cache-dir", str(tmp_path),
+                         "--dinit", "64", "--out", str(tmp_path / "p.json")]) == 0
+    _fresh_provider(monkeypatch)
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("eigensolve after prewarm")
+
+    monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", no_solve)
+    res = ch.sweep(["T3", "I"], [4.0], [1.0, 2.0], fk.TruncationPlan(d_init=64),
+                   cache_dir=tmp_path)
+    assert len(res.rows) + len(res.failures) == 4 and res.rows
 
 
 def test_clifford_t_orbit_size():

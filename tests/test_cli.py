@@ -46,9 +46,21 @@ def test_synth_lift_start(tmp_path):
     code, text = run(tmp_path, "synth", "--level", "3", name="t3.json")
     prev = tmp_path / "prev.json"
     prev.write_text(json.dumps(json.loads(text)["polynomial"]))
-    code, text = run(tmp_path, "synth", "--level", "4", "--start", f"lift:{prev}")
-    assert code == 0
-    assert json.loads(text)["polynomial"]["pretty"] == "-x^4/48 + x^2/12"
+    # the inner "polynomial" object and the raw `synth --out` file
+    for start in (prev, tmp_path / "t3.json"):
+        code, text = run(tmp_path, "synth", "--level", "4", "--start", f"lift:{start}")
+        assert code == 0
+        assert json.loads(text)["polynomial"]["pretty"] == "-x^4/48 + x^2/12"
+
+
+def test_synth_lift_start_rejects_other_json(tmp_path, capsys):
+    for i, payload in enumerate(([1, 2], {"polynomial": {"1,1": "-1/4"}},
+                                 {"coefficients": ["x"]}, {"coefficients": "0/1"})):
+        bad = tmp_path / f"bad{i}.json"
+        bad.write_text(json.dumps(payload))
+        code, _ = run(tmp_path, "synth", "--level", "4", "--start", f"lift:{bad}")
+        assert code == 1, payload
+        assert "coefficients" in capsys.readouterr().err
 
 
 def test_synth_invalid_level_exits_1(tmp_path):
@@ -145,11 +157,19 @@ def test_cache_roundtrip(tmp_path):
     assert json.loads(text)["prewarmed"] == 4
     code, text = run(tmp_path, "cache", "list", "--cache-dir", str(cache_dir))
     data = json.loads(text)
+    # the two eigensystems a sweep reads: d_out = 64 and d_temp = 128
     assert data["count"] == 4
-    kinds = {e["kind"] for e in data["entries"]}
-    assert {"qeig-values", "qeig-vectors", "pauli-diag-zx"} <= kinds
+    shapes = sorted((e["kind"], tuple(e["shape"])) for e in data["entries"])
+    assert shapes == [("qeig-values", (64,)), ("qeig-values", (128,)),
+                      ("qeig-vectors", (64, 64)), ("qeig-vectors", (128, 128))]
     code, text = run(tmp_path, "cache", "purge", "--cache-dir", str(cache_dir))
     assert json.loads(text)["purged"] == 4
+
+
+def test_cache_needs_cache_dir(tmp_path):
+    for action in ("list", "purge", "prewarm"):
+        code, text = run(tmp_path, "cache", action, "--dinit", "32")
+        assert code == 1 and text == ""
 
 
 def test_numeric_failure_exits_2(monkeypatch):

@@ -32,18 +32,18 @@ def test_truncation_plan_defaults():
         fk.TruncationPlan(d_init=8)
 
 
-def test_expm_contracts():
-    plan = fk.TruncationPlan(d_init=64)
-    zero = fk.expm(fk.FockOperator(np.zeros((64, 64))), plan)
-    assert np.allclose(zero.matrix, np.eye(64))
-    phases = fk.expm(fk.FockOperator(0.7j * np.diag(np.arange(64.0))), plan)
-    assert np.allclose(phases.matrix, np.diag(np.exp(0.7j * np.arange(64))))
-    rng = np.random.default_rng(3)
-    h = rng.normal(size=(64, 64)) + 1j * rng.normal(size=(64, 64))
-    h = 0.05 * (h + h.conj().T)
-    fwd = fk.expm(fk.FockOperator(1j * h), plan)
-    bwd = fk.expm(fk.FockOperator(-1j * h), plan)
-    assert np.max(np.abs(fwd.matrix @ bwd.matrix - np.eye(64))) < 1e-10
+def test_displacement_matches_expm_oracle():
+    # scipy's expm of the truncated generator at d_temp, cut back to d
+    import scipy.linalg
+
+    d = 24
+    plan = fk.TruncationPlan(d_init=d)
+    q, p = fk.quadratures(plan.d_temp(d))
+    for v_q, v_p in [(0.0, 0.0), (0.3, 0.0), (0.0, -0.4), (0.25, 0.35), (-0.45, 0.2)]:
+        gen = 1j * fk.SQRT2PI * (v_p * q.matrix - v_q * p.matrix)
+        oracle = scipy.linalg.expm(gen)[:d, :d]
+        got = fk.displacement((v_q, v_p), d, plan).matrix
+        assert np.max(np.abs(got - oracle)) < 1e-12, (v_q, v_p)
 
 
 def test_displacement_identity_and_unitarity():

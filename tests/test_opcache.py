@@ -22,8 +22,8 @@ def test_roundtrip_float64(tmp_path):
 def test_roundtrip_complex(tmp_path):
     cache = opcache.OperatorCache(tmp_path)
     arr = (np.arange(6) + 1j * np.arange(6)).reshape(2, 3)
-    cache.put("pauli-diag-zx", {"lam": 2.0, "delta": 0.25}, arr)
-    got = opcache.OperatorCache(tmp_path).get("pauli-diag-zx", {"lam": 2.0, "delta": 0.25})
+    cache.put("probe", {"lam": 2.0, "delta": 0.25}, arr)
+    got = opcache.OperatorCache(tmp_path).get("probe", {"lam": 2.0, "delta": 0.25})
     assert np.array_equal(got, arr)
 
 
@@ -51,10 +51,36 @@ def test_header_matches_on_disk(tmp_path):
 def test_miss_returns_none(tmp_path):
     cache = opcache.OperatorCache(tmp_path)
     assert cache.get("nothing", {"a": 1}) is None
-    memory_only = opcache.OperatorCache(None)
-    assert memory_only.get("nothing", {}) is None
-    memory_only.put("k", {}, np.array([3.0]))
-    assert memory_only.get("k", {})[0] == 3.0
+    cache.put("k", {"a": 1}, np.array([3.0]))
+    assert cache.get("k", {"a": 2}) is None
+    assert cache.get("k", {"a": 1})[0] == 3.0
+
+
+def test_payload_aligned_and_layout_kept(tmp_path):
+    cache = opcache.OperatorCache(tmp_path)
+    arr = np.asfortranarray(np.arange(35.0).reshape(5, 7))
+    cache.put("probe-with-a-longer-kind", {"d": 5}, arr)
+    got = cache.get("probe-with-a-longer-kind", {"d": 5})
+    assert got.ctypes.data % opcache.PAYLOAD_ALIGN == 0
+    assert got.flags.f_contiguous and not got.flags.writeable
+    assert got.strides == arr.strides and np.array_equal(got, arr)
+    c_arr = np.arange(6.0).reshape(2, 3)
+    cache.put("probe", {"d": 2}, c_arr)
+    assert cache.get("probe", {"d": 2}).strides == c_arr.strides
+
+
+def test_other_version_is_a_miss_and_overwritten(tmp_path):
+    cache = opcache.OperatorCache(tmp_path)
+    cache.put("k", {"d": 1}, np.array([1.0, 2.0]))
+    (entry,) = cache.entries()
+    blob = bytearray(entry.path.read_bytes())
+    blob[8:12] = (1).to_bytes(4, "little")
+    entry.path.write_bytes(bytes(blob))
+    assert cache.get("k", {"d": 1}) is None
+    assert cache.entries() == []
+    got = cache.get_or_create("k", {"d": 1}, lambda: np.array([5.0, 6.0]))
+    assert np.array_equal(got, [5.0, 6.0])
+    assert np.array_equal(cache.get("k", {"d": 1}), [5.0, 6.0])
 
 
 def test_purge_empty_and_full(tmp_path):
