@@ -17,9 +17,10 @@ cache, on disk.  The Pauli diagonals are recomputed per (Δ, λ).
 
 from __future__ import annotations
 
+import ctypes
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
@@ -109,6 +110,10 @@ class ChannelConfig:
         return self.smear
 
 
+class ExpectationRangeError(ValueError):
+    """A Pauli expectation left [-1, 1] by more than roundoff."""
+
+
 @dataclass(frozen=True)
 class LogicalReadout:
     """Pauli expectations of the channel output for the four basis inputs."""
@@ -119,7 +124,7 @@ class LogicalReadout:
         for state, row in self.expectations.items():
             for pauli, val in row.items():
                 if abs(val) > 1.0 + 1e-6:
-                    raise ValueError(
+                    raise ExpectationRangeError(
                         f"expectation <{pauli}> = {val} out of range for input {state}"
                     )
 
@@ -137,6 +142,9 @@ class ChannelEngine:
     in the p/q eigenbases at dimension d_temp(d_out).  Only matrix-vector
     products of those eigenvector matrices touch the state, so a single
     evaluation costs a few d_temp² flops.
+
+    The build (eigensystems, Pauli profiles, codeword pair) is gate-free; the
+    gate enters per call, so one engine serves every gate at its (Δ, λ).
     """
 
     def __init__(self, config: ChannelConfig, cache: OperatorCache | None = None):
@@ -153,7 +161,6 @@ class ChannelEngine:
         self.r2 = fock.number_parity_phases(self.d_temp)
         self.x1, self.v1 = fock.q_eigensystem(self.d_out, cache)
 
-        self.gate_phase = fock.phase_profile(config.gate, lam, self.x1)
         smear = config.smear_matrix()
         self.g_z, self.h_x = fock.pauli_profiles(lam, smear, self.x2, config.n_cut)
 
@@ -171,9 +178,14 @@ class ChannelEngine:
         # real matrix x complex vector without promoting the (large) matrix
         return m_real @ vec.real + 1j * (m_real @ vec.imag)
 
-    def _apply_gate(self, vec: np.ndarray) -> np.ndarray:
+    def gate_phase(self, gate: RationalPolynomial | None = None) -> np.ndarray:
+        """Diagonal of a gate (default: the config's) in the d_out q eigenbasis."""
+        gate = self.config.gate if gate is None else gate
+        return fock.phase_profile(gate, self.config.params.lam, self.x1)
+
+    def _apply_gate(self, vec: np.ndarray, phase: np.ndarray) -> np.ndarray:
         w = self._rmatvec(self.v1[: self.d_init, :].T, vec)
-        out = self._rmatvec(self.v1, self.gate_phase * w)
+        out = self._rmatvec(self.v1, phase * w)
         # The gate is exactly unitary at its build dimension, so norm loss
         # proper is roundoff; what signals an untrustworthy truncation is
         # amplitude reaching the top of the output window.
@@ -186,9 +198,11 @@ class ChannelEngine:
             )
         return out
 
-    def pauli_expectations(self, qubit: np.ndarray) -> dict[str, float]:
-        """<I, X, Y, Z> of the channel output for a pure qubit input."""
-        psi = self._apply_gate(self._encode(np.asarray(qubit, dtype=complex)))
+    def pauli_expectations(self, qubit, phase: np.ndarray | None = None) -> dict[str, float]:
+        """<I, X, Y, Z> of the channel output for a pure qubit input, through the
+        gate of diagonal `phase` (from `gate_phase`; default: the config's gate)."""
+        phase = self.gate_phase() if phase is None else phase
+        psi = self._apply_gate(self._encode(np.asarray(qubit, dtype=complex)), phase)
         norm2 = float(np.vdot(psi, psi).real)
         # Z_m is diagonal in the q eigenbasis, X_m in the p one (= R q R†).
         head = self.v2[: self.d_out, :].T
@@ -203,9 +217,11 @@ class ChannelEngine:
         exp_y = -float(np.vdot(x_psi, z_psi).imag) / norm2
         return {"I": 1.0, "X": exp_x, "Y": exp_y, "Z": exp_z}
 
-    def readout(self) -> LogicalReadout:
+    def readout(self, gate: RationalPolynomial | None = None) -> LogicalReadout:
+        """The four basis inputs through a gate (default: the config's)."""
+        phase = self.gate_phase(gate)
         return LogicalReadout(
-            {name: self.pauli_expectations(INPUT_STATES[name]) for name in INPUT_ORDER}
+            {name: self.pauli_expectations(INPUT_STATES[name], phase) for name in INPUT_ORDER}
         )
 
 
@@ -316,31 +332,36 @@ class SweepResult:
     failures: dict[tuple[str, float, float], str]
 
 
-def _sweep_point(args) -> tuple[int, float | None, float | None, str | None]:
-    """One grid point; failures are reported, not raised, so sweeps continue."""
-    idx, gate_label, n_bar, lam, d_init, expand, n_cut, smear_off, cache_dir = args
-    poly, _level = GATE_TABLE[gate_label]
-    params = fock.GkpParams.from_n_bar(n_bar, lam)
-    config = ChannelConfig(
-        gate=poly,
-        params=params,
-        plan=fock.TruncationPlan(d_init=d_init, expand_factor=expand),
-        smear=None if smear_off else "auto",
-        target=gate_label,
-        n_cut=n_cut,
-    )
-    cache = None if cache_dir is None else OperatorCache(cache_dir)
+# The numeric failures of one point.  Anything else is a bug and propagates.
+POINT_ERRORS = (fock.TruncationLeakageError, fock.DegeneratePairError, ExpectationRangeError)
+
+
+def _pin_blas_threads() -> None:
+    """Pool initializer: numpy's OpenBLAS at one thread per worker; a no-op without it."""
+    lib = ctypes.CDLL(np.linalg._umath_linalg.__file__)
+    getattr(lib, "scipy_openblas_set_num_threads64_", lambda _n: None)(1)
+
+
+def _sweep_group(args) -> list[tuple[int, float | None, float | None, str | None]]:
+    """Every gate at one (n̄, λ) through one engine; failures are reported, not
+    raised.  A failed build fails every gate, a post-gate failure only its own."""
+    points, config, cache_dir = args
     try:
-        engine = ChannelEngine(config, cache)
-        readout = engine.readout()
-        avg_f = average_gate_fidelity_from_readout(readout, gate_label)
-    except (fock.TruncationLeakageError, ValueError) as exc:
-        return idx, None, None, str(exc)
-    t_inf = None
-    if gate_label in T_IMPLEMENTING_GATES:
+        engine = ChannelEngine(config, None if cache_dir is None else OperatorCache(cache_dir))
+    except POINT_ERRORS as exc:
+        return [(idx, None, None, str(exc)) for idx, _label in points]
+    out = []
+    for idx, label in points:
+        try:
+            readout = engine.readout(GATE_TABLE[label][0])
+        except POINT_ERRORS as exc:
+            out.append((idx, None, None, str(exc)))
+            continue
         exps = readout.expectations["plus"]
         t_inf = 1.0 - (0.5 + (exps["X"] + exps["Y"]) / (2.0 * math.sqrt(2.0)))
-    return idx, 1.0 - avg_f, t_inf, None
+        avg_inf = 1.0 - average_gate_fidelity_from_readout(readout, label)
+        out.append((idx, avg_inf, t_inf if label in T_IMPLEMENTING_GATES else None, None))
+    return out
 
 
 def sweep(
@@ -355,8 +376,9 @@ def sweep(
 ) -> SweepResult:
     """Average-gate / T-state infidelities over a (gate, n̄, λ) grid.
 
-    Points are independent work units; results are merged by grid index so
-    the output is deterministic for any worker count.  Per-n̄ optima are
+    The points of one (n̄, λ) form one work unit that builds one engine and
+    runs every gate through it; results are merged by grid index so the
+    output is deterministic for any worker count.  Per-n̄ optima are
     grid argmins, flagged when they sit on the λ-grid boundary.
     """
     plan = plan or fock.TruncationPlan(d_init=256)
@@ -370,26 +392,26 @@ def sweep(
             raise ValueError(f"unknown gate {g!r}; known: {sorted(GATE_TABLE)}")
 
     cache_dir = str(cache_dir) if cache_dir is not None else None
-    tasks = []
-    meta = []
-    for gi, g in enumerate(gates):
-        for ni, nb in enumerate(n_bars):
-            for li, lam in enumerate(lams):
-                idx = len(tasks)
-                tasks.append(
-                    (idx, g, nb, lam, plan.d_init, plan.expand_factor,
-                     n_cut, smear_off, cache_dir)
-                )
-                meta.append((g, nb, lam))
+    smear = None if smear_off else "auto"
+    # One task per (n̄, λ): (grid index, gate) of every gate, and the engine's config.
+    groups = [
+        ([((gi * len(n_bars) + ni) * len(lams) + li, g) for gi, g in enumerate(gates)],
+         ChannelConfig(GATE_TABLE[gates[0]][0], fock.GkpParams.from_n_bar(nb, lam), plan,
+                       smear, n_cut=n_cut),
+         cache_dir)
+        for ni, nb in enumerate(n_bars)
+        for li, lam in enumerate(lams)
+    ]
+    meta = [(g, nb, lam) for g in gates for nb in n_bars for lam in lams]
 
-    results: list[tuple[float, float | None] | None] = [None] * len(tasks)
+    results: list[tuple[float, float | None] | None] = [None] * len(meta)
     failures: dict[int, str] = {}
     if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            outcomes = pool.map(_sweep_point, tasks, chunksize=4)
+        with ProcessPoolExecutor(max_workers=workers, initializer=_pin_blas_threads) as pool:
+            outcomes = pool.map(_sweep_group, groups)
     else:
-        outcomes = map(_sweep_point, tasks)
-    for idx, inf, t_inf, err in outcomes:
+        outcomes = map(_sweep_group, groups)
+    for idx, inf, t_inf, err in (point for group in outcomes for point in group):
         if err is not None:
             failures[idx] = err
         else:
@@ -437,7 +459,7 @@ def sweep(
             xs, ys = zip(*pts)
             fits[g] = tuple(np.polyfit(xs, ys, 2))
     return SweepResult(
-        tuple(rows), optima, fits, {meta[i]: msg for i, msg in failures.items()}
+        tuple(rows), optima, fits, {meta[i]: failures[i] for i in sorted(failures)}
     )
 
 

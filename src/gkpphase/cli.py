@@ -13,9 +13,7 @@ import argparse
 import configparser
 import json
 import math
-import os
 import sys
-import tempfile
 import time
 from fractions import Fraction
 from pathlib import Path
@@ -23,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import analytic, channel, fock, polyalg, symplectic
-from .opcache import OperatorCache
+from .opcache import OperatorCache, write_atomically
 
 SCHEMA_VERSION = 1
 
@@ -38,15 +36,7 @@ def _atomic_write(path: str | None, text: str) -> None:
         return
     target = Path(path)
     target.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=target.parent, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
-        os.replace(tmp, target)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    write_atomically(target, text.encode())
 
 
 def _emit_json(args, payload: dict) -> None:
@@ -66,11 +56,16 @@ def _load_config_defaults(parser: argparse.ArgumentParser, argv: list[str]) -> l
     if "--config" not in argv:
         return argv
     i = argv.index("--config")
+    if i + 1 == len(argv):
+        parser.error("--config needs a file path")
     path = argv[i + 1]
     rest = argv[:i] + argv[i + 2 :]
     cp = configparser.ConfigParser()
-    with open(path) as fh:
-        cp.read_file(fh)
+    try:
+        with open(path) as fh:
+            cp.read_file(fh)
+    except (OSError, configparser.Error) as exc:
+        parser.error(f"cannot read --config file: {exc}")
     section = rest[0] if rest and not rest[0].startswith("-") else "global"
     injected: list[str] = []
     for sec in ("global", section):
@@ -258,7 +253,7 @@ def cmd_sweep(args) -> int:
     lams = np.linspace(args.lam_min, args.lam_max, args.lam_count).tolist()
     plan = fock.TruncationPlan(d_init=args.dinit, expand_factor=args.expand_factor)
     result = channel.sweep(
-        [args.gate], n_bars, lams, plan,
+        args.gate, n_bars, lams, plan,
         workers=args.workers, n_cut=args.ncut, cache_dir=args.cache_dir,
     )
     header = [
@@ -416,9 +411,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--nogo-circuits", type=int, default=100)
     p.set_defaults(func=cmd_verify_circuits)
 
-    p = sub.add_parser("sweep", help="(n_bar, lam) fidelity sweep for one gate")
+    p = sub.add_parser("sweep", help="(n_bar, lam) fidelity sweep for one or more gates")
     common(p)
-    p.add_argument("--gate", required=True, choices=sorted(channel.GATE_TABLE))
+    p.add_argument("--gate", required=True, nargs="+", choices=sorted(channel.GATE_TABLE),
+                   help="gates sharing one engine per (n_bar, lam); rows in this order")
     p.add_argument("--nbar-min", type=float, default=2.0)
     p.add_argument("--nbar-max", type=float, default=12.0)
     p.add_argument("--nbar-step", type=float, default=1.0)

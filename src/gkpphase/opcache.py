@@ -32,7 +32,6 @@ import json
 import math
 import os
 import struct
-import tempfile
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -55,6 +54,20 @@ def param_digest(params: dict) -> bytes:
     """sha-256 over a canonical (sorted-key, repr-stable) parameter encoding."""
     canon = json.dumps(params, sort_keys=True, separators=(",", ":"), default=str)
     return hashlib.sha256(canon.encode()).digest()
+
+
+def write_atomically(path: Path, data: bytes) -> None:
+    """Write through a temp file renamed into place.  The temp file is created
+    as open() would create it, with mode 0o666 less the umask."""
+    tmp = path.with_name(f".{path.name}.{os.urandom(8).hex()}.tmp")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(data)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def _padded(n: int) -> int:
@@ -137,16 +150,7 @@ class OperatorCache:
 
     def put(self, kind: str, params: dict, array: np.ndarray) -> None:
         digest = param_digest(params)
-        blob = _encode(kind, digest, array)
-        fd, tmp = tempfile.mkstemp(dir=self.directory, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "wb") as fh:
-                fh.write(blob)
-            os.replace(tmp, self._path(kind, digest))
-        except BaseException:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
-            raise
+        write_atomically(self._path(kind, digest), _encode(kind, digest, array))
 
     def get_or_create(self, kind: str, params: dict, builder) -> np.ndarray:
         arr = self.get(kind, params)

@@ -1,7 +1,9 @@
 """Logical channel assembly, fidelities, sweeps, and the vacuum baseline."""
 
+import ctypes
 import functools
 import math
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -213,6 +215,115 @@ def test_no_eigensolve_after_prewarm(tmp_path, monkeypatch):
     res = ch.sweep(["T3", "I"], [4.0], [1.0, 2.0], fk.TruncationPlan(d_init=64),
                    cache_dir=tmp_path)
     assert len(res.rows) + len(res.failures) == 4 and res.rows
+
+
+def test_engine_matches_dense_oracles():
+    # the matrix-free engine against poly_phase_gate + pauli_measurement_operator
+    config = cfg("T3", delta=0.35, lam=2.0, plan=fk.TruncationPlan(d_init=64))
+    plan, lam = config.plan, config.params.lam
+    engine = ch.ChannelEngine(config)
+    gate = fk.poly_phase_gate(config.gate, lam, plan).matrix
+    paulis = {p: fk.pauli_measurement_operator(p, lam, config.smear_matrix(), plan.d_out).matrix
+              for p in ("X", "Y", "Z")}
+    e0 = fk.gkp_codeword(0, 0.35, lam, plan.d_init)
+    e1 = fk.gkp_codeword(1, 0.35, lam, plan.d_init)
+    e0, e1 = fk.orthonormalize(e0, e1)
+    for name in ch.INPUT_ORDER:
+        a, b = ch.INPUT_STATES[name]
+        vec = a * e0.amplitudes + b * e1.amplitudes
+        psi = gate @ (vec / np.linalg.norm(vec))
+        exps = engine.pauli_expectations(ch.INPUT_STATES[name])
+        for p, op in paulis.items():
+            dense = np.vdot(psi, op @ psi).real / np.vdot(psi, psi).real
+            assert abs(exps[p] - dense) <= 1e-12, (name, p, exps[p], dense)
+
+
+GROUP_GATES = ["TGKP", "T3", "I"]
+GROUP_PLAN = fk.TruncationPlan(d_init=64)
+
+
+def test_sweep_groups_equal_single_point_path():
+    # one engine per (n_bar, lam) gives each gate's row exactly as a
+    # stand-alone engine for that point; the failures are the same points
+    n_bars, lams = [2.0, 5.0], [1.0, 2.5, 4.0]
+    res = ch.sweep(GROUP_GATES, n_bars, lams, GROUP_PLAN)
+    rows = {(r.gate, r.n_bar, r.lam): r for r in res.rows}
+    failed = set()
+    for g in GROUP_GATES:
+        for nb in n_bars:
+            for lam in lams:
+                config = ch.ChannelConfig(
+                    gate=ch.GATE_TABLE[g][0], params=fk.GkpParams.from_n_bar(nb, lam),
+                    plan=GROUP_PLAN, target=g,
+                )
+                try:
+                    inf = 1.0 - ch.average_gate_fidelity(config)
+                except fk.TruncationLeakageError:
+                    failed.add((g, nb, lam))
+                    continue
+                assert rows[(g, nb, lam)].avg_infidelity == inf
+                t_inf = rows[(g, nb, lam)].t_state_infidelity
+                assert t_inf == (1.0 - ch.t_state_fidelity(config) if g != "I" else None)
+    assert failed and set(res.failures) == failed
+    assert len(rows) + len(failed) == len(GROUP_GATES) * len(n_bars) * len(lams)
+
+
+def test_sweep_builds_codewords_once_per_group(monkeypatch):
+    calls = []
+    real = fk.gkp_codeword
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(fk, "gkp_codeword", counting)
+    ch.sweep(GROUP_GATES, [3.0, 4.0], [1.5, 2.5], GROUP_PLAN)
+    assert len(calls) == 2 * 2 * 2  # a codeword pair per (n_bar, lam), not per gate
+
+
+def test_codeword_failure_fails_every_gate_of_its_group(monkeypatch):
+    real = fk.gkp_codeword
+
+    def failing_at_lam_2(bit, delta, lam, d):
+        if lam == 2.0:
+            raise fk.TruncationLeakageError("codeword probe failure")
+        return real(bit, delta, lam, d)
+
+    monkeypatch.setattr(fk, "gkp_codeword", failing_at_lam_2)
+    res = ch.sweep(["T3", "I"], [3.0], [1.5, 2.0], GROUP_PLAN)
+    assert res.failures == {(g, 3.0, 2.0): "codeword probe failure" for g in ("T3", "I")}
+    assert sorted((r.gate, r.lam) for r in res.rows) == [("I", 1.5), ("T3", 1.5)]
+
+
+def test_sweep_propagates_programming_errors(monkeypatch):
+    # only the package's numeric failures become failed points
+    def broken(*args):
+        raise ValueError("not a numeric failure")
+
+    monkeypatch.setattr(fk, "phase_profile", broken)
+    with pytest.raises(ValueError, match="not a numeric failure"):
+        ch.sweep(["T3"], [3.0], [1.5], GROUP_PLAN)
+
+
+def test_expectation_range_error_is_a_point_failure():
+    with pytest.raises(ch.ExpectationRangeError):
+        ch.LogicalReadout({"plus": {"I": 1.0, "X": 1.5, "Y": 0.0, "Z": 0.0}})
+    assert ch.ExpectationRangeError in ch.POINT_ERRORS
+
+
+def _blas_threads():
+    lib = ctypes.CDLL(np.linalg._umath_linalg.__file__)
+    return lib.scipy_openblas_get_num_threads64_()
+
+
+def test_pool_workers_pin_blas_to_one_thread():
+    lib = ctypes.CDLL(np.linalg._umath_linalg.__file__)
+    if not hasattr(lib, "scipy_openblas_get_num_threads64_"):
+        pytest.skip("numpy's BLAS is not scipy-openblas")
+    before = _blas_threads()
+    with ProcessPoolExecutor(max_workers=1, initializer=ch._pin_blas_threads) as pool:
+        assert pool.submit(_blas_threads).result() == 1
+    assert _blas_threads() == before  # the calling process keeps its threads
 
 
 def test_clifford_t_orbit_size():

@@ -142,6 +142,15 @@ def test_sweep_workers_deterministic(tmp_path):
     assert a == b
 
 
+def test_sweep_several_gates_equal_single_gate_runs(tmp_path):
+    grid = ["--nbar-min", "3", "--nbar-max", "4", "--nbar-step", "1",
+            "--lam-min", "1", "--lam-max", "2", "--lam-count", "2", "--dinit", "64"]
+    _, both = run(tmp_path, "sweep", "--gate", "T3", "I", *grid, name="both.csv")
+    _, t3 = run(tmp_path, "sweep", "--gate", "T3", *grid, name="t3.csv")
+    _, idle = run(tmp_path, "sweep", "--gate", "I", *grid, name="i.csv")
+    assert both.splitlines() == t3.splitlines() + idle.splitlines()[2:]
+
+
 def test_cache_roundtrip(tmp_path):
     cache_dir = tmp_path / "cache"
     code, text = run(tmp_path, "cache", "purge", "--cache-dir", str(cache_dir))
@@ -196,3 +205,14 @@ def test_config_file_defaults(tmp_path):
     code = cli.dispatch(["--config", str(conf), "moments", "--gate", "T3",
                          "--out", str(out)])
     assert json.loads(out.read_text())["gate"] == "T3"
+
+
+def test_config_without_path_exits_1(capsys):
+    assert cli.dispatch(["--config"]) == 1
+    assert "--config needs a file path" in capsys.readouterr().err
+
+
+def test_unreadable_config_exits_1(tmp_path, capsys):
+    missing = tmp_path / "absent.conf"
+    assert cli.dispatch(["--config", str(missing), "moments", "--delta", "0.2"]) == 1
+    assert "cannot read --config file" in capsys.readouterr().err

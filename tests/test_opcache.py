@@ -1,5 +1,7 @@
 """Binary operator cache: format round-trips, keying, concurrency basics."""
 
+import os
+import stat
 import threading
 
 import numpy as np
@@ -130,3 +132,15 @@ def test_rejects_unsupported_dtype(tmp_path):
     cache = opcache.OperatorCache(tmp_path)
     with pytest.raises(ValueError):
         cache.put("k", {}, np.array([1], dtype=np.int32))
+
+
+@pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)])
+def test_put_mode_follows_umask(tmp_path, umask, mode):
+    # as a plain open() would create it, not mkstemp's 0600
+    old = os.umask(umask)
+    try:
+        opcache.OperatorCache(tmp_path).put("k", {"d": 1}, np.array([1.0]))
+    finally:
+        os.umask(old)
+    (path,) = tmp_path.glob("*.opc")
+    assert stat.S_IMODE(path.stat().st_mode) == mode
