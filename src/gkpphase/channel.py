@@ -11,8 +11,8 @@ assembled from single-state Pauli expectations.
 
 The heavy objects, the position eigensystems at d_out and at the readout
 dimension, depend only on the truncation; they come from
-`fock.q_eigensystem`, which keeps them per process and, given an operator
-cache, on disk.  The Pauli diagonals are recomputed per (Δ, λ).
+`fock.q_eigensystem`, which keeps them per process and, given a cache
+directory, on disk.  The Pauli diagonals are recomputed per (Δ, λ).
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ from functools import lru_cache
 import numpy as np
 
 from . import analytic, fock
-from .opcache import OperatorCache
 from .polyalg import RationalPolynomial
 
 PAULI = {
@@ -147,7 +146,7 @@ class ChannelEngine:
     gate enters per call, so one engine serves every gate at its (Δ, λ).
     """
 
-    def __init__(self, config: ChannelConfig, cache: OperatorCache | None = None):
+    def __init__(self, config: ChannelConfig, cache_dir=None):
         self.config = config
         plan = config.plan
         lam = config.params.lam
@@ -157,9 +156,9 @@ class ChannelEngine:
 
         # The larger readout system first: its solve then peaks with no
         # other eigenvector matrix resident.
-        self.x2, self.v2 = fock.q_eigensystem(self.d_temp, cache)
+        self.x2, self.v2 = fock.q_eigensystem(self.d_temp, cache_dir)
         self.r2 = fock.number_parity_phases(self.d_temp)
-        self.x1, self.v1 = fock.q_eigensystem(self.d_out, cache)
+        self.x1, self.v1 = fock.q_eigensystem(self.d_out, cache_dir)
 
         smear = config.smear_matrix()
         self.g_z, self.h_x = fock.pauli_profiles(lam, smear, self.x2, config.n_cut)
@@ -292,14 +291,14 @@ def average_gate_fidelity_reconstructed(
     return (total + 4.0) / 12.0
 
 
-def average_gate_fidelity(config: ChannelConfig, cache: OperatorCache | None = None) -> float:
-    engine = ChannelEngine(config, cache)
+def average_gate_fidelity(config: ChannelConfig, cache_dir=None) -> float:
+    engine = ChannelEngine(config, cache_dir)
     return average_gate_fidelity_from_readout(engine.readout(), config.target)
 
 
-def t_state_fidelity(config: ChannelConfig, cache: OperatorCache | None = None) -> float:
+def t_state_fidelity(config: ChannelConfig, cache_dir=None) -> float:
     """F = <T| E(|+><+|) |T> = 1/2 + (<X> + <Y>)/(2 sqrt(2))."""
-    exps = ChannelEngine(config, cache).pauli_expectations(INPUT_STATES["plus"])
+    exps = ChannelEngine(config, cache_dir).pauli_expectations(INPUT_STATES["plus"])
     return 0.5 + (exps["X"] + exps["Y"]) / (2.0 * math.sqrt(2.0))
 
 
@@ -347,7 +346,7 @@ def _sweep_group(args) -> list[tuple[int, float | None, float | None, str | None
     raised.  A failed build fails every gate, a post-gate failure only its own."""
     points, config, cache_dir = args
     try:
-        engine = ChannelEngine(config, None if cache_dir is None else OperatorCache(cache_dir))
+        engine = ChannelEngine(config, cache_dir)
     except POINT_ERRORS as exc:
         return [(idx, None, None, str(exc)) for idx, _label in points]
     out = []
@@ -371,7 +370,6 @@ def sweep(
     plan: fock.TruncationPlan | None = None,
     workers: int = 1,
     n_cut: int = 59,
-    smear_off: bool = False,
     cache_dir=None,
 ) -> SweepResult:
     """Average-gate / T-state infidelities over a (gate, n̄, λ) grid.
@@ -391,13 +389,11 @@ def sweep(
         if g not in GATE_TABLE:
             raise ValueError(f"unknown gate {g!r}; known: {sorted(GATE_TABLE)}")
 
-    cache_dir = str(cache_dir) if cache_dir is not None else None
-    smear = None if smear_off else "auto"
     # One task per (n̄, λ): (grid index, gate) of every gate, and the engine's config.
     groups = [
         ([((gi * len(n_bars) + ni) * len(lams) + li, g) for gi, g in enumerate(gates)],
          ChannelConfig(GATE_TABLE[gates[0]][0], fock.GkpParams.from_n_bar(nb, lam), plan,
-                       smear, n_cut=n_cut),
+                       n_cut=n_cut),
          cache_dir)
         for ni, nb in enumerate(n_bars)
         for li, lam in enumerate(lams)
@@ -536,6 +532,15 @@ def clifford_t_targets() -> np.ndarray:
     return targets
 
 
+def _ranked_cells(delta: float, grid: int, lattice_cut: int) -> tuple[np.ndarray, np.ndarray]:
+    """Syndrome cells of the vacuum posterior, best first: each cell's fidelity
+    to its nearest Clifford-equivalent T target, and its probability weight."""
+    weights, bloch = analytic.vacuum_posterior_grid(delta, grid, lattice_cut)
+    fid = 0.5 * (1.0 + bloch @ clifford_t_targets().T).max(axis=1)
+    order = np.argsort(-fid)
+    return fid[order], weights[order]
+
+
 def vacuum_state_method(config: VacuumMethodConfig) -> VacuumResult:
     """Magic-state infidelity of the vacuum + one-QEC-round scheme.
 
@@ -544,14 +549,7 @@ def vacuum_state_method(config: VacuumMethodConfig) -> VacuumResult:
     `postselect_fraction` of the probability mass is kept (the boundary cell
     fractionally).  postselect_fraction -> 0 returns the single best cell.
     """
-    weights, bloch = analytic.vacuum_posterior_grid(
-        config.delta, config.grid, config.lattice_cut
-    )
-    targets = clifford_t_targets()
-    fid = 0.5 * (1.0 + bloch @ targets.T).max(axis=1)
-    order = np.argsort(-fid)
-    fid = fid[order]
-    weights = weights[order]
+    fid, weights = _ranked_cells(config.delta, config.grid, config.lattice_cut)
     if config.postselect_fraction == 0.0:
         best = float(fid[0])
         return VacuumResult(1.0 - best, float(weights[0]), config.grid < 100)
@@ -581,12 +579,7 @@ def vacuum_match_fraction(
     Returns 0 when even the best single cell cannot reach the target, and 1
     when no postselection is needed.
     """
-    weights, bloch = analytic.vacuum_posterior_grid(delta, grid, lattice_cut)
-    targets = clifford_t_targets()
-    fid = 0.5 * (1.0 + bloch @ targets.T).max(axis=1)
-    order = np.argsort(-fid)
-    fid = fid[order]
-    weights = weights[order]
+    fid, weights = _ranked_cells(delta, grid, lattice_cut)
     if 1.0 - fid[0] > target_infidelity:
         return 0.0
     cum_w = np.cumsum(weights)

@@ -51,6 +51,14 @@ def _emit_csv(args, header: list[str], rows: list[list]) -> None:
     _atomic_write(args.out, "\n".join(lines) + "\n")
 
 
+def _multi_value_flags(parser: argparse.ArgumentParser, section: str) -> set[str]:
+    """Option strings of `section`'s parser whose action takes several values."""
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction) and section in action.choices:
+            parser = action.choices[section]
+    return {opt for a in parser._actions if a.nargs == "+" for opt in a.option_strings}
+
+
 def _load_config_defaults(parser: argparse.ArgumentParser, argv: list[str]) -> list[str]:
     """Apply key=value defaults from --config <file> [section per subcommand]."""
     if "--config" not in argv:
@@ -67,13 +75,15 @@ def _load_config_defaults(parser: argparse.ArgumentParser, argv: list[str]) -> l
     except (OSError, configparser.Error) as exc:
         parser.error(f"cannot read --config file: {exc}")
     section = rest[0] if rest and not rest[0].startswith("-") else "global"
+    multi = _multi_value_flags(parser, section)
     injected: list[str] = []
     for sec in ("global", section):
         if cp.has_section(sec):
             for key, val in cp.items(sec):
                 flag = f"--{key.replace('_', '-')}"
                 if flag not in rest:
-                    injected.extend([flag, val])
+                    # one token per value, so a path with spaces stays whole
+                    injected.extend([flag, *val.split()] if flag in multi else [flag, val])
     if rest and not rest[0].startswith("-"):
         return [rest[0]] + injected + rest[1:]
     return injected + rest
@@ -245,6 +255,8 @@ def cmd_verify_circuits(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    if args.nbar_step <= 0:
+        raise ValueError(f"--nbar-step must be positive, got {args.nbar_step}")
     n_bars = []
     nb = args.nbar_min
     while nb <= args.nbar_max + 1e-9:
@@ -351,6 +363,17 @@ def cmd_twirl_density(args) -> int:
 def cmd_cache(args) -> int:
     if args.cache_dir is None:
         raise ValueError(f"cache {args.action} needs --cache-dir")
+    if args.action == "prewarm":
+        # The two eigensystems a sweep reads: the readout's at d_temp(d_out)
+        # and the gate's at d_out, larger first to keep the peak low.
+        plan = fock.TruncationPlan(d_init=args.dinit, expand_factor=args.expand_factor)
+        dims = (plan.d_temp(plan.d_out), plan.d_out)
+        t0 = time.time()
+        for d in dims:
+            fock.q_eigensystem(d, args.cache_dir)
+        # two entries (values, vectors) per eigensystem
+        _emit_json(args, {"prewarmed": 2 * len(dims), "seconds": time.time() - t0})
+        return 0
     cache = OperatorCache(args.cache_dir)
     if args.action == "list":
         entries = [
@@ -368,17 +391,6 @@ def cmd_cache(args) -> int:
     if args.action == "purge":
         n = cache.purge()
         _emit_json(args, {"purged": n})
-        return 0
-    if args.action == "prewarm":
-        # The two eigensystems a sweep reads: the readout's at d_temp(d_out)
-        # and the gate's at d_out, larger first to keep the peak low.
-        plan = fock.TruncationPlan(d_init=args.dinit, expand_factor=args.expand_factor)
-        dims = (plan.d_temp(plan.d_out), plan.d_out)
-        t0 = time.time()
-        for d in dims:
-            fock.q_eigensystem(d, cache)
-        # two entries (values, vectors) per eigensystem
-        _emit_json(args, {"prewarmed": 2 * len(dims), "seconds": time.time() - t0})
         return 0
     raise ValueError(f"unknown cache action {args.action!r}")
 

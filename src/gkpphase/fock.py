@@ -143,22 +143,6 @@ class FockOperator:
             raise ValueError("non-finite matrix entries")
         object.__setattr__(self, "matrix", m)
 
-    @property
-    def d_out(self) -> int:
-        return self.matrix.shape[0]
-
-    @property
-    def d_in(self) -> int:
-        return self.matrix.shape[1]
-
-    def apply(self, vec: FockVector) -> FockVector:
-        if vec.d != self.d_in:
-            raise ValueError(f"dimension mismatch: operator takes {self.d_in}, state has {vec.d}")
-        return FockVector(self.matrix @ vec.amplitudes)
-
-    def dagger(self) -> "FockOperator":
-        return FockOperator(self.matrix.conj().T)
-
 
 # ---------------------------------------------------------------------------
 # Ladder / quadrature operators
@@ -197,7 +181,7 @@ def _q_eigensystem(d: int, directory: Path | None) -> tuple[np.ndarray, np.ndarr
     return x, v
 
 
-def q_eigensystem(d: int, cache: OperatorCache | None = None) -> tuple[np.ndarray, np.ndarray]:
+def q_eigensystem(d: int, cache_dir: str | Path | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues and eigenvectors of the truncated position matrix.
 
     q is real symmetric tridiagonal (zero diagonal, off-diagonal
@@ -205,14 +189,15 @@ def q_eigensystem(d: int, cache: OperatorCache | None = None) -> tuple[np.ndarra
     p eigensystem follows from p = R q R† with R = diag(i^n).
 
     This is the package's one provider of the object, backed by one bounded
-    in-process map keyed by d and the cache directory.  With a `cache`, the
-    first call for d and that directory reads each half from the disk copy (a memory map in the
-    solver's column-major layout, so results are bitwise those of a fresh
-    solve) or, when the file is missing, writes it, taking the solution from
-    memory when it is already held there.  Later calls return the same
-    arrays, so a mapped copy is faulted in once per process.
+    in-process map keyed by d and the cache directory.  With a `cache_dir`,
+    the first call for d and that directory reads each half from the
+    `OperatorCache` there (a memory map in the solver's column-major layout,
+    so results are bitwise those of a fresh solve) or, when the file is
+    missing, writes it, taking the solution from memory when it is already
+    held there.  Later calls return the same arrays, so a mapped copy is
+    faulted in once per process.
     """
-    return _q_eigensystem(d, None if cache is None else cache.directory)
+    return _q_eigensystem(d, None if cache_dir is None else Path(cache_dir))
 
 
 def number_parity_phases(d: int) -> np.ndarray:

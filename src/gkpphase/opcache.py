@@ -1,53 +1,33 @@
-"""Binary operator store on disk, shared by sweep workers and across runs.
+"""Operator store on disk, shared by sweep workers and across runs.
 
-File layout (little endian), one operator per file:
+One array per file, `<kind>-<sha-256 of the parameters, 64 hex>.opc`, in
+numpy's `.npy` format, which records dtype, shape and memory layout and pads
+its header so the payload starts on a 64-byte boundary.  `get` returns a
+read-only memory map of the payload in the layout of the array that was put,
+so BLAS takes it as is, with the same strides and therefore the same rounding
+as the stored array.
 
-    offset  size  field
-    0       8     magic  b"GKPOPC1\\0"
-    8       4     format version (u32, currently 2)
-    12      2     kind length K (u16)
-    14      K     kind, utf-8 (e.g. "qeig-values", "qeig-vectors")
-    14+K    1     dtype code (u8: 1=float64, 2=complex128, 3=complex64)
-    +1      1     payload layout (u8: 0=row-major, 1=column-major)
-    +1      1     number of dimensions R (u8)
-    +1      8*R   dims (u64 each)
-    +8R     32    sha-256 digest of the canonical parameter string
-    ...           zero padding up to the next multiple of 64 bytes
-    ...           payload, in the recorded layout
+Reads go through `numpy.lib.format.open_memmap`, which accepts `.npy` files
+only and refuses object arrays, so nothing in the store is ever unpickled.  A
+file it refuses (another format, an object array, a truncated file) is a
+miss, is skipped by `entries` and is overwritten on the next write.
 
-The payload starts on a 64-byte boundary and keeps the memory layout of the
-array that was stored, so `get` can return a read-only memory map of it that
-BLAS takes as is, with the same strides and therefore the same rounding as
-the array that was put.  Files of another format version count as misses.
-
-Files are keyed by kind plus the parameter digest, written to a temp file
-and renamed into place, so concurrent readers never see partial data and
-concurrent writers race benignly (last rename wins with identical bytes).
+Files are written to a temp file and renamed into place, so concurrent
+readers never see partial data and concurrent writers race benignly (last
+rename wins with identical bytes).
 """
 
 from __future__ import annotations
 
 import hashlib
+import io
 import json
-import math
 import os
-import struct
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-
-MAGIC = b"GKPOPC1\0"
-FORMAT_VERSION = 2
-PAYLOAD_ALIGN = 64
-
-_DTYPE_CODES = {
-    np.dtype(np.float64): 1,
-    np.dtype(np.complex128): 2,
-    np.dtype(np.complex64): 3,
-}
-_CODE_DTYPES = {v: k for k, v in _DTYPE_CODES.items()}
-_ORDERS = ("C", "F")
+from numpy.lib.format import open_memmap
 
 
 def param_digest(params: dict) -> bytes:
@@ -56,7 +36,7 @@ def param_digest(params: dict) -> bytes:
     return hashlib.sha256(canon.encode()).digest()
 
 
-def write_atomically(path: Path, data: bytes) -> None:
+def write_atomically(path: Path, data: bytes | memoryview) -> None:
     """Write through a temp file renamed into place.  The temp file is created
     as open() would create it, with mode 0o666 less the umask."""
     tmp = path.with_name(f".{path.name}.{os.urandom(8).hex()}.tmp")
@@ -70,49 +50,12 @@ def write_atomically(path: Path, data: bytes) -> None:
         raise
 
 
-def _padded(n: int) -> int:
-    return -(-n // PAYLOAD_ALIGN) * PAYLOAD_ALIGN
-
-
-def _encode(kind: str, digest: bytes, array: np.ndarray) -> bytes:
-    dtype = np.dtype(array.dtype)
-    if dtype not in _DTYPE_CODES:
-        raise ValueError(f"unsupported cache dtype {dtype}")
-    order = "F" if array.flags.f_contiguous and not array.flags.c_contiguous else "C"
-    kind_b = kind.encode()
-    head = MAGIC + struct.pack("<IH", FORMAT_VERSION, len(kind_b)) + kind_b
-    head += struct.pack("<BBB", _DTYPE_CODES[dtype], _ORDERS.index(order), array.ndim)
-    head += struct.pack(f"<{array.ndim}Q", *array.shape)
-    head += digest
-    head = head.ljust(_padded(len(head)), b"\0")
-    return head + array.tobytes(order=order)
-
-
-@dataclass(frozen=True)
-class _Header:
-    kind: str
-    digest: bytes
-    dtype: np.dtype
-    order: str
-    shape: tuple[int, ...]
-    offset: int
-
-
-def _read_header(path: Path) -> _Header | None:
-    """Parse a file header; None for a file of another format version."""
-    with open(path, "rb") as fh:
-        fixed = fh.read(14)
-        if fixed[:8] != MAGIC:
-            raise ValueError(f"bad cache magic in {path.name}")
-        version, klen = struct.unpack_from("<IH", fixed, 8)
-        if version != FORMAT_VERSION:
-            return None
-        kind = fh.read(klen).decode()
-        code, layout, ndim = struct.unpack("<BBB", fh.read(3))
-        shape = struct.unpack(f"<{ndim}Q", fh.read(8 * ndim))
-        digest = fh.read(32)
-    offset = _padded(14 + klen + 3 + 8 * ndim + 32)
-    return _Header(kind, digest, _CODE_DTYPES[code], _ORDERS[layout], shape, offset)
+def _load(path: Path) -> np.ndarray | None:
+    """Read-only map of a `.npy` file; None when missing or not a plain `.npy` array."""
+    try:
+        return np.asarray(open_memmap(path, mode="r"))
+    except (FileNotFoundError, ValueError):
+        return None
 
 
 @dataclass(frozen=True)
@@ -131,26 +74,17 @@ class OperatorCache:
         self.directory = Path(directory)
         self.directory.mkdir(parents=True, exist_ok=True)
 
-    def _path(self, kind: str, digest: bytes) -> Path:
-        return self.directory / f"{kind}-{digest.hex()[:16]}.opc"
+    def _path(self, kind: str, params: dict) -> Path:
+        return self.directory / f"{kind}-{param_digest(params).hex()}.opc"
 
     def get(self, kind: str, params: dict) -> np.ndarray | None:
         """Read-only memory map of a stored array, or None on a miss."""
-        digest = param_digest(params)
-        path = self._path(kind, digest)
-        try:
-            head = _read_header(path)
-        except FileNotFoundError:
-            return None
-        if head is None or head.kind != kind or head.digest != digest:
-            return None  # other format version or hash-prefix collision
-        mm = np.memmap(path, dtype=head.dtype, mode="r", offset=head.offset,
-                       shape=head.shape, order=head.order)
-        return np.asarray(mm)
+        return _load(self._path(kind, params))
 
     def put(self, kind: str, params: dict, array: np.ndarray) -> None:
-        digest = param_digest(params)
-        write_atomically(self._path(kind, digest), _encode(kind, digest, array))
+        buf = io.BytesIO()
+        np.save(buf, array, allow_pickle=False)
+        write_atomically(self._path(kind, params), buf.getbuffer())
 
     def get_or_create(self, kind: str, params: dict, builder) -> np.ndarray:
         arr = self.get(kind, params)
@@ -160,14 +94,14 @@ class OperatorCache:
         return arr
 
     def entries(self) -> list[CacheEntry]:
-        """Readable entries; files of another format version are skipped."""
+        """Readable entries; files that are not plain `.npy` arrays are skipped."""
         out = []
         for path in sorted(self.directory.glob("*.opc")):
-            head = _read_header(path)
-            if head is None:
+            arr = _load(path)
+            if arr is None:
                 continue
-            nbytes = head.dtype.itemsize * math.prod(head.shape)
-            out.append(CacheEntry(path, head.kind, head.digest.hex(), head.shape, nbytes))
+            kind, _, digest_hex = path.stem.rpartition("-")
+            out.append(CacheEntry(path, kind, digest_hex, arr.shape, arr.nbytes))
         return out
 
     def purge(self) -> int:

@@ -190,6 +190,13 @@ def _fresh_provider(monkeypatch):
                         functools.lru_cache(maxsize=6)(fk._q_eigensystem.__wrapped__))
 
 
+def test_one_provider_entry_per_cache_directory(tmp_path, monkeypatch):
+    _fresh_provider(monkeypatch)
+    first = fk.q_eigensystem(32, str(tmp_path))
+    assert fk.q_eigensystem(32, tmp_path) is first
+    assert fk.q_eigensystem(32, f"{tmp_path}/") is first
+
+
 def test_sweep_rows_read_from_disk_equal_uncached(tmp_path, monkeypatch):
     plan = fk.TruncationPlan(d_init=128)
     n_bars, lams = [3.0, 6.0], [1.0, 1.8, 3.0]

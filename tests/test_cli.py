@@ -1,6 +1,7 @@
 """CLI surface: subcommands, wire formats, exit codes, determinism."""
 
 import json
+import signal
 
 import pytest
 
@@ -151,6 +152,27 @@ def test_sweep_several_gates_equal_single_gate_runs(tmp_path):
     assert both.splitlines() == t3.splitlines() + idle.splitlines()[2:]
 
 
+class _Hung(Exception):
+    """Raised by the alarm below; not an error type that dispatch maps to an exit code."""
+
+
+@pytest.mark.parametrize("step", ["0", "-1"])
+def test_sweep_rejects_nonpositive_nbar_step(tmp_path, capsys, step):
+    # a step that never reaches --nbar-max used to loop forever building the grid
+    def hung(signum, frame):
+        raise _Hung(f"sweep --nbar-step {step} did not return")
+
+    old = signal.signal(signal.SIGALRM, hung)
+    signal.setitimer(signal.ITIMER_REAL, 1.0)
+    try:
+        code, text = run(tmp_path, "sweep", "--gate", "I", "--nbar-step", step)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, old)
+    assert code == 1 and text == ""
+    assert "--nbar-step must be positive" in capsys.readouterr().err
+
+
 def test_cache_roundtrip(tmp_path):
     cache_dir = tmp_path / "cache"
     code, text = run(tmp_path, "cache", "purge", "--cache-dir", str(cache_dir))
@@ -205,6 +227,26 @@ def test_config_file_defaults(tmp_path):
     code = cli.dispatch(["--config", str(conf), "moments", "--gate", "T3",
                          "--out", str(out)])
     assert json.loads(out.read_text())["gate"] == "T3"
+
+
+def test_config_list_values_split(tmp_path):
+    # several values for a flag that takes several; one token for any other,
+    # so the output path keeps its space
+    out = tmp_path / "with space" / "ft.csv"
+    conf = tmp_path / "ft.conf"
+    conf.write_text(f"[ft-bound]\ndelta = 0.3 0.2\nout = {out}\n")
+    assert cli.dispatch(["--config", str(conf), "ft-bound"]) == 0
+    code, direct = run(tmp_path, "ft-bound", "--delta", "0.3", "0.2")
+    assert code == 0 and out.read_text() == direct
+    assert len(direct.splitlines()) == 4
+
+    grid = ["--nbar-min", "3", "--nbar-max", "3", "--lam-count", "1", "--dinit", "64"]
+    conf.write_text("[sweep]\ngate = T3 I\n")
+    code, both = run(tmp_path, "--config", str(conf), "sweep", *grid, name="c.csv")
+    assert code == 0
+    _, direct = run(tmp_path, "sweep", "--gate", "T3", "I", *grid, name="d.csv")
+    assert both == direct
+    assert [line.split(",")[0] for line in both.splitlines()[2:]] == ["T3", "I"]
 
 
 def test_config_without_path_exits_1(capsys):

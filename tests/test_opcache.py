@@ -1,7 +1,8 @@
-"""Binary operator cache: format round-trips, keying, concurrency basics."""
+"""Operator cache: `.npy` round-trips, keying, old files, concurrency basics."""
 
 import os
 import stat
+import struct
 import threading
 
 import numpy as np
@@ -45,9 +46,11 @@ def test_header_matches_on_disk(tmp_path):
     (entry,) = cache.entries()
     assert entry.kind == "probe"
     assert entry.shape == (4, 4)
-    assert entry.digest_hex == opcache.param_digest({"x": 1}).hex()
-    blob = entry.path.read_bytes()
-    assert blob[:8] == opcache.MAGIC
+    digest_hex = opcache.param_digest({"x": 1}).hex()
+    assert entry.digest_hex == digest_hex and len(digest_hex) == 64
+    assert entry.path.name == f"probe-{digest_hex}.opc"
+    assert entry.path.read_bytes()[:6] == b"\x93NUMPY"
+    assert np.array_equal(np.load(entry.path), arr)
 
 
 def test_miss_returns_none(tmp_path):
@@ -63,7 +66,7 @@ def test_payload_aligned_and_layout_kept(tmp_path):
     arr = np.asfortranarray(np.arange(35.0).reshape(5, 7))
     cache.put("probe-with-a-longer-kind", {"d": 5}, arr)
     got = cache.get("probe-with-a-longer-kind", {"d": 5})
-    assert got.ctypes.data % opcache.PAYLOAD_ALIGN == 0
+    assert got.ctypes.data % 64 == 0
     assert got.flags.f_contiguous and not got.flags.writeable
     assert got.strides == arr.strides and np.array_equal(got, arr)
     c_arr = np.arange(6.0).reshape(2, 3)
@@ -71,18 +74,30 @@ def test_payload_aligned_and_layout_kept(tmp_path):
     assert cache.get("probe", {"d": 2}).strides == c_arr.strides
 
 
+def _v2_file(kind: str, digest: bytes, array: np.ndarray) -> bytes:
+    """A float64 array in the former binary format (version 2), C order."""
+    head = b"GKPOPC1\0" + struct.pack("<IH", 2, len(kind)) + kind.encode()
+    head += struct.pack("<BBB", 1, 0, array.ndim) + struct.pack(f"<{array.ndim}Q", *array.shape)
+    head += digest
+    return head.ljust(-(-len(head) // 64) * 64, b"\0") + array.tobytes()
+
+
 def test_other_version_is_a_miss_and_overwritten(tmp_path):
     cache = opcache.OperatorCache(tmp_path)
-    cache.put("k", {"d": 1}, np.array([1.0, 2.0]))
-    (entry,) = cache.entries()
-    blob = bytearray(entry.path.read_bytes())
-    blob[8:12] = (1).to_bytes(4, "little")
-    entry.path.write_bytes(bytes(blob))
+    digest = opcache.param_digest({"d": 1})
+    old = _v2_file("k", digest, np.array([1.0, 2.0]))
+    exact = tmp_path / f"k-{digest.hex()}.opc"
+    short = tmp_path / f"k-{digest.hex()[:16]}.opc"  # the former file name
+    exact.write_bytes(old)
+    short.write_bytes(old)
     assert cache.get("k", {"d": 1}) is None
     assert cache.entries() == []
     got = cache.get_or_create("k", {"d": 1}, lambda: np.array([5.0, 6.0]))
     assert np.array_equal(got, [5.0, 6.0])
     assert np.array_equal(cache.get("k", {"d": 1}), [5.0, 6.0])
+    assert np.array_equal(np.load(exact), [5.0, 6.0])
+    assert [e.path for e in cache.entries()] == [exact]
+    assert cache.purge() == 2 and not short.exists()
 
 
 def test_purge_empty_and_full(tmp_path):
@@ -128,10 +143,33 @@ def test_concurrent_reads_and_inserts(tmp_path):
     assert not errs
 
 
+_UNPICKLED = []
+
+
+def _tripwire():
+    _UNPICKLED.append(1)
+
+
+class _Tripwire:
+    def __reduce__(self):
+        return _tripwire, ()
+
+
 def test_rejects_unsupported_dtype(tmp_path):
     cache = opcache.OperatorCache(tmp_path)
     with pytest.raises(ValueError):
-        cache.put("k", {}, np.array([1], dtype=np.int32))
+        cache.put("k", {}, np.array([_Tripwire()], dtype=object))
+    assert list(tmp_path.iterdir()) == []
+    # an object array at a cache path is a miss, not something to unpickle
+    path = tmp_path / f"k-{opcache.param_digest({}).hex()}.opc"
+    with open(path, "wb") as fh:
+        np.save(fh, np.array([_Tripwire()], dtype=object), allow_pickle=True)
+    _UNPICKLED.clear()
+    assert cache.get("k", {}) is None
+    assert cache.entries() == []
+    assert _UNPICKLED == []
+    np.load(path, allow_pickle=True)  # the tripwire does fire when unpickled
+    assert _UNPICKLED == [1]
 
 
 @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)])
