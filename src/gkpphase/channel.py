@@ -21,13 +21,12 @@ import ctypes
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
 
 from . import analytic, fock
-from .polyalg import RationalPolynomial
+from .polyalg import GATE_TABLE, RationalPolynomial  # GATE_TABLE re-exported
 
 PAULI = {
     "I": np.eye(2, dtype=complex),
@@ -46,24 +45,6 @@ INPUT_STATES = {
 INPUT_ORDER = ("one", "plus", "plus_i", "zero")
 
 NORM_LOSS_LIMIT = 1e-3
-
-
-def _poly(coeffs) -> RationalPolynomial:
-    return RationalPolynomial([Fraction(c) for c in coeffs])
-
-
-# Gate table: label -> (polynomial, hierarchy level of the implemented gate).
-# The polynomials are the simulated set, exact rationals by degree.
-GATE_TABLE: dict[str, tuple[RationalPolynomial, int]] = {
-    "I": (_poly([]), 0),
-    "T3": (_poly([0, "-1/12", "1/8", "1/12"]), 3),
-    "TGKP": (_poly([0, "-1/4", "1/8", "1/4"]), 3),
-    "T4": (_poly([0, 0, "1/6", 0, "-1/24"]), 3),
-    "sqrtT": (_poly([0, 0, "1/12", 0, "-1/48"]), 4),
-    "T4th": (_poly([0, "1/60", "1/24", "-1/48", "-1/96", "1/240"]), 5),
-    "T4th-mirror": (_poly([0, "-1/60", "1/24", "1/48", "-1/96", "-1/240"]), 5),
-    "T8th": (_poly([0, 0, "17/720", 0, "-5/576", 0, "1/1440"]), 6),
-}
 
 T_IMPLEMENTING_GATES = ("T3", "TGKP", "T4")
 
@@ -224,16 +205,6 @@ class ChannelEngine:
         )
 
 
-def logical_expectation(config: ChannelConfig, qubit, pauli: str) -> float:
-    """tr(σ E(|ψ><ψ|)) for a pure qubit input through the configured channel."""
-    pauli = pauli.upper()
-    if pauli not in PAULI:
-        raise ValueError(f"pauli must be one of I, X, Y, Z; got {pauli!r}")
-    return ChannelEngine(config).pauli_expectations(np.asarray(qubit, dtype=complex))[
-        pauli
-    ]
-
-
 # ---------------------------------------------------------------------------
 # Fidelities
 # ---------------------------------------------------------------------------
@@ -255,7 +226,7 @@ def _dual_frame():
     return alpha, duals
 
 
-_ALPHA, _DUALS = _dual_frame()
+_DUALS = _dual_frame()[1]
 
 
 def average_gate_fidelity_from_readout(
@@ -270,25 +241,6 @@ def average_gate_fidelity_from_readout(
         for p in ("I", "X", "Y", "Z"):
             total += float(np.trace(conj @ PAULI[p]).real) * row[p]
     return 1.0 / 3.0 + total / 12.0
-
-
-def average_gate_fidelity_reconstructed(
-    readout: LogicalReadout, target: str | np.ndarray
-) -> float:
-    """Same figure through explicit 2x2 output reconstruction (cross-check).
-
-    Reconstructs E(σ_j) by linearity from the four output density matrices
-    and applies the Nielsen formula F = [Σ_j tr(U σ_j U† E(σ_j)) + 4]/12.
-    Test oracle only: the package computes F with
-    `average_gate_fidelity_from_readout`.
-    """
-    u = target_unitary(target)
-    outs = {name: readout.output_density(name) for name in INPUT_ORDER}
-    total = 0.0
-    for j, p in enumerate(("I", "X", "Y", "Z")):
-        e_sigma = sum(_ALPHA[j, k] * outs[name] for k, name in enumerate(INPUT_ORDER))
-        total += float(np.trace(u @ PAULI[p] @ u.conj().T @ e_sigma).real)
-    return (total + 4.0) / 12.0
 
 
 def average_gate_fidelity(config: ChannelConfig, cache_dir=None) -> float:

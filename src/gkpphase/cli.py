@@ -18,12 +18,10 @@ import time
 from fractions import Fraction
 from pathlib import Path
 
-import numpy as np
-
-from . import analytic, channel, fock, polyalg, symplectic
-from .opcache import OperatorCache, write_atomically
+from . import polyalg, write_atomically  # numeric modules: inside the commands
 
 SCHEMA_VERSION = 1
+MAX_NBAR_POINTS = 10**6  # longer n_bar grids are refused, not built
 
 
 class NumericFailure(RuntimeError):
@@ -194,6 +192,9 @@ def cmd_synth(args) -> int:
 
 
 def cmd_verify_circuits(args) -> int:
+    import numpy as np
+    from . import symplectic
+
     checks = []
 
     def add(name, residual, tol):
@@ -254,14 +255,29 @@ def cmd_verify_circuits(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def cmd_sweep(args) -> int:
-    if args.nbar_step <= 0:
-        raise ValueError(f"--nbar-step must be positive, got {args.nbar_step}")
+def _nbar_grid(lo: float, hi: float, step: float) -> list[float]:
+    """lo, lo + step, ... through hi, accumulated as nb += step."""
+    if step <= 0:
+        raise ValueError(f"--nbar-step must be positive, got {step}")
+    count = (hi + 1e-9 - lo) / step + 1
+    if not math.isfinite(count) or count > MAX_NBAR_POINTS:
+        raise ValueError(f"--nbar-min {lo} --nbar-max {hi} --nbar-step {step} give "
+                         f"{count:.3g} n_bar points; at most {MAX_NBAR_POINTS} are allowed")
     n_bars = []
-    nb = args.nbar_min
-    while nb <= args.nbar_max + 1e-9:
+    nb = lo
+    while nb <= hi + 1e-9:
         n_bars.append(round(nb, 9))
-        nb += args.nbar_step
+        if nb + step == nb:
+            raise ValueError(f"--nbar-step {step} does not advance n_bar past {nb}")
+        nb += step
+    return n_bars
+
+
+def cmd_sweep(args) -> int:
+    import numpy as np
+    from . import channel, fock
+
+    n_bars = _nbar_grid(args.nbar_min, args.nbar_max, args.nbar_step)
     lams = np.linspace(args.lam_min, args.lam_max, args.lam_count).tolist()
     plan = fock.TruncationPlan(d_init=args.dinit, expand_factor=args.expand_factor)
     result = channel.sweep(
@@ -291,6 +307,8 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_vacuum(args) -> int:
+    from . import channel
+
     cfg = channel.VacuumMethodConfig(
         delta=args.delta, grid=args.grid, postselect_fraction=args.postselect
     )
@@ -310,7 +328,9 @@ def cmd_vacuum(args) -> int:
 
 
 def cmd_moments(args) -> int:
-    poly, _ = channel.GATE_TABLE[args.gate]
+    from . import analytic
+
+    poly, _ = polyalg.GATE_TABLE[args.gate]
     dq = args.delta / math.sqrt(args.lam)
     dp = args.delta * math.sqrt(args.lam)
     ms = analytic.moments(poly, dq, dp)
@@ -331,6 +351,8 @@ def cmd_moments(args) -> int:
 
 
 def cmd_ft_bound(args) -> int:
+    from . import analytic
+
     rows = []
     for delta in args.delta:
         b = analytic.ft_lower_bound(delta)
@@ -343,6 +365,9 @@ def cmd_ft_bound(args) -> int:
 
 
 def cmd_twirl_density(args) -> int:
+    import numpy as np
+    from . import analytic
+
     dens = analytic.TwirledCubicDensity(args.delta, args.lam)
     vq = np.linspace(-args.span, args.span, args.points)
     vp = np.linspace(-args.span, args.span, args.points)
@@ -361,6 +386,9 @@ def cmd_twirl_density(args) -> int:
 
 
 def cmd_cache(args) -> int:
+    from . import fock
+    from .opcache import OperatorCache
+
     if args.cache_dir is None:
         raise ValueError(f"cache {args.action} needs --cache-dir")
     if args.action == "prewarm":
@@ -425,7 +453,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="(n_bar, lam) fidelity sweep for one or more gates")
     common(p)
-    p.add_argument("--gate", required=True, nargs="+", choices=sorted(channel.GATE_TABLE),
+    p.add_argument("--gate", required=True, nargs="+", choices=sorted(polyalg.GATE_TABLE),
                    help="gates sharing one engine per (n_bar, lam); rows in this order")
     p.add_argument("--nbar-min", type=float, default=2.0)
     p.add_argument("--nbar-max", type=float, default=12.0)
@@ -447,7 +475,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("moments", help="closed-form twirled error moments")
     common(p)
-    p.add_argument("--gate", default="T3", choices=sorted(channel.GATE_TABLE))
+    p.add_argument("--gate", default="T3", choices=sorted(polyalg.GATE_TABLE))
     p.add_argument("--delta", type=float, required=True)
     p.add_argument("--lam", type=float, default=1.0)
     p.set_defaults(func=cmd_moments)
@@ -485,6 +513,16 @@ def build_parser() -> argparse.ArgumentParser:
     return top
 
 
+def _numeric_failures() -> tuple[type[Exception], ...]:
+    """Errors reported as numeric failures (exit 2).  An `except` clause evaluates
+    this only when an exception reaches it, so synth never loads numpy here."""
+    import numpy as np
+    from . import analytic, fock, symplectic
+
+    return (NumericFailure, fock.TruncationLeakageError, analytic.AccuracyError,
+            symplectic.SingularConditioningError, np.linalg.LinAlgError)
+
+
 def dispatch(argv) -> int:
     parser = build_parser()
     try:
@@ -497,8 +535,7 @@ def dispatch(argv) -> int:
     except (ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (NumericFailure, fock.TruncationLeakageError, analytic.AccuracyError,
-            symplectic.SingularConditioningError, np.linalg.LinAlgError) as exc:
+    except _numeric_failures() as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 2
 

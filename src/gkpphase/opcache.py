@@ -29,25 +29,13 @@ from pathlib import Path
 import numpy as np
 from numpy.lib.format import open_memmap
 
+from . import write_atomically
+
 
 def param_digest(params: dict) -> bytes:
     """sha-256 over a canonical (sorted-key, repr-stable) parameter encoding."""
     canon = json.dumps(params, sort_keys=True, separators=(",", ":"), default=str)
     return hashlib.sha256(canon.encode()).digest()
-
-
-def write_atomically(path: Path, data: bytes | memoryview) -> None:
-    """Write through a temp file renamed into place.  The temp file is created
-    as open() would create it, with mode 0o666 less the umask."""
-    tmp = path.with_name(f".{path.name}.{os.urandom(8).hex()}.tmp")
-    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
-    try:
-        with os.fdopen(fd, "wb") as fh:
-            fh.write(data)
-        os.replace(tmp, path)
-    except BaseException:
-        os.unlink(tmp)
-        raise
 
 
 def _load(path: Path) -> np.ndarray | None:

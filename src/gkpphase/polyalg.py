@@ -1,8 +1,8 @@
 """Exact rational algebra for polynomial phase stabilizers.
 
 A polynomial phase gate exp(2πi P(x)) acts on a grid code through the values
-P takes on the integers, so everything here is done in exact rational
-arithmetic (`fractions.Fraction`).  The module provides
+P takes on the integers, so everything here is exact: `Fraction` at the API,
+Python ints over one common denominator inside the reduction.  It provides
 
 * the integer-valued basis polynomials L_n (Pólya's binomial-type basis,
   leading coefficient exactly 1/n!),
@@ -12,7 +12,8 @@ arithmetic (`fractions.Fraction`).  The module provides
 * the coefficient-reduction procedure that subtracts integer multiples of
   L_n from the highest degree downward until every |a_k| <= 1/(2 k!),
   forking at exact boundary remainders and keeping all lexicographic minima,
-* the multivariate generalisation used for CS / CCZ synthesis.
+* the multivariate generalisation used for CS / CCZ synthesis,
+* `GATE_TABLE`, the simulated gate polynomials.
 
 Conventions: coefficients are indexed by degree with the constant term at
 index 0; constant terms are global phases and are reduced mod 1 and dropped
@@ -24,10 +25,9 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from functools import lru_cache
+from math import factorial, lcm
 from typing import Iterable, Mapping
-
-Rational = Fraction
 
 # Hard safety cap on simultaneous reduction branches.  Boundary remainders
 # are exact-rational events, so in practice a handful of branches survive.
@@ -59,10 +59,6 @@ class RationalPolynomial:
         object.__setattr__(self, "coeffs", tuple(cs))
 
     # -- constructors -----------------------------------------------------
-
-    @classmethod
-    def zero(cls) -> "RationalPolynomial":
-        return cls(())
 
     @classmethod
     def monomial(cls, degree: int, coefficient=1) -> "RationalPolynomial":
@@ -223,24 +219,20 @@ def basis_polynomial(n: int) -> RationalPolynomial:
     return _basis(n)
 
 
-_BASIS_CACHE: dict[int, RationalPolynomial] = {}
+def _scaled_basis(n: int) -> list[int]:
+    """n!·L_n as integer coefficients, constant term first, built one linear factor
+    at a time: k!·L_k = (k-1)!·L_{k-1}·(x + a_k), a_k = (-1)^k·floor(k/2)."""
+    b = [1]
+    for k in range(1, n + 1):
+        a = (-1) ** k * (k // 2)
+        b = [a * b[0], *(lo + a * hi for lo, hi in zip(b, b[1:])), b[-1]]
+    return b
 
 
+@lru_cache(maxsize=None)
 def _basis(n: int) -> RationalPolynomial:
     """L_n for n >= 1, plus L_0 = 1 used internally by the multivariate basis."""
-    if n == 0:
-        return RationalPolynomial((1,))
-    cached = _BASIS_CACHE.get(n)
-    if cached is not None:
-        return cached
-    shift = Fraction(n, 2) if n % 2 == 0 else Fraction(n + 1, 2)
-    poly = RationalPolynomial((1,))
-    x = RationalPolynomial((0, 1))
-    for i in range(1, n + 1):
-        poly = poly * (x + RationalPolynomial((Fraction(i) - shift,)))
-    poly = poly * Fraction(1, factorial(n))
-    _BASIS_CACHE[n] = poly
-    return poly
+    return RationalPolynomial(Fraction(c, factorial(n)) for c in _scaled_basis(n))
 
 
 def is_integer_valued(poly: RationalPolynomial) -> bool:
@@ -304,6 +296,20 @@ def verify_gate(poly: RationalPolynomial, m: int, k_range: int = 50) -> bool:
     return True
 
 
+# Gate table: label -> (polynomial, hierarchy level of the implemented gate).
+# The polynomials are the simulated set, exact rationals by degree.
+GATE_TABLE: dict[str, tuple[RationalPolynomial, int]] = {
+    "I": (RationalPolynomial([]), 0),
+    "T3": (RationalPolynomial([0, "-1/12", "1/8", "1/12"]), 3),
+    "TGKP": (RationalPolynomial([0, "-1/4", "1/8", "1/4"]), 3),
+    "T4": (RationalPolynomial([0, 0, "1/6", 0, "-1/24"]), 3),
+    "sqrtT": (RationalPolynomial([0, 0, "1/12", 0, "-1/48"]), 4),
+    "T4th": (RationalPolynomial([0, "1/60", "1/24", "-1/48", "-1/96", "1/240"]), 5),
+    "T4th-mirror": (RationalPolynomial([0, "-1/60", "1/24", "1/48", "-1/96", "-1/240"]), 5),
+    "T8th": (RationalPolynomial([0, 0, "17/720", 0, "-5/576", 0, "1/1440"]), 6),
+}
+
+
 def lex_compare(p: RationalPolynomial, q: RationalPolynomial) -> LexOrder:
     """Compare coefficient magnitudes from the highest degree downward.
 
@@ -320,20 +326,13 @@ def lex_compare(p: RationalPolynomial, q: RationalPolynomial) -> LexOrder:
     return LexOrder.EQUAL
 
 
-def _split_coefficient(a: Fraction, lead: Fraction) -> list[tuple[int, Fraction, bool]]:
-    """Decompose a = n*lead + r with |r| <= lead/2; both n at exact boundary.
-
-    Returns (n, r, boundary) choices, the smaller |n| first.
-    """
-    t = a / lead
-    n_floor = t.numerator // t.denominator
-    frac = t - n_floor
-    if frac == Fraction(1, 2):
-        lo = (n_floor, a - n_floor * lead, True)
-        hi = (n_floor + 1, a - (n_floor + 1) * lead, True)
-        return [lo, hi] if abs(n_floor) <= abs(n_floor + 1) else [hi, lo]
-    n = n_floor if frac < Fraction(1, 2) else n_floor + 1
-    return [(n, a - n * lead, False)]
+def _multipliers(c: int, q: int) -> list[tuple[int, bool]]:
+    """Integers n with |c - n*q| <= q/2 (q > 0) as (n, boundary) choices; both
+    neighbours at an exact boundary remainder, the smaller |n| first."""
+    n, r = divmod(c, q)
+    if 2 * r == q:
+        return [(n, True), (n + 1, True)] if abs(n) <= abs(n + 1) else [(n + 1, True), (n, True)]
+    return [(n if 2 * r < q else n + 1, False)]
 
 
 def reduce(poly: RationalPolynomial) -> ReductionOutcome:
@@ -345,49 +344,46 @@ def reduce(poly: RationalPolynomial) -> ReductionOutcome:
     each degree only branches whose fixed (degree >= j) magnitude profile is
     minimal survive, since lower-degree subtractions cannot change it.  The
     constant term is reduced mod 1 and dropped (a global phase).
+
+    The walk runs on ints A_k = D*a_k, D = lcm(deg!, input denominators), so
+    D*L_j = (D/j!)*(j!*L_j) is integral; survivors already agree in |A_k| for
+    k > j, so pruning at degree j compares |A_j| alone.
     """
     deg = poly.degree
     if deg <= 0:
         return ReductionOutcome((poly.drop_constant(),), ())
 
-    branches: list[tuple[RationalPolynomial, tuple[BranchStep, ...]]] = [(poly, ())]
+    denom = lcm(factorial(deg), *(c.denominator for c in poly.coeffs))
+    start = [c.numerator * (denom // c.denominator) for c in poly.coeffs]
+    basis = _scaled_basis(deg)  # j!·L_j, divided down by (x + a_j) after each degree
+    branches: list[tuple[list[int], tuple[BranchStep, ...]]] = [(start, ())]
+    q = denom // factorial(deg)  # D/j!: D*L_j = q*(j!*L_j), and |r_j| <= q/2
     for j in range(deg, 0, -1):
-        lead = Fraction(1, factorial(j))
-        grown: list[tuple[RationalPolynomial, tuple[BranchStep, ...]]] = []
+        grown: list[tuple[list[int], tuple[BranchStep, ...]]] = []
         for cur, log in branches:
-            for n_j, _r, boundary in _split_coefficient(cur.coeff(j), lead):
-                nxt = cur - n_j * _basis(j) if n_j else cur
+            for n_j, boundary in _multipliers(cur[j], q):
+                s = n_j * q
+                nxt = [c - s * b for c, b in zip(cur, basis)] + cur[j + 1 :] if s else cur
                 grown.append((nxt, log + (BranchStep(j, n_j, boundary),)))
-        # Lexicographic pruning on the already-final degrees >= j.
-        profiles = [
-            tuple(abs(b.coeff(k)) for k in range(deg, j - 1, -1)) for b, _ in grown
-        ]
-        best = min(profiles)
-        branches = []
-        seen: set[tuple[Fraction, ...]] = set()
-        for (b, log), prof in zip(grown, profiles):
-            if prof != best:
-                continue
-            key = b.coeffs
-            if key in seen:
-                continue
-            seen.add(key)
-            branches.append((b, log))
-        if len(branches) > min(MAX_BRANCHES, 2 ** max(deg, 1)):
-            raise RuntimeError(
-                f"reduction branch explosion: {len(branches)} active branches"
-            )
+        # Distinct multiplier sequences leave distinct polynomials (the L_j are
+        # independent), so survivors never coincide and need no deduplication.
+        best = min(abs(cur[j]) for cur, _ in grown)
+        branches = [(cur, log) for cur, log in grown if abs(cur[j]) == best]
+        if len(branches) > min(MAX_BRANCHES, 2**deg):
+            raise RuntimeError(f"reduction branch explosion: {len(branches)} active branches")
+        q *= j
+        a, low = (-1) ** j * (j // 2), [basis[j]]
+        for c in reversed(basis[1:j]):
+            low.append(c - a * low[-1])
+        basis = low[::-1]
 
-    c0 = branches[0][0].coeff(0)
-    n0 = c0.numerator // c0.denominator
+    # q is now D: the constant term's integer part is a global phase.
+    n0 = branches[0][0][0] // q
     log0 = branches[0][1] + ((BranchStep(0, n0, False),) if n0 else ())
     # Deduplicate (dropping constants can merge branches) and order tied
     # minima deterministically, positive leading coefficient first.
-    uniq: list[RationalPolynomial] = []
-    for b, _log in branches:
-        p = b.drop_constant()
-        if p not in uniq:
-            uniq.append(p)
+    uniq = list(dict.fromkeys(RationalPolynomial([0, *(Fraction(c, q) for c in cur[1:])])
+                              for cur, _log in branches))
     uniq.sort(key=lambda p: (p.coeff(p.degree) < 0, p.coeffs))
     return ReductionOutcome(tuple(uniq), log0)
 
@@ -526,8 +522,8 @@ def multivariate_reduce(poly: MultiRationalPolynomial) -> MultiReductionOutcome:
             lead = Fraction(1)
             for d in exp:
                 lead /= factorial(d)
-            choices = _split_coefficient(a, lead)
-            n, _r, boundary = choices[0]  # smaller |n| first: half rounds to zero
+            t = a / lead
+            n, boundary = _multipliers(t.numerator, t.denominator)[0]  # half rounds to zero
             if boundary:
                 ties.append(exp)
             if n:

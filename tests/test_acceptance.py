@@ -152,6 +152,22 @@ def test_criterion_07_t3_quantitative_fidelity():
         b.check_time()
 
 
+def test_headline_t3_fidelity_above_99_percent_at_12db():
+    """The abstract's claim: the T gate exceeds 99% average fidelity at 12 dB.
+
+    n_bar = 7.42 is 12 dB (Delta = 0.2512); the best point over lam in [1, 4]
+    in steps of 0.1 must have 1 - F < 1e-2.
+    """
+    lams = np.linspace(1.0, 4.0, 31).tolist()
+    res = ch.sweep(["T3"], [7.42], lams, fk.TruncationPlan(d_init=256), workers=1)
+    assert not res.failures, res.failures
+    best = min(res.rows, key=lambda r: r.avg_infidelity)
+    assert abs(best.delta_db - 12.0) < 0.01, best.delta_db
+    assert 1.0 - best.avg_infidelity > 0.99, f"T3 infidelity {best.avg_infidelity:.4e}"
+    print(f"    T3 @ {best.delta_db:.3f} dB: best avg gate infidelity "
+          f"{best.avg_infidelity:.3e} at lam={best.lam:.1f}")
+
+
 N_BAR_GRID = [2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0, 9.0, 10.0]
 LAM_GRID = np.linspace(1.0, 5.0, 16).tolist()
 _SWEEP_CACHE: dict = {}

@@ -220,10 +220,12 @@ def test_char_function_matches_fock_brute_force():
     sq2 = math.sqrt(2.0)
 
     def w_mat(u):
-        wq = (v2 * np.exp(1j * fk.SQRT2PI * u[1] * x2)) @ v2.T
+        # the d x d head of W(u) = W_p W_q at dt: the first d rows of W_p
+        # times the first d columns of W_q
+        wq = (v2 * np.exp(1j * fk.SQRT2PI * u[1] * x2)) @ v2[:d].T
         vp_ = r2[:, None] * v2
-        wp = (vp_ * np.exp(-1j * fk.SQRT2PI * u[0] * x2)) @ vp_.conj().T
-        return np.exp(1j * math.pi * u[0] * u[1]) * (wp @ wq)[:d, :d]
+        wp = (vp_[:d] * np.exp(-1j * fk.SQRT2PI * u[0] * x2)) @ vp_.conj().T
+        return np.exp(1j * math.pi * u[0] * u[1]) * (wp @ wq)
 
     chi = an.thermal_characteristic(nbar)
     v = (0.1, -0.07)
@@ -281,11 +283,12 @@ def test_posterior_matches_fock_brute_force():
     sq2 = math.sqrt(2.0)
 
     def w_diagonal(u):
-        # diagonal of W(u) in the Fock basis, via the two eigenbasis routes
-        wq = (v2 * np.exp(1j * fk.SQRT2PI * u[1] * x2)) @ v2.T
+        # diagonal of W(u) in the Fock basis, via the two eigenbasis routes:
+        # only the first d rows of W_p and the first d columns of W_q enter
+        wq = (v2 * np.exp(1j * fk.SQRT2PI * u[1] * x2)) @ v2[:d].T
         vp_ = r2[:, None] * v2
-        wp = (vp_ * np.exp(-1j * fk.SQRT2PI * u[0] * x2)) @ vp_.conj().T
-        return np.exp(1j * math.pi * u[0] * u[1]) * np.diag((wp @ wq)[:d, :d])
+        wp = (vp_[:d] * np.exp(-1j * fk.SQRT2PI * u[0] * x2)) @ vp_.conj().T
+        return np.exp(1j * math.pi * u[0] * u[1]) * np.einsum("ik,ki->i", wp, wq)
 
     v = (0.1, -0.07)
     vals = {}

@@ -1,7 +1,11 @@
 """CLI surface: subcommands, wire formats, exit codes, determinism."""
 
 import json
+import os
 import signal
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -156,21 +160,37 @@ class _Hung(Exception):
     """Raised by the alarm below; not an error type that dispatch maps to an exit code."""
 
 
-@pytest.mark.parametrize("step", ["0", "-1"])
-def test_sweep_rejects_nonpositive_nbar_step(tmp_path, capsys, step):
-    # a step that never reaches --nbar-max used to loop forever building the grid
+def run_under_alarm(tmp_path, *argv):
     def hung(signum, frame):
-        raise _Hung(f"sweep --nbar-step {step} did not return")
+        raise _Hung(f"{' '.join(argv)} did not return")
 
     old = signal.signal(signal.SIGALRM, hung)
     signal.setitimer(signal.ITIMER_REAL, 1.0)
     try:
-        code, text = run(tmp_path, "sweep", "--gate", "I", "--nbar-step", step)
+        return run(tmp_path, *argv)
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0)
         signal.signal(signal.SIGALRM, old)
+
+
+@pytest.mark.parametrize("step", ["0", "-1"])
+def test_sweep_rejects_nonpositive_nbar_step(tmp_path, capsys, step):
+    # a step that never reaches --nbar-max used to loop forever building the grid
+    code, text = run_under_alarm(tmp_path, "sweep", "--gate", "I", "--nbar-step", step)
     assert code == 1 and text == ""
     assert "--nbar-step must be positive" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("grid, message", [
+    (["--nbar-max", "inf"], "n_bar points"),  # no finite point count
+    (["--nbar-step", "1e-300"], "n_bar points"),  # 1e301 points
+    (["--nbar-min", "1e17", "--nbar-max", "1e17"], "does not advance"),  # 1e17 + 1 == 1e17
+], ids=["max-inf", "step-1e-300", "step-below-spacing"])
+def test_sweep_rejects_unbounded_nbar_grid(tmp_path, capsys, grid, message):
+    # each of these grids used to loop forever before the first point ran
+    code, text = run_under_alarm(tmp_path, "sweep", "--gate", "I", *grid)
+    assert code == 1 and text == ""
+    assert message in capsys.readouterr().err
 
 
 def test_cache_roundtrip(tmp_path):
@@ -258,3 +278,28 @@ def test_unreadable_config_exits_1(tmp_path, capsys):
     missing = tmp_path / "absent.conf"
     assert cli.dispatch(["--config", str(missing), "moments", "--delta", "0.2"]) == 1
     assert "cannot read --config file" in capsys.readouterr().err
+
+
+def test_synth_loads_neither_numpy_nor_scipy(tmp_path):
+    # a fresh interpreter, since this test process has numpy loaded already
+    script = f"""
+import sys
+import gkpphase
+from gkpphase import cli
+out = {str(tmp_path / "t3.json")!r}
+assert cli.dispatch(["synth", "--level", "5"]) == 0
+assert cli.dispatch(["synth", "--level", "3", "--out", out]) == 0
+assert cli.dispatch(["synth", "--level", "4", "--start", "lift:" + out, "--out", out]) == 0
+assert cli.dispatch(["synth", "--level", "2", "--qubits", "2", "--out", out]) == 0
+assert gkpphase.polyalg.GATE_TABLE["T3"][1] == 3
+print(sorted(m for m in sys.modules if m.split(".")[0] in ("numpy", "scipy")))
+"""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
+    # the submodules still load on attribute access
+    proc = subprocess.run([sys.executable, "-c", "import gkpphase; print(gkpphase.fock.__name__)"],
+                          capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, timeout=60)
+    assert proc.stdout.strip() == "gkpphase.fock", proc.stderr

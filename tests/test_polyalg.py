@@ -6,6 +6,7 @@ from math import factorial
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import oracles
 from gkpphase import polyalg as pa
 from gkpphase.polyalg import LexOrder, RationalPolynomial as Poly
 
@@ -41,6 +42,11 @@ def test_basis_leading_coefficient_and_integrality():
         assert ln.coeff(n) == F(1, factorial(n))
         for k in range(-100, 101):
             assert ln(k).denominator == 1
+
+
+def test_basis_built_factor_by_factor_equals_dense_product():
+    for n in range(1, 41):
+        assert pa.basis_polynomial(n) == oracles.basis(n)
 
 
 @pytest.mark.parametrize("bad", [0, -1, -5])
@@ -168,6 +174,25 @@ def test_degree_theorem_and_leading_law():
             assert pa.verify_gate(p, m, k_range=m + 3)
 
 
+def test_degree_theorem_and_leading_law_at_level_10():
+    # start degree 512; the integer reduction takes about a second
+    out = pa.reduce(pa.starting_representation(10))
+    for p in out.minima:
+        assert p.degree == 10
+        assert abs(p.coeff(10)) == F(1, 2 * factorial(10))
+        for k in range(1, 11):
+            assert abs(p.coeff(k)) <= F(1, 2 * factorial(k))
+        assert pa.verify_gate(p, 10, k_range=13)
+
+
+@pytest.mark.parametrize("m", range(1, 8))
+def test_reduce_equals_fraction_oracle_up_the_hierarchy(m):
+    start = pa.starting_representation(m)
+    assert pa.reduce(start) == oracles.reduce(start)  # minima and branch_log
+    lifted = pa.lift_representation(pa.reduce(start).minima[0], m)
+    assert pa.reduce(lifted) == oracles.reduce(lifted)
+
+
 def test_reflection_symmetry_of_tied_minima():
     out = pa.reduce(pa.starting_representation(5))
     assert T4TH in out.minima and T4TH_MIRROR in out.minima
@@ -192,6 +217,20 @@ def test_reduce_bound_and_gate_preservation(coeffs):
         # P - Q is a stabilizer up to the dropped constant phase
         diff = p - q
         assert pa.is_integer_valued(diff - Poly((diff.coeff(0),)))
+
+
+@given(
+    st.lists(
+        st.fractions(min_value=-3, max_value=3, max_denominator=48),
+        min_size=2,
+        max_size=6,
+    ),
+    st.fractions(min_value=-3, max_value=3, max_denominator=48),
+)
+@settings(max_examples=60, deadline=None)
+def test_reduce_equals_fraction_oracle(coeffs, constant):
+    p = Poly([constant] + list(coeffs))
+    assert pa.reduce(p) == oracles.reduce(p)
 
 
 # -- multivariate ------------------------------------------------------------------
