@@ -12,7 +12,10 @@ assembled from single-state Pauli expectations.
 The heavy objects, the position eigensystems at d_out and at the readout
 dimension, depend only on the truncation; they come from
 `fock.q_eigensystem`, which keeps them per process and, given a cache
-directory, on disk.  The Pauli diagonals are recomputed per (Δ, λ).
+directory, on disk.  The Pauli diagonals are one matvec per (Δ, λ) with
+kernels that depend on λ alone; a sweep visits its (n̄, λ) points λ by λ
+and holds the last λ's kernels (`_sweep_kernels`), other callers build them
+per engine.
 """
 
 from __future__ import annotations
@@ -125,9 +128,10 @@ class ChannelEngine:
 
     The build (eigensystems, Pauli profiles, codeword pair) is gate-free; the
     gate enters per call, so one engine serves every gate at its (Δ, λ).
+    `kernels` is handed to `fock.pauli_profiles` (default: built afresh).
     """
 
-    def __init__(self, config: ChannelConfig, cache_dir=None):
+    def __init__(self, config: ChannelConfig, cache_dir=None, kernels=None):
         self.config = config
         plan = config.plan
         lam = config.params.lam
@@ -142,16 +146,12 @@ class ChannelEngine:
         self.x1, self.v1 = fock.q_eigensystem(self.d_out, cache_dir)
 
         smear = config.smear_matrix()
-        self.g_z, self.h_x = fock.pauli_profiles(lam, smear, self.x2, config.n_cut)
+        self.g_z, self.h_x = fock.pauli_profiles(lam, smear, self.x2, config.n_cut, kernels)
 
         c0 = fock.gkp_codeword(0, config.params.delta, lam, self.d_init)
         c1 = fock.gkp_codeword(1, config.params.delta, lam, self.d_init)
         self.e0, self.e1 = fock.orthonormalize(c0, c1)
-
-    def _encode(self, qubit: np.ndarray) -> np.ndarray:
-        a, b = qubit
-        vec = a * self.e0.amplitudes + b * self.e1.amplitudes
-        return vec / np.linalg.norm(vec)
+        self._gate_inputs: dict[bytes, np.ndarray] = {}
 
     @staticmethod
     def _rmatvec(m_real: np.ndarray, vec: np.ndarray) -> np.ndarray:
@@ -163,8 +163,17 @@ class ChannelEngine:
         gate = self.config.gate if gate is None else gate
         return fock.phase_profile(gate, self.config.params.lam, self.x1)
 
-    def _apply_gate(self, vec: np.ndarray, phase: np.ndarray) -> np.ndarray:
-        w = self._rmatvec(self.v1[: self.d_init, :].T, vec)
+    def _gate_input(self, qubit: np.ndarray) -> np.ndarray:
+        """V1[:d_init]ᵀ times the encoded qubit, kept per input: every gate starts from it."""
+        key = qubit.tobytes()
+        if key not in self._gate_inputs:
+            a, b = qubit
+            vec = a * self.e0.amplitudes + b * self.e1.amplitudes
+            self._gate_inputs[key] = self._rmatvec(self.v1[: self.d_init, :].T,
+                                                   vec / np.linalg.norm(vec))
+        return self._gate_inputs[key]
+
+    def _apply_gate(self, w: np.ndarray, phase: np.ndarray) -> np.ndarray:
         out = self._rmatvec(self.v1, phase * w)
         # The gate is exactly unitary at its build dimension, so norm loss
         # proper is roundoff; what signals an untrustworthy truncation is
@@ -182,7 +191,7 @@ class ChannelEngine:
         """<I, X, Y, Z> of the channel output for a pure qubit input, through the
         gate of diagonal `phase` (from `gate_phase`; default: the config's gate)."""
         phase = self.gate_phase() if phase is None else phase
-        psi = self._apply_gate(self._encode(np.asarray(qubit, dtype=complex)), phase)
+        psi = self._apply_gate(self._gate_input(np.asarray(qubit, dtype=complex)), phase)
         norm2 = float(np.vdot(psi, psi).real)
         # Z_m is diagonal in the q eigenbasis, X_m in the p one (= R q R†).
         head = self.v2[: self.d_out, :].T
@@ -293,12 +302,25 @@ def _pin_blas_threads() -> None:
     getattr(lib, "scipy_openblas_set_num_threads64_", lambda _n: None)(1)
 
 
+_HELD_KERNELS: dict = {}
+
+
+def _sweep_kernels(lam: float, n_cut: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """`fock.pauli_kernels`, holding the last (λ, n_cut, x) pair in this process
+    until the sweep ends: the kernels are free of Δ and a sweep runs λ by λ."""
+    key = (lam, n_cut, x.tobytes())
+    if key not in _HELD_KERNELS:
+        _HELD_KERNELS.clear()
+        _HELD_KERNELS[key] = fock.pauli_kernels(lam, n_cut, x)
+    return _HELD_KERNELS[key]
+
+
 def _sweep_group(args) -> list[tuple[int, float | None, float | None, str | None]]:
     """Every gate at one (n̄, λ) through one engine; failures are reported, not
     raised.  A failed build fails every gate, a post-gate failure only its own."""
     points, config, cache_dir = args
     try:
-        engine = ChannelEngine(config, cache_dir)
+        engine = ChannelEngine(config, cache_dir, _sweep_kernels)
     except POINT_ERRORS as exc:
         return [(idx, None, None, str(exc)) for idx, _label in points]
     out = []
@@ -341,14 +363,16 @@ def sweep(
         if g not in GATE_TABLE:
             raise ValueError(f"unknown gate {g!r}; known: {sorted(GATE_TABLE)}")
 
-    # One task per (n̄, λ): (grid index, gate) of every gate, and the engine's config.
+    # One task per (n̄, λ): (grid index, gate) of every gate, and the engine's
+    # config.  λ-major, so consecutive engines share the held Pauli kernels;
+    # pool workers take them in that order too.
     groups = [
         ([((gi * len(n_bars) + ni) * len(lams) + li, g) for gi, g in enumerate(gates)],
          ChannelConfig(GATE_TABLE[gates[0]][0], fock.GkpParams.from_n_bar(nb, lam), plan,
                        n_cut=n_cut),
          cache_dir)
-        for ni, nb in enumerate(n_bars)
         for li, lam in enumerate(lams)
+        for ni, nb in enumerate(n_bars)
     ]
     meta = [(g, nb, lam) for g in gates for nb in n_bars for lam in lams]
 
@@ -364,6 +388,7 @@ def sweep(
             failures[idx] = err
         else:
             results[idx] = (inf, t_inf)
+    _HELD_KERNELS.clear()
 
     rows: list[SweepRow] = []
     optima: dict[str, dict[float, tuple[float, float, bool]]] = {g: {} for g in gates}

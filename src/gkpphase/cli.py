@@ -4,7 +4,7 @@ Subcommands: synth, verify-circuits, sweep, vacuum, moments, ft-bound,
 twirl-density, cache.  Outputs are written atomically (temp file + rename),
 carry a schema_version field, and are deterministic for a fixed
 configuration and seed.  Exit codes: 0 success, 1 validation error,
-2 numeric failure.
+2 numeric failure (for sweep: some points failed; the CSV holds the rest).
 """
 
 from __future__ import annotations
@@ -132,6 +132,8 @@ def _lift_input(path: str) -> polyalg.RationalPolynomial:
 def cmd_synth(args) -> int:
     m = args.level
     if args.qubits > 1:
+        if args.start != "power":
+            raise ValueError(f"--start {args.start!r}: with --qubits > 1 only the power start exists")
         start = polyalg.control_gate_start(args.qubits, m)
         outcome = polyalg.multivariate_reduce(start)
         terms = {
@@ -303,6 +305,11 @@ def cmd_sweep(args) -> int:
             ]
         )
     _emit_csv(args, header, rows)
+    if result.failures:
+        (gate, nb, lam), reason = next(iter(result.failures.items()))
+        print(f"sweep: {len(result.failures)} of {len(result.rows) + len(result.failures)} "
+              f"points failed; first: {gate} n_bar={nb:g} lam={lam:.12g}: {reason}", file=sys.stderr)
+        return 2
     return 0
 
 

@@ -16,6 +16,11 @@ function of one (possibly rotated) quadrature: polynomial phase gates,
 single-axis displacement sums and displacements are all built from the
 eigensystem of the tridiagonal position matrix (`q_eigensystem`, the one
 provider of it), which equals exponentiating the same truncated generator.
+The dense gate and Pauli-operator matrices live in `tests/oracles.py`.
+
+Codewords, sums of a few hundred to a thousand lattice coherent states, are
+evaluated in blocks of terms with one `np.exp` per conjugate pair of centres,
+bitwise equal to a one-term-at-a-time loop (`_coherent_block`).
 """
 
 from __future__ import annotations
@@ -200,9 +205,12 @@ def q_eigensystem(d: int, cache_dir: str | Path | None = None) -> tuple[np.ndarr
     return _q_eigensystem(d, None if cache_dir is None else Path(cache_dir))
 
 
+@lru_cache(maxsize=4)
 def number_parity_phases(d: int) -> np.ndarray:
-    """R = diag(i^n), the rotation mapping the q eigenbasis to the p one."""
-    return 1j ** np.arange(d)
+    """R = diag(i^n), the rotation mapping the q eigenbasis to the p one; read-only, one per d."""
+    r = 1j ** np.arange(d)
+    r.flags.writeable = False
+    return r
 
 
 def displacement(v: tuple[float, float], d: int, plan: TruncationPlan) -> FockOperator:
@@ -236,39 +244,69 @@ def default_lattice_cut(delta: float, lam: float = 1.0) -> tuple[int, int]:
     return cut_m, cut_n
 
 
-def _coherent_block(alpha: np.ndarray, coeff: np.ndarray, d: int) -> tuple[np.ndarray, int, float]:
+def _coherent_block(
+    alpha: np.ndarray, coeff: np.ndarray, d: int, run_sizes: np.ndarray
+) -> tuple[np.ndarray, int, float]:
     """Sum coeff_k * |alpha_k> over a batch of coherent states, in log domain.
 
     Coherent amplitudes <n|alpha> = exp(-|alpha|²/2) alpha^n / sqrt(n!) are
     assembled from their logarithms so no intermediate can overflow; terms
     whose peak magnitude (including the lattice coefficient) underflows are
     dropped and accounted to the caller.
+
+    Coefficients are nonzero, and the terms come in runs of `run_sizes`,
+    each closed under conjugation: in a run spanning [s, e) the term at α* of
+    term k is s + e - 1 - k (the kept terms of one lattice row).  Blocks of whole runs (about 2 MB of rows) go
+    through each step at once, every element computed as a one-term loop
+    computes it, and the sum runs in term order, so the result is bitwise
+    that loop's (kept in `tests/oracles.py`).  `np.exp` runs only for
+    imag α >= 0; the term at α* takes the conjugate row.
     """
     n = np.arange(d)
+    n_c = n.astype(complex)
     log_fact_half = 0.5 * scipy.special.gammaln(n + 1.0)
     out = np.zeros(d, dtype=complex)
     dropped = 0
     dropped_weight = 0.0
     mag = np.abs(alpha)
+    theta = np.angle(alpha)
     with np.errstate(divide="ignore"):
         log_mag = np.log(np.where(mag > 0, mag, 1.0))
-    for k in range(alpha.shape[0]):
-        c = coeff[k]
-        if c == 0:
-            continue
-        if mag[k] == 0:
-            out[0] += c
-            continue
-        log_amp = -0.5 * mag[k] ** 2 + n * log_mag[k] - log_fact_half
-        peak = log_amp.max() + math.log(abs(c))
-        if peak < -700.0:
-            dropped += 1
+    ends = np.cumsum(run_sizes)
+    run = np.repeat(np.arange(ends.size), run_sizes)
+    k = np.arange(alpha.size)
+    lower = alpha.imag < 0
+    # the term whose exponentials each term reads: itself, or the one at α* (s + e - 1 - k)
+    source = np.where(lower, 2 * ends[run] - run_sizes[run] - 1 - k, k)
+    cuts = [0]
+    for s, e in zip(ends - run_sizes, ends):
+        if e - cuts[-1] > max(1, (1 << 17) // d) and s > cuts[-1]:
+            cuts.append(int(s))
+    cuts.append(alpha.size)
+    for start, stop in zip(cuts[:-1], cuts[1:]):
+        # scalar squares: an array square differs in the last bit for some |α|
+        base = np.array([-0.5 * m**2 for m in mag[start:stop]])
+        log_amp = (base[:, None] + n * log_mag[start:stop, None]) - log_fact_half
+        # dropped: terms whose peak magnitude, with the coefficient, underflows
+        lit = start + np.flatnonzero(mag[start:stop] != 0)
+        log_c = np.array([math.log(abs(c)) for c in coeff[lit]])
+        low = lit[log_amp[lit - start].max(axis=1) + log_c < -700.0]
+        dropped += low.size
+        for c in coeff[low]:
             dropped_weight += abs(c)
-            continue
-        sel = log_amp > -745.0
-        amps = np.zeros(d, dtype=complex)
-        amps[sel] = np.exp(log_amp[sel] + 1j * np.angle(alpha[k]) * n[sel])
-        out += c * amps
+        used = np.setdiff1d(k[start:stop], low, assume_unique=True)
+        need = np.unique(source[used[mag[used] != 0]])
+        exps = np.zeros((need.size, d), dtype=complex)
+        log_amp = log_amp[need - start]
+        np.exp(log_amp + (1j * theta[need])[:, None] * n_c, out=exps, where=log_amp > -745.0)
+        # out += c * amps, one term at a time in the given order
+        for j, c, i in zip(used, coeff[used], np.searchsorted(need, source[used])):
+            if mag[j] == 0:
+                out[0] += c
+            elif lower[j]:
+                out += c * exps[i].conj()
+            else:
+                out += c * exps[i]
     return out, dropped, dropped_weight
 
 
@@ -319,7 +357,9 @@ def gkp_codeword(
     skipped_weight = float(np.sum(c[~keep]))
     shrink = math.exp(-delta**2)
     alpha = math.sqrt(math.pi) * shrink * (v_q[keep] + 1j * v_p[keep])
-    amps, dropped, dropped_weight = _coherent_block(alpha, (c * phase)[keep], d)
+    # c is even in n, so each m row keeps a run of terms closed under α -> α*
+    runs = keep.reshape(m.size, n.size).sum(axis=1)
+    amps, dropped, dropped_weight = _coherent_block(alpha, (c * phase)[keep], d, runs)
     dropped += int(np.sum(~keep))
     dropped_weight += skipped_weight
     if total > 0 and dropped_weight / total > MAX_DROPPED_WEIGHT:
@@ -335,52 +375,6 @@ def gkp_codeword(
             "lattice_cut": (cut_m, cut_n),
         },
     )
-
-
-def gkp_codeword_position_oracle(
-    bit: int,
-    delta: float,
-    lam: float = 1.0,
-    d: int = 400,
-    grid_points: int = 1 << 14,
-) -> FockVector:
-    """Independent codeword construction through the position wavefunction.
-
-    Applies the harmonic heat kernel (Mehler form) of exp(-Δ² a†a) to the
-    position comb at (2n+bit) sqrt(λπ) analytically, samples the resulting
-    sum of Gaussians on a uniform grid, and projects onto numerically
-    generated Hermite functions.  Shares no code with gkp_codeword.
-
-    Test oracle only: nothing in the package calls it.
-    """
-    if bit not in (0, 1):
-        raise ValueError(f"bit must be 0 or 1, got {bit!r}")
-    tau = delta**2
-    span = 8.0 / math.sqrt(math.tanh(tau)) + 4.0
-    xs = np.linspace(-span, span, grid_points)
-    dx = xs[1] - xs[0]
-
-    spacing = math.sqrt(lam * math.pi)
-    n_max = int(span / (2 * spacing)) + 3
-    psi = np.zeros_like(xs)
-    cosh_t, sinh_t, tanh_t = math.cosh(tau), math.sinh(tau), math.tanh(tau)
-    for n in range(-n_max, n_max + 1):
-        x_n = (2 * n + bit) * spacing
-        weight = math.exp(-0.5 * x_n**2 * tanh_t)
-        if weight < 1e-300:
-            continue
-        psi += weight * np.exp(-cosh_t * (xs - x_n / cosh_t) ** 2 / (2.0 * sinh_t))
-
-    # Hermite functions by the stable two-term recurrence.
-    amps = np.zeros(d, dtype=complex)
-    phi_prev = np.zeros_like(xs)
-    phi = math.pi ** (-0.25) * np.exp(-0.5 * xs**2)
-    for k in range(d):
-        amps[k] = np.sum(phi * psi) * dx
-        phi_next = math.sqrt(2.0 / (k + 1)) * xs * phi - math.sqrt(k / (k + 1.0)) * phi_prev
-        phi_prev, phi = phi, phi_next
-    vec = FockVector(amps)
-    return vec.normalized()
 
 
 def orthonormalize(psi0: FockVector, psi1: FockVector) -> tuple[FockVector, FockVector]:
@@ -425,24 +419,6 @@ def phase_profile(poly: RationalPolynomial, lam: float, x: np.ndarray) -> np.nda
     return np.exp(2j * math.pi * val)
 
 
-def poly_phase_gate(
-    poly: RationalPolynomial, lam: float, plan: TruncationPlan
-) -> FockOperator:
-    """Rectangular-frame gate exp(2πi P(q/sqrt(λπ))) as a d_out x d_init block.
-
-    The generator is diagonal in the position eigenbasis at d_temp(d_init)
-    (= d_out), so the exponential is exact there; only the input columns are
-    truncated, keeping the gate's photon-number growth inside the output.
-
-    Test oracle only: `channel.ChannelEngine` applies the same gate matrix-free.
-    """
-    dt = plan.d_temp(plan.d_init)
-    x, v = q_eigensystem(dt)
-    phases = phase_profile(poly, lam, x)
-    u = (v * phases) @ v.T
-    return FockOperator(u[: plan.d_out, : plan.d_init])
-
-
 def _pauli_coefficients(n_cut: int) -> tuple[np.ndarray, np.ndarray]:
     """Odd displacements (2n+1) from -n_cut..n_cut and their sum weights."""
     if n_cut % 2 == 0:
@@ -464,60 +440,32 @@ def _smear_factor(smear: np.ndarray | None, u_q: np.ndarray, u_p: np.ndarray) ->
     return np.exp(-math.pi * quad)
 
 
+def pauli_kernels(lam: float, n_cut: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """exp(±i sqrt(2π) x u) of the Z_m and X_m displacement sums; free of Δ."""
+    odd, _wts = _pauli_coefficients(n_cut)
+    u_p = odd / math.sqrt(2.0 * lam)
+    u_q = odd * math.sqrt(lam / 2.0)
+    return np.exp(1j * SQRT2PI * np.outer(x, u_p)), np.exp(-1j * SQRT2PI * np.outer(x, u_q))
+
+
 def pauli_profiles(
     lam: float,
     smear: np.ndarray | None,
     x: np.ndarray,
     n_cut: int = 59,
+    kernels=None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Diagonal profiles of Z_m (over q eigenvalues) and X_m (over p ones).
 
     Z_m^λ = (1/π) Σ (-1)^n/(n+1/2) W(0, (2n+1)/sqrt(2λ)) is a function of q;
     X_m^λ = (1/π) Σ (-1)^n/(n+1/2) W((2n+1) sqrt(λ/2), 0) a function of p.
-    Smearing rescales each displacement term.
+    Smearing rescales each displacement term.  `kernels` stands in for
+    `pauli_kernels`, for a caller that holds them across calls.
     """
     odd, wts = _pauli_coefficients(n_cut)
     u_p = odd / math.sqrt(2.0 * lam)
     u_q = odd * math.sqrt(lam / 2.0)
     z_w = wts * _smear_factor(smear, np.zeros_like(u_p), u_p)
     x_w = wts * _smear_factor(smear, u_q, np.zeros_like(u_q))
-    g = np.exp(1j * SQRT2PI * np.outer(x, u_p)) @ z_w
-    h = np.exp(-1j * SQRT2PI * np.outer(x, u_q)) @ x_w
-    return g, h
-
-
-def pauli_measurement_operator(
-    which: str,
-    lam: float,
-    smear: np.ndarray | None,
-    d: int,
-    n_cut: int = 59,
-    expand_factor: int = 3,
-) -> FockOperator:
-    """Ideal (or smeared) Pauli measurement operator as a d x d matrix.
-
-    X and Z are lattice sums of single-axis displacements, assembled in the
-    matching quadrature eigenbasis at expand_factor*d and truncated; Y uses
-    the numerically symmetric product form (i X Z - i Z X)/2.
-
-    Test oracle only: `channel.ChannelEngine` applies the same diagonals
-    matrix-free.
-    """
-    which = which.upper()
-    if which not in ("X", "Y", "Z"):
-        raise ValueError(f"which must be X, Y or Z, got {which!r}")
-    if which == "Y":
-        xm = pauli_measurement_operator("X", lam, smear, d, n_cut, expand_factor)
-        zm = pauli_measurement_operator("Z", lam, smear, d, n_cut, expand_factor)
-        y = 0.5j * (xm.matrix @ zm.matrix - zm.matrix @ xm.matrix)
-        return FockOperator(y)
-    dt = expand_factor * d
-    x, v = q_eigensystem(dt)
-    g, h = pauli_profiles(lam, smear, x, n_cut)
-    if which == "Z":
-        mat = (v * g) @ v.T
-    else:
-        r = number_parity_phases(dt)
-        vp = r[:, None] * v
-        mat = (vp * h) @ vp.conj().T
-    return FockOperator(mat[:d, :d])
+    z_kernel, x_kernel = (kernels or pauli_kernels)(lam, n_cut, x)
+    return z_kernel @ z_w, x_kernel @ x_w

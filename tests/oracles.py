@@ -4,6 +4,12 @@
   dense product of j linear factors and the lexicographic pruning over the
   whole fixed profile of degrees >= j.  It shares no arithmetic with the
   integer `polyalg.reduce` it checks, and m = 8 takes seconds.
+* `coherent_block`: the coherent-lattice codeword sum one term at a time,
+  the form `fock._coherent_block` must reproduce bit for bit.
+* `gkp_codeword_position_oracle`: the codeword through its position
+  wavefunction, sharing no code with `fock.gkp_codeword`.
+* `poly_phase_gate` and `pauli_measurement_operator`: the gate and the
+  (smeared) Pauli measurement operators as dense Fock matrices.
 * `logical_expectation` and `average_gate_fidelity_reconstructed`: one Pauli
   expectation through a fresh engine, and the average gate fidelity through
   explicit reconstruction of the 2x2 outputs.
@@ -11,12 +17,15 @@
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from math import factorial
 
 import numpy as np
+import scipy.special
 
-from gkpphase import channel as ch
+from gkpphase import channel as ch, fock as fk
+from gkpphase.fock import FockVector
 from gkpphase.polyalg import BranchStep, RationalPolynomial, ReductionOutcome
 
 MAX_BRANCHES = 65536
@@ -95,6 +104,144 @@ def reduce(poly: RationalPolynomial) -> ReductionOutcome:
             uniq.append(p)
     uniq.sort(key=lambda p: (p.coeff(p.degree) < 0, p.coeffs))
     return ReductionOutcome(tuple(uniq), log0)
+
+
+# ---------------------------------------------------------------------------
+# Codewords
+# ---------------------------------------------------------------------------
+
+
+def coherent_block(alpha: np.ndarray, coeff: np.ndarray, d: int) -> tuple[np.ndarray, int, float]:
+    """`fock._coherent_block` as one O(d) pass per lattice term, in term order."""
+    n = np.arange(d)
+    log_fact_half = 0.5 * scipy.special.gammaln(n + 1.0)
+    out = np.zeros(d, dtype=complex)
+    dropped = 0
+    dropped_weight = 0.0
+    mag = np.abs(alpha)
+    with np.errstate(divide="ignore"):
+        log_mag = np.log(np.where(mag > 0, mag, 1.0))
+    for k in range(alpha.shape[0]):
+        c = coeff[k]
+        if c == 0:
+            continue
+        if mag[k] == 0:
+            out[0] += c
+            continue
+        log_amp = -0.5 * mag[k] ** 2 + n * log_mag[k] - log_fact_half
+        peak = log_amp.max() + math.log(abs(c))
+        if peak < -700.0:
+            dropped += 1
+            dropped_weight += abs(c)
+            continue
+        sel = log_amp > -745.0
+        amps = np.zeros(d, dtype=complex)
+        amps[sel] = np.exp(log_amp[sel] + 1j * np.angle(alpha[k]) * n[sel])
+        out += c * amps
+    return out, dropped, dropped_weight
+
+
+def gkp_codeword_position_oracle(
+    bit: int,
+    delta: float,
+    lam: float = 1.0,
+    d: int = 400,
+    grid_points: int = 1 << 14,
+) -> FockVector:
+    """Independent codeword construction through the position wavefunction.
+
+    Applies the harmonic heat kernel (Mehler form) of exp(-Δ² a†a) to the
+    position comb at (2n+bit) sqrt(λπ) analytically, samples the resulting
+    sum of Gaussians on a uniform grid, and projects onto numerically
+    generated Hermite functions.  Shares no code with gkp_codeword.
+    """
+    if bit not in (0, 1):
+        raise ValueError(f"bit must be 0 or 1, got {bit!r}")
+    tau = delta**2
+    span = 8.0 / math.sqrt(math.tanh(tau)) + 4.0
+    xs = np.linspace(-span, span, grid_points)
+    dx = xs[1] - xs[0]
+
+    spacing = math.sqrt(lam * math.pi)
+    n_max = int(span / (2 * spacing)) + 3
+    psi = np.zeros_like(xs)
+    cosh_t, sinh_t, tanh_t = math.cosh(tau), math.sinh(tau), math.tanh(tau)
+    for n in range(-n_max, n_max + 1):
+        x_n = (2 * n + bit) * spacing
+        weight = math.exp(-0.5 * x_n**2 * tanh_t)
+        if weight < 1e-300:
+            continue
+        psi += weight * np.exp(-cosh_t * (xs - x_n / cosh_t) ** 2 / (2.0 * sinh_t))
+
+    # Hermite functions by the stable two-term recurrence.
+    amps = np.zeros(d, dtype=complex)
+    phi_prev = np.zeros_like(xs)
+    phi = math.pi ** (-0.25) * np.exp(-0.5 * xs**2)
+    for k in range(d):
+        amps[k] = np.sum(phi * psi) * dx
+        phi_next = math.sqrt(2.0 / (k + 1)) * xs * phi - math.sqrt(k / (k + 1.0)) * phi_prev
+        phi_prev, phi = phi, phi_next
+    vec = FockVector(amps)
+    return vec.normalized()
+
+
+# ---------------------------------------------------------------------------
+# Dense gate and Pauli measurement operators
+# ---------------------------------------------------------------------------
+
+
+def poly_phase_gate(
+    poly: RationalPolynomial, lam: float, plan: fk.TruncationPlan
+) -> fk.FockOperator:
+    """Rectangular-frame gate exp(2πi P(q/sqrt(λπ))) as a d_out x d_init block.
+
+    The generator is diagonal in the position eigenbasis at d_temp(d_init)
+    (= d_out), so the exponential is exact there; only the input columns are
+    truncated, keeping the gate's photon-number growth inside the output.
+
+    `channel.ChannelEngine` applies the same gate matrix-free.
+    """
+    dt = plan.d_temp(plan.d_init)
+    x, v = fk.q_eigensystem(dt)
+    phases = fk.phase_profile(poly, lam, x)
+    u = (v * phases) @ v.T
+    return fk.FockOperator(u[: plan.d_out, : plan.d_init])
+
+
+def pauli_measurement_operator(
+    which: str,
+    lam: float,
+    smear: np.ndarray | None,
+    d: int,
+    n_cut: int = 59,
+    expand_factor: int = 3,
+) -> fk.FockOperator:
+    """Ideal (or smeared) Pauli measurement operator as a d x d matrix.
+
+    X and Z are lattice sums of single-axis displacements, assembled in the
+    matching quadrature eigenbasis at expand_factor*d and truncated; Y uses
+    the numerically symmetric product form (i X Z - i Z X)/2.
+
+    `channel.ChannelEngine` applies the same diagonals matrix-free.
+    """
+    which = which.upper()
+    if which not in ("X", "Y", "Z"):
+        raise ValueError(f"which must be X, Y or Z, got {which!r}")
+    if which == "Y":
+        xm = pauli_measurement_operator("X", lam, smear, d, n_cut, expand_factor)
+        zm = pauli_measurement_operator("Z", lam, smear, d, n_cut, expand_factor)
+        y = 0.5j * (xm.matrix @ zm.matrix - zm.matrix @ xm.matrix)
+        return fk.FockOperator(y)
+    dt = expand_factor * d
+    x, v = fk.q_eigensystem(dt)
+    g, h = fk.pauli_profiles(lam, smear, x, n_cut)
+    if which == "Z":
+        mat = (v * g) @ v.T
+    else:
+        r = fk.number_parity_phases(dt)
+        vp = r[:, None] * v
+        mat = (vp * h) @ vp.conj().T
+    return fk.FockOperator(mat[:d, :d])
 
 
 # ---------------------------------------------------------------------------

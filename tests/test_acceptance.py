@@ -22,6 +22,7 @@ from fractions import Fraction as F
 
 import numpy as np
 
+import oracles
 from gkpphase import analytic as an, channel as ch, fock as fk, polyalg as pa
 from gkpphase import cli, symplectic as sp
 from gkpphase.polyalg import RationalPolynomial as Poly
@@ -134,7 +135,7 @@ def test_criterion_06_codeword_oracle():
                 for bit in (0, 1):
                     lattice = fk.gkp_codeword(bit, delta, lam, 400)
                     assert np.max(np.abs(lattice.amplitudes[1::2])) < 1e-12
-                    oracle = fk.gkp_codeword_position_oracle(bit, delta, lam, 400)
+                    oracle = oracles.gkp_codeword_position_oracle(bit, delta, lam, 400)
                     fid = abs(oracle.overlap(lattice.normalized())) ** 2
                     assert fid > 1.0 - 1e-6, f"fidelity {fid} at {delta=}, {lam=}, {bit=}"
         b.check_time()

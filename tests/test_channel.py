@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+import oracles
 from gkpphase import channel as ch, fock as fk
 from oracles import average_gate_fidelity_reconstructed, logical_expectation
 
@@ -230,8 +231,8 @@ def test_engine_matches_dense_oracles():
     config = cfg("T3", delta=0.35, lam=2.0, plan=fk.TruncationPlan(d_init=64))
     plan, lam = config.plan, config.params.lam
     engine = ch.ChannelEngine(config)
-    gate = fk.poly_phase_gate(config.gate, lam, plan).matrix
-    paulis = {p: fk.pauli_measurement_operator(p, lam, config.smear_matrix(), plan.d_out).matrix
+    gate = oracles.poly_phase_gate(config.gate, lam, plan).matrix
+    paulis = {p: oracles.pauli_measurement_operator(p, lam, config.smear_matrix(), plan.d_out).matrix
               for p in ("X", "Y", "Z")}
     e0 = fk.gkp_codeword(0, 0.35, lam, plan.d_init)
     e1 = fk.gkp_codeword(1, 0.35, lam, plan.d_init)
@@ -274,6 +275,32 @@ def test_sweep_groups_equal_single_point_path():
                 assert t_inf == (1.0 - ch.t_state_fidelity(config) if g != "I" else None)
     assert failed and set(res.failures) == failed
     assert len(rows) + len(failed) == len(GROUP_GATES) * len(n_bars) * len(lams)
+
+
+def test_sweep_held_pauli_kernels_match_fresh_evaluation():
+    # the kernels held across λ and x changes against the profiles from scratch
+    smear = 0.03 * np.diag([2.0, 0.5])
+
+    def fresh(lam, x):
+        odd, wts = fk._pauli_coefficients(59)
+        u_p, u_q = odd / math.sqrt(2.0 * lam), odd * math.sqrt(lam / 2.0)
+        z_w = wts * fk._smear_factor(smear, np.zeros_like(u_p), u_p)
+        x_w = wts * fk._smear_factor(smear, u_q, np.zeros_like(u_q))
+        return [(np.exp(1j * fk.SQRT2PI * np.outer(x, u_p)) @ z_w).tobytes(),
+                (np.exp(-1j * fk.SQRT2PI * np.outer(x, u_q)) @ x_w).tobytes()]
+
+    x = fk.q_eigensystem(192)[0]
+    other = np.linspace(-9.0, 9.0, x.size)
+    for lam, xs in ((1.3, x), (2.6, x), (1.3, x), (1.3, other), (1.3, x.copy())):
+        assert [p.tobytes() for p in fk.pauli_profiles(lam, smear, xs)] == fresh(lam, xs)
+        held = fk.pauli_profiles(lam, smear, xs, kernels=ch._sweep_kernels)
+        assert [p.tobytes() for p in held] == fresh(lam, xs), (lam, xs is other)
+    ch._HELD_KERNELS.clear()
+
+
+def test_sweep_holds_no_kernels_after_it_returns():
+    ch.sweep(["I"], [2.0], [1.0, 1.4], PLAN_SMALL)
+    assert ch._HELD_KERNELS == {}
 
 
 def test_sweep_builds_codewords_once_per_group(monkeypatch):

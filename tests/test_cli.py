@@ -68,6 +68,14 @@ def test_synth_lift_start_rejects_other_json(tmp_path, capsys):
         assert "coefficients" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("start", ["bogus", "lift:missing.json"])
+def test_synth_multiqubit_rejects_other_starts(tmp_path, capsys, start):
+    # a multi-qubit synth used to ignore --start and print the power-start result
+    code, text = run(tmp_path, "synth", "--level", "2", "--qubits", "2", "--start", start)
+    assert code == 1 and text == ""
+    assert "only the power start" in capsys.readouterr().err
+
+
 def test_synth_invalid_level_exits_1(tmp_path):
     code, _ = run(tmp_path, "synth", "--level", "0")
     assert code == 1
@@ -154,6 +162,23 @@ def test_sweep_several_gates_equal_single_gate_runs(tmp_path):
     _, t3 = run(tmp_path, "sweep", "--gate", "T3", *grid, name="t3.csv")
     _, idle = run(tmp_path, "sweep", "--gate", "I", *grid, name="i.csv")
     assert both.splitlines() == t3.splitlines() + idle.splitlines()[2:]
+
+
+def test_sweep_reports_failed_points_and_exits_2(tmp_path, capsys):
+    # TGKP at n_bar 3, lam 1 reaches the top of the d_init 64 output window
+    grid = ["--nbar-min", "3", "--nbar-max", "3", "--lam-min", "1", "--lam-max", "2",
+            "--lam-count", "2", "--dinit", "64"]
+    code, text = run(tmp_path, "sweep", "--gate", "TGKP", "I", *grid)
+    assert code == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("sweep: 1 of 4 points failed; first: TGKP n_bar=3 lam=1: ")
+    assert "edge mass" in err[0]
+    # the CSV is complete: every other point, as a run of that gate alone prints it
+    rows = [line.split(",")[:5] for line in text.splitlines()[2:]]
+    assert [(r[0], r[4]) for r in rows] == [("TGKP", "2"), ("I", "1"), ("I", "2")]
+    _, idle = run(tmp_path, "sweep", "--gate", "I", *grid, name="i.csv")
+    assert text.splitlines()[3:] == idle.splitlines()[2:]
 
 
 class _Hung(Exception):

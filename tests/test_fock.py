@@ -6,6 +6,7 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
+import oracles
 from gkpphase import fock as fk
 from gkpphase.polyalg import RationalPolynomial
 
@@ -108,8 +109,52 @@ def test_codeword_overlap_decays_with_smaller_delta():
 def test_codeword_matches_position_grid_oracle():
     for lam in (1.0, 2.0):
         lattice = fk.gkp_codeword(0, 0.35, lam, 256).normalized()
-        oracle = fk.gkp_codeword_position_oracle(0, 0.35, lam, 256)
+        oracle = oracles.gkp_codeword_position_oracle(0, 0.35, lam, 256)
         assert abs(oracle.overlap(lattice)) ** 2 > 1.0 - 1e-6
+
+
+def _loop_oracle(alpha, coeff, d, _run_sizes, dropped=None):
+    out = oracles.coherent_block(alpha, coeff, d)
+    if dropped is not None:
+        dropped.append(out[1])
+    return out
+
+
+@pytest.mark.parametrize("delta", [1 / math.sqrt(2 * nb + 1) for nb in (2, 6, 10)] + [0.24, 0.25])
+def test_codeword_bitwise_equals_one_term_loop(monkeypatch, delta):
+    # the blocked, conjugate-paired sum against the per-term loop, to the bit
+    for lam in (1.0, 2.6, 5.0):
+        for d in (64, 256):
+            for bit in (0, 1):
+                got = fk.gkp_codeword(bit, delta, lam, d)
+                with monkeypatch.context() as m:
+                    m.setattr(fk, "_coherent_block", _loop_oracle)
+                    want = fk.gkp_codeword(bit, delta, lam, d)
+                assert got.amplitudes.tobytes() == want.amplitudes.tobytes(), (lam, d, bit)
+                assert repr(got.meta) == repr(want.meta)
+
+
+def test_codeword_bitwise_with_dropped_terms(monkeypatch):
+    # Δ = 0.1 at d = 64 drops far lattice terms by their peak; bit 0 holds the α = 0 term
+    monkeypatch.setattr(fk, "MAX_DROPPED_WEIGHT", 1.0)
+    for bit in (0, 1):
+        got = fk.gkp_codeword(bit, 0.1, 1.0, 64)
+        dropped = []
+        with monkeypatch.context() as m:
+            m.setattr(fk, "_coherent_block",
+                      lambda *args: _loop_oracle(*args, dropped=dropped))
+            want = fk.gkp_codeword(bit, 0.1, 1.0, 64)
+        assert dropped[0] > 0
+        assert got.amplitudes.tobytes() == want.amplitudes.tobytes()
+        assert repr(got.meta) == repr(want.meta)
+
+
+def test_number_parity_phases_shared_and_read_only():
+    r = fk.number_parity_phases(40)
+    assert r is fk.number_parity_phases(40)
+    assert r.tobytes() == (1j ** np.arange(40)).tobytes()
+    with pytest.raises(ValueError):
+        r[0] = 2.0
 
 
 def test_orthonormalize_contract():
@@ -150,14 +195,14 @@ def test_already_orthonormal_pair_unchanged():
 
 def test_poly_phase_gate_zero_is_identity_embedding():
     plan = fk.TruncationPlan(d_init=32)
-    gate = fk.poly_phase_gate(RationalPolynomial([]), 1.0, plan)
+    gate = oracles.poly_phase_gate(RationalPolynomial([]), 1.0, plan)
     assert gate.matrix.shape == (96, 32)
     assert np.max(np.abs(gate.matrix - np.eye(96, 32))) < 1e-10
 
 
 def test_poly_phase_gate_linear_acts_as_logical_z():
     plan = fk.TruncationPlan(d_init=192)
-    gate = fk.poly_phase_gate(RationalPolynomial([0, F(1, 2)]), 1.0, plan)
+    gate = oracles.poly_phase_gate(RationalPolynomial([0, F(1, 2)]), 1.0, plan)
     c0 = fk.gkp_codeword(0, 0.25, 1.0, 192)
     c1 = fk.gkp_codeword(1, 0.25, 1.0, 192)
     e0, e1 = fk.orthonormalize(c0, c1)
@@ -173,30 +218,30 @@ def test_poly_phase_gate_linear_acts_as_logical_z():
 
 def test_poly_phase_gate_columns_orthonormal():
     plan = fk.TruncationPlan(d_init=160)
-    gate = fk.poly_phase_gate(T3, 2.0, plan)
+    gate = oracles.poly_phase_gate(T3, 2.0, plan)
     gram = gate.matrix.conj().T @ gate.matrix
     assert np.max(np.abs(gram - np.eye(160))) < 1e-6
 
 
 def test_pauli_operator_validation():
     with pytest.raises(ValueError):
-        fk.pauli_measurement_operator("Z", 1.0, None, 64, n_cut=10)
+        oracles.pauli_measurement_operator("Z", 1.0, None, 64, n_cut=10)
     with pytest.raises(ValueError):
-        fk.pauli_measurement_operator("Q", 1.0, None, 64)
+        oracles.pauli_measurement_operator("Q", 1.0, None, 64)
 
 
 def test_pauli_operators_hermitian_and_contracting():
     for which in ("X", "Y", "Z"):
-        op = fk.pauli_measurement_operator(which, 1.3, None, 96)
+        op = oracles.pauli_measurement_operator(which, 1.3, None, 96)
         assert np.max(np.abs(op.matrix - op.matrix.conj().T)) < 1e-10
         smear = math.tanh(0.25**2 / 2) * np.eye(2)
-        sm = fk.pauli_measurement_operator(which, 1.3, smear, 96)
+        sm = oracles.pauli_measurement_operator(which, 1.3, smear, 96)
         assert np.linalg.norm(sm.matrix, 2) <= np.linalg.norm(op.matrix, 2) + 1e-9
 
 
 def test_pauli_z_eigenstate_contract():
     delta, lam, d = 0.25, 1.0, 512
-    zm = fk.pauli_measurement_operator("Z", lam, None, d)
+    zm = oracles.pauli_measurement_operator("Z", lam, None, d)
     for bit, sign in ((0, 1.0), (1, -1.0)):
         c = fk.gkp_codeword(bit, delta, lam, d)
         val = np.vdot(c.amplitudes, zm.matrix @ c.amplitudes).real / c.norm() ** 2
@@ -206,7 +251,7 @@ def test_pauli_z_eigenstate_contract():
 def test_pauli_z_sign_stable_inside_patch():
     delta, lam, d = 0.25, 1.0, 360
     plan = fk.TruncationPlan(d_init=d)
-    zm = fk.pauli_measurement_operator("Z", lam, None, d)
+    zm = oracles.pauli_measurement_operator("Z", lam, None, d)
     w = fk.displacement((0.05, 0.08), d, plan)  # inside the correctable patch
     vec = fk.FockVector(w.matrix @ fk.gkp_codeword(0, delta, lam, d).normalized().amplitudes)
     val = np.vdot(vec.amplitudes, zm.matrix @ vec.amplitudes).real / vec.norm() ** 2
@@ -237,9 +282,9 @@ def test_pauli_n_cut_convergence():
     vals = []
     ripple = []
     for n_cut in (59, 119):
-        zm = fk.pauli_measurement_operator("Z", lam, smear, d, n_cut=n_cut)
+        zm = oracles.pauli_measurement_operator("Z", lam, smear, d, n_cut=n_cut)
         vals.append(np.vdot(c0.amplitudes, zm.matrix @ c0.amplitudes).real)
-        zu = fk.pauli_measurement_operator("Z", lam, None, d, n_cut=n_cut)
+        zu = oracles.pauli_measurement_operator("Z", lam, None, d, n_cut=n_cut)
         ripple.append(np.vdot(c0.amplitudes, zu.matrix @ c0.amplitudes).real)
     assert abs(vals[0] - vals[1]) < 1e-8
     assert abs(ripple[0] - ripple[1]) < 1e-4
