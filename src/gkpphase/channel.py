@@ -7,7 +7,8 @@ ideal-QEC logical state through the smeared Pauli measurement operators with
 Σ = tanh(Δ²/2) diag(λ, 1/λ) (the phenomenological measurement noise of the
 surrounding QEC rounds).  Everything downstream — average gate fidelity,
 magic-state fidelity, (n̄, λ) sweeps, and the vacuum-state baseline — is
-assembled from single-state Pauli expectations.
+assembled from single-state Pauli expectations.  That readout model is
+fixed; `ChannelConfig.smear` only switches Σ off, for the noiseless limit.
 
 The heavy objects, the position eigensystems at d_out and at the readout
 dimension, depend only on the truncation; they come from
@@ -54,8 +55,6 @@ T_IMPLEMENTING_GATES = ("T3", "TGKP", "T4")
 
 def target_unitary(label: str) -> np.ndarray:
     """2x2 target for a gate label: diag(1, e^{2πi/2^m}) at hierarchy level m."""
-    if isinstance(label, np.ndarray):
-        return label
     if label == "I":
         return np.eye(2, dtype=complex)
     levels = {"Z": 1, "S": 2, "T": 3, "T1/2": 4, "T1/4": 5, "T1/8": 6}
@@ -68,12 +67,6 @@ def target_unitary(label: str) -> np.ndarray:
     return np.diag([1.0, np.exp(2j * math.pi / 2**m)]).astype(complex)
 
 
-def default_smear(params: fock.GkpParams) -> np.ndarray:
-    """Biased measurement-noise covariance tanh(Δ²/2) diag(λ, 1/λ)."""
-    t = math.tanh(params.delta**2 / 2.0)
-    return t * np.diag([params.lam, 1.0 / params.lam])
-
-
 @dataclass(frozen=True)
 class ChannelConfig:
     """One logical-channel instance: gate polynomial, code params, readout."""
@@ -81,16 +74,15 @@ class ChannelConfig:
     gate: RationalPolynomial
     params: fock.GkpParams
     plan: fock.TruncationPlan = fock.TruncationPlan(d_init=256)
-    smear: np.ndarray | None | str = "auto"
-    target: str | np.ndarray = "I"
-    n_cut: int = 59
+    smear: bool = True
+    target: str = "I"
 
     def smear_matrix(self) -> np.ndarray | None:
-        if isinstance(self.smear, str):
-            if self.smear != "auto":
-                raise ValueError(f"unknown smear spec {self.smear!r}")
-            return default_smear(self.params)
-        return self.smear
+        """Measurement-noise covariance tanh(Δ²/2) diag(λ, 1/λ), None with `smear` off."""
+        if not self.smear:
+            return None
+        t = math.tanh(self.params.delta**2 / 2.0)
+        return t * np.diag([self.params.lam, 1.0 / self.params.lam])
 
 
 class ExpectationRangeError(ValueError):
@@ -145,8 +137,7 @@ class ChannelEngine:
         self.r2 = fock.number_parity_phases(self.d_temp)
         self.x1, self.v1 = fock.q_eigensystem(self.d_out, cache_dir)
 
-        smear = config.smear_matrix()
-        self.g_z, self.h_x = fock.pauli_profiles(lam, smear, self.x2, config.n_cut, kernels)
+        self.g_z, self.h_x = fock.pauli_profiles(lam, config.smear_matrix(), self.x2, kernels)
 
         c0 = fock.gkp_codeword(0, config.params.delta, lam, self.d_init)
         c1 = fock.gkp_codeword(1, config.params.delta, lam, self.d_init)
@@ -238,9 +229,7 @@ def _dual_frame():
 _DUALS = _dual_frame()[1]
 
 
-def average_gate_fidelity_from_readout(
-    readout: LogicalReadout, target: str | np.ndarray
-) -> float:
+def average_gate_fidelity_from_readout(readout: LogicalReadout, target: str) -> float:
     """F = 1/3 + (1/12) Σ_{k,l} tr(U V_k U† σ_l) tr(σ_l E(|ψ_k><ψ_k|))."""
     u = target_unitary(target)
     total = 0.0
@@ -257,10 +246,15 @@ def average_gate_fidelity(config: ChannelConfig, cache_dir=None) -> float:
     return average_gate_fidelity_from_readout(engine.readout(), config.target)
 
 
-def t_state_fidelity(config: ChannelConfig, cache_dir=None) -> float:
-    """F = <T| E(|+><+|) |T> = 1/2 + (<X> + <Y>)/(2 sqrt(2))."""
-    exps = ChannelEngine(config, cache_dir).pauli_expectations(INPUT_STATES["plus"])
+def t_state_fidelity_from_expectations(exps: dict[str, float]) -> float:
+    """F = <T| E(|+><+|) |T> = 1/2 + (<X> + <Y>)/(2 sqrt(2)), from the output's <X>, <Y>."""
     return 0.5 + (exps["X"] + exps["Y"]) / (2.0 * math.sqrt(2.0))
+
+
+def t_state_fidelity(config: ChannelConfig, cache_dir=None) -> float:
+    """<T| E(|+><+|) |T> through a fresh engine for the config."""
+    exps = ChannelEngine(config, cache_dir).pauli_expectations(INPUT_STATES["plus"])
+    return t_state_fidelity_from_expectations(exps)
 
 
 # ---------------------------------------------------------------------------
@@ -305,13 +299,13 @@ def _pin_blas_threads() -> None:
 _HELD_KERNELS: dict = {}
 
 
-def _sweep_kernels(lam: float, n_cut: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """`fock.pauli_kernels`, holding the last (λ, n_cut, x) pair in this process
+def _sweep_kernels(lam: float, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """`fock.pauli_kernels`, holding the last (λ, x) pair in this process
     until the sweep ends: the kernels are free of Δ and a sweep runs λ by λ."""
-    key = (lam, n_cut, x.tobytes())
+    key = (lam, x.tobytes())
     if key not in _HELD_KERNELS:
         _HELD_KERNELS.clear()
-        _HELD_KERNELS[key] = fock.pauli_kernels(lam, n_cut, x)
+        _HELD_KERNELS[key] = fock.pauli_kernels(lam, x)
     return _HELD_KERNELS[key]
 
 
@@ -330,8 +324,7 @@ def _sweep_group(args) -> list[tuple[int, float | None, float | None, str | None
         except POINT_ERRORS as exc:
             out.append((idx, None, None, str(exc)))
             continue
-        exps = readout.expectations["plus"]
-        t_inf = 1.0 - (0.5 + (exps["X"] + exps["Y"]) / (2.0 * math.sqrt(2.0)))
+        t_inf = 1.0 - t_state_fidelity_from_expectations(readout.expectations["plus"])
         avg_inf = 1.0 - average_gate_fidelity_from_readout(readout, label)
         out.append((idx, avg_inf, t_inf if label in T_IMPLEMENTING_GATES else None, None))
     return out
@@ -343,7 +336,6 @@ def sweep(
     lam_grid,
     plan: fock.TruncationPlan | None = None,
     workers: int = 1,
-    n_cut: int = 59,
     cache_dir=None,
 ) -> SweepResult:
     """Average-gate / T-state infidelities over a (gate, n̄, λ) grid.
@@ -368,8 +360,7 @@ def sweep(
     # pool workers take them in that order too.
     groups = [
         ([((gi * len(n_bars) + ni) * len(lams) + li, g) for gi, g in enumerate(gates)],
-         ChannelConfig(GATE_TABLE[gates[0]][0], fock.GkpParams.from_n_bar(nb, lam), plan,
-                       n_cut=n_cut),
+         ChannelConfig(GATE_TABLE[gates[0]][0], fock.GkpParams.from_n_bar(nb, lam), plan),
          cache_dir)
         for li, lam in enumerate(lams)
         for ni, nb in enumerate(n_bars)
@@ -446,7 +437,6 @@ class VacuumMethodConfig:
     delta: float
     grid: int = 500
     postselect_fraction: float = 1.0
-    lattice_cut: int = 4
 
     def __post_init__(self):
         if self.delta <= 0:
@@ -509,10 +499,10 @@ def clifford_t_targets() -> np.ndarray:
     return targets
 
 
-def _ranked_cells(delta: float, grid: int, lattice_cut: int) -> tuple[np.ndarray, np.ndarray]:
+def _ranked_cells(delta: float, grid: int) -> tuple[np.ndarray, np.ndarray]:
     """Syndrome cells of the vacuum posterior, best first: each cell's fidelity
     to its nearest Clifford-equivalent T target, and its probability weight."""
-    weights, bloch = analytic.vacuum_posterior_grid(delta, grid, lattice_cut)
+    weights, bloch = analytic.vacuum_posterior_grid(delta, grid)
     fid = 0.5 * (1.0 + bloch @ clifford_t_targets().T).max(axis=1)
     order = np.argsort(-fid)
     return fid[order], weights[order]
@@ -526,7 +516,7 @@ def vacuum_state_method(config: VacuumMethodConfig) -> VacuumResult:
     `postselect_fraction` of the probability mass is kept (the boundary cell
     fractionally).  postselect_fraction -> 0 returns the single best cell.
     """
-    fid, weights = _ranked_cells(config.delta, config.grid, config.lattice_cut)
+    fid, weights = _ranked_cells(config.delta, config.grid)
     if config.postselect_fraction == 0.0:
         best = float(fid[0])
         return VacuumResult(1.0 - best, float(weights[0]), config.grid < 100)
@@ -541,9 +531,7 @@ def vacuum_state_method(config: VacuumMethodConfig) -> VacuumResult:
     return VacuumResult(float(1.0 - mean_fid), float(acc), config.grid < 100)
 
 
-def vacuum_match_fraction(
-    delta: float, target_infidelity: float, grid: int = 500, lattice_cut: int = 4
-) -> float:
+def vacuum_match_fraction(delta: float, target_infidelity: float, grid: int = 500) -> float:
     """Largest postselection fraction at which the vacuum method still matches.
 
     Cells are ranked best first as in `vacuum_state_method`, but only whole
@@ -556,7 +544,7 @@ def vacuum_match_fraction(
     Returns 0 when even the best single cell cannot reach the target, and 1
     when no postselection is needed.
     """
-    fid, weights = _ranked_cells(delta, grid, lattice_cut)
+    fid, weights = _ranked_cells(delta, grid)
     if 1.0 - fid[0] > target_infidelity:
         return 0.0
     cum_w = np.cumsum(weights)

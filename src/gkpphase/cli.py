@@ -3,8 +3,9 @@
 Subcommands: synth, verify-circuits, sweep, vacuum, moments, ft-bound,
 twirl-density, cache.  Outputs are written atomically (temp file + rename),
 carry a schema_version field, and are deterministic for a fixed
-configuration and seed.  Exit codes: 0 success, 1 validation error,
-2 numeric failure (for sweep: some points failed; the CSV holds the rest).
+configuration (and, for verify-circuits, --seed).  Exit codes: 0 success,
+1 validation error, 2 numeric failure (for sweep: some points failed; the
+CSV holds the rest).
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from pathlib import Path
 from . import polyalg, write_atomically  # numeric modules: inside the commands
 
 SCHEMA_VERSION = 1
-MAX_NBAR_POINTS = 10**6  # longer n_bar grids are refused, not built
+MAX_GRID_POINTS = 10**6  # longer n_bar or lam axes are refused, not built
 
 
 class NumericFailure(RuntimeError):
@@ -49,16 +50,21 @@ def _emit_csv(args, header: list[str], rows: list[list]) -> None:
     _atomic_write(args.out, "\n".join(lines) + "\n")
 
 
-def _multi_value_flags(parser: argparse.ArgumentParser, section: str) -> set[str]:
-    """Option strings of `section`'s parser whose action takes several values."""
-    for action in parser._actions:
-        if isinstance(action, argparse._SubParsersAction) and section in action.choices:
-            parser = action.choices[section]
-    return {opt for a in parser._actions if a.nargs == "+" for opt in a.option_strings}
+def _subcommand_flags(parser: argparse.ArgumentParser) -> dict[str, dict[str, argparse.Action]]:
+    """Each subcommand's flags, by option string."""
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return {name: {opt: a for a in p._actions for opt in a.option_strings}
+            for name, p in sub.choices.items()}
 
 
 def _load_config_defaults(parser: argparse.ArgumentParser, argv: list[str]) -> list[str]:
-    """Apply key=value defaults from --config <file> [section per subcommand]."""
+    """Apply key=value defaults from --config <file>.
+
+    A key of the subcommand's own section is always passed on, so one the
+    subcommand does not take is an error; a [global] key only reaches the
+    subcommands that take that flag, and one that no subcommand takes is an
+    error.
+    """
     if "--config" not in argv:
         return argv
     i = argv.index("--config")
@@ -73,15 +79,20 @@ def _load_config_defaults(parser: argparse.ArgumentParser, argv: list[str]) -> l
     except (OSError, configparser.Error) as exc:
         parser.error(f"cannot read --config file: {exc}")
     section = rest[0] if rest and not rest[0].startswith("-") else "global"
-    multi = _multi_value_flags(parser, section)
+    table = _subcommand_flags(parser)
+    flags = table.get(section, {})
     injected: list[str] = []
     for sec in ("global", section):
         if cp.has_section(sec):
             for key, val in cp.items(sec):
                 flag = f"--{key.replace('_', '-')}"
-                if flag not in rest:
-                    # one token per value, so a path with spaces stays whole
-                    injected.extend([flag, *val.split()] if flag in multi else [flag, val])
+                if sec == "global" and not any(flag in f for f in table.values()):
+                    parser.error(f"[global] key {key!r} is no subcommand's flag")
+                if flag in rest or (sec == "global" and flag not in flags):
+                    continue
+                # one token per value, so a path with spaces stays whole
+                multi = flag in flags and flags[flag].nargs == "+"
+                injected.extend([flag, *val.split()] if multi else [flag, val])
     if rest and not rest[0].startswith("-"):
         return [rest[0]] + injected + rest[1:]
     return injected + rest
@@ -262,9 +273,9 @@ def _nbar_grid(lo: float, hi: float, step: float) -> list[float]:
     if step <= 0:
         raise ValueError(f"--nbar-step must be positive, got {step}")
     count = (hi + 1e-9 - lo) / step + 1
-    if not math.isfinite(count) or count > MAX_NBAR_POINTS:
+    if not math.isfinite(count) or count > MAX_GRID_POINTS:
         raise ValueError(f"--nbar-min {lo} --nbar-max {hi} --nbar-step {step} give "
-                         f"{count:.3g} n_bar points; at most {MAX_NBAR_POINTS} are allowed")
+                         f"{count:.3g} n_bar points; at most {MAX_GRID_POINTS} are allowed")
     n_bars = []
     nb = lo
     while nb <= hi + 1e-9:
@@ -280,12 +291,12 @@ def cmd_sweep(args) -> int:
     from . import channel, fock
 
     n_bars = _nbar_grid(args.nbar_min, args.nbar_max, args.nbar_step)
+    if not 1 <= args.lam_count <= MAX_GRID_POINTS:
+        raise ValueError(f"--lam-count must lie in [1, {MAX_GRID_POINTS}], got {args.lam_count}")
     lams = np.linspace(args.lam_min, args.lam_max, args.lam_count).tolist()
     plan = fock.TruncationPlan(d_init=args.dinit, expand_factor=args.expand_factor)
-    result = channel.sweep(
-        args.gate, n_bars, lams, plan,
-        workers=args.workers, n_cut=args.ncut, cache_dir=args.cache_dir,
-    )
+    result = channel.sweep(args.gate, n_bars, lams, plan,
+                           workers=args.workers, cache_dir=args.cache_dir)
     header = [
         "gate", "n_bar", "delta", "delta_db", "lam",
         "avg_infidelity", "t_state_infidelity", "boundary_flag",
@@ -442,9 +453,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--out", default=None, help="output path (default stdout)")
-        p.add_argument("--cache-dir", default=None)
-        p.add_argument("--workers", type=int, default=1)
-        p.add_argument("--seed", type=int, default=12345)
 
     p = sub.add_parser("synth", help="minimal polynomial phase gate synthesis")
     common(p)
@@ -456,6 +464,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify-circuits", help="symplectic identity suite + no-go sweep")
     common(p)
     p.add_argument("--nogo-circuits", type=int, default=100)
+    p.add_argument("--seed", type=int, default=12345, help="seed of the random no-go circuits")
     p.set_defaults(func=cmd_verify_circuits)
 
     p = sub.add_parser("sweep", help="(n_bar, lam) fidelity sweep for one or more gates")
@@ -470,7 +479,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lam-count", type=int, default=16)
     p.add_argument("--dinit", type=int, default=256)
     p.add_argument("--expand-factor", type=int, default=3)
-    p.add_argument("--ncut", type=int, default=59)
+    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--cache-dir", default=None, help="operator cache directory")
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("vacuum", help="vacuum-state magic state baseline")
@@ -506,9 +516,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="every action needs --cache-dir")
     p.add_argument("--dinit", type=int, default=256)
     p.add_argument("--expand-factor", type=int, default=3)
+    p.add_argument("--cache-dir", default=None, help="operator cache directory")
     # Accepted so that a sweep's grid flags can be passed unchanged.
     ignored = "ignored: the cached eigensystems depend only on --dinit and --expand-factor"
-    p.add_argument("--ncut", type=int, default=59, help=ignored)
     p.add_argument("--nbar-min", type=float, default=2.0, help=ignored)
     p.add_argument("--nbar-max", type=float, default=12.0, help=ignored)
     p.add_argument("--nbar-step", type=float, default=1.0, help=ignored)

@@ -20,7 +20,9 @@ The dense gate and Pauli-operator matrices live in `tests/oracles.py`.
 
 Codewords, sums of a few hundred to a thousand lattice coherent states, are
 evaluated in blocks of terms with one `np.exp` per conjugate pair of centres,
-bitwise equal to a one-term-at-a-time loop (`_coherent_block`).
+bitwise equal to a one-term-at-a-time loop (`_coherent_block`), over the
+lattice rectangle of `default_lattice_cut`.  The Pauli measurement operators
+use one displacement series, cut at |2n+1| <= 59 (`PAULI_ODD`, `PAULI_WEIGHTS`).
 """
 
 from __future__ import annotations
@@ -315,7 +317,6 @@ def gkp_codeword(
     delta: float,
     lam: float = 1.0,
     d: int = 400,
-    lattice_cut: int | tuple[int, int] | None = None,
 ) -> FockVector:
     """Unnormalised approximate codeword of the rectangular code.
 
@@ -324,18 +325,15 @@ def gkp_codeword(
     with mu = 2m + b and c_{mu,n} = exp(-π(mu²λ + n²/λ)(1 - e^{-2Δ²})/4).
     The e^{-Δ²} contraction of the coherent centres comes from commuting the
     envelope through the displacement; without it the construction drifts
-    from Env|comb> at the percent level.
+    from Env|comb> at the percent level.  The lattice is cut at
+    `default_lattice_cut`, and the weight left out is checked against
+    `MAX_DROPPED_WEIGHT`.
     """
     if bit not in (0, 1):
         raise ValueError(f"bit must be 0 or 1, got {bit!r}")
     if d < 16:
         raise ValueError("d must be >= 16")
-    if lattice_cut is None:
-        cut_m, cut_n = default_lattice_cut(delta, lam)
-    elif isinstance(lattice_cut, tuple):
-        cut_m, cut_n = lattice_cut
-    else:
-        cut_m = cut_n = int(lattice_cut)
+    cut_m, cut_n = default_lattice_cut(delta, lam)
     w = 1.0 - math.exp(-2.0 * delta**2)
     m = np.arange(-cut_m, cut_m + 1)
     n = np.arange(-cut_n, cut_n + 1)
@@ -419,32 +417,17 @@ def phase_profile(poly: RationalPolynomial, lam: float, x: np.ndarray) -> np.nda
     return np.exp(2j * math.pi * val)
 
 
-def _pauli_coefficients(n_cut: int) -> tuple[np.ndarray, np.ndarray]:
-    """Odd displacements (2n+1) from -n_cut..n_cut and their sum weights."""
-    if n_cut % 2 == 0:
-        raise ValueError(f"n_cut must be odd, got {n_cut}")
-    ns = np.arange(-(n_cut + 1) // 2, (n_cut - 1) // 2 + 1)
-    odd = 2 * ns + 1
-    wts = ((-1.0) ** ns) / (ns + 0.5) / math.pi
-    return odd, wts
+# The displacement series of the Pauli measurement operators, cut at |2n+1| <= 59:
+# odd displacements 2n+1 and their weights (-1)^n / ((n + 1/2) π).
+_PAULI_NS = np.arange(-30, 30)
+PAULI_ODD = 2 * _PAULI_NS + 1
+PAULI_WEIGHTS = ((-1.0) ** _PAULI_NS) / (_PAULI_NS + 0.5) / math.pi
 
 
-def _smear_factor(smear: np.ndarray | None, u_q: np.ndarray, u_p: np.ndarray) -> np.ndarray:
-    """Gaussian-displacement-channel attenuation exp(-π u^T Ω^T Σ Ω u)."""
-    if smear is None:
-        return np.ones_like(u_q, dtype=float)
-    s = np.asarray(smear, dtype=float)
-    if s.shape != (2, 2):
-        raise ValueError("smear covariance must be 2x2")
-    quad = s[0, 0] * u_p**2 - (s[0, 1] + s[1, 0]) * u_p * u_q + s[1, 1] * u_q**2
-    return np.exp(-math.pi * quad)
-
-
-def pauli_kernels(lam: float, n_cut: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def pauli_kernels(lam: float, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """exp(±i sqrt(2π) x u) of the Z_m and X_m displacement sums; free of Δ."""
-    odd, _wts = _pauli_coefficients(n_cut)
-    u_p = odd / math.sqrt(2.0 * lam)
-    u_q = odd * math.sqrt(lam / 2.0)
+    u_p = PAULI_ODD / math.sqrt(2.0 * lam)
+    u_q = PAULI_ODD * math.sqrt(lam / 2.0)
     return np.exp(1j * SQRT2PI * np.outer(x, u_p)), np.exp(-1j * SQRT2PI * np.outer(x, u_q))
 
 
@@ -452,20 +435,25 @@ def pauli_profiles(
     lam: float,
     smear: np.ndarray | None,
     x: np.ndarray,
-    n_cut: int = 59,
     kernels=None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Diagonal profiles of Z_m (over q eigenvalues) and X_m (over p ones).
 
     Z_m^λ = (1/π) Σ (-1)^n/(n+1/2) W(0, (2n+1)/sqrt(2λ)) is a function of q;
     X_m^λ = (1/π) Σ (-1)^n/(n+1/2) W((2n+1) sqrt(λ/2), 0) a function of p.
-    Smearing rescales each displacement term.  `kernels` stands in for
-    `pauli_kernels`, for a caller that holds them across calls.
+    A smear covariance Σ (2x2; None for none) attenuates each displacement
+    term u by the Gaussian channel's exp(-π u^T Ω^T Σ Ω u), which for these
+    single-axis terms is exp(-π Σ_00 u_p²) and exp(-π Σ_11 u_q²).  `kernels`
+    stands in for `pauli_kernels`, for a caller that holds them across calls.
     """
-    odd, wts = _pauli_coefficients(n_cut)
-    u_p = odd / math.sqrt(2.0 * lam)
-    u_q = odd * math.sqrt(lam / 2.0)
-    z_w = wts * _smear_factor(smear, np.zeros_like(u_p), u_p)
-    x_w = wts * _smear_factor(smear, u_q, np.zeros_like(u_q))
-    z_kernel, x_kernel = (kernels or pauli_kernels)(lam, n_cut, x)
+    u_p = PAULI_ODD / math.sqrt(2.0 * lam)
+    u_q = PAULI_ODD * math.sqrt(lam / 2.0)
+    z_w = x_w = PAULI_WEIGHTS
+    if smear is not None:
+        s = np.asarray(smear, dtype=float)
+        if s.shape != (2, 2):
+            raise ValueError("smear covariance must be 2x2")
+        z_w = PAULI_WEIGHTS * np.exp(-math.pi * (s[0, 0] * u_p**2))
+        x_w = PAULI_WEIGHTS * np.exp(-math.pi * (s[1, 1] * u_q**2))
+    z_kernel, x_kernel = (kernels or pauli_kernels)(lam, x)
     return z_kernel @ z_w, x_kernel @ x_w

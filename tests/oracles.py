@@ -9,7 +9,9 @@
 * `gkp_codeword_position_oracle`: the codeword through its position
   wavefunction, sharing no code with `fock.gkp_codeword`.
 * `poly_phase_gate` and `pauli_measurement_operator`: the gate and the
-  (smeared) Pauli measurement operators as dense Fock matrices.
+  (smeared) Pauli measurement operators as dense Fock matrices, the latter
+  from `pauli_series_profiles`, the displacement series at any odd cut
+  (`fock` holds the one at 59 as constants).
 * `logical_expectation` and `average_gate_fidelity_reconstructed`: one Pauli
   expectation through a fresh engine, and the average gate fidelity through
   explicit reconstruction of the 2x2 outputs.
@@ -208,6 +210,31 @@ def poly_phase_gate(
     return fk.FockOperator(u[: plan.d_out, : plan.d_init])
 
 
+def pauli_series_profiles(
+    lam: float, smear: np.ndarray | None, x: np.ndarray, n_cut: int = 59
+) -> tuple[np.ndarray, np.ndarray]:
+    """Z_m and X_m diagonals from the displacement series cut at |2n+1| <= n_cut.
+
+    Z_m = (1/π) Σ_n (-1)^n/(n+1/2) W(0, (2n+1)/sqrt(2λ)) over q eigenvalues x,
+    X_m the same with W((2n+1) sqrt(λ/2), 0) over p ones; a smear Σ scales
+    the terms by exp(-π Σ_00 u_p²) and exp(-π Σ_11 u_q²).  Written out apart
+    from `fock.pauli_profiles`, which must equal it bit for bit at n_cut 59.
+    """
+    if n_cut % 2 == 0:
+        raise ValueError(f"n_cut must be odd, got {n_cut}")
+    ns = np.arange(-(n_cut + 1) // 2, (n_cut - 1) // 2 + 1)
+    odd = 2 * ns + 1
+    weights = ((-1.0) ** ns) / (ns + 0.5) / math.pi
+    u_p = odd / math.sqrt(2.0 * lam)
+    u_q = odd * math.sqrt(lam / 2.0)
+    z_w = x_w = weights
+    if smear is not None:
+        z_w = weights * np.exp(-math.pi * (smear[0][0] * u_p**2))
+        x_w = weights * np.exp(-math.pi * (smear[1][1] * u_q**2))
+    k = math.sqrt(2.0 * math.pi)
+    return np.exp(1j * k * np.outer(x, u_p)) @ z_w, np.exp(-1j * k * np.outer(x, u_q)) @ x_w
+
+
 def pauli_measurement_operator(
     which: str,
     lam: float,
@@ -234,7 +261,7 @@ def pauli_measurement_operator(
         return fk.FockOperator(y)
     dt = expand_factor * d
     x, v = fk.q_eigensystem(dt)
-    g, h = fk.pauli_profiles(lam, smear, x, n_cut)
+    g, h = pauli_series_profiles(lam, smear, x, n_cut)
     if which == "Z":
         mat = (v * g) @ v.T
     else:

@@ -355,7 +355,7 @@ def test_criterion_12_ft_bound():
         bound = an.ft_lower_bound(0.2)
         config = ch.ChannelConfig(
             gate=T3, params=fk.GkpParams(0.2, bound.lam_of_delta),
-            plan=fk.TruncationPlan(d_init=384), target="T3", smear=None,
+            plan=fk.TruncationPlan(d_init=384), target="T3", smear=False,
         )
         fid = ch.average_gate_fidelity(config)
         assert fid >= bound.f_lower_bound, f"{fid} < bound {bound.f_lower_bound}"

@@ -267,6 +267,20 @@ def test_posterior_matches_pointwise():
     assert np.allclose(bloch[i * 21 + j], b, atol=1e-12)
 
 
+def test_posterior_cut_4_equals_cut_6_bitwise(monkeypatch):
+    # kappa = tanh(Delta^2/2) + 1/2 stays in [1/2, 3/2), so the shells past
+    # VACUUM_LATTICE_CUT = 4 never reach a bit of the criterion-10 grid
+    centers = (np.arange(500) + 0.5) / 500 * 2 * an.PATCH_HALF - an.PATCH_HALF
+    assert an.VACUUM_LATTICE_CUT == 4
+    for delta in (1e-4, 0.05, 0.25, 0.5, 0.99, 3.0):
+        cut4 = an._posterior_sums(delta, centers, centers)
+        monkeypatch.setattr(an, "VACUUM_LATTICE_CUT", 6)
+        cut6 = an._posterior_sums(delta, centers, centers)
+        monkeypatch.undo()
+        for mu in ("I", "X", "Y", "Z"):
+            assert cut4[mu].tobytes() == cut6[mu].tobytes(), (delta, mu)
+
+
 def test_posterior_matches_fock_brute_force():
     """g_mu(v) = tr[rho W(v) Pi_mu W(v)^dag] at d = 300."""
     import itertools

@@ -100,7 +100,7 @@ def test_mirror_polynomials_perform_identically():
 
 def test_smear_disabled_improves_fidelity():
     noisy = ch.average_gate_fidelity(cfg("T3", lam=2.0))
-    clean = ch.average_gate_fidelity(cfg("T3", lam=2.0, smear=None))
+    clean = ch.average_gate_fidelity(cfg("T3", lam=2.0, smear=False))
     assert clean > noisy
 
 
@@ -152,7 +152,7 @@ def test_idle_fidelity_at_high_quality_states():
 
 
 def test_t_state_perfect_channel_limit():
-    config = cfg("T3", delta=0.15, lam=3.0, plan=PLAN_DESK, smear=None)
+    config = cfg("T3", delta=0.15, lam=3.0, plan=PLAN_DESK, smear=False)
     assert ch.t_state_fidelity(config) > 0.999
 
 
@@ -282,10 +282,10 @@ def test_sweep_held_pauli_kernels_match_fresh_evaluation():
     smear = 0.03 * np.diag([2.0, 0.5])
 
     def fresh(lam, x):
-        odd, wts = fk._pauli_coefficients(59)
+        odd, wts = fk.PAULI_ODD, fk.PAULI_WEIGHTS
         u_p, u_q = odd / math.sqrt(2.0 * lam), odd * math.sqrt(lam / 2.0)
-        z_w = wts * fk._smear_factor(smear, np.zeros_like(u_p), u_p)
-        x_w = wts * fk._smear_factor(smear, u_q, np.zeros_like(u_q))
+        z_w = wts * np.exp(-math.pi * (smear[0, 0] * u_p**2))
+        x_w = wts * np.exp(-math.pi * (smear[1, 1] * u_q**2))
         return [(np.exp(1j * fk.SQRT2PI * np.outer(x, u_p)) @ z_w).tobytes(),
                 (np.exp(-1j * fk.SQRT2PI * np.outer(x, u_q)) @ x_w).tobytes()]
 

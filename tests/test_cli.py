@@ -1,10 +1,14 @@
 """CLI surface: subcommands, wire formats, exit codes, determinism."""
 
+import argparse
+import ast
+import inspect
 import json
 import os
 import signal
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import pytest
@@ -218,6 +222,21 @@ def test_sweep_rejects_unbounded_nbar_grid(tmp_path, capsys, grid, message):
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("count", ["0", "-1", str(10**12)])
+def test_sweep_rejects_lam_count_out_of_range(tmp_path, capsys, monkeypatch, count):
+    # a count of 10**12 used to reach np.linspace and fail there with a traceback
+    import numpy as np
+
+    def no_grid(*args, **kwargs):
+        raise AssertionError("lambda grid built")
+
+    monkeypatch.setattr(np, "linspace", no_grid)
+    code, text = run(tmp_path, "sweep", "--gate", "I", "--lam-count", count)
+    assert code == 1 and text == ""
+    err = capsys.readouterr().err
+    assert f"--lam-count must lie in [1, {cli.MAX_GRID_POINTS}], got {count}" in err
+
+
 def test_cache_roundtrip(tmp_path):
     cache_dir = tmp_path / "cache"
     code, text = run(tmp_path, "cache", "purge", "--cache-dir", str(cache_dir))
@@ -292,6 +311,57 @@ def test_config_list_values_split(tmp_path):
     _, direct = run(tmp_path, "sweep", "--gate", "T3", "I", *grid, name="d.csv")
     assert both == direct
     assert [line.split(",")[0] for line in both.splitlines()[2:]] == ["T3", "I"]
+
+
+def test_config_global_keys_reach_only_commands_that_take_them(tmp_path, capsys):
+    # the README's example: [global] workers = 4 with moments (no --workers) and sweep
+    conf = tmp_path / "run.conf"
+    conf.write_text("[global]\nworkers = 4\n[sweep]\ngate = T3\ndinit = 256\n")
+    code, via_conf = run(tmp_path, "--config", str(conf), "moments", "--delta", "0.2", name="a")
+    assert code == 0
+    _, direct = run(tmp_path, "moments", "--delta", "0.2", name="b")
+    assert via_conf == direct
+    parser = cli.build_parser()
+    args = parser.parse_args(cli._load_config_defaults(
+        parser, ["--config", str(conf), "sweep", "--out", "t3.csv"]))
+    assert (args.workers, args.gate, args.dinit) == (4, ["T3"], 256)
+    # a key the command's own section names but the command does not take
+    conf.write_text("[global]\nworkers = 4\n[moments]\nworkers = 2\n")
+    assert cli.dispatch(["--config", str(conf), "moments", "--delta", "0.2"]) == 1
+    assert "--workers" in capsys.readouterr().err
+    # a [global] key that no command takes
+    conf.write_text("[global]\nworker = 4\n")
+    assert cli.dispatch(["--config", str(conf), "moments", "--delta", "0.2"]) == 1
+    assert "no subcommand's flag" in capsys.readouterr().err
+
+
+# `cache` accepts a sweep's grid flags and reads none of them, so the flags of a
+# sweep can prewarm its cache unchanged: its eigensystems depend only on
+# --dinit and --expand-factor.
+UNREAD_FLAGS = {("cache", dest) for dest in (
+    "nbar_min", "nbar_max", "nbar_step", "lam_min", "lam_max", "lam_count")}
+
+
+def _args_read_by(handler) -> set[str]:
+    """The `args.<name>` a handler reads, with `out` for an `_emit_*(args, ...)` call."""
+    tree = ast.parse(textwrap.dedent(inspect.getsource(handler)))
+    reads = {node.attr for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+             and node.value.id == "args"}
+    emits = any(isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id in ("_emit_json", "_emit_csv")
+                and any(isinstance(a, ast.Name) and a.id == "args" for a in node.args)
+                for node in ast.walk(tree))
+    return reads | ({"out"} if emits else set())
+
+
+def test_every_flag_is_read_by_its_handler():
+    parser = cli.build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    for name, p in sub.choices.items():
+        dests = {a.dest for a in p._actions if a.dest != "help"}
+        unread = dests - _args_read_by(p.get_default("func"))
+        assert {(name, d) for d in unread} == {k for k in UNREAD_FLAGS if k[0] == name}, name
 
 
 def test_config_without_path_exits_1(capsys):

@@ -265,11 +265,23 @@ def test_smear_rescales_leading_coefficient():
     delta, lam = 0.25, 1.0
     smear = math.tanh(delta**2 / 2) * np.eye(2)
     x = np.linspace(-3.0, 3.0, 11)
-    g_plain, h_plain = fk.pauli_profiles(lam, None, x, n_cut=1)
-    g_smear, h_smear = fk.pauli_profiles(lam, smear, x, n_cut=1)
+    g_plain, h_plain = oracles.pauli_series_profiles(lam, None, x, n_cut=1)
+    g_smear, h_smear = oracles.pauli_series_profiles(lam, smear, x, n_cut=1)
     expected = math.exp(-math.pi * math.tanh(delta**2 / 2) / (2 * lam))
     assert np.allclose(g_smear / g_plain, expected, atol=1e-12)
     assert np.allclose(h_smear / h_plain, expected, atol=1e-12)
+
+
+@pytest.mark.parametrize("lam", [1.3, 3.7])
+def test_pauli_profiles_equal_series_at_59_bitwise(lam):
+    # fock's one series against the oracle's at n_cut 59, unsmeared and smeared
+    x = fk.q_eigensystem(240)[0]
+    smear = math.tanh(0.3**2 / 2) * np.diag([lam, 1 / lam])
+    for sm in (None, smear):
+        got = fk.pauli_profiles(lam, sm, x)
+        want = oracles.pauli_series_profiles(lam, sm, x, n_cut=59)
+        assert [a.tobytes() for a in got] == [a.tobytes() for a in want], sm is None
+    assert fk.PAULI_ODD.size == 60 and fk.PAULI_ODD.min() == -59 and fk.PAULI_ODD.max() == 59
 
 
 def test_pauli_n_cut_convergence():
