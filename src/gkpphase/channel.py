@@ -16,7 +16,9 @@ dimension, depend only on the truncation; they come from
 directory, on disk.  The Pauli diagonals are one matvec per (Δ, λ) with
 kernels that depend on λ alone; a sweep visits its (n̄, λ) points λ by λ
 and holds the last λ's kernels (`_sweep_kernels`), other callers build them
-per engine.
+per engine.  The vacuum baseline keeps one ranking of the posterior cells,
+that of the last (Δ, grid) (`_ranked_cells`), so the match fraction and every
+postselection at one Δ share one posterior evaluation and one sort.
 """
 
 from __future__ import annotations
@@ -499,13 +501,19 @@ def clifford_t_targets() -> np.ndarray:
     return targets
 
 
+@lru_cache(maxsize=1)
 def _ranked_cells(delta: float, grid: int) -> tuple[np.ndarray, np.ndarray]:
     """Syndrome cells of the vacuum posterior, best first: each cell's fidelity
-    to its nearest Clifford-equivalent T target, and its probability weight."""
+    to its nearest Clifford-equivalent T target, and its probability weight.
+
+    One entry, read-only: the match fraction and every postselection at one
+    (Δ, grid) share one posterior evaluation and one sort."""
     weights, bloch = analytic.vacuum_posterior_grid(delta, grid)
     fid = 0.5 * (1.0 + bloch @ clifford_t_targets().T).max(axis=1)
     order = np.argsort(-fid)
-    return fid[order], weights[order]
+    fid, weights = fid[order], weights[order]
+    fid.flags.writeable = weights.flags.writeable = False
+    return fid, weights
 
 
 def vacuum_state_method(config: VacuumMethodConfig) -> VacuumResult:

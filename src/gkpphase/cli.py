@@ -22,7 +22,7 @@ from pathlib import Path
 from . import polyalg, write_atomically  # numeric modules: inside the commands
 
 SCHEMA_VERSION = 1
-MAX_GRID_POINTS = 10**6  # longer n_bar or lam axes are refused, not built
+MAX_GRID_POINTS = 10**6  # longer n_bar or lam axes, and larger N x N grids, are refused, not built
 
 
 class NumericFailure(RuntimeError):
@@ -286,6 +286,14 @@ def _nbar_grid(lo: float, hi: float, step: float) -> list[float]:
     return n_bars
 
 
+def _square_grid_side(flag: str, n: int) -> int:
+    """The side N of an N x N grid, refused below 2 or above MAX_GRID_POINTS points."""
+    if n < 2 or n * n > MAX_GRID_POINTS:
+        raise ValueError(f"{flag} must lie in [2, {math.isqrt(MAX_GRID_POINTS)}] "
+                         f"(an N x N grid of at most {MAX_GRID_POINTS} points), got {n}")
+    return n
+
+
 def cmd_sweep(args) -> int:
     import numpy as np
     from . import channel, fock
@@ -328,7 +336,8 @@ def cmd_vacuum(args) -> int:
     from . import channel
 
     cfg = channel.VacuumMethodConfig(
-        delta=args.delta, grid=args.grid, postselect_fraction=args.postselect
+        delta=args.delta, grid=_square_grid_side("--grid", args.grid),
+        postselect_fraction=args.postselect,
     )
     res = channel.vacuum_state_method(cfg)
     _emit_csv(
@@ -386,9 +395,10 @@ def cmd_twirl_density(args) -> int:
     import numpy as np
     from . import analytic
 
+    points = _square_grid_side("--points", args.points)
     dens = analytic.TwirledCubicDensity(args.delta, args.lam)
-    vq = np.linspace(-args.span, args.span, args.points)
-    vp = np.linspace(-args.span, args.span, args.points)
+    vq = np.linspace(-args.span, args.span, points)
+    vp = np.linspace(-args.span, args.span, points)
     rows = []
     for q in vq:
         vals = dens(np.full_like(vp, q), vp)

@@ -12,17 +12,20 @@ Truncation plan: states are synthesised at d_init; an operator applied to a
 d-dimensional state is exponentiated at d_temp = expand_factor * d and then
 cut back, and gates keep their full output rows (d_out x d_init) so the
 output state lives at the higher dimension.  Every operator here is a
-function of one (possibly rotated) quadrature: polynomial phase gates,
-single-axis displacement sums and displacements are all built from the
-eigensystem of the tridiagonal position matrix (`q_eigensystem`, the one
-provider of it), which equals exponentiating the same truncated generator.
-The dense gate and Pauli-operator matrices live in `tests/oracles.py`.
+function of one (possibly rotated) quadrature: polynomial phase gates and
+single-axis displacement sums are built from the eigensystem of the
+tridiagonal position matrix (`q_eigensystem`, the one provider of it), which
+equals exponentiating the same truncated generator.  The dense quadrature,
+displacement, gate and Pauli-operator matrices live in `tests/oracles.py`.
 
 Codewords, sums of a few hundred to a thousand lattice coherent states, are
-evaluated in blocks of terms with one `np.exp` per conjugate pair of centres,
-bitwise equal to a one-term-at-a-time loop (`_coherent_block`), over the
-lattice rectangle of `default_lattice_cut`.  The Pauli measurement operators
-use one displacement series, cut at |2n+1| <= 59 (`PAULI_ODD`, `PAULI_WEIGHTS`).
+evaluated in blocks of terms with one `np.exp` and one log-amplitude row per
+conjugate pair of centres, bitwise equal to a one-term-at-a-time loop
+(`_coherent_block`), over the lattice rectangle of `default_lattice_cut`.
+The Pauli measurement operators use one displacement series, cut at
+|2n+1| <= 59 (`PAULI_ODD`, `PAULI_WEIGHTS`), symmetric under u -> -u, so
+their kernels exponentiate half the columns and mirror the other half as
+conjugates (`pauli_kernels`).
 """
 
 from __future__ import annotations
@@ -136,41 +139,9 @@ class FockVector:
         return complex(np.vdot(self.amplitudes[:n], other.amplitudes[:n]))
 
 
-@dataclass(frozen=True)
-class FockOperator:
-    """Dense complex matrix with explicit (out, in) truncation dimensions."""
-
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=complex)
-        if m.ndim != 2:
-            raise ValueError("matrix must be 2-d")
-        if not np.all(np.isfinite(m.view(float))):
-            raise ValueError("non-finite matrix entries")
-        object.__setattr__(self, "matrix", m)
-
-
 # ---------------------------------------------------------------------------
-# Ladder / quadrature operators
+# Position eigensystem
 # ---------------------------------------------------------------------------
-
-
-def annihilation(d: int) -> np.ndarray:
-    if d < 2:
-        raise ValueError("need d >= 2")
-    return np.diag(np.sqrt(np.arange(1.0, d)), k=1)
-
-
-def quadratures(d: int) -> tuple[FockOperator, FockOperator]:
-    """q = (a + a†)/sqrt(2), p = i(a† - a)/sqrt(2) at truncation d.
-
-    Test oracle only: the package works in the eigenbasis of `q_eigensystem`.
-    """
-    a = annihilation(d)
-    q = (a + a.T) / math.sqrt(2.0)
-    p = 1j * (a.T - a) / math.sqrt(2.0)
-    return FockOperator(q), FockOperator(p)
 
 
 @lru_cache(maxsize=6)
@@ -215,24 +186,6 @@ def number_parity_phases(d: int) -> np.ndarray:
     return r
 
 
-def displacement(v: tuple[float, float], d: int, plan: TruncationPlan) -> FockOperator:
-    """W(v) = exp[i sqrt(2π)(v_p q - v_q p)], built at d_temp and cut to d.
-
-    v_p q - v_q p = |v| R_θ q R_θ† with R_θ = diag(e^{-iθn}) and
-    θ = atan2(v_q, v_p).  R_θ is diagonal, so it commutes with the
-    truncation, and W is R_θ V diag(e^{i sqrt(2π)|v| x}) Vᵀ R_θ† with the
-    position eigensystem (x, V) at d_temp.
-    """
-    v_q, v_p = float(v[0]), float(v[1])
-    if not (math.isfinite(v_q) and math.isfinite(v_p)):
-        raise ValueError("displacement needs finite components")
-    x, vecs = q_eigensystem(plan.d_temp(d))
-    head = vecs[:d]
-    w = (head * np.exp(1j * SQRT2PI * math.hypot(v_q, v_p) * x)) @ head.T
-    r = np.exp(-1j * math.atan2(v_q, v_p) * np.arange(d))
-    return FockOperator(r[:, None] * w * r.conj())
-
-
 # ---------------------------------------------------------------------------
 # Codeword synthesis
 # ---------------------------------------------------------------------------
@@ -261,8 +214,9 @@ def _coherent_block(
     term k is s + e - 1 - k (the kept terms of one lattice row).  Blocks of whole runs (about 2 MB of rows) go
     through each step at once, every element computed as a one-term loop
     computes it, and the sum runs in term order, so the result is bitwise
-    that loop's (kept in `tests/oracles.py`).  `np.exp` runs only for
-    imag α >= 0; the term at α* takes the conjugate row.
+    that loop's (kept in `tests/oracles.py`).  Log amplitudes, peaks and
+    `np.exp` are evaluated only for imag α >= 0: the term at α* has the same
+    log-amplitude row and takes the conjugate exponential.
     """
     n = np.arange(d)
     n_c = n.astype(complex)
@@ -286,20 +240,23 @@ def _coherent_block(
             cuts.append(int(s))
     cuts.append(alpha.size)
     for start, stop in zip(cuts[:-1], cuts[1:]):
+        # log amplitudes of the terms with imag α >= 0; the term at α* has the same row
+        upper = start + np.flatnonzero(~lower[start:stop])
         # scalar squares: an array square differs in the last bit for some |α|
-        base = np.array([-0.5 * m**2 for m in mag[start:stop]])
-        log_amp = (base[:, None] + n * log_mag[start:stop, None]) - log_fact_half
+        base = np.array([-0.5 * m**2 for m in mag[upper]])
+        log_amp = (base[:, None] + n * log_mag[upper, None]) - log_fact_half
         # dropped: terms whose peak magnitude, with the coefficient, underflows
         lit = start + np.flatnonzero(mag[start:stop] != 0)
         log_c = np.array([math.log(abs(c)) for c in coeff[lit]])
-        low = lit[log_amp[lit - start].max(axis=1) + log_c < -700.0]
+        peak = log_amp.max(axis=1)
+        low = lit[peak[np.searchsorted(upper, source[lit])] + log_c < -700.0]
         dropped += low.size
         for c in coeff[low]:
             dropped_weight += abs(c)
         used = np.setdiff1d(k[start:stop], low, assume_unique=True)
         need = np.unique(source[used[mag[used] != 0]])
         exps = np.zeros((need.size, d), dtype=complex)
-        log_amp = log_amp[need - start]
+        log_amp = log_amp[np.searchsorted(upper, need)]
         np.exp(log_amp + (1j * theta[need])[:, None] * n_c, out=exps, where=log_amp > -745.0)
         # out += c * amps, one term at a time in the given order
         for j, c, i in zip(used, coeff[used], np.searchsorted(need, source[used])):
@@ -425,10 +382,23 @@ PAULI_WEIGHTS = ((-1.0) ** _PAULI_NS) / (_PAULI_NS + 0.5) / math.pi
 
 
 def pauli_kernels(lam: float, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """exp(±i sqrt(2π) x u) of the Z_m and X_m displacement sums; free of Δ."""
-    u_p = PAULI_ODD / math.sqrt(2.0 * lam)
-    u_q = PAULI_ODD * math.sqrt(lam / 2.0)
-    return np.exp(1j * SQRT2PI * np.outer(x, u_p)), np.exp(-1j * SQRT2PI * np.outer(x, u_q))
+    """exp(±i sqrt(2π) x u) of the Z_m and X_m displacement sums; free of Δ.
+
+    Column 29 - i of `PAULI_ODD` is the negation of column 30 + i, so `np.exp`
+    runs only for the 30 columns with u > 0 and the other 30 are their
+    conjugates: bitwise the direct exponential of every column (tests/oracles.py).
+    """
+    h = PAULI_ODD.size // 2
+    kernels = []
+    for scale, u in ((1j * SQRT2PI, PAULI_ODD[h:] / math.sqrt(2.0 * lam)),
+                     (-1j * SQRT2PI, PAULI_ODD[h:] * math.sqrt(lam / 2.0))):
+        k = np.empty((x.size, 2 * h), dtype=complex)
+        np.exp(scale * np.outer(x, u), out=k[:, h:])
+        np.conjugate(k[:, : h - 1 : -1], out=k[:, :h])
+        # where x u = ±0 the direct form gives +0.0, not the conjugate's -0.0
+        k.imag[:, :h] += 0.0
+        kernels.append(k)
+    return kernels[0], kernels[1]
 
 
 def pauli_profiles(

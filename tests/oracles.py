@@ -8,10 +8,14 @@
   the form `fock._coherent_block` must reproduce bit for bit.
 * `gkp_codeword_position_oracle`: the codeword through its position
   wavefunction, sharing no code with `fock.gkp_codeword`.
+* `FockOperator`, `annihilation`, `quadratures` and `displacement`: dense
+  Fock matrices of the ladder and quadrature operators and of W(v); the
+  package works in the eigenbasis of `fock.q_eigensystem` instead.
 * `poly_phase_gate` and `pauli_measurement_operator`: the gate and the
   (smeared) Pauli measurement operators as dense Fock matrices, the latter
   from `pauli_series_profiles`, the displacement series at any odd cut
-  (`fock` holds the one at 59 as constants).
+  (`fock` holds the one at 59 as constants), whose kernels
+  `pauli_series_kernels` take one `np.exp` per column.
 * `logical_expectation` and `average_gate_fidelity_reconstructed`: one Pauli
   expectation through a fresh engine, and the average gate fidelity through
   explicit reconstruction of the 2x2 outputs.
@@ -20,6 +24,7 @@
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 
@@ -188,13 +193,60 @@ def gkp_codeword_position_oracle(
 
 
 # ---------------------------------------------------------------------------
-# Dense gate and Pauli measurement operators
+# Dense Fock operators: quadratures, displacements, gates, Pauli measurements
 # ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class FockOperator:
+    """Dense complex matrix with explicit (out, in) truncation dimensions."""
+
+    matrix: np.ndarray
+
+    def __post_init__(self):
+        m = np.asarray(self.matrix, dtype=complex)
+        if m.ndim != 2:
+            raise ValueError("matrix must be 2-d")
+        if not np.all(np.isfinite(m.view(float))):
+            raise ValueError("non-finite matrix entries")
+        object.__setattr__(self, "matrix", m)
+
+
+def annihilation(d: int) -> np.ndarray:
+    if d < 2:
+        raise ValueError("need d >= 2")
+    return np.diag(np.sqrt(np.arange(1.0, d)), k=1)
+
+
+def quadratures(d: int) -> tuple[FockOperator, FockOperator]:
+    """q = (a + a†)/sqrt(2), p = i(a† - a)/sqrt(2) at truncation d."""
+    a = annihilation(d)
+    q = (a + a.T) / math.sqrt(2.0)
+    p = 1j * (a.T - a) / math.sqrt(2.0)
+    return FockOperator(q), FockOperator(p)
+
+
+def displacement(v: tuple[float, float], d: int, plan: fk.TruncationPlan) -> FockOperator:
+    """W(v) = exp[i sqrt(2π)(v_p q - v_q p)], built at d_temp and cut to d.
+
+    v_p q - v_q p = |v| R_θ q R_θ† with R_θ = diag(e^{-iθn}) and
+    θ = atan2(v_q, v_p).  R_θ is diagonal, so it commutes with the
+    truncation, and W is R_θ V diag(e^{i sqrt(2π)|v| x}) Vᵀ R_θ† with the
+    position eigensystem (x, V) at d_temp.
+    """
+    v_q, v_p = float(v[0]), float(v[1])
+    if not (math.isfinite(v_q) and math.isfinite(v_p)):
+        raise ValueError("displacement needs finite components")
+    x, vecs = fk.q_eigensystem(plan.d_temp(d))
+    head = vecs[:d]
+    w = (head * np.exp(1j * fk.SQRT2PI * math.hypot(v_q, v_p) * x)) @ head.T
+    r = np.exp(-1j * math.atan2(v_q, v_p) * np.arange(d))
+    return FockOperator(r[:, None] * w * r.conj())
 
 
 def poly_phase_gate(
     poly: RationalPolynomial, lam: float, plan: fk.TruncationPlan
-) -> fk.FockOperator:
+) -> FockOperator:
     """Rectangular-frame gate exp(2πi P(q/sqrt(λπ))) as a d_out x d_init block.
 
     The generator is diagonal in the position eigenbasis at d_temp(d_init)
@@ -207,7 +259,28 @@ def poly_phase_gate(
     x, v = fk.q_eigensystem(dt)
     phases = fk.phase_profile(poly, lam, x)
     u = (v * phases) @ v.T
-    return fk.FockOperator(u[: plan.d_out, : plan.d_init])
+    return FockOperator(u[: plan.d_out, : plan.d_init])
+
+
+def _series_terms(n_cut: int) -> tuple[np.ndarray, np.ndarray]:
+    """Odd displacements 2n+1 with |2n+1| <= n_cut and their weights (-1)^n / ((n + 1/2) π)."""
+    if n_cut % 2 == 0:
+        raise ValueError(f"n_cut must be odd, got {n_cut}")
+    ns = np.arange(-(n_cut + 1) // 2, (n_cut - 1) // 2 + 1)
+    return 2 * ns + 1, ((-1.0) ** ns) / (ns + 0.5) / math.pi
+
+
+def pauli_series_kernels(lam: float, x: np.ndarray, n_cut: int = 59) -> tuple[np.ndarray, np.ndarray]:
+    """exp(i sqrt(2π) x u_p) and exp(-i sqrt(2π) x u_q), one `np.exp` per column.
+
+    The form `fock.pauli_kernels` must equal bit for bit at n_cut 59, where
+    it exponentiates half the columns and conjugates them into the other half.
+    """
+    odd = _series_terms(n_cut)[0]
+    u_p = odd / math.sqrt(2.0 * lam)
+    u_q = odd * math.sqrt(lam / 2.0)
+    k = math.sqrt(2.0 * math.pi)
+    return np.exp(1j * k * np.outer(x, u_p)), np.exp(-1j * k * np.outer(x, u_q))
 
 
 def pauli_series_profiles(
@@ -220,19 +293,15 @@ def pauli_series_profiles(
     the terms by exp(-π Σ_00 u_p²) and exp(-π Σ_11 u_q²).  Written out apart
     from `fock.pauli_profiles`, which must equal it bit for bit at n_cut 59.
     """
-    if n_cut % 2 == 0:
-        raise ValueError(f"n_cut must be odd, got {n_cut}")
-    ns = np.arange(-(n_cut + 1) // 2, (n_cut - 1) // 2 + 1)
-    odd = 2 * ns + 1
-    weights = ((-1.0) ** ns) / (ns + 0.5) / math.pi
+    odd, weights = _series_terms(n_cut)
     u_p = odd / math.sqrt(2.0 * lam)
     u_q = odd * math.sqrt(lam / 2.0)
     z_w = x_w = weights
     if smear is not None:
         z_w = weights * np.exp(-math.pi * (smear[0][0] * u_p**2))
         x_w = weights * np.exp(-math.pi * (smear[1][1] * u_q**2))
-    k = math.sqrt(2.0 * math.pi)
-    return np.exp(1j * k * np.outer(x, u_p)) @ z_w, np.exp(-1j * k * np.outer(x, u_q)) @ x_w
+    z_kernel, x_kernel = pauli_series_kernels(lam, x, n_cut)
+    return z_kernel @ z_w, x_kernel @ x_w
 
 
 def pauli_measurement_operator(
@@ -242,7 +311,7 @@ def pauli_measurement_operator(
     d: int,
     n_cut: int = 59,
     expand_factor: int = 3,
-) -> fk.FockOperator:
+) -> FockOperator:
     """Ideal (or smeared) Pauli measurement operator as a d x d matrix.
 
     X and Z are lattice sums of single-axis displacements, assembled in the
@@ -258,7 +327,7 @@ def pauli_measurement_operator(
         xm = pauli_measurement_operator("X", lam, smear, d, n_cut, expand_factor)
         zm = pauli_measurement_operator("Z", lam, smear, d, n_cut, expand_factor)
         y = 0.5j * (xm.matrix @ zm.matrix - zm.matrix @ xm.matrix)
-        return fk.FockOperator(y)
+        return FockOperator(y)
     dt = expand_factor * d
     x, v = fk.q_eigensystem(dt)
     g, h = pauli_series_profiles(lam, smear, x, n_cut)
@@ -268,7 +337,7 @@ def pauli_measurement_operator(
         r = fk.number_parity_phases(dt)
         vp = r[:, None] * v
         mat = (vp * h) @ vp.conj().T
-    return fk.FockOperator(mat[:d, :d])
+    return FockOperator(mat[:d, :d])
 
 
 # ---------------------------------------------------------------------------

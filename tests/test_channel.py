@@ -409,3 +409,39 @@ def test_vacuum_match_fraction_consistency():
     assert abs(frac - 0.25) < 0.01
     assert ch.vacuum_match_fraction(0.25, 1e-9, grid=100) == 0.0
     assert ch.vacuum_match_fraction(0.25, 0.5, grid=100) == 1.0
+
+
+def test_ranked_cells_one_posterior_per_delta_and_grid(monkeypatch):
+    # the match fraction and two postselections at one (Δ, grid) evaluate the
+    # posterior once; a new Δ or a new grid evaluates it again
+    calls = []
+    posterior = ch.analytic.vacuum_posterior_grid
+
+    def counting(delta, grid):
+        calls.append((delta, grid))
+        return posterior(delta, grid)
+
+    ch._ranked_cells.cache_clear()
+    monkeypatch.setattr(ch.analytic, "vacuum_posterior_grid", counting)
+    frac = ch.vacuum_match_fraction(0.25, 0.05, grid=80)
+    full = ch.vacuum_state_method(ch.VacuumMethodConfig(0.25, 80, 1.0))
+    part = ch.vacuum_state_method(ch.VacuumMethodConfig(0.25, 80, 0.2))
+    assert calls == [(0.25, 80)]
+    ch.vacuum_state_method(ch.VacuumMethodConfig(0.3, 80, 1.0))
+    ch.vacuum_state_method(ch.VacuumMethodConfig(0.3, 90, 1.0))
+    assert calls == [(0.25, 80), (0.3, 80), (0.3, 90)]
+
+    fid, weights = ch._ranked_cells(0.3, 90)
+    assert len(calls) == 3
+    for arr in (fid, weights):
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
+    held = (fid.tobytes(), weights.tobytes())
+    ch._ranked_cells.cache_clear()
+    assert tuple(a.tobytes() for a in ch._ranked_cells(0.3, 90)) == held
+    ch._ranked_cells.cache_clear()
+    assert ch.vacuum_match_fraction(0.25, 0.05, grid=80) == frac
+    assert ch.vacuum_state_method(ch.VacuumMethodConfig(0.25, 80, 1.0)) == full
+    assert ch.vacuum_state_method(ch.VacuumMethodConfig(0.25, 80, 0.2)) == part
+    assert len(calls) == 5
+    ch._ranked_cells.cache_clear()

@@ -237,6 +237,28 @@ def test_sweep_rejects_lam_count_out_of_range(tmp_path, capsys, monkeypatch, cou
     assert f"--lam-count must lie in [1, {cli.MAX_GRID_POINTS}], got {count}" in err
 
 
+@pytest.mark.parametrize("command", [
+    ("vacuum", "--delta", "0.25", "--grid"),
+    ("twirl-density", "--delta", "0.25", "--lam", "2", "--points"),
+])
+@pytest.mark.parametrize("side", ["1", "-3", "1001", str(10**6)])
+def test_square_grid_side_out_of_range(tmp_path, capsys, monkeypatch, command, side):
+    # an N x N grid above MAX_GRID_POINTS used to be built (--grid 10**6: a
+    # MemoryError traceback); the stubs fail if a grid builder is reached
+    import numpy as np
+    from gkpphase import analytic
+
+    def no_grid(*args, **kwargs):
+        raise AssertionError("grid built")
+
+    monkeypatch.setattr(analytic, "vacuum_posterior_grid", no_grid)
+    monkeypatch.setattr(np, "linspace", no_grid)
+    code, text = run(tmp_path, *command, side)
+    assert code == 1 and text == ""
+    err = capsys.readouterr().err
+    assert f"{command[-1]} must lie in [2, 1000]" in err and f"got {side}" in err
+
+
 def test_cache_roundtrip(tmp_path):
     cache_dir = tmp_path / "cache"
     code, text = run(tmp_path, "cache", "purge", "--cache-dir", str(cache_dir))

@@ -14,7 +14,7 @@ T3 = RationalPolynomial([0, F(-1, 12), F(1, 8), F(1, 12)])
 
 
 def test_quadrature_contracts():
-    q, p = fk.quadratures(48)
+    q, p = oracles.quadratures(48)
     vac = np.zeros(48)
     vac[0] = 1.0
     assert abs(vac @ (q.matrix @ q.matrix) @ vac - 0.5) < 1e-12
@@ -39,19 +39,19 @@ def test_displacement_matches_expm_oracle():
 
     d = 24
     plan = fk.TruncationPlan(d_init=d)
-    q, p = fk.quadratures(plan.d_temp(d))
+    q, p = oracles.quadratures(plan.d_temp(d))
     for v_q, v_p in [(0.0, 0.0), (0.3, 0.0), (0.0, -0.4), (0.25, 0.35), (-0.45, 0.2)]:
         gen = 1j * fk.SQRT2PI * (v_p * q.matrix - v_q * p.matrix)
         oracle = scipy.linalg.expm(gen)[:d, :d]
-        got = fk.displacement((v_q, v_p), d, plan).matrix
+        got = oracles.displacement((v_q, v_p), d, plan).matrix
         assert np.max(np.abs(got - oracle)) < 1e-12, (v_q, v_p)
 
 
 def test_displacement_identity_and_unitarity():
     plan = fk.TruncationPlan(d_init=128)
-    w0 = fk.displacement((0.0, 0.0), 128, plan)
+    w0 = oracles.displacement((0.0, 0.0), 128, plan)
     assert np.allclose(w0.matrix, np.eye(128))
-    w = fk.displacement((0.3, 0.0), 128, plan)
+    w = oracles.displacement((0.3, 0.0), 128, plan)
     gram = w.matrix.conj().T @ w.matrix
     assert np.max(np.abs(gram[:96, :96] - np.eye(128)[:96, :96])) < 1e-10
 
@@ -59,9 +59,9 @@ def test_displacement_identity_and_unitarity():
 def test_displacement_composition_rule():
     plan = fk.TruncationPlan(d_init=128)
     u, v = (0.3, 0.0), (0.0, 0.4)
-    wu = fk.displacement(u, 128, plan).matrix
-    wv = fk.displacement(v, 128, plan).matrix
-    wuv = fk.displacement((0.3, 0.4), 128, plan).matrix
+    wu = oracles.displacement(u, 128, plan).matrix
+    wv = oracles.displacement(v, 128, plan).matrix
+    wuv = oracles.displacement((0.3, 0.4), 128, plan).matrix
     phase = np.exp(-1j * math.pi * (u[0] * v[1] - u[1] * v[0]))
     resid = np.max(np.abs((wu @ wv - phase * wuv)[:96, :96]))
     assert resid < 1e-8
@@ -73,9 +73,9 @@ def test_displacement_composition_seeded_pairs():
     for _ in range(20):
         u = tuple(rng.uniform(-0.5, 0.5, size=2))
         v = tuple(rng.uniform(-0.5, 0.5, size=2))
-        wu = fk.displacement(u, 128, plan).matrix
-        wv = fk.displacement(v, 128, plan).matrix
-        wuv = fk.displacement((u[0] + v[0], u[1] + v[1]), 128, plan).matrix
+        wu = oracles.displacement(u, 128, plan).matrix
+        wv = oracles.displacement(v, 128, plan).matrix
+        wuv = oracles.displacement((u[0] + v[0], u[1] + v[1]), 128, plan).matrix
         phase = np.exp(-1j * math.pi * (u[0] * v[1] - u[1] * v[0]))
         assert np.max(np.abs((wu @ wv - phase * wuv)[:96, :96])) < 1e-8
 
@@ -252,7 +252,7 @@ def test_pauli_z_sign_stable_inside_patch():
     delta, lam, d = 0.25, 1.0, 360
     plan = fk.TruncationPlan(d_init=d)
     zm = oracles.pauli_measurement_operator("Z", lam, None, d)
-    w = fk.displacement((0.05, 0.08), d, plan)  # inside the correctable patch
+    w = oracles.displacement((0.05, 0.08), d, plan)  # inside the correctable patch
     vec = fk.FockVector(w.matrix @ fk.gkp_codeword(0, delta, lam, d).normalized().amplitudes)
     val = np.vdot(vec.amplitudes, zm.matrix @ vec.amplitudes).real / vec.norm() ** 2
     assert val > 0.9
@@ -282,6 +282,20 @@ def test_pauli_profiles_equal_series_at_59_bitwise(lam):
         want = oracles.pauli_series_profiles(lam, sm, x, n_cut=59)
         assert [a.tobytes() for a in got] == [a.tobytes() for a in want], sm is None
     assert fk.PAULI_ODD.size == 60 and fk.PAULI_ODD.min() == -59 and fk.PAULI_ODD.max() == 59
+
+
+def test_pauli_kernels_equal_direct_exponential_bitwise():
+    # half the columns exponentiated and mirrored as conjugates, against one
+    # np.exp per column, as uint64 words: signed zeros count
+    xs = [fk.q_eigensystem(d)[0] for d in (768, 2304)]
+    xs.append(np.array([0.0, -0.0, 1e-300, -1e-300, 5e-324, 0.5, -0.5, 40.0, -40.0]))
+    for x in xs:
+        for lam in (1.0, 1.267, 2.6, 4.4, 6.5):
+            got = fk.pauli_kernels(lam, x)
+            want = oracles.pauli_series_kernels(lam, x, n_cut=59)
+            for g, w in zip(got, want):
+                assert g.shape == (x.size, 60)
+                assert np.array_equal(g.view(np.uint64), w.view(np.uint64)), (x.size, lam)
 
 
 def test_pauli_n_cut_convergence():
