@@ -7,11 +7,16 @@ Contents:
   exact Gaussian-moment sums),
 * the exact twirled density of the minimal cubic gate (shear-shifted
   Gaussian product) and its normalisation C(Δ, λ) with Jacobi θ3 factors,
-* the asymptotically optimal asymmetry and the Erf-product fault-tolerance
-  fidelity lower bound with its validity window Δ ≲ 0.372,
-* square-code logical characteristic functions as phase-weighted lattice
-  sums, and the vacuum-method posterior (syndrome density + conditional
-  Bloch vector) built from them.
+* the Erf-product fault-tolerance fidelity lower bound at its bias ansatz
+  λ(Δ), with its validity window Δ ≲ 0.372,
+* the vacuum-method posterior (syndrome density + conditional Bloch
+  vector) on a grid of syndrome cells, from stabiliser-shifted thermal
+  characteristic functions.
+
+The moments, the twirled density and the bound refuse a width or an
+asymmetry that is not positive and finite.  The leading-order shear terms, the asymptotic optimal asymmetry, the
+logical characteristic functions and the pointwise posterior are test
+oracles (`tests/oracles.py`).
 
 Displacement units follow the rest of the package: W(v) with v in units of
 sqrt(2π), correctable patch (-1/sqrt(8), 1/sqrt(8)]^2, logical Paulis at the
@@ -23,7 +28,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 from scipy.special import erf, gamma
@@ -38,10 +42,6 @@ PAULI_OFFSETS = {
     "Y": (1.0 / math.sqrt(2.0), 1.0 / math.sqrt(2.0)),
     "Z": (0.0, 1.0 / math.sqrt(2.0)),
 }
-
-
-class NotApplicableError(ValueError):
-    """Requested quantity is undefined for this input (e.g. degree < 3)."""
 
 
 class AccuracyError(RuntimeError):
@@ -96,8 +96,8 @@ def moments(
     E(v_p²) = Δ_p²/(4π) + Δ_q²/(2π) Σ_{j,k>=2} a_j a_k β_j β_k E[x₊^{j+k-4}],
     and the cross term keeps only even k (odd Gaussian moments vanish).
     """
-    if delta_q <= 0 or delta_p <= 0:
-        raise ValueError("moments needs positive widths")
+    if not (0 < delta_q < math.inf and 0 < delta_p < math.inf):
+        raise ValueError(f"moments needs positive finite widths, got {delta_q}, {delta_p}")
     n = poly.degree
     e_vq2 = delta_q**2 / (4.0 * math.pi)
     shear = 0.0
@@ -121,26 +121,6 @@ def moments(
             cross += ak * beta_coefficient(k) * _x_plus_moment(k - 2, delta_p)
     e_vqvp = delta_q**2 / (2.0 * math.sqrt(2.0) * math.pi) * cross
     return MomentSummary(e_vq2, e_vp2, e_vqvp)
-
-
-def shear_variance_leading(poly: RationalPolynomial) -> Fraction:
-    """Exact rational (a_n β_n)² = 4 a_n² n²(n-1)²/2^{n-1}, the leading shear weight.
-
-    Ratios of this quantity between same-degree gates are exact; the shared
-    Γ and π factors of E(v_p²)'s leading term cancel.
-    """
-    n = poly.degree
-    if n < 2:
-        return Fraction(0)
-    a_n = poly.coeff(n)
-    return a_n**2 * Fraction(4 * n**2 * (n - 1) ** 2, 2 ** (n - 1))
-
-
-def shear_variance_ratio(p: RationalPolynomial, q: RationalPolynomial) -> Fraction:
-    """Exact ratio of leading gate-induced E(v_p²) terms (same degree required)."""
-    if p.degree != q.degree:
-        raise ValueError("shear-variance ratio needs equal-degree polynomials")
-    return shear_variance_leading(p) / shear_variance_leading(q)
 
 
 # ---------------------------------------------------------------------------
@@ -195,8 +175,9 @@ class TwirledCubicDensity:
     lam: float
 
     def __post_init__(self):
-        if self.delta <= 0 or self.lam <= 0:
-            raise ValueError("TwirledCubicDensity needs positive parameters")
+        if not (0 < self.delta < math.inf and 0 < self.lam < math.inf):
+            raise ValueError("TwirledCubicDensity needs positive finite delta and lam, "
+                             f"got {self.delta}, {self.lam}")
 
     @property
     def norm_constant(self) -> float:
@@ -236,45 +217,8 @@ class TwirledCubicDensity:
 
 
 # ---------------------------------------------------------------------------
-# Optimal bias and the fault-tolerance bound
+# The fault-tolerance bound
 # ---------------------------------------------------------------------------
-
-
-def _leading_shear_constant(poly: RationalPolynomial) -> float:
-    n = poly.degree
-    a_n = float(poly.coeff(n))
-    return (
-        a_n**2
-        * beta_coefficient(n) ** 2
-        * 2.0 ** (n - 3)
-        * math.pi ** (0.5 - n)
-        * gamma(n - 1.5)
-    )
-
-
-def vp2_leading(poly: RationalPolynomial, delta: float, lam: float) -> float:
-    """Leading-term E(v_p²) objective Δ²λ/(4π) + K Δ^{6-2n} λ^{1-n}."""
-    n = poly.degree
-    k = _leading_shear_constant(poly)
-    return delta**2 * lam / (4.0 * math.pi) + k * delta ** (6 - 2 * n) * lam ** (1 - n)
-
-
-def lambda_opt_asymptotic(poly: RationalPolynomial, delta: float) -> float:
-    """Asymmetry minimising the leading E(v_p²), the n-th-root expression.
-
-    λ_opt = [4π(n-1) a_n² β_n² 2^{n-3} π^{1/2-n} Γ(n-3/2) / Δ^{2n-4}]^{1/n},
-    an O(Δ^{4/n-2}) growth.  Degree-2 gates spread no shear, so biasing is
-    not applicable below degree 3.
-    """
-    n = poly.degree
-    if n < 3:
-        raise NotApplicableError(
-            f"optimal biasing needs a gate of degree >= 3, got degree {n}"
-        )
-    if delta <= 0:
-        raise ValueError("delta must be positive")
-    k = _leading_shear_constant(poly)
-    return (4.0 * math.pi * (n - 1) * k / delta ** (2 * n - 4)) ** (1.0 / n)
 
 
 FT_VALIDITY_DELTA = math.sqrt(2.0) * math.sqrt(math.atanh((3.0 / 2.0) ** 0.25 / 16.0))
@@ -302,8 +246,8 @@ def ft_lower_bound(delta: float) -> BoundResult:
     through F = 1/3 + (2/3)(...)².  Valid (non-vacuous interval restriction)
     for Δ below ≈ 0.372.
     """
-    if delta <= 0:
-        raise ValueError("delta must be positive")
+    if not 0 < delta < math.inf:
+        raise ValueError(f"delta must be positive and finite, got {delta}")
     lam = ft_lambda_ansatz(delta)
     t = math.tanh(delta**2 / 2.0)
     valid = delta <= FT_VALIDITY_DELTA
@@ -317,55 +261,8 @@ def ft_lower_bound(delta: float) -> BoundResult:
 
 
 # ---------------------------------------------------------------------------
-# Logical characteristic functions and the vacuum-method posterior
+# The vacuum-method posterior
 # ---------------------------------------------------------------------------
-
-
-def thermal_characteristic(n_bar: float):
-    """χ(v) = exp(-π |v|² (n̄ + 1/2)) of the thermal state, real and even."""
-
-    def chi(v_q, v_p):
-        return np.exp(-math.pi * (np.square(v_q) + np.square(v_p)) * (n_bar + 0.5))
-
-    return chi
-
-
-def _wedge(aq, ap, bq, bp):
-    return aq * bp - ap * bq
-
-
-def logical_char_function(
-    chi, pauli: str, v: tuple[float, float], lattice_cut: int = 6
-) -> complex:
-    """ξ^σ(v) = Σ_n e^{iθ(v,σ,n)} χ(v + l_σ + sqrt(2) n) over the square lattice.
-
-    θ = π[v ∧ l_σ + (v + l_σ) ∧ sqrt(2)n] follows from the displacement
-    composition rule with σ̄ = W(l_σ).  Raises AccuracyError when the
-    outermost lattice shell still contributes at the 1e-12 level.
-    """
-    pauli = pauli.upper()
-    if pauli not in PAULI_OFFSETS:
-        raise ValueError(f"pauli must be one of I, X, Y, Z; got {pauli!r}")
-    v_q, v_p = float(v[0]), float(v[1])
-    if not (-PATCH_HALF < v_q <= PATCH_HALF and -PATCH_HALF < v_p <= PATCH_HALF):
-        raise ValueError(f"v = {v} lies outside the correctable patch")
-    lq, lp = PAULI_OFFSETS[pauli]
-    ns = np.arange(-lattice_cut, lattice_cut + 1)
-    nq, np_ = np.meshgrid(ns, ns, indexing="ij")
-    uq = v_q + lq + math.sqrt(2.0) * nq
-    up = v_p + lp + math.sqrt(2.0) * np_
-    theta = math.pi * (
-        _wedge(v_q, v_p, lq, lp)
-        + _wedge(v_q + lq, v_p + lp, math.sqrt(2.0) * nq, math.sqrt(2.0) * np_)
-    )
-    terms = np.exp(1j * theta) * chi(uq, up)
-    total = complex(np.sum(terms))
-    shell = np.abs(terms)[(np.abs(nq) == lattice_cut) | (np.abs(np_) == lattice_cut)]
-    if shell.sum() > 1e-12 * max(abs(total), 1e-300):
-        raise AccuracyError(
-            f"lattice sum not converged at cut {lattice_cut} (shell {shell.sum():.2e})"
-        )
-    return total
 
 
 _PAULI_STAB_SIGNS = {
@@ -407,25 +304,6 @@ def _posterior_sums(delta: float, vq_axis: np.ndarray, vp_axis: np.ndarray):
         b = np.exp(2j * math.pi * np.outer(vp_axis, uq))  # (Np, s_q)
         out[mu] = (a @ coeff.T @ b.T).real  # (Nq, Np), real by term pairing
     return out
-
-
-def vacuum_posterior(
-    delta: float, v: tuple[float, float]
-) -> tuple[float, tuple[float, float, float]]:
-    """Unnormalised syndrome density and conditional Bloch vector at v.
-
-    The state is the measurement-noise-smeared vacuum, a thermal state with
-    n̄ = tanh(Δ²/2); conditioning on syndrome v and applying the corrective
-    displacement leaves the logical state with Bloch components
-    g_μ(v)/g_I(v).
-    """
-    v_q, v_p = float(v[0]), float(v[1])
-    if not (-PATCH_HALF < v_q <= PATCH_HALF and -PATCH_HALF < v_p <= PATCH_HALF):
-        raise ValueError(f"v = {v} lies outside the correctable patch")
-    sums = _posterior_sums(delta, np.array([v_q]), np.array([v_p]))
-    g_i = float(sums["I"][0, 0])
-    bloch = tuple(float(sums[mu][0, 0]) / g_i for mu in ("X", "Y", "Z"))
-    return g_i, bloch  # type: ignore[return-value]
 
 
 def vacuum_posterior_grid(delta: float, n_grid: int) -> tuple[np.ndarray, np.ndarray]:

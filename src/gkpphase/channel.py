@@ -5,10 +5,11 @@ the orthonormalised approximate codewords of asymmetry λ, apply the gate
 exp(2πi P(q/sqrt(λπ))) with output-dimension headroom, then read out the
 ideal-QEC logical state through the smeared Pauli measurement operators with
 Σ = tanh(Δ²/2) diag(λ, 1/λ) (the phenomenological measurement noise of the
-surrounding QEC rounds).  Everything downstream — average gate fidelity,
-magic-state fidelity, (n̄, λ) sweeps, and the vacuum-state baseline — is
-assembled from single-state Pauli expectations.  That readout model is
-fixed; `ChannelConfig.smear` only switches Σ off, for the noiseless limit.
+surrounding QEC rounds).  Everything downstream — average gate fidelity
+from one engine's readout, T-state fidelity, (n̄, λ) sweeps with their
+per-n̄ optimal λ, and the vacuum-state baseline — is assembled from
+single-state Pauli expectations.  That readout model is fixed;
+`ChannelConfig.smear` only switches Σ off, for the noiseless limit.
 
 The heavy objects, the position eigensystems at d_out and at the readout
 dimension, depend only on the truncation; they come from
@@ -243,11 +244,6 @@ def average_gate_fidelity_from_readout(readout: LogicalReadout, target: str) -> 
     return 1.0 / 3.0 + total / 12.0
 
 
-def average_gate_fidelity(config: ChannelConfig, cache_dir=None) -> float:
-    engine = ChannelEngine(config, cache_dir)
-    return average_gate_fidelity_from_readout(engine.readout(), config.target)
-
-
 def t_state_fidelity_from_expectations(exps: dict[str, float]) -> float:
     """F = <T| E(|+><+|) |T> = 1/2 + (<X> + <Y>)/(2 sqrt(2)), from the output's <X>, <Y>."""
     return 0.5 + (exps["X"] + exps["Y"]) / (2.0 * math.sqrt(2.0))
@@ -282,8 +278,6 @@ class SweepResult:
     rows: tuple[SweepRow, ...]
     # per gate: n_bar -> (optimal lam, avg infidelity there, boundary flag)
     optima: dict[str, dict[float, tuple[float, float, bool]]]
-    # per gate: quadratic fit coefficients of lam_opt(n_bar) over interior optima
-    fits: dict[str, tuple[float, ...]]
     # failed grid points, (gate, n_bar, lam) -> reason
     failures: dict[tuple[str, float, float], str]
 
@@ -395,7 +389,7 @@ def sweep(
             best_li = int(np.argmin(infs))
             boundary = best_li in (0, len(lams) - 1) and len(lams) > 1
             optima[g][nb] = (lams[best_li], infs[best_li], boundary)
-            delta = 1.0 / math.sqrt(2.0 * nb + 1.0)
+            params = fock.GkpParams.from_n_bar(nb)
             for li, lam in enumerate(lams):
                 res = results[base + li]
                 if res is None:
@@ -404,8 +398,8 @@ def sweep(
                     SweepRow(
                         gate=g,
                         n_bar=nb,
-                        delta=delta,
-                        delta_db=-10.0 * math.log10(delta**2),
+                        delta=params.delta,
+                        delta_db=params.delta_db,
                         lam=lam,
                         avg_infidelity=res[0],
                         t_state_infidelity=res[1],
@@ -413,20 +407,7 @@ def sweep(
                         boundary_flag=(li == best_li and boundary),
                     )
                 )
-
-    fits: dict[str, tuple[float, ...]] = {}
-    for g in gates:
-        pts = [
-            (nb, lam_opt)
-            for nb, (lam_opt, _inf, boundary) in optima[g].items()
-            if not boundary
-        ]
-        if len(pts) >= 3:
-            xs, ys = zip(*pts)
-            fits[g] = tuple(np.polyfit(xs, ys, 2))
-    return SweepResult(
-        tuple(rows), optima, fits, {meta[i]: failures[i] for i in sorted(failures)}
-    )
+    return SweepResult(tuple(rows), optima, {meta[i]: failures[i] for i in sorted(failures)})
 
 
 # ---------------------------------------------------------------------------
@@ -441,8 +422,8 @@ class VacuumMethodConfig:
     postselect_fraction: float = 1.0
 
     def __post_init__(self):
-        if self.delta <= 0:
-            raise ValueError("delta must be positive")
+        if not 0 < self.delta < math.inf:
+            raise ValueError(f"delta must be positive and finite, got {self.delta}")
         if not 0.0 <= self.postselect_fraction <= 1.0:
             raise ValueError("postselect_fraction must lie in [0, 1]")
         if self.grid < 2:

@@ -57,6 +57,12 @@ def _subcommand_flags(parser: argparse.ArgumentParser) -> dict[str, dict[str, ar
             for name, p in sub.choices.items()}
 
 
+def _count(flag: str, n: int) -> None:
+    """Refuse a count flag's value below 1."""
+    if n < 1:
+        raise ValueError(f"{flag} must be at least 1, got {n}")
+
+
 def _load_config_defaults(parser: argparse.ArgumentParser, argv: list[str]) -> list[str]:
     """Apply key=value defaults from --config <file>.
 
@@ -142,6 +148,7 @@ def _lift_input(path: str) -> polyalg.RationalPolynomial:
 
 def cmd_synth(args) -> int:
     m = args.level
+    _count("--qubits", args.qubits)
     if args.qubits > 1:
         if args.start != "power":
             raise ValueError(f"--start {args.start!r}: with --qubits > 1 only the power start exists")
@@ -208,6 +215,7 @@ def cmd_verify_circuits(args) -> int:
     import numpy as np
     from . import symplectic
 
+    _count("--nogo-circuits", args.nogo_circuits)
     checks = []
 
     def add(name, residual, tol):
@@ -298,6 +306,7 @@ def cmd_sweep(args) -> int:
     import numpy as np
     from . import channel, fock
 
+    _count("--workers", args.workers)
     n_bars = _nbar_grid(args.nbar_min, args.nbar_max, args.nbar_step)
     if not 1 <= args.lam_count <= MAX_GRID_POINTS:
         raise ValueError(f"--lam-count must lie in [1, {MAX_GRID_POINTS}], got {args.lam_count}")
@@ -355,11 +364,11 @@ def cmd_vacuum(args) -> int:
 
 
 def cmd_moments(args) -> int:
-    from . import analytic
+    from . import analytic, symplectic
 
     poly, _ = polyalg.GATE_TABLE[args.gate]
-    dq = args.delta / math.sqrt(args.lam)
-    dp = args.delta * math.sqrt(args.lam)
+    bias = symplectic.BiasParams(args.delta, args.lam)
+    dq, dp = bias.delta_q, bias.delta_p
     ms = analytic.moments(poly, dq, dp)
     _emit_json(
         args,

@@ -5,8 +5,7 @@ P takes on the integers, so everything here is exact: `Fraction` at the API,
 Python ints over one common denominator inside the reduction.  It provides
 
 * the integer-valued basis polynomials L_n (Pólya's binomial-type basis,
-  leading coefficient exactly 1/n!),
-* membership testing for integer-valued polynomials,
+  leading coefficient exactly 1/n!), built one linear factor at a time,
 * starting representations x^(2^(m-1))/2^m of the level-m diagonal gate and
   the squaring lift between levels,
 * the coefficient-reduction procedure that subtracts integer multiples of
@@ -15,6 +14,10 @@ Python ints over one common denominator inside the reduction.  It provides
 * the multivariate generalisation used for CS / CCZ synthesis,
 * `GATE_TABLE`, the simulated gate polynomials.
 
+The dense-product L_n, the integer-valued membership test, the
+lexicographic comparison and the multivariate phase check are test oracles
+(`tests/oracles.py`).
+
 Conventions: coefficients are indexed by degree with the constant term at
 index 0; constant terms are global phases and are reduced mod 1 and dropped
 by the reduction.
@@ -22,7 +25,6 @@ by the reduction.
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -174,12 +176,6 @@ class RationalPolynomial:
         return [f"{c.numerator}/{c.denominator}" for c in self.coeffs]
 
 
-class LexOrder(enum.Enum):
-    LESS = "less"
-    GREATER = "greater"
-    EQUAL = "equal"
-
-
 @dataclass(frozen=True)
 class BranchStep:
     """One reduction step: subtracted multiplier n_j of L_j at degree j."""
@@ -206,19 +202,6 @@ class ReductionOutcome:
 # ---------------------------------------------------------------------------
 
 
-def basis_polynomial(n: int) -> RationalPolynomial:
-    """Integer-valued basis polynomial L_n.
-
-    L_n(x) = (1/n!) prod_{i=1..n} (x + i - n/2)        for even n,
-             (1/n!) prod_{i=1..n} (x + i - (n+1)/2)    for odd n.
-
-    Leading coefficient is exactly 1/n!.
-    """
-    if not isinstance(n, int) or n < 1:
-        raise ValueError(f"basis_polynomial requires an integer n >= 1, got {n!r}")
-    return _basis(n)
-
-
 def _scaled_basis(n: int) -> list[int]:
     """n!·L_n as integer coefficients, constant term first, built one linear factor
     at a time: k!·L_k = (k-1)!·L_{k-1}·(x + a_k), a_k = (-1)^k·floor(k/2)."""
@@ -233,23 +216,6 @@ def _scaled_basis(n: int) -> list[int]:
 def _basis(n: int) -> RationalPolynomial:
     """L_n for n >= 1, plus L_0 = 1 used internally by the multivariate basis."""
     return RationalPolynomial(Fraction(c, factorial(n)) for c in _scaled_basis(n))
-
-
-def is_integer_valued(poly: RationalPolynomial) -> bool:
-    """Exact test for P(Z) ⊆ Z via greedy expansion in the L_n basis.
-
-    The expansion is triangular (L_n has leading coefficient 1/n!), so the
-    coefficients c_n = a_n * n! are forced; P is integer-valued iff every
-    c_n and the residual constant are integers.
-    """
-    rem = poly
-    for j in range(poly.degree, 0, -1):
-        c = rem.coeff(j) * factorial(j)
-        if c.denominator != 1:
-            return False
-        if c != 0:
-            rem = rem - c * _basis(j)
-    return rem.coeff(0).denominator == 1
 
 
 # ---------------------------------------------------------------------------
@@ -308,22 +274,6 @@ GATE_TABLE: dict[str, tuple[RationalPolynomial, int]] = {
     "T4th-mirror": (RationalPolynomial([0, "-1/60", "1/24", "1/48", "-1/96", "-1/240"]), 5),
     "T8th": (RationalPolynomial([0, 0, "17/720", 0, "-5/576", 0, "1/1440"]), 6),
 }
-
-
-def lex_compare(p: RationalPolynomial, q: RationalPolynomial) -> LexOrder:
-    """Compare coefficient magnitudes from the highest degree downward.
-
-    The first strict |coefficient| difference decides; full magnitude ties
-    are EQUAL (sign variants of one minimum compare equal).
-    """
-    top = max(p.degree, q.degree, 0)
-    for k in range(top, -1, -1):
-        a, b = abs(p.coeff(k)), abs(q.coeff(k))
-        if a < b:
-            return LexOrder.LESS
-        if a > b:
-            return LexOrder.GREATER
-    return LexOrder.EQUAL
 
 
 def _multipliers(c: int, q: int) -> list[tuple[int, bool]]:
@@ -537,20 +487,3 @@ def multivariate_reduce(poly: MultiRationalPolynomial) -> MultiReductionOutcome:
     if c0 != 0:
         cur = cur - MultiRationalPolynomial(cur.n_vars, {zero_exp: c0})
     return MultiReductionOutcome(cur, tuple(ties))
-
-
-def verify_control_gate(
-    poly: MultiRationalPolynomial, m: int, k_range: int = 6
-) -> bool:
-    """Phase check for C^{N-1}Λ_m: 2^-m mod 1 on all-odd inputs, else 0."""
-    n = poly.n_vars
-    target = Fraction(1, 2**m)
-    from itertools import product
-
-    for xs in product(range(-k_range, k_range + 1), repeat=n):
-        val = poly(xs)
-        frac = val - (val.numerator // val.denominator)
-        want = target if all(x % 2 for x in xs) else Fraction(0)
-        if frac != want:
-            return False
-    return True

@@ -139,25 +139,6 @@ def feedforward(xi: float, i: int, j: int, n_modes: int) -> GaussianOp:
     return GaussianOp(S)
 
 
-_GENERATORS = {
-    "beam_splitter": beam_splitter,
-    "squeezer": squeezer,
-    "cx": cx,
-    "feedforward": feedforward,
-}
-
-
-def generator(kind: str, n_modes: int, **params) -> GaussianOp:
-    """Dispatch a named generator; see the module docstring for conventions."""
-    try:
-        fn = _GENERATORS[kind]
-    except KeyError:
-        raise ValueError(
-            f"unknown generator {kind!r}; expected one of {sorted(_GENERATORS)}"
-        ) from None
-    return fn(n_modes=n_modes, **params)
-
-
 def compose(ops) -> GaussianOp:
     """Compose in circuit order (first element applied first)."""
     ops = list(ops)
@@ -383,8 +364,9 @@ class BiasParams:
     lam: float
 
     def __post_init__(self):
-        if self.delta <= 0 or self.lam <= 0:
-            raise ValueError("BiasParams requires delta > 0 and lam > 0")
+        if not (0 < self.delta < math.inf and 0 < self.lam < math.inf):
+            raise ValueError("BiasParams requires finite delta > 0 and lam > 0, "
+                             f"got {self.delta}, {self.lam}")
 
     @property
     def delta_q(self) -> float:

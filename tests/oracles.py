@@ -1,4 +1,5 @@
-"""Test oracles: slower or more direct routes to figures the package computes.
+"""Test oracles: slower or more direct routes to figures the package computes,
+and the forms of them that only tests call.
 
 * `reduce`: the coefficient reduction in `Fraction` arithmetic, each L_j a
   dense product of j linear factors and the lexicographic pruning over the
@@ -16,24 +17,42 @@
   from `pauli_series_profiles`, the displacement series at any odd cut
   (`fock` holds the one at 59 as constants), whose kernels
   `pauli_series_kernels` take one `np.exp` per column.
-* `logical_expectation` and `average_gate_fidelity_reconstructed`: one Pauli
-  expectation through a fresh engine, and the average gate fidelity through
-  explicit reconstruction of the 2x2 outputs.
+* `logical_expectation`, `average_gate_fidelity` and
+  `average_gate_fidelity_reconstructed`: one Pauli expectation and the
+  average gate fidelity through a fresh engine per config, and the average
+  gate fidelity through explicit reconstruction of the 2x2 outputs.
+* `basis` (the dense-product L_n, n >= 1), `is_integer_valued`,
+  `lex_compare` with `LexOrder`, and `verify_control_gate`: exact-algebra
+  checks no command needs, the last the phase check of a multivariate
+  C^{N-1}Λ_m polynomial on a box of integers.
+* `shear_variance_leading`, `shear_variance_ratio`, `vp2_leading`,
+  `lambda_opt_asymptotic` (with `NotApplicableError`): the leading-order
+  shear terms of E(v_p²) and the asymptotically optimal asymmetry.
+* `thermal_characteristic`, `logical_char_function` and `vacuum_posterior`:
+  square-lattice logical characteristic functions, and the vacuum posterior
+  at one syndrome, the pointwise form of `analytic.vacuum_posterior_grid`.
+
+Everything here is reached only from tests; `test_surface.py` keeps the
+package free of such names.
 """
 
 from __future__ import annotations
 
+import enum
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 from math import factorial
 
 import numpy as np
 import scipy.special
 
-from gkpphase import channel as ch, fock as fk
+from gkpphase import analytic as an, channel as ch, fock as fk
 from gkpphase.fock import FockVector
-from gkpphase.polyalg import BranchStep, RationalPolynomial, ReductionOutcome
+from gkpphase.polyalg import (
+    BranchStep, MultiRationalPolynomial, RationalPolynomial, ReductionOutcome,
+)
 
 MAX_BRANCHES = 65536
 
@@ -41,7 +60,12 @@ _BASIS_CACHE: dict[int, RationalPolynomial] = {}
 
 
 def basis(n: int) -> RationalPolynomial:
-    """L_n = (1/n!) prod_{i=1..n} (x + i - s), s = n/2 (n even) or (n+1)/2 (n odd)."""
+    """L_n = (1/n!) prod_{i=1..n} (x + i - s), s = n/2 (n even) or (n+1)/2 (n odd).
+
+    Integer-valued with leading coefficient exactly 1/n!; n must be an integer >= 1.
+    """
+    if not isinstance(n, int) or n < 1:
+        raise ValueError(f"basis requires an integer n >= 1, got {n!r}")
     cached = _BASIS_CACHE.get(n)
     if cached is not None:
         return cached
@@ -111,6 +135,57 @@ def reduce(poly: RationalPolynomial) -> ReductionOutcome:
             uniq.append(p)
     uniq.sort(key=lambda p: (p.coeff(p.degree) < 0, p.coeffs))
     return ReductionOutcome(tuple(uniq), log0)
+
+
+def is_integer_valued(poly: RationalPolynomial) -> bool:
+    """Exact test for P(Z) ⊆ Z via greedy expansion in the L_n basis.
+
+    The expansion is triangular (L_n has leading coefficient 1/n!), so the
+    coefficients c_n = a_n * n! are forced; P is integer-valued iff every
+    c_n and the residual constant are integers.
+    """
+    rem = poly
+    for j in range(poly.degree, 0, -1):
+        c = rem.coeff(j) * factorial(j)
+        if c.denominator != 1:
+            return False
+        if c != 0:
+            rem = rem - c * basis(j)
+    return rem.coeff(0).denominator == 1
+
+
+class LexOrder(enum.Enum):
+    LESS = "less"
+    GREATER = "greater"
+    EQUAL = "equal"
+
+
+def lex_compare(p: RationalPolynomial, q: RationalPolynomial) -> LexOrder:
+    """Compare coefficient magnitudes from the highest degree downward.
+
+    The first strict |coefficient| difference decides; full magnitude ties
+    are EQUAL (sign variants of one minimum compare equal).
+    """
+    top = max(p.degree, q.degree, 0)
+    for k in range(top, -1, -1):
+        a, b = abs(p.coeff(k)), abs(q.coeff(k))
+        if a < b:
+            return LexOrder.LESS
+        if a > b:
+            return LexOrder.GREATER
+    return LexOrder.EQUAL
+
+
+def verify_control_gate(poly: MultiRationalPolynomial, m: int, k_range: int = 6) -> bool:
+    """Phase check for C^{N-1}Λ_m: 2^-m mod 1 on all-odd inputs, else 0."""
+    target = Fraction(1, 2**m)
+    for xs in product(range(-k_range, k_range + 1), repeat=poly.n_vars):
+        val = poly(xs)
+        frac = val - (val.numerator // val.denominator)
+        want = target if all(x % 2 for x in xs) else Fraction(0)
+        if frac != want:
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -353,6 +428,12 @@ def logical_expectation(config: ch.ChannelConfig, qubit, pauli: str) -> float:
     return ch.ChannelEngine(config).pauli_expectations(np.asarray(qubit, dtype=complex))[pauli]
 
 
+def average_gate_fidelity(config: ch.ChannelConfig, cache_dir=None) -> float:
+    """Average gate fidelity of the config's gate against `config.target`, through a fresh engine."""
+    engine = ch.ChannelEngine(config, cache_dir)
+    return ch.average_gate_fidelity_from_readout(engine.readout(), config.target)
+
+
 def average_gate_fidelity_reconstructed(readout: ch.LogicalReadout, target) -> float:
     """`channel.average_gate_fidelity_from_readout` through explicit reconstruction.
 
@@ -367,3 +448,136 @@ def average_gate_fidelity_reconstructed(readout: ch.LogicalReadout, target) -> f
         e_sigma = sum(alpha[j, k] * outs[name] for k, name in enumerate(ch.INPUT_ORDER))
         total += float(np.trace(u @ ch.PAULI[p] @ u.conj().T @ e_sigma).real)
     return (total + 4.0) / 12.0
+
+
+# ---------------------------------------------------------------------------
+# Closed-form analysis: leading shear terms, optimal bias, logical χ, posterior
+# ---------------------------------------------------------------------------
+
+
+class NotApplicableError(ValueError):
+    """Requested quantity is undefined for this input (e.g. degree < 3)."""
+
+
+def shear_variance_leading(poly: RationalPolynomial) -> Fraction:
+    """Exact rational (a_n β_n)² = 4 a_n² n²(n-1)²/2^{n-1}, the leading shear weight.
+
+    Ratios of this quantity between same-degree gates are exact; the shared
+    Γ and π factors of E(v_p²)'s leading term cancel.
+    """
+    n = poly.degree
+    if n < 2:
+        return Fraction(0)
+    a_n = poly.coeff(n)
+    return a_n**2 * Fraction(4 * n**2 * (n - 1) ** 2, 2 ** (n - 1))
+
+
+def shear_variance_ratio(p: RationalPolynomial, q: RationalPolynomial) -> Fraction:
+    """Exact ratio of leading gate-induced E(v_p²) terms (same degree required)."""
+    if p.degree != q.degree:
+        raise ValueError("shear-variance ratio needs equal-degree polynomials")
+    return shear_variance_leading(p) / shear_variance_leading(q)
+
+
+def _leading_shear_constant(poly: RationalPolynomial) -> float:
+    n = poly.degree
+    a_n = float(poly.coeff(n))
+    return (
+        a_n**2
+        * an.beta_coefficient(n) ** 2
+        * 2.0 ** (n - 3)
+        * math.pi ** (0.5 - n)
+        * scipy.special.gamma(n - 1.5)
+    )
+
+
+def vp2_leading(poly: RationalPolynomial, delta: float, lam: float) -> float:
+    """Leading-term E(v_p²) objective Δ²λ/(4π) + K Δ^{6-2n} λ^{1-n}."""
+    n = poly.degree
+    k = _leading_shear_constant(poly)
+    return delta**2 * lam / (4.0 * math.pi) + k * delta ** (6 - 2 * n) * lam ** (1 - n)
+
+
+def lambda_opt_asymptotic(poly: RationalPolynomial, delta: float) -> float:
+    """Asymmetry minimising the leading E(v_p²), the n-th-root expression.
+
+    λ_opt = [4π(n-1) a_n² β_n² 2^{n-3} π^{1/2-n} Γ(n-3/2) / Δ^{2n-4}]^{1/n},
+    an O(Δ^{4/n-2}) growth.  Degree-2 gates spread no shear, so biasing is
+    not applicable below degree 3.
+    """
+    n = poly.degree
+    if n < 3:
+        raise NotApplicableError(
+            f"optimal biasing needs a gate of degree >= 3, got degree {n}"
+        )
+    if delta <= 0:
+        raise ValueError("delta must be positive")
+    k = _leading_shear_constant(poly)
+    return (4.0 * math.pi * (n - 1) * k / delta ** (2 * n - 4)) ** (1.0 / n)
+
+
+def thermal_characteristic(n_bar: float):
+    """χ(v) = exp(-π |v|² (n̄ + 1/2)) of the thermal state, real and even."""
+
+    def chi(v_q, v_p):
+        return np.exp(-math.pi * (np.square(v_q) + np.square(v_p)) * (n_bar + 0.5))
+
+    return chi
+
+
+def _wedge(aq, ap, bq, bp):
+    return aq * bp - ap * bq
+
+
+def logical_char_function(
+    chi, pauli: str, v: tuple[float, float], lattice_cut: int = 6
+) -> complex:
+    """ξ^σ(v) = Σ_n e^{iθ(v,σ,n)} χ(v + l_σ + sqrt(2) n) over the square lattice.
+
+    θ = π[v ∧ l_σ + (v + l_σ) ∧ sqrt(2)n] follows from the displacement
+    composition rule with σ̄ = W(l_σ).  Raises `analytic.AccuracyError` when
+    the outermost lattice shell still contributes at the 1e-12 level.
+    """
+    pauli = pauli.upper()
+    if pauli not in an.PAULI_OFFSETS:
+        raise ValueError(f"pauli must be one of I, X, Y, Z; got {pauli!r}")
+    v_q, v_p = float(v[0]), float(v[1])
+    if not (-an.PATCH_HALF < v_q <= an.PATCH_HALF and -an.PATCH_HALF < v_p <= an.PATCH_HALF):
+        raise ValueError(f"v = {v} lies outside the correctable patch")
+    lq, lp = an.PAULI_OFFSETS[pauli]
+    ns = np.arange(-lattice_cut, lattice_cut + 1)
+    nq, np_ = np.meshgrid(ns, ns, indexing="ij")
+    uq = v_q + lq + math.sqrt(2.0) * nq
+    up = v_p + lp + math.sqrt(2.0) * np_
+    theta = math.pi * (
+        _wedge(v_q, v_p, lq, lp)
+        + _wedge(v_q + lq, v_p + lp, math.sqrt(2.0) * nq, math.sqrt(2.0) * np_)
+    )
+    terms = np.exp(1j * theta) * chi(uq, up)
+    total = complex(np.sum(terms))
+    shell = np.abs(terms)[(np.abs(nq) == lattice_cut) | (np.abs(np_) == lattice_cut)]
+    if shell.sum() > 1e-12 * max(abs(total), 1e-300):
+        raise an.AccuracyError(
+            f"lattice sum not converged at cut {lattice_cut} (shell {shell.sum():.2e})"
+        )
+    return total
+
+
+def vacuum_posterior(
+    delta: float, v: tuple[float, float]
+) -> tuple[float, tuple[float, float, float]]:
+    """Unnormalised syndrome density and conditional Bloch vector at one v.
+
+    The state is the measurement-noise-smeared vacuum, a thermal state with
+    n̄ = tanh(Δ²/2); conditioning on syndrome v and applying the corrective
+    displacement leaves the logical state with Bloch components
+    g_μ(v)/g_I(v).  `analytic.vacuum_posterior_grid` evaluates the same sums
+    over a grid of cell centres and normalises the weights.
+    """
+    v_q, v_p = float(v[0]), float(v[1])
+    if not (-an.PATCH_HALF < v_q <= an.PATCH_HALF and -an.PATCH_HALF < v_p <= an.PATCH_HALF):
+        raise ValueError(f"v = {v} lies outside the correctable patch")
+    sums = an._posterior_sums(delta, np.array([v_q]), np.array([v_p]))
+    g_i = float(sums["I"][0, 0])
+    bloch = tuple(float(sums[mu][0, 0]) / g_i for mu in ("X", "Y", "Z"))
+    return g_i, bloch  # type: ignore[return-value]

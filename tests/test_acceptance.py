@@ -147,7 +147,7 @@ def test_criterion_07_t3_quantitative_fidelity():
             gate=T3, params=fk.GkpParams(0.25, 2.0),
             plan=fk.TruncationPlan(d_init=256), target="T3",
         )
-        infid = 1.0 - ch.average_gate_fidelity(config)
+        infid = 1.0 - oracles.average_gate_fidelity(config)
         assert infid < 1.2e-2, f"T3 infidelity {infid:.4e}"
         print(f"    T3 @ Delta=0.25, lam=2: avg gate infidelity {infid:.3e}")
         b.check_time()
@@ -211,7 +211,7 @@ def test_criterion_09_trivial_benchmark_floor():
                 gate=poly(), params=params,
                 plan=fk.TruncationPlan(d_init=256), target="T1/8",
             )
-            infid = 1.0 - ch.average_gate_fidelity(config)
+            infid = 1.0 - oracles.average_gate_fidelity(config)
             diffs.append(infid - floor)
         assert all(d >= -1e-6 for d in diffs)  # approaches the floor from above
         assert diffs == sorted(diffs, reverse=True)
@@ -323,7 +323,7 @@ def test_criterion_10_companion_open_interval_claim():
 
 def test_criterion_11_moment_oracle():
     with Budget(11, 60.0) as b:
-        assert an.shear_variance_ratio(TGKP, T3) == F(9)
+        assert oracles.shear_variance_ratio(TGKP, T3) == F(9)
         for delta in (0.25, 0.35):
             for lam in (1.5, 2.5):
                 dq, dp = delta / math.sqrt(lam), delta * math.sqrt(lam)
@@ -357,7 +357,7 @@ def test_criterion_12_ft_bound():
             gate=T3, params=fk.GkpParams(0.2, bound.lam_of_delta),
             plan=fk.TruncationPlan(d_init=384), target="T3", smear=False,
         )
-        fid = ch.average_gate_fidelity(config)
+        fid = oracles.average_gate_fidelity(config)
         assert fid >= bound.f_lower_bound, f"{fid} < bound {bound.f_lower_bound}"
         print(f"    numerical T3 fidelity {fid:.6f} >= bound {bound.f_lower_bound:.6f} "
               f"at Delta=0.2, lam(Delta)={bound.lam_of_delta:.2f}")

@@ -6,6 +6,7 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
+import oracles
 from gkpphase import analytic as an
 from gkpphase.polyalg import RationalPolynomial
 
@@ -28,12 +29,12 @@ def test_bare_envelope_moments():
 
 
 def test_shear_variance_ratio_is_nine_exactly():
-    assert an.shear_variance_ratio(TGKP, T3) == F(9)
+    assert oracles.shear_variance_ratio(TGKP, T3) == F(9)
 
 
 def test_gate_shear_scales_with_leading_coefficient_squared():
     doubled = RationalPolynomial([0, F(-1, 12), F(1, 8), F(1, 6)])
-    assert an.shear_variance_ratio(doubled, T3) == F(4)
+    assert oracles.shear_variance_ratio(doubled, T3) == F(4)
     base = an.moments(T3, 0.1, 0.2)
     big = an.moments(doubled, 0.1, 0.2)
     envelope = 0.2**2 / (4 * math.pi)
@@ -44,6 +45,15 @@ def test_gate_shear_scales_with_leading_coefficient_squared():
         RationalPolynomial([0, 0, F(1, 8)]), 0.1, 0.2
     ).e_vp2 - envelope
     assert abs((gate_big - const_part) / (gate_base - const_part) - 4.0) < 1e-12
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 0.0])
+def test_widths_must_be_positive_and_finite(bad):
+    for call in (lambda: an.moments(T3, bad, 0.3), lambda: an.moments(T3, 0.2, bad),
+                 lambda: an.TwirledCubicDensity(bad, 2.0), lambda: an.TwirledCubicDensity(0.25, bad),
+                 lambda: an.ft_lower_bound(bad)):
+        with pytest.raises(ValueError):
+            call()
 
 
 def test_moments_match_cubic_density_quadrature():
@@ -91,7 +101,7 @@ def test_density_peak_at_zero_shear():
 
 def test_patch_mass_maximal_near_optimal_bias():
     delta = 0.2
-    lam_opt = an.lambda_opt_asymptotic(T3, delta)
+    lam_opt = oracles.lambda_opt_asymptotic(T3, delta)
     masses = {
         lam: an.TwirledCubicDensity(delta, lam).patch_probability()
         for lam in (1.8, lam_opt, 5.0, 12.0)
@@ -111,8 +121,8 @@ def test_chi_norm_constant_limits():
 
 def test_lambda_opt_scaling_exponents():
     for poly, slope_expected in ((T3, -2.0 / 3.0), (QUARTIC, -1.0)):
-        l1 = an.lambda_opt_asymptotic(poly, 1e-3)
-        l2 = an.lambda_opt_asymptotic(poly, 1e-4)
+        l1 = oracles.lambda_opt_asymptotic(poly, 1e-3)
+        l2 = oracles.lambda_opt_asymptotic(poly, 1e-4)
         slope = math.log(l2 / l1) / math.log(0.1)
         assert abs(slope / slope_expected - 1.0) < 0.02
 
@@ -133,14 +143,14 @@ def test_lambda_opt_matches_golden_section():
 
     for poly in (T3, QUARTIC):
         for delta in (0.25, 0.1):
-            lo = an.lambda_opt_asymptotic(poly, delta)
-            lg = golden(lambda l: an.vp2_leading(poly, delta, l), lo / 10, lo * 10)
+            lo = oracles.lambda_opt_asymptotic(poly, delta)
+            lg = golden(lambda l: oracles.vp2_leading(poly, delta, l), lo / 10, lo * 10)
             assert abs(lo / lg - 1.0) < 0.005
 
 
 def test_lambda_opt_rejects_low_degree():
-    with pytest.raises(an.NotApplicableError):
-        an.lambda_opt_asymptotic(RationalPolynomial([0, 0, F(1, 4)]), 0.2)
+    with pytest.raises(oracles.NotApplicableError):
+        oracles.lambda_opt_asymptotic(RationalPolynomial([0, 0, F(1, 4)]), 0.2)
 
 
 # -- FT bound ---------------------------------------------------------------------
@@ -170,38 +180,38 @@ def test_ft_bound_lambda_ansatz():
 
 
 def test_char_function_identity_positive_at_origin():
-    chi = an.thermal_characteristic(math.tanh(0.25**2 / 2))
-    val = an.logical_char_function(chi, "I", (0.0, 0.0))
+    chi = oracles.thermal_characteristic(math.tanh(0.25**2 / 2))
+    val = oracles.logical_char_function(chi, "I", (0.0, 0.0))
     assert abs(val.imag) < 1e-14
     assert val.real > 0.0
 
 
 def test_char_function_evenness_for_real_even_chi():
-    chi = an.thermal_characteristic(math.tanh(0.25**2 / 2))
+    chi = oracles.thermal_characteristic(math.tanh(0.25**2 / 2))
     for mu in ("I", "X", "Y", "Z"):
         for v in ((0.1, -0.07), (0.2, 0.13)):
-            a = an.logical_char_function(chi, mu, v)
-            b = an.logical_char_function(chi, mu, (-v[0], -v[1]))
+            a = oracles.logical_char_function(chi, mu, v)
+            b = oracles.logical_char_function(chi, mu, (-v[0], -v[1]))
             assert abs(a - b) < 1e-13
 
 
 def test_char_function_lattice_cut_converged():
-    chi = an.thermal_characteristic(math.tanh(0.25**2 / 2))
-    a = an.logical_char_function(chi, "Z", (0.1, -0.07), lattice_cut=5)
-    b = an.logical_char_function(chi, "Z", (0.1, -0.07), lattice_cut=10)
+    chi = oracles.thermal_characteristic(math.tanh(0.25**2 / 2))
+    a = oracles.logical_char_function(chi, "Z", (0.1, -0.07), lattice_cut=5)
+    b = oracles.logical_char_function(chi, "Z", (0.1, -0.07), lattice_cut=10)
     assert abs(a - b) < 1e-10
 
 
 def test_char_function_raises_outside_patch():
-    chi = an.thermal_characteristic(0.03)
+    chi = oracles.thermal_characteristic(0.03)
     with pytest.raises(ValueError):
-        an.logical_char_function(chi, "I", (0.9, 0.0))
+        oracles.logical_char_function(chi, "I", (0.9, 0.0))
 
 
 def test_char_function_raises_on_unconverged_cut():
     slow = lambda vq, vp: np.exp(-0.01 * (np.square(vq) + np.square(vp)))
     with pytest.raises(an.AccuracyError):
-        an.logical_char_function(slow, "I", (0.0, 0.0), lattice_cut=2)
+        oracles.logical_char_function(slow, "I", (0.0, 0.0), lattice_cut=2)
 
 
 def test_char_function_matches_fock_brute_force():
@@ -227,7 +237,7 @@ def test_char_function_matches_fock_brute_force():
         wp = (vp_[:d] * np.exp(-1j * fk.SQRT2PI * u[0] * x2)) @ vp_.conj().T
         return np.exp(1j * math.pi * u[0] * u[1]) * (wp @ wq)
 
-    chi = an.thermal_characteristic(nbar)
+    chi = oracles.thermal_characteristic(nbar)
     v = (0.1, -0.07)
     wv = w_mat((-v[0], -v[1]))
     for mu in ("I", "X", "Z"):
@@ -237,7 +247,7 @@ def test_char_function_matches_fock_brute_force():
             sign = np.exp(-1j * math.pi * (lq * sq2 * s_p - lp * sq2 * s_q))
             pi += sign * w_mat((lq + sq2 * s_q, lp + sq2 * s_p))
         fock_val = np.trace(pi @ wv @ rho)
-        lat_val = an.logical_char_function(chi, mu, v, lattice_cut=6)
+        lat_val = oracles.logical_char_function(chi, mu, v, lattice_cut=6)
         assert abs(fock_val - lat_val) < 1e-7
 
 
@@ -245,7 +255,7 @@ def test_char_function_matches_fock_brute_force():
 
 
 def test_posterior_origin_symmetry_and_hadamard_direction():
-    g, bloch = an.vacuum_posterior(0.25, (0.0, 0.0))
+    g, bloch = oracles.vacuum_posterior(0.25, (0.0, 0.0))
     assert g > 0
     # q<->p symmetry of the thermal state exchanges X and Z
     assert abs(bloch[0] - bloch[2]) < 1e-12
@@ -263,7 +273,7 @@ def test_posterior_matches_pointwise():
     w, bloch = an.vacuum_posterior_grid(0.25, 21)
     centers = (np.arange(21) + 0.5) / 21 * 2 * an.PATCH_HALF - an.PATCH_HALF
     i, j = 4, 13
-    _g, b = an.vacuum_posterior(0.25, (centers[i], centers[j]))
+    _g, b = oracles.vacuum_posterior(0.25, (centers[i], centers[j]))
     assert np.allclose(bloch[i * 21 + j], b, atol=1e-12)
 
 
@@ -315,7 +325,7 @@ def test_posterior_matches_fock_brute_force():
             phase = np.exp(-2j * math.pi * (v[0] * u[1] - v[1] * u[0]))
             total += sign * phase * np.sum(rho_diag * w_diagonal(u))
         vals[mu] = total.real
-    g, bloch = an.vacuum_posterior(0.25, v)
+    g, bloch = oracles.vacuum_posterior(0.25, v)
     assert abs(vals["I"] - g) < 1e-6
     for k, mu in enumerate(("X", "Y", "Z")):
         assert abs(vals[mu] / vals["I"] - bloch[k]) < 1e-6

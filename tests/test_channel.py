@@ -93,14 +93,14 @@ def test_t_state_two_routes_agree():
 
 
 def test_mirror_polynomials_perform_identically():
-    i1 = 1 - ch.average_gate_fidelity(cfg("T4th", lam=1.8, target="T4th"))
-    i2 = 1 - ch.average_gate_fidelity(cfg("T4th-mirror", lam=1.8, target="T4th"))
+    i1 = 1 - oracles.average_gate_fidelity(cfg("T4th", lam=1.8, target="T4th"))
+    i2 = 1 - oracles.average_gate_fidelity(cfg("T4th-mirror", lam=1.8, target="T4th"))
     assert abs(i1 - i2) < 1e-8
 
 
 def test_smear_disabled_improves_fidelity():
-    noisy = ch.average_gate_fidelity(cfg("T3", lam=2.0))
-    clean = ch.average_gate_fidelity(cfg("T3", lam=2.0, smear=False))
+    noisy = oracles.average_gate_fidelity(cfg("T3", lam=2.0))
+    clean = oracles.average_gate_fidelity(cfg("T3", lam=2.0, smear=False))
     assert clean > noisy
 
 
@@ -147,7 +147,7 @@ def test_sweep_t3_beats_tgkp():
 
 def test_idle_fidelity_at_high_quality_states():
     # n_bar = 49.5 proxy for Delta -> 0.1: idling error shrinks with Delta
-    f = ch.average_gate_fidelity(cfg("I", delta=0.1, lam=1.0, plan=PLAN_DESK))
+    f = oracles.average_gate_fidelity(cfg("I", delta=0.1, lam=1.0, plan=PLAN_DESK))
     assert f > 0.999
 
 
@@ -168,7 +168,7 @@ def test_truncation_robustness_spot_points():
                 gate=poly, params=fk.GkpParams.from_n_bar(n_bar, lam),
                 plan=fk.TruncationPlan(d_init=d_init), target=gate,
             )
-            infs.append(1 - ch.average_gate_fidelity(config))
+            infs.append(1 - oracles.average_gate_fidelity(config))
         assert abs(infs[0] / infs[1] - 1.0) < 0.05, (gate, n_bar, lam, infs)
 
 
@@ -266,7 +266,7 @@ def test_sweep_groups_equal_single_point_path():
                     plan=GROUP_PLAN, target=g,
                 )
                 try:
-                    inf = 1.0 - ch.average_gate_fidelity(config)
+                    inf = 1.0 - oracles.average_gate_fidelity(config)
                 except fk.TruncationLeakageError:
                     failed.add((g, nb, lam))
                     continue

@@ -259,6 +259,34 @@ def test_square_grid_side_out_of_range(tmp_path, capsys, monkeypatch, command, s
     assert f"{command[-1]} must lie in [2, 1000]" in err and f"got {side}" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("vacuum", "--delta", "nan"),
+    ("vacuum", "--delta", "inf"),
+    ("twirl-density", "--delta", "nan", "--lam", "2"),
+    ("twirl-density", "--delta", "0.25", "--lam", "nan"),
+    ("moments", "--delta", "nan"),
+    ("moments", "--delta", "0.25", "--lam", "nan"),
+    ("ft-bound", "--delta", "0.2", "inf"),
+])
+def test_non_finite_inputs_exit_1(tmp_path, capsys, argv):
+    code, text = run(tmp_path, *argv)
+    assert code == 1 and text == ""
+    assert "finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify-circuits", "--nogo-circuits", "-3"),
+    ("verify-circuits", "--nogo-circuits", "0"),
+    ("synth", "--level", "3", "--qubits", "0"),
+    ("sweep", "--gate", "I", "--workers", "0"),
+    ("sweep", "--gate", "I", "--workers", "-4"),
+])
+def test_count_flags_below_one_exit_1(tmp_path, capsys, argv):
+    code, text = run(tmp_path, *argv)
+    assert code == 1 and text == ""
+    assert f"{argv[-2]} must be at least 1, got {argv[-1]}" in capsys.readouterr().err
+
+
 def test_cache_roundtrip(tmp_path):
     cache_dir = tmp_path / "cache"
     code, text = run(tmp_path, "cache", "purge", "--cache-dir", str(cache_dir))
