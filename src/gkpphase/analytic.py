@@ -128,15 +128,15 @@ def moments(
 # ---------------------------------------------------------------------------
 
 
-def theta3(q: float, tol: float = 1e-15) -> float:
-    """Jacobi θ3(0, q) = 1 + 2 Σ q^(n²), truncated at term size tol."""
+def theta3(q: float) -> float:
+    """Jacobi θ3(0, q) = 1 + 2 Σ q^(n²), truncated at term size 1e-15."""
     if not 0.0 <= q < 1.0:
         raise ValueError(f"theta3 needs 0 <= q < 1, got {q}")
     total = 1.0
     n = 1
     while True:
         term = 2.0 * q ** (n * n)
-        if term < tol:
+        if term < 1e-15:
             return total
         total += term
         n += 1
@@ -180,10 +180,6 @@ class TwirledCubicDensity:
                              f"got {self.delta}, {self.lam}")
 
     @property
-    def norm_constant(self) -> float:
-        return chi_norm_constant(self.delta, self.lam)
-
-    @property
     def sigma_q(self) -> float:
         return math.tanh(self.delta**2 / 2.0) / self.lam
 
@@ -200,20 +196,6 @@ class TwirledCubicDensity:
         return _normal_1d(self.sigma_q, v_q) * np.exp(
             -math.pi * np.square(v_p - self.mean_p(v_q)) / self.sigma_p(v_q)
         ) / np.sqrt(self.sigma_p(v_q))
-
-    def patch_probability(self, center=(0.0, 0.0), n_quad: int = 400) -> float:
-        """Probability mass inside the correctable patch centred at `center`."""
-        cq, cp = center
-        vq = cq + np.linspace(-PATCH_HALF, PATCH_HALF, n_quad)
-        dq = vq[1] - vq[0]
-        lo, hi = cp - PATCH_HALF, cp + PATCH_HALF
-        sp = self.sigma_p(vq)
-        mp = self.mean_p(vq)
-        inner = 0.5 * (
-            erf(math.sqrt(math.pi) * (hi - mp) / np.sqrt(sp))
-            - erf(math.sqrt(math.pi) * (lo - mp) / np.sqrt(sp))
-        )
-        return float(np.sum(_normal_1d(self.sigma_q, vq) * inner) * dq)
 
 
 # ---------------------------------------------------------------------------
@@ -244,20 +226,23 @@ def ft_lower_bound(delta: float) -> BoundResult:
     λ = λ(Δ); the lattice tail is majorised by 1 - p_E(0), so the bound on
     the central-patch weight is (2 p_E(0) - 1)/C(Δ,λ), squared and mapped
     through F = 1/3 + (2/3)(...)².  Valid (non-vacuous interval restriction)
-    for Δ below ≈ 0.372.
+    for Δ below ≈ 0.372.  A Δ that takes Δ² or t/λ out of float range, above
+    about 1.3e154 or below about 1e-101, is refused.
     """
     if not 0 < delta < math.inf:
         raise ValueError(f"delta must be positive and finite, got {delta}")
-    lam = ft_lambda_ansatz(delta)
-    t = math.tanh(delta**2 / 2.0)
-    valid = delta <= FT_VALIDITY_DELTA
-    erf1 = erf(math.sqrt(math.pi) / (t / lam) ** 0.25)
-    inner = math.sqrt(t / lam) / (2.0 * lam * t) + lam * t
-    erf2 = erf(math.sqrt(math.pi) / (4.0 * math.sqrt(8.0) * math.sqrt(inner)))
-    p0 = erf1 * erf2
-    core = max(0.0, 2.0 * p0 - 1.0) / chi_norm_constant(delta, lam)
+    try:
+        lam = ft_lambda_ansatz(delta)
+        t = math.tanh(delta**2 / 2.0)
+        erf1 = erf(math.sqrt(math.pi) / (t / lam) ** 0.25)
+        inner = math.sqrt(t / lam) / (2.0 * lam * t) + lam * t
+        erf2 = erf(math.sqrt(math.pi) / (4.0 * math.sqrt(8.0) * math.sqrt(inner)))
+        p0 = erf1 * erf2
+        core = max(0.0, 2.0 * p0 - 1.0) / chi_norm_constant(delta, lam)
+    except (OverflowError, ZeroDivisionError):
+        raise ValueError(f"delta {delta:g} takes the bound's closed form out of float range") from None
     f_lb = 1.0 / 3.0 + (2.0 / 3.0) * core**2
-    return BoundResult(delta, lam, min(f_lb, 1.0), valid)
+    return BoundResult(delta, lam, min(f_lb, 1.0), delta <= FT_VALIDITY_DELTA)
 
 
 # ---------------------------------------------------------------------------

@@ -6,9 +6,9 @@ exp(2πi P(q/sqrt(λπ))) with output-dimension headroom, then read out the
 ideal-QEC logical state through the smeared Pauli measurement operators with
 Σ = tanh(Δ²/2) diag(λ, 1/λ) (the phenomenological measurement noise of the
 surrounding QEC rounds).  Everything downstream — average gate fidelity
-from one engine's readout, T-state fidelity, (n̄, λ) sweeps with their
-per-n̄ optimal λ, and the vacuum-state baseline — is assembled from
-single-state Pauli expectations.  That readout model is fixed;
+from one engine's readout, T-state fidelity, (n̄, λ) sweeps whose rows mark
+each (gate, n̄)'s optimal λ, and the vacuum-state baseline — is assembled
+from single-state Pauli expectations.  That readout model is fixed;
 `ChannelConfig.smear` only switches Σ off, for the noiseless limit.
 
 The heavy objects, the position eigensystems at d_out and at the readout
@@ -106,11 +106,6 @@ class LogicalReadout:
                         f"expectation <{pauli}> = {val} out of range for input {state}"
                     )
 
-    def output_density(self, state: str) -> np.ndarray:
-        row = self.expectations[state]
-        rho = sum(row[p] * PAULI[p] for p in ("I", "X", "Y", "Z")) / 2.0
-        return rho
-
 
 class ChannelEngine:
     """Matrix-free evaluator of Pauli expectations for one ChannelConfig.
@@ -131,14 +126,11 @@ class ChannelEngine:
         plan = config.plan
         lam = config.params.lam
         self.d_init = plan.d_init
-        self.d_out = plan.d_out
-        self.d_temp = plan.d_temp(plan.d_out)
-
-        # The larger readout system first: its solve then peaks with no
-        # other eigenvector matrix resident.
-        self.x2, self.v2 = fock.q_eigensystem(self.d_temp, cache_dir)
+        self.d_temp, self.d_out = plan.eigensystem_dims
+        # the readout's system (x2, v2) and the gate's (x1, v1), in the plan's order
+        (self.x2, self.v2), (self.x1, self.v1) = (
+            fock.q_eigensystem(d, cache_dir) for d in plan.eigensystem_dims)
         self.r2 = fock.number_parity_phases(self.d_temp)
-        self.x1, self.v1 = fock.q_eigensystem(self.d_out, cache_dir)
 
         self.g_z, self.h_x = fock.pauli_profiles(lam, config.smear_matrix(), self.x2, kernels)
 
@@ -249,9 +241,9 @@ def t_state_fidelity_from_expectations(exps: dict[str, float]) -> float:
     return 0.5 + (exps["X"] + exps["Y"]) / (2.0 * math.sqrt(2.0))
 
 
-def t_state_fidelity(config: ChannelConfig, cache_dir=None) -> float:
+def t_state_fidelity(config: ChannelConfig) -> float:
     """<T| E(|+><+|) |T> through a fresh engine for the config."""
-    exps = ChannelEngine(config, cache_dir).pauli_expectations(INPUT_STATES["plus"])
+    exps = ChannelEngine(config).pauli_expectations(INPUT_STATES["plus"])
     return t_state_fidelity_from_expectations(exps)
 
 
@@ -275,9 +267,8 @@ class SweepRow:
 
 @dataclass(frozen=True)
 class SweepResult:
+    # each (gate, n_bar)'s optimum is its row with is_optimal set
     rows: tuple[SweepRow, ...]
-    # per gate: n_bar -> (optimal lam, avg infidelity there, boundary flag)
-    optima: dict[str, dict[float, tuple[float, float, bool]]]
     # failed grid points, (gate, n_bar, lam) -> reason
     failures: dict[tuple[str, float, float], str]
 
@@ -338,8 +329,9 @@ def sweep(
 
     The points of one (n̄, λ) form one work unit that builds one engine and
     runs every gate through it; results are merged by grid index so the
-    output is deterministic for any worker count.  Per-n̄ optima are
-    grid argmins, flagged when they sit on the λ-grid boundary.
+    output is deterministic for any worker count.  Each (gate, n̄)'s optimum
+    is its λ-grid argmin row (`is_optimal`), with `boundary_flag` set when it
+    sits on the grid's boundary.
     """
     plan = plan or fock.TruncationPlan(d_init=256)
     gates = list(gates)
@@ -378,36 +370,20 @@ def sweep(
     _HELD_KERNELS.clear()
 
     rows: list[SweepRow] = []
-    optima: dict[str, dict[float, tuple[float, float, bool]]] = {g: {} for g in gates}
     for gi, g in enumerate(gates):
         for ni, nb in enumerate(n_bars):
-            base = gi * len(n_bars) * len(lams) + ni * len(lams)
-            infs = [
-                results[base + li][0] if results[base + li] is not None else math.inf
-                for li in range(len(lams))
-            ]
-            best_li = int(np.argmin(infs))
-            boundary = best_li in (0, len(lams) - 1) and len(lams) > 1
-            optima[g][nb] = (lams[best_li], infs[best_li], boundary)
+            base = (gi * len(n_bars) + ni) * len(lams)
+            line = results[base : base + len(lams)]
+            best = int(np.argmin([math.inf if res is None else res[0] for res in line]))
+            boundary = best in (0, len(lams) - 1) and len(lams) > 1
             params = fock.GkpParams.from_n_bar(nb)
-            for li, lam in enumerate(lams):
-                res = results[base + li]
-                if res is None:
-                    continue
-                rows.append(
-                    SweepRow(
-                        gate=g,
-                        n_bar=nb,
-                        delta=params.delta,
-                        delta_db=params.delta_db,
-                        lam=lam,
-                        avg_infidelity=res[0],
-                        t_state_infidelity=res[1],
-                        is_optimal=(li == best_li),
-                        boundary_flag=(li == best_li and boundary),
-                    )
-                )
-    return SweepResult(tuple(rows), optima, {meta[i]: failures[i] for i in sorted(failures)})
+            rows.extend(
+                SweepRow(gate=g, n_bar=nb, delta=params.delta, delta_db=params.delta_db,
+                         lam=lam, avg_infidelity=res[0], t_state_infidelity=res[1],
+                         is_optimal=(li == best), boundary_flag=(li == best and boundary))
+                for li, (lam, res) in enumerate(zip(lams, line)) if res is not None
+            )
+    return SweepResult(tuple(rows), {meta[i]: failures[i] for i in sorted(failures)})
 
 
 # ---------------------------------------------------------------------------
@@ -430,11 +406,15 @@ class VacuumMethodConfig:
             raise ValueError("grid must be >= 2")
 
 
+# Syndrome grids with fewer cells per axis are flagged as coarse.
+COARSE_GRID = 100
+
+
 @dataclass(frozen=True)
 class VacuumResult:
     infidelity: float
     acceptance_probability: float
-    coarse_grid_warning: bool
+    coarse_grid_warning: bool  # grid < COARSE_GRID
 
 
 @lru_cache(maxsize=1)
@@ -508,7 +488,7 @@ def vacuum_state_method(config: VacuumMethodConfig) -> VacuumResult:
     fid, weights = _ranked_cells(config.delta, config.grid)
     if config.postselect_fraction == 0.0:
         best = float(fid[0])
-        return VacuumResult(1.0 - best, float(weights[0]), config.grid < 100)
+        return VacuumResult(1.0 - best, float(weights[0]), config.grid < COARSE_GRID)
     cum = np.cumsum(weights)
     p = config.postselect_fraction
     k = int(np.searchsorted(cum, p, side="left"))
@@ -517,7 +497,7 @@ def vacuum_state_method(config: VacuumMethodConfig) -> VacuumResult:
     frac_weight = min(weights[k], p - mass_before)
     acc = mass_before + frac_weight
     mean_fid = (np.sum(fid[:k] * weights[:k]) + fid[k] * frac_weight) / acc
-    return VacuumResult(float(1.0 - mean_fid), float(acc), config.grid < 100)
+    return VacuumResult(float(1.0 - mean_fid), float(acc), config.grid < COARSE_GRID)
 
 
 def vacuum_match_fraction(delta: float, target_infidelity: float, grid: int = 500) -> float:

@@ -311,8 +311,7 @@ def cmd_sweep(args) -> int:
     if not 1 <= args.lam_count <= MAX_GRID_POINTS:
         raise ValueError(f"--lam-count must lie in [1, {MAX_GRID_POINTS}], got {args.lam_count}")
     lams = np.linspace(args.lam_min, args.lam_max, args.lam_count).tolist()
-    plan = fock.TruncationPlan(d_init=args.dinit, expand_factor=args.expand_factor)
-    result = channel.sweep(args.gate, n_bars, lams, plan,
+    result = channel.sweep(args.gate, n_bars, lams, fock.TruncationPlan(d_init=args.dinit),
                            workers=args.workers, cache_dir=args.cache_dir)
     header = [
         "gate", "n_bar", "delta", "delta_db", "lam",
@@ -349,6 +348,9 @@ def cmd_vacuum(args) -> int:
         postselect_fraction=args.postselect,
     )
     res = channel.vacuum_state_method(cfg)
+    if res.coarse_grid_warning:
+        print(f"vacuum: warning: --grid {args.grid} is below {channel.COARSE_GRID} cells "
+              "per axis; the syndrome grid is coarse", file=sys.stderr)
     _emit_csv(
         args,
         ["delta", "p", "infidelity", "acceptance_prob"],
@@ -405,6 +407,8 @@ def cmd_twirl_density(args) -> int:
     from . import analytic
 
     points = _square_grid_side("--points", args.points)
+    if not 0 < args.span < math.inf:
+        raise ValueError(f"--span must be positive and finite, got {args.span}")
     dens = analytic.TwirledCubicDensity(args.delta, args.lam)
     vq = np.linspace(-args.span, args.span, points)
     vp = np.linspace(-args.span, args.span, points)
@@ -429,10 +433,8 @@ def cmd_cache(args) -> int:
     if args.cache_dir is None:
         raise ValueError(f"cache {args.action} needs --cache-dir")
     if args.action == "prewarm":
-        # The two eigensystems a sweep reads: the readout's at d_temp(d_out)
-        # and the gate's at d_out, larger first to keep the peak low.
-        plan = fock.TruncationPlan(d_init=args.dinit, expand_factor=args.expand_factor)
-        dims = (plan.d_temp(plan.d_out), plan.d_out)
+        # the two eigensystems a sweep reads, in the order its engines solve them
+        dims = fock.TruncationPlan(d_init=args.dinit).eigensystem_dims
         t0 = time.time()
         for d in dims:
             fock.q_eigensystem(d, args.cache_dir)
@@ -497,7 +499,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lam-max", type=float, default=5.0)
     p.add_argument("--lam-count", type=int, default=16)
     p.add_argument("--dinit", type=int, default=256)
-    p.add_argument("--expand-factor", type=int, default=3)
     p.add_argument("--workers", type=int, default=1)
     p.add_argument("--cache-dir", default=None, help="operator cache directory")
     p.set_defaults(func=cmd_sweep)
@@ -534,10 +535,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("action", choices=("list", "purge", "prewarm"),
                    help="every action needs --cache-dir")
     p.add_argument("--dinit", type=int, default=256)
-    p.add_argument("--expand-factor", type=int, default=3)
     p.add_argument("--cache-dir", default=None, help="operator cache directory")
     # Accepted so that a sweep's grid flags can be passed unchanged.
-    ignored = "ignored: the cached eigensystems depend only on --dinit and --expand-factor"
+    ignored = "ignored: the cached eigensystems depend only on --dinit"
     p.add_argument("--nbar-min", type=float, default=2.0, help=ignored)
     p.add_argument("--nbar-max", type=float, default=12.0, help=ignored)
     p.add_argument("--nbar-step", type=float, default=1.0, help=ignored)

@@ -9,8 +9,8 @@ Conventions (single mode, [q, p] = i):
   sqrt(λπ); the non-biased envelope is exp(-Δ² a†a).
 
 Truncation plan: states are synthesised at d_init; an operator applied to a
-d-dimensional state is exponentiated at d_temp = expand_factor * d and then
-cut back, and gates keep their full output rows (d_out x d_init) so the
+d-dimensional state is exponentiated at d_temp = 3d (`EXPAND_FACTOR`) and
+then cut back, and gates keep their full output rows (d_out x d_init) so the
 output state lives at the higher dimension.  Every operator here is a
 function of one (possibly rotated) quadrature: polynomial phase gates and
 single-axis displacement sums are built from the eigensystem of the
@@ -48,6 +48,9 @@ SQRT2PI = math.sqrt(2.0 * math.pi)
 # synthesis before the construction is declared corrupted.
 MAX_DROPPED_WEIGHT = 1e-6
 
+# Each stage of the truncation ladder is this many times the one before.
+EXPAND_FACTOR = 3
+
 
 class TruncationLeakageError(RuntimeError):
     """A state lost too much norm to truncation."""
@@ -59,23 +62,27 @@ class DegeneratePairError(ValueError):
 
 @dataclass(frozen=True)
 class TruncationPlan:
-    """Fock truncation ladder: d_init for states, x expand_factor per stage."""
+    """Fock truncation ladder: d_init for states, x EXPAND_FACTOR per stage."""
 
     d_init: int = 400
-    expand_factor: int = 3
 
     def __post_init__(self):
         if self.d_init < 16:
             raise ValueError(f"d_init must be >= 16, got {self.d_init}")
-        if self.expand_factor < 2:
-            raise ValueError(f"expand_factor must be >= 2, got {self.expand_factor}")
 
     @property
     def d_out(self) -> int:
-        return self.expand_factor * self.d_init
+        return EXPAND_FACTOR * self.d_init
 
     def d_temp(self, d: int) -> int:
-        return self.expand_factor * d
+        return EXPAND_FACTOR * d
+
+    @property
+    def eigensystem_dims(self) -> tuple[int, int]:
+        """The two q eigensystems a channel reads, in the order to solve them:
+        the readout's at d_temp(d_out), then the gate's at d_out.  The larger
+        first, so its solve peaks with no other eigenvector matrix resident."""
+        return self.d_temp(self.d_out), self.d_out
 
 
 @dataclass(frozen=True)
@@ -133,10 +140,6 @@ class FockVector:
         if n == 0:
             raise ValueError("cannot normalise the zero vector")
         return FockVector(self.amplitudes / n, self.meta)
-
-    def overlap(self, other: "FockVector") -> complex:
-        n = min(self.d, other.d)
-        return complex(np.vdot(self.amplitudes[:n], other.amplitudes[:n]))
 
 
 # ---------------------------------------------------------------------------

@@ -123,11 +123,6 @@ class RationalPolynomial:
 
     __rmul__ = __mul__
 
-    def scale_argument(self, s) -> "RationalPolynomial":
-        """Return P(s*x) for an exact rational s (x -> -x reflection etc.)."""
-        s = _as_fraction(s)
-        return RationalPolynomial([c * s**k for k, c in enumerate(self.coeffs)])
-
     def drop_constant(self) -> "RationalPolynomial":
         if not self.coeffs:
             return self

@@ -72,12 +72,6 @@ class GaussianOp:
             raise ValueError("mode-count mismatch in composition")
         return GaussianOp(other.S @ self.S, other.S @ self.d + other.d)
 
-    def inverse(self) -> "GaussianOp":
-        n = self.n_modes
-        om = omega(n)
-        s_inv = -om @ self.S.T @ om  # symplectic inverse, exact up to roundoff
-        return GaussianOp(s_inv, -(s_inv @ self.d))
-
 
 def identity_op(n_modes: int) -> GaussianOp:
     return GaussianOp(np.eye(2 * n_modes))

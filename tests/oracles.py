@@ -20,14 +20,17 @@ and the forms of them that only tests call.
 * `logical_expectation`, `average_gate_fidelity` and
   `average_gate_fidelity_reconstructed`: one Pauli expectation and the
   average gate fidelity through a fresh engine per config, and the average
-  gate fidelity through explicit reconstruction of the 2x2 outputs.
+  gate fidelity through explicit reconstruction of the 2x2 outputs
+  (`output_density`); `optima`, a sweep's per-(gate, n̄) optimum rows.
 * `basis` (the dense-product L_n, n >= 1), `is_integer_valued`,
-  `lex_compare` with `LexOrder`, and `verify_control_gate`: exact-algebra
-  checks no command needs, the last the phase check of a multivariate
-  C^{N-1}Λ_m polynomial on a box of integers.
+  `lex_compare` with `LexOrder`, `scale_argument` and `verify_control_gate`:
+  exact-algebra checks no command needs, the last the phase check of a
+  multivariate C^{N-1}Λ_m polynomial on a box of integers.
+* `overlap` of two Fock vectors, and `symplectic_inverse` of a Gaussian op.
 * `shear_variance_leading`, `shear_variance_ratio`, `vp2_leading`,
   `lambda_opt_asymptotic` (with `NotApplicableError`): the leading-order
-  shear terms of E(v_p²) and the asymptotically optimal asymmetry.
+  shear terms of E(v_p²) and the asymptotically optimal asymmetry;
+  `patch_probability`, the twirled cubic density's mass on a patch.
 * `thermal_characteristic`, `logical_char_function` and `vacuum_posterior`:
   square-lattice logical characteristic functions, and the vacuum posterior
   at one syndrome, the pointwise form of `analytic.vacuum_posterior_grid`.
@@ -48,7 +51,7 @@ from math import factorial
 import numpy as np
 import scipy.special
 
-from gkpphase import analytic as an, channel as ch, fock as fk
+from gkpphase import analytic as an, channel as ch, fock as fk, symplectic as sp
 from gkpphase.fock import FockVector
 from gkpphase.polyalg import (
     BranchStep, MultiRationalPolynomial, RationalPolynomial, ReductionOutcome,
@@ -176,6 +179,11 @@ def lex_compare(p: RationalPolynomial, q: RationalPolynomial) -> LexOrder:
     return LexOrder.EQUAL
 
 
+def scale_argument(poly: RationalPolynomial, s) -> RationalPolynomial:
+    """P(s x) for an exact rational s (x -> -x reflection etc.)."""
+    return RationalPolynomial([c * Fraction(s) ** k for k, c in enumerate(poly.coeffs)])
+
+
 def verify_control_gate(poly: MultiRationalPolynomial, m: int, k_range: int = 6) -> bool:
     """Phase check for C^{N-1}Λ_m: 2^-m mod 1 on all-odd inputs, else 0."""
     target = Fraction(1, 2**m)
@@ -189,8 +197,21 @@ def verify_control_gate(poly: MultiRationalPolynomial, m: int, k_range: int = 6)
 
 
 # ---------------------------------------------------------------------------
-# Codewords
+# Gaussian operations and codewords
 # ---------------------------------------------------------------------------
+
+
+def symplectic_inverse(op: sp.GaussianOp) -> sp.GaussianOp:
+    """The inverse Gaussian op: S^-1 = -Ω Sᵀ Ω, exact up to roundoff."""
+    om = sp.omega(op.n_modes)
+    s_inv = -om @ op.S.T @ om
+    return sp.GaussianOp(s_inv, -(s_inv @ op.d))
+
+
+def overlap(a: FockVector, b: FockVector) -> complex:
+    """<a|b> over the dimensions both vectors have."""
+    n = min(a.d, b.d)
+    return complex(np.vdot(a.amplitudes[:n], b.amplitudes[:n]))
 
 
 def coherent_block(alpha: np.ndarray, coeff: np.ndarray, d: int) -> tuple[np.ndarray, int, float]:
@@ -385,12 +406,11 @@ def pauli_measurement_operator(
     smear: np.ndarray | None,
     d: int,
     n_cut: int = 59,
-    expand_factor: int = 3,
 ) -> FockOperator:
     """Ideal (or smeared) Pauli measurement operator as a d x d matrix.
 
     X and Z are lattice sums of single-axis displacements, assembled in the
-    matching quadrature eigenbasis at expand_factor*d and truncated; Y uses
+    matching quadrature eigenbasis at fock.EXPAND_FACTOR * d and truncated; Y uses
     the numerically symmetric product form (i X Z - i Z X)/2.
 
     `channel.ChannelEngine` applies the same diagonals matrix-free.
@@ -399,11 +419,11 @@ def pauli_measurement_operator(
     if which not in ("X", "Y", "Z"):
         raise ValueError(f"which must be X, Y or Z, got {which!r}")
     if which == "Y":
-        xm = pauli_measurement_operator("X", lam, smear, d, n_cut, expand_factor)
-        zm = pauli_measurement_operator("Z", lam, smear, d, n_cut, expand_factor)
+        xm = pauli_measurement_operator("X", lam, smear, d, n_cut)
+        zm = pauli_measurement_operator("Z", lam, smear, d, n_cut)
         y = 0.5j * (xm.matrix @ zm.matrix - zm.matrix @ xm.matrix)
         return FockOperator(y)
-    dt = expand_factor * d
+    dt = fk.EXPAND_FACTOR * d
     x, v = fk.q_eigensystem(dt)
     g, h = pauli_series_profiles(lam, smear, x, n_cut)
     if which == "Z":
@@ -434,6 +454,22 @@ def average_gate_fidelity(config: ch.ChannelConfig, cache_dir=None) -> float:
     return ch.average_gate_fidelity_from_readout(engine.readout(), config.target)
 
 
+def output_density(readout: ch.LogicalReadout, state: str) -> np.ndarray:
+    """The 2x2 channel output for one basis input, (I + <X>X + <Y>Y + <Z>Z)/2."""
+    row = readout.expectations[state]
+    return sum(row[p] * ch.PAULI[p] for p in ("I", "X", "Y", "Z")) / 2.0
+
+
+def optima(result: ch.SweepResult) -> dict[str, dict[float, tuple[float, float, bool]]]:
+    """Per gate, n_bar -> (optimal lam, avg infidelity there, boundary flag), read
+    from the rows that `channel.sweep` marks `is_optimal`."""
+    out: dict[str, dict[float, tuple[float, float, bool]]] = {}
+    for r in result.rows:
+        if r.is_optimal:
+            out.setdefault(r.gate, {})[r.n_bar] = (r.lam, r.avg_infidelity, r.boundary_flag)
+    return out
+
+
 def average_gate_fidelity_reconstructed(readout: ch.LogicalReadout, target) -> float:
     """`channel.average_gate_fidelity_from_readout` through explicit reconstruction.
 
@@ -442,7 +478,7 @@ def average_gate_fidelity_reconstructed(readout: ch.LogicalReadout, target) -> f
     """
     alpha, _duals = ch._dual_frame()
     u = ch.target_unitary(target)
-    outs = {name: readout.output_density(name) for name in ch.INPUT_ORDER}
+    outs = {name: output_density(readout, name) for name in ch.INPUT_ORDER}
     total = 0.0
     for j, p in enumerate(("I", "X", "Y", "Z")):
         e_sigma = sum(alpha[j, k] * outs[name] for k, name in enumerate(ch.INPUT_ORDER))
@@ -453,6 +489,20 @@ def average_gate_fidelity_reconstructed(readout: ch.LogicalReadout, target) -> f
 # ---------------------------------------------------------------------------
 # Closed-form analysis: leading shear terms, optimal bias, logical χ, posterior
 # ---------------------------------------------------------------------------
+
+
+def patch_probability(dens: an.TwirledCubicDensity, center=(0.0, 0.0), n_quad: int = 400) -> float:
+    """Mass of the twirled cubic density inside the correctable patch centred at `center`."""
+    cq, cp = center
+    vq = cq + np.linspace(-an.PATCH_HALF, an.PATCH_HALF, n_quad)
+    dq = vq[1] - vq[0]
+    lo, hi = cp - an.PATCH_HALF, cp + an.PATCH_HALF
+    var_p, mean_p = dens.sigma_p(vq), dens.mean_p(vq)
+    inner = 0.5 * (
+        scipy.special.erf(math.sqrt(math.pi) * (hi - mean_p) / np.sqrt(var_p))
+        - scipy.special.erf(math.sqrt(math.pi) * (lo - mean_p) / np.sqrt(var_p))
+    )
+    return float(np.sum(an._normal_1d(dens.sigma_q, vq) * inner) * dq)
 
 
 class NotApplicableError(ValueError):

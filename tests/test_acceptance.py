@@ -136,7 +136,7 @@ def test_criterion_06_codeword_oracle():
                     lattice = fk.gkp_codeword(bit, delta, lam, 400)
                     assert np.max(np.abs(lattice.amplitudes[1::2])) < 1e-12
                     oracle = oracles.gkp_codeword_position_oracle(bit, delta, lam, 400)
-                    fid = abs(oracle.overlap(lattice.normalized())) ** 2
+                    fid = abs(oracles.overlap(oracle, lattice.normalized())) ** 2
                     assert fid > 1.0 - 1e-6, f"fidelity {fid} at {delta=}, {lam=}, {bit=}"
         b.check_time()
 
@@ -185,17 +185,17 @@ def _ordering_sweep():
 
 def test_criterion_08_ordering_over_nbar():
     with Budget(8, 2700.0) as b:
-        res = _ordering_sweep()
+        optima = oracles.optima(_ordering_sweep())
         for nb in N_BAR_GRID:
-            t3 = res.optima["T3"][nb][1]
-            tg = res.optima["TGKP"][nb][1]
+            t3 = optima["T3"][nb][1]
+            tg = optima["TGKP"][nb][1]
             assert t3 < tg, f"ordering violated at n_bar={nb}: T3 {t3} vs TGKP {tg}"
-            lam_opt, _, _ = res.optima["I"][nb]
+            lam_opt, _, _ = optima["I"][nb]
             assert lam_opt == 1.0, f"identity optimum off 1 at n_bar={nb}: {lam_opt}"
-        t3_opts = [res.optima["T3"][nb][0] for nb in N_BAR_GRID]
+        t3_opts = [optima["T3"][nb][0] for nb in N_BAR_GRID]
         assert t3_opts == sorted(t3_opts)  # lam_opt nondecreasing as Delta falls
         # TGKP wants more bias than the grid offers at low n_bar
-        assert res.optima["TGKP"][2.0][2] and res.optima["TGKP"][3.0][2]
+        assert optima["TGKP"][2.0][2] and optima["TGKP"][3.0][2]
         print("    T3 < TGKP at per-gate optimal lam for all n_bar; idle optimum lam=1")
         b.check_time()
 

@@ -103,7 +103,7 @@ def test_patch_mass_maximal_near_optimal_bias():
     delta = 0.2
     lam_opt = oracles.lambda_opt_asymptotic(T3, delta)
     masses = {
-        lam: an.TwirledCubicDensity(delta, lam).patch_probability()
+        lam: oracles.patch_probability(an.TwirledCubicDensity(delta, lam))
         for lam in (1.8, lam_opt, 5.0, 12.0)
     }
     assert masses[lam_opt] > masses[1.8]

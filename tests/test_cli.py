@@ -113,6 +113,14 @@ def test_ft_bound_csv(tmp_path):
     assert len(lines) == 4
 
 
+@pytest.mark.parametrize("delta", ["1e200", "1e-160", "1e-200"])
+def test_ft_bound_refuses_delta_out_of_float_range(tmp_path, capsys, delta):
+    code, text = run(tmp_path, "ft-bound", "--delta", "0.3", delta)
+    assert code == 1 and text == ""
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "out of float range" in err
+
+
 def test_twirl_density_csv(tmp_path):
     code, text = run(tmp_path, "twirl-density", "--delta", "0.25", "--lam", "2",
                      "--points", "7")
@@ -120,6 +128,22 @@ def test_twirl_density_csv(tmp_path):
     lines = text.strip().splitlines()
     assert lines[1] == "v_q,v_p,density"
     assert len(lines) == 2 + 49
+
+
+@pytest.mark.parametrize("span", ["nan", "inf", "0"])
+def test_twirl_density_refuses_span(tmp_path, capsys, span):
+    code, text = run(tmp_path, "twirl-density", "--delta", "0.25", "--lam", "2", "--span", span)
+    assert code == 1 and text == ""
+    assert f"--span must be positive and finite, got {float(span)}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("grid, coarse", [("60", True), ("150", False)])
+def test_vacuum_warns_on_coarse_grid(tmp_path, capsys, grid, coarse):
+    code, text = run(tmp_path, "vacuum", "--delta", "0.25", "--grid", grid)
+    assert code == 0 and len(text.splitlines()) == 3
+    err = capsys.readouterr().err
+    assert (f"warning: --grid {grid} is below 100 cells per axis" in err) == coarse
+    assert coarse or err == ""
 
 
 def test_vacuum_csv(tmp_path):
@@ -294,7 +318,7 @@ def test_cache_roundtrip(tmp_path):
     assert json.loads(text)["purged"] == 0
     code, text = run(
         tmp_path, "cache", "prewarm", "--cache-dir", str(cache_dir),
-        "--dinit", "32", "--expand-factor", "2",
+        "--dinit", "32",
         "--nbar-min", "3", "--nbar-max", "3", "--nbar-step", "1",
         "--lam-min", "1", "--lam-max", "2", "--lam-count", "2",
     )
@@ -302,11 +326,11 @@ def test_cache_roundtrip(tmp_path):
     assert json.loads(text)["prewarmed"] == 4
     code, text = run(tmp_path, "cache", "list", "--cache-dir", str(cache_dir))
     data = json.loads(text)
-    # the two eigensystems a sweep reads: d_out = 64 and d_temp = 128
+    # the two eigensystems a sweep reads: d_out = 96 and d_temp = 288
     assert data["count"] == 4
     shapes = sorted((e["kind"], tuple(e["shape"])) for e in data["entries"])
-    assert shapes == [("qeig-values", (64,)), ("qeig-values", (128,)),
-                      ("qeig-vectors", (64, 64)), ("qeig-vectors", (128, 128))]
+    assert shapes == [("qeig-values", (96,)), ("qeig-values", (288,)),
+                      ("qeig-vectors", (96, 96)), ("qeig-vectors", (288, 288))]
     code, text = run(tmp_path, "cache", "purge", "--cache-dir", str(cache_dir))
     assert json.loads(text)["purged"] == 4
 
@@ -387,7 +411,7 @@ def test_config_global_keys_reach_only_commands_that_take_them(tmp_path, capsys)
 
 # `cache` accepts a sweep's grid flags and reads none of them, so the flags of a
 # sweep can prewarm its cache unchanged: its eigensystems depend only on
-# --dinit and --expand-factor.
+# --dinit.
 UNREAD_FLAGS = {("cache", dest) for dest in (
     "nbar_min", "nbar_max", "nbar_step", "lam_min", "lam_max", "lam_count")}
 

@@ -1,13 +1,22 @@
-"""The package surface: every module-level name in `src/gkpphase` has a caller.
+"""The package surface: every name in `src/gkpphase` has a caller.
 
-A name is reached when a root refers to it, or a reached name's definition
+A module-level name is reached when a root refers to it, or reached code
 does.  The roots are the console scripts of pyproject.toml (the `gkpphase`
 command, whose parser hands each subcommand its `cmd_*` function), the
 top-level statements of each module that define nothing (such as the
 `__main__` guard of `cli`), and everything `perfbench/*.py` refers to,
 including its span table's ("module", "name") pairs.  Functions, classes
-and assignments count, private ones too; methods and dunder names are out
-of scope.  A name only the tests reach belongs in `tests/oracles.py`.
+and assignments count, private ones too.
+
+A class member (method, property or annotated dataclass field) of a reached
+class is reached when reached code or `perfbench/*.py` names it, as an
+attribute (`x.name`) or as a keyword argument (`Cls(name=...)`), or the
+span table holds it ("Class.name").  The match is by name alone, so the
+rule is conservative.  Reached code is a reached function, a reached class
+without the bodies of its members, and the body of a reached member; dunder
+methods run implicitly, so they are reached with their class and never
+flagged.  A name or member only the tests reach belongs in
+`tests/oracles.py`.
 """
 
 from __future__ import annotations
@@ -74,41 +83,100 @@ def _resolve(node: ast.AST, scope: dict, modules: dict[str, dict]):
     return None
 
 
-def _refs(node: ast.AST, scope: dict, modules: dict[str, dict]) -> set[tuple[str, str]]:
+def _dunder(name: str) -> bool:
+    return name.startswith("__") and name.endswith("__")
+
+
+def _members(tree: ast.Module) -> dict[str, dict[str, ast.stmt]]:
+    """Per module-level class: its methods, properties and annotated fields
+    by name, dunders left out."""
+    out: dict[str, dict[str, ast.stmt]] = {}
+    for stmt in tree.body:
+        if isinstance(stmt, ast.ClassDef):
+            out[stmt.name] = {}
+            for node in stmt.body:
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    name = node.name
+                elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+                    name = node.target.id
+                else:
+                    continue
+                if not _dunder(name):
+                    out[stmt.name][name] = node
+    return out
+
+
+def _walk(node: ast.AST, skip: set[ast.AST]):
+    """`ast.walk` from `node` that does not enter the nodes in `skip`."""
+    todo = [node]
+    while todo:
+        sub = todo.pop()
+        yield sub
+        todo.extend(child for child in ast.iter_child_nodes(sub) if child not in skip)
+
+
+def _refs(node: ast.AST, scope: dict, modules: dict[str, dict],
+          skip: set[ast.AST] = frozenset()) -> set[tuple[str, str]]:
     """(module, name) pairs of package definitions that `node` refers to."""
     out = set()
-    for sub in ast.walk(node):
+    for sub in _walk(node, skip):
         hit = _resolve(sub, scope, modules)
         if hit is not None and hit[0] is not MODULE and hit[1] in modules.get(hit[0], {}):
             out.add(hit)
     return out
 
 
-def unreached(sources: dict[str, str], roots: set[tuple[str, str]]) -> set[str]:
-    """"module.name" of every definition in `sources` (module -> source text)
-    that nothing reaches from `roots` or from a module's defining-nothing
-    top-level statements."""
+def _names(node: ast.AST, skip: set[ast.AST] = frozenset()) -> set[str]:
+    """The attribute names and keyword-argument names in `node`."""
+    out = set()
+    for sub in _walk(node, skip):
+        if isinstance(sub, ast.Attribute):
+            out.add(sub.attr)
+        elif isinstance(sub, ast.keyword) and sub.arg is not None:
+            out.add(sub.arg)
+    return out
+
+
+def unreached(sources: dict[str, str], roots: set[tuple[str, str]],
+              names: set[str] = frozenset()) -> set[str]:
+    """"module.name" of every definition in `sources` (module -> source text),
+    and "module.Class.member" of every member of a reached class, that nothing
+    reaches from `roots`, from the member `names` the roots name, or from a
+    module's defining-nothing top-level statements."""
     trees = {m: ast.parse(text) for m, text in sources.items()}
     modules = {m: _defined(tree) for m, tree in trees.items()}
+    members = {m: _members(tree) for m, tree in trees.items()}
     scopes = {m: _scope(m, tree, modules) for m, tree in trees.items()}
-    todo = set(roots)
+    # a reached class is read without its members; each member is read once reached
+    skip = {node for classes in members.values() for table in classes.values()
+            for node in table.values()}
+    todo: set = set(roots)
+    named = set(names)
+
+    def read(m: str, node: ast.AST) -> None:
+        todo.update(_refs(node, scopes[m], modules, skip))
+        named.update(_names(node, skip))
+
     for m, tree in trees.items():
         for stmt in tree.body:
             if stmt not in modules[m].values() and not isinstance(stmt, (ast.Import, ast.ImportFrom)):
-                todo |= _refs(stmt, scopes[m], modules)
-    seen: set[tuple[str, str]] = set()
+                read(m, stmt)
+    seen: set[tuple] = set()  # (module, name) and (module, class, member)
     while todo:
-        m, name = todo.pop()
-        if (m, name) in seen or name not in modules.get(m, {}):
-            continue
-        seen.add((m, name))
-        todo |= _refs(modules[m][name], scopes[m], modules)
-    return {
-        f"{m}.{name}"
-        for m, names in modules.items()
-        for name in names
-        if (m, name) not in seen and not (name.startswith("__") and name.endswith("__"))
-    }
+        key = todo.pop()
+        m, name, *member = key
+        node = members[m][name][member[0]] if member else modules.get(m, {}).get(name)
+        if key not in seen and node is not None:
+            seen.add(key)
+            read(m, node)
+        if not todo:  # the members of reached classes that reached code names
+            todo.update({(m, c, x) for m, c, *_ in seen for x in members[m].get(c, {})
+                         if x in named} - seen)
+    stray = {f"{m}.{name}" for m, defined in modules.items() for name in defined
+             if (m, name) not in seen and not _dunder(name)}
+    return stray | {f"{m}.{c}.{x}" for m, classes in members.items()
+                    for c, table in classes.items() if (m, c) in seen
+                    for x in table if (m, c, x) not in seen}
 
 
 def _package_sources() -> dict[str, str]:
@@ -121,28 +189,34 @@ def _command_roots() -> set[tuple[str, str]]:
     return set(re.findall(rf'"{PACKAGE}\.(\w+):(\w+)"', text))
 
 
-def _perfbench_roots(sources: dict[str, str]) -> set[tuple[str, str]]:
+def _perfbench_roots(sources: dict[str, str]) -> tuple[set[tuple[str, str]], set[str]]:
+    """The package names `perfbench/*.py` refers to, and the member names it names."""
     modules = {m: _defined(ast.parse(text)) for m, text in sources.items()}
-    roots = set()
+    roots, names = set(), set()
     for path in sorted((ROOT / "perfbench").glob("*.py")):
         tree = ast.parse(path.read_text())
         roots |= _refs(tree, _scope("", tree, modules), modules)
-        for node in ast.walk(tree):  # span table rows ("fock", "q_eigensystem", ...)
+        names |= _names(tree)
+        for node in ast.walk(tree):  # span table rows ("channel", "ChannelEngine.__init__", ...)
             if isinstance(node, ast.Tuple) and len(node.elts) >= 2 and all(
                 isinstance(e, ast.Constant) and isinstance(e.value, str) for e in node.elts[:2]
             ):
                 module, dotted = node.elts[0].value, node.elts[1].value
-                if dotted.split(".")[0] in modules.get(module, {}):
-                    roots.add((module, dotted.split(".")[0]))
-    return roots
+                head, *rest = dotted.split(".")
+                if head in modules.get(module, {}):
+                    roots.add((module, head))
+                    names.update(rest)
+    return roots, names
 
 
 def test_every_package_name_has_a_caller():
     sources = _package_sources()
     assert {"cli", "channel", "fock", "polyalg"} <= set(sources)
-    roots = _command_roots() | _perfbench_roots(sources)
+    roots, names = _perfbench_roots(sources)
+    roots |= _command_roots()
     assert ("cli", "main") in roots and ("channel", "vacuum_match_fraction") in roots
-    stray = unreached(sources, roots)
+    assert "pauli_expectations" in names
+    stray = unreached(sources, roots, names)
     assert not stray, f"reached by no command and no benchmark (move to tests/oracles.py): {sorted(stray)}"
 
 
@@ -168,3 +242,42 @@ def unused():
     assert unreached({"m": source, "other": other}, {("m", "entry")}) == {"m.unused", "other.lonely"}
     # with no root, nothing is reached
     assert unreached({"m": source}, set()) == {"m.entry", "m._helper", "m.used", "m.unused"}
+
+
+def test_walker_flags_the_unread_members():
+    source = '''
+from dataclasses import dataclass
+
+@dataclass(frozen=True)
+class Point:
+    x: float
+    y: float
+    label: str = ""
+    weight: float = 1.0
+
+    def __post_init__(self):
+        _check(self.x)
+
+    @property
+    def norm2(self):
+        return self.x ** 2 + self.y ** 2
+
+    def scaled(self, s):
+        return _scale(self, s)
+
+def _check(x):
+    return x
+
+def _scale(p, s):
+    return Point(s * p.x, s * p.y)
+
+def entry():
+    return Point(1.0, 2.0, label="a").norm2
+'''
+    # `label` is only set by keyword; `weight` is never named, `scaled` never
+    # called, and `_scale` is reached only from the unread method
+    assert unreached({"m": source}, {("m", "entry")}) == {"m.Point.weight", "m.Point.scaled", "m._scale"}
+    # naming a member from outside, as perfbench may, reaches it and what it reads
+    assert unreached({"m": source}, {("m", "entry")}, {"scaled", "weight"}) == set()
+    # an unreached class is flagged whole, not member by member
+    assert unreached({"m": source}, set()) == {"m.Point", "m._check", "m._scale", "m.entry"}
