@@ -227,8 +227,9 @@ def ft_lower_bound(delta: float) -> BoundResult:
     the central-patch weight is (2 p_E(0) - 1)/C(Δ,λ), squared and mapped
     through F = 1/3 + (2/3)(...)².  Valid (non-vacuous interval restriction)
     for Δ below ≈ 0.372.  A Δ that takes Δ² or t/λ out of float range, above
-    about 1.3e154 or below about 1e-101, is refused.
+    about 1.3e154 or below about 1e-101, is refused, whatever its float type.
     """
+    delta = float(delta)  # an np.float64 would overflow to inf with a warning
     if not 0 < delta < math.inf:
         raise ValueError(f"delta must be positive and finite, got {delta}")
     try:

@@ -8,8 +8,8 @@ ideal-QEC logical state through the smeared Pauli measurement operators with
 surrounding QEC rounds).  Everything downstream — average gate fidelity
 from one engine's readout, T-state fidelity, (n̄, λ) sweeps whose rows mark
 each (gate, n̄)'s optimal λ, and the vacuum-state baseline — is assembled
-from single-state Pauli expectations.  That readout model is fixed;
-`ChannelConfig.smear` only switches Σ off, for the noiseless limit.
+from single-state Pauli expectations.  That readout model is the only one: the
+engine reads Σ from the config's (Δ, λ).
 
 The heavy objects, the position eigensystems at d_out and at the readout
 dimension, depend only on the truncation; they come from
@@ -25,6 +25,7 @@ postselection at one Δ share one posterior evaluation and one sort.
 from __future__ import annotations
 
 import ctypes
+import itertools
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -77,15 +78,7 @@ class ChannelConfig:
     gate: RationalPolynomial
     params: fock.GkpParams
     plan: fock.TruncationPlan = fock.TruncationPlan(d_init=256)
-    smear: bool = True
     target: str = "I"
-
-    def smear_matrix(self) -> np.ndarray | None:
-        """Measurement-noise covariance tanh(Δ²/2) diag(λ, 1/λ), None with `smear` off."""
-        if not self.smear:
-            return None
-        t = math.tanh(self.params.delta**2 / 2.0)
-        return t * np.diag([self.params.lam, 1.0 / self.params.lam])
 
 
 class ExpectationRangeError(ValueError):
@@ -132,7 +125,7 @@ class ChannelEngine:
             fock.q_eigensystem(d, cache_dir) for d in plan.eigensystem_dims)
         self.r2 = fock.number_parity_phases(self.d_temp)
 
-        self.g_z, self.h_x = fock.pauli_profiles(lam, config.smear_matrix(), self.x2, kernels)
+        self.g_z, self.h_x = fock.pauli_profiles(lam, config.params.delta, self.x2, kernels)
 
         c0 = fock.gkp_codeword(0, config.params.delta, lam, self.d_init)
         c1 = fock.gkp_codeword(1, config.params.delta, lam, self.d_init)
@@ -417,49 +410,14 @@ class VacuumResult:
     coarse_grid_warning: bool  # grid < COARSE_GRID
 
 
-@lru_cache(maxsize=1)
-def clifford_t_targets() -> np.ndarray:
-    """Bloch vectors of the 12 states Clifford-equivalent to the T state.
-
-    Generated as the orbit of (1, 1, 0)/sqrt(2) under the rotation images of
-    the single-qubit Clifford group <H, S>; the orbit size 12 is asserted.
-    """
-    h = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2.0)
-    s = np.diag([1.0, 1.0j]).astype(complex)
-
-    def bloch_map(u: np.ndarray) -> np.ndarray:
-        cols = []
-        for p in ("X", "Y", "Z"):
-            m = u @ PAULI[p] @ u.conj().T
-            cols.append([float(np.trace(PAULI[q] @ m).real) / 2.0 for q in ("X", "Y", "Z")])
-        return np.array(cols).T
-
-    group = [np.eye(2, dtype=complex)]
-    frontier = [np.eye(2, dtype=complex)]
-
-    def canon(u):
-        k = np.argmax(np.abs(u) > 1e-9)
-        ph = u.flat[k] / abs(u.flat[k])
-        return tuple(np.round(u.flatten() / ph, 9))
-
-    seen = {canon(np.eye(2, dtype=complex))}
-    while frontier:
-        nxt = []
-        for g in frontier:
-            for gen in (h, s):
-                cand = gen @ g
-                key = canon(cand)
-                if key not in seen:
-                    seen.add(key)
-                    group.append(cand)
-                    nxt.append(cand)
-        frontier = nxt
-    t_bloch = np.array([1.0, 1.0, 0.0]) / math.sqrt(2.0)
-    orbit = {tuple(np.round(bloch_map(u) @ t_bloch, 9)) for u in group}
-    targets = np.array(sorted(orbit))
-    if targets.shape[0] != 12:
-        raise RuntimeError(f"Clifford T-orbit has size {targets.shape[0]}, expected 12")
-    return targets
+# Bloch vectors of the 12 states Clifford-equivalent to the T state, the orbit
+# of (1, 1, 0)/√2 under <H, S>: the signed permutations of (a, a, 0), sorted,
+# with a = 1/√2 rounded to 9 decimals as the recorded references have it.
+_T_COMPONENT = 0.707106781
+CLIFFORD_T_TARGETS = np.array(sorted({
+    v for s in (_T_COMPONENT, -_T_COMPONENT) for r in (_T_COMPONENT, -_T_COMPONENT)
+    for v in itertools.permutations((s, r, 0.0))}))
+CLIFFORD_T_TARGETS.flags.writeable = False
 
 
 @lru_cache(maxsize=1)
@@ -470,7 +428,7 @@ def _ranked_cells(delta: float, grid: int) -> tuple[np.ndarray, np.ndarray]:
     One entry, read-only: the match fraction and every postselection at one
     (Δ, grid) share one posterior evaluation and one sort."""
     weights, bloch = analytic.vacuum_posterior_grid(delta, grid)
-    fid = 0.5 * (1.0 + bloch @ clifford_t_targets().T).max(axis=1)
+    fid = 0.5 * (1.0 + bloch @ CLIFFORD_T_TARGETS.T).max(axis=1)
     order = np.argsort(-fid)
     fid, weights = fid[order], weights[order]
     fid.flags.writeable = weights.flags.writeable = False

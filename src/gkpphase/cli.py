@@ -475,6 +475,18 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--out", default=None, help="output path (default stdout)")
 
+    # A sweep's grid and truncation.  `cache` takes them too, so a sweep's flags
+    # prewarm its cache unchanged; its eigensystems depend only on --dinit.
+    grid = argparse.ArgumentParser(add_help=False)
+    grid.add_argument("--nbar-min", type=float, default=2.0)
+    grid.add_argument("--nbar-max", type=float, default=12.0)
+    grid.add_argument("--nbar-step", type=float, default=1.0)
+    grid.add_argument("--lam-min", type=float, default=1.0)
+    grid.add_argument("--lam-max", type=float, default=5.0)
+    grid.add_argument("--lam-count", type=int, default=16)
+    grid.add_argument("--dinit", type=int, default=256)
+    grid.add_argument("--cache-dir", default=None, help="operator cache directory")
+
     p = sub.add_parser("synth", help="minimal polynomial phase gate synthesis")
     common(p)
     p.add_argument("--level", type=int, required=True, help="hierarchy level m >= 1")
@@ -488,19 +500,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=12345, help="seed of the random no-go circuits")
     p.set_defaults(func=cmd_verify_circuits)
 
-    p = sub.add_parser("sweep", help="(n_bar, lam) fidelity sweep for one or more gates")
+    p = sub.add_parser("sweep", parents=[grid],
+                       help="(n_bar, lam) fidelity sweep for one or more gates")
     common(p)
     p.add_argument("--gate", required=True, nargs="+", choices=sorted(polyalg.GATE_TABLE),
                    help="gates sharing one engine per (n_bar, lam); rows in this order")
-    p.add_argument("--nbar-min", type=float, default=2.0)
-    p.add_argument("--nbar-max", type=float, default=12.0)
-    p.add_argument("--nbar-step", type=float, default=1.0)
-    p.add_argument("--lam-min", type=float, default=1.0)
-    p.add_argument("--lam-max", type=float, default=5.0)
-    p.add_argument("--lam-count", type=int, default=16)
-    p.add_argument("--dinit", type=int, default=256)
     p.add_argument("--workers", type=int, default=1)
-    p.add_argument("--cache-dir", default=None, help="operator cache directory")
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("vacuum", help="vacuum-state magic state baseline")
@@ -530,20 +535,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--points", type=int, default=81)
     p.set_defaults(func=cmd_twirl_density)
 
-    p = sub.add_parser("cache", help="operator cache maintenance")
+    p = sub.add_parser("cache", parents=[grid], help="operator cache maintenance")
     common(p)
     p.add_argument("action", choices=("list", "purge", "prewarm"),
-                   help="every action needs --cache-dir")
-    p.add_argument("--dinit", type=int, default=256)
-    p.add_argument("--cache-dir", default=None, help="operator cache directory")
-    # Accepted so that a sweep's grid flags can be passed unchanged.
-    ignored = "ignored: the cached eigensystems depend only on --dinit"
-    p.add_argument("--nbar-min", type=float, default=2.0, help=ignored)
-    p.add_argument("--nbar-max", type=float, default=12.0, help=ignored)
-    p.add_argument("--nbar-step", type=float, default=1.0, help=ignored)
-    p.add_argument("--lam-min", type=float, default=1.0, help=ignored)
-    p.add_argument("--lam-max", type=float, default=5.0, help=ignored)
-    p.add_argument("--lam-count", type=int, default=16, help=ignored)
+                   help="every action needs --cache-dir; prewarm reads only --dinit "
+                        "of the sweep flags")
     p.set_defaults(func=cmd_cache)
 
     return top

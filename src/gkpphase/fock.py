@@ -23,9 +23,10 @@ evaluated in blocks of terms with one `np.exp` and one log-amplitude row per
 conjugate pair of centres, bitwise equal to a one-term-at-a-time loop
 (`_coherent_block`), over the lattice rectangle of `default_lattice_cut`.
 The Pauli measurement operators use one displacement series, cut at
-|2n+1| <= 59 (`PAULI_ODD`, `PAULI_WEIGHTS`), symmetric under u -> -u, so
-their kernels exponentiate half the columns and mirror the other half as
-conjugates (`pauli_kernels`).
+|2n+1| <= 59 (`PAULI_ODD`, `PAULI_WEIGHTS`), weighted by the readout smear
+Σ = tanh(Δ²/2) diag(λ, 1/λ) and symmetric under u -> -u, so their kernels
+exponentiate half the columns and mirror the other half as conjugates
+(`pauli_kernels`).
 """
 
 from __future__ import annotations
@@ -404,29 +405,21 @@ def pauli_kernels(lam: float, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return kernels[0], kernels[1]
 
 
-def pauli_profiles(
-    lam: float,
-    smear: np.ndarray | None,
-    x: np.ndarray,
-    kernels=None,
-) -> tuple[np.ndarray, np.ndarray]:
+def pauli_profiles(lam: float, delta: float, x: np.ndarray,
+                   kernels=None) -> tuple[np.ndarray, np.ndarray]:
     """Diagonal profiles of Z_m (over q eigenvalues) and X_m (over p ones).
 
     Z_m^λ = (1/π) Σ (-1)^n/(n+1/2) W(0, (2n+1)/sqrt(2λ)) is a function of q;
     X_m^λ = (1/π) Σ (-1)^n/(n+1/2) W((2n+1) sqrt(λ/2), 0) a function of p.
-    A smear covariance Σ (2x2; None for none) attenuates each displacement
+    The readout smear Σ = tanh(Δ²/2) diag(λ, 1/λ) attenuates each displacement
     term u by the Gaussian channel's exp(-π u^T Ω^T Σ Ω u), which for these
     single-axis terms is exp(-π Σ_00 u_p²) and exp(-π Σ_11 u_q²).  `kernels`
     stands in for `pauli_kernels`, for a caller that holds them across calls.
     """
     u_p = PAULI_ODD / math.sqrt(2.0 * lam)
     u_q = PAULI_ODD * math.sqrt(lam / 2.0)
-    z_w = x_w = PAULI_WEIGHTS
-    if smear is not None:
-        s = np.asarray(smear, dtype=float)
-        if s.shape != (2, 2):
-            raise ValueError("smear covariance must be 2x2")
-        z_w = PAULI_WEIGHTS * np.exp(-math.pi * (s[0, 0] * u_p**2))
-        x_w = PAULI_WEIGHTS * np.exp(-math.pi * (s[1, 1] * u_q**2))
+    t = math.tanh(delta**2 / 2.0)
+    z_w = PAULI_WEIGHTS * np.exp(-math.pi * (t * lam * u_p**2))
+    x_w = PAULI_WEIGHTS * np.exp(-math.pi * (t * (1.0 / lam) * u_q**2))
     z_kernel, x_kernel = (kernels or pauli_kernels)(lam, x)
     return z_kernel @ z_w, x_kernel @ x_w

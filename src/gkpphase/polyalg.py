@@ -238,17 +238,20 @@ def lift_representation(poly: RationalPolynomial, m: int) -> RationalPolynomial:
     return Fraction(2 ** (m - 1)) * (poly * poly)
 
 
-def verify_gate(poly: RationalPolynomial, m: int, k_range: int = 50) -> bool:
+VERIFY_RANGE = 50  # verify_gate checks the integers |k| <= this
+
+
+def verify_gate(poly: RationalPolynomial, m: int) -> bool:
     """Check the defining phase action: P(k) ≡ 0 (even k), 2^-m (odd k) mod 1.
 
     A degree-d polynomial integer-valued on d+1 consecutive integers is
-    integer-valued everywhere, so |k| <= deg+2 would suffice; |k| <= 50 is a
-    safety margin, not a correctness requirement.
+    integer-valued everywhere, so |k| <= deg+2 would suffice; |k| <=
+    `VERIFY_RANGE` is a safety margin, not a correctness requirement.
     """
     if m < 1:
         raise ValueError(f"verify_gate requires m >= 1, got {m!r}")
     target = Fraction(1, 2**m)
-    for k in range(-k_range, k_range + 1):
+    for k in range(-VERIFY_RANGE, VERIFY_RANGE + 1):
         val = poly(k)
         frac = val - (val.numerator // val.denominator)
         want = Fraction(0) if k % 2 == 0 else target

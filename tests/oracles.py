@@ -17,11 +17,13 @@ and the forms of them that only tests call.
   from `pauli_series_profiles`, the displacement series at any odd cut
   (`fock` holds the one at 59 as constants), whose kernels
   `pauli_series_kernels` take one `np.exp` per column.
+* `smear_matrix`, the readout smear Σ as a 2x2 covariance for the series.
 * `logical_expectation`, `average_gate_fidelity` and
   `average_gate_fidelity_reconstructed`: one Pauli expectation and the
   average gate fidelity through a fresh engine per config, and the average
   gate fidelity through explicit reconstruction of the 2x2 outputs
-  (`output_density`); `optima`, a sweep's per-(gate, n̄) optimum rows.
+  (`output_density`); `optima`, a sweep's per-(gate, n̄) optimum rows;
+  `clifford_t_orbit`, the <H, S> search behind `channel.CLIFFORD_T_TARGETS`.
 * `basis` (the dense-product L_n, n >= 1), `is_integer_valued`,
   `lex_compare` with `LexOrder`, `scale_argument` and `verify_control_gate`:
   exact-algebra checks no command needs, the last the phase check of a
@@ -379,6 +381,12 @@ def pauli_series_kernels(lam: float, x: np.ndarray, n_cut: int = 59) -> tuple[np
     return np.exp(1j * k * np.outer(x, u_p)), np.exp(-1j * k * np.outer(x, u_q))
 
 
+def smear_matrix(delta: float, lam: float) -> np.ndarray:
+    """The readout smear Σ = tanh(Δ²/2) diag(λ, 1/λ) that `fock.pauli_profiles`
+    builds from (Δ, λ), as the 2x2 covariance the series here take."""
+    return math.tanh(delta**2 / 2.0) * np.diag([lam, 1.0 / lam])
+
+
 def pauli_series_profiles(
     lam: float, smear: np.ndarray | None, x: np.ndarray, n_cut: int = 59
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -484,6 +492,46 @@ def average_gate_fidelity_reconstructed(readout: ch.LogicalReadout, target) -> f
         e_sigma = sum(alpha[j, k] * outs[name] for k, name in enumerate(ch.INPUT_ORDER))
         total += float(np.trace(u @ ch.PAULI[p] @ u.conj().T @ e_sigma).real)
     return (total + 4.0) / 12.0
+
+
+def clifford_t_orbit() -> np.ndarray:
+    """Bloch vectors of the 12 states Clifford-equivalent to the T state, sorted.
+
+    The orbit of (1, 1, 0)/sqrt(2) under the rotation images of the group
+    <H, S>, found by breadth-first search and rounded to 9 decimals: the form
+    `channel.CLIFFORD_T_TARGETS` must equal bit for bit.
+    """
+    h = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2.0)
+    s = np.diag([1.0, 1.0j]).astype(complex)
+
+    def bloch_map(u: np.ndarray) -> np.ndarray:
+        cols = []
+        for p in ("X", "Y", "Z"):
+            m = u @ ch.PAULI[p] @ u.conj().T
+            cols.append([float(np.trace(ch.PAULI[q] @ m).real) / 2.0 for q in ("X", "Y", "Z")])
+        return np.array(cols).T
+
+    def canon(u):
+        k = np.argmax(np.abs(u) > 1e-9)
+        ph = u.flat[k] / abs(u.flat[k])
+        return tuple(np.round(u.flatten() / ph, 9))
+
+    group = [np.eye(2, dtype=complex)]
+    frontier = list(group)
+    seen = {canon(group[0])}
+    while frontier:
+        nxt = []
+        for g in frontier:
+            for gen in (h, s):
+                cand = gen @ g
+                key = canon(cand)
+                if key not in seen:
+                    seen.add(key)
+                    group.append(cand)
+                    nxt.append(cand)
+        frontier = nxt
+    t_bloch = np.array([1.0, 1.0, 0.0]) / math.sqrt(2.0)
+    return np.array(sorted({tuple(np.round(bloch_map(u) @ t_bloch, 9)) for u in group}))
 
 
 # ---------------------------------------------------------------------------

@@ -56,6 +56,14 @@ def test_widths_must_be_positive_and_finite(bad):
             call()
 
 
+@pytest.mark.parametrize("delta", [1e155, 1e-160])
+def test_ft_lower_bound_refuses_out_of_range_numpy_delta(delta):
+    # an np.float64 is refused as a float of the same value is
+    for value in (delta, np.float64(delta)):
+        with pytest.raises(ValueError):
+            an.ft_lower_bound(value)
+
+
 def test_moments_match_cubic_density_quadrature():
     for delta in (0.25, 0.35):
         for lam in (1.5, 2.5):

@@ -98,12 +98,6 @@ def test_mirror_polynomials_perform_identically():
     assert abs(i1 - i2) < 1e-8
 
 
-def test_smear_disabled_improves_fidelity():
-    noisy = oracles.average_gate_fidelity(cfg("T3", lam=2.0))
-    clean = oracles.average_gate_fidelity(cfg("T3", lam=2.0, smear=False))
-    assert clean > noisy
-
-
 def test_truncation_leakage_raises():
     # the strong cubic at low headroom pushes amplitude to the output edge
     poly, _ = ch.GATE_TABLE["TGKP"]
@@ -152,7 +146,7 @@ def test_idle_fidelity_at_high_quality_states():
 
 
 def test_t_state_perfect_channel_limit():
-    config = cfg("T3", delta=0.15, lam=3.0, plan=PLAN_DESK, smear=False)
+    config = cfg("T3", delta=0.15, lam=3.0, plan=PLAN_DESK)
     assert ch.t_state_fidelity(config) > 0.999
 
 
@@ -232,7 +226,8 @@ def test_engine_matches_dense_oracles():
     plan, lam = config.plan, config.params.lam
     engine = ch.ChannelEngine(config)
     gate = oracles.poly_phase_gate(config.gate, lam, plan).matrix
-    paulis = {p: oracles.pauli_measurement_operator(p, lam, config.smear_matrix(), plan.d_out).matrix
+    smear = oracles.smear_matrix(config.params.delta, lam)
+    paulis = {p: oracles.pauli_measurement_operator(p, lam, smear, plan.d_out).matrix
               for p in ("X", "Y", "Z")}
     e0 = fk.gkp_codeword(0, 0.35, lam, plan.d_init)
     e1 = fk.gkp_codeword(1, 0.35, lam, plan.d_init)
@@ -279,9 +274,10 @@ def test_sweep_groups_equal_single_point_path():
 
 def test_sweep_held_pauli_kernels_match_fresh_evaluation():
     # the kernels held across λ and x changes against the profiles from scratch
-    smear = 0.03 * np.diag([2.0, 0.5])
+    delta = 0.25
 
     def fresh(lam, x):
+        smear = oracles.smear_matrix(delta, lam)
         odd, wts = fk.PAULI_ODD, fk.PAULI_WEIGHTS
         u_p, u_q = odd / math.sqrt(2.0 * lam), odd * math.sqrt(lam / 2.0)
         z_w = wts * np.exp(-math.pi * (smear[0, 0] * u_p**2))
@@ -292,8 +288,8 @@ def test_sweep_held_pauli_kernels_match_fresh_evaluation():
     x = fk.q_eigensystem(192)[0]
     other = np.linspace(-9.0, 9.0, x.size)
     for lam, xs in ((1.3, x), (2.6, x), (1.3, x), (1.3, other), (1.3, x.copy())):
-        assert [p.tobytes() for p in fk.pauli_profiles(lam, smear, xs)] == fresh(lam, xs)
-        held = fk.pauli_profiles(lam, smear, xs, kernels=ch._sweep_kernels)
+        assert [p.tobytes() for p in fk.pauli_profiles(lam, delta, xs)] == fresh(lam, xs)
+        held = fk.pauli_profiles(lam, delta, xs, kernels=ch._sweep_kernels)
         assert [p.tobytes() for p in held] == fresh(lam, xs), (lam, xs is other)
     ch._HELD_KERNELS.clear()
 
@@ -362,8 +358,10 @@ def test_pool_workers_pin_blas_to_one_thread():
 
 
 def test_clifford_t_orbit_size():
-    targets = ch.clifford_t_targets()
+    targets = ch.CLIFFORD_T_TARGETS
     assert targets.shape == (12, 3)
+    # the table is the <H, S> orbit, as uint64 words: signed zeros count
+    assert np.array_equal(targets.view(np.uint64), oracles.clifford_t_orbit().view(np.uint64))
     norms = np.linalg.norm(targets, axis=1)
     assert np.allclose(norms, 1.0)
     # includes the canonical T direction and the Hadamard one

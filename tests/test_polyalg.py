@@ -172,7 +172,7 @@ def test_degree_theorem_and_leading_law():
             assert abs(p.coeff(m)) == F(1, 2 * factorial(m))
             for k in range(1, m + 1):
                 assert abs(p.coeff(k)) <= F(1, 2 * factorial(k))
-            assert pa.verify_gate(p, m, k_range=m + 3)
+            assert pa.verify_gate(p, m)
 
 
 def test_degree_theorem_and_leading_law_at_level_10():
@@ -183,7 +183,7 @@ def test_degree_theorem_and_leading_law_at_level_10():
         assert abs(p.coeff(10)) == F(1, 2 * factorial(10))
         for k in range(1, 11):
             assert abs(p.coeff(k)) <= F(1, 2 * factorial(k))
-        assert pa.verify_gate(p, 10, k_range=13)
+        assert pa.verify_gate(p, 10)
 
 
 @pytest.mark.parametrize("m", range(1, 8))

@@ -17,11 +17,21 @@ without the bodies of its members, and the body of a reached member; dunder
 methods run implicitly, so they are reached with their class and never
 flagged.  A name or member only the tests reach belongs in
 `tests/oracles.py`.
+
+A parameter with a default, of a reached function or member, and a field
+with a default of a reached dataclass, must be passed by a call in reached
+code or in `perfbench/*.py`, by keyword or by position.  A call counts for
+the package definition it resolves to (a class call for its dataclass fields
+or its `__init__`, `cls(...)` in a classmethod for its class), and a call
+through an attribute (`x.name(...)`) for every member of that name.  A
+default no caller overrides is a constant; one only tests override belongs
+in the tests.
 """
 
 from __future__ import annotations
 
 import ast
+import math
 import re
 from pathlib import Path
 
@@ -137,12 +147,75 @@ def _names(node: ast.AST, skip: set[ast.AST] = frozenset()) -> set[str]:
     return out
 
 
-def unreached(sources: dict[str, str], roots: set[tuple[str, str]],
-              names: set[str] = frozenset()) -> set[str]:
-    """"module.name" of every definition in `sources` (module -> source text),
-    and "module.Class.member" of every member of a reached class, that nothing
-    reaches from `roots`, from the member `names` the roots name, or from a
-    module's defining-nothing top-level statements."""
+def _calls(node: ast.AST, scope: dict, modules: dict[str, dict],
+           skip: set[ast.AST] = frozenset(), cls: tuple[str, str] | None = None):
+    """(callee, positional count, keyword names) of each call in `node`.
+
+    The callee is ("def", module, name) for a package definition (the class
+    `cls`, given as (module, name), for a call of the name `cls`), or
+    ("attr", name) for a call through an attribute; other calls are left out.  A *splat counts as every position,
+    a **splat as every keyword ("**")."""
+    for sub in _walk(node, skip):
+        if not isinstance(sub, ast.Call):
+            continue
+        hit = _resolve(sub.func, scope, modules)
+        if hit is not None and hit[0] is not MODULE and hit[1] in modules.get(hit[0], {}):
+            callee = ("def", *hit)
+        elif isinstance(sub.func, ast.Name) and sub.func.id == "cls" and cls is not None:
+            callee = ("def", *cls)
+        elif isinstance(sub.func, ast.Attribute) and hit is None:
+            callee = ("attr", sub.func.attr)
+        else:
+            continue
+        starred = any(isinstance(a, ast.Starred) for a in sub.args)
+        yield (callee, math.inf if starred else len(sub.args),
+               {k.arg or "**" for k in sub.keywords})
+
+
+def _is_dataclass(node: ast.ClassDef) -> bool:
+    return any(isinstance(d, ast.Name) and d.id == "dataclass"
+               or isinstance(d, ast.Call) and getattr(d.func, "id", None) == "dataclass"
+               for d in node.decorator_list)
+
+
+def _defaulted(fn: ast.FunctionDef, bound: bool) -> list[tuple[str, float]]:
+    """(name, position) of each parameter of `fn` with a default; the first
+    parameter is dropped when bound, and keyword-only ones have no position."""
+    args = fn.args.posonlyargs + fn.args.args
+    pos = args[len(args) - len(fn.args.defaults):]
+    offset = len(args) - len(pos) - (1 if bound else 0)
+    kw = [(a.arg, math.inf) for a, d in zip(fn.args.kwonlyargs, fn.args.kw_defaults)
+          if d is not None]
+    return [(a.arg, offset + i) for i, a in enumerate(pos)] + kw
+
+
+def _params(m: str, cls: ast.ClassDef | None, fn: ast.stmt | None):
+    """(callee, label, position) of each defaulted parameter or dataclass field:
+    of a module function `fn`, of a class's constructor (`fn` None), or of a
+    member method `fn` of `cls`."""
+    if cls is None:
+        return [(("def", m, fn.name), f"{m}.{fn.name}.{a}", i) for a, i in _defaulted(fn, False)]
+    if fn is None:
+        init = next((n for n in cls.body if isinstance(n, ast.FunctionDef)
+                     and n.name == "__init__"), None)
+        if init is not None:
+            return [(("def", m, cls.name), f"{m}.{cls.name}.{a}", i)
+                    for a, i in _defaulted(init, True)]
+        if not _is_dataclass(cls):
+            return []
+        fields = [n for n in cls.body if isinstance(n, ast.AnnAssign)
+                  and isinstance(n.target, ast.Name)]
+        return [(("def", m, cls.name), f"{m}.{cls.name}.{n.target.id}", i)
+                for i, n in enumerate(fields) if n.value is not None]
+    static = any(getattr(d, "id", None) == "staticmethod" for d in fn.decorator_list)
+    return [(("attr", fn.name), f"{m}.{cls.name}.{fn.name}.{a}", i)
+            for a, i in _defaulted(fn, not static)]
+
+
+def _reach(sources: dict[str, str], roots: set[tuple[str, str]],
+           names: set[str] = frozenset()):
+    """What reached code reaches: the parsed modules, the seen definitions and
+    members, and the calls reached code makes."""
     trees = {m: ast.parse(text) for m, text in sources.items()}
     modules = {m: _defined(tree) for m, tree in trees.items()}
     members = {m: _members(tree) for m, tree in trees.items()}
@@ -152,10 +225,12 @@ def unreached(sources: dict[str, str], roots: set[tuple[str, str]],
             for node in table.values()}
     todo: set = set(roots)
     named = set(names)
+    calls: list = []
 
-    def read(m: str, node: ast.AST) -> None:
+    def read(m: str, node: ast.AST, cls: tuple[str, str] | None = None) -> None:
         todo.update(_refs(node, scopes[m], modules, skip))
         named.update(_names(node, skip))
+        calls.extend(_calls(node, scopes[m], modules, skip, cls))
 
     for m, tree in trees.items():
         for stmt in tree.body:
@@ -168,15 +243,53 @@ def unreached(sources: dict[str, str], roots: set[tuple[str, str]],
         node = members[m][name][member[0]] if member else modules.get(m, {}).get(name)
         if key not in seen and node is not None:
             seen.add(key)
-            read(m, node)
+            read(m, node, (m, name) if member else None)
         if not todo:  # the members of reached classes that reached code names
             todo.update({(m, c, x) for m, c, *_ in seen for x in members[m].get(c, {})
                          if x in named} - seen)
+    return modules, members, seen, calls
+
+
+def unreached(sources: dict[str, str], roots: set[tuple[str, str]],
+              names: set[str] = frozenset()) -> set[str]:
+    """"module.name" of every definition in `sources` (module -> source text),
+    and "module.Class.member" of every member of a reached class, that nothing
+    reaches from `roots`, from the member `names` the roots name, or from a
+    module's defining-nothing top-level statements."""
+    modules, members, seen, _ = _reach(sources, roots, names)
     stray = {f"{m}.{name}" for m, defined in modules.items() for name in defined
              if (m, name) not in seen and not _dunder(name)}
     return stray | {f"{m}.{c}.{x}" for m, classes in members.items()
                     for c, table in classes.items() if (m, c) in seen
                     for x in table if (m, c, x) not in seen}
+
+
+def unpassed(sources: dict[str, str], roots: set[tuple[str, str]],
+             names: set[str] = frozenset(), calls=()) -> set[str]:
+    """The defaulted parameters ("module.function.param",
+    "module.Class.method.param") and dataclass fields or constructor
+    parameters ("module.Class.param") of reached definitions that no reached
+    call, and none of `calls` (as `_calls` yields them), passes."""
+    modules, members, seen, reached_calls = _reach(sources, roots, names)
+    positions: dict[tuple, float] = {}
+    keywords: dict[tuple, set[str]] = {}
+    for callee, n_pos, kws in [*reached_calls, *calls]:
+        positions[callee] = max(positions.get(callee, 0), n_pos)
+        keywords.setdefault(callee, set()).update(kws)
+    params = []
+    for m, name, *member in seen:
+        node = modules[m][name]
+        if member:
+            fn = members[m][name][member[0]]
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                params += _params(m, node, fn)
+        elif isinstance(node, ast.ClassDef):
+            params += _params(m, node, None)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            params += _params(m, None, node)
+    return {label for callee, label, i in params
+            if not (positions.get(callee, 0) > i
+                    or keywords.get(callee, set()) & {label.rsplit(".", 1)[1], "**"})}
 
 
 def _package_sources() -> dict[str, str]:
@@ -189,14 +302,17 @@ def _command_roots() -> set[tuple[str, str]]:
     return set(re.findall(rf'"{PACKAGE}\.(\w+):(\w+)"', text))
 
 
-def _perfbench_roots(sources: dict[str, str]) -> tuple[set[tuple[str, str]], set[str]]:
-    """The package names `perfbench/*.py` refers to, and the member names it names."""
+def _perfbench_roots(sources: dict[str, str]) -> tuple[set[tuple[str, str]], set[str], list]:
+    """The package names `perfbench/*.py` refers to, the member names it
+    names, and its calls into the package (as `_calls` yields them)."""
     modules = {m: _defined(ast.parse(text)) for m, text in sources.items()}
-    roots, names = set(), set()
+    roots, names, calls = set(), set(), []
     for path in sorted((ROOT / "perfbench").glob("*.py")):
         tree = ast.parse(path.read_text())
-        roots |= _refs(tree, _scope("", tree, modules), modules)
+        scope = _scope("", tree, modules)
+        roots |= _refs(tree, scope, modules)
         names |= _names(tree)
+        calls.extend(_calls(tree, scope, modules))
         for node in ast.walk(tree):  # span table rows ("channel", "ChannelEngine.__init__", ...)
             if isinstance(node, ast.Tuple) and len(node.elts) >= 2 and all(
                 isinstance(e, ast.Constant) and isinstance(e.value, str) for e in node.elts[:2]
@@ -206,18 +322,26 @@ def _perfbench_roots(sources: dict[str, str]) -> tuple[set[tuple[str, str]], set
                 if head in modules.get(module, {}):
                     roots.add((module, head))
                     names.update(rest)
-    return roots, names
+    return roots, names, calls
 
 
 def test_every_package_name_has_a_caller():
     sources = _package_sources()
     assert {"cli", "channel", "fock", "polyalg"} <= set(sources)
-    roots, names = _perfbench_roots(sources)
+    roots, names, _ = _perfbench_roots(sources)
     roots |= _command_roots()
     assert ("cli", "main") in roots and ("channel", "vacuum_match_fraction") in roots
     assert "pauli_expectations" in names
     stray = unreached(sources, roots, names)
     assert not stray, f"reached by no command and no benchmark (move to tests/oracles.py): {sorted(stray)}"
+
+
+def test_every_default_is_passed_by_a_caller():
+    sources = _package_sources()
+    roots, names, calls = _perfbench_roots(sources)
+    assert (("def", "channel", "ChannelConfig"), 0, {"gate", "params", "plan", "target"}) in calls
+    unset = unpassed(sources, roots | _command_roots(), names, calls)
+    assert not unset, f"defaults no command and no benchmark overrides (make them constants): {sorted(unset)}"
 
 
 def test_walker_flags_exactly_the_unreached_function():
@@ -281,3 +405,42 @@ def entry():
     assert unreached({"m": source}, {("m", "entry")}, {"scaled", "weight"}) == set()
     # an unreached class is flagged whole, not member by member
     assert unreached({"m": source}, set()) == {"m.Point", "m._check", "m._scale", "m.entry"}
+
+
+def test_walker_flags_the_unpassed_defaults():
+    source = '''
+from dataclasses import dataclass
+
+@dataclass(frozen=True)
+class Config:
+    size: int
+    scale: float = 1.0
+    mode: str = "a"
+    label: str = ""
+
+    @classmethod
+    def square(cls, n, scale=2.0):
+        return cls(n, scale)
+
+    def grown(self, by=1, *, clip=False):
+        return Config(self.size + by, self.scale)
+
+def run(x, tol=1e-9, steps=10, verbose=False):
+    return x
+
+def entry():
+    c = Config.square(3).grown(2)
+    return run(c.size, 1e-6, verbose=True), Config(1, mode="b").mode, c.label
+
+def unused():
+    return run(1.0, 1e-3, 5), Config(2, label="b").grown(clip=True)
+'''
+    # `scale` goes by position through `cls`, `mode` and `verbose` by keyword,
+    # `by` and `tol` by position; what only the unread `unused` passes, as only
+    # a test might, counts not
+    want = {"m.Config.label", "m.Config.square.scale", "m.Config.grown.clip", "m.run.steps"}
+    assert unpassed({"m": source}, {("m", "entry")}) == want
+    # a call from outside, as perfbench's, passes by keyword or by a *splat
+    outside = [(("def", "m", "run"), 0, {"steps"}), (("attr", "grown"), 0, {"**"}),
+               (("def", "m", "Config"), math.inf, set())]
+    assert unpassed({"m": source}, {("m", "entry")}, calls=outside) == {"m.Config.square.scale"}
