@@ -12,8 +12,8 @@ from single-state Pauli expectations.  That readout model is the only one: the
 engine reads Σ from the config's (Δ, λ).
 
 The heavy objects, the position eigensystems at d_out and at the readout
-dimension, depend only on the truncation; they come from
-`fock.q_eigensystem`, which keeps them per process and, given a cache
+dimension (of each, the first d_out eigenvector rows), depend only on the
+truncation; `fock.q_eigensystem` keeps them per process and, given a cache
 directory, on disk.  The Pauli diagonals are one matvec per (Δ, λ) with
 kernels that depend on λ alone; a sweep visits its (n̄, λ) points λ by λ
 and holds the last λ's kernels (`_sweep_kernels`), other callers build them
@@ -106,8 +106,8 @@ class ChannelEngine:
     Uses the position eigenbasis twice: the gate is diagonal there at
     dimension d_out, and the smeared X/Z measurement operators are diagonal
     in the p/q eigenbases at dimension d_temp(d_out).  Only matrix-vector
-    products of those eigenvector matrices touch the state, so a single
-    evaluation costs a few d_temp² flops.
+    products with the first d_out rows of those eigenvector matrices touch the
+    state, so a single evaluation costs a few d_out·d_temp flops.
 
     The build (eigensystems, Pauli profiles, codeword pair) is gate-free; the
     gate enters per call, so one engine serves every gate at its (Δ, λ).
@@ -119,10 +119,10 @@ class ChannelEngine:
         plan = config.plan
         lam = config.params.lam
         self.d_init = plan.d_init
-        self.d_temp, self.d_out = plan.eigensystem_dims
-        # the readout's system (x2, v2) and the gate's (x1, v1), in the plan's order
+        (self.d_temp, self.d_out), _ = plan.eigensystem_dims
+        # the readout's (x2, v2) and the gate's (x1, v1), each its first d_out vector rows
         (self.x2, self.v2), (self.x1, self.v1) = (
-            fock.q_eigensystem(d, cache_dir) for d in plan.eigensystem_dims)
+            fock.q_eigensystem(d, rows, cache_dir) for d, rows in plan.eigensystem_dims)
         self.r2 = fock.number_parity_phases(self.d_temp)
 
         self.g_z, self.h_x = fock.pauli_profiles(lam, config.params.delta, self.x2, kernels)
@@ -173,13 +173,10 @@ class ChannelEngine:
         psi = self._apply_gate(self._gate_input(np.asarray(qubit, dtype=complex)), phase)
         norm2 = float(np.vdot(psi, psi).real)
         # Z_m is diagonal in the q eigenbasis, X_m in the p one (= R q R†).
-        head = self.v2[: self.d_out, :].T
-        wz = self._rmatvec(head, psi)
-        z_psi = self._rmatvec(self.v2[: self.d_out, :], self.g_z * wz)
-        wx = self._rmatvec(head, self.r2[: self.d_out].conj() * psi)
-        x_psi = self.r2[: self.d_out] * self._rmatvec(
-            self.v2[: self.d_out, :], self.h_x * wx
-        )
+        wz = self._rmatvec(self.v2.T, psi)
+        z_psi = self._rmatvec(self.v2, self.g_z * wz)
+        wx = self._rmatvec(self.v2.T, self.r2[: self.d_out].conj() * psi)
+        x_psi = self.r2[: self.d_out] * self._rmatvec(self.v2, self.h_x * wx)
         exp_z = float(np.vdot(psi, z_psi).real) / norm2
         exp_x = float(np.vdot(psi, x_psi).real) / norm2
         exp_y = -float(np.vdot(x_psi, z_psi).imag) / norm2
@@ -271,7 +268,11 @@ POINT_ERRORS = (fock.TruncationLeakageError, fock.DegeneratePairError, Expectati
 
 
 def _pin_blas_threads() -> None:
-    """Pool initializer: numpy's OpenBLAS at one thread per worker; a no-op without it."""
+    """Pool initializer: numpy's OpenBLAS at one thread per worker; a no-op without it.
+
+    scipy's own OpenBLAS, which runs the eigensolve, keeps its thread count.  That
+    is why `--workers 2` prints `--workers 1`'s bytes; at OPENBLAS_NUM_THREADS=1
+    the d = 2304 solve differs from the 2- and 4-thread one in the last bits."""
     lib = ctypes.CDLL(np.linalg._umath_linalg.__file__)
     getattr(lib, "scipy_openblas_set_num_threads64_", lambda _n: None)(1)
 
@@ -428,7 +429,8 @@ def _ranked_cells(delta: float, grid: int) -> tuple[np.ndarray, np.ndarray]:
     One entry, read-only: the match fraction and every postselection at one
     (Δ, grid) share one posterior evaluation and one sort."""
     weights, bloch = analytic.vacuum_posterior_grid(delta, grid)
-    fid = 0.5 * (1.0 + bloch @ CLIFFORD_T_TARGETS.T).max(axis=1)
+    # max before the monotone map 0.5 (1 + .): bitwise equal, one (grid², 12) temporary fewer
+    fid = 0.5 * (1.0 + (bloch @ CLIFFORD_T_TARGETS.T).max(axis=1))
     order = np.argsort(-fid)
     fid, weights = fid[order], weights[order]
     fid.flags.writeable = weights.flags.writeable = False

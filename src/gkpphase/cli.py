@@ -436,8 +436,8 @@ def cmd_cache(args) -> int:
         # the two eigensystems a sweep reads, in the order its engines solve them
         dims = fock.TruncationPlan(d_init=args.dinit).eigensystem_dims
         t0 = time.time()
-        for d in dims:
-            fock.q_eigensystem(d, args.cache_dir)
+        for d, rows in dims:
+            fock.q_eigensystem(d, rows, args.cache_dir)
         # two entries (values, vectors) per eigensystem
         _emit_json(args, {"prewarmed": 2 * len(dims), "seconds": time.time() - t0})
         return 0

@@ -14,8 +14,9 @@ then cut back, and gates keep their full output rows (d_out x d_init) so the
 output state lives at the higher dimension.  Every operator here is a
 function of one (possibly rotated) quadrature: polynomial phase gates and
 single-axis displacement sums are built from the eigensystem of the
-tridiagonal position matrix (`q_eigensystem`, the one provider of it), which
-equals exponentiating the same truncated generator.  The dense quadrature,
+tridiagonal position matrix (`q_eigensystem`, the one provider of it; it keeps
+the first d_out eigenvector rows, all a channel reads), which equals
+exponentiating the same truncated generator.  The dense quadrature,
 displacement, gate and Pauli-operator matrices live in `tests/oracles.py`.
 
 Codewords, sums of a few hundred to a thousand lattice coherent states, are
@@ -79,11 +80,12 @@ class TruncationPlan:
         return EXPAND_FACTOR * d
 
     @property
-    def eigensystem_dims(self) -> tuple[int, int]:
-        """The two q eigensystems a channel reads, in the order to solve them:
-        the readout's at d_temp(d_out), then the gate's at d_out.  The larger
-        first, so its solve peaks with no other eigenvector matrix resident."""
-        return self.d_temp(self.d_out), self.d_out
+    def eigensystem_dims(self) -> tuple[tuple[int, int], tuple[int, int]]:
+        """The two q eigensystems a channel reads, as (d, rows) in the order to
+        solve them: the readout's at d_temp(d_out), then the gate's at d_out,
+        each read in its first d_out rows.  The larger first, so its solve
+        peaks with no other eigenvector block resident."""
+        return (self.d_temp(self.d_out), self.d_out), (self.d_out, self.d_out)
 
 
 @dataclass(frozen=True)
@@ -149,37 +151,43 @@ class FockVector:
 
 
 @lru_cache(maxsize=6)
-def _q_eigensystem(d: int, directory: Path | None) -> tuple[np.ndarray, np.ndarray]:
+def _q_eigensystem(d: int, rows: int, directory: Path | None) -> tuple[np.ndarray, np.ndarray]:
     if directory is None:
         off = np.sqrt(np.arange(1.0, d) / 2.0)
         x, v = scipy.linalg.eigh_tridiagonal(np.zeros(d), off)
+        v = np.asfortranarray(v[:rows])  # packed (a no-op at rows == d): the d² matrix is freed
         # shared by every caller, like the read-only disk copy
         x.flags.writeable = v.flags.writeable = False
         return x, v
     cache = OperatorCache(directory)
-    key = {"d": d}
-    x = cache.get_or_create("qeig-values", key, lambda: _q_eigensystem(d, None)[0])
-    v = cache.get_or_create("qeig-vectors", key, lambda: _q_eigensystem(d, None)[1])
+    x = cache.get_or_create("qeig-values", {"d": d}, lambda: _q_eigensystem(d, rows, None)[0])
+    v = cache.get_or_create("qeig-vectors", {"d": d, "rows": rows},
+                            lambda: _q_eigensystem(d, rows, None)[1])
     return x, v
 
 
-def q_eigensystem(d: int, cache_dir: str | Path | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues and eigenvectors of the truncated position matrix.
+def q_eigensystem(d: int, rows: int,
+                  cache_dir: str | Path | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """All d eigenvalues of the truncated position matrix, and the first `rows`
+    rows of its eigenvectors as one column-major, read-only block.
 
     q is real symmetric tridiagonal (zero diagonal, off-diagonal
     sqrt((n+1)/2)), so this is cheap even at d of a few thousand.  The
-    p eigensystem follows from p = R q R† with R = diag(i^n).
+    p eigensystem follows from p = R q R† with R = diag(i^n).  A channel reads
+    d_out rows (`TruncationPlan.eigensystem_dims`): 768 x 2304, 14 MB, at d_init 256.
 
     This is the package's one provider of the object, backed by one bounded
-    in-process map keyed by d and the cache directory.  With a `cache_dir`,
-    the first call for d and that directory reads each half from the
-    `OperatorCache` there (a memory map in the solver's column-major layout,
-    so results are bitwise those of a fresh solve) or, when the file is
-    missing, writes it, taking the solution from memory when it is already
-    held there.  Later calls return the same arrays, so a mapped copy is
-    faulted in once per process.
+    in-process map keyed by (d, rows) and the cache directory.  With a
+    `cache_dir`, the first call reads each half from the `OperatorCache` there
+    (values keyed by d, vectors by d and rows; a memory map in the same
+    column-major layout, so results are bitwise those of a fresh solve) or,
+    when the file is missing, writes it, taking the solution from memory when
+    it is already held there.  Later calls return the same arrays, so a mapped
+    copy is faulted in once per process.
     """
-    return _q_eigensystem(d, None if cache_dir is None else Path(cache_dir))
+    if not 0 < rows <= d:
+        raise ValueError(f"rows must lie in [1, {d}], got {rows}")
+    return _q_eigensystem(d, rows, None if cache_dir is None else Path(cache_dir))
 
 
 @lru_cache(maxsize=4)

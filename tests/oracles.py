@@ -335,7 +335,8 @@ def displacement(v: tuple[float, float], d: int, plan: fk.TruncationPlan) -> Foc
     v_q, v_p = float(v[0]), float(v[1])
     if not (math.isfinite(v_q) and math.isfinite(v_p)):
         raise ValueError("displacement needs finite components")
-    x, vecs = fk.q_eigensystem(plan.d_temp(d))
+    dt = plan.d_temp(d)
+    x, vecs = fk.q_eigensystem(dt, dt)
     head = vecs[:d]
     w = (head * np.exp(1j * fk.SQRT2PI * math.hypot(v_q, v_p) * x)) @ head.T
     r = np.exp(-1j * math.atan2(v_q, v_p) * np.arange(d))
@@ -354,7 +355,7 @@ def poly_phase_gate(
     `channel.ChannelEngine` applies the same gate matrix-free.
     """
     dt = plan.d_temp(plan.d_init)
-    x, v = fk.q_eigensystem(dt)
+    x, v = fk.q_eigensystem(dt, dt)
     phases = fk.phase_profile(poly, lam, x)
     u = (v * phases) @ v.T
     return FockOperator(u[: plan.d_out, : plan.d_init])
@@ -432,7 +433,7 @@ def pauli_measurement_operator(
         y = 0.5j * (xm.matrix @ zm.matrix - zm.matrix @ xm.matrix)
         return FockOperator(y)
     dt = fk.EXPAND_FACTOR * d
-    x, v = fk.q_eigensystem(dt)
+    x, v = fk.q_eigensystem(dt, dt)
     g, h = pauli_series_profiles(lam, smear, x, n_cut)
     if which == "Z":
         mat = (v * g) @ v.T

@@ -233,7 +233,7 @@ def test_char_function_matches_fock_brute_force():
     n = np.arange(d)
     rho = np.diag(((nbar**n) / (1 + nbar) ** (n + 1)).astype(complex))
     dt = 3 * d
-    x2, v2 = fk.q_eigensystem(dt)
+    x2, v2 = fk.q_eigensystem(dt, dt)
     r2 = fk.number_parity_phases(dt)
     sq2 = math.sqrt(2.0)
 
@@ -310,7 +310,7 @@ def test_posterior_matches_fock_brute_force():
     n = np.arange(d)
     rho_diag = (nbar**n) / (1 + nbar) ** (n + 1)
     dt = 3 * d
-    x2, v2 = fk.q_eigensystem(dt)
+    x2, v2 = fk.q_eigensystem(dt, dt)
     r2 = fk.number_parity_phases(dt)
     sq2 = math.sqrt(2.0)
 

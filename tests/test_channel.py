@@ -2,6 +2,7 @@
 
 import ctypes
 import functools
+import json
 import math
 from concurrent.futures import ProcessPoolExecutor
 
@@ -176,6 +177,8 @@ def test_sweep_uses_operator_cache(tmp_path):
     cache = OperatorCache(tmp_path)
     d_temp = PLAN_SMALL.d_temp(PLAN_SMALL.d_out)
     assert cache.get("qeig-values", {"d": d_temp}) is not None
+    block = cache.get("qeig-vectors", {"d": d_temp, "rows": PLAN_SMALL.d_out})
+    assert block.shape == (PLAN_SMALL.d_out, d_temp)
     again = ch.sweep(["I"], n_bars, lams, PLAN_SMALL, cache_dir=tmp_path)
     assert again.rows == plain.rows
 
@@ -188,9 +191,9 @@ def _fresh_provider(monkeypatch):
 
 def test_one_provider_entry_per_cache_directory(tmp_path, monkeypatch):
     _fresh_provider(monkeypatch)
-    first = fk.q_eigensystem(32, str(tmp_path))
-    assert fk.q_eigensystem(32, tmp_path) is first
-    assert fk.q_eigensystem(32, f"{tmp_path}/") is first
+    first = fk.q_eigensystem(32, 32, str(tmp_path))
+    assert fk.q_eigensystem(32, 32, tmp_path) is first
+    assert fk.q_eigensystem(32, 32, f"{tmp_path}/") is first
 
 
 def test_sweep_rows_read_from_disk_equal_uncached(tmp_path, monkeypatch):
@@ -202,22 +205,39 @@ def test_sweep_rows_read_from_disk_equal_uncached(tmp_path, monkeypatch):
     cached = ch.sweep(["T3"], n_bars, lams, plan, cache_dir=tmp_path)
     assert len(plain.rows) >= 5
     assert cached.rows == plain.rows  # equal as floats, not just close
+    (d, rows), _ = plan.eigensystem_dims
+    mapped = fk.q_eigensystem(d, rows, tmp_path)[1]
+    assert mapped.shape == (rows, d) and mapped.flags.f_contiguous
+    assert mapped.tobytes() == fk.q_eigensystem(d, rows)[1].tobytes()
 
 
 def test_no_eigensolve_after_prewarm(tmp_path, monkeypatch):
     from gkpphase import cli
 
-    assert cli.dispatch(["cache", "prewarm", "--cache-dir", str(tmp_path),
-                         "--dinit", "64", "--out", str(tmp_path / "p.json")]) == 0
+    plan = fk.TruncationPlan(d_init=64)
+    plain = ch.sweep(["T3", "I"], [4.0], [1.0, 2.0], plan)
+    for action in ("prewarm", "list"):
+        assert cli.dispatch(["cache", action, "--cache-dir", str(tmp_path), "--dinit", "64",
+                             "--out", str(tmp_path / f"{action}.json")]) == 0
+    listed = json.loads((tmp_path / "list.json").read_text())["entries"]
+    assert sorted(e["shape"] for e in listed if e["kind"] == "qeig-vectors") == [
+        [plan.d_out, plan.d_out], [plan.d_out, plan.d_temp(plan.d_out)]]
     _fresh_provider(monkeypatch)
 
     def no_solve(*args, **kwargs):
         raise AssertionError("eigensolve after prewarm")
 
     monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", no_solve)
-    res = ch.sweep(["T3", "I"], [4.0], [1.0, 2.0], fk.TruncationPlan(d_init=64),
-                   cache_dir=tmp_path)
+    res = ch.sweep(["T3", "I"], [4.0], [1.0, 2.0], plan, cache_dir=tmp_path)
     assert len(res.rows) + len(res.failures) == 4 and res.rows
+    assert res.rows == plain.rows  # equal as floats, not just close
+
+
+def test_engine_holds_first_d_out_eigenvector_rows():
+    engine = ch.ChannelEngine(cfg())
+    d_out = PLAN_SMALL.d_out
+    assert engine.v2.shape == (d_out, PLAN_SMALL.d_temp(d_out))
+    assert engine.v1.shape == (d_out, d_out)
 
 
 def test_engine_matches_dense_oracles():
@@ -285,7 +305,7 @@ def test_sweep_held_pauli_kernels_match_fresh_evaluation():
         return [(np.exp(1j * fk.SQRT2PI * np.outer(x, u_p)) @ z_w).tobytes(),
                 (np.exp(-1j * fk.SQRT2PI * np.outer(x, u_q)) @ x_w).tobytes()]
 
-    x = fk.q_eigensystem(192)[0]
+    x = fk.q_eigensystem(192, 192)[0]
     other = np.linspace(-9.0, 9.0, x.size)
     for lam, xs in ((1.3, x), (2.6, x), (1.3, x), (1.3, other), (1.3, x.copy())):
         assert [p.tobytes() for p in fk.pauli_profiles(lam, delta, xs)] == fresh(lam, xs)
@@ -407,6 +427,19 @@ def test_vacuum_match_fraction_consistency():
     assert abs(frac - 0.25) < 0.01
     assert ch.vacuum_match_fraction(0.25, 1e-9, grid=100) == 0.0
     assert ch.vacuum_match_fraction(0.25, 0.5, grid=100) == 1.0
+
+
+@pytest.mark.parametrize("delta", [0.25, 0.24])
+def test_ranked_cells_fidelity_bitwise_with_max_first(delta):
+    # the max over targets taken before the map 0.5 (1 + .), against adding 1 first
+    weights, bloch = ch.analytic.vacuum_posterior_grid(delta, 500)
+    fid = 0.5 * (1.0 + bloch @ ch.CLIFFORD_T_TARGETS.T).max(axis=1)
+    order = np.argsort(-fid)
+    ch._ranked_cells.cache_clear()
+    got = ch._ranked_cells(delta, 500)
+    assert got[0].tobytes() == fid[order].tobytes()
+    assert got[1].tobytes() == weights[order].tobytes()
+    ch._ranked_cells.cache_clear()
 
 
 def test_ranked_cells_one_posterior_per_delta_and_grid(monkeypatch):

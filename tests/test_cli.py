@@ -326,11 +326,12 @@ def test_cache_roundtrip(tmp_path):
     assert json.loads(text)["prewarmed"] == 4
     code, text = run(tmp_path, "cache", "list", "--cache-dir", str(cache_dir))
     data = json.loads(text)
-    # the two eigensystems a sweep reads: d_out = 96 and d_temp = 288
+    # the two eigensystems a sweep reads, d_out = 96 and d_temp = 288, each
+    # with its first d_out eigenvector rows
     assert data["count"] == 4
     shapes = sorted((e["kind"], tuple(e["shape"])) for e in data["entries"])
     assert shapes == [("qeig-values", (96,)), ("qeig-values", (288,)),
-                      ("qeig-vectors", (96, 96)), ("qeig-vectors", (288, 288))]
+                      ("qeig-vectors", (96, 96)), ("qeig-vectors", (96, 288))]
     code, text = run(tmp_path, "cache", "purge", "--cache-dir", str(cache_dir))
     assert json.loads(text)["purged"] == 4
 

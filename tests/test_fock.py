@@ -29,6 +29,7 @@ def test_quadrature_contracts():
 def test_truncation_plan_defaults():
     plan = fk.TruncationPlan()
     assert (plan.d_init, plan.d_out, plan.d_temp(plan.d_out)) == (400, 1200, 3600)
+    assert plan.eigensystem_dims == ((3600, 1200), (1200, 1200))
     with pytest.raises(ValueError):
         fk.TruncationPlan(d_init=8)
 
@@ -151,6 +152,18 @@ def test_number_parity_phases_shared_and_read_only():
         r[0] = 2.0
 
 
+def test_q_eigensystem_block_is_leading_rows_of_full_solve():
+    # the block is packed from the solve: bitwise its first rows, column-major, read-only
+    x_full, v_full = fk.q_eigensystem(288, 288)
+    x, v = fk.q_eigensystem(288, 96)
+    assert x.tobytes() == x_full.tobytes()
+    assert v.shape == (96, 288) and v.flags.f_contiguous and not v.flags.writeable
+    assert v.tobytes() == v_full[:96].tobytes()
+    for rows in (0, 289):
+        with pytest.raises(ValueError):
+            fk.q_eigensystem(288, rows)
+
+
 def test_orthonormalize_contract():
     c0 = fk.gkp_codeword(0, 0.35, 1.0, 256)
     c1 = fk.gkp_codeword(1, 0.35, 1.0, 256)
@@ -269,7 +282,7 @@ def test_smear_rescales_leading_coefficient():
 @pytest.mark.parametrize("lam", [1.3, 3.7])
 def test_pauli_profiles_equal_series_at_59_bitwise(lam):
     # fock's one series against the oracle's at n_cut 59, with the readout smear
-    x = fk.q_eigensystem(240)[0]
+    x = fk.q_eigensystem(240, 240)[0]
     got = fk.pauli_profiles(lam, 0.3, x)
     want = oracles.pauli_series_profiles(lam, oracles.smear_matrix(0.3, lam), x, n_cut=59)
     assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
@@ -279,7 +292,7 @@ def test_pauli_profiles_equal_series_at_59_bitwise(lam):
 def test_pauli_kernels_equal_direct_exponential_bitwise():
     # half the columns exponentiated and mirrored as conjugates, against one
     # np.exp per column, as uint64 words: signed zeros count
-    xs = [fk.q_eigensystem(d)[0] for d in (768, 2304)]
+    xs = [fk.q_eigensystem(d, d)[0] for d in (768, 2304)]
     xs.append(np.array([0.0, -0.0, 1e-300, -1e-300, 5e-324, 0.5, -0.5, 40.0, -40.0]))
     for x in xs:
         for lam in (1.0, 1.267, 2.6, 4.4, 6.5):
