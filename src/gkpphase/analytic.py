@@ -288,7 +288,8 @@ def _posterior_sums(delta: float, vq_axis: np.ndarray, vp_axis: np.ndarray):
         )
         a = np.exp(-2j * math.pi * np.outer(vq_axis, up))  # (Nq, s_p)
         b = np.exp(2j * math.pi * np.outer(vp_axis, uq))  # (Np, s_q)
-        out[mu] = (a @ coeff.T @ b.T).real  # (Nq, Np), real by term pairing
+        # (Nq, Np), real by term pairing; a copy, as a `.real` view keeps the complex product
+        out[mu] = np.ascontiguousarray((a @ coeff.T @ b.T).real)
     return out
 
 
@@ -302,12 +303,12 @@ def vacuum_posterior_grid(delta: float, n_grid: int) -> tuple[np.ndarray, np.nda
         raise ValueError("n_grid must be at least 2")
     centers = (np.arange(n_grid) + 0.5) / n_grid * 2.0 * PATCH_HALF - PATCH_HALF
     sums = _posterior_sums(delta, centers, centers)
-    g_i = sums["I"]
+    g_i = sums.pop("I")
     if np.min(g_i) <= 0:
         raise AccuracyError(f"posterior density non-positive (min {np.min(g_i):.3e}) "
                             f"at delta {delta} on a {n_grid}-point grid")
     weights = (g_i / g_i.sum()).ravel()
-    bloch = np.stack(
-        [(sums[mu] / g_i).ravel() for mu in ("X", "Y", "Z")], axis=1
-    )
+    bloch = np.empty((weights.size, 3))
+    for j, mu in enumerate(("X", "Y", "Z")):  # each sum is released once divided
+        np.divide(sums.pop(mu).ravel(), g_i.ravel(), out=bloch[:, j])
     return weights, bloch

@@ -15,9 +15,10 @@ The heavy objects, the position eigensystems at d_out and at the readout
 dimension (of each, the first d_out eigenvector rows), depend only on the
 truncation; `fock.q_eigensystem` keeps them per process and, given a cache
 directory, on disk.  The Pauli diagonals are one matvec per (Δ, λ) with
-kernels that depend on λ alone; a sweep visits its (n̄, λ) points λ by λ
-and holds the last λ's kernels (`_sweep_kernels`), other callers build them
-per engine.  The vacuum baseline keeps one ranking of the posterior cells,
+kernels that depend on λ alone, which `fock` keeps per process for the last
+16 λ (at most 35 MB at d_init 256): a sweep visits its (n̄, λ) points λ by λ,
+and criterion 10's two Δ over one λ grid exponentiate each λ's kernels once.
+The vacuum baseline keeps one ranking of the posterior cells,
 that of the last (Δ, grid) (`_ranked_cells`), so the match fraction and every
 postselection at one Δ share one posterior evaluation and one sort.
 """
@@ -110,11 +111,12 @@ class ChannelEngine:
     state, so a single evaluation costs a few d_out·d_temp flops.
 
     The build (eigensystems, Pauli profiles, codeword pair) is gate-free; the
-    gate enters per call, so one engine serves every gate at its (Δ, λ).
-    `kernels` is handed to `fock.pauli_profiles` (default: built afresh).
+    gate enters per call, so one engine serves every gate at its (Δ, λ).  Its
+    Pauli kernels come from `fock`'s per-process provider, so engines at one λ
+    and any Δ exponentiate them once.
     """
 
-    def __init__(self, config: ChannelConfig, cache_dir=None, kernels=None):
+    def __init__(self, config: ChannelConfig, cache_dir=None):
         self.config = config
         plan = config.plan
         lam = config.params.lam
@@ -125,7 +127,7 @@ class ChannelEngine:
             fock.q_eigensystem(d, rows, cache_dir) for d, rows in plan.eigensystem_dims)
         self.r2 = fock.number_parity_phases(self.d_temp)
 
-        self.g_z, self.h_x = fock.pauli_profiles(lam, config.params.delta, self.x2, kernels)
+        self.g_z, self.h_x = fock.pauli_profiles(lam, config.params.delta, self.x2)
 
         c0 = fock.gkp_codeword(0, config.params.delta, lam, self.d_init)
         c1 = fock.gkp_codeword(1, config.params.delta, lam, self.d_init)
@@ -277,25 +279,12 @@ def _pin_blas_threads() -> None:
     getattr(lib, "scipy_openblas_set_num_threads64_", lambda _n: None)(1)
 
 
-_HELD_KERNELS: dict = {}
-
-
-def _sweep_kernels(lam: float, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """`fock.pauli_kernels`, holding the last (λ, x) pair in this process
-    until the sweep ends: the kernels are free of Δ and a sweep runs λ by λ."""
-    key = (lam, x.tobytes())
-    if key not in _HELD_KERNELS:
-        _HELD_KERNELS.clear()
-        _HELD_KERNELS[key] = fock.pauli_kernels(lam, x)
-    return _HELD_KERNELS[key]
-
-
 def _sweep_group(args) -> list[tuple[int, float | None, float | None, str | None]]:
     """Every gate at one (n̄, λ) through one engine; failures are reported, not
     raised.  A failed build fails every gate, a post-gate failure only its own."""
     points, config, cache_dir = args
     try:
-        engine = ChannelEngine(config, cache_dir, _sweep_kernels)
+        engine = ChannelEngine(config, cache_dir)
     except POINT_ERRORS as exc:
         return [(idx, None, None, str(exc)) for idx, _label in points]
     out = []
@@ -338,8 +327,8 @@ def sweep(
             raise ValueError(f"unknown gate {g!r}; known: {sorted(GATE_TABLE)}")
 
     # One task per (n̄, λ): (grid index, gate) of every gate, and the engine's
-    # config.  λ-major, so consecutive engines share the held Pauli kernels;
-    # pool workers take them in that order too.
+    # config.  λ-major, so consecutive engines share their λ's Pauli kernels
+    # in `fock`'s provider; pool workers take them in that order too.
     groups = [
         ([((gi * len(n_bars) + ni) * len(lams) + li, g) for gi, g in enumerate(gates)],
          ChannelConfig(GATE_TABLE[gates[0]][0], fock.GkpParams.from_n_bar(nb, lam), plan),
@@ -361,7 +350,6 @@ def sweep(
             failures[idx] = err
         else:
             results[idx] = (inf, t_inf)
-    _HELD_KERNELS.clear()
 
     rows: list[SweepRow] = []
     for gi, g in enumerate(gates):
@@ -429,8 +417,11 @@ def _ranked_cells(delta: float, grid: int) -> tuple[np.ndarray, np.ndarray]:
     One entry, read-only: the match fraction and every postselection at one
     (Δ, grid) share one posterior evaluation and one sort."""
     weights, bloch = analytic.vacuum_posterior_grid(delta, grid)
-    # max before the monotone map 0.5 (1 + .): bitwise equal, one (grid², 12) temporary fewer
-    fid = 0.5 * (1.0 + (bloch @ CLIFFORD_T_TARGETS.T).max(axis=1))
+    # the max over targets per 2^15 cells, so no (grid², 12) product is formed, then
+    # the monotone map 0.5 (1 + .): bitwise equal to mapping first
+    fid = np.concatenate([(bloch[s : s + (1 << 15)] @ CLIFFORD_T_TARGETS.T).max(axis=1)
+                          for s in range(0, len(bloch), 1 << 15)])
+    fid = 0.5 * (1.0 + fid)
     order = np.argsort(-fid)
     fid, weights = fid[order], weights[order]
     fid.flags.writeable = weights.flags.writeable = False

@@ -27,7 +27,9 @@ The Pauli measurement operators use one displacement series, cut at
 |2n+1| <= 59 (`PAULI_ODD`, `PAULI_WEIGHTS`), weighted by the readout smear
 Σ = tanh(Δ²/2) diag(λ, 1/λ) and symmetric under u -> -u, so their kernels
 exponentiate half the columns and mirror the other half as conjugates
-(`pauli_kernels`).
+(`pauli_kernels`).  The exponentiated halves depend on λ and x alone; one
+bounded per-process provider keeps those of the last 16 (λ, x), at most 35 MB
+at a readout dimension of 2304 (d_init 256).
 """
 
 from __future__ import annotations
@@ -393,41 +395,47 @@ PAULI_ODD = 2 * _PAULI_NS + 1
 PAULI_WEIGHTS = ((-1.0) ** _PAULI_NS) / (_PAULI_NS + 0.5) / math.pi
 
 
+@lru_cache(maxsize=16)
+def _kernel_halves(lam: float, x_bytes: bytes) -> tuple[np.ndarray, np.ndarray]:
+    """The u > 0 halves of the Z_m and X_m kernels at (λ, x), read-only; 16 (λ, x) held."""
+    x, u = np.frombuffer(x_bytes), PAULI_ODD[PAULI_ODD.size // 2 :]
+    z = np.exp((1j * SQRT2PI) * np.outer(x, u / math.sqrt(2.0 * lam)))
+    p = np.exp((-1j * SQRT2PI) * np.outer(x, u * math.sqrt(lam / 2.0)))
+    z.flags.writeable = p.flags.writeable = False
+    return z, p
+
+
 def pauli_kernels(lam: float, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """exp(±i sqrt(2π) x u) of the Z_m and X_m displacement sums; free of Δ.
 
     Column 29 - i of `PAULI_ODD` is the negation of column 30 + i, so `np.exp`
-    runs only for the 30 columns with u > 0 and the other 30 are their
-    conjugates: bitwise the direct exponential of every column (tests/oracles.py).
+    runs only for the 30 columns with u > 0 (`_kernel_halves`, kept per (λ, x))
+    and the other 30 are their conjugates: bitwise the direct exponential of
+    every column (tests/oracles.py).
     """
     h = PAULI_ODD.size // 2
-    kernels = []
-    for scale, u in ((1j * SQRT2PI, PAULI_ODD[h:] / math.sqrt(2.0 * lam)),
-                     (-1j * SQRT2PI, PAULI_ODD[h:] * math.sqrt(lam / 2.0))):
-        k = np.empty((x.size, 2 * h), dtype=complex)
-        np.exp(scale * np.outer(x, u), out=k[:, h:])
-        np.conjugate(k[:, : h - 1 : -1], out=k[:, :h])
-        # where x u = ±0 the direct form gives +0.0, not the conjugate's -0.0
-        k.imag[:, :h] += 0.0
-        kernels.append(k)
-    return kernels[0], kernels[1]
+    # both in one block: one allocation (huge pages from numpy's 4 MB) faults in fewer pages
+    k = np.empty((2, len(x), 2 * h), dtype=complex)
+    for full, half in zip(k, _kernel_halves(lam, np.asarray(x, dtype=float).tobytes())):
+        full[:, h:] = half
+        np.conjugate(half[:, ::-1], out=full[:, :h])
+    k.imag[..., :h] += 0.0  # where x u = ±0 the direct form gives +0.0, not the conjugate's -0.0
+    return k[0], k[1]
 
 
-def pauli_profiles(lam: float, delta: float, x: np.ndarray,
-                   kernels=None) -> tuple[np.ndarray, np.ndarray]:
+def pauli_profiles(lam: float, delta: float, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Diagonal profiles of Z_m (over q eigenvalues) and X_m (over p ones).
 
     Z_m^λ = (1/π) Σ (-1)^n/(n+1/2) W(0, (2n+1)/sqrt(2λ)) is a function of q;
     X_m^λ = (1/π) Σ (-1)^n/(n+1/2) W((2n+1) sqrt(λ/2), 0) a function of p.
     The readout smear Σ = tanh(Δ²/2) diag(λ, 1/λ) attenuates each displacement
     term u by the Gaussian channel's exp(-π u^T Ω^T Σ Ω u), which for these
-    single-axis terms is exp(-π Σ_00 u_p²) and exp(-π Σ_11 u_q²).  `kernels`
-    stands in for `pauli_kernels`, for a caller that holds them across calls.
+    single-axis terms is exp(-π Σ_00 u_p²) and exp(-π Σ_11 u_q²).
     """
     u_p = PAULI_ODD / math.sqrt(2.0 * lam)
     u_q = PAULI_ODD * math.sqrt(lam / 2.0)
     t = math.tanh(delta**2 / 2.0)
     z_w = PAULI_WEIGHTS * np.exp(-math.pi * (t * lam * u_p**2))
     x_w = PAULI_WEIGHTS * np.exp(-math.pi * (t * (1.0 / lam) * u_q**2))
-    z_kernel, x_kernel = (kernels or pauli_kernels)(lam, x)
+    z_kernel, x_kernel = pauli_kernels(lam, x)
     return z_kernel @ z_w, x_kernel @ x_w

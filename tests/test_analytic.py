@@ -299,6 +299,24 @@ def test_posterior_cut_4_equals_cut_6_bitwise(monkeypatch):
             assert cut4[mu].tobytes() == cut6[mu].tobytes(), (delta, mu)
 
 
+def test_posterior_sums_are_contiguous_real_copies():
+    centers = np.linspace(-0.5, 0.5, 30)
+    for mu, g in an._posterior_sums(0.25, centers, centers).items():
+        assert g.dtype == np.float64 and g.flags.c_contiguous and g.base is None, mu
+
+
+@pytest.mark.parametrize("delta", [0.25, 0.24])
+def test_posterior_bloch_columns_bitwise_stacked_quotients(delta):
+    # the Bloch array filled column by column, against stacking the quotients
+    n = 500
+    centers = (np.arange(n) + 0.5) / n * 2.0 * an.PATCH_HALF - an.PATCH_HALF
+    sums = an._posterior_sums(delta, centers, centers)
+    want = np.stack([(sums[mu] / sums["I"]).ravel() for mu in ("X", "Y", "Z")], axis=1)
+    weights, bloch = an.vacuum_posterior_grid(delta, n)
+    assert bloch.shape == (n * n, 3) and bloch.tobytes() == want.tobytes()
+    assert weights.tobytes() == (sums["I"] / sums["I"].sum()).ravel().tobytes()
+
+
 def test_posterior_matches_fock_brute_force():
     """g_mu(v) = tr[rho W(v) Pi_mu W(v)^dag] at d = 300."""
     import itertools

@@ -292,31 +292,43 @@ def test_sweep_groups_equal_single_point_path():
     assert len(rows) + len(failed) == len(GROUP_GATES) * len(n_bars) * len(lams)
 
 
-def test_sweep_held_pauli_kernels_match_fresh_evaluation():
-    # the kernels held across λ and x changes against the profiles from scratch
-    delta = 0.25
-
-    def fresh(lam, x):
-        smear = oracles.smear_matrix(delta, lam)
-        odd, wts = fk.PAULI_ODD, fk.PAULI_WEIGHTS
-        u_p, u_q = odd / math.sqrt(2.0 * lam), odd * math.sqrt(lam / 2.0)
-        z_w = wts * np.exp(-math.pi * (smear[0, 0] * u_p**2))
-        x_w = wts * np.exp(-math.pi * (smear[1, 1] * u_q**2))
-        return [(np.exp(1j * fk.SQRT2PI * np.outer(x, u_p)) @ z_w).tobytes(),
-                (np.exp(-1j * fk.SQRT2PI * np.outer(x, u_q)) @ x_w).tobytes()]
-
-    x = fk.q_eigensystem(192, 192)[0]
-    other = np.linspace(-9.0, 9.0, x.size)
-    for lam, xs in ((1.3, x), (2.6, x), (1.3, x), (1.3, other), (1.3, x.copy())):
-        assert [p.tobytes() for p in fk.pauli_profiles(lam, delta, xs)] == fresh(lam, xs)
-        held = fk.pauli_profiles(lam, delta, xs, kernels=ch._sweep_kernels)
-        assert [p.tobytes() for p in held] == fresh(lam, xs), (lam, xs is other)
-    ch._HELD_KERNELS.clear()
+CRITERION_10_LAMS = np.linspace(1.0, 5.0, 16).tolist()
 
 
-def test_sweep_holds_no_kernels_after_it_returns():
-    ch.sweep(["I"], [2.0], [1.0, 1.4], PLAN_SMALL)
-    assert ch._HELD_KERNELS == {}
+def _t3_state_infidelities(delta, clear_each=False):
+    out = []
+    for lam in CRITERION_10_LAMS:
+        if clear_each:
+            fk._kernel_halves.cache_clear()
+        config = cfg("T3", delta=delta, lam=lam, plan=PLAN_DESK)
+        out.append(1.0 - ch.t_state_fidelity(config))
+    return out
+
+
+def test_criterion_10_builds_each_lambdas_kernels_once():
+    # both Δ of criterion 10 over its 16 λ: 16 kernel misses, not 32, and the
+    # same bits as an infidelity from a cleared provider
+    fk._kernel_halves.cache_clear()
+    warm = _t3_state_infidelities(0.25) + _t3_state_infidelities(0.24)
+    info = fk._kernel_halves.cache_info()
+    assert (info.misses, info.hits) == (16, 16)
+    cold = _t3_state_infidelities(0.25, True) + _t3_state_infidelities(0.24, True)
+    assert [repr(v) for v in warm] == [repr(v) for v in cold]
+    fk._kernel_halves.cache_clear()
+
+
+def test_sweep_rows_unchanged_by_kernels_warm_from_another_delta():
+    n_bars, lams = [4.0, 6.0], [1.0, 2.0]
+    fk._kernel_halves.cache_clear()
+    cold = ch.sweep(["T3", "I"], n_bars, lams, PLAN_SMALL)
+    fk._kernel_halves.cache_clear()
+    for lam in lams:
+        ch.t_state_fidelity(cfg("T3", delta=0.3, lam=lam))
+    misses = fk._kernel_halves.cache_info().misses
+    warm = ch.sweep(["T3", "I"], n_bars, lams, PLAN_SMALL)
+    assert fk._kernel_halves.cache_info().misses == misses == len(lams)
+    assert len(cold.rows) == 8 and warm == cold  # equal as floats, not just close
+    fk._kernel_halves.cache_clear()
 
 
 def test_sweep_builds_codewords_once_per_group(monkeypatch):

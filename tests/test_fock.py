@@ -303,6 +303,50 @@ def test_pauli_kernels_equal_direct_exponential_bitwise():
                 assert np.array_equal(g.view(np.uint64), w.view(np.uint64)), (x.size, lam)
 
 
+def test_pauli_kernel_provider_matches_fresh_evaluation():
+    # the provider's kernels across λ and x changes and x copies, cold and
+    # warm, against the profiles from scratch
+    delta = 0.25
+
+    def fresh(lam, x):
+        smear = oracles.smear_matrix(delta, lam)
+        odd, wts = fk.PAULI_ODD, fk.PAULI_WEIGHTS
+        u_p, u_q = odd / math.sqrt(2.0 * lam), odd * math.sqrt(lam / 2.0)
+        z_w = wts * np.exp(-math.pi * (smear[0, 0] * u_p**2))
+        x_w = wts * np.exp(-math.pi * (smear[1, 1] * u_q**2))
+        return [(np.exp(1j * fk.SQRT2PI * np.outer(x, u_p)) @ z_w).tobytes(),
+                (np.exp(-1j * fk.SQRT2PI * np.outer(x, u_q)) @ x_w).tobytes()]
+
+    x = fk.q_eigensystem(192, 192)[0]
+    other = np.linspace(-9.0, 9.0, x.size)
+    fk._kernel_halves.cache_clear()
+    for rounds in (1, 2):
+        for lam, xs in ((1.3, x), (2.6, x), (1.3, x), (1.3, other), (1.3, x.copy())):
+            got = fk.pauli_profiles(lam, delta, xs)
+            assert [p.tobytes() for p in got] == fresh(lam, xs), (rounds, lam, xs is other)
+        info = fk._kernel_halves.cache_info()
+        assert (info.misses, info.hits) == (3, 5 * rounds - 3)
+    fk._kernel_halves.cache_clear()
+
+
+def test_pauli_kernel_provider_is_bounded_and_read_only():
+    x = np.linspace(-6.0, 6.0, 40)
+    fk._kernel_halves.cache_clear()
+    for lam in np.linspace(1.0, 5.0, 17):
+        fk.pauli_kernels(float(lam), x)
+    info = fk._kernel_halves.cache_info()
+    assert info.maxsize == 16 and info.currsize == 16 and info.misses == 17
+    halves = fk._kernel_halves(5.0, x.tobytes())
+    assert fk._kernel_halves.cache_info().misses == 17  # the newest λ is held
+    for half in halves:
+        assert half.shape == (40, 30)
+        with pytest.raises(ValueError):
+            half[0, 0] = 0.0
+    fk.pauli_kernels(1.0, x)
+    assert fk._kernel_halves.cache_info().misses == 18  # the oldest λ went
+    fk._kernel_halves.cache_clear()
+
+
 def test_pauli_n_cut_convergence():
     # Doubling the displacement cut leaves smeared-operator expectations
     # unchanged at 1e-8 (the smear suppresses tail terms exponentially; the
