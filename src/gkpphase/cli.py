@@ -3,7 +3,8 @@
 Subcommands: synth, verify-circuits, sweep, vacuum, moments, ft-bound,
 twirl-density, cache.  Outputs are written atomically (temp file + rename),
 carry a schema_version field, and are deterministic for a fixed
-configuration (and, for verify-circuits, --seed).  Exit codes: 0 success,
+configuration (and, for verify-circuits, --seed).  An argument @FILE is
+replaced by the lines of FILE, one argument per line.  Exit codes: 0 success,
 1 validation error, 2 numeric failure (for sweep: some points failed; the
 CSV holds the rest).
 """
@@ -11,7 +12,6 @@ CSV holds the rest).
 from __future__ import annotations
 
 import argparse
-import configparser
 import json
 import math
 import sys
@@ -50,58 +50,10 @@ def _emit_csv(args, header: list[str], rows: list[list]) -> None:
     _atomic_write(args.out, "\n".join(lines) + "\n")
 
 
-def _subcommand_flags(parser: argparse.ArgumentParser) -> dict[str, dict[str, argparse.Action]]:
-    """Each subcommand's flags, by option string."""
-    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    return {name: {opt: a for a in p._actions for opt in a.option_strings}
-            for name, p in sub.choices.items()}
-
-
 def _count(flag: str, n: int) -> None:
     """Refuse a count flag's value below 1."""
     if n < 1:
         raise ValueError(f"{flag} must be at least 1, got {n}")
-
-
-def _load_config_defaults(parser: argparse.ArgumentParser, argv: list[str]) -> list[str]:
-    """Apply key=value defaults from --config <file>.
-
-    A key of the subcommand's own section is always passed on, so one the
-    subcommand does not take is an error; a [global] key only reaches the
-    subcommands that take that flag, and one that no subcommand takes is an
-    error.
-    """
-    if "--config" not in argv:
-        return argv
-    i = argv.index("--config")
-    if i + 1 == len(argv):
-        parser.error("--config needs a file path")
-    path = argv[i + 1]
-    rest = argv[:i] + argv[i + 2 :]
-    cp = configparser.ConfigParser()
-    try:
-        with open(path) as fh:
-            cp.read_file(fh)
-    except (OSError, configparser.Error) as exc:
-        parser.error(f"cannot read --config file: {exc}")
-    section = rest[0] if rest and not rest[0].startswith("-") else "global"
-    table = _subcommand_flags(parser)
-    flags = table.get(section, {})
-    injected: list[str] = []
-    for sec in ("global", section):
-        if cp.has_section(sec):
-            for key, val in cp.items(sec):
-                flag = f"--{key.replace('_', '-')}"
-                if sec == "global" and not any(flag in f for f in table.values()):
-                    parser.error(f"[global] key {key!r} is no subcommand's flag")
-                if flag in rest or (sec == "global" and flag not in flags):
-                    continue
-                # one token per value, so a path with spaces stays whole
-                multi = flag in flags and flags[flag].nargs == "+"
-                injected.extend([flag, *val.split()] if multi else [flag, val])
-    if rest and not rest[0].startswith("-"):
-        return [rest[0]] + injected + rest[1:]
-    return injected + rest
 
 
 # ---------------------------------------------------------------------------
@@ -240,7 +192,7 @@ def cmd_verify_circuits(args) -> int:
         delta = 0.21
         dq, dp = symplectic.biasing_update(delta, lam)
         state = symplectic.CovState(
-            np.zeros(4), np.diag([delta**2, delta**2 / lam, delta**2, lam * delta**2])
+            np.diag([delta**2, delta**2 / lam, delta**2, lam * delta**2])
         ).propagate(symplectic.cx(1.0, 0, 1, 2))
         cond, _ = symplectic.condition_on_homodyne(state, [1])
         worst = max(
@@ -249,7 +201,7 @@ def cmd_verify_circuits(args) -> int:
             abs(cond.Sigma[1, 1] - dp**2),
             abs(cond.Sigma[0, 1]),
         )
-        state2 = symplectic.CovState(np.zeros(4), delta**2 * np.eye(4)).propagate(
+        state2 = symplectic.CovState(delta**2 * np.eye(4)).propagate(
             symplectic.cx(math.sqrt(lam), 0, 1, 2)
         )
         cond2, _ = symplectic.condition_on_homodyne(state2, [1])
@@ -310,6 +262,9 @@ def cmd_sweep(args) -> int:
     n_bars = _nbar_grid(args.nbar_min, args.nbar_max, args.nbar_step)
     if not 1 <= args.lam_count <= MAX_GRID_POINTS:
         raise ValueError(f"--lam-count must lie in [1, {MAX_GRID_POINTS}], got {args.lam_count}")
+    if not (math.isfinite(args.lam_min) and math.isfinite(args.lam_max)):
+        raise ValueError(f"--lam-min and --lam-max must be finite, "
+                         f"got {args.lam_min}, {args.lam_max}")
     lams = np.linspace(args.lam_min, args.lam_max, args.lam_count).tolist()
     result = channel.sweep(args.gate, n_bars, lams, fock.TruncationPlan(d_init=args.dinit),
                            workers=args.workers, cache_dir=args.cache_dir)
@@ -468,8 +423,7 @@ def cmd_cache(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    top = argparse.ArgumentParser(prog="gkpphase", description=__doc__)
-    top.add_argument("--config", help="key=value config file with [global]/[subcommand] sections")
+    top = argparse.ArgumentParser(prog="gkpphase", description=__doc__, fromfile_prefix_chars="@")
     sub = top.add_subparsers(dest="command", required=True)
 
     def common(p):
@@ -558,7 +512,6 @@ def _numeric_failures() -> tuple[type[Exception], ...]:
 def dispatch(argv) -> int:
     parser = build_parser()
     try:
-        argv = _load_config_defaults(parser, list(argv))
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 1 if exc.code not in (0, None) else 0

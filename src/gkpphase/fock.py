@@ -100,12 +100,8 @@ class GkpParams:
     def __post_init__(self):
         if not 0.0 < self.delta < 1.0:
             raise ValueError(f"delta must lie in (0, 1), got {self.delta}")
-        if self.lam <= 0:
-            raise ValueError(f"lam must be positive, got {self.lam}")
-
-    @property
-    def n_bar(self) -> float:
-        return 1.0 / (2.0 * self.delta**2) - 0.5
+        if not 0.0 < self.lam < math.inf:
+            raise ValueError(f"lam must be positive and finite, got {self.lam}")
 
     @property
     def delta_db(self) -> float:
@@ -132,10 +128,6 @@ class FockVector:
         if not np.all(np.isfinite(amps.real)) or not np.all(np.isfinite(amps.imag)):
             raise ValueError("non-finite amplitudes")
         object.__setattr__(self, "amplitudes", amps)
-
-    @property
-    def d(self) -> int:
-        return self.amplitudes.shape[0]
 
     def norm(self) -> float:
         return float(np.linalg.norm(self.amplitudes))

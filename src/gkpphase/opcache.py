@@ -60,7 +60,6 @@ class OperatorCache:
 
     def __init__(self, directory: str | os.PathLike):
         self.directory = Path(directory)
-        self.directory.mkdir(parents=True, exist_ok=True)
 
     def _path(self, kind: str, params: dict) -> Path:
         return self.directory / f"{kind}-{param_digest(params).hex()}.opc"
@@ -72,6 +71,7 @@ class OperatorCache:
     def put(self, kind: str, params: dict, array: np.ndarray) -> None:
         buf = io.BytesIO()
         np.save(buf, array, allow_pickle=False)
+        self.directory.mkdir(parents=True, exist_ok=True)
         write_atomically(self._path(kind, params), buf.getbuffer())
 
     def get_or_create(self, kind: str, params: dict, builder) -> np.ndarray:

@@ -3,7 +3,7 @@
 Quadratures are ordered (q_1 … q_N, p_1 … p_N) and the symplectic form is
 the antisymmetric block matrix Omega = [[0, I], [-I, 0]].  A GaussianOp
 stores the matrix S that propagates displacement (noise) vectors forward
-through the circuit, v -> S v + d, so covariances propagate as
+through the circuit, v -> S v, so covariances propagate as
 Sigma -> S Sigma S^T.  In this convention the named generators act as
 
     squeezer(alpha):      q -> alpha q,        p -> p / alpha
@@ -18,7 +18,7 @@ Composition is in circuit order: compose([A, B]) applies A first.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -42,10 +42,9 @@ def omega(n_modes: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class GaussianOp:
-    """Symplectic matrix + displacement; validated on construction."""
+    """Symplectic matrix, validated on construction."""
 
     S: np.ndarray
-    d: np.ndarray = field(default=None)  # type: ignore[assignment]
 
     def __post_init__(self):
         S = np.asarray(self.S, dtype=float)
@@ -56,11 +55,7 @@ class GaussianOp:
         resid = np.max(np.abs(S.T @ om @ S - om))
         if resid > SYMPLECTIC_TOL * max(1.0, np.max(np.abs(S)) ** 2):
             raise ValueError(f"matrix is not symplectic (residual {resid:.3e})")
-        d = np.zeros(2 * n) if self.d is None else np.asarray(self.d, dtype=float)
-        if d.shape != (2 * n,):
-            raise ValueError(f"displacement must have length {2*n}, got {d.shape}")
         object.__setattr__(self, "S", S)
-        object.__setattr__(self, "d", d)
 
     @property
     def n_modes(self) -> int:
@@ -70,7 +65,7 @@ class GaussianOp:
         """This op followed by `other`."""
         if other.n_modes != self.n_modes:
             raise ValueError("mode-count mismatch in composition")
-        return GaussianOp(other.S @ self.S, other.S @ self.d + other.d)
+        return GaussianOp(other.S @ self.S)
 
 
 def identity_op(n_modes: int) -> GaussianOp:
@@ -249,32 +244,27 @@ def breeding_identity_residual(lam: float) -> float:
 
 @dataclass(frozen=True)
 class CovState:
-    """Mean and covariance of the displacement noise on 2N quadratures.
+    """Covariance of the zero-mean displacement noise on 2N quadratures.
 
     Convention: the Gaussian weight is exp(-pi v^T Sigma^{-1} v), i.e. Sigma
     carries the sqrt(2 pi)-rescaled second moments.
     """
 
-    mu: np.ndarray
     Sigma: np.ndarray
 
     def __post_init__(self):
-        mu = np.asarray(self.mu, dtype=float)
         Sigma = np.asarray(self.Sigma, dtype=float)
         if Sigma.ndim != 2 or Sigma.shape[0] != Sigma.shape[1]:
             raise ValueError("Sigma must be square")
-        if mu.shape != (Sigma.shape[0],):
-            raise ValueError("mu / Sigma size mismatch")
         if np.max(np.abs(Sigma - Sigma.T)) > 1e-10 * max(1.0, np.max(np.abs(Sigma))):
             raise ValueError("Sigma must be symmetric")
         eigs = np.linalg.eigvalsh((Sigma + Sigma.T) / 2)
         if eigs.min() < -1e-10 * max(1.0, eigs.max()):
             raise ValueError("Sigma must be positive semi-definite")
-        object.__setattr__(self, "mu", mu)
         object.__setattr__(self, "Sigma", Sigma)
 
     def propagate(self, op: GaussianOp) -> "CovState":
-        return CovState(op.S @ self.mu + op.d, op.S @ self.Sigma @ op.S.T)
+        return CovState(op.S @ self.Sigma @ op.S.T)
 
 
 def condition_on_homodyne(
@@ -282,10 +272,10 @@ def condition_on_homodyne(
 ) -> tuple[CovState, np.ndarray]:
     """Condition the noise Gaussian on the listed quadrature indices.
 
-    Returns the Schur-complement conditional state on the remaining
+    Returns the Schur-complement conditional covariance on the remaining
     quadratures and the gain matrix Sigma_DA Sigma_AA^{-1} that maps a
-    measured outcome vector to the conditional mean shift.  The conditional
-    covariance is outcome independent.
+    measured outcome vector to the mean of the remaining quadratures.  The
+    conditional covariance is outcome independent.
     """
     meas = sorted(set(int(i) for i in measured_indices))
     dim = state.Sigma.shape[0]
@@ -304,8 +294,7 @@ def condition_on_homodyne(
         raise SingularConditioningError(meas)
     sigma_c = s_dd - gain @ s_da.T
     sigma_c = (sigma_c + sigma_c.T) / 2
-    mu_c = state.mu[keep]  # mean for the zero-outcome branch; gain shifts it
-    return CovState(mu_c, sigma_c), gain
+    return CovState(sigma_c), gain
 
 
 def nogo_check(circuit: GaussianOp, n_ancilla: int, delta: float) -> float:
@@ -320,7 +309,7 @@ def nogo_check(circuit: GaussianOp, n_ancilla: int, delta: float) -> float:
         raise ValueError(
             f"circuit acts on {circuit.n_modes} modes, expected {n}"
         )
-    state = CovState(np.zeros(2 * n), delta**2 * np.eye(2 * n)).propagate(circuit)
+    state = CovState(delta**2 * np.eye(2 * n)).propagate(circuit)
     cond, _gain = condition_on_homodyne(state, range(1, n))  # ancilla q's
     # Remaining quadratures are ordered (q_data, p_data, p_anc...); the bound
     # concerns the 2x2 data block.

@@ -206,13 +206,12 @@ def verify_control_gate(poly: MultiRationalPolynomial, m: int, k_range: int = 6)
 def symplectic_inverse(op: sp.GaussianOp) -> sp.GaussianOp:
     """The inverse Gaussian op: S^-1 = -Ω Sᵀ Ω, exact up to roundoff."""
     om = sp.omega(op.n_modes)
-    s_inv = -om @ op.S.T @ om
-    return sp.GaussianOp(s_inv, -(s_inv @ op.d))
+    return sp.GaussianOp(-om @ op.S.T @ om)
 
 
 def overlap(a: FockVector, b: FockVector) -> complex:
     """<a|b> over the dimensions both vectors have."""
-    n = min(a.d, b.d)
+    n = min(a.amplitudes.size, b.amplitudes.size)
     return complex(np.vdot(a.amplitudes[:n], b.amplitudes[:n]))
 
 

@@ -105,7 +105,7 @@ def test_criterion_04_circuit_identities():
             assert sp.morphing_identity_residual(lam) < 1e-12
             delta = 0.21
             dq, dp = sp.biasing_update(delta, lam)
-            state = sp.CovState(np.zeros(4), delta**2 * np.eye(4)).propagate(
+            state = sp.CovState(delta**2 * np.eye(4)).propagate(
                 sp.cx(math.sqrt(lam), 0, 1, 2)
             )
             cond, _ = sp.condition_on_homodyne(state, [1])

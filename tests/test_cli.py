@@ -291,6 +291,8 @@ def test_square_grid_side_out_of_range(tmp_path, capsys, monkeypatch, command, s
     ("moments", "--delta", "nan"),
     ("moments", "--delta", "0.25", "--lam", "nan"),
     ("ft-bound", "--delta", "0.2", "inf"),
+    ("sweep", "--gate", "I", "--lam-min", "nan"),
+    ("sweep", "--gate", "I", "--lam-max", "inf"),
 ])
 def test_non_finite_inputs_exit_1(tmp_path, capsys, argv):
     code, text = run(tmp_path, *argv)
@@ -336,6 +338,15 @@ def test_cache_roundtrip(tmp_path):
     assert json.loads(text)["purged"] == 4
 
 
+def test_cache_list_and_purge_leave_a_missing_dir_missing(tmp_path):
+    cache_dir = tmp_path / "a" / "b"
+    code, text = run(tmp_path, "cache", "list", "--cache-dir", str(cache_dir))
+    assert code == 0 and json.loads(text)["count"] == 0
+    code, text = run(tmp_path, "cache", "purge", "--cache-dir", str(cache_dir))
+    assert code == 0 and json.loads(text)["purged"] == 0
+    assert not (tmp_path / "a").exists()
+
+
 def test_cache_needs_cache_dir(tmp_path):
     for action in ("list", "purge", "prewarm"):
         code, text = run(tmp_path, "cache", action, "--dinit", "32")
@@ -353,61 +364,62 @@ def test_numeric_failure_exits_2(monkeypatch):
     assert cli.dispatch(["moments", "--delta", "0.2"]) == 2
 
 
-def test_config_file_defaults(tmp_path):
-    conf = tmp_path / "run.conf"
-    conf.write_text("[moments]\ngate = TGKP\ndelta = 0.3\nlam = 1.5\n")
+def test_argument_file_defaults(tmp_path):
+    args = tmp_path / "m.args"
+    args.write_text("--gate\nTGKP\n--delta\n0.3\n--lam\n1.5\n")
     out = tmp_path / "m.json"
-    code = cli.dispatch(["--config", str(conf), "moments", "--out", str(out)])
+    code = cli.dispatch(["moments", f"@{args}", "--out", str(out)])
     assert code == 0
     data = json.loads(out.read_text())
-    assert data["gate"] == "TGKP"
-    assert data["delta"] == 0.3
-    # flags still win over config values
-    code = cli.dispatch(["--config", str(conf), "moments", "--gate", "T3",
-                         "--out", str(out)])
-    assert json.loads(out.read_text())["gate"] == "T3"
+    assert (data["gate"], data["delta"], data["lam"]) == ("TGKP", 0.3, 1.5)
+    # a flag after the file wins
+    code = cli.dispatch(["moments", f"@{args}", "--gate", "T3", "--out", str(out)])
+    assert code == 0 and json.loads(out.read_text())["gate"] == "T3"
 
 
-def test_config_list_values_split(tmp_path):
-    # several values for a flag that takes several; one token for any other,
-    # so the output path keeps its space
+def test_argument_file_multi_values_and_spaced_path(tmp_path):
+    # one argument per line: several values for a flag that takes several,
+    # and an output path that keeps its space
     out = tmp_path / "with space" / "ft.csv"
-    conf = tmp_path / "ft.conf"
-    conf.write_text(f"[ft-bound]\ndelta = 0.3 0.2\nout = {out}\n")
-    assert cli.dispatch(["--config", str(conf), "ft-bound"]) == 0
+    args = tmp_path / "ft.args"
+    args.write_text(f"--delta\n0.3\n0.2\n--out\n{out}\n")
+    assert cli.dispatch(["ft-bound", f"@{args}"]) == 0
     code, direct = run(tmp_path, "ft-bound", "--delta", "0.3", "0.2")
     assert code == 0 and out.read_text() == direct
     assert len(direct.splitlines()) == 4
 
     grid = ["--nbar-min", "3", "--nbar-max", "3", "--lam-count", "1", "--dinit", "64"]
-    conf.write_text("[sweep]\ngate = T3 I\n")
-    code, both = run(tmp_path, "--config", str(conf), "sweep", *grid, name="c.csv")
+    args.write_text("--gate\nT3\nI\n")
+    code, both = run(tmp_path, "sweep", f"@{args}", *grid, name="c.csv")
     assert code == 0
     _, direct = run(tmp_path, "sweep", "--gate", "T3", "I", *grid, name="d.csv")
     assert both == direct
     assert [line.split(",")[0] for line in both.splitlines()[2:]] == ["T3", "I"]
 
 
-def test_config_global_keys_reach_only_commands_that_take_them(tmp_path, capsys):
-    # the README's example: [global] workers = 4 with moments (no --workers) and sweep
-    conf = tmp_path / "run.conf"
-    conf.write_text("[global]\nworkers = 4\n[sweep]\ngate = T3\ndinit = 256\n")
-    code, via_conf = run(tmp_path, "--config", str(conf), "moments", "--delta", "0.2", name="a")
+def test_argument_file_holds_the_subcommand(tmp_path):
+    args = tmp_path / "run.args"
+    args.write_text("moments\n--delta\n0.2\n")
+    code, via_file = run(tmp_path, f"@{args}", name="a")
     assert code == 0
     _, direct = run(tmp_path, "moments", "--delta", "0.2", name="b")
-    assert via_conf == direct
-    parser = cli.build_parser()
-    args = parser.parse_args(cli._load_config_defaults(
-        parser, ["--config", str(conf), "sweep", "--out", "t3.csv"]))
-    assert (args.workers, args.gate, args.dinit) == (4, ["T3"], 256)
-    # a key the command's own section names but the command does not take
-    conf.write_text("[global]\nworkers = 4\n[moments]\nworkers = 2\n")
+    assert via_file == direct
+
+
+def test_missing_argument_file_exits_1(tmp_path, capsys):
+    missing = tmp_path / "absent.args"
+    assert cli.dispatch(["moments", f"@{missing}", "--delta", "0.2"]) == 1
+    assert "absent.args" in capsys.readouterr().err
+
+
+def test_config_flag_is_unrecognised(tmp_path, capsys):
+    conf = tmp_path / "run.conf"
+    conf.write_text("[moments]\ndelta = 0.2\n")
+    # before the subcommand, the file path is read as the subcommand's name
     assert cli.dispatch(["--config", str(conf), "moments", "--delta", "0.2"]) == 1
-    assert "--workers" in capsys.readouterr().err
-    # a [global] key that no command takes
-    conf.write_text("[global]\nworker = 4\n")
-    assert cli.dispatch(["--config", str(conf), "moments", "--delta", "0.2"]) == 1
-    assert "no subcommand's flag" in capsys.readouterr().err
+    assert f"invalid choice: '{conf}'" in capsys.readouterr().err
+    assert cli.dispatch(["moments", "--delta", "0.2", "--config", str(conf)]) == 1
+    assert "unrecognized arguments: --config" in capsys.readouterr().err
 
 
 # `cache` accepts a sweep's grid flags and reads none of them, so the flags of a
@@ -437,17 +449,6 @@ def test_every_flag_is_read_by_its_handler():
         dests = {a.dest for a in p._actions if a.dest != "help"}
         unread = dests - _args_read_by(p.get_default("func"))
         assert {(name, d) for d in unread} == {k for k in UNREAD_FLAGS if k[0] == name}, name
-
-
-def test_config_without_path_exits_1(capsys):
-    assert cli.dispatch(["--config"]) == 1
-    assert "--config needs a file path" in capsys.readouterr().err
-
-
-def test_unreadable_config_exits_1(tmp_path, capsys):
-    missing = tmp_path / "absent.conf"
-    assert cli.dispatch(["--config", str(missing), "moments", "--delta", "0.2"]) == 1
-    assert "cannot read --config file" in capsys.readouterr().err
 
 
 def test_synth_loads_neither_numpy_nor_scipy(tmp_path):

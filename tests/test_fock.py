@@ -367,8 +367,13 @@ def test_pauli_n_cut_convergence():
 
 def test_gkp_params():
     p = fk.GkpParams(0.25, 2.0)
-    assert abs(p.n_bar - 7.5) < 1e-12
+    assert abs(1.0 / (2.0 * p.delta**2) - 0.5 - 7.5) < 1e-12  # n_bar
     assert abs(p.delta_db - 12.0411) < 1e-3
     assert abs(fk.GkpParams.from_n_bar(7.5).delta - 0.25) < 1e-12
     with pytest.raises(ValueError):
         fk.GkpParams(1.2, 1.0)
+    for lam in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="lam must be positive and finite"):
+            fk.GkpParams(0.25, lam)
+    with pytest.raises(ValueError):
+        fk.GkpParams(math.nan, 1.0)

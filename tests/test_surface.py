@@ -12,11 +12,15 @@ A class member (method, property or annotated dataclass field) of a reached
 class is reached when reached code or `perfbench/*.py` names it, as an
 attribute (`x.name`) or as a keyword argument (`Cls(name=...)`), or the
 span table holds it ("Class.name").  The match is by name alone, so the
-rule is conservative.  Reached code is a reached function, a reached class
-without the bodies of its members, and the body of a reached member; dunder
-methods run implicitly, so they are reached with their class and never
-flagged.  A name or member only the tests reach belongs in
-`tests/oracles.py`.
+rule is conservative, and blind where names repeat: a member counts as
+reached when any class's member of that name is read.  `FockVector.d` was
+hidden so by `op.d` of the Gaussian ops, and `GkpParams.n_bar`, which only
+a test read, by `SweepRow.n_bar`; a member that shares its name with
+another class's read member needs a check by hand.  Reached code is a
+reached function, a reached class without the bodies of its members, and
+the body of a reached member; dunder methods run implicitly, so they are
+reached with their class and never flagged.  A name or member only the
+tests reach belongs in `tests/oracles.py`.
 
 A parameter with a default, of a reached function or member, and a field
 with a default of a reached dataclass, must be passed by a call in reached
