@@ -228,6 +228,13 @@ def ft_lower_bound(delta: float) -> BoundResult:
     through F = 1/3 + (2/3)(...)².  Valid (non-vacuous interval restriction)
     for Δ below ≈ 0.372.  A Δ that takes Δ² or t/λ out of float range, above
     about 1.3e154 or below about 1e-101, is refused, whatever its float type.
+
+    The bound is exactly 1/3 from Δ ≈ 0.0533 to the validity edge, while
+    `validity` is true: erf1 = 1 there and erf2 falls from 0.5 to 0.244, so
+    p_E(0) <= 1/2 clips 2 p_E(0) - 1 to 0.  The Erf product does lie below
+    the twirled density's true patch mass (0.309 against 0.959 at Δ = 0.2),
+    and the same chain on the true mass gives F = 0.8945 there, below the
+    engine's T3 fidelity 0.9744.
     """
     delta = float(delta)  # an np.float64 would overflow to inf with a warning
     if not 0 < delta < math.inf:

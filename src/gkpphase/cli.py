@@ -69,7 +69,13 @@ def _poly_json(poly: polyalg.RationalPolynomial) -> dict:
     }
 
 
-def _gate_name(level: int, n_qubits: int = 1) -> str:
+def _multi_poly_json(poly: polyalg.MultiRationalPolynomial) -> dict:
+    """Terms keyed by comma-joined exponents, as "num/den" strings."""
+    return {",".join(map(str, exp)): f"{c.numerator}/{c.denominator}"
+            for exp, c in sorted(poly.terms.items())}
+
+
+def _gate_name(level: int, n_qubits: int) -> str:
     single = {1: "Z", 2: "S", 3: "T", 4: "T^(1/2)", 5: "T^(1/4)", 6: "T^(1/8)"}
     if n_qubits == 1:
         return single.get(level, f"Lambda_{level}")
@@ -104,53 +110,39 @@ def cmd_synth(args) -> int:
     if args.qubits > 1:
         if args.start != "power":
             raise ValueError(f"--start {args.start!r}: with --qubits > 1 only the power start exists")
-        start = polyalg.control_gate_start(args.qubits, m)
-        outcome = polyalg.multivariate_reduce(start)
-        terms = {
-            ",".join(map(str, exp)): f"{c.numerator}/{c.denominator}"
-            for exp, c in sorted(outcome.minimum.terms.items())
-        }
-        _emit_json(
-            args,
-            {
-                "gate": _gate_name(m, args.qubits),
-                "qubits": args.qubits,
-                "level": m,
-                "polynomial": terms,
-                "degree": outcome.minimum.total_degree,
-                "branch_log": [
-                    {"monomial": list(e), "boundary": True} for e in outcome.tie_monomials
-                ],
-            },
-        )
-        return 0
-    if args.start.startswith("lift:"):
-        prev = _lift_input(args.start.split(":", 1)[1])
-        start = polyalg.lift_representation(prev, m - 1)
-    elif args.start == "power":
-        start = polyalg.starting_representation(m)
+        outcome = polyalg.multivariate_reduce(polyalg.control_gate_start(args.qubits, m))
+        valid = polyalg.verify_control_gate(outcome.minimum, m)
+        head = {"qubits": args.qubits}
+        to_json, where = _multi_poly_json, lambda e: {"monomial": list(e)}
     else:
-        raise ValueError(f"unknown start spec {args.start!r}")
-    outcome = polyalg.reduce(start)
-    rep = outcome.minima[0]
-    if not polyalg.verify_gate(rep, m):
+        if args.start.startswith("lift:"):
+            prev = _lift_input(args.start.split(":", 1)[1])
+            start = polyalg.lift_representation(prev, m - 1)
+        elif args.start == "power":
+            start = polyalg.starting_representation(m)
+        else:
+            raise ValueError(f"unknown start spec {args.start!r}")
+        outcome = polyalg.reduce(start)
+        valid = polyalg.verify_gate(outcome.minimum, m)
+        # The same polynomial read with the half number operator as argument
+        # implements the Hadamard-hierarchy gate of the same level (name only;
+        # there is no biasing scheme, hence no channel support, for that family).
+        head = {"number_operator_alias": "H" if m == 1 else f"H^(1/{2 ** (m - 1)})"}
+        to_json, where = _poly_json, lambda e: {"degree": e[0]}
+    if not valid:
         raise NumericFailure("reduced polynomial failed the gate phase check")
-    # The same polynomial read with the half number operator as argument
-    # implements the Hadamard-hierarchy gate of the same level (name only;
-    # there is no biasing scheme, hence no channel support, for that family).
-    h_alias = "H" if m == 1 else f"H^(1/{2 ** (m - 1)})"
     _emit_json(
         args,
         {
-            "gate": _gate_name(m),
-            "number_operator_alias": h_alias,
+            "gate": _gate_name(m, args.qubits),
             "level": m,
-            "polynomial": _poly_json(rep),
-            "minima": [_poly_json(p) for p in outcome.minima],
+            **head,
+            "polynomial": to_json(outcome.minimum),
+            "minima": [to_json(p) for p in outcome.minima],
             "tied": outcome.tied,
-            "degree": rep.degree,
+            "degree": outcome.minimum.degree,
             "branch_log": [
-                {"degree": s.degree, "multiplier": s.multiplier, "boundary": s.boundary}
+                {**where(s.monomial), "multiplier": s.multiplier, "boundary": s.boundary}
                 for s in outcome.branch_log
             ],
         },

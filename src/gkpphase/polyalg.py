@@ -6,29 +6,32 @@ Python ints over one common denominator inside the reduction.  It provides
 
 * the integer-valued basis polynomials L_n (Pólya's binomial-type basis,
   leading coefficient exactly 1/n!), built one linear factor at a time,
-* starting representations x^(2^(m-1))/2^m of the level-m diagonal gate and
-  the squaring lift between levels,
-* the coefficient-reduction procedure that subtracts integer multiples of
-  L_n from the highest degree downward until every |a_k| <= 1/(2 k!),
-  forking at exact boundary remainders and keeping all lexicographic minima,
-* the multivariate generalisation used for CS / CCZ synthesis,
+* starting representations x^(2^(m-1))/2^m of the level-m diagonal gate,
+  the squaring lift between levels, and (x1···xN)^(2^(m-1))/2^m of the
+  controlled gate C^{N-1}Λ_m,
+* one coefficient reduction for one and for many variables: it subtracts
+  integer multiples of L_{e1}(x1)···L_{eN}(xN) from the highest monomial
+  downward until every |a_e| <= 1/(2 e1!···eN!), forking at exact boundary
+  remainders and keeping all lexicographic minima,
+* the exact phase checks of both gate families,
 * `GATE_TABLE`, the simulated gate polynomials.
 
 The dense-product L_n, the integer-valued membership test, the
-lexicographic comparison and the multivariate phase check are test oracles
-(`tests/oracles.py`).
+lexicographic comparison, the reduction in `Fraction` arithmetic, the
+brute-force tie enumeration and the multivariate phase check on a
+symmetric box are test oracles (`tests/oracles.py`).
 
 Conventions: coefficients are indexed by degree with the constant term at
-index 0; constant terms are global phases and are reduced mod 1 and dropped
-by the reduction.
+index 0 (a multivariate term by its exponent tuple); constant terms are
+global phases and are reduced mod 1 and dropped by the reduction.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from math import factorial, lcm
+from itertools import product
+from math import factorial, lcm, prod
 from typing import Iterable, Mapping
 
 # Hard safety cap on simultaneous reduction branches.  Boundary remainders
@@ -171,11 +174,78 @@ class RationalPolynomial:
         return [f"{c.numerator}/{c.denominator}" for c in self.coeffs]
 
 
+# ---------------------------------------------------------------------------
+# Multivariate polynomials
+# ---------------------------------------------------------------------------
+
+Exponent = tuple[int, ...]
+
+
+class MultiRationalPolynomial:
+    """Sparse polynomial in N variables with exact rational coefficients."""
+
+    __slots__ = ("n_vars", "terms")
+
+    def __init__(self, n_vars: int, terms: Mapping[Exponent, object] | None = None):
+        if n_vars < 1:
+            raise ValueError("n_vars must be >= 1")
+        clean: dict[Exponent, Fraction] = {}
+        for exp, c in (terms or {}).items():
+            exp = tuple(int(e) for e in exp)
+            if len(exp) != n_vars or any(e < 0 for e in exp):
+                raise ValueError(f"bad exponent tuple {exp} for n_vars={n_vars}")
+            c = _as_fraction(c)
+            if c != 0:
+                clean[exp] = clean.get(exp, Fraction(0)) + c
+        object.__setattr__(self, "n_vars", n_vars)
+        object.__setattr__(
+            self, "terms", {e: c for e, c in clean.items() if c != 0}
+        )
+
+    @property
+    def degree(self) -> int:
+        """Total degree; 0 for the zero polynomial."""
+        return max((sum(e) for e in self.terms), default=0)
+
+    def __call__(self, xs) -> Fraction:
+        acc = Fraction(0)
+        for exp, c in self.terms.items():
+            t = c
+            for x, e in zip(xs, exp):
+                t *= Fraction(x) ** e
+            acc += t
+        return acc
+
+    def __eq__(self, other) -> bool:
+        return (
+            isinstance(other, MultiRationalPolynomial)
+            and self.n_vars == other.n_vars
+            and self.terms == other.terms
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.n_vars, frozenset(self.terms.items())))
+
+    def __repr__(self) -> str:
+        if not self.terms:
+            return "MultiRationalPolynomial(0)"
+        bits = []
+        for exp in sorted(self.terms, key=lambda e: (-sum(e), tuple(-x for x in e))):
+            mono = "*".join(
+                f"x{i+1}" + (f"^{e}" if e > 1 else "")
+                for i, e in enumerate(exp)
+                if e > 0
+            )
+            bits.append(f"({self.terms[exp]})*{mono or '1'}")
+        return "MultiRationalPolynomial(" + " + ".join(bits) + ")"
+
+
 @dataclass(frozen=True)
 class BranchStep:
-    """One reduction step: subtracted multiplier n_j of L_j at degree j."""
+    """One reduction step: n·L_{e1}(x1)···L_{eN}(xN) subtracted at the monomial
+    with exponents e; the constant's step carries its dropped integer part."""
 
-    degree: int
+    monomial: Exponent
     multiplier: int
     boundary: bool
 
@@ -184,8 +254,13 @@ class BranchStep:
 class ReductionOutcome:
     """All lexicographically minimal survivors of a coefficient reduction."""
 
-    minima: tuple[RationalPolynomial, ...]
+    minima: tuple
     branch_log: tuple[BranchStep, ...]
+
+    @property
+    def minimum(self):
+        """The representative a command prints: the first minimum."""
+        return self.minima[0]
 
     @property
     def tied(self) -> bool:
@@ -197,20 +272,14 @@ class ReductionOutcome:
 # ---------------------------------------------------------------------------
 
 
-def _scaled_basis(n: int) -> list[int]:
-    """n!·L_n as integer coefficients, constant term first, built one linear factor
-    at a time: k!·L_k = (k-1)!·L_{k-1}·(x + a_k), a_k = (-1)^k·floor(k/2)."""
-    b = [1]
+def _scaled_bases(n: int) -> list[list[int]]:
+    """k!·L_k for k = 0..n as integer coefficients, constant term first, built one
+    linear factor at a time: k!·L_k = (k-1)!·L_{k-1}·(x + a_k), a_k = (-1)^k·floor(k/2)."""
+    bases = [[1]]
     for k in range(1, n + 1):
-        a = (-1) ** k * (k // 2)
-        b = [a * b[0], *(lo + a * hi for lo, hi in zip(b, b[1:])), b[-1]]
-    return b
-
-
-@lru_cache(maxsize=None)
-def _basis(n: int) -> RationalPolynomial:
-    """L_n for n >= 1, plus L_0 = 1 used internally by the multivariate basis."""
-    return RationalPolynomial(Fraction(c, factorial(n)) for c in _scaled_basis(n))
+        a, b = (-1) ** k * (k // 2), bases[-1]
+        bases.append([a * b[0], *(lo + a * hi for lo, hi in zip(b, b[1:])), b[-1]])
+    return bases
 
 
 # ---------------------------------------------------------------------------
@@ -260,6 +329,39 @@ def verify_gate(poly: RationalPolynomial, m: int) -> bool:
     return True
 
 
+def control_gate_start(n_qubits: int, m: int) -> MultiRationalPolynomial:
+    """Starting representation (x1···xN)^(2^(m-1)) / 2^m of C^{N-1}Λ_m."""
+    if not isinstance(n_qubits, int) or n_qubits < 1:
+        raise ValueError(f"control_gate_start requires N >= 1, got {n_qubits!r}")
+    if not isinstance(m, int) or m < 1:
+        raise ValueError(f"control_gate_start requires m >= 1, got {m!r}")
+    e = 2 ** (m - 1)
+    return MultiRationalPolynomial(
+        n_qubits, {(e,) * n_qubits: Fraction(1, 2**m)}
+    )
+
+
+def verify_control_gate(poly: MultiRationalPolynomial, m: int) -> bool:
+    """Check the phase action of C^{N-1}Λ_m: P(x) ≡ 2^-m mod 1 when every x_i
+    is odd, 0 otherwise.
+
+    Exact on the box x_i = 0 .. 2d_i + 1, d_i the degree of P in x_i.  For a
+    parity class r in {0,1}^N with target t_r, Q(j) = P(2j + r) - t_r has
+    degree <= d_i in j_i, and such a polynomial is integer-valued on Z^N once
+    it is on d_i + 1 consecutive j_i per variable: its Newton expansion in
+    the binomials C(j_1, k_1)···C(j_N, k_N), k_i <= d_i, has the box's finite
+    differences, integers, as coefficients.  The 2(d_i + 1) consecutive x_i
+    hold d_i + 1 consecutive j_i of each parity.
+    """
+    target = Fraction(1, 2**m)
+    degrees = [max((e[i] for e in poly.terms), default=0) for i in range(poly.n_vars)]
+    for xs in product(*(range(2 * d + 2) for d in degrees)):
+        want = target if all(x % 2 for x in xs) else 0
+        if (poly(xs) - want).denominator != 1:
+            return False
+    return True
+
+
 # Gate table: label -> (polynomial, hierarchy level of the implemented gate).
 # The polynomials are the simulated set, exact rationals by degree.
 GATE_TABLE: dict[str, tuple[RationalPolynomial, int]] = {
@@ -274,6 +376,11 @@ GATE_TABLE: dict[str, tuple[RationalPolynomial, int]] = {
 }
 
 
+# ---------------------------------------------------------------------------
+# Coefficient reduction
+# ---------------------------------------------------------------------------
+
+
 def _multipliers(c: int, q: int) -> list[tuple[int, bool]]:
     """Integers n with |c - n*q| <= q/2 (q > 0) as (n, boundary) choices; both
     neighbours at an exact boundary remainder, the smaller |n| first."""
@@ -283,205 +390,76 @@ def _multipliers(c: int, q: int) -> list[tuple[int, bool]]:
     return [(n if 2 * r < q else n + 1, False)]
 
 
-def reduce(poly: RationalPolynomial) -> ReductionOutcome:
-    """Coefficient reduction to the lexicographically minimal gate polynomial.
+def _reduce(
+    terms: Mapping[Exponent, Fraction], n_vars: int
+) -> tuple[list[dict[Exponent, Fraction]], tuple[BranchStep, ...]]:
+    """Branch-and-prune reduction of the polynomial sum_e a_e x^e in N variables.
 
-    Walks from the highest degree down to 1.  At degree j it writes
-    a_j = n_j/j! + r_j with |r_j| <= 1/(2 j!) and subtracts n_j L_j.  When
-    |r_j| hits the boundary exactly both choices of n_j are explored; after
-    each degree only branches whose fixed (degree >= j) magnitude profile is
-    minimal survive, since lower-degree subtractions cannot change it.  The
-    constant term is reduced mod 1 and dropped (a global phase).
+    Visits every monomial e <= some start monomial componentwise, by total
+    degree and then by exponent tuple, both descending (one variable: degree
+    deg down to 1).  At e it writes a_e = n/(e1!···eN!) + r with
+    |r| <= 1/(2 e1!···eN!) and subtracts n L_{e1}(x1)···L_{eN}(xN); when |r|
+    hits the boundary exactly both n are explored, the smaller |n| first.
+    That subtraction touches only monomials <= e componentwise, which the walk
+    visits later, so after e the branches agree in every earlier |a| and
+    keeping those with the smallest |a_e| keeps exactly the lexicographic
+    minima.  Distinct multiplier sequences leave distinct non-constant parts
+    (at the first e where they differ the difference keeps an x^e term), so
+    survivors never coincide.  The constant is a global phase: its integer
+    part is logged and the term dropped.
 
-    The walk runs on ints A_k = D*a_k, D = lcm(deg!, input denominators), so
-    D*L_j = (D/j!)*(j!*L_j) is integral; survivors already agree in |A_k| for
-    k > j, so pruning at degree j compares |A_j| alone.
+    The walk runs on ints A_e = D*a_e, D = lcm(e1!···eN! over the start's
+    monomials, input denominators), so with q = D/(e1!···eN!) the subtracted
+    D*L_{e1}···L_{eN} = q*(e1!·L_{e1})···(eN!·L_{eN}) is integral and
+    |r| <= 1/(2 e1!···eN!) reads |A_e - n*q| <= q/2.
+
+    Returns the minima in fork order and the first survivor's steps.
     """
+    zero = (0,) * n_vars
+    monos = sorted({f for e in terms for f in product(*(range(k + 1) for k in e))} | {zero},
+                   key=lambda f: (sum(f), f), reverse=True)  # the walk, then the constant
+    denom = lcm(*(prod(map(factorial, e)) for e in terms), *(c.denominator for c in terms.values()))
+    bases = _scaled_bases(max((k for e in terms for k in e), default=0))
+    start = {e: c.numerator * (denom // c.denominator) for e, c in terms.items()}
+    branches = [([start.get(f, 0) for f in monos], ())]
+    for i, e in enumerate(monos[:-1]):
+        q = denom // prod(map(factorial, e))
+        basis = {(): 1}  # (e1!·L_{e1})···(eN!·L_{eN}) by monomial
+        for k in e:
+            basis = {f + (j,): c * b for f, c in basis.items() for j, b in enumerate(bases[k]) if b}
+        tail = [basis.get(f, 0) for f in monos[i:]]  # it touches no earlier monomial
+        grown = []
+        for cur, log in branches:
+            for n, boundary in _multipliers(cur[i], q):
+                s = n * q
+                nxt = cur[:i] + [a - s * b for a, b in zip(cur[i:], tail)] if s else cur
+                grown.append((nxt, log + (BranchStep(e, n, boundary),)))
+        best = min(abs(cur[i]) for cur, _ in grown)
+        branches = [(cur, log) for cur, log in grown if abs(cur[i]) == best]
+        if len(branches) > MAX_BRANCHES:
+            raise RuntimeError(f"reduction branch explosion: {len(branches)} active branches")
+
+    first, log = branches[0]
+    n0 = first[-1] // denom
+    log += (BranchStep(zero, n0, False),) if n0 else ()
+    minima = [{f: Fraction(c, denom) for f, c in zip(monos[:-1], cur) if c} for cur, _ in branches]
+    return minima, log
+
+
+def reduce(poly: RationalPolynomial) -> ReductionOutcome:
+    """The lexicographically minimal gate polynomials of one variable
+    (`_reduce`), positive leading coefficient first."""
     deg = poly.degree
     if deg <= 0:
         return ReductionOutcome((poly.drop_constant(),), ())
-
-    denom = lcm(factorial(deg), *(c.denominator for c in poly.coeffs))
-    start = [c.numerator * (denom // c.denominator) for c in poly.coeffs]
-    basis = _scaled_basis(deg)  # j!·L_j, divided down by (x + a_j) after each degree
-    branches: list[tuple[list[int], tuple[BranchStep, ...]]] = [(start, ())]
-    q = denom // factorial(deg)  # D/j!: D*L_j = q*(j!*L_j), and |r_j| <= q/2
-    for j in range(deg, 0, -1):
-        grown: list[tuple[list[int], tuple[BranchStep, ...]]] = []
-        for cur, log in branches:
-            for n_j, boundary in _multipliers(cur[j], q):
-                s = n_j * q
-                nxt = [c - s * b for c, b in zip(cur, basis)] + cur[j + 1 :] if s else cur
-                grown.append((nxt, log + (BranchStep(j, n_j, boundary),)))
-        # Distinct multiplier sequences leave distinct polynomials (the L_j are
-        # independent), so survivors never coincide and need no deduplication.
-        best = min(abs(cur[j]) for cur, _ in grown)
-        branches = [(cur, log) for cur, log in grown if abs(cur[j]) == best]
-        if len(branches) > min(MAX_BRANCHES, 2**deg):
-            raise RuntimeError(f"reduction branch explosion: {len(branches)} active branches")
-        q *= j
-        a, low = (-1) ** j * (j // 2), [basis[j]]
-        for c in reversed(basis[1:j]):
-            low.append(c - a * low[-1])
-        basis = low[::-1]
-
-    # q is now D: the constant term's integer part is a global phase.
-    n0 = branches[0][0][0] // q
-    log0 = branches[0][1] + ((BranchStep(0, n0, False),) if n0 else ())
-    # Deduplicate (dropping constants can merge branches) and order tied
-    # minima deterministically, positive leading coefficient first.
-    uniq = list(dict.fromkeys(RationalPolynomial([0, *(Fraction(c, q) for c in cur[1:])])
-                              for cur, _log in branches))
-    uniq.sort(key=lambda p: (p.coeff(p.degree) < 0, p.coeffs))
-    return ReductionOutcome(tuple(uniq), log0)
+    minima, log = _reduce({(k,): c for k, c in enumerate(poly.coeffs) if c}, 1)
+    polys = [RationalPolynomial([t.get((k,), 0) for k in range(deg + 1)]) for t in minima]
+    polys.sort(key=lambda p: (p.coeff(p.degree) < 0, p.coeffs))
+    return ReductionOutcome(tuple(polys), log)
 
 
-# ---------------------------------------------------------------------------
-# Multivariate gates
-# ---------------------------------------------------------------------------
-
-Exponent = tuple[int, ...]
-
-
-class MultiRationalPolynomial:
-    """Sparse polynomial in N variables with exact rational coefficients."""
-
-    __slots__ = ("n_vars", "terms")
-
-    def __init__(self, n_vars: int, terms: Mapping[Exponent, object] | None = None):
-        if n_vars < 1:
-            raise ValueError("n_vars must be >= 1")
-        clean: dict[Exponent, Fraction] = {}
-        for exp, c in (terms or {}).items():
-            exp = tuple(int(e) for e in exp)
-            if len(exp) != n_vars or any(e < 0 for e in exp):
-                raise ValueError(f"bad exponent tuple {exp} for n_vars={n_vars}")
-            c = _as_fraction(c)
-            if c != 0:
-                clean[exp] = clean.get(exp, Fraction(0)) + c
-        object.__setattr__(self, "n_vars", n_vars)
-        object.__setattr__(
-            self, "terms", {e: c for e, c in clean.items() if c != 0}
-        )
-
-    def coeff(self, exp: Exponent) -> Fraction:
-        return self.terms.get(tuple(exp), Fraction(0))
-
-    @property
-    def total_degree(self) -> int:
-        return max((sum(e) for e in self.terms), default=0)
-
-    def __sub__(self, other: "MultiRationalPolynomial") -> "MultiRationalPolynomial":
-        if other.n_vars != self.n_vars:
-            raise ValueError("variable-count mismatch")
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            out[e] = out.get(e, Fraction(0)) - c
-        return MultiRationalPolynomial(self.n_vars, out)
-
-    def __call__(self, xs) -> Fraction:
-        acc = Fraction(0)
-        for exp, c in self.terms.items():
-            t = c
-            for x, e in zip(xs, exp):
-                t *= Fraction(x) ** e
-            acc += t
-        return acc
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, MultiRationalPolynomial)
-            and self.n_vars == other.n_vars
-            and self.terms == other.terms
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.n_vars, frozenset(self.terms.items())))
-
-    def __repr__(self) -> str:
-        if not self.terms:
-            return "MultiRationalPolynomial(0)"
-        bits = []
-        for exp in sorted(self.terms, key=lambda e: (-sum(e), tuple(-x for x in e))):
-            mono = "*".join(
-                f"x{i+1}" + (f"^{e}" if e > 1 else "")
-                for i, e in enumerate(exp)
-                if e > 0
-            )
-            bits.append(f"({self.terms[exp]})*{mono or '1'}")
-        return "MultiRationalPolynomial(" + " + ".join(bits) + ")"
-
-
-def control_gate_start(n_qubits: int, m: int) -> MultiRationalPolynomial:
-    """Starting representation (x1···xN)^(2^(m-1)) / 2^m of C^{N-1}Λ_m."""
-    if not isinstance(n_qubits, int) or n_qubits < 1:
-        raise ValueError(f"control_gate_start requires N >= 1, got {n_qubits!r}")
-    if not isinstance(m, int) or m < 1:
-        raise ValueError(f"control_gate_start requires m >= 1, got {m!r}")
-    e = 2 ** (m - 1)
-    return MultiRationalPolynomial(
-        n_qubits, {(e,) * n_qubits: Fraction(1, 2**m)}
-    )
-
-
-def _basis_product(exps: Exponent) -> MultiRationalPolynomial:
-    """Product L_{d1}(x1)···L_{dN}(xN) expanded into the sparse form."""
-    factors = [_basis(d) for d in exps]
-    acc: dict[Exponent, Fraction] = {(): Fraction(1)}
-    for f in factors:
-        nxt: dict[Exponent, Fraction] = {}
-        for exp, c in acc.items():
-            for k, fk in enumerate(f.coeffs):
-                if fk == 0:
-                    continue
-                ne = exp + (k,)
-                nxt[ne] = nxt.get(ne, Fraction(0)) + c * fk
-        acc = nxt
-    return MultiRationalPolynomial(len(exps), acc)
-
-
-@dataclass(frozen=True)
-class MultiReductionOutcome:
-    """Minimal multivariate representative plus boundary-tie metadata."""
-
-    minimum: MultiRationalPolynomial
-    tie_monomials: tuple[Exponent, ...] = ()
-
-
-def multivariate_reduce(poly: MultiRationalPolynomial) -> MultiReductionOutcome:
-    """Reduce monomial coefficients from the highest total degree downward.
-
-    Within one total degree the monomials reduce independently (the basis
-    product for exponent d only touches monomials <= d componentwise).  At
-    an exact boundary remainder the multiplier closer to zero is kept — the
-    coefficient stays put — and the monomial is recorded as a tie.
-    """
-    cur = poly
-    ties: list[Exponent] = []
-    for total in range(cur.total_degree, 0, -1):
-        monos = sorted(
-            (e for e in cur.terms if sum(e) == total),
-            key=lambda e: tuple(-x for x in e),
-        )
-        for exp in monos:
-            a = cur.coeff(exp)
-            if a == 0:
-                continue
-            lead = Fraction(1)
-            for d in exp:
-                lead /= factorial(d)
-            t = a / lead
-            n, boundary = _multipliers(t.numerator, t.denominator)[0]  # half rounds to zero
-            if boundary:
-                ties.append(exp)
-            if n:
-                cur = cur - MultiRationalPolynomial(
-                    cur.n_vars,
-                    {e: n * c for e, c in _basis_product(exp).terms.items()},
-                )
-    # Constant term: global phase, reduced mod 1 and dropped.
-    zero_exp = (0,) * cur.n_vars
-    c0 = cur.coeff(zero_exp)
-    if c0 != 0:
-        cur = cur - MultiRationalPolynomial(cur.n_vars, {zero_exp: c0})
-    return MultiReductionOutcome(cur, tuple(ties))
+def multivariate_reduce(poly: MultiRationalPolynomial) -> ReductionOutcome:
+    """The lexicographically minimal polynomials of N variables (`_reduce`),
+    in fork order: the smaller |n| at each tie first."""
+    minima, log = _reduce(poly.terms, poly.n_vars)
+    return ReductionOutcome(tuple(MultiRationalPolynomial(poly.n_vars, t) for t in minima), log)

@@ -5,6 +5,9 @@ and the forms of them that only tests call.
   dense product of j linear factors and the lexicographic pruning over the
   whole fixed profile of degrees >= j.  It shares no arithmetic with the
   integer `polyalg.reduce` it checks, and m = 8 takes seconds.
+* `multivariate_minima`: the multivariate reduction with no pruning, every
+  boundary choice followed to the end in `Fraction` arithmetic, and the
+  lexicographic minima taken over the finished polynomials.
 * `coherent_block`: the coherent-lattice codeword sum one term at a time,
   the form `fock._coherent_block` must reproduce bit for bit.
 * `gkp_codeword_position_oracle`: the codeword through its position
@@ -32,7 +35,10 @@ and the forms of them that only tests call.
 * `shear_variance_leading`, `shear_variance_ratio`, `vp2_leading`,
   `lambda_opt_asymptotic` (with `NotApplicableError`): the leading-order
   shear terms of E(v_p²) and the asymptotically optimal asymmetry;
-  `patch_probability`, the twirled cubic density's mass on a patch.
+  `patch_probability`, the twirled cubic density's mass on a patch;
+  `ft_erf_product`, the Erf-product lower bound on that mass inside
+  `analytic.ft_lower_bound`, and `ft_patch_fidelity`, the bound's chain run
+  on the true mass.
 * `thermal_characteristic`, `logical_char_function` and `vacuum_posterior`:
   square-lattice logical characteristic functions, and the vacuum posterior
   at one syndrome, the pointwise form of `analytic.vacuum_posterior_grid`.
@@ -110,7 +116,7 @@ def reduce(poly: RationalPolynomial) -> ReductionOutcome:
         for cur, log in branches:
             for n_j, _r, boundary in split_coefficient(cur.coeff(j), lead):
                 nxt = cur - n_j * basis(j) if n_j else cur
-                grown.append((nxt, log + (BranchStep(j, n_j, boundary),)))
+                grown.append((nxt, log + (BranchStep((j,), n_j, boundary),)))
         profiles = [
             tuple(abs(b.coeff(k)) for k in range(deg, j - 1, -1)) for b, _ in grown
         ]
@@ -132,7 +138,7 @@ def reduce(poly: RationalPolynomial) -> ReductionOutcome:
 
     c0 = branches[0][0].coeff(0)
     n0 = c0.numerator // c0.denominator
-    log0 = branches[0][1] + ((BranchStep(0, n0, False),) if n0 else ())
+    log0 = branches[0][1] + ((BranchStep((0,), n0, False),) if n0 else ())
     uniq: list[RationalPolynomial] = []
     for b, _log in branches:
         p = b.drop_constant()
@@ -140,6 +146,44 @@ def reduce(poly: RationalPolynomial) -> ReductionOutcome:
             uniq.append(p)
     uniq.sort(key=lambda p: (p.coeff(p.degree) < 0, p.coeffs))
     return ReductionOutcome(tuple(uniq), log0)
+
+
+def multivariate_minima(poly: MultiRationalPolynomial) -> set[MultiRationalPolynomial]:
+    """Every multiplier choice at every boundary followed to the end, in
+    `Fraction` arithmetic with dense-product bases; the lexicographic minima.
+
+    Monomials are taken by total degree, then exponent tuple, both descending,
+    over every exponent <= a start monomial componentwise; at each one the
+    coefficient a_e is split as n/(e1!···eN!) + r (both n on the boundary) and
+    n L_{e1}(x1)···L_{eN}(xN) subtracted.  No branch is dropped before the end,
+    where the magnitude profiles in walk order are compared whole.
+    """
+    walk = sorted(
+        {f for e in poly.terms for f in product(*(range(k + 1) for k in e)) if any(f)},
+        key=lambda f: (sum(f), f), reverse=True,
+    )
+    leaves = [dict(poly.terms)]
+    for e in walk:
+        lead = Fraction(1, math.prod(factorial(k) for k in e))
+        terms: dict[tuple[int, ...], Fraction] = {(): Fraction(1)}
+        for k in e:
+            coeffs = basis(k).coeffs if k else (Fraction(1),)
+            terms = {f + (i,): c * b for f, c in terms.items() for i, b in enumerate(coeffs) if b}
+        grown = []
+        for cur in leaves:
+            for n, _r, _boundary in split_coefficient(Fraction(cur.get(e, 0)), lead):
+                nxt = dict(cur)
+                for f, c in terms.items():
+                    nxt[f] = nxt.get(f, 0) - n * c
+                grown.append(nxt)
+        leaves = grown
+        if len(leaves) > MAX_BRANCHES:
+            raise RuntimeError(f"tie enumeration explosion: {len(leaves)} leaves")
+    finals = {MultiRationalPolynomial(poly.n_vars, {f: c for f, c in leaf.items() if any(f)})
+              for leaf in leaves}
+    profiles = {p: tuple(abs(p.terms.get(f, 0)) for f in walk) for p in finals}
+    best = min(profiles.values())
+    return {p for p, prof in profiles.items() if prof == best}
 
 
 def is_integer_valued(poly: RationalPolynomial) -> bool:
@@ -551,6 +595,23 @@ def patch_probability(dens: an.TwirledCubicDensity, center=(0.0, 0.0), n_quad: i
         - scipy.special.erf(math.sqrt(math.pi) * (lo - mean_p) / np.sqrt(var_p))
     )
     return float(np.sum(an._normal_1d(dens.sigma_q, vq) * inner) * dq)
+
+
+def ft_erf_product(delta: float) -> float:
+    """erf1·erf2 at λ(Δ): `analytic.ft_lower_bound`'s lower bound on p_E(0), restated."""
+    lam = an.ft_lambda_ansatz(delta)
+    t = math.tanh(delta**2 / 2.0)
+    erf1 = math.erf(math.sqrt(math.pi) / (t / lam) ** 0.25)
+    inner = math.sqrt(t / lam) / (2.0 * lam * t) + lam * t
+    return erf1 * math.erf(math.sqrt(math.pi) / (4.0 * math.sqrt(8.0) * math.sqrt(inner)))
+
+
+def ft_patch_fidelity(delta: float) -> float:
+    """`ft_lower_bound`'s chain on the true patch mass: 1/3 + (2/3)((2 p_E(0) - 1)/C)²,
+    p_E(0) the twirled density's mass on the patch at λ(Δ), 4001 nodes."""
+    lam = an.ft_lambda_ansatz(delta)
+    p0 = patch_probability(an.TwirledCubicDensity(delta, lam), n_quad=4001)
+    return 1.0 / 3.0 + (2.0 / 3.0) * ((2.0 * p0 - 1.0) / an.chi_norm_constant(delta, lam)) ** 2
 
 
 class NotApplicableError(ValueError):

@@ -364,6 +364,37 @@ def test_criterion_12_ft_bound():
         b.check_time()
 
 
+def test_criterion_12_companion_erf_product_below_patch_mass():
+    # the one claim the bound makes about p_E(0): erf1·erf2 <= the true patch mass
+    for delta in (0.01, 0.02, 0.03, 0.05, 0.06, 0.1, 0.15, 0.2, 0.25, 0.3, 0.35,
+                  an.FT_VALIDITY_DELTA):
+        lam = an.ft_lambda_ansatz(delta)
+        p_erf = oracles.ft_erf_product(delta)
+        assert p_erf <= oracles.patch_probability(an.TwirledCubicDensity(delta, lam), n_quad=4001)
+        bound = an.ft_lower_bound(delta)
+        if p_erf <= 0.5:  # 2 p_E(0) - 1 clips to 0: the bound is exactly 1/3, validity or not
+            assert bound.f_lower_bound == 1.0 / 3.0
+        else:  # the restated product is the one ft_lower_bound uses
+            core = math.sqrt(1.5 * (bound.f_lower_bound - 1.0 / 3.0))
+            p0 = (core * an.chi_norm_constant(delta, lam) + 1.0) / 2.0
+            assert abs(p0 - p_erf) <= 1e-12 * p_erf
+    assert oracles.ft_erf_product(0.05) > 0.5 > oracles.ft_erf_product(0.06)
+
+
+def test_criterion_12_companion_true_patch_chain_below_engine():
+    # the bound's chain run on the true p_E(0) is not vacuous (0.8945 at
+    # Delta = 0.2, 0.7901 at 0.3), and still lies below the engine's T3 fidelity
+    for delta in (0.2, 0.3):
+        bound = an.ft_lower_bound(delta)
+        config = ch.ChannelConfig(
+            gate=T3, params=fk.GkpParams(delta, bound.lam_of_delta),
+            plan=fk.TruncationPlan(d_init=384), target="T3",
+        )
+        f_patch = oracles.ft_patch_fidelity(delta)
+        assert bound.f_lower_bound == 1.0 / 3.0 < 0.75 < f_patch
+        assert f_patch < oracles.average_gate_fidelity(config)
+
+
 def test_cli_surface_for_acceptance(tmp_path):
     # the synth surface named by criterion 1, end to end
     out = tmp_path / "t.json"

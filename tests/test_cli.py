@@ -9,11 +9,13 @@ import signal
 import subprocess
 import sys
 import textwrap
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from gkpphase import cli
+import oracles
+from gkpphase import cli, polyalg
 
 
 def run(tmp_path, *argv, name="out"):
@@ -49,6 +51,37 @@ def test_synth_multiqubit_cs(tmp_path):
     assert code == 0
     assert data["gate"] == "CS"
     assert data["polynomial"] == {"1,1": "-1/4", "1,2": "-1/4", "2,1": "-1/4"}
+    assert data["degree"] == 3
+    assert data["tied"] and len(data["minima"]) == 4 and data["minima"][0] == data["polynomial"]
+    steps = data["branch_log"]
+    assert steps[0] == {"monomial": [2, 2], "multiplier": 1, "boundary": False}
+    assert [s["monomial"] for s in steps if s["boundary"]] == [[2, 1], [1, 2]]
+
+
+def test_synth_controlled_t_prints_an_enumerated_minimum(tmp_path):
+    code, text = run(tmp_path, "synth", "--level", "3", "--qubits", "2")
+    assert code == 0
+    data = json.loads(text)
+    assert data["polynomial"] == {"1,3": "-1/12", "2,2": "1/8", "3,1": "1/12"}
+    printed = polyalg.MultiRationalPolynomial(
+        2, {tuple(map(int, k.split(","))): v for k, v in data["polynomial"].items()})
+    assert printed in oracles.multivariate_minima(polyalg.control_gate_start(2, 3))
+    assert oracles.verify_control_gate(printed, 3)
+
+
+def test_synth_multiqubit_failed_phase_check_exits_2(tmp_path, monkeypatch, capsys):
+    reduce = polyalg.multivariate_reduce
+
+    def off_by_a_quarter(poly):  # CS minus x1 x2/4: the phase on odd inputs moves
+        out = reduce(poly)
+        bad = dict(out.minimum.terms)
+        bad[(1, 1)] = bad.get((1, 1), 0) + Fraction(1, 4)
+        return polyalg.ReductionOutcome((polyalg.MultiRationalPolynomial(2, bad),), out.branch_log)
+
+    monkeypatch.setattr(polyalg, "multivariate_reduce", off_by_a_quarter)
+    code, text = run(tmp_path, "synth", "--level", "2", "--qubits", "2")
+    assert code == 2 and text == ""
+    assert "phase check" in capsys.readouterr().err
 
 
 def test_synth_lift_start(tmp_path):

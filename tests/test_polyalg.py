@@ -46,8 +46,9 @@ def test_basis_leading_coefficient_and_integrality():
 
 
 def test_basis_built_factor_by_factor_equals_dense_product():
+    bases = pa._scaled_bases(40)  # n!·L_n
     for n in range(1, 41):
-        assert pa._basis(n) == oracles.basis(n)
+        assert Poly([F(c, factorial(n)) for c in bases[n]]) == oracles.basis(n)
 
 
 @pytest.mark.parametrize("bad", [0, -1, -5])
@@ -238,11 +239,9 @@ def test_reduce_equals_fraction_oracle(coeffs, constant):
 
 
 def test_control_gate_start():
-    cs = pa.control_gate_start(2, 2)
-    assert cs.coeff((2, 2)) == F(1, 4)
-    ccz = pa.control_gate_start(3, 1)
-    assert ccz.coeff((1, 1, 1)) == F(1, 2)
-    assert pa.control_gate_start(1, 3).coeff((4,)) == F(1, 8)
+    assert pa.control_gate_start(2, 2).terms == {(2, 2): F(1, 4)}
+    assert pa.control_gate_start(3, 1).terms == {(1, 1, 1): F(1, 2)}
+    assert pa.control_gate_start(1, 3).terms == {(4,): F(1, 8)}
     with pytest.raises(ValueError):
         pa.control_gate_start(0, 1)
 
@@ -253,7 +252,9 @@ def test_multivariate_reduce_cs():
         2, {(2, 1): F(-1, 4), (1, 2): F(-1, 4), (1, 1): F(-1, 4)}
     )
     assert out.minimum == expected
-    assert out.tie_monomials  # boundary remainders on the cubic monomials
+    assert len(out.minima) == 4  # every sign pattern with an even count of + on the cubics
+    # boundary remainders on the cubic monomials
+    assert [s.monomial for s in out.branch_log if s.boundary] == [(2, 1), (1, 2)]
     assert oracles.verify_control_gate(out.minimum, 2)
 
 
@@ -267,9 +268,62 @@ def test_multivariate_reduce_ccz_and_cz_fixed_points():
 
 def test_multivariate_bound_holds():
     out = pa.multivariate_reduce(pa.control_gate_start(2, 3))
-    for exp, c in out.minimum.terms.items():
-        bound = F(1, 2)
-        for d in exp:
-            bound /= factorial(d)
-        assert abs(c) <= bound
-    assert oracles.verify_control_gate(out.minimum, 3, k_range=4)
+    for p in out.minima:
+        for exp, c in p.terms.items():
+            bound = F(1, 2)
+            for d in exp:
+                bound /= factorial(d)
+            assert abs(c) <= bound
+        assert oracles.verify_control_gate(p, 3, k_range=4)
+
+
+@pytest.mark.parametrize("n_qubits,m", [(2, 1), (2, 2), (2, 3), (2, 4), (3, 1), (3, 2)])
+def test_multivariate_reduce_equals_tie_enumeration(n_qubits, m):
+    start = pa.control_gate_start(n_qubits, m)
+    out = pa.multivariate_reduce(start)
+    assert len(set(out.minima)) == len(out.minima)
+    assert set(out.minima) == oracles.multivariate_minima(start)
+    assert pa.verify_control_gate(out.minimum, m)
+    assert oracles.verify_control_gate(out.minimum, m, k_range=4 if n_qubits == 2 else 3)
+
+
+_two_var_terms = st.dictionaries(
+    st.tuples(st.integers(0, 3), st.integers(0, 3)),
+    st.fractions(min_value=-2, max_value=2, max_denominator=24),
+    max_size=4,
+)
+
+
+@given(_two_var_terms)
+@settings(max_examples=40, deadline=None)
+def test_multivariate_reduce_equals_tie_enumeration_on_random_inputs(terms):
+    p = pa.MultiRationalPolynomial(2, terms)
+    out = pa.multivariate_reduce(p)
+    assert set(out.minima) == oracles.multivariate_minima(p)
+
+
+def test_verify_control_gate_needs_both_parities():
+    # x1 x2/4 has the CS phases on {0, 1}^2, its degree-1 box, but gives 1/2 at (2, 1)
+    p = pa.MultiRationalPolynomial(2, {(1, 1): F(1, 4)})
+    assert not pa.verify_control_gate(p, 2)
+    assert not oracles.verify_control_gate(p, 2, k_range=2)
+
+
+@given(
+    st.dictionaries(st.tuples(st.integers(0, 3), st.integers(0, 3)), st.integers(-3, 3), max_size=4),
+    st.integers(1, 3),
+    st.integers(0, 1),
+)
+@settings(max_examples=40, deadline=None)
+def test_verify_control_gate_equals_box_oracle(stabilizer, m, broken):
+    # the gate plus an integer combination of basis products keeps the phase
+    # action; an added x1 x2/2^(m+1) breaks it
+    p = pa.multivariate_reduce(pa.control_gate_start(2, m)).minimum
+    terms = dict(p.terms)
+    for (a, b), n in stabilizer.items():
+        for i, x in enumerate(oracles.basis(a).coeffs if a else (F(1),)):
+            for j, y in enumerate(oracles.basis(b).coeffs if b else (F(1),)):
+                terms[(i, j)] = terms.get((i, j), 0) + n * x * y
+    terms[(1, 1)] = terms.get((1, 1), 0) + F(broken, 2 ** (m + 1))
+    q = pa.MultiRationalPolynomial(2, terms)
+    assert pa.verify_control_gate(q, m) == oracles.verify_control_gate(q, m, k_range=5) == (not broken)
