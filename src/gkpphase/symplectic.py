@@ -170,17 +170,6 @@ def morphing_params(lam: float) -> tuple[float, float, float, float]:
     return rt / (lam + 1.0), math.atan(rt), math.sqrt(lam + 1.0), 1.0 / math.sqrt(lam + 1.0)
 
 
-def breeding_angle(lam: float) -> float:
-    """Beam-splitter angle arctan(1/sqrt(lam)) of one passive breeding round.
-
-    One round converts a rectangular code of integer asymmetry lam >= 1 into
-    one with asymmetry lam + 1.
-    """
-    if lam < 1:
-        raise ValueError(f"breeding_angle requires lam >= 1, got {lam}")
-    return math.atan(1.0 / math.sqrt(lam))
-
-
 def morphing_rhs(theta: float, alpha1: float, alpha2: float) -> GaussianOp:
     """Right-hand side of the rearrangement identity as one block matrix.
 
@@ -201,7 +190,12 @@ def morphing_rhs(theta: float, alpha1: float, alpha2: float) -> GaussianOp:
 
 
 def morphing_identity_residual(lam: float) -> float:
-    """Max-abs residual of the rearrangement identity at asymmetry lam."""
+    """Max-abs residual of the rearrangement identity at asymmetry lam.
+
+    At 1/lam it checks the passive breeding rewrite: cx(1/sqrt(lam)) and
+    feedforward(sqrt(lam)/(lam+1)) as a beam splitter at arctan(1/sqrt(lam))
+    and squeezes, one round from asymmetry lam to lam + 1.
+    """
     xi, theta, a1, a2 = morphing_params(lam)
     lhs = compose([cx(math.sqrt(lam), 0, 1, 2), feedforward(xi, 0, 1, 2)])
     rhs = morphing_rhs(theta, a1, a2)
@@ -221,18 +215,6 @@ def qsteane_identity_residual() -> float:
             squeezer(1.0 / math.sqrt(2), 0, 2),
             squeezer(math.sqrt(2), 1, 2),
         ]
-    )
-    return float(np.max(np.abs(lhs.S - rhs.S)))
-
-
-def breeding_identity_residual(lam: float) -> float:
-    """Residual of the passive breeding rewrite (the lam -> 1/lam instance)."""
-    rt = math.sqrt(lam)
-    lhs = compose([cx(1.0 / rt, 0, 1, 2), feedforward(rt / (lam + 1.0), 0, 1, 2)])
-    rhs = morphing_rhs(
-        breeding_angle(lam) if lam >= 1 else math.atan(1.0 / rt),
-        math.sqrt((lam + 1.0) / lam),
-        math.sqrt(lam / (lam + 1.0)),
     )
     return float(np.max(np.abs(lhs.S - rhs.S)))
 

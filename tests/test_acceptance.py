@@ -364,10 +364,13 @@ def test_criterion_12_ft_bound():
         b.check_time()
 
 
+CRITERION_12_DELTAS = (0.01, 0.02, 0.03, 0.05, 0.06, 0.1, 0.15, 0.2, 0.25, 0.3, 0.35,
+                       an.FT_VALIDITY_DELTA)
+
+
 def test_criterion_12_companion_erf_product_below_patch_mass():
     # the one claim the bound makes about p_E(0): erf1·erf2 <= the true patch mass
-    for delta in (0.01, 0.02, 0.03, 0.05, 0.06, 0.1, 0.15, 0.2, 0.25, 0.3, 0.35,
-                  an.FT_VALIDITY_DELTA):
+    for delta in CRITERION_12_DELTAS:
         lam = an.ft_lambda_ansatz(delta)
         p_erf = oracles.ft_erf_product(delta)
         assert p_erf <= oracles.patch_probability(an.TwirledCubicDensity(delta, lam), n_quad=4001)
@@ -379,6 +382,22 @@ def test_criterion_12_companion_erf_product_below_patch_mass():
             p0 = (core * an.chi_norm_constant(delta, lam) + 1.0) / 2.0
             assert abs(p0 - p_erf) <= 1e-12 * p_erf
     assert oracles.ft_erf_product(0.05) > 0.5 > oracles.ft_erf_product(0.06)
+
+
+def test_patch_probability_resolves_the_vq_marginal():
+    # at Delta = 0.01 the v_q density (sd 1.5e-4) is narrower than the spacing
+    # of 4001 even nodes over the whole patch; the oracle's mass must stay a
+    # probability and match an adaptive 2-D quadrature of the density itself
+    from scipy.integrate import dblquad
+
+    for delta in CRITERION_12_DELTAS:
+        dens = an.TwirledCubicDensity(delta, an.ft_lambda_ansatz(delta))
+        mass = oracles.patch_probability(dens, n_quad=4001)
+        assert mass <= 1.0 + 1e-12, delta
+        half = min(an.PATCH_HALF, 10.0 * math.sqrt(dens.sigma_q / (2.0 * math.pi)))
+        fine, _ = dblquad(lambda v_p, v_q: float(dens(v_q, v_p)), -half, half,
+                          -an.PATCH_HALF, an.PATCH_HALF, epsabs=1e-13, epsrel=1e-13)
+        assert abs(mass - fine) <= 1e-9, delta
 
 
 def test_criterion_12_companion_true_patch_chain_below_engine():

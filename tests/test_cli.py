@@ -2,6 +2,7 @@
 
 import argparse
 import ast
+import hashlib
 import inspect
 import json
 import os
@@ -66,7 +67,7 @@ def test_synth_controlled_t_prints_an_enumerated_minimum(tmp_path):
     printed = polyalg.MultiRationalPolynomial(
         2, {tuple(map(int, k.split(","))): v for k, v in data["polynomial"].items()})
     assert printed in oracles.multivariate_minima(polyalg.control_gate_start(2, 3))
-    assert oracles.verify_control_gate(printed, 3)
+    assert oracles.phase_check_on_box(printed, 3)
 
 
 def test_synth_multiqubit_failed_phase_check_exits_2(tmp_path, monkeypatch, capsys):
@@ -93,6 +94,65 @@ def test_synth_lift_start(tmp_path):
         code, text = run(tmp_path, "synth", "--level", "4", "--start", f"lift:{start}")
         assert code == 0
         assert json.loads(text)["polynomial"]["pretty"] == "-x^4/48 + x^2/12"
+
+
+def test_synth_lift_start_refuses_a_wrong_gate_of_high_degree(tmp_path, capsys):
+    # T3 + C(x+50, 101)/2 (L_101 = C(x+50, 101)) has T3's phases on |k| <= 50
+    # and not at k = 51
+    bad = polyalg.GATE_TABLE["T3"][0] + oracles.basis(101) * Fraction(1, 2)
+    start = tmp_path / "bad.json"
+    start.write_text(json.dumps({"coefficients": bad.fraction_strings()}))
+    code, text = run(tmp_path, "synth", "--level", "4", "--start", f"lift:{start}")
+    assert code == 1 and text == ""
+    assert "does not implement the level-3 gate" in capsys.readouterr().err
+
+
+# sha-256 of `synth` stdout, so any change to the printed bytes shows; a
+# "lift" run starts from the level below's power-start output
+SYNTH_STDOUT_SHA256 = {
+    "level 1": "623606924889b33376d0dd1c0d81237435df7a350028964529738fe62516147e",
+    "level 2": "ccb0d9d2b4d1e02dc32c4379f05c443685d48cb6cc2d5c240e5099fbe5fa2f5f",
+    "level 3": "f375d0ce56de0da88355362953fa7158a5900e8b373f0cce2f7245e1f20ef05c",
+    "level 4": "25c3aa3489b4de6caf39eeab847033b0609899bf9c45258f52aac376eb8d0eb2",
+    "level 5": "8d7ebb00df9ebaf8fbafac13012954b7e9a3030875d315a2fe819ce4072549d6",
+    "level 6": "45251012bf614816a85b88de1c5d1fa37e41c8d2174cd72ac40667a75cfd5e8a",
+    "level 7": "c05830107ad3487fe3b97bf5f0bb715faddb88ac5b9a747e5f3b7059ae64c56a",
+    "level 8": "1cd78c525c1a62e0deb281675dd2d0877abeac3c08322a261d5713268c941338",
+    "level 9": "ff17f15bd86cff2623d67eaee7b8c59aa4003a06d1f098b47a740f8bb3134b52",
+    "level 2 lift": "ccb0d9d2b4d1e02dc32c4379f05c443685d48cb6cc2d5c240e5099fbe5fa2f5f",
+    "level 3 lift": "f375d0ce56de0da88355362953fa7158a5900e8b373f0cce2f7245e1f20ef05c",
+    "level 4 lift": "373ef3f94bc5168315fd3e6203c3dc2a427494c11170cb10bbae62610db55833",
+    "level 5 lift": "aa3b773e2c15aae694f60f155bed0c65f7ab4d6b5311df35c56a4434b4496441",
+    "level 6 lift": "04d2aef5325d62f1fa80c4f639154539aea1a04d34d0f126c82ebb1a01ad2d86",
+    "level 7 lift": "0a213fc82d54e81efe03a2dcc18a4945883eca3c64544292ece9710568cdd419",
+    "level 8 lift": "659e0cfb2d04a4f2df595fa37c57c518a88c0dd8aad0e16322fc7d20b82aae89",
+    "level 9 lift": "4de71f43e1d0cd0b722cd6570d4e4465b5df5aaabb51deb5cbf9f57659f2b86b",
+    "level 1 qubits 2": "fd4912cedae6cfe3fab9802083a3573e375a01fb0767ac4cf2a0134b31848095",
+    "level 2 qubits 2": "3bd2c5c6d3a1f02403caaab6baf5b897f25038149b2d552b60ee4238f2296b35",
+    "level 3 qubits 2": "0bd97cc61b841ef07fd8cd5e77b807b283d5136b88b91ceb2fff2200bcf5c84a",
+    "level 4 qubits 2": "6151ac13dae04db634761c4f646153fe57a4ade6d32c6ef9e2d53dc2a5d9b18f",
+    "level 1 qubits 3": "8c4ba1b6c65766385a647595addda8e8ab7ef08faf05280a65b65d03f30879f1",
+    "level 2 qubits 3": "d5b9e48d5e43b29139252331a734c16cd19da73fbcaa7c8c2cc9df309a91f0c1",
+}
+
+
+def test_synth_stdout_digests(tmp_path, capsys):
+    def digest(*argv):
+        assert cli.dispatch(["synth", *argv]) == 0
+        out = capsys.readouterr().out
+        return out, hashlib.sha256(out.encode()).hexdigest()
+
+    got = {}
+    for m in range(1, 10):
+        out, got[f"level {m}"] = digest("--level", str(m))
+        if m < 9:
+            (tmp_path / f"l{m}.json").write_text(out)
+        if m > 1:
+            _, got[f"level {m} lift"] = digest("--level", str(m), "--start", f"lift:{tmp_path}/l{m - 1}.json")
+    for n, levels in ((2, range(1, 5)), (3, range(1, 3))):
+        for m in levels:
+            _, got[f"level {m} qubits {n}"] = digest("--level", str(m), "--qubits", str(n))
+    assert got == SYNTH_STDOUT_SHA256
 
 
 def test_synth_lift_start_rejects_other_json(tmp_path, capsys):
@@ -393,6 +453,17 @@ def test_numeric_failure_exits_2(monkeypatch):
         raise analytic.AccuracyError("sum did not converge")
 
     # dispatch rebuilds the parser, which resolves handlers from cli globals
+    monkeypatch.setattr(cli, "cmd_moments", boom)
+    assert cli.dispatch(["moments", "--delta", "0.2"]) == 2
+
+
+def test_singular_conditioning_exits_2(monkeypatch):
+    # a LinAlgError, hence also a ValueError, yet a numeric failure
+    from gkpphase import symplectic
+
+    def boom(args):
+        raise symplectic.SingularConditioningError([1])
+
     monkeypatch.setattr(cli, "cmd_moments", boom)
     assert cli.dispatch(["moments", "--delta", "0.2"]) == 2
 

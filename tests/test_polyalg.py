@@ -121,6 +121,17 @@ def test_verify_gate_examples():
     assert not pa.verify_gate(T3, 4)
 
 
+def test_verify_gate_is_exact_above_degree_49():
+    # L_101/2 = C(x+50, 101)/2 vanishes on |k| <= 50, so no scan of those
+    # integers tells a gate plus it from the gate, yet it adds 1/2 at k = 51
+    wrong = oracles.basis(101) * F(1, 2)
+    assert all(wrong(k) == 0 for k in range(-50, 51)) and wrong(51) == F(1, 2)
+    assert not pa.verify_gate(Poly.monomial(128, F(1, 256)) + wrong, 8)
+    assert not pa.verify_gate(T3 + wrong, 3)
+    assert pa.verify_gate(Poly.monomial(128, F(1, 256)), 8)
+    assert pa.verify_gate(T3 + wrong + wrong, 3)  # L_101 itself is a stabilizer
+
+
 # -- lexicographic order --------------------------------------------------------
 
 
@@ -255,13 +266,13 @@ def test_multivariate_reduce_cs():
     assert len(out.minima) == 4  # every sign pattern with an even count of + on the cubics
     # boundary remainders on the cubic monomials
     assert [s.monomial for s in out.branch_log if s.boundary] == [(2, 1), (1, 2)]
-    assert oracles.verify_control_gate(out.minimum, 2)
+    assert oracles.phase_check_on_box(out.minimum, 2)
 
 
 def test_multivariate_reduce_ccz_and_cz_fixed_points():
     ccz = pa.multivariate_reduce(pa.control_gate_start(3, 1))
     assert ccz.minimum == pa.control_gate_start(3, 1)
-    assert oracles.verify_control_gate(ccz.minimum, 1, k_range=3)
+    assert oracles.phase_check_on_box(ccz.minimum, 1, k_range=3)
     cz = pa.MultiRationalPolynomial(2, {(1, 1): F(1, 2)})
     assert pa.multivariate_reduce(cz).minimum == cz
 
@@ -274,7 +285,7 @@ def test_multivariate_bound_holds():
             for d in exp:
                 bound /= factorial(d)
             assert abs(c) <= bound
-        assert oracles.verify_control_gate(p, 3, k_range=4)
+        assert oracles.phase_check_on_box(p, 3, k_range=4)
 
 
 @pytest.mark.parametrize("n_qubits,m", [(2, 1), (2, 2), (2, 3), (2, 4), (3, 1), (3, 2)])
@@ -283,8 +294,8 @@ def test_multivariate_reduce_equals_tie_enumeration(n_qubits, m):
     out = pa.multivariate_reduce(start)
     assert len(set(out.minima)) == len(out.minima)
     assert set(out.minima) == oracles.multivariate_minima(start)
-    assert pa.verify_control_gate(out.minimum, m)
-    assert oracles.verify_control_gate(out.minimum, m, k_range=4 if n_qubits == 2 else 3)
+    assert pa.verify_gate(out.minimum, m)
+    assert oracles.phase_check_on_box(out.minimum, m, k_range=4 if n_qubits == 2 else 3)
 
 
 _two_var_terms = st.dictionaries(
@@ -305,19 +316,20 @@ def test_multivariate_reduce_equals_tie_enumeration_on_random_inputs(terms):
 def test_verify_control_gate_needs_both_parities():
     # x1 x2/4 has the CS phases on {0, 1}^2, its degree-1 box, but gives 1/2 at (2, 1)
     p = pa.MultiRationalPolynomial(2, {(1, 1): F(1, 4)})
-    assert not pa.verify_control_gate(p, 2)
-    assert not oracles.verify_control_gate(p, 2, k_range=2)
+    assert not pa.verify_gate(p, 2)
+    assert not oracles.phase_check_on_box(p, 2, k_range=2)
 
 
 @given(
     st.dictionaries(st.tuples(st.integers(0, 3), st.integers(0, 3)), st.integers(-3, 3), max_size=4),
+    st.dictionaries(st.integers(0, 6), st.integers(-3, 3), max_size=4),
     st.integers(1, 3),
     st.integers(0, 1),
 )
 @settings(max_examples=40, deadline=None)
-def test_verify_control_gate_equals_box_oracle(stabilizer, m, broken):
+def test_verify_gate_equals_box_oracle(stabilizer, stabilizer_1, m, broken):
     # the gate plus an integer combination of basis products keeps the phase
-    # action; an added x1 x2/2^(m+1) breaks it
+    # action; an added x1 x2/2^(m+1) (x/2^(m+1) for one qubit) breaks it
     p = pa.multivariate_reduce(pa.control_gate_start(2, m)).minimum
     terms = dict(p.terms)
     for (a, b), n in stabilizer.items():
@@ -326,4 +338,8 @@ def test_verify_control_gate_equals_box_oracle(stabilizer, m, broken):
                 terms[(i, j)] = terms.get((i, j), 0) + n * x * y
     terms[(1, 1)] = terms.get((1, 1), 0) + F(broken, 2 ** (m + 1))
     q = pa.MultiRationalPolynomial(2, terms)
-    assert pa.verify_control_gate(q, m) == oracles.verify_control_gate(q, m, k_range=5) == (not broken)
+    assert pa.verify_gate(q, m) == oracles.phase_check_on_box(q, m, k_range=5) == (not broken)
+    single = pa.reduce(pa.starting_representation(m)).minimum + poly(0, F(broken, 2 ** (m + 1)))
+    for a, n in stabilizer_1.items():
+        single = single + n * (oracles.basis(a) if a else poly(1))
+    assert pa.verify_gate(single, m) == oracles.phase_check_on_box(single, m, k_range=8) == (not broken)

@@ -63,14 +63,11 @@ def test_qsteane_rewrite_identity():
     assert sp.qsteane_identity_residual() < 1e-12
 
 
-@pytest.mark.parametrize("lam", [0.5, 1.0, 2.0, 3.0, 7.0])
+@pytest.mark.parametrize("lam", [0.5, 1.0, 2.0, 3.0, 7.0]
+                         # 1/lam: the breeding round from asymmetry lam
+                         + [pytest.param(1.0 / lam, id=f"1/{lam}") for lam in (1.0, 2.0, 3.0, 7.0)])
 def test_rearrangement_identity(lam):
     assert sp.morphing_identity_residual(lam) < 1e-12
-
-
-@pytest.mark.parametrize("lam", [1.0, 2.0, 3.0, 7.0])
-def test_breeding_identity(lam):
-    assert sp.breeding_identity_residual(lam) < 1e-12
 
 
 def test_morphing_params_values():
@@ -94,14 +91,6 @@ def test_biasing_update_values():
     for lam in (0.3, 1.0, 4.2):
         dq, dp = sp.biasing_update(0.27, lam)
         assert abs(dq * dp - 0.27**2) < 1e-15
-
-
-def test_breeding_angle():
-    assert abs(sp.breeding_angle(1) - math.pi / 4) < 1e-15
-    assert abs(sp.breeding_angle(3) - math.pi / 6) < 1e-12
-    assert sp.breeding_angle(1e9) < 1e-4
-    with pytest.raises(ValueError):
-        sp.breeding_angle(0.5)
 
 
 def test_condition_no_correlation_leaves_data_unchanged():
