@@ -27,6 +27,7 @@ l_Z = (0, 1/sqrt(2)).
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -178,6 +179,10 @@ class TwirledCubicDensity:
         if not (0 < self.delta < math.inf and 0 < self.lam < math.inf):
             raise ValueError("TwirledCubicDensity needs positive finite delta and lam, "
                              f"got {self.delta}, {self.lam}")
+        t = math.tanh(self.delta**2 / 2.0)  # the variances below scale with t/λ and λt
+        if not all(sys.float_info.min <= v < math.inf for v in (t / self.lam, self.lam * t)):
+            raise ValueError(f"delta {self.delta:g} and lam {self.lam:g} take tanh(delta^2/2)/lam "
+                             "or lam*tanh(delta^2/2) out of the normal positive floats")
 
     @property
     def sigma_q(self) -> float:

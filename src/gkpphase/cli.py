@@ -23,6 +23,15 @@ from . import polyalg, write_atomically  # numeric modules: inside the commands
 
 SCHEMA_VERSION = 1
 MAX_GRID_POINTS = 10**6  # longer n_bar or lam axes, and larger N x N grids, are refused, not built
+# synth limits, measured on a shared 2-core Xeon (Python 3.11).  Level 11 takes
+# 19 s and 179 MB; level 12 ran 302 s to a 1.36 GB peak and then could not print
+# its branch log, whose multipliers exceed Python's 4300-digit int-to-str limit.
+MAX_SYNTH_LEVEL = 11
+# The reduction walks (2^(m-1)+1)^N monomials: (N, m) = (2, 7)'s 4225 take 5.7 s,
+# (2, 8)'s 16641 ran on past 60 s and (3, 5)'s 4913 ran out of 2 GB in 24 s.  The
+# phase check's (2^m+2)^N points are held to MAX_GRID_POINTS: (9, 1)'s 4^9 take
+# 3.9 s, (10, 1)'s 4^10 10.9 s, and (20, 1) ran on past 20 s.
+MAX_SYNTH_MONOMIALS = 4225
 
 
 class NumericFailure(RuntimeError):
@@ -63,13 +72,13 @@ def _count(flag: str, n: int) -> None:
 
 def _poly_json(poly: polyalg.RationalPolynomial) -> dict:
     return {
-        "coefficients": poly.fraction_strings(),
+        "coefficients": [f"{c.numerator}/{c.denominator}" for c in poly.coeffs],
         "pretty": str(poly),
         "degree": poly.degree,
     }
 
 
-def _multi_poly_json(poly: polyalg.MultiRationalPolynomial) -> dict:
+def _multi_poly_json(poly: polyalg.RationalPolynomial) -> dict:
     """Terms keyed by comma-joined exponents, as "num/den" strings."""
     return {",".join(map(str, exp)): f"{c.numerator}/{c.denominator}"
             for exp, c in sorted(poly.terms.items())}
@@ -104,9 +113,20 @@ def _lift_input(path: str) -> polyalg.RationalPolynomial:
     )
 
 
+def _synth_fits(n: int, m: int) -> None:
+    """Refuse, from (N, m) alone, a synth the limits above say cannot finish."""
+    k = min(n, MAX_GRID_POINTS.bit_length())  # both bases are >= 2, so 20 factors exceed both bounds
+    if (m > MAX_SYNTH_LEVEL or (2 ** (m - 1) + 1) ** k > MAX_SYNTH_MONOMIALS
+            or (2**m + 2) ** k > MAX_GRID_POINTS):
+        raise ValueError(f"synth --level {m} --qubits {n} cannot finish: it needs level <= {MAX_SYNTH_LEVEL}, "
+                         f"(2^(m-1)+1)^N <= {MAX_SYNTH_MONOMIALS} and (2^m+2)^N <= {MAX_GRID_POINTS}")
+
+
 def cmd_synth(args) -> int:
     m = args.level
+    _count("--level", m)
     _count("--qubits", args.qubits)
+    _synth_fits(args.qubits, m)
     if args.qubits > 1:
         if args.start != "power":
             raise ValueError(f"--start {args.start!r}: with --qubits > 1 only the power start exists")
@@ -220,6 +240,8 @@ def cmd_verify_circuits(args) -> int:
 
 def _nbar_grid(lo: float, hi: float, step: float) -> list[float]:
     """lo, lo + step, ... through hi, accumulated as nb += step."""
+    if not lo > 0:
+        raise ValueError(f"--nbar-min must be positive, got {lo}")
     if step <= 0:
         raise ValueError(f"--nbar-step must be positive, got {step}")
     count = (hi + 1e-9 - lo) / step + 1
@@ -515,6 +537,9 @@ def dispatch(argv) -> int:
         return 2
     except (ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except ArithmeticError as exc:  # an input that takes a closed form out of float range
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
 
 

@@ -4,6 +4,9 @@ A polynomial phase gate exp(2πi P(x)) acts on a grid code through the values
 P takes on the integers, so everything here is exact: `Fraction` at the API,
 Python ints over one common denominator inside the reduction.  It provides
 
+* `RationalPolynomial`, the one polynomial type: a sparse map from exponent
+  tuples to nonzero `Fraction`s in N variables, a single-qubit gate being
+  the N = 1 case,
 * the integer-valued basis polynomials L_n (Pólya's binomial-type basis,
   leading coefficient exactly 1/n!), built one linear factor at a time,
 * starting representations x^(2^(m-1))/2^m of the level-m diagonal gate,
@@ -22,9 +25,10 @@ lexicographic comparison, the reduction in `Fraction` arithmetic, the
 brute-force tie enumeration and the phase check on a symmetric box are
 test oracles (`tests/oracles.py`).
 
-Conventions: coefficients are indexed by degree with the constant term at
-index 0 (a multivariate term by its exponent tuple); constant terms are
-global phases and are reduced mod 1 and dropped by the reduction.
+Conventions: a term is keyed by its exponent tuple, (k,) in one variable,
+where dense coefficient lists run by degree with the constant at index 0;
+constant terms are global phases and are reduced mod 1 and dropped by the
+reduction.
 """
 
 from __future__ import annotations
@@ -54,190 +58,110 @@ Exponent = tuple[int, ...]
 
 
 class RationalPolynomial:
-    """Dense univariate polynomial with exact Fraction coefficients.
+    """Polynomial in `n_vars` variables with exact Fraction coefficients.
 
-    Immutable; trailing zero coefficients are trimmed on construction.
-    `terms` and `n_vars` read it as a polynomial in one variable.
+    Sparse and never changed after construction: `terms` maps each exponent
+    tuple to its nonzero coefficient.  `RationalPolynomial([c0, c1, ...])` is
+    c0 + c1·x + ... in one variable, and `coeffs` and `coeff(k)` read such a
+    polynomial densely.
     """
 
-    __slots__ = ("coeffs",)
-    n_vars = 1
+    __slots__ = ("n_vars", "terms")
 
     def __init__(self, coefficients: Iterable = ()):
-        cs = [_as_fraction(c) for c in coefficients]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        object.__setattr__(self, "coeffs", tuple(cs))
+        self.n_vars = 1
+        self.terms = {(k,): c for k, c in enumerate(map(_as_fraction, coefficients)) if c}
 
     # -- constructors -----------------------------------------------------
 
     @classmethod
-    def monomial(cls, degree: int, coefficient=1) -> "RationalPolynomial":
-        c = _as_fraction(coefficient)
-        if c == 0:
-            return cls(())
-        return cls((0,) * degree + (c,))
+    def from_terms(cls, n_vars: int, terms: Mapping[Exponent, object]) -> "RationalPolynomial":
+        """sum_e c_e x^e over exponent tuples e of length n_vars, each checked."""
+        if n_vars < 1:
+            raise ValueError("n_vars must be >= 1")
+        out: dict[Exponent, Fraction] = {}
+        for exp, c in terms.items():
+            exp = tuple(int(e) for e in exp)
+            if len(exp) != n_vars or any(e < 0 for e in exp):
+                raise ValueError(f"bad exponent tuple {exp} for n_vars={n_vars}")
+            out[exp] = out.get(exp, 0) + _as_fraction(c)
+        poly = cls()
+        poly.n_vars, poly.terms = n_vars, {e: c for e, c in out.items() if c}
+        return poly
 
-    # -- basic queries -----------------------------------------------------
+    @classmethod
+    def monomial(cls, degree: int, coefficient=1) -> "RationalPolynomial":
+        return cls.from_terms(1, {(degree,): coefficient})
+
+    # -- queries ------------------------------------------------------------
 
     @property
     def degree(self) -> int:
-        """Highest nonzero index; -1 for the zero polynomial."""
-        return len(self.coeffs) - 1
+        """Total degree; -1 for the zero polynomial."""
+        return max(map(sum, self.terms), default=-1)
 
     def coeff(self, k: int) -> Fraction:
-        if 0 <= k < len(self.coeffs):
-            return self.coeffs[k]
-        return Fraction(0)
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
+        """The coefficient of x^k in one variable."""
+        if self.n_vars != 1:
+            raise ValueError(f"coeff reads a polynomial in one variable, not {self.n_vars}")
+        return self.terms.get((k,), Fraction(0))
 
     @property
-    def terms(self) -> dict[Exponent, Fraction]:
-        """Nonzero coefficients keyed by the exponent tuple (k,)."""
-        return {(k,): c for k, c in enumerate(self.coeffs) if c}
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """Coefficients in one variable by degree, the constant first."""
+        return tuple(self.coeff(k) for k in range(self.degree + 1))
 
-    def __call__(self, x) -> Fraction:
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
+    def __call__(self, *xs) -> Fraction:
+        return sum((c * prod(x**k for x, k in zip(xs, e)) for e, c in self.terms.items()), Fraction(0))
 
     # -- arithmetic ---------------------------------------------------------
 
     def __add__(self, other: "RationalPolynomial") -> "RationalPolynomial":
-        n = max(len(self.coeffs), len(other.coeffs))
-        return RationalPolynomial(
-            [self.coeff(k) + other.coeff(k) for k in range(n)]
-        )
+        out = dict(self.terms)
+        for e, c in other.terms.items():
+            out[e] = out.get(e, 0) + c
+        return self.from_terms(self.n_vars, out)
 
     def __sub__(self, other: "RationalPolynomial") -> "RationalPolynomial":
-        n = max(len(self.coeffs), len(other.coeffs))
-        return RationalPolynomial(
-            [self.coeff(k) - other.coeff(k) for k in range(n)]
-        )
-
-    def __neg__(self) -> "RationalPolynomial":
-        return RationalPolynomial([-c for c in self.coeffs])
+        return self + -1 * other
 
     def __mul__(self, other) -> "RationalPolynomial":
-        if isinstance(other, RationalPolynomial):
-            if self.is_zero() or other.is_zero():
-                return RationalPolynomial(())
-            out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-            for i, a in enumerate(self.coeffs):
-                if a == 0:
-                    continue
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] += a * b
-            return RationalPolynomial(out)
-        c = _as_fraction(other)
-        return RationalPolynomial([c * a for a in self.coeffs])
+        if not isinstance(other, RationalPolynomial):
+            c = _as_fraction(other)
+            return self.from_terms(self.n_vars, {e: c * a for e, a in self.terms.items()})
+        out: dict[Exponent, Fraction] = {}
+        for e, a in self.terms.items():
+            for f, b in other.terms.items():
+                g = tuple(i + j for i, j in zip(e, f, strict=True))  # refuses other n_vars
+                out[g] = out.get(g, 0) + a * b
+        return self.from_terms(self.n_vars, out)
 
     __rmul__ = __mul__
-
-    def drop_constant(self) -> "RationalPolynomial":
-        if not self.coeffs:
-            return self
-        return RationalPolynomial((Fraction(0),) + self.coeffs[1:])
 
     # -- protocol -----------------------------------------------------------
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, RationalPolynomial) and self.coeffs == other.coeffs
-
-    def __hash__(self) -> int:
-        return hash(self.coeffs)
-
-    def __repr__(self) -> str:
-        return f"RationalPolynomial({self})"
-
-    def __str__(self) -> str:
-        if not self.coeffs:
-            return "0"
-        parts = []
-        for k in range(len(self.coeffs) - 1, -1, -1):
-            c = self.coeffs[k]
-            if c == 0:
-                continue
-            mag = abs(c)
-            if k == 0:
-                term = str(mag)
-            else:
-                xs = "x" if k == 1 else f"x^{k}"
-                if mag == 1:
-                    term = xs
-                elif mag.numerator == 1:
-                    term = f"{xs}/{mag.denominator}"
-                else:
-                    term = f"{mag.numerator}{xs}/{mag.denominator}" if mag.denominator != 1 else f"{mag.numerator}{xs}"
-            sign = "-" if c < 0 else "+"
-            parts.append((sign, term))
-        head_sign, head = parts[0]
-        out = ("-" if head_sign == "-" else "") + head
-        for sign, term in parts[1:]:
-            out += f" {sign} {term}"
-        return out
-
-    def fraction_strings(self) -> list[str]:
-        """Coefficients by degree as "num/den" strings (CLI wire format)."""
-        return [f"{c.numerator}/{c.denominator}" for c in self.coeffs]
-
-
-# ---------------------------------------------------------------------------
-# Multivariate polynomials
-# ---------------------------------------------------------------------------
-
-
-class MultiRationalPolynomial:
-    """Sparse polynomial in N variables with exact rational coefficients."""
-
-    __slots__ = ("n_vars", "terms")
-
-    def __init__(self, n_vars: int, terms: Mapping[Exponent, object] | None = None):
-        if n_vars < 1:
-            raise ValueError("n_vars must be >= 1")
-        clean: dict[Exponent, Fraction] = {}
-        for exp, c in (terms or {}).items():
-            exp = tuple(int(e) for e in exp)
-            if len(exp) != n_vars or any(e < 0 for e in exp):
-                raise ValueError(f"bad exponent tuple {exp} for n_vars={n_vars}")
-            c = _as_fraction(c)
-            if c != 0:
-                clean[exp] = clean.get(exp, Fraction(0)) + c
-        object.__setattr__(self, "n_vars", n_vars)
-        object.__setattr__(
-            self, "terms", {e: c for e, c in clean.items() if c != 0}
-        )
-
-    @property
-    def degree(self) -> int:
-        """Total degree; 0 for the zero polynomial."""
-        return max((sum(e) for e in self.terms), default=0)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, MultiRationalPolynomial)
-            and self.n_vars == other.n_vars
-            and self.terms == other.terms
-        )
+        return (isinstance(other, RationalPolynomial) and self.n_vars == other.n_vars
+                and self.terms == other.terms)
 
     def __hash__(self) -> int:
         return hash((self.n_vars, frozenset(self.terms.items())))
 
     def __repr__(self) -> str:
-        if not self.terms:
-            return "MultiRationalPolynomial(0)"
-        bits = []
-        for exp in sorted(self.terms, key=lambda e: (-sum(e), tuple(-x for x in e))):
-            mono = "*".join(
-                f"x{i+1}" + (f"^{e}" if e > 1 else "")
-                for i, e in enumerate(exp)
-                if e > 0
-            )
-            bits.append(f"({self.terms[exp]})*{mono or '1'}")
-        return "MultiRationalPolynomial(" + " + ".join(bits) + ")"
+        return f"RationalPolynomial({self})"
+
+    def __str__(self) -> str:
+        """Highest total degree first: "x^3/12 + x^2/8 - x/12", "-x1^2*x2/4 - x1*x2/4"."""
+        names = ["x"] if self.n_vars == 1 else [f"x{i}" for i in range(1, self.n_vars + 1)]
+        out = ""
+        for e in sorted(self.terms, key=lambda e: (sum(e), e), reverse=True):
+            c = self.terms[e]
+            xs = "*".join(v if k == 1 else f"{v}^{k}" for v, k in zip(names, e) if k)
+            num, den = abs(c.numerator), c.denominator
+            term = (str(abs(c)) if not xs else
+                    f"{num if num != 1 else ''}{xs}{f'/{den}' if den != 1 else ''}")
+            out += ("-" if c < 0 else "") + term if not out else f" {'-' if c < 0 else '+'} {term}"
+        return out or "0"
 
 
 @dataclass(frozen=True)
@@ -308,19 +232,17 @@ def lift_representation(poly: RationalPolynomial, m: int) -> RationalPolynomial:
     return Fraction(2 ** (m - 1)) * (poly * poly)
 
 
-def control_gate_start(n_qubits: int, m: int) -> MultiRationalPolynomial:
+def control_gate_start(n_qubits: int, m: int) -> RationalPolynomial:
     """Starting representation (x1···xN)^(2^(m-1)) / 2^m of C^{N-1}Λ_m."""
     if not isinstance(n_qubits, int) or n_qubits < 1:
         raise ValueError(f"control_gate_start requires N >= 1, got {n_qubits!r}")
     if not isinstance(m, int) or m < 1:
         raise ValueError(f"control_gate_start requires m >= 1, got {m!r}")
     e = 2 ** (m - 1)
-    return MultiRationalPolynomial(
-        n_qubits, {(e,) * n_qubits: Fraction(1, 2**m)}
-    )
+    return RationalPolynomial.from_terms(n_qubits, {(e,) * n_qubits: Fraction(1, 2**m)})
 
 
-def verify_gate(poly: RationalPolynomial | MultiRationalPolynomial, m: int) -> bool:
+def verify_gate(poly: RationalPolynomial, m: int) -> bool:
     """Check the phase action of C^{N-1}Λ_m, N = `poly.n_vars` (Λ_m for N = 1):
     P(x) ≡ 2^-m mod 1 when every x_i is odd, 0 otherwise.
 
@@ -331,15 +253,13 @@ def verify_gate(poly: RationalPolynomial | MultiRationalPolynomial, m: int) -> b
     its Newton expansion in the binomials C(j_1, k_1)···C(j_N, k_N),
     k_i <= d_i, has the box's finite differences, integers, as coefficients.
     The 2(d_i + 1) consecutive x_i hold d_i + 1 consecutive j_i of each
-    parity.  P is evaluated from `poly.terms`.
+    parity.
     """
     target = Fraction(1, 2**m)
-    terms = poly.terms
-    degrees = [max((e[i] for e in terms), default=0) for i in range(poly.n_vars)]
+    degrees = [max((e[i] for e in poly.terms), default=0) for i in range(poly.n_vars)]
     for xs in product(*(range(2 * d + 2) for d in degrees)):
         want = target if all(x % 2 for x in xs) else 0
-        value = sum(c * prod(x**k for x, k in zip(xs, e)) for e, c in terms.items())
-        if (value - want).denominator != 1:
+        if (poly(*xs) - want).denominator != 1:
             return False
     return True
 
@@ -430,18 +350,17 @@ def _reduce(
 
 def reduce(poly: RationalPolynomial) -> ReductionOutcome:
     """The lexicographically minimal gate polynomials of one variable
-    (`_reduce`), positive leading coefficient first."""
-    deg = poly.degree
-    if deg <= 0:
-        return ReductionOutcome((poly.drop_constant(),), ())
+    (`_reduce`), positive leading coefficient first; a constant reduces to 0."""
+    if poly.degree <= 0:
+        return ReductionOutcome((RationalPolynomial(),), ())
     minima, log = _reduce(poly.terms, 1)
-    polys = [RationalPolynomial([t.get((k,), 0) for k in range(deg + 1)]) for t in minima]
-    polys.sort(key=lambda p: (p.coeff(p.degree) < 0, p.coeffs))
+    polys = sorted((RationalPolynomial.from_terms(1, t) for t in minima),
+                   key=lambda p: (p.coeff(p.degree) < 0, p.coeffs))
     return ReductionOutcome(tuple(polys), log)
 
 
-def multivariate_reduce(poly: MultiRationalPolynomial) -> ReductionOutcome:
+def multivariate_reduce(poly: RationalPolynomial) -> ReductionOutcome:
     """The lexicographically minimal polynomials of N variables (`_reduce`),
     in fork order: the smaller |n| at each tie first."""
     minima, log = _reduce(poly.terms, poly.n_vars)
-    return ReductionOutcome(tuple(MultiRationalPolynomial(poly.n_vars, t) for t in minima), log)
+    return ReductionOutcome(tuple(RationalPolynomial.from_terms(poly.n_vars, t) for t in minima), log)

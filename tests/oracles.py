@@ -64,7 +64,7 @@ import scipy.special
 from gkpphase import analytic as an, channel as ch, fock as fk, symplectic as sp
 from gkpphase.fock import FockVector
 from gkpphase.polyalg import (
-    BranchStep, MultiRationalPolynomial, RationalPolynomial, ReductionOutcome,
+    BranchStep, RationalPolynomial, ReductionOutcome,
 )
 
 MAX_BRANCHES = 65536
@@ -92,6 +92,11 @@ def basis(n: int) -> RationalPolynomial:
     return poly
 
 
+def drop_constant(poly: RationalPolynomial) -> RationalPolynomial:
+    """P - P(0), a one-variable polynomial without its global phase."""
+    return poly - RationalPolynomial((poly.coeff(0),))
+
+
 def split_coefficient(a: Fraction, lead: Fraction) -> list[tuple[int, Fraction, bool]]:
     """Decompose a = n*lead + r with |r| <= lead/2; both n at exact boundary."""
     t = a / lead
@@ -109,7 +114,7 @@ def reduce(poly: RationalPolynomial) -> ReductionOutcome:
     """The lexicographically minimal gate polynomials, in Fraction arithmetic."""
     deg = poly.degree
     if deg <= 0:
-        return ReductionOutcome((poly.drop_constant(),), ())
+        return ReductionOutcome((drop_constant(poly),), ())
 
     branches: list[tuple[RationalPolynomial, tuple[BranchStep, ...]]] = [(poly, ())]
     for j in range(deg, 0, -1):
@@ -143,14 +148,14 @@ def reduce(poly: RationalPolynomial) -> ReductionOutcome:
     log0 = branches[0][1] + ((BranchStep((0,), n0, False),) if n0 else ())
     uniq: list[RationalPolynomial] = []
     for b, _log in branches:
-        p = b.drop_constant()
+        p = drop_constant(b)
         if p not in uniq:
             uniq.append(p)
     uniq.sort(key=lambda p: (p.coeff(p.degree) < 0, p.coeffs))
     return ReductionOutcome(tuple(uniq), log0)
 
 
-def multivariate_minima(poly: MultiRationalPolynomial) -> set[MultiRationalPolynomial]:
+def multivariate_minima(poly: RationalPolynomial) -> set[RationalPolynomial]:
     """Every multiplier choice at every boundary followed to the end, in
     `Fraction` arithmetic with dense-product bases; the lexicographic minima.
 
@@ -181,7 +186,7 @@ def multivariate_minima(poly: MultiRationalPolynomial) -> set[MultiRationalPolyn
         leaves = grown
         if len(leaves) > MAX_BRANCHES:
             raise RuntimeError(f"tie enumeration explosion: {len(leaves)} leaves")
-    finals = {MultiRationalPolynomial(poly.n_vars, {f: c for f, c in leaf.items() if any(f)})
+    finals = {RationalPolynomial.from_terms(poly.n_vars, {f: c for f, c in leaf.items() if any(f)})
               for leaf in leaves}
     profiles = {p: tuple(abs(p.terms.get(f, 0)) for f in walk) for p in finals}
     best = min(profiles.values())

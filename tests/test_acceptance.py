@@ -90,7 +90,7 @@ def test_criterion_02_degree_theorem():
 def test_criterion_03_multiqubit_cs_ccz():
     with Budget(3, 1.0) as b:
         cs = pa.multivariate_reduce(pa.control_gate_start(2, 2)).minimum
-        assert cs == pa.MultiRationalPolynomial(
+        assert cs == pa.RationalPolynomial.from_terms(
             2, {(2, 1): F(-1, 4), (1, 2): F(-1, 4), (1, 1): F(-1, 4)}
         )
         ccz = pa.multivariate_reduce(pa.control_gate_start(3, 1)).minimum

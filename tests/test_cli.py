@@ -64,7 +64,7 @@ def test_synth_controlled_t_prints_an_enumerated_minimum(tmp_path):
     assert code == 0
     data = json.loads(text)
     assert data["polynomial"] == {"1,3": "-1/12", "2,2": "1/8", "3,1": "1/12"}
-    printed = polyalg.MultiRationalPolynomial(
+    printed = polyalg.RationalPolynomial.from_terms(
         2, {tuple(map(int, k.split(","))): v for k, v in data["polynomial"].items()})
     assert printed in oracles.multivariate_minima(polyalg.control_gate_start(2, 3))
     assert oracles.phase_check_on_box(printed, 3)
@@ -77,7 +77,7 @@ def test_synth_multiqubit_failed_phase_check_exits_2(tmp_path, monkeypatch, caps
         out = reduce(poly)
         bad = dict(out.minimum.terms)
         bad[(1, 1)] = bad.get((1, 1), 0) + Fraction(1, 4)
-        return polyalg.ReductionOutcome((polyalg.MultiRationalPolynomial(2, bad),), out.branch_log)
+        return polyalg.ReductionOutcome((polyalg.RationalPolynomial.from_terms(2, bad),), out.branch_log)
 
     monkeypatch.setattr(polyalg, "multivariate_reduce", off_by_a_quarter)
     code, text = run(tmp_path, "synth", "--level", "2", "--qubits", "2")
@@ -101,7 +101,7 @@ def test_synth_lift_start_refuses_a_wrong_gate_of_high_degree(tmp_path, capsys):
     # and not at k = 51
     bad = polyalg.GATE_TABLE["T3"][0] + oracles.basis(101) * Fraction(1, 2)
     start = tmp_path / "bad.json"
-    start.write_text(json.dumps({"coefficients": bad.fraction_strings()}))
+    start.write_text(json.dumps({"coefficients": [str(c) for c in bad.coeffs]}))
     code, text = run(tmp_path, "synth", "--level", "4", "--start", f"lift:{start}")
     assert code == 1 and text == ""
     assert "does not implement the level-3 gate" in capsys.readouterr().err
@@ -391,6 +391,39 @@ def test_non_finite_inputs_exit_1(tmp_path, capsys, argv):
     code, text = run(tmp_path, *argv)
     assert code == 1 and text == ""
     assert "finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, message", [
+    # synth: level 12 ran 302 s and then failed on int-to-str conversion; level 30
+    # and 70 ended in a MemoryError or OverflowError traceback; (N, m) = (2, 8)
+    # and (20, 1) ran on past 60 s and 20 s; (3, 5) ran out of 2 GB in 24 s
+    (("synth", "--level", "12"), "cannot finish"),
+    (("synth", "--level", "30"), "cannot finish"),
+    (("synth", "--level", "70"), "cannot finish"),
+    (("synth", "--level", "8", "--qubits", "2"), "cannot finish"),
+    (("synth", "--level", "5", "--qubits", "3"), "cannot finish"),
+    (("synth", "--level", "1", "--qubits", "20"), "cannot finish"),
+    # tanh(Δ²/2) underflowed: NaN in every row, or inf at the origin, with exit 0
+    (("twirl-density", "--delta", "1e-200", "--lam", "1"), "normal positive floats"),
+    (("twirl-density", "--delta", "1e-160", "--lam", "1", "--span", "1e-100"), "normal positive floats"),
+    # OverflowError and ZeroDivisionError tracebacks, and a "math domain error"
+    (("moments", "--delta", "1e200"), "OverflowError"),
+    (("moments", "--delta", "1e-200"), "OverflowError"),
+    (("vacuum", "--delta", "1e300"), "OverflowError"),
+    (("sweep", "--gate", "T3", "--nbar-min", "-0.5", "--nbar-max", "-0.5", "--lam-count", "1"),
+     "--nbar-min must be positive"),
+    (("sweep", "--gate", "I", "--nbar-min", "-1"), "--nbar-min must be positive"),
+])
+def test_out_of_range_inputs_exit_1_with_one_error_line(tmp_path, capsys, argv, message):
+    code, text = run_under_alarm(tmp_path, *argv)
+    assert code == 1 and text == ""
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and message in err[0]
+
+
+def test_synth_limits_keep_the_measured_cases():
+    for n, m in ((1, 11), (2, 7), (3, 4), (9, 1)):
+        cli._synth_fits(n, m)
 
 
 @pytest.mark.parametrize("argv", [

@@ -257,9 +257,18 @@ def test_control_gate_start():
         pa.control_gate_start(0, 1)
 
 
+def test_from_terms_checks_n_vars_and_exponent_tuples():
+    assert pa.RationalPolynomial.from_terms(1, {(3,): F(1, 6), (1,): F(-1, 6)}) == oracles.basis(3)
+    zero = pa.RationalPolynomial.from_terms(2, {(1, 1): 0})
+    assert zero.terms == {} and zero.degree == -1 and str(zero) == "0"
+    for n_vars, exp in ((0, ()), (2, (1,)), (2, (1, 1, 0)), (2, (-1, 2))):
+        with pytest.raises(ValueError):
+            pa.RationalPolynomial.from_terms(n_vars, {exp: F(1, 2)})
+
+
 def test_multivariate_reduce_cs():
     out = pa.multivariate_reduce(pa.control_gate_start(2, 2))
-    expected = pa.MultiRationalPolynomial(
+    expected = pa.RationalPolynomial.from_terms(
         2, {(2, 1): F(-1, 4), (1, 2): F(-1, 4), (1, 1): F(-1, 4)}
     )
     assert out.minimum == expected
@@ -273,7 +282,7 @@ def test_multivariate_reduce_ccz_and_cz_fixed_points():
     ccz = pa.multivariate_reduce(pa.control_gate_start(3, 1))
     assert ccz.minimum == pa.control_gate_start(3, 1)
     assert oracles.phase_check_on_box(ccz.minimum, 1, k_range=3)
-    cz = pa.MultiRationalPolynomial(2, {(1, 1): F(1, 2)})
+    cz = pa.RationalPolynomial.from_terms(2, {(1, 1): F(1, 2)})
     assert pa.multivariate_reduce(cz).minimum == cz
 
 
@@ -308,14 +317,14 @@ _two_var_terms = st.dictionaries(
 @given(_two_var_terms)
 @settings(max_examples=40, deadline=None)
 def test_multivariate_reduce_equals_tie_enumeration_on_random_inputs(terms):
-    p = pa.MultiRationalPolynomial(2, terms)
+    p = pa.RationalPolynomial.from_terms(2, terms)
     out = pa.multivariate_reduce(p)
     assert set(out.minima) == oracles.multivariate_minima(p)
 
 
 def test_verify_control_gate_needs_both_parities():
     # x1 x2/4 has the CS phases on {0, 1}^2, its degree-1 box, but gives 1/2 at (2, 1)
-    p = pa.MultiRationalPolynomial(2, {(1, 1): F(1, 4)})
+    p = pa.RationalPolynomial.from_terms(2, {(1, 1): F(1, 4)})
     assert not pa.verify_gate(p, 2)
     assert not oracles.phase_check_on_box(p, 2, k_range=2)
 
@@ -337,7 +346,7 @@ def test_verify_gate_equals_box_oracle(stabilizer, stabilizer_1, m, broken):
             for j, y in enumerate(oracles.basis(b).coeffs if b else (F(1),)):
                 terms[(i, j)] = terms.get((i, j), 0) + n * x * y
     terms[(1, 1)] = terms.get((1, 1), 0) + F(broken, 2 ** (m + 1))
-    q = pa.MultiRationalPolynomial(2, terms)
+    q = pa.RationalPolynomial.from_terms(2, terms)
     assert pa.verify_gate(q, m) == oracles.phase_check_on_box(q, m, k_range=5) == (not broken)
     single = pa.reduce(pa.starting_representation(m)).minimum + poly(0, F(broken, 2 ** (m + 1)))
     for a, n in stabilizer_1.items():
