@@ -9,18 +9,20 @@ surrounding QEC rounds).  Everything downstream — average gate fidelity
 from one engine's readout, T-state fidelity, (n̄, λ) sweeps whose rows mark
 each (gate, n̄)'s optimal λ, and the vacuum-state baseline — is assembled
 from single-state Pauli expectations.  That readout model is the only one: the
-engine reads Σ from the config's (Δ, λ).
+engine reads Σ from the config's (Δ, λ) and each gate, of `GATE_TABLE`, the
+one gate vocabulary, from its caller.
 
 The heavy objects, the position eigensystems at d_out and at the readout
 dimension (of each, the first d_out eigenvector rows), depend only on the
 truncation; `fock.q_eigensystem` keeps them per process and, given a cache
-directory, on disk.  The Pauli diagonals are one matvec per (Δ, λ) with
-kernels that depend on λ alone, which `fock` keeps per process for the last
-16 λ (at most 35 MB at d_init 256): a sweep visits its (n̄, λ) points λ by λ,
-and criterion 10's two Δ over one λ grid exponentiate each λ's kernels once.
-The vacuum baseline keeps one ranking of the posterior cells,
-that of the last (Δ, grid) (`_ranked_cells`), so the match fraction and every
-postselection at one Δ share one posterior evaluation and one sort.
+directory, on disk; a pooled sweep solves them before its workers fork.  The
+Pauli diagonals are one matvec per (Δ, λ) with kernels that depend on λ alone,
+which `fock` keeps per process for the last 16 λ (at most 35 MB at d_init
+256): a sweep visits its (n̄, λ) points λ by λ, and criterion 10's two Δ over
+one λ grid exponentiate each λ's kernels once.  The vacuum baseline keeps one
+ranking of the posterior cells, that of the last (Δ, grid) (`_ranked_cells`),
+so the match fraction and every postselection at one Δ share one posterior
+evaluation and one sort.
 """
 
 from __future__ import annotations
@@ -28,6 +30,8 @@ from __future__ import annotations
 import ctypes
 import itertools
 import math
+import multiprocessing
+import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
@@ -55,20 +59,11 @@ INPUT_ORDER = ("one", "plus", "plus_i", "zero")
 
 NORM_LOSS_LIMIT = 1e-3
 
-T_IMPLEMENTING_GATES = ("T3", "TGKP", "T4")
-
-
 def target_unitary(label: str) -> np.ndarray:
-    """2x2 target for a gate label: diag(1, e^{2πi/2^m}) at hierarchy level m."""
-    if label == "I":
+    """2x2 target of a `GATE_TABLE` gate: diag(1, e^{2πi/2^m}) at its hierarchy level m."""
+    m = GATE_TABLE[label][1]
+    if m == 0:  # exactly the identity, not diag(1, e^{2πi})
         return np.eye(2, dtype=complex)
-    levels = {"Z": 1, "S": 2, "T": 3, "T1/2": 4, "T1/4": 5, "T1/8": 6}
-    if label in levels:
-        m = levels[label]
-    elif label in GATE_TABLE:
-        m = GATE_TABLE[label][1]
-    else:
-        raise ValueError(f"unknown target label {label!r}")
     return np.diag([1.0, np.exp(2j * math.pi / 2**m)]).astype(complex)
 
 
@@ -110,8 +105,9 @@ class ChannelEngine:
     products with the first d_out rows of those eigenvector matrices touch the
     state, so a single evaluation costs a few d_out·d_temp flops.
 
-    The build (eigensystems, Pauli profiles, codeword pair) is gate-free; the
-    gate enters per call, so one engine serves every gate at its (Δ, λ).  Its
+    The build (eigensystems, Pauli profiles, codeword pair) is gate-free, and
+    each call takes its gate (`pauli_expectations` its phase), so one engine
+    serves every gate at its (Δ, λ).  Its
     Pauli kernels come from `fock`'s per-process provider, so engines at one λ
     and any Δ exponentiate them once.
     """
@@ -139,9 +135,8 @@ class ChannelEngine:
         # real matrix x complex vector without promoting the (large) matrix
         return m_real @ vec.real + 1j * (m_real @ vec.imag)
 
-    def gate_phase(self, gate: RationalPolynomial | None = None) -> np.ndarray:
-        """Diagonal of a gate (default: the config's) in the d_out q eigenbasis."""
-        gate = self.config.gate if gate is None else gate
+    def gate_phase(self, gate: RationalPolynomial) -> np.ndarray:
+        """Diagonal of a gate in the d_out q eigenbasis."""
         return fock.phase_profile(gate, self.config.params.lam, self.x1)
 
     def _gate_input(self, qubit: np.ndarray) -> np.ndarray:
@@ -168,10 +163,9 @@ class ChannelEngine:
             )
         return out
 
-    def pauli_expectations(self, qubit, phase: np.ndarray | None = None) -> dict[str, float]:
+    def pauli_expectations(self, qubit, phase: np.ndarray) -> dict[str, float]:
         """<I, X, Y, Z> of the channel output for a pure qubit input, through the
-        gate of diagonal `phase` (from `gate_phase`; default: the config's gate)."""
-        phase = self.gate_phase() if phase is None else phase
+        gate of diagonal `phase` (from `gate_phase`)."""
         psi = self._apply_gate(self._gate_input(np.asarray(qubit, dtype=complex)), phase)
         norm2 = float(np.vdot(psi, psi).real)
         # Z_m is diagonal in the q eigenbasis, X_m in the p one (= R q R†).
@@ -184,8 +178,8 @@ class ChannelEngine:
         exp_y = -float(np.vdot(x_psi, z_psi).imag) / norm2
         return {"I": 1.0, "X": exp_x, "Y": exp_y, "Z": exp_z}
 
-    def readout(self, gate: RationalPolynomial | None = None) -> LogicalReadout:
-        """The four basis inputs through a gate (default: the config's)."""
+    def readout(self, gate: RationalPolynomial) -> LogicalReadout:
+        """The four basis inputs through a gate."""
         phase = self.gate_phase(gate)
         return LogicalReadout(
             {name: self.pauli_expectations(INPUT_STATES[name], phase) for name in INPUT_ORDER}
@@ -234,8 +228,9 @@ def t_state_fidelity_from_expectations(exps: dict[str, float]) -> float:
 
 
 def t_state_fidelity(config: ChannelConfig) -> float:
-    """<T| E(|+><+|) |T> through a fresh engine for the config."""
-    exps = ChannelEngine(config).pauli_expectations(INPUT_STATES["plus"])
+    """<T| E(|+><+|) |T> through a fresh engine for the config's gate."""
+    engine = ChannelEngine(config)
+    exps = engine.pauli_expectations(INPUT_STATES["plus"], engine.gate_phase(config.gate))
     return t_state_fidelity_from_expectations(exps)
 
 
@@ -272,9 +267,11 @@ POINT_ERRORS = (fock.TruncationLeakageError, fock.DegeneratePairError, Expectati
 def _pin_blas_threads() -> None:
     """Pool initializer: numpy's OpenBLAS at one thread per worker; a no-op without it.
 
-    scipy's own OpenBLAS, which runs the eigensolve, keeps its thread count.  That
-    is why `--workers 2` prints `--workers 1`'s bytes; at OPENBLAS_NUM_THREADS=1
-    the d = 2304 solve differs from the 2- and 4-thread one in the last bits."""
+    The workers solve no eigensystem: `sweep` solves both in the parent, whose
+    scipy OpenBLAS keeps its thread count, and the forked workers inherit them.
+    That is why `--workers 2` prints `--workers 1`'s bytes; at
+    OPENBLAS_NUM_THREADS=1 the d = 2304 solve differs from the 2- and 4-thread
+    one in the last bits."""
     lib = ctypes.CDLL(np.linalg._umath_linalg.__file__)
     getattr(lib, "scipy_openblas_set_num_threads64_", lambda _n: None)(1)
 
@@ -289,14 +286,16 @@ def _sweep_group(args) -> list[tuple[int, float | None, float | None, str | None
         return [(idx, None, None, str(exc)) for idx, _label in points]
     out = []
     for idx, label in points:
+        poly, level = GATE_TABLE[label]
         try:
-            readout = engine.readout(GATE_TABLE[label][0])
+            readout = engine.readout(poly)
         except POINT_ERRORS as exc:
             out.append((idx, None, None, str(exc)))
             continue
         t_inf = 1.0 - t_state_fidelity_from_expectations(readout.expectations["plus"])
         avg_inf = 1.0 - average_gate_fidelity_from_readout(readout, label)
-        out.append((idx, avg_inf, t_inf if label in T_IMPLEMENTING_GATES else None, None))
+        # the level-3 gates implement T, so only their rows carry a T-state infidelity
+        out.append((idx, avg_inf, t_inf if level == 3 else None, None))
     return out
 
 
@@ -314,7 +313,8 @@ def sweep(
     runs every gate through it; results are merged by grid index so the
     output is deterministic for any worker count.  Each (gate, n̄)'s optimum
     is its λ-grid argmin row (`is_optimal`), with `boundary_flag` set when it
-    sits on the grid's boundary.
+    sits on the grid's boundary.  With `workers` > 1 this process solves the
+    plan's eigensystems first and the pool forks, so no worker solves its own.
     """
     plan = plan or fock.TruncationPlan(d_init=256)
     gates = list(gates)
@@ -341,7 +341,10 @@ def sweep(
     results: list[tuple[float, float | None] | None] = [None] * len(meta)
     failures: dict[int, str] = {}
     if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers, initializer=_pin_blas_threads) as pool:
+        for d, rows in plan.eigensystem_dims:  # solved once here; the forked workers inherit them
+            fock.q_eigensystem(d, rows, cache_dir)
+        with ProcessPoolExecutor(max_workers=workers, mp_context=multiprocessing.get_context("fork"),
+                                 initializer=_pin_blas_threads) as pool:
             outcomes = pool.map(_sweep_group, groups)
     else:
         outcomes = map(_sweep_group, groups)
@@ -376,12 +379,14 @@ def sweep(
 @dataclass(frozen=True)
 class VacuumMethodConfig:
     delta: float
-    grid: int = 500
-    postselect_fraction: float = 1.0
+    grid: int
+    postselect_fraction: float
 
     def __post_init__(self):
         if not 0 < self.delta < math.inf:
             raise ValueError(f"delta must be positive and finite, got {self.delta}")
+        if not self.delta < math.sqrt(sys.float_info.max):  # the posterior reads tanh(delta^2/2)
+            raise ValueError(f"delta {self.delta:g} takes delta^2 out of float range")
         if not 0.0 <= self.postselect_fraction <= 1.0:
             raise ValueError("postselect_fraction must lie in [0, 1]")
         if self.grid < 2:
@@ -451,7 +456,7 @@ def vacuum_state_method(config: VacuumMethodConfig) -> VacuumResult:
     return VacuumResult(float(1.0 - mean_fid), float(acc), config.grid < COARSE_GRID)
 
 
-def vacuum_match_fraction(delta: float, target_infidelity: float, grid: int = 500) -> float:
+def vacuum_match_fraction(delta: float, target_infidelity: float, grid: int) -> float:
     """Largest postselection fraction at which the vacuum method still matches.
 
     Cells are ranked best first as in `vacuum_state_method`, but only whole

@@ -95,7 +95,7 @@ class GkpParams:
     """Approximate-codestate quality Δ and noise asymmetry λ."""
 
     delta: float
-    lam: float = 1.0
+    lam: float
 
     def __post_init__(self):
         if not 0.0 < self.delta < 1.0:

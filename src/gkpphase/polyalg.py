@@ -90,7 +90,7 @@ class RationalPolynomial:
         return poly
 
     @classmethod
-    def monomial(cls, degree: int, coefficient=1) -> "RationalPolynomial":
+    def monomial(cls, degree: int, coefficient) -> "RationalPolynomial":
         return cls.from_terms(1, {(degree,): coefficient})
 
     # -- queries ------------------------------------------------------------
@@ -223,12 +223,17 @@ def lift_representation(poly: RationalPolynomial, m: int) -> RationalPolynomial:
 
     Returns 2^(m-1) * P(x)^2, which picks up half the phase of P on odd
     integers.  P must implement the level-m gate, which `verify_gate` checks
-    exactly at any degree; a P that does not is refused with ValueError.
+    exactly at any degree, and its lift may not pass 2^m, the level-(m+1)
+    power start's degree, which every minimum's lift meets (a minimum at level
+    m has degree <= 2^(m-1)).  A P that fails either is refused with ValueError.
     """
     if not verify_gate(poly, m):
         raise ValueError(
             f"lift_representation: polynomial does not implement the level-{m} gate"
         )
+    if 2 * poly.degree > 2**m:
+        raise ValueError(f"lift_representation: the degree-{poly.degree} input lifts to degree "
+                         f"{2 * poly.degree}, above the level-{m + 1} power start's {2**m}")
     return Fraction(2 ** (m - 1)) * (poly * poly)
 
 
@@ -254,12 +259,23 @@ def verify_gate(poly: RationalPolynomial, m: int) -> bool:
     k_i <= d_i, has the box's finite differences, integers, as coefficients.
     The 2(d_i + 1) consecutive x_i hold d_i + 1 consecutive j_i of each
     parity.
+
+    It runs in integers, D·(P(x) - t) mod D with D the common denominator,
+    grouping D·P by the exponents of x_1..x_{N-1} and Horner's rule in x_N.
     """
-    target = Fraction(1, 2**m)
+    den = lcm(2**m, *(c.denominator for c in poly.terms.values()))
     degrees = [max((e[i] for e in poly.terms), default=0) for i in range(poly.n_vars)]
+    rows: dict[Exponent, list[int]] = {}
+    for e, c in poly.terms.items():
+        rows.setdefault(e[:-1], [0] * (degrees[-1] + 1))[e[-1]] = c.numerator * (den // c.denominator)
     for xs in product(*(range(2 * d + 2) for d in degrees)):
-        want = target if all(x % 2 for x in xs) else 0
-        if (poly(*xs) - want).denominator != 1:
+        value = -(den >> m) if all(x % 2 for x in xs) else 0
+        for head, row in rows.items():
+            horner = 0
+            for n in reversed(row):
+                horner = horner * xs[-1] + n
+            value += horner * prod(x**k for x, k in zip(xs, head))
+        if value % den:
             return False
     return True
 

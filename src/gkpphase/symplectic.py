@@ -18,6 +18,7 @@ Composition is in circuit order: compose([A, B]) applies A first.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -323,7 +324,8 @@ def random_circuit(
 
 @dataclass(frozen=True)
 class BiasParams:
-    """Base squeezing Delta split asymmetrically over the two quadratures."""
+    """Base squeezing Delta split asymmetrically over the two quadratures; the
+    split widths' squares, which the twirled moments read, must be normal floats."""
 
     delta: float
     lam: float
@@ -332,6 +334,9 @@ class BiasParams:
         if not (0 < self.delta < math.inf and 0 < self.lam < math.inf):
             raise ValueError("BiasParams requires finite delta > 0 and lam > 0, "
                              f"got {self.delta}, {self.lam}")
+        if not all(sys.float_info.min <= v * v < math.inf for v in (self.delta_q, self.delta_p)):
+            raise ValueError(f"delta {self.delta:g} and lam {self.lam:g} take delta_q^2 or "
+                             "delta_p^2 out of float range")
 
     @property
     def delta_q(self) -> float:

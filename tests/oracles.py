@@ -25,7 +25,11 @@ and the forms of them that only tests call.
   `average_gate_fidelity_reconstructed`: one Pauli expectation and the
   average gate fidelity through a fresh engine per config, and the average
   gate fidelity through explicit reconstruction of the 2x2 outputs
-  (`output_density`); `optima`, a sweep's per-(gate, n̄) optimum rows;
+  (`output_density`); `grid_readout`, the four-input readout on a uniform
+  position grid (the Fourier-grid, split-operator form of the channel: direct
+  lattice-sum codewords, closed-form smeared Pauli profiles, one FFT pair per
+  input), the converged reference the Fock engine approaches as d_init grows;
+  `optima`, a sweep's per-(gate, n̄) optimum rows;
   `clifford_t_orbit`, the <H, S> search behind `channel.CLIFFORD_T_TARGETS`.
 * `basis` (the dense-product L_n, n >= 1), `is_integer_valued`,
   `lex_compare` with `LexOrder`, `scale_argument` and `phase_check_on_box`:
@@ -509,13 +513,14 @@ def logical_expectation(config: ch.ChannelConfig, qubit, pauli: str) -> float:
     pauli = pauli.upper()
     if pauli not in ch.PAULI:
         raise ValueError(f"pauli must be one of I, X, Y, Z; got {pauli!r}")
-    return ch.ChannelEngine(config).pauli_expectations(np.asarray(qubit, dtype=complex))[pauli]
+    engine = ch.ChannelEngine(config)
+    return engine.pauli_expectations(np.asarray(qubit, dtype=complex), engine.gate_phase(config.gate))[pauli]
 
 
 def average_gate_fidelity(config: ch.ChannelConfig, cache_dir=None) -> float:
     """Average gate fidelity of the config's gate against `config.target`, through a fresh engine."""
     engine = ch.ChannelEngine(config, cache_dir)
-    return ch.average_gate_fidelity_from_readout(engine.readout(), config.target)
+    return ch.average_gate_fidelity_from_readout(engine.readout(config.gate), config.target)
 
 
 def output_density(readout: ch.LogicalReadout, state: str) -> np.ndarray:
@@ -548,6 +553,70 @@ def average_gate_fidelity_reconstructed(readout: ch.LogicalReadout, target) -> f
         e_sigma = sum(alpha[j, k] * outs[name] for k, name in enumerate(ch.INPUT_ORDER))
         total += float(np.trace(u @ ch.PAULI[p] @ u.conj().T @ e_sigma).real)
     return (total + 4.0) / 12.0
+
+
+def _smeared_square_wave(theta: np.ndarray, sigma: float) -> np.ndarray:
+    """E[sign cos(θ + σZ)], Z standard normal, in closed form: one minus twice
+    the normal mass of θ + σZ in (π/2, 3π/2) + 2πk, θ reduced mod 2π, |k| <= 3."""
+    theta = np.mod(theta, 2.0 * math.pi)
+    out = np.ones_like(theta)
+    for k in range(-3, 4):
+        start = 0.5 * math.pi + 2.0 * math.pi * k - theta
+        out -= 2.0 * (scipy.special.ndtr((start + math.pi) / sigma) - scipy.special.ndtr(start / sigma))
+    return out
+
+
+def _grid_codeword(bit: int, delta: float, lam: float, x: np.ndarray) -> np.ndarray:
+    """`fock.gkp_codeword`'s lattice of coherent states, summed directly as
+    position wavefunctions π^(-1/4) exp(-(x - q₀)²/2 + i p₀ (x - q₀/2)) on `x`,
+    with the same cut, coefficients and phases; unnormalised."""
+    cut_m, cut_n = fk.default_lattice_cut(delta, lam)
+    w = 1.0 - math.exp(-2.0 * delta**2)
+    shrink = math.sqrt(2.0 * math.pi) * math.exp(-delta**2)
+    n = np.arange(-cut_n, cut_n + 1)
+    psi = np.zeros(x.size, dtype=complex)
+    for m in range(-cut_m, cut_m + 1):
+        mu = 2 * m + bit
+        c = np.exp(-math.pi * (mu**2 * lam + n**2 / lam) * w / 4.0)
+        phase = np.where((m * n) % 2 == 0, 1.0, -1.0) if bit == 0 else 1j ** np.mod(2 * m * n - n, 4)
+        keep = c > 1e-18
+        q0 = shrink * mu * math.sqrt(lam / 2.0)
+        p0 = shrink * n[keep] / math.sqrt(2.0 * lam)
+        row = (c * phase)[keep] @ np.exp(1j * np.outer(p0, x - q0 / 2.0))
+        psi += math.pi**-0.25 * np.exp(-0.5 * (x - q0) ** 2) * row
+    return psi
+
+
+def grid_readout(gate: str, delta: float, lam: float, n: int, half_width: float) -> ch.LogicalReadout:
+    """The channel's four-input readout on a uniform position grid, sharing no
+    arithmetic with the Fock engine but `fock.orthonormalize` and `fock.phase_profile`.
+
+    x_j = -L + j·2L/N and p = 2π·fftfreq(N, dx).  The codewords are the
+    coherent-state lattice summed on the grid (`_grid_codeword`); the gate
+    multiplies by exp(2πi P(x/sqrt(λπ))); Z_m is g(x√(π/λ)) and X_m is
+    h(p√(πλ)), the smeared square waves E[sign cos(θ + σZ)] with
+    σ² = π·tanh(Δ²/2) (the series of `fock.pauli_profiles` summed to all
+    orders), Z_m applied pointwise and X_m through one FFT pair.
+    """
+    x = -half_width + np.arange(n) * (2.0 * half_width / n)
+    p = 2.0 * math.pi * np.fft.fftfreq(n, 2.0 * half_width / n)
+    sigma = math.sqrt(math.pi * math.tanh(delta**2 / 2.0))
+    g = _smeared_square_wave(x * math.sqrt(math.pi / lam), sigma)
+    h = _smeared_square_wave(p * math.sqrt(math.pi * lam), sigma)
+    e0, e1 = fk.orthonormalize(*(FockVector(_grid_codeword(bit, delta, lam, x)) for bit in (0, 1)))
+    phase = fk.phase_profile(ch.GATE_TABLE[gate][0], lam, x)
+    out = {}
+    for name in ch.INPUT_ORDER:
+        a, b = ch.INPUT_STATES[name]
+        vec = a * e0.amplitudes + b * e1.amplitudes
+        psi = phase * (vec / np.linalg.norm(vec))
+        norm2 = float(np.vdot(psi, psi).real)
+        z_psi = g * psi
+        x_psi = np.fft.ifft(h * np.fft.fft(psi))
+        out[name] = {"I": 1.0, "X": float(np.vdot(psi, x_psi).real) / norm2,
+                     "Y": -float(np.vdot(x_psi, z_psi).imag) / norm2,
+                     "Z": float(np.vdot(psi, z_psi).real) / norm2}
+    return ch.LogicalReadout(out)
 
 
 def clifford_t_orbit() -> np.ndarray:

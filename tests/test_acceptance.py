@@ -209,7 +209,7 @@ def test_criterion_09_trivial_benchmark_floor():
             assert params.delta < 0.24
             config = ch.ChannelConfig(
                 gate=poly(), params=params,
-                plan=fk.TruncationPlan(d_init=256), target="T1/8",
+                plan=fk.TruncationPlan(d_init=256), target="T8th",
             )
             infid = 1.0 - oracles.average_gate_fidelity(config)
             diffs.append(infid - floor)

@@ -4,6 +4,7 @@ import ctypes
 import functools
 import json
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
@@ -37,13 +38,15 @@ def test_idle_channel_has_no_x_coherence_on_z_eigenstate():
 
 
 def test_readout_within_bloch_ball():
-    ro = ch.ChannelEngine(cfg("T3", lam=2.0)).readout()
+    config = cfg("T3", lam=2.0)
+    ro = ch.ChannelEngine(config).readout(config.gate)
     for row in ro.expectations.values():
         assert all(abs(v) <= 1.0 + 1e-6 for v in row.values())
 
 
 def test_reconstructed_outputs_positive_semidefinite():
-    ro = ch.ChannelEngine(cfg("T3", lam=2.0)).readout()
+    config = cfg("T3", lam=2.0)
+    ro = ch.ChannelEngine(config).readout(config.gate)
     for name in ch.INPUT_ORDER:
         rho = oracles.output_density(ro, name)
         rho = rho / np.trace(rho).real
@@ -52,15 +55,16 @@ def test_reconstructed_outputs_positive_semidefinite():
 
 
 def test_t3_rotates_plus_by_pi_over_4():
-    exps = ch.ChannelEngine(cfg("T3", delta=0.2, lam=2.5, plan=PLAN_DESK)).pauli_expectations(
-        ch.INPUT_STATES["plus"]
-    )
+    config = cfg("T3", delta=0.2, lam=2.5, plan=PLAN_DESK)
+    engine = ch.ChannelEngine(config)
+    exps = engine.pauli_expectations(ch.INPUT_STATES["plus"], engine.gate_phase(config.gate))
     assert exps["X"] > 0.6 and exps["Y"] > 0.6
     assert abs(math.atan2(exps["Y"], exps["X"]) - math.pi / 4) < 5e-3
 
 
 def test_two_fidelity_routes_agree():
-    ro = ch.ChannelEngine(cfg("T3", lam=2.0)).readout()
+    config = cfg("T3", lam=2.0)
+    ro = ch.ChannelEngine(config).readout(config.gate)
     f1 = ch.average_gate_fidelity_from_readout(ro, "T3")
     f2 = average_gate_fidelity_reconstructed(ro, "T3")
     assert abs(f1 - f2) < 1e-10
@@ -68,7 +72,7 @@ def test_two_fidelity_routes_agree():
 
 def test_exact_unitary_readout_gives_unit_fidelity():
     # synthetic readout of a perfect T gate channel
-    u = ch.target_unitary("T")
+    u = ch.target_unitary("T3")
     exps = {}
     for name, vec in ch.INPUT_STATES.items():
         out = u @ vec
@@ -76,7 +80,7 @@ def test_exact_unitary_readout_gives_unit_fidelity():
             p: float(np.vdot(out, ch.PAULI[p] @ out).real) for p in ("I", "X", "Y", "Z")
         }
     ro = ch.LogicalReadout(exps)
-    assert abs(ch.average_gate_fidelity_from_readout(ro, "T") - 1.0) < 1e-12
+    assert abs(ch.average_gate_fidelity_from_readout(ro, "T3") - 1.0) < 1e-12
     # and a T state fidelity of one when fed |+>
     row = ro.expectations["plus"]
     f = 0.5 + (row["X"] + row["Y"]) / (2 * math.sqrt(2))
@@ -86,9 +90,9 @@ def test_exact_unitary_readout_gives_unit_fidelity():
 def test_t_state_two_routes_agree():
     config = cfg("T3", lam=2.0)
     f = ch.t_state_fidelity(config)
-    ro = ch.ChannelEngine(config).readout()
+    ro = ch.ChannelEngine(config).readout(config.gate)
     rho = oracles.output_density(ro, "plus")
-    t_state = ch.target_unitary("T") @ ch.INPUT_STATES["plus"]
+    t_state = ch.target_unitary("T3") @ ch.INPUT_STATES["plus"]
     f2 = float(np.vdot(t_state, rho @ t_state).real)
     assert abs(f - f2) < 1e-10
 
@@ -104,18 +108,22 @@ def test_truncation_leakage_raises():
     poly, _ = ch.GATE_TABLE["TGKP"]
     config = ch.ChannelConfig(
         gate=poly, params=fk.GkpParams(0.35, 1.0),
-        plan=fk.TruncationPlan(d_init=64), target="T",
+        plan=fk.TruncationPlan(d_init=64), target="TGKP",
     )
     with pytest.raises(fk.TruncationLeakageError):
-        ch.ChannelEngine(config).readout()
+        ch.ChannelEngine(config).readout(config.gate)
 
 
 def test_target_unitary_labels():
-    assert np.allclose(ch.target_unitary("T"), np.diag([1, np.exp(1j * math.pi / 4)]))
-    assert np.allclose(ch.target_unitary("T3"), ch.target_unitary("T"))
-    assert np.allclose(ch.target_unitary("T1/8"), np.diag([1, np.exp(1j * math.pi / 32)]))
-    with pytest.raises(ValueError):
-        ch.target_unitary("bogus")
+    assert np.allclose(ch.target_unitary("T3"), np.diag([1, np.exp(1j * math.pi / 4)]))
+    assert np.allclose(ch.target_unitary("TGKP"), ch.target_unitary("T3"))
+    assert np.allclose(ch.target_unitary("T8th"), np.diag([1, np.exp(1j * math.pi / 32)]))
+    # level 0 is the identity exactly, not diag(1, e^{2πi}) rounded
+    assert np.array_equal(ch.target_unitary("I"), np.eye(2))
+    # GATE_TABLE is the one vocabulary: the old level aliases are unknown
+    for label in ("bogus", "T", "T1/8"):
+        with pytest.raises(KeyError):
+            ch.target_unitary(label)
 
 
 def test_sweep_deterministic_and_identity_optimum():
@@ -256,10 +264,52 @@ def test_engine_matches_dense_oracles():
         a, b = ch.INPUT_STATES[name]
         vec = a * e0.amplitudes + b * e1.amplitudes
         psi = gate @ (vec / np.linalg.norm(vec))
-        exps = engine.pauli_expectations(ch.INPUT_STATES[name])
+        exps = engine.pauli_expectations(ch.INPUT_STATES[name], engine.gate_phase(config.gate))
         for p, op in paulis.items():
             dense = np.vdot(psi, op @ psi).real / np.vdot(psi, psi).real
             assert abs(exps[p] - dense) <= 1e-12, (name, p, exps[p], dense)
+
+
+# The position-grid oracle: N = 4096 points over [-40, 40), which holds the
+# codewords at the n̄ below to far under 1e-12 of their mass, and whose p band
+# (π/dx ≈ 161) holds what the cubic gate adds: over [-60, 60) the band is 107
+# and the (T3, 9, 1) readout moved 8.8e-11 between N = 4096 and 8192.
+GRID_N, GRID_HALF_WIDTH = 4096, 40.0
+
+
+def _fock_readout(gate, n_bar, lam, d_init):
+    config = ch.ChannelConfig(ch.GATE_TABLE[gate][0], fk.GkpParams.from_n_bar(n_bar, lam),
+                              fk.TruncationPlan(d_init=d_init))
+    return ch.ChannelEngine(config).readout(config.gate)
+
+
+def _infidelity(readout, gate):
+    return 1.0 - ch.average_gate_fidelity_from_readout(readout, gate)
+
+
+def test_grid_oracle_pins_the_converged_fock_engine():
+    # at (T3, n̄ 6, λ 2) the Fock engine has converged by d_init 400 (8.5e-14 measured)
+    delta = fk.GkpParams.from_n_bar(6.0, 2.0).delta
+    grid = _infidelity(oracles.grid_readout("T3", delta, 2.0, GRID_N, GRID_HALF_WIDTH), "T3")
+    fock = _infidelity(_fock_readout("T3", 6.0, 2.0, 400), "T3")
+    assert abs(grid - fock) <= 1e-12 * grid, (grid, fock)
+
+
+def test_grid_oracle_is_converged_in_its_point_count():
+    delta = fk.GkpParams.from_n_bar(9.0, 1.0).delta
+    coarse, fine = (oracles.grid_readout("T3", delta, 1.0, n, GRID_HALF_WIDTH) for n in (4096, 8192))
+    for name in ch.INPUT_ORDER:
+        for p in ("X", "Y", "Z"):
+            a, b = coarse.expectations[name][p], fine.expectations[name][p]
+            assert abs(a - b) <= 1e-12, (name, p, a, b)
+
+
+def test_fock_engine_approaches_the_grid_as_d_init_grows():
+    # at (T3, n̄ 9, λ 1) d_init 256 is off by 1.3e-3 relative, d_init 400 by 1.9e-4
+    delta = fk.GkpParams.from_n_bar(9.0, 1.0).delta
+    grid = _infidelity(oracles.grid_readout("T3", delta, 1.0, GRID_N, GRID_HALF_WIDTH), "T3")
+    off = {d: abs(_infidelity(_fock_readout("T3", 9.0, 1.0, d), "T3") - grid) for d in (256, 400)}
+    assert off[400] < off[256], (grid, off)
 
 
 GROUP_GATES = ["TGKP", "T3", "I"]
@@ -387,6 +437,21 @@ def test_pool_workers_pin_blas_to_one_thread():
     with ProcessPoolExecutor(max_workers=1, initializer=ch._pin_blas_threads) as pool:
         assert pool.submit(_blas_threads).result() == 1
     assert _blas_threads() == before  # the calling process keeps its threads
+
+
+def test_pool_workers_inherit_the_eigensystems(monkeypatch):
+    # the calling process solves the plan's eigensystems before the pool forks;
+    # a worker that solved one would fail its point here (a plan no other test uses)
+    parent, solve = os.getpid(), scipy.linalg.eigh_tridiagonal
+
+    def parent_only(*args, **kwargs):
+        assert os.getpid() == parent, "a pool worker solved an eigensystem"
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", parent_only)
+    plan = fk.TruncationPlan(d_init=40)
+    pooled = ch.sweep(["T3", "I"], [2.0, 3.0], [1.0, 2.0], plan, workers=2)
+    assert pooled == ch.sweep(["T3", "I"], [2.0, 3.0], [1.0, 2.0], plan, workers=1)
 
 
 def test_clifford_t_orbit_size():

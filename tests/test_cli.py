@@ -107,6 +107,17 @@ def test_synth_lift_start_refuses_a_wrong_gate_of_high_degree(tmp_path, capsys):
     assert "does not implement the level-3 gate" in capsys.readouterr().err
 
 
+def test_synth_lift_start_refuses_a_lift_longer_than_the_power_start(tmp_path, capsys):
+    # x^2/4 + L_300 implements the level-2 gate; lifted it has degree 600, above
+    # the level-3 power start's 4, and its walk took 18.3 s to the same minimum
+    start = tmp_path / "l300.json"
+    poly = polyalg.RationalPolynomial([0, 0, Fraction(1, 4)]) + oracles.basis(300)
+    start.write_text(json.dumps({"coefficients": [str(c) for c in poly.coeffs]}))
+    code, text = run_under_alarm(tmp_path, "synth", "--level", "3", "--start", f"lift:{start}")
+    assert code == 1 and text == ""
+    assert "lifts to degree 600, above the level-3 power start's 4" in capsys.readouterr().err
+
+
 # sha-256 of `synth` stdout, so any change to the printed bytes shows; a
 # "lift" run starts from the level below's power-start output
 SYNTH_STDOUT_SHA256 = {
@@ -406,10 +417,11 @@ def test_non_finite_inputs_exit_1(tmp_path, capsys, argv):
     # tanh(Δ²/2) underflowed: NaN in every row, or inf at the origin, with exit 0
     (("twirl-density", "--delta", "1e-200", "--lam", "1"), "normal positive floats"),
     (("twirl-density", "--delta", "1e-160", "--lam", "1", "--span", "1e-100"), "normal positive floats"),
-    # OverflowError and ZeroDivisionError tracebacks, and a "math domain error"
-    (("moments", "--delta", "1e200"), "OverflowError"),
-    (("moments", "--delta", "1e-200"), "OverflowError"),
-    (("vacuum", "--delta", "1e300"), "OverflowError"),
+    # OverflowError and ZeroDivisionError tracebacks, and a "math domain error";
+    # then an OverflowError line naming no flag; now refused by name up front
+    (("moments", "--delta", "1e200"), "delta 1e+200"),
+    (("moments", "--delta", "1e-200"), "delta 1e-200"),
+    (("vacuum", "--delta", "1e300"), "delta 1e+300"),
     (("sweep", "--gate", "T3", "--nbar-min", "-0.5", "--nbar-max", "-0.5", "--lam-count", "1"),
      "--nbar-min must be positive"),
     (("sweep", "--gate", "I", "--nbar-min", "-1"), "--nbar-min must be positive"),

@@ -29,7 +29,10 @@ the package definition it resolves to (a class call for its dataclass fields
 or its `__init__`, `cls(...)` in a classmethod for its class), and a call
 through an attribute (`x.name(...)`) for every member of that name.  A
 default no caller overrides is a constant; one only tests override belongs
-in the tests.
+in the tests.  The mirror holds too: a default that every such call
+overrides is used by no caller, and the parameter is made required
+(`overridden`; `FROZEN_OVERRIDDEN` lists the ones that go with the Fock
+engine's code).
 """
 
 from __future__ import annotations
@@ -268,18 +271,13 @@ def unreached(sources: dict[str, str], roots: set[tuple[str, str]],
                     for x in table if (m, c, x) not in seen}
 
 
-def unpassed(sources: dict[str, str], roots: set[tuple[str, str]],
-             names: set[str] = frozenset(), calls=()) -> set[str]:
-    """The defaulted parameters ("module.function.param",
-    "module.Class.method.param") and dataclass fields or constructor
-    parameters ("module.Class.param") of reached definitions that no reached
-    call, and none of `calls` (as `_calls` yields them), passes."""
+def _default_passes(sources: dict[str, str], roots: set[tuple[str, str]],
+                    names: set[str] = frozenset(), calls=()) -> dict[str, list[bool]]:
+    """Per defaulted parameter ("module.function.param",
+    "module.Class.method.param") and dataclass field or constructor parameter
+    ("module.Class.param") of a reached definition: whether each reached call
+    to it, and each of `calls` (as `_calls` yields them), passes it."""
     modules, members, seen, reached_calls = _reach(sources, roots, names)
-    positions: dict[tuple, float] = {}
-    keywords: dict[tuple, set[str]] = {}
-    for callee, n_pos, kws in [*reached_calls, *calls]:
-        positions[callee] = max(positions.get(callee, 0), n_pos)
-        keywords.setdefault(callee, set()).update(kws)
     params = []
     for m, name, *member in seen:
         node = modules[m][name]
@@ -291,9 +289,25 @@ def unpassed(sources: dict[str, str], roots: set[tuple[str, str]],
             params += _params(m, node, None)
         elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             params += _params(m, None, node)
-    return {label for callee, label, i in params
-            if not (positions.get(callee, 0) > i
-                    or keywords.get(callee, set()) & {label.rsplit(".", 1)[1], "**"})}
+    every = [*reached_calls, *calls]
+    return {label: [n_pos > i or bool(kws & {label.rsplit(".", 1)[1], "**"})
+                     for c, n_pos, kws in every if c == callee]
+            for callee, label, i in params}
+
+
+def unpassed(sources: dict[str, str], roots: set[tuple[str, str]],
+             names: set[str] = frozenset(), calls=()) -> set[str]:
+    """The defaults (labelled as in `_default_passes`) that no call passes."""
+    return {label for label, passes in _default_passes(sources, roots, names, calls).items()
+            if not any(passes)}
+
+
+def overridden(sources: dict[str, str], roots: set[tuple[str, str]],
+               names: set[str] = frozenset(), calls=()) -> set[str]:
+    """The defaults (labelled as in `_default_passes`) that some call reaches and
+    every call passes: the mirror of `unpassed`, a default no caller uses."""
+    return {label for label, passes in _default_passes(sources, roots, names, calls).items()
+            if passes and all(passes)}
 
 
 def _package_sources() -> dict[str, str]:
@@ -346,6 +360,28 @@ def test_every_default_is_passed_by_a_caller():
     assert (("def", "channel", "ChannelConfig"), 0, {"gate", "params", "plan", "target"}) in calls
     unset = unpassed(sources, roots | _command_roots(), names, calls)
     assert not unset, f"defaults no command and no benchmark overrides (make them constants): {sorted(unset)}"
+
+
+# Defaults every call overrides that stay until their code goes with the
+# Fock engine (ROADMAP direction 1); nothing else may join them.
+FROZEN_OVERRIDDEN = {
+    "channel.ChannelConfig.plan",
+    "channel.sweep.plan",
+    "fock.TruncationPlan.d_init",
+    "fock.default_lattice_cut.lam",
+    "fock.gkp_codeword.d",
+    "fock.gkp_codeword.lam",
+    "fock.q_eigensystem.cache_dir",
+}
+
+
+def test_no_default_is_overridden_by_every_caller():
+    sources = _package_sources()
+    roots, names, calls = _perfbench_roots(sources)
+    dead = overridden(sources, roots | _command_roots(), names, calls)
+    assert dead == FROZEN_OVERRIDDEN, (
+        f"defaults every command and benchmark call overrides (make them required): "
+        f"{sorted(dead - FROZEN_OVERRIDDEN)}; no longer overridden: {sorted(FROZEN_OVERRIDDEN - dead)}")
 
 
 def test_walker_flags_exactly_the_unreached_function():
@@ -448,3 +484,45 @@ def unused():
     outside = [(("def", "m", "run"), 0, {"steps"}), (("attr", "grown"), 0, {"**"}),
                (("def", "m", "Config"), math.inf, set())]
     assert unpassed({"m": source}, {("m", "entry")}, calls=outside) == {"m.Config.square.scale"}
+
+
+def test_walker_flags_the_overridden_defaults():
+    source = '''
+from dataclasses import dataclass
+
+@dataclass(frozen=True)
+class Config:
+    size: int
+    scale: float = 1.0
+    mode: str = "a"
+
+    @classmethod
+    def square(cls, n, scale=2.0):
+        return cls(n, scale, "b")
+
+    def grown(self, by=1, *, clip=False):
+        return Config(self.size + by, self.scale, mode="c")
+
+def run(x, tol=1e-9, steps=10, verbose=False):
+    return x
+
+def entry():
+    c = Config.square(3).grown(2)
+    return run(c.size, 1e-6, verbose=True), run(1, tol=1e-3, steps=4), c.grown(clip=True)
+
+def unused():
+    return run(1.0), Config(2)
+'''
+    # every reached call passes `scale`, `mode` (by position through `cls`, and by
+    # keyword) and `tol`; `steps`, `by` and `clip` are left out by some call, and
+    # `verbose` by one; `square.scale` is passed by none, which is `unpassed`'s
+    # case; the unread `unused`, as only a test might, counts not
+    want = {"m.Config.scale", "m.Config.mode", "m.run.tol"}
+    assert overridden({"m": source}, {("m", "entry")}) == want
+    assert unpassed({"m": source}, {("m", "entry")}) == {"m.Config.square.scale"}
+    # a call from outside, as perfbench's, that leaves a default out keeps it;
+    # one that passes it by keyword or by a **splat does not
+    leaves = [(("def", "m", "run"), 1, set())]
+    assert overridden({"m": source}, {("m", "entry")}, calls=leaves) == {"m.Config.scale", "m.Config.mode"}
+    passes = [(("def", "m", "run"), 0, {"**"}), (("def", "m", "Config"), 1, {"scale"})]
+    assert overridden({"m": source}, {("m", "entry")}, calls=passes) == {"m.Config.scale", "m.run.tol"}
