@@ -21,6 +21,11 @@ def __getattr__(name: str):
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
+class NumericFailure(RuntimeError):
+    """A computed number the package cannot vouch for: a truncation, a sum or a
+    check failed.  The CLI exits 2 on it, and a sweep reports its point failed."""
+
+
 def write_atomically(path: Path, data: bytes | memoryview) -> None:
     """Write through a temp file renamed into place.  The temp file is created
     as open() would create it, with mode 0o666 less the umask."""

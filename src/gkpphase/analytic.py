@@ -33,6 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import erf, gamma
 
+from . import NumericFailure
 from .polyalg import RationalPolynomial
 
 PATCH_HALF = 1.0 / math.sqrt(8.0)
@@ -43,10 +44,6 @@ PAULI_OFFSETS = {
     "Y": (1.0 / math.sqrt(2.0), 1.0 / math.sqrt(2.0)),
     "Z": (0.0, 1.0 / math.sqrt(2.0)),
 }
-
-
-class AccuracyError(RuntimeError):
-    """A truncated lattice sum has not converged at the requested cut."""
 
 
 # ---------------------------------------------------------------------------
@@ -65,7 +62,7 @@ class MomentSummary:
     def __post_init__(self):
         if self.e_vq2 < 0 or self.e_vp2 < 0:
             raise ValueError("variances must be nonnegative")
-        if self.e_vqvp**2 > self.e_vq2 * self.e_vp2 * (1 + 1e-12):
+        if self.e_vqvp * self.e_vqvp > self.e_vq2 * self.e_vp2 * (1 + 1e-12):
             raise ValueError("cross moment violates Cauchy-Schwarz")
 
 
@@ -75,15 +72,20 @@ def beta_coefficient(k: int) -> float:
 
 
 def _x_plus_moment(k: int, delta_p: float) -> float:
-    """E[x₊^k] of the width-sqrt(2)/Δ_p Gaussian; vanishes for odd k."""
+    """E[x₊^k] of the width-sqrt(2)/Δ_p Gaussian; vanishes for odd k.  A Python
+    float, so an overflow gives inf (which `moments` refuses), not a numpy warning."""
     if k % 2:
         return 0.0
+    try:
+        scale = delta_p ** (-k)
+    except OverflowError:
+        scale = math.inf
     return (
         2.0 ** (k / 2.0 - 1.0)
         * 2.0
         * math.pi ** (-(1.0 + k) / 2.0)
-        * gamma((1.0 + k) / 2.0)
-        * delta_p ** (-k)
+        * float(gamma((1.0 + k) / 2.0))
+        * scale
     )
 
 
@@ -121,6 +123,10 @@ def moments(
         if ak:
             cross += ak * beta_coefficient(k) * _x_plus_moment(k - 2, delta_p)
     e_vqvp = delta_q**2 / (2.0 * math.sqrt(2.0) * math.pi) * cross
+    for name, value in (("e_vp2", e_vp2), ("e_vqvp", e_vqvp)):
+        if not math.isfinite(value):
+            raise ValueError(f"delta_q {delta_q:g} and delta_p {delta_p:g} take {name} "
+                             "out of float range")
     return MomentSummary(e_vq2, e_vp2, e_vqvp)
 
 
@@ -317,8 +323,8 @@ def vacuum_posterior_grid(delta: float, n_grid: int) -> tuple[np.ndarray, np.nda
     sums = _posterior_sums(delta, centers, centers)
     g_i = sums.pop("I")
     if np.min(g_i) <= 0:
-        raise AccuracyError(f"posterior density non-positive (min {np.min(g_i):.3e}) "
-                            f"at delta {delta} on a {n_grid}-point grid")
+        raise NumericFailure(f"posterior density non-positive (min {np.min(g_i):.3e}) "
+                             f"at delta {delta} on a {n_grid}-point grid")
     weights = (g_i / g_i.sum()).ravel()
     bloch = np.empty((weights.size, 3))
     for j, mu in enumerate(("X", "Y", "Z")):  # each sum is released once divided

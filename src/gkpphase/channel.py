@@ -38,7 +38,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from . import analytic, fock
+from . import NumericFailure, analytic, fock
 from .polyalg import GATE_TABLE, RationalPolynomial  # GATE_TABLE re-exported
 
 PAULI = {
@@ -77,10 +77,6 @@ class ChannelConfig:
     target: str = "I"
 
 
-class ExpectationRangeError(ValueError):
-    """A Pauli expectation left [-1, 1] by more than roundoff."""
-
-
 @dataclass(frozen=True)
 class LogicalReadout:
     """Pauli expectations of the channel output for the four basis inputs."""
@@ -91,7 +87,7 @@ class LogicalReadout:
         for state, row in self.expectations.items():
             for pauli, val in row.items():
                 if abs(val) > 1.0 + 1e-6:
-                    raise ExpectationRangeError(
+                    raise NumericFailure(
                         f"expectation <{pauli}> = {val} out of range for input {state}"
                     )
 
@@ -260,14 +256,13 @@ class SweepResult:
     failures: dict[tuple[str, float, float], str]
 
 
-# The numeric failures of one point.  Anything else is a bug and propagates.
-POINT_ERRORS = (fock.TruncationLeakageError, fock.DegeneratePairError, ExpectationRangeError)
-
-
 def _pin_blas_threads() -> None:
     """Pool initializer: numpy's OpenBLAS at one thread per worker; a no-op without it.
 
-    The workers solve no eigensystem: `sweep` solves both in the parent, whose
+    The pin is what makes the pool fast.  Unpinned, each worker's GEMVs run as
+    many OpenBLAS threads as the machine has cores, so N workers start
+    N × (BLAS threads) threads on N cores, which contend for them.  The workers
+    solve no eigensystem: `sweep` solves both in the parent, whose
     scipy OpenBLAS keeps its thread count, and the forked workers inherit them.
     That is why `--workers 2` prints `--workers 1`'s bytes; at
     OPENBLAS_NUM_THREADS=1 the d = 2304 solve differs from the 2- and 4-thread
@@ -282,14 +277,14 @@ def _sweep_group(args) -> list[tuple[int, float | None, float | None, str | None
     points, config, cache_dir = args
     try:
         engine = ChannelEngine(config, cache_dir)
-    except POINT_ERRORS as exc:
+    except NumericFailure as exc:
         return [(idx, None, None, str(exc)) for idx, _label in points]
     out = []
     for idx, label in points:
         poly, level = GATE_TABLE[label]
         try:
             readout = engine.readout(poly)
-        except POINT_ERRORS as exc:
+        except NumericFailure as exc:
             out.append((idx, None, None, str(exc)))
             continue
         t_inf = 1.0 - t_state_fidelity_from_expectations(readout.expectations["plus"])

@@ -5,8 +5,8 @@ twirl-density, cache.  Outputs are written atomically (temp file + rename),
 carry a schema_version field, and are deterministic for a fixed
 configuration (and, for verify-circuits, --seed).  An argument @FILE is
 replaced by the lines of FILE, one argument per line.  Exit codes: 0 success,
-1 validation error, 2 numeric failure (for sweep: some points failed; the
-CSV holds the rest).
+1 validation error, 2 numeric failure: a `gkpphase.NumericFailure`, or numpy's
+`LinAlgError` (for sweep: some points failed; the CSV holds the rest).
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import time
 from fractions import Fraction
 from pathlib import Path
 
-from . import polyalg, write_atomically  # numeric modules: inside the commands
+from . import NumericFailure, polyalg, write_atomically  # numeric modules: inside the commands
 
 SCHEMA_VERSION = 1
 MAX_GRID_POINTS = 10**6  # longer n_bar or lam axes, and larger N x N grids, are refused, not built
@@ -32,10 +32,6 @@ MAX_SYNTH_LEVEL = 11
 # phase check's (2^m+2)^N points are held to MAX_GRID_POINTS: (9, 1)'s 4^9 take
 # 3.9 s, (10, 1)'s 4^10 10.9 s, and (20, 1) ran on past 20 s.
 MAX_SYNTH_MONOMIALS = 4225
-
-
-class NumericFailure(RuntimeError):
-    pass
 
 
 def _atomic_write(path: str | None, text: str) -> None:
@@ -511,31 +507,22 @@ def build_parser() -> argparse.ArgumentParser:
     return top
 
 
-def _numeric_failures() -> tuple[type[Exception], ...]:
-    """Errors reported as numeric failures (exit 2).  An `except` clause evaluates
-    this only when an exception reaches it; a process without numpy (synth) can
-    raise only NumericFailure of them, so it never loads numpy here."""
-    if "numpy" not in sys.modules:
-        return (NumericFailure,)
-    import numpy as np
-    from . import analytic, fock
-
-    return (NumericFailure, fock.TruncationLeakageError, analytic.AccuracyError,
-            np.linalg.LinAlgError)
-
-
 def dispatch(argv) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 1 if exc.code not in (0, None) else 0
+    # Numeric failures come before ValueError, since numpy's LinAlgError is one.  An
+    # except clause is evaluated only when an exception reaches it, so LinAlgError is
+    # read only in a process that has loaded numpy, and synth never loads it.
     try:
         return args.func(args)
-    except _numeric_failures() as exc:  # before ValueError: LinAlgError is one
+    except (NumericFailure, sys.modules["numpy"].linalg.LinAlgError if "numpy" in sys.modules
+            else NumericFailure) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except ArithmeticError as exc:  # an input that takes a closed form out of float range

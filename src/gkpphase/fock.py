@@ -43,6 +43,7 @@ import numpy as np
 import scipy.linalg
 import scipy.special
 
+from . import NumericFailure
 from .opcache import OperatorCache
 from .polyalg import RationalPolynomial
 
@@ -56,12 +57,8 @@ MAX_DROPPED_WEIGHT = 1e-6
 EXPAND_FACTOR = 3
 
 
-class TruncationLeakageError(RuntimeError):
+class TruncationLeakageError(NumericFailure):
     """A state lost too much norm to truncation."""
-
-
-class DegeneratePairError(ValueError):
-    """Orthonormalisation got (numerically) parallel inputs."""
 
 
 @dataclass(frozen=True)
@@ -348,7 +345,7 @@ def orthonormalize(psi0: FockVector, psi1: FockVector) -> tuple[FockVector, Fock
     b = psi1.normalized().amplitudes
     ov = np.vdot(a, b)
     if abs(abs(ov) - 1.0) < 1e-12:
-        raise DegeneratePairError("codewords are numerically parallel")
+        raise NumericFailure("codewords are numerically parallel")
     theta = np.angle(ov) if ov != 0 else 0.0
     plus = a + np.exp(-1j * theta) * b
     minus = a - np.exp(-1j * theta) * b

@@ -39,6 +39,8 @@ from itertools import product
 from math import factorial, lcm, prod
 from typing import Iterable, Mapping
 
+from . import NumericFailure
+
 # Hard safety cap on simultaneous reduction branches.  Boundary remainders
 # are exact-rational events, so in practice a handful of branches survive.
 MAX_BRANCHES = 65536
@@ -110,9 +112,6 @@ class RationalPolynomial:
     def coeffs(self) -> tuple[Fraction, ...]:
         """Coefficients in one variable by degree, the constant first."""
         return tuple(self.coeff(k) for k in range(self.degree + 1))
-
-    def __call__(self, *xs) -> Fraction:
-        return sum((c * prod(x**k for x, k in zip(xs, e)) for e, c in self.terms.items()), Fraction(0))
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -355,7 +354,7 @@ def _reduce(
         best = min(abs(cur[i]) for cur, _ in grown)
         branches = [(cur, log) for cur, log in grown if abs(cur[i]) == best]
         if len(branches) > MAX_BRANCHES:
-            raise RuntimeError(f"reduction branch explosion: {len(branches)} active branches")
+            raise NumericFailure(f"reduction branch explosion: {len(branches)} active branches")
 
     first, log = branches[0]
     n0 = first[-1] // denom

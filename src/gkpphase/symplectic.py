@@ -23,10 +23,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import NumericFailure
+
 SYMPLECTIC_TOL = 1e-12
 
 
-class SingularConditioningError(np.linalg.LinAlgError):
+class SingularConditioningError(np.linalg.LinAlgError, NumericFailure):
     """Measured covariance block is singular; carries the offending indices."""
 
     def __init__(self, indices):

@@ -31,10 +31,11 @@ and the forms of them that only tests call.
   input), the converged reference the Fock engine approaches as d_init grows;
   `optima`, a sweep's per-(gate, n̄) optimum rows;
   `clifford_t_orbit`, the <H, S> search behind `channel.CLIFFORD_T_TARGETS`.
-* `basis` (the dense-product L_n, n >= 1), `is_integer_valued`,
-  `lex_compare` with `LexOrder`, `scale_argument` and `phase_check_on_box`:
-  exact-algebra checks no command needs, the last the phase check of a
-  C^{N-1}Λ_m polynomial (N = 1 included) on a symmetric box of integers.
+* `basis` (the dense-product L_n, n >= 1), `value` (P(x) in one variable),
+  `is_integer_valued`, `lex_compare` with `LexOrder`, `scale_argument` and
+  `phase_check_on_box`: exact-algebra checks no command needs, the last the
+  phase check of a C^{N-1}Λ_m polynomial (N = 1 included) on a symmetric box
+  of integers.
 * `overlap` of two Fock vectors, and `symplectic_inverse` of a Gaussian op.
 * `shear_variance_leading`, `shear_variance_ratio`, `vp2_leading`,
   `lambda_opt_asymptotic` (with `NotApplicableError`): the leading-order
@@ -65,7 +66,7 @@ from math import factorial
 import numpy as np
 import scipy.special
 
-from gkpphase import analytic as an, channel as ch, fock as fk, symplectic as sp
+from gkpphase import NumericFailure, analytic as an, channel as ch, fock as fk, symplectic as sp
 from gkpphase.fock import FockVector
 from gkpphase.polyalg import (
     BranchStep, RationalPolynomial, ReductionOutcome,
@@ -94,6 +95,11 @@ def basis(n: int) -> RationalPolynomial:
     poly = poly * Fraction(1, factorial(n))
     _BASIS_CACHE[n] = poly
     return poly
+
+
+def value(poly: RationalPolynomial, x) -> Fraction:
+    """P(x) in one variable, exactly, from the terms."""
+    return sum((c * Fraction(x) ** k for (k,), c in poly.terms.items()), Fraction(0))
 
 
 def drop_constant(poly: RationalPolynomial) -> RationalPolynomial:
@@ -786,7 +792,7 @@ def logical_char_function(
     """ξ^σ(v) = Σ_n e^{iθ(v,σ,n)} χ(v + l_σ + sqrt(2) n) over the square lattice.
 
     θ = π[v ∧ l_σ + (v + l_σ) ∧ sqrt(2)n] follows from the displacement
-    composition rule with σ̄ = W(l_σ).  Raises `analytic.AccuracyError` when
+    composition rule with σ̄ = W(l_σ).  Raises `NumericFailure` when
     the outermost lattice shell still contributes at the 1e-12 level.
     """
     pauli = pauli.upper()
@@ -808,7 +814,7 @@ def logical_char_function(
     total = complex(np.sum(terms))
     shell = np.abs(terms)[(np.abs(nq) == lattice_cut) | (np.abs(np_) == lattice_cut)]
     if shell.sum() > 1e-12 * max(abs(total), 1e-300):
-        raise an.AccuracyError(
+        raise NumericFailure(
             f"lattice sum not converged at cut {lattice_cut} (shell {shell.sum():.2e})"
         )
     return total

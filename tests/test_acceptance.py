@@ -414,6 +414,17 @@ def test_criterion_12_companion_true_patch_chain_below_engine():
         assert f_patch < oracles.average_gate_fidelity(config)
 
 
+def test_criterion_12_companion_at_delta_0_1_below_grid_channel():
+    # at λ(0.1) = 21.41 the Fock engine needs a d_init above what Tier-1 can run;
+    # the position-grid channel has converged: the same repr (0.9949765229591134)
+    # at N = 4096 to 32768 points and L = 80 to 160, and L = 60 moves it by 2.5e-12
+    bound = an.ft_lower_bound(0.1)
+    f_patch = oracles.ft_patch_fidelity(0.1)
+    grid = oracles.grid_readout("T3", 0.1, bound.lam_of_delta, 4096, 80.0)
+    f_grid = ch.average_gate_fidelity_from_readout(grid, "T3")
+    assert bound.f_lower_bound == 1.0 / 3.0 < f_patch < f_grid, (f_patch, f_grid)
+
+
 def test_cli_surface_for_acceptance(tmp_path):
     # the synth surface named by criterion 1, end to end
     out = tmp_path / "t.json"

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import oracles
-from gkpphase import analytic as an
+from gkpphase import NumericFailure, analytic as an
 from gkpphase.polyalg import RationalPolynomial
 
 T3 = RationalPolynomial([0, F(-1, 12), F(1, 8), F(1, 12)])
@@ -218,7 +218,7 @@ def test_char_function_raises_outside_patch():
 
 def test_char_function_raises_on_unconverged_cut():
     slow = lambda vq, vp: np.exp(-0.01 * (np.square(vq) + np.square(vp)))
-    with pytest.raises(an.AccuracyError):
+    with pytest.raises(NumericFailure, match="not converged"):
         oracles.logical_char_function(slow, "I", (0.0, 0.0), lattice_cut=2)
 
 

@@ -12,7 +12,7 @@ import pytest
 import scipy.linalg
 
 import oracles
-from gkpphase import channel as ch, fock as fk
+from gkpphase import NumericFailure, channel as ch, fock as fk
 from oracles import average_gate_fidelity_reconstructed, logical_expectation
 
 PLAN_SMALL = fk.TruncationPlan(d_init=160)
@@ -418,10 +418,14 @@ def test_sweep_propagates_programming_errors(monkeypatch):
         ch.sweep(["T3"], [3.0], [1.5], GROUP_PLAN)
 
 
-def test_expectation_range_error_is_a_point_failure():
-    with pytest.raises(ch.ExpectationRangeError):
+def test_expectation_range_error_is_a_point_failure(monkeypatch):
+    with pytest.raises(NumericFailure):
         ch.LogicalReadout({"plus": {"I": 1.0, "X": 1.5, "Y": 0.0, "Z": 0.0}})
-    assert ch.ExpectationRangeError in ch.POINT_ERRORS
+    monkeypatch.setattr(ch.ChannelEngine, "readout",
+                        lambda self, poly: ch.LogicalReadout({"plus": {"X": 1.5}}))
+    res = ch.sweep(["T3"], [3.0], [1.5], GROUP_PLAN)
+    assert res.rows == ()
+    assert res.failures == {("T3", 3.0, 1.5): "expectation <X> = 1.5 out of range for input plus"}
 
 
 def _blas_threads():

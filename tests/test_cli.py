@@ -3,6 +3,7 @@
 import argparse
 import ast
 import hashlib
+import importlib
 import inspect
 import json
 import os
@@ -16,7 +17,8 @@ from pathlib import Path
 import pytest
 
 import oracles
-from gkpphase import cli, polyalg
+import gkpphase
+from gkpphase import NumericFailure, cli, polyalg
 
 
 def run(tmp_path, *argv, name="out"):
@@ -206,6 +208,14 @@ def test_moments_json(tmp_path):
     assert code == 0
     data = json.loads(text)
     assert data["e_vq2"] > 0 and data["e_vp2"] > 0
+
+
+def test_moments_whose_cross_moment_squared_overflows(tmp_path):
+    # every moment is finite, but E(v_q v_p)^2 is not: the Cauchy-Schwarz check
+    # printed two numpy overflow warnings
+    code, text = run(tmp_path, "moments", "--delta", "1e60", "--lam", "1e-80")
+    assert code == 0
+    assert json.loads(text)["e_vqvp"] == 3.978873577297383e+198
 
 
 def test_ft_bound_csv(tmp_path):
@@ -425,6 +435,9 @@ def test_non_finite_inputs_exit_1(tmp_path, capsys, argv):
     (("sweep", "--gate", "T3", "--nbar-min", "-0.5", "--nbar-max", "-0.5", "--lam-count", "1"),
      "--nbar-min must be positive"),
     (("sweep", "--gate", "I", "--nbar-min", "-1"), "--nbar-min must be positive"),
+    # "e_vp2": Infinity with exit 0 and two numpy overflow warnings; now refused by field
+    (("moments", "--delta", "0.3", "--lam", "1e-300"), "take e_vp2 out of float range"),
+    (("moments", "--gate", "T8th", "--delta", "0.3", "--lam", "1e-100"), "take e_vp2 out of float range"),
 ])
 def test_out_of_range_inputs_exit_1_with_one_error_line(tmp_path, capsys, argv, message):
     code, text = run_under_alarm(tmp_path, *argv)
@@ -492,25 +505,49 @@ def test_cache_needs_cache_dir(tmp_path):
 
 
 def test_numeric_failure_exits_2(monkeypatch):
-    from gkpphase import analytic
-
     def boom(args):
-        raise analytic.AccuracyError("sum did not converge")
+        raise NumericFailure("sum did not converge")
 
     # dispatch rebuilds the parser, which resolves handlers from cli globals
     monkeypatch.setattr(cli, "cmd_moments", boom)
     assert cli.dispatch(["moments", "--delta", "0.2"]) == 2
 
 
-def test_singular_conditioning_exits_2(monkeypatch):
-    # a LinAlgError, hence also a ValueError, yet a numeric failure
+def test_singular_conditioning_exits_2(monkeypatch, capsys):
+    # LinAlgErrors, hence also ValueErrors, yet numeric failures: the package's
+    # own and a raw one from numpy
+    import numpy as np
     from gkpphase import symplectic
 
-    def boom(args):
-        raise symplectic.SingularConditioningError([1])
+    for error in (symplectic.SingularConditioningError([1]), np.linalg.LinAlgError("Singular matrix")):
+        def boom(args, error=error):
+            raise error
 
-    monkeypatch.setattr(cli, "cmd_moments", boom)
-    assert cli.dispatch(["moments", "--delta", "0.2"]) == 2
+        monkeypatch.setattr(cli, "cmd_moments", boom)
+        assert cli.dispatch(["moments", "--delta", "0.2"]) == 2
+        assert capsys.readouterr().err == f"numeric failure: {error}\n"
+
+
+def test_synth_branch_explosion_exits_2_with_one_line(tmp_path, monkeypatch, capsys):
+    # a RuntimeError traceback until the branch cap raised NumericFailure
+    monkeypatch.setattr(polyalg, "MAX_BRANCHES", 0)
+    code, text = run(tmp_path, "synth", "--level", "3", "--qubits", "2")
+    assert code == 2 and text == ""
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("numeric failure: reduction branch explosion")
+
+
+def test_every_package_error_is_a_numeric_failure_or_a_validation_error():
+    # dispatch maps these two to exit 2 and 1; any other error type is a traceback
+    classes = []
+    for name in (*gkpphase.__all__, "cli"):
+        module = importlib.import_module(f"gkpphase.{name}")
+        classes += [c for c in vars(module).values()
+                    if isinstance(c, type) and issubclass(c, BaseException)
+                    and c.__module__ == module.__name__]
+    assert {c.__name__ for c in classes} >= {"TruncationLeakageError", "SingularConditioningError"}
+    assert [c for c in classes if not issubclass(c, (NumericFailure, ValueError))] == []
+    assert issubclass(NumericFailure, RuntimeError) and NumericFailure.__module__ == "gkpphase"
 
 
 def test_argument_file_defaults(tmp_path):
