@@ -317,6 +317,10 @@ def vacuum_posterior_grid(delta: float, n_grid: int) -> tuple[np.ndarray, np.nda
     Cells are uniform over the correctable patch; returns (weights with
     shape (n², ), bloch with shape (n², 3)).
     """
+    if not 0 < delta < math.inf:
+        raise ValueError(f"delta must be positive and finite, got {delta}")
+    if not delta < math.sqrt(sys.float_info.max):  # the posterior reads tanh(delta^2/2)
+        raise ValueError(f"delta {delta:g} takes delta^2 out of float range")
     if n_grid < 2:
         raise ValueError("n_grid must be at least 2")
     centers = (np.arange(n_grid) + 0.5) / n_grid * 2.0 * PATCH_HALF - PATCH_HALF

@@ -31,7 +31,6 @@ import ctypes
 import itertools
 import math
 import multiprocessing
-import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
@@ -377,26 +376,15 @@ class VacuumMethodConfig:
     grid: int
     postselect_fraction: float
 
-    def __post_init__(self):
-        if not 0 < self.delta < math.inf:
-            raise ValueError(f"delta must be positive and finite, got {self.delta}")
-        if not self.delta < math.sqrt(sys.float_info.max):  # the posterior reads tanh(delta^2/2)
-            raise ValueError(f"delta {self.delta:g} takes delta^2 out of float range")
+    def __post_init__(self):  # Δ and the grid are checked where the posterior reads them
         if not 0.0 <= self.postselect_fraction <= 1.0:
             raise ValueError("postselect_fraction must lie in [0, 1]")
-        if self.grid < 2:
-            raise ValueError("grid must be >= 2")
-
-
-# Syndrome grids with fewer cells per axis are flagged as coarse.
-COARSE_GRID = 100
 
 
 @dataclass(frozen=True)
 class VacuumResult:
     infidelity: float
     acceptance_probability: float
-    coarse_grid_warning: bool  # grid < COARSE_GRID
 
 
 # Bloch vectors of the 12 states Clifford-equivalent to the T state, the orbit
@@ -439,7 +427,7 @@ def vacuum_state_method(config: VacuumMethodConfig) -> VacuumResult:
     fid, weights = _ranked_cells(config.delta, config.grid)
     if config.postselect_fraction == 0.0:
         best = float(fid[0])
-        return VacuumResult(1.0 - best, float(weights[0]), config.grid < COARSE_GRID)
+        return VacuumResult(1.0 - best, float(weights[0]))
     cum = np.cumsum(weights)
     p = config.postselect_fraction
     k = int(np.searchsorted(cum, p, side="left"))
@@ -448,7 +436,7 @@ def vacuum_state_method(config: VacuumMethodConfig) -> VacuumResult:
     frac_weight = min(weights[k], p - mass_before)
     acc = mass_before + frac_weight
     mean_fid = (np.sum(fid[:k] * weights[:k]) + fid[k] * frac_weight) / acc
-    return VacuumResult(float(1.0 - mean_fid), float(acc), config.grid < COARSE_GRID)
+    return VacuumResult(float(1.0 - mean_fid), float(acc))
 
 
 def vacuum_match_fraction(delta: float, target_infidelity: float, grid: int) -> float:
@@ -462,8 +450,10 @@ def vacuum_match_fraction(delta: float, target_infidelity: float, grid: int) -> 
     weight (0.2129937 against 0.2129938 at Delta = 0.25, grid 500).
 
     Returns 0 when even the best single cell cannot reach the target, and 1
-    when no postselection is needed.
+    when no postselection is needed.  A target outside [0, 1] is refused.
     """
+    if not 0.0 <= target_infidelity <= 1.0:
+        raise ValueError(f"target_infidelity must lie in [0, 1], got {target_infidelity}")
     fid, weights = _ranked_cells(delta, grid)
     if 1.0 - fid[0] > target_infidelity:
         return 0.0

@@ -23,6 +23,7 @@ from . import NumericFailure, polyalg, write_atomically  # numeric modules: insi
 
 SCHEMA_VERSION = 1
 MAX_GRID_POINTS = 10**6  # longer n_bar or lam axes, and larger N x N grids, are refused, not built
+COARSE_GRID = 100  # vacuum warns below this many syndrome cells per axis
 # synth limits, measured on a shared 2-core Xeon (Python 3.11).  Level 11 takes
 # 19 s and 179 MB; level 12 ran 302 s to a 1.36 GB peak and then could not print
 # its branch log, whose multipliers exceed Python's 4300-digit int-to-str limit.
@@ -311,8 +312,8 @@ def cmd_vacuum(args) -> int:
         postselect_fraction=args.postselect,
     )
     res = channel.vacuum_state_method(cfg)
-    if res.coarse_grid_warning:
-        print(f"vacuum: warning: --grid {args.grid} is below {channel.COARSE_GRID} cells "
+    if args.grid < COARSE_GRID:
+        print(f"vacuum: warning: --grid {args.grid} is below {COARSE_GRID} cells "
               "per axis; the syndrome grid is coarse", file=sys.stderr)
     _emit_csv(
         args,

@@ -153,8 +153,9 @@ def biasing_update(delta: float, lam: float) -> tuple[float, float]:
     (delta_q, delta_p) = (Delta/sqrt(1+lam), Delta*sqrt(1+lam)); the product
     stays Delta^2, saturating the Gaussian trade-off bound.
     """
-    if delta <= 0 or lam <= 0:
-        raise ValueError("biasing_update requires delta > 0 and lam > 0")
+    if not (0 < delta < math.inf and 0 < lam < math.inf):
+        raise ValueError("biasing_update requires finite delta > 0 and lam > 0, "
+                         f"got {delta}, {lam}")
     r = math.sqrt(1.0 + lam)
     return delta / r, delta * r
 
@@ -167,8 +168,8 @@ def morphing_params(lam: float) -> tuple[float, float, float, float]:
     feedforward(xi) equals a beam splitter at theta followed by single-mode
     squeezes, see morphing_rhs().
     """
-    if lam <= 0:
-        raise ValueError(f"morphing_params requires lam > 0, got {lam}")
+    if not 0 < lam < math.inf:
+        raise ValueError(f"morphing_params requires finite lam > 0, got {lam}")
     rt = math.sqrt(lam)
     return rt / (lam + 1.0), math.atan(rt), math.sqrt(lam + 1.0), 1.0 / math.sqrt(lam + 1.0)
 

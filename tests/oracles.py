@@ -26,9 +26,13 @@ and the forms of them that only tests call.
   average gate fidelity through a fresh engine per config, and the average
   gate fidelity through explicit reconstruction of the 2x2 outputs
   (`output_density`); `grid_readout`, the four-input readout on a uniform
-  position grid (the Fourier-grid, split-operator form of the channel: direct
-  lattice-sum codewords, closed-form smeared Pauli profiles, one FFT pair per
-  input), the converged reference the Fock engine approaches as d_init grows;
+  position grid (the Fourier-grid, split-operator form of the channel:
+  Poisson-resummed lattice codewords, `_resummed_codeword`, pinned to the
+  direct sum `_grid_codeword`; closed-form smeared Pauli profiles; one FFT
+  pair per input), the converged reference the Fock engine approaches as
+  d_init grows, as a `GridReadout` that reports its window's edge masses
+  against `EDGE_LIMIT`, and `sized_grid_readout`, which grows the window
+  until they pass;
   `optima`, a sweep's per-(gate, n̄) optimum rows;
   `clifford_t_orbit`, the <H, S> search behind `channel.CLIFFORD_T_TARGETS`.
 * `basis` (the dense-product L_n, n >= 1), `value` (P(x) in one variable),
@@ -575,7 +579,10 @@ def _smeared_square_wave(theta: np.ndarray, sigma: float) -> np.ndarray:
 def _grid_codeword(bit: int, delta: float, lam: float, x: np.ndarray) -> np.ndarray:
     """`fock.gkp_codeword`'s lattice of coherent states, summed directly as
     position wavefunctions π^(-1/4) exp(-(x - q₀)²/2 + i p₀ (x - q₀/2)) on `x`,
-    with the same cut, coefficients and phases; unnormalised."""
+    with the same cut, coefficients and phases; unnormalised.  Each row is
+    summed only where its envelope exp(-(x - q₀)²/2) is not 0.0 (|x - q₀|
+    below about 38.6); elsewhere it adds exactly nothing.  The oracle of
+    `_resummed_codeword`, which `grid_readout` uses."""
     cut_m, cut_n = fk.default_lattice_cut(delta, lam)
     w = 1.0 - math.exp(-2.0 * delta**2)
     shrink = math.sqrt(2.0 * math.pi) * math.exp(-delta**2)
@@ -588,41 +595,125 @@ def _grid_codeword(bit: int, delta: float, lam: float, x: np.ndarray) -> np.ndar
         keep = c > 1e-18
         q0 = shrink * mu * math.sqrt(lam / 2.0)
         p0 = shrink * n[keep] / math.sqrt(2.0 * lam)
-        row = (c * phase)[keep] @ np.exp(1j * np.outer(p0, x - q0 / 2.0))
-        psi += math.pi**-0.25 * np.exp(-0.5 * (x - q0) ** 2) * row
+        envelope = np.exp(-0.5 * (x - q0) ** 2)
+        live = envelope > 0.0
+        row = (c * phase)[keep] @ np.exp(1j * np.outer(p0, x[live] - q0 / 2.0))
+        psi[live] += math.pi**-0.25 * envelope[live] * row
     return psi
 
 
-def grid_readout(gate: str, delta: float, lam: float, n: int, half_width: float) -> ch.LogicalReadout:
+# Codeword rows are evaluated where |x - q₀| < 10, their envelope above e^-50.
+CODEWORD_REACH = 10.0
+
+
+def _resummed_codeword(bit: int, delta: float, lam: float, x: np.ndarray) -> np.ndarray:
+    """`_grid_codeword` with each row's n-sum Poisson-resummed.
+
+    Row μ = 2m + bit is exp(-πμ²λw/4) times Σₙ cₙ e^{inφ}, with
+    cₙ = exp(-a n²), a = πw/(4λ) and φ = e^{-Δ²}√(π/λ)(x - q₀/2) + πm - (π/2)·bit,
+    and Σₙ e^{-an² + inφ} = √(π/a) Σⱼ exp(-(φ - 2πj)²/(4a)).  φ is reduced to
+    [-π, π) first, so the j-range only has to reach e^-40 of the peak term,
+    |φ - 2πj| <= √(160a); each row is evaluated where |x - q₀| < CODEWORD_REACH."""
+    cut_m = fk.default_lattice_cut(delta, lam)[0]
+    w = 1.0 - math.exp(-2.0 * delta**2)
+    shrink = math.sqrt(2.0 * math.pi) * math.exp(-delta**2)
+    freq = math.exp(-delta**2) * math.sqrt(math.pi / lam)
+    a = math.pi * w / (4.0 * lam)
+    j_max = math.ceil(0.5 + math.sqrt(160.0 * a) / (2.0 * math.pi))
+    shifts = 2.0 * math.pi * np.arange(-j_max, j_max + 1)
+    psi = np.zeros(x.size, dtype=complex)
+    for m in range(-cut_m, cut_m + 1):
+        mu = 2 * m + bit
+        q0 = shrink * mu * math.sqrt(lam / 2.0)
+        near = np.abs(x - q0) < CODEWORD_REACH
+        xs = x[near]
+        phi = freq * (xs - q0 / 2.0) + math.pi * (m - 0.5 * bit)
+        phi = np.mod(phi + math.pi, 2.0 * math.pi) - math.pi
+        comb = np.exp(-np.square(phi[:, None] - shifts) / (4.0 * a)).sum(axis=1)
+        scale = math.exp(-math.pi * mu**2 * lam * w / 4.0) * math.sqrt(math.pi / a) * math.pi**-0.25
+        psi[near] += scale * np.exp(-0.5 * (xs - q0) ** 2) * comb
+    return psi
+
+
+# The window rule: at most this much of each post-gate input's mass in the
+# outer eighth of the x window (both ends) and in the outer eighth of the p band.
+EDGE_LIMIT = 1e-11
+
+
+def _edge_mass(density: np.ndarray) -> float:
+    """Share of `density` in its outer eighth at each end."""
+    eighth = density.size // 8
+    return float((density[:eighth].sum() + density[-eighth:].sum()) / density.sum())
+
+
+@dataclass(frozen=True)
+class GridReadout(ch.LogicalReadout):
+    """A readout with its window: the grid (n, half_width) and the largest x-
+    and p-edge masses over the four post-gate inputs (`_edge_mass`)."""
+
+    n: int
+    half_width: float
+    x_edge: float
+    p_edge: float
+
+
+def grid_readout(gate: str, delta: float, lam: float, n: int, half_width: float) -> GridReadout:
     """The channel's four-input readout on a uniform position grid, sharing no
     arithmetic with the Fock engine but `fock.orthonormalize` and `fock.phase_profile`.
 
     x_j = -L + j·2L/N and p = 2π·fftfreq(N, dx).  The codewords are the
-    coherent-state lattice summed on the grid (`_grid_codeword`); the gate
+    coherent-state lattice on the grid, each row Poisson-resummed
+    (`_resummed_codeword`); the gate
     multiplies by exp(2πi P(x/sqrt(λπ))); Z_m is g(x√(π/λ)) and X_m is
     h(p√(πλ)), the smeared square waves E[sign cos(θ + σZ)] with
     σ² = π·tanh(Δ²/2) (the series of `fock.pauli_profiles` summed to all
-    orders), Z_m applied pointwise and X_m through one FFT pair.
+    orders), Z_m applied pointwise and X_m through one FFT pair.  Nothing
+    checks the window here: a caller asserts the reported edge masses, and a
+    grid can pass an N-doubling check while L is too small.
     """
     x = -half_width + np.arange(n) * (2.0 * half_width / n)
     p = 2.0 * math.pi * np.fft.fftfreq(n, 2.0 * half_width / n)
     sigma = math.sqrt(math.pi * math.tanh(delta**2 / 2.0))
     g = _smeared_square_wave(x * math.sqrt(math.pi / lam), sigma)
     h = _smeared_square_wave(p * math.sqrt(math.pi * lam), sigma)
-    e0, e1 = fk.orthonormalize(*(FockVector(_grid_codeword(bit, delta, lam, x)) for bit in (0, 1)))
+    e0, e1 = fk.orthonormalize(*(FockVector(_resummed_codeword(bit, delta, lam, x)) for bit in (0, 1)))
     phase = fk.phase_profile(ch.GATE_TABLE[gate][0], lam, x)
     out = {}
+    x_edge = p_edge = 0.0
     for name in ch.INPUT_ORDER:
         a, b = ch.INPUT_STATES[name]
         vec = a * e0.amplitudes + b * e1.amplitudes
         psi = phase * (vec / np.linalg.norm(vec))
         norm2 = float(np.vdot(psi, psi).real)
         z_psi = g * psi
-        x_psi = np.fft.ifft(h * np.fft.fft(psi))
+        psi_p = np.fft.fft(psi)
+        x_psi = np.fft.ifft(h * psi_p)
         out[name] = {"I": 1.0, "X": float(np.vdot(psi, x_psi).real) / norm2,
                      "Y": -float(np.vdot(x_psi, z_psi).imag) / norm2,
                      "Z": float(np.vdot(psi, z_psi).real) / norm2}
-    return ch.LogicalReadout(out)
+        x_edge = max(x_edge, _edge_mass(np.abs(psi) ** 2))
+        p_edge = max(p_edge, _edge_mass(np.fft.fftshift(np.abs(psi_p) ** 2)))
+    return GridReadout(out, n, half_width, x_edge, p_edge)
+
+
+def sized_grid_readout(gate: str, delta: float, lam: float, n: int = 4096,
+                       half_width: float = 60.0, max_n: int = 1 << 17) -> GridReadout:
+    """`grid_readout` on the first window, from (n, half_width), whose edge
+    masses are both at most EDGE_LIMIT.  A wide x-edge grows L and N by 3/2
+    (dx kept, so the p band too), a wide p-edge doubles N (the band doubles);
+    past `max_n` points it fails with both masses named."""
+    while True:
+        readout = grid_readout(gate, delta, lam, n, half_width)
+        if max(readout.x_edge, readout.p_edge) <= EDGE_LIMIT:
+            return readout
+        if readout.x_edge > EDGE_LIMIT:
+            n, half_width = n * 3 // 2, half_width * 1.5
+        if readout.p_edge > EDGE_LIMIT:
+            n *= 2
+        if n > max_n:
+            raise fk.TruncationLeakageError(
+                f"no grid up to {max_n} points holds {gate} at delta {delta}, lam {lam}: edge "
+                f"masses x {readout.x_edge:.2e}, p {readout.p_edge:.2e} above {EDGE_LIMIT}")
 
 
 def clifford_t_orbit() -> np.ndarray:

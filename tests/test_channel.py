@@ -5,6 +5,7 @@ import functools
 import json
 import math
 import os
+import time
 from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
@@ -273,8 +274,14 @@ def test_engine_matches_dense_oracles():
 # The position-grid oracle: N = 4096 points over [-40, 40), which holds the
 # codewords at the n̄ below to far under 1e-12 of their mass, and whose p band
 # (π/dx ≈ 161) holds what the cubic gate adds: over [-60, 60) the band is 107
-# and the (T3, 9, 1) readout moved 8.8e-11 between N = 4096 and 8192.
+# and the (T3, 9, 1) readout moved 8.8e-11 between N = 4096 and 8192.  Each
+# value a test takes from the oracle asserts its window's edge masses.
 GRID_N, GRID_HALF_WIDTH = 4096, 40.0
+
+
+def _assert_window(readout):
+    assert max(readout.x_edge, readout.p_edge) <= oracles.EDGE_LIMIT, (
+        readout.n, readout.half_width, readout.x_edge, readout.p_edge)
 
 
 def _fock_readout(gate, n_bar, lam, d_init):
@@ -289,15 +296,22 @@ def _infidelity(readout, gate):
 
 def test_grid_oracle_pins_the_converged_fock_engine():
     # at (T3, n̄ 6, λ 2) the Fock engine has converged by d_init 400 (8.5e-14 measured)
+    # (edge masses 5e-31 in x and 1e-31 in p)
     delta = fk.GkpParams.from_n_bar(6.0, 2.0).delta
-    grid = _infidelity(oracles.grid_readout("T3", delta, 2.0, GRID_N, GRID_HALF_WIDTH), "T3")
+    readout = oracles.grid_readout("T3", delta, 2.0, GRID_N, GRID_HALF_WIDTH)
+    _assert_window(readout)
+    grid = _infidelity(readout, "T3")
     fock = _infidelity(_fock_readout("T3", 6.0, 2.0, 400), "T3")
     assert abs(grid - fock) <= 1e-12 * grid, (grid, fock)
 
 
 def test_grid_oracle_is_converged_in_its_point_count():
+    # the rule holds on the N = 8192 side (p-edge 8e-20); at N = 4096 the p-edge
+    # is 1.2e-10, above the rule, yet the two grids agree to 3.3e-14: it is
+    # conservative here, and doubling N alone cannot show an L that is too small
     delta = fk.GkpParams.from_n_bar(9.0, 1.0).delta
     coarse, fine = (oracles.grid_readout("T3", delta, 1.0, n, GRID_HALF_WIDTH) for n in (4096, 8192))
+    _assert_window(fine)
     for name in ch.INPUT_ORDER:
         for p in ("X", "Y", "Z"):
             a, b = coarse.expectations[name][p], fine.expectations[name][p]
@@ -305,11 +319,56 @@ def test_grid_oracle_is_converged_in_its_point_count():
 
 
 def test_fock_engine_approaches_the_grid_as_d_init_grows():
-    # at (T3, n̄ 9, λ 1) d_init 256 is off by 1.3e-3 relative, d_init 400 by 1.9e-4
+    # at (T3, n̄ 9, λ 1) d_init 256 is off by 1.3e-3 relative, d_init 400 by 1.9e-4.
+    # No window assertion: at (4096, 40) the p-edge is 1.2e-10, above the rule,
+    # while the value moves by 3.3e-14 at N = 8192, far below the 1e-4 scale
+    # this ordering works at.
     delta = fk.GkpParams.from_n_bar(9.0, 1.0).delta
     grid = _infidelity(oracles.grid_readout("T3", delta, 1.0, GRID_N, GRID_HALF_WIDTH), "T3")
     off = {d: abs(_infidelity(_fock_readout("T3", 9.0, 1.0, d), "T3") - grid) for d in (256, 400)}
     assert off[400] < off[256], (grid, off)
+
+
+@pytest.mark.parametrize("delta, lam, n, half_width", [
+    (fk.GkpParams.from_n_bar(6.0, 2.0).delta, 2.0, 4096, 40.0),
+    (0.05, ch.analytic.ft_lambda_ansatz(0.05), 8192, 120.0),
+    (fk.GkpParams.from_n_bar(40.0, 1.0).delta, 1.0, 32768, 160.0),
+])
+def test_resummed_codeword_pins_the_direct_lattice_sum(delta, lam, n, half_width):
+    # measured: 6.7e-16 and 1.1e-15, 4.7e-14 and 7.2e-14, 4.8e-15 and 9.5e-15
+    # of the peak; the direct sum takes 0.1 to 1.5 s a codeword, the resummed
+    # form 2 to 30 ms
+    x = -half_width + np.arange(n) * (2.0 * half_width / n)
+    for bit in (0, 1):
+        direct = oracles._grid_codeword(bit, delta, lam, x)
+        resummed = oracles._resummed_codeword(bit, delta, lam, x)
+        peak = np.abs(direct).max()
+        assert np.abs(resummed - direct).max() <= 1e-13 * peak, bit
+
+
+def test_grid_readout_at_delta_0_05_is_fast():
+    # on the direct sum this readout took about 13 s; best of three, after a warm-up
+    lam = ch.analytic.ft_lambda_ansatz(0.05)
+    oracles.grid_readout("T3", 0.05, lam, 8192, 120.0)
+    times = []
+    for _ in range(3):
+        start = time.perf_counter()
+        oracles.grid_readout("T3", 0.05, lam, 8192, 120.0)
+        times.append(time.perf_counter() - start)
+    assert min(times) < 0.1, times
+
+
+def test_window_rule_flags_a_short_window_that_n_doubling_passes():
+    # T3 at Δ = 0.05 and λ(Δ) = 49.2 over [-80, 80): N = 4096 and 8192 agree to
+    # 1.7e-5 relative, yet both are off by 1.3e-3; the x-edge (9e-5) shows it.
+    # The sized window is (18432, 135); below 32768 points n̄ 40 fails, naming both masses.
+    lam = ch.analytic.ft_lambda_ansatz(0.05)
+    short = oracles.grid_readout("T3", 0.05, lam, 8192, 80.0)
+    sized = oracles.sized_grid_readout("T3", 0.05, lam)
+    assert short.x_edge > oracles.EDGE_LIMIT
+    assert abs(_infidelity(short, "T3") - _infidelity(sized, "T3")) > 1e-3 * _infidelity(sized, "T3")
+    with pytest.raises(fk.TruncationLeakageError, match="edge masses x"):
+        oracles.sized_grid_readout("T3", fk.GkpParams.from_n_bar(40.0, 1.0).delta, 1.0, max_n=16384)
 
 
 GROUP_GATES = ["TGKP", "T3", "I"]
@@ -496,9 +555,20 @@ def test_vacuum_acceptance_probability_tracks_fraction():
     assert 0 < res0.acceptance_probability < 1e-3
 
 
-def test_vacuum_coarse_grid_warning():
-    assert ch.vacuum_state_method(ch.VacuumMethodConfig(0.25, 60, 1.0)).coarse_grid_warning
-    assert not ch.vacuum_state_method(ch.VacuumMethodConfig(0.25, 150, 1.0)).coarse_grid_warning
+@pytest.mark.parametrize("delta", [-0.25, 0.0, math.nan, math.inf, 1e300])
+def test_vacuum_refuses_delta_where_the_posterior_reads_it(delta):
+    # the match fraction used to read Δ = -0.25 as +0.25 (0.8177014796362414), return
+    # 1.0 at Δ = 0 and end in an IndexError at NaN; both vacuum paths now refuse it
+    with pytest.raises(ValueError, match="delta"):
+        ch.vacuum_match_fraction(delta, 0.05, grid=80)
+    with pytest.raises(ValueError, match="delta"):
+        ch.vacuum_state_method(ch.VacuumMethodConfig(delta, 80, 1.0))
+
+
+@pytest.mark.parametrize("target", [math.nan, -1e-3, 1.5])
+def test_vacuum_match_fraction_refuses_target_outside_unit_interval(target):
+    with pytest.raises(ValueError, match="target_infidelity must lie in"):
+        ch.vacuum_match_fraction(0.25, target, grid=80)
 
 
 def test_vacuum_match_fraction_consistency():

@@ -260,6 +260,18 @@ def test_vacuum_warns_on_coarse_grid(tmp_path, capsys, grid, coarse):
     assert coarse or err == ""
 
 
+@pytest.mark.parametrize("delta, line", [
+    ("-0.25", "error: delta must be positive and finite, got -0.25"),
+    ("nan", "error: delta must be positive and finite, got nan"),
+    ("inf", "error: delta must be positive and finite, got inf"),
+    ("1e300", "error: delta 1e+300 takes delta^2 out of float range"),
+])
+def test_vacuum_refuses_delta_with_its_error_line(tmp_path, capsys, delta, line):
+    code, text = run(tmp_path, "vacuum", "--delta", delta)
+    assert code == 1 and text == ""
+    assert capsys.readouterr().err == line + "\n"
+
+
 def test_vacuum_csv(tmp_path):
     code, text = run(tmp_path, "vacuum", "--delta", "0.25", "--grid", "80",
                      "--postselect", "0.5")

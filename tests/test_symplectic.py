@@ -77,8 +77,9 @@ def test_morphing_params_values():
     assert np.allclose([xi, theta, a1, a2], [math.sqrt(2) / 3, math.atan(math.sqrt(2)), math.sqrt(3), 1 / math.sqrt(3)])
     xi, theta, a1, a2 = sp.morphing_params(3.0)
     assert np.allclose([xi, theta, a1, a2], [math.sqrt(3) / 4, math.pi / 3, 2.0, 0.5])
-    with pytest.raises(ValueError):
-        sp.morphing_params(0.0)
+    for lam in (0.0, math.nan, math.inf):  # NaN used to return four NaNs
+        with pytest.raises(ValueError):
+            sp.morphing_params(lam)
 
 
 def test_biasing_update_values():
@@ -91,6 +92,10 @@ def test_biasing_update_values():
     for lam in (0.3, 1.0, 4.2):
         dq, dp = sp.biasing_update(0.27, lam)
         assert abs(dq * dp - 0.27**2) < 1e-15
+    for bad in (0.0, math.nan, math.inf):  # NaN used to return (nan, nan)
+        for args in ((bad, 1.0), (0.2, bad)):
+            with pytest.raises(ValueError):
+                sp.biasing_update(*args)
 
 
 def test_condition_no_correlation_leaves_data_unchanged():
