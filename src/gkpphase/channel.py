@@ -31,6 +31,7 @@ import ctypes
 import itertools
 import math
 import multiprocessing
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
@@ -270,26 +271,27 @@ def _pin_blas_threads() -> None:
     getattr(lib, "scipy_openblas_set_num_threads64_", lambda _n: None)(1)
 
 
-def _sweep_group(args) -> list[tuple[int, float | None, float | None, str | None]]:
-    """Every gate at one (n̄, λ) through one engine; failures are reported, not
-    raised.  A failed build fails every gate, a post-gate failure only its own."""
-    points, config, cache_dir = args
+def _sweep_group(args) -> dict[str, tuple[float, float | None] | str]:
+    """Every gate at one (n̄, λ) through one engine: gate -> (average, T-state
+    infidelity), or the reason it failed.  Failures are reported, not raised; a
+    failed build fails every gate, a post-gate failure only its own."""
+    gates, config, cache_dir = args
     try:
         engine = ChannelEngine(config, cache_dir)
     except NumericFailure as exc:
-        return [(idx, None, None, str(exc)) for idx, _label in points]
-    out = []
-    for idx, label in points:
+        return dict.fromkeys(gates, str(exc))
+    out = {}
+    for label in gates:
         poly, level = GATE_TABLE[label]
         try:
             readout = engine.readout(poly)
         except NumericFailure as exc:
-            out.append((idx, None, None, str(exc)))
+            out[label] = str(exc)
             continue
         t_inf = 1.0 - t_state_fidelity_from_expectations(readout.expectations["plus"])
         avg_inf = 1.0 - average_gate_fidelity_from_readout(readout, label)
         # the level-3 gates implement T, so only their rows carry a T-state infidelity
-        out.append((idx, avg_inf, t_inf if level == 3 else None, None))
+        out[label] = (avg_inf, t_inf if level == 3 else None)
     return out
 
 
@@ -303,10 +305,12 @@ def sweep(
 ) -> SweepResult:
     """Average-gate / T-state infidelities over a (gate, n̄, λ) grid.
 
-    The points of one (n̄, λ) form one work unit that builds one engine and
-    runs every gate through it; results are merged by grid index so the
-    output is deterministic for any worker count.  Each (gate, n̄)'s optimum
-    is its λ-grid argmin row (`is_optimal`), with `boundary_flag` set when it
+    Each point is keyed by its (gate, n̄, λ): a repeated gate, n̄ or λ is
+    refused, and rows and failures come in (gate, n̄, λ) order of the given
+    grids.  The order of the gates and of the n̄ changes no value, for any
+    worker count.  The points of one (n̄, λ) form one work unit that builds
+    one engine and runs every gate through it.  Each (gate, n̄)'s optimum is
+    its λ-grid argmin row (`is_optimal`), with `boundary_flag` set when it
     sits on the grid's boundary.  With `workers` > 1 this process solves the
     plan's eigensystems first and the pool forks, so no worker solves its own.
     """
@@ -319,21 +323,16 @@ def sweep(
     for g in gates:
         if g not in GATE_TABLE:
             raise ValueError(f"unknown gate {g!r}; known: {sorted(GATE_TABLE)}")
+    for axis, values in (("gate", gates), ("n_bar", n_bars), ("lam", lams)):
+        repeated = [v for v, count in Counter(values).items() if count > 1]
+        if repeated:
+            raise ValueError(f"sweep repeats {axis} {repeated[0]!r}")
 
-    # One task per (n̄, λ): (grid index, gate) of every gate, and the engine's
-    # config.  λ-major, so consecutive engines share their λ's Pauli kernels
-    # in `fock`'s provider; pool workers take them in that order too.
-    groups = [
-        ([((gi * len(n_bars) + ni) * len(lams) + li, g) for gi, g in enumerate(gates)],
-         ChannelConfig(GATE_TABLE[gates[0]][0], fock.GkpParams.from_n_bar(nb, lam), plan),
-         cache_dir)
-        for li, lam in enumerate(lams)
-        for ni, nb in enumerate(n_bars)
-    ]
-    meta = [(g, nb, lam) for g in gates for nb in n_bars for lam in lams]
-
-    results: list[tuple[float, float | None] | None] = [None] * len(meta)
-    failures: dict[int, str] = {}
+    # One task per (n̄, λ), λ-major, so consecutive engines share their λ's
+    # Pauli kernels in `fock`'s provider; pool workers take them in that order too.
+    tasks = [(nb, lam) for lam in lams for nb in n_bars]
+    groups = [(gates, ChannelConfig(GATE_TABLE[gates[0]][0], fock.GkpParams.from_n_bar(nb, lam), plan),
+               cache_dir) for nb, lam in tasks]
     if workers > 1:
         for d, rows in plan.eigensystem_dims:  # solved once here; the forked workers inherit them
             fock.q_eigensystem(d, rows, cache_dir)
@@ -342,27 +341,21 @@ def sweep(
             outcomes = pool.map(_sweep_group, groups)
     else:
         outcomes = map(_sweep_group, groups)
-    for idx, inf, t_inf, err in (point for group in outcomes for point in group):
-        if err is not None:
-            failures[idx] = err
-        else:
-            results[idx] = (inf, t_inf)
+    got = {(g, nb, lam): res for (nb, lam), group in zip(tasks, outcomes) for g, res in group.items()}
 
-    rows: list[SweepRow] = []
-    for gi, g in enumerate(gates):
-        for ni, nb in enumerate(n_bars):
-            base = (gi * len(n_bars) + ni) * len(lams)
-            line = results[base : base + len(lams)]
-            best = int(np.argmin([math.inf if res is None else res[0] for res in line]))
-            boundary = best in (0, len(lams) - 1) and len(lams) > 1
-            params = fock.GkpParams.from_n_bar(nb)
-            rows.extend(
-                SweepRow(gate=g, n_bar=nb, delta=params.delta, delta_db=params.delta_db,
-                         lam=lam, avg_infidelity=res[0], t_state_infidelity=res[1],
-                         is_optimal=(li == best), boundary_flag=(li == best and boundary))
-                for li, (lam, res) in enumerate(zip(lams, line)) if res is not None
-            )
-    return SweepResult(tuple(rows), {meta[i]: failures[i] for i in sorted(failures)})
+    rows, failures = [], {}
+    for g, nb in itertools.product(gates, n_bars):
+        line = [got[g, nb, lam] for lam in lams]
+        best = int(np.argmin([math.inf if isinstance(res, str) else res[0] for res in line]))
+        boundary = best in (0, len(lams) - 1) and len(lams) > 1
+        params = fock.GkpParams.from_n_bar(nb)
+        for li, (lam, res) in enumerate(zip(lams, line)):
+            if isinstance(res, str):
+                failures[g, nb, lam] = res
+            else:
+                rows.append(SweepRow(g, nb, params.delta, params.delta_db, lam, *res,
+                                     is_optimal=(li == best), boundary_flag=(li == best and boundary)))
+    return SweepResult(tuple(rows), failures)
 
 
 # ---------------------------------------------------------------------------

@@ -277,24 +277,13 @@ def cmd_sweep(args) -> int:
     lams = np.linspace(args.lam_min, args.lam_max, args.lam_count).tolist()
     result = channel.sweep(args.gate, n_bars, lams, fock.TruncationPlan(d_init=args.dinit),
                            workers=args.workers, cache_dir=args.cache_dir)
-    header = [
-        "gate", "n_bar", "delta", "delta_db", "lam",
-        "avg_infidelity", "t_state_infidelity", "boundary_flag",
-    ]
-    rows = []
-    for r in result.rows:
-        rows.append(
-            [
-                r.gate,
-                f"{r.n_bar:.6g}",
-                f"{r.delta:.12g}",
-                f"{r.delta_db:.12g}",
-                f"{r.lam:.12g}",
-                f"{r.avg_infidelity:.12e}",
-                "" if r.t_state_infidelity is None else f"{r.t_state_infidelity:.12e}",
-                ("1" if r.boundary_flag else "0") if r.is_optimal else "",
-            ]
-        )
+    header = ["gate", "n_bar", "delta", "delta_db", "lam",
+              "avg_infidelity", "t_state_infidelity", "boundary_flag"]
+    rows = [[r.gate, f"{r.n_bar:.6g}", f"{r.delta:.12g}", f"{r.delta_db:.12g}", f"{r.lam:.12g}",
+             f"{r.avg_infidelity:.12e}",
+             "" if r.t_state_infidelity is None else f"{r.t_state_infidelity:.12e}",
+             ("1" if r.boundary_flag else "0") if r.is_optimal else ""]
+            for r in result.rows]
     _emit_csv(args, header, rows)
     if result.failures:
         (gate, nb, lam), reason = next(iter(result.failures.items()))

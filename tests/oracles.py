@@ -25,14 +25,14 @@ and the forms of them that only tests call.
   `average_gate_fidelity_reconstructed`: one Pauli expectation and the
   average gate fidelity through a fresh engine per config, and the average
   gate fidelity through explicit reconstruction of the 2x2 outputs
-  (`output_density`); `grid_readout`, the four-input readout on a uniform
-  position grid (the Fourier-grid, split-operator form of the channel:
-  Poisson-resummed lattice codewords, `_resummed_codeword`, pinned to the
-  direct sum `_grid_codeword`; closed-form smeared Pauli profiles; one FFT
-  pair per input), the converged reference the Fock engine approaches as
-  d_init grows, as a `GridReadout` that reports its window's edge masses
-  against `EDGE_LIMIT`, and `sized_grid_readout`, which grows the window
-  until they pass;
+  (`output_density`); `grid_readout`, the four-input readout of a gate
+  label or polynomial on a uniform position grid (the Fourier-grid,
+  split-operator form of the channel: Poisson-resummed lattice codewords,
+  `_resummed_codeword`, pinned to the direct sum `_grid_codeword`;
+  closed-form smeared Pauli profiles; one FFT pair per input), the
+  converged reference the Fock engine approaches as d_init grows, as a
+  `GridReadout` that reports its window's edge masses against `EDGE_LIMIT`,
+  and `sized_grid_readout`, which grows the window until they pass;
   `optima`, a sweep's per-(gate, n̄) optimum rows;
   `clifford_t_orbit`, the <H, S> search behind `channel.CLIFFORD_T_TARGETS`.
 * `basis` (the dense-product L_n, n >= 1), `value` (P(x) in one variable),
@@ -44,6 +44,7 @@ and the forms of them that only tests call.
 * `shear_variance_leading`, `shear_variance_ratio`, `vp2_leading`,
   `lambda_opt_asymptotic` (with `NotApplicableError`): the leading-order
   shear terms of E(v_p²) and the asymptotically optimal asymmetry;
+  `golden_section`, the minimum search over λ the tests run on a channel;
   `patch_probability`, the twirled cubic density's mass on the patch, by
   Gauss–Legendre on its v_q marginal;
   `ft_erf_product`, the Erf-product lower bound on that mass inside
@@ -657,9 +658,11 @@ class GridReadout(ch.LogicalReadout):
     p_edge: float
 
 
-def grid_readout(gate: str, delta: float, lam: float, n: int, half_width: float) -> GridReadout:
+def grid_readout(gate: str | RationalPolynomial, delta: float, lam: float, n: int,
+                 half_width: float) -> GridReadout:
     """The channel's four-input readout on a uniform position grid, sharing no
     arithmetic with the Fock engine but `fock.orthonormalize` and `fock.phase_profile`.
+    The gate is a `GATE_TABLE` label or any one-variable polynomial.
 
     x_j = -L + j·2L/N and p = 2π·fftfreq(N, dx).  The codewords are the
     coherent-state lattice on the grid, each row Poisson-resummed
@@ -677,7 +680,7 @@ def grid_readout(gate: str, delta: float, lam: float, n: int, half_width: float)
     g = _smeared_square_wave(x * math.sqrt(math.pi / lam), sigma)
     h = _smeared_square_wave(p * math.sqrt(math.pi * lam), sigma)
     e0, e1 = fk.orthonormalize(*(FockVector(_resummed_codeword(bit, delta, lam, x)) for bit in (0, 1)))
-    phase = fk.phase_profile(ch.GATE_TABLE[gate][0], lam, x)
+    phase = fk.phase_profile(ch.GATE_TABLE[gate][0] if isinstance(gate, str) else gate, lam, x)
     out = {}
     x_edge = p_edge = 0.0
     for name in ch.INPUT_ORDER:
@@ -696,7 +699,7 @@ def grid_readout(gate: str, delta: float, lam: float, n: int, half_width: float)
     return GridReadout(out, n, half_width, x_edge, p_edge)
 
 
-def sized_grid_readout(gate: str, delta: float, lam: float, n: int = 4096,
+def sized_grid_readout(gate: str | RationalPolynomial, delta: float, lam: float, n: int = 4096,
                        half_width: float = 60.0, max_n: int = 1 << 17) -> GridReadout:
     """`grid_readout` on the first window, from (n, half_width), whose edge
     masses are both at most EDGE_LIMIT.  A wide x-edge grows L and N by 3/2
@@ -862,6 +865,27 @@ def lambda_opt_asymptotic(poly: RationalPolynomial, delta: float) -> float:
         raise ValueError("delta must be positive")
     k = _leading_shear_constant(poly)
     return (4.0 * math.pi * (n - 1) * k / delta ** (2 * n - 4)) ** (1.0 / n)
+
+
+_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+
+
+def golden_section(f, a: float, b: float, tol: float) -> tuple[float, float]:
+    """(x, f(x)) at the lower of the two inner points once golden-section search
+    has shrunk [a, b] to at most `tol`; one evaluation of f per step, so it
+    suits a costly f with a single minimum inside the bracket."""
+    c, d = b - _GOLDEN * (b - a), a + _GOLDEN * (b - a)
+    fc, fd = f(c), f(d)
+    while b - a > tol:
+        if fc < fd:
+            b, d, fd = d, c, fc
+            c = b - _GOLDEN * (b - a)
+            fc = f(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + _GOLDEN * (b - a)
+            fd = f(d)
+    return (c, fc) if fc < fd else (d, fd)
 
 
 def thermal_characteristic(n_bar: float):

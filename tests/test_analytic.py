@@ -136,23 +136,11 @@ def test_lambda_opt_scaling_exponents():
 
 
 def test_lambda_opt_matches_golden_section():
-    phi = (math.sqrt(5.0) - 1.0) / 2.0
-
-    def golden(f, a, b):
-        c, d = b - phi * (b - a), a + phi * (b - a)
-        while b - a > 1e-12:
-            if f(c) < f(d):
-                b, d = d, c
-                c = b - phi * (b - a)
-            else:
-                a, c = c, d
-                d = a + phi * (b - a)
-        return (a + b) / 2
-
     for poly in (T3, QUARTIC):
         for delta in (0.25, 0.1):
             lo = oracles.lambda_opt_asymptotic(poly, delta)
-            lg = golden(lambda l: oracles.vp2_leading(poly, delta, l), lo / 10, lo * 10)
+            lg, _ = oracles.golden_section(lambda l: oracles.vp2_leading(poly, delta, l),
+                                           lo / 10, lo * 10, 1e-12)
             assert abs(lo / lg - 1.0) < 0.005
 
 

@@ -2,6 +2,7 @@
 
 import ctypes
 import functools
+import itertools
 import json
 import math
 import os
@@ -399,6 +400,21 @@ def test_sweep_groups_equal_single_point_path():
                 assert t_inf == (1.0 - ch.t_state_fidelity(config) if g != "I" else None)
     assert failed and set(res.failures) == failed
     assert len(rows) + len(failed) == len(GROUP_GATES) * len(n_bars) * len(lams)
+
+
+def test_sweep_values_do_not_depend_on_gate_or_n_bar_order():
+    # the benchmark permutes both per seed: each key's row and failure must be the
+    # same bits (a float's repr round-trips), and rows and failures follow the
+    # given (gate, n_bar, lam) order
+    gates, n_bars, lams = ["TGKP", "T3", "I"], [5.0, 2.0], [1.0, 2.5, 4.0]
+    forward = ch.sweep(gates, n_bars, lams, GROUP_PLAN)
+    backward = ch.sweep(gates[::-1], n_bars[::-1], lams, GROUP_PLAN)
+    assert forward.failures and forward.failures == backward.failures
+    assert ({(r.gate, r.n_bar, r.lam): repr(r) for r in forward.rows}
+            == {(r.gate, r.n_bar, r.lam): repr(r) for r in backward.rows})
+    keys = list(itertools.product(gates, n_bars, lams))
+    assert [(r.gate, r.n_bar, r.lam) for r in forward.rows] == [k for k in keys if k not in forward.failures]
+    assert list(forward.failures) == [k for k in keys if k in forward.failures]
 
 
 CRITERION_10_LAMS = np.linspace(1.0, 5.0, 16).tolist()

@@ -335,6 +335,28 @@ def test_sweep_reports_failed_points_and_exits_2(tmp_path, capsys):
     assert text.splitlines()[3:] == idle.splitlines()[2:]
 
 
+@pytest.mark.parametrize("grid, line", [
+    # each used to print every row of the repeat again, each copy its own
+    # optimum mark (the lam copies: three lam = 2 rows, the first a boundary optimum)
+    (["--gate", "T3", "T3"], "error: sweep repeats gate 'T3'"),
+    (["--gate", "T3", "--lam-min", "2", "--lam-max", "2", "--lam-count", "3"],
+     "error: sweep repeats lam 2.0"),
+    # 21 points, 3 distinct n_bar once each is rounded to 9 decimals
+    (["--gate", "T3", "--nbar-min", "2", "--nbar-max", "2.000000001", "--nbar-step", "1e-10"],
+     "error: sweep repeats n_bar 2.0"),
+], ids=["gate", "lam", "n_bar"])
+def test_sweep_refuses_a_repeated_grid_point(tmp_path, capsys, monkeypatch, grid, line):
+    from gkpphase import channel
+
+    def no_engine(*args, **kwargs):
+        raise AssertionError("engine built")
+
+    monkeypatch.setattr(channel, "ChannelEngine", no_engine)
+    code, text = run(tmp_path, "sweep", *grid)
+    assert code == 1 and text == ""
+    assert capsys.readouterr().err.splitlines() == [line]
+
+
 class _Hung(Exception):
     """Raised by the alarm below; not an error type that dispatch maps to an exit code."""
 
