@@ -187,7 +187,7 @@ def cmd_verify_circuits(args) -> int:
             }
         )
 
-    add("q-steane-rewrite", symplectic.qsteane_identity_residual(), 1e-12)
+    add("q-steane-rewrite", symplectic.morphing_identity_residual(1.0), 1e-12)
     for lam in (0.5, 1.0, 2.0, 3.0, 7.0):
         add(f"rearrangement-lam={lam}", symplectic.morphing_identity_residual(lam), 1e-12)
     for lam in (1.0, 2.0, 3.0, 7.0):  # breeding: the rearrangement identity at 1/lam
@@ -362,6 +362,10 @@ def cmd_twirl_density(args) -> int:
     points = _square_grid_side("--points", args.points)
     if not 0 < args.span < math.inf:
         raise ValueError(f"--span must be positive and finite, got {args.span}")
+    # the largest square the density takes: (v_p - mean_p)^2 at the corner (-span, span)
+    offset = 1.5 * args.span + args.span * args.span / math.sqrt(2.0)
+    if not math.pi * offset * offset < math.inf:
+        raise ValueError(f"--span {args.span:g} takes (v_p - mean_p)^2 out of float range")
     dens = analytic.TwirledCubicDensity(args.delta, args.lam)
     vq = np.linspace(-args.span, args.span, points)
     vp = np.linspace(-args.span, args.span, points)

@@ -64,12 +64,6 @@ class GaussianOp:
     def n_modes(self) -> int:
         return self.S.shape[0] // 2
 
-    def then(self, other: "GaussianOp") -> "GaussianOp":
-        """This op followed by `other`."""
-        if other.n_modes != self.n_modes:
-            raise ValueError("mode-count mismatch in composition")
-        return GaussianOp(other.S @ self.S)
-
 
 def identity_op(n_modes: int) -> GaussianOp:
     return GaussianOp(np.eye(2 * n_modes))
@@ -138,7 +132,9 @@ def compose(ops) -> GaussianOp:
         raise ValueError("compose needs at least one op")
     out = ops[0]
     for op in ops[1:]:
-        out = out.then(op)
+        if op.n_modes != out.n_modes:
+            raise ValueError("mode-count mismatch in composition")
+        out = GaussianOp(op.S @ out.S)
     return out
 
 
@@ -165,8 +161,9 @@ def morphing_params(lam: float) -> tuple[float, float, float, float]:
 
     Returns (xi, theta, alpha1, alpha2) = (sqrt(lam)/(lam+1), arctan(sqrt(lam)),
     sqrt(lam+1), 1/sqrt(lam+1)); with these, cx(sqrt(lam)) followed by
-    feedforward(xi) equals a beam splitter at theta followed by single-mode
-    squeezes, see morphing_rhs().
+    feedforward(xi) equals beam_splitter(theta) followed by squeezer(1/alpha1)
+    on the data mode and squeezer(1/alpha2) on the ancilla, see
+    morphing_identity_residual().
     """
     if not 0 < lam < math.inf:
         raise ValueError(f"morphing_params requires finite lam > 0, got {lam}")
@@ -174,52 +171,18 @@ def morphing_params(lam: float) -> tuple[float, float, float, float]:
     return rt / (lam + 1.0), math.atan(rt), math.sqrt(lam + 1.0), 1.0 / math.sqrt(lam + 1.0)
 
 
-def morphing_rhs(theta: float, alpha1: float, alpha2: float) -> GaussianOp:
-    """Right-hand side of the rearrangement identity as one block matrix.
-
-    [[cos/a1, -sin/a1, 0, 0], [sin/a2, cos/a2, 0, 0],
-     [0, 0, a1 cos, -a1 sin], [0, 0, a2 sin, a2 cos]]
-    equals BS(theta) followed by the Sq(alpha1) x Sq(alpha2) pair.
-    """
-    c, s = math.cos(theta), math.sin(theta)
-    S = np.array(
-        [
-            [c / alpha1, -s / alpha1, 0.0, 0.0],
-            [s / alpha2, c / alpha2, 0.0, 0.0],
-            [0.0, 0.0, alpha1 * c, -alpha1 * s],
-            [0.0, 0.0, alpha2 * s, alpha2 * c],
-        ]
-    )
-    return GaussianOp(S)
-
-
 def morphing_identity_residual(lam: float) -> float:
     """Max-abs residual of the rearrangement identity at asymmetry lam.
 
-    At 1/lam it checks the passive breeding rewrite: cx(1/sqrt(lam)) and
-    feedforward(sqrt(lam)/(lam+1)) as a beam splitter at arctan(1/sqrt(lam))
-    and squeezes, one round from asymmetry lam to lam + 1.
+    At lam = 1 it is the q-Steane rewrite: cx(1) and feedforward(1/2) as
+    BS(pi/4) with squeezes 1/sqrt(2) on the data mode and sqrt(2) on the
+    ancilla.  At 1/lam it checks the passive breeding rewrite:
+    cx(1/sqrt(lam)) and feedforward(sqrt(lam)/(lam+1)) as a beam splitter at
+    arctan(1/sqrt(lam)) and squeezes, one round from asymmetry lam to lam + 1.
     """
     xi, theta, a1, a2 = morphing_params(lam)
     lhs = compose([cx(math.sqrt(lam), 0, 1, 2), feedforward(xi, 0, 1, 2)])
-    rhs = morphing_rhs(theta, a1, a2)
-    return float(np.max(np.abs(lhs.S - rhs.S)))
-
-
-def qsteane_identity_residual() -> float:
-    """Residual of the q-Steane rewrite: cx(1), ff(1/2) vs BS(pi/4) + squeezes.
-
-    The squeezer pair is 1/sqrt(2) on the data mode and sqrt(2) on the
-    ancilla; this is the lam = 1 instance of the rearrangement identity.
-    """
-    lhs = compose([cx(1.0, 0, 1, 2), feedforward(0.5, 0, 1, 2)])
-    rhs = compose(
-        [
-            beam_splitter(math.pi / 4, 0, 1, 2),
-            squeezer(1.0 / math.sqrt(2), 0, 2),
-            squeezer(math.sqrt(2), 1, 2),
-        ]
-    )
+    rhs = compose([beam_splitter(theta, 0, 1, 2), squeezer(1.0 / a1, 0, 2), squeezer(1.0 / a2, 1, 2)])
     return float(np.max(np.abs(lhs.S - rhs.S)))
 
 
@@ -271,13 +234,10 @@ def condition_on_homodyne(
     s_dd = state.Sigma[np.ix_(keep, keep)]
     s_da = state.Sigma[np.ix_(keep, meas)]
     s_aa = state.Sigma[np.ix_(meas, meas)]
-    try:
-        gain = np.linalg.solve(s_aa, s_da.T).T
-    except np.linalg.LinAlgError:
-        raise SingularConditioningError(meas) from None
-    cond = np.linalg.cond(s_aa)
+    cond = np.linalg.cond(s_aa)  # inf for an exactly singular block
     if not np.isfinite(cond) or cond > 1e14:
         raise SingularConditioningError(meas)
+    gain = np.linalg.solve(s_aa, s_da.T).T
     sigma_c = s_dd - gain @ s_da.T
     sigma_c = (sigma_c + sigma_c.T) / 2
     return CovState(sigma_c), gain

@@ -29,7 +29,8 @@ and the forms of them that only tests call.
   label or polynomial on a uniform position grid (the Fourier-grid,
   split-operator form of the channel: Poisson-resummed lattice codewords,
   `_resummed_codeword`, pinned to the direct sum `_grid_codeword`;
-  closed-form smeared Pauli profiles; one FFT pair per input), the
+  closed-form smeared Pauli profiles; one FFT pair per input, zero-padded
+  so that no X_m shift wraps onto the codewords), the
   converged reference the Fock engine approaches as d_init grows, as a
   `GridReadout` that reports its window's edge masses against `EDGE_LIMIT`,
   and `sized_grid_readout`, which grows the window until they pass;
@@ -69,6 +70,7 @@ from itertools import product
 from math import factorial
 
 import numpy as np
+import scipy.fft
 import scipy.special
 
 from gkpphase import NumericFailure, analytic as an, channel as ch, fock as fk, symplectic as sp
@@ -658,24 +660,40 @@ class GridReadout(ch.LogicalReadout):
     p_edge: float
 
 
+def _x_reach(delta: float, lam: float) -> float:
+    """The farthest shift of X_m with weight above EDGE_LIMIT.  h(θ) is
+    Σ_k (2/(πk)) (-1)^((k-1)/2) e^{-σ²k²/2} (e^{ikθ} + e^{-ikθ}) over odd k, so X_m
+    = h(p√(πλ)) shifts ψ by ±k√(πλ) with those weights."""
+    sigma2 = math.pi * math.tanh(delta**2 / 2.0)
+    k = 1
+    while 2.0 / (math.pi * (k + 2)) * math.exp(-sigma2 * (k + 2) ** 2 / 2.0) > EDGE_LIMIT:
+        k += 2
+    return k * math.sqrt(math.pi * lam)
+
+
 def grid_readout(gate: str | RationalPolynomial, delta: float, lam: float, n: int,
                  half_width: float) -> GridReadout:
     """The channel's four-input readout on a uniform position grid, sharing no
     arithmetic with the Fock engine but `fock.orthonormalize` and `fock.phase_profile`.
     The gate is a `GATE_TABLE` label or any one-variable polynomial.
 
-    x_j = -L + j·2L/N and p = 2π·fftfreq(N, dx).  The codewords are the
-    coherent-state lattice on the grid, each row Poisson-resummed
-    (`_resummed_codeword`); the gate
+    x_j = -L + j·2L/N.  The codewords are the coherent-state lattice on the
+    grid, each row Poisson-resummed (`_resummed_codeword`); the gate
     multiplies by exp(2πi P(x/sqrt(λπ))); Z_m is g(x√(π/λ)) and X_m is
     h(p√(πλ)), the smeared square waves E[sign cos(θ + σZ)] with
     σ² = π·tanh(Δ²/2) (the series of `fock.pauli_profiles` summed to all
-    orders), Z_m applied pointwise and X_m through one FFT pair.  Nothing
+    orders), Z_m applied pointwise and X_m through one FFT pair.  That pair
+    runs on ψ zero-padded by `_x_reach`, at p = 2π·fftfreq(N', dx): on the
+    bare 2L period, a shift by k√(πλ) near 2L would wrap back onto the
+    codewords, which overlap themselves at whole multiples of √(πλ) (unpadded,
+    T3 at Δ = 0.1, λ(Δ) and (6144, 90) reads 1 - F 1.2e-4 relative low).  Nothing
     checks the window here: a caller asserts the reported edge masses, and a
     grid can pass an N-doubling check while L is too small.
     """
-    x = -half_width + np.arange(n) * (2.0 * half_width / n)
-    p = 2.0 * math.pi * np.fft.fftfreq(n, 2.0 * half_width / n)
+    dx = 2.0 * half_width / n
+    x = -half_width + np.arange(n) * dx
+    n_pad = scipy.fft.next_fast_len(n + math.ceil(_x_reach(delta, lam) / dx))
+    p = 2.0 * math.pi * np.fft.fftfreq(n_pad, dx)
     sigma = math.sqrt(math.pi * math.tanh(delta**2 / 2.0))
     g = _smeared_square_wave(x * math.sqrt(math.pi / lam), sigma)
     h = _smeared_square_wave(p * math.sqrt(math.pi * lam), sigma)
@@ -689,8 +707,8 @@ def grid_readout(gate: str | RationalPolynomial, delta: float, lam: float, n: in
         psi = phase * (vec / np.linalg.norm(vec))
         norm2 = float(np.vdot(psi, psi).real)
         z_psi = g * psi
-        psi_p = np.fft.fft(psi)
-        x_psi = np.fft.ifft(h * psi_p)
+        psi_p = np.fft.fft(psi, n_pad)
+        x_psi = np.fft.ifft(h * psi_p)[:n]
         out[name] = {"I": 1.0, "X": float(np.vdot(psi, x_psi).real) / norm2,
                      "Y": -float(np.vdot(x_psi, z_psi).imag) / norm2,
                      "Z": float(np.vdot(psi, z_psi).real) / norm2}

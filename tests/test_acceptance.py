@@ -102,8 +102,7 @@ def test_criterion_03_multiqubit_cs_ccz():
 
 def test_criterion_04_circuit_identities():
     with Budget(4, 1.0) as b:
-        assert sp.qsteane_identity_residual() < 1e-12
-        for lam in (0.5, 1.0, 2.0, 3.0, 7.0):
+        for lam in (0.5, 1.0, 2.0, 3.0, 7.0):  # lam = 1 is the q-Steane rewrite
             assert sp.morphing_identity_residual(lam) < 1e-12
             delta = 0.21
             dq, dp = sp.biasing_update(delta, lam)
@@ -427,8 +426,8 @@ def test_criterion_12_companion_true_patch_chain_below_engine():
 
 def test_criterion_12_companion_at_delta_0_1_below_grid_channel():
     # at λ(0.1) = 21.41 the Fock engine needs a d_init above what Tier-1 can run;
-    # the position-grid channel has converged: the same repr (0.9949765229591134)
-    # at N = 4096 to 32768 points and L = 80 to 160, and L = 60 moves it by 2.5e-12
+    # the position-grid channel has converged: 0.9949765229591132 to ...134 at
+    # N = 4096 to 32768 points and L = 80 to 160, and L = 60 moves it by 2.5e-12
     bound = an.ft_lower_bound(0.1)
     f_patch = oracles.ft_patch_fidelity(0.1)
     grid = oracles.grid_readout("T3", 0.1, bound.lam_of_delta, 4096, 80.0)
@@ -459,18 +458,19 @@ def test_t3_without_bias_has_an_error_floor():
 
 def test_t3_error_vanishes_at_the_bounds_bias():
     # The paper's claim at the proof's own bias λ(Δ) (`ft_lambda_ansatz`): T3's
-    # average infidelity is 4.7467e-2, 2.5649e-2, 1.4663e-2, 5.0229e-3, 1.3617e-3
+    # average infidelity is 4.7467e-2, 2.5649e-2, 1.4663e-2, 5.0235e-3, 1.3617e-3
     # and 2.6783e-4 at Δ 0.3, 0.2, 0.15, 0.1, 0.07 and 0.05, each 0.226 to 0.284 of
     # the bound chain's 1 - F_patch.  Windows from 4096 points over [-60, 60):
     # unchanged to Δ 0.15, then (6144, 90), (9216, 135) and (18432, 135).  The bound
     # 3e-4 at Δ = 0.05 has a 12% margin.  Recorded, not asserted: λ(Δ) is far from
     # the best bias; the optimum over λ (golden section) is 2.240e-3 at λ 2.54 for
     # Δ = 0.2, 11× below, and 4.27e-6 at λ 5.28 for Δ = 0.1, about 1180× below.
-    # The Δ = 0.1 window passes the edge rule yet reads 1.2e-4 low: (4096, 80),
-    # (8192, 120) and (16384, 160) give 5.02348e-3.  There 2L = 180 is 21.95 √(πλ),
-    # so the FFT wraps X_m's displacements by 21 and 23 √(πλ) onto about ±√(πλ),
-    # where the codewords overlap themselves.  Every assertion here holds for either
-    # value by a wide margin.
+    # The Δ = 0.1 window, where 2L = 180 is 21.95 √(πλ), read 5.0229e-3 while X_m
+    # ran on the bare period, which wrapped its shifts by 21 and 23 √(πλ) onto the
+    # codewords; padded, it reads what (4096, 80) to (32768, 400) read
+    # (`test_grid_readout_does_not_wrap_x_shifts_onto_the_codewords`).  Each value
+    # here moves by at most 1.6e-13 relative at 4/3 and at 2 times its window, but
+    # Δ = 0.05, which moves by 6.6e-10 (1.8e-13 absolute).
     infidelities = []
     for delta in (0.3, 0.2, 0.15, 0.1, 0.07, 0.05):
         grid = oracles.sized_grid_readout("T3", delta, an.ft_lambda_ansatz(delta))
@@ -482,17 +482,18 @@ def test_t3_error_vanishes_at_the_bounds_bias():
     assert infidelities[-1] < 3e-4, infidelities
 
 
-# The representation check at level 3: each candidate's optimum over λ in the
-# bracket [0.7, 8] at Δ = 0.25, by golden section in ln λ to a width of 0.01
-# (14 readouts), every readout on a window whose edge masses pass the rule.
+# The representation check at levels 3 and 4: each candidate's optimum over λ in
+# the bracket [0.7, 8] at Δ = 0.25, against the level's target, by golden section
+# in ln λ to a width of 0.01 (14 readouts), every readout on a window whose edge
+# masses pass the rule.
 REPRESENTATION_DELTA, REPRESENTATION_BRACKET = 0.25, (0.7, 8.0)
 
 
-def _optimum_over_lambda(gate):
+def _optimum_over_lambda(gate, target):
     def infidelity(log_lam):
         grid = oracles.sized_grid_readout(gate, REPRESENTATION_DELTA, math.exp(log_lam))
         assert max(grid.x_edge, grid.p_edge) <= oracles.EDGE_LIMIT, (str(gate), grid.n, grid.half_width)
-        return 1.0 - ch.average_gate_fidelity_from_readout(grid, "T3")
+        return 1.0 - ch.average_gate_fidelity_from_readout(grid, target)
 
     log_lam, value = oracles.golden_section(infidelity, *map(math.log, REPRESENTATION_BRACKET), 0.01)
     return math.exp(log_lam), value
@@ -501,25 +502,52 @@ def _optimum_over_lambda(gate):
 def test_t3_is_the_best_representation_among_its_neighbours():
     # Each T3 ± L_k is the logical gate T3 (L_k is integer-valued on the lattice).
     # Measured: T3 7.8218e-3 at λ 2.03; T3 ± L1 and T3 - L3, which is T3's mirror
-    # x -> -x, tie it bitwise; the best other neighbour is T3 - L4 (= T4), 1.1444e-2
+    # x -> -x, tie it; the best other neighbour is T3 - L4 (= T4), 1.1444e-2
     # at λ 2.70, 46% above; then T3 - L2 1.618e-2, T3 + L4 2.551e-2, T3 + L2
     # 3.200e-2 and T3 + L3 (= TGKP) 3.214e-2.  The power start x⁴/8 gives 3.531e-2
     # at λ 4.63, 4.5× above.  Every optimum lies at λ 2.0 to 4.7; the test asserts
-    # (0.8, 7.0), clear of the bracket's ends.  The ties agree to 1e-12 relative,
-    # with no measured difference.
+    # (0.8, 7.0), clear of the bracket's ends.  The ties agree to 1e-12 relative;
+    # they differ by 2.8e-14 or not at all.
     mirror = Poly([c * (-1) ** k for k, c in enumerate(T3.coeffs)])
     assert T3 - oracles.basis(3) == mirror
-    lam, best = _optimum_over_lambda(T3)
+    lam, best = _optimum_over_lambda(T3, "T3")
     assert 0.8 < lam < 7.0, lam
     ties = {T3 + oracles.basis(1), T3 - oracles.basis(1), mirror}
     rivals = [T3 + sign * oracles.basis(k) for k in range(1, 5) for sign in (1, -1)]
     for rival in rivals + [poly(0, 0, 0, 0, "1/8")]:
-        lam, value = _optimum_over_lambda(rival)
+        lam, value = _optimum_over_lambda(rival, "T3")
         assert 0.8 < lam < 7.0, (str(rival), lam)
         if rival in ties:
             assert abs(value - best) <= 1e-12 * best, (str(rival), value, best)
         else:
             assert best < value, (str(rival), value, best)
+
+
+def test_sqrtt_is_the_best_representation_among_its_neighbours():
+    # Level 4, as the level-3 test, against the target sqrtT.  Measured: sqrtT
+    # 5.5489e-3 at λ 2.12; sqrtT ± L1 tie it to 4e-14 relative, 25× inside the
+    # 1e-12 bound; the best other neighbours are sqrtT ± L5, mirror images (sqrtT
+    # is even, L5 odd) tied bitwise at 8.2109e-3 and λ 2.44, 48% above; then
+    # sqrtT + L4 1.1483e-2, 2.1× above.  The other mirror pair, ± L3, ties to
+    # 1.1e-14.  Every optimum lies at λ 2.0 to 3.3, inside (0.8, 7.0).  Not a
+    # candidate here: the power start x⁸/16, which no grid of up to 2¹⁷ points
+    # holds (p-edge 1.0e-1, 2.6e-2 and 2.0e-11 at λ 0.7, 2 and 8).
+    sqrt_t = pa.GATE_TABLE["sqrtT"][0]
+    lam, best = _optimum_over_lambda(sqrt_t, "sqrtT")
+    assert 0.8 < lam < 7.0, lam
+    values = {}
+    for k in range(1, 6):
+        for sign in (1, -1):
+            rival = sqrt_t + sign * oracles.basis(k)
+            lam, values[k, sign] = _optimum_over_lambda(rival, "sqrtT")
+            assert 0.8 < lam < 7.0, (str(rival), lam)
+    for (k, sign), value in values.items():
+        if k == 1:
+            assert abs(value - best) <= 1e-12 * best, (k, sign, value, best)
+        else:
+            assert best < value, (k, sign, value, best)
+        if k % 2:  # sqrtT ± L_k, k odd, are mirror images
+            assert abs(value - values[k, -sign]) <= 1e-12 * value, (k, values[k, 1], values[k, -1])
 
 
 def test_cli_surface_for_acceptance(tmp_path):

@@ -372,6 +372,17 @@ def test_window_rule_flags_a_short_window_that_n_doubling_passes():
         oracles.sized_grid_readout("T3", fk.GkpParams.from_n_bar(40.0, 1.0).delta, 1.0, max_n=16384)
 
 
+def test_grid_readout_does_not_wrap_x_shifts_onto_the_codewords():
+    # T3 at Δ = 0.1 and λ(Δ) = 21.41: the sized window is (6144, 90), where 2L is
+    # 21.95 √(πλ).  On the bare period X_m's shifts by 21 and 23 √(πλ) wrap onto
+    # about ±√(πλ) and 1 - F reads 5.0228844370e-3; padded, it reads 5.0234770409e-3
+    # to 2.7e-12, as (4096, 80) to (32768, 400) do.  The bound 1e-9 sits 1e5 below
+    # the wrapped value's 1.2e-4 offset.
+    grid = oracles.sized_grid_readout("T3", 0.1, ch.analytic.ft_lambda_ansatz(0.1))
+    _assert_window(grid)
+    assert abs(_infidelity(grid, "T3") - 5.0234770409e-3) <= 1e-9 * 5.0234770409e-3, (grid.n, grid.half_width)
+
+
 GROUP_GATES = ["TGKP", "T3", "I"]
 GROUP_PLAN = fk.TruncationPlan(d_init=64)
 

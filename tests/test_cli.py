@@ -472,6 +472,8 @@ def test_non_finite_inputs_exit_1(tmp_path, capsys, argv):
     # "e_vp2": Infinity with exit 0 and two numpy overflow warnings; now refused by field
     (("moments", "--delta", "0.3", "--lam", "1e-300"), "take e_vp2 out of float range"),
     (("moments", "--gate", "T8th", "--delta", "0.3", "--lam", "1e-100"), "take e_vp2 out of float range"),
+    # v_q^2 overflowed: nan densities with exit 0
+    (("twirl-density", "--delta", "0.3", "--lam", "1", "--span", "1e160", "--points", "3"), "--span 1e+160"),
 ])
 def test_out_of_range_inputs_exit_1_with_one_error_line(tmp_path, capsys, argv, message):
     code, text = run_under_alarm(tmp_path, *argv)

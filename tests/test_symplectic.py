@@ -59,10 +59,12 @@ def test_rejects_non_symplectic():
         sp.GaussianOp(np.diag([2.0, 2.0]))
 
 
-def test_qsteane_rewrite_identity():
-    assert sp.qsteane_identity_residual() < 1e-12
+def test_compose_refuses_mixed_mode_counts():
+    with pytest.raises(ValueError, match="mode-count mismatch"):
+        sp.compose([sp.squeezer(2.0, 0, 1), sp.beam_splitter(0.3, 0, 1, 2)])
 
 
+# lam = 1 is the q-Steane rewrite
 @pytest.mark.parametrize("lam", [0.5, 1.0, 2.0, 3.0, 7.0]
                          # 1/lam: the breeding round from asymmetry lam
                          + [pytest.param(1.0 / lam, id=f"1/{lam}") for lam in (1.0, 2.0, 3.0, 7.0)])
