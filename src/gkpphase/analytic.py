@@ -204,9 +204,13 @@ class TwirledCubicDensity:
     def __call__(self, v_q, v_p) -> np.ndarray:
         v_q = np.asarray(v_q, dtype=float)
         v_p = np.asarray(v_p, dtype=float)
-        return _normal_1d(self.sigma_q, v_q) * np.exp(
-            -math.pi * np.square(v_p - self.mean_p(v_q)) / self.sigma_p(v_q)
-        ) / np.sqrt(self.sigma_p(v_q))
+        # A variance or exponent past float range is +inf, and its factor is then
+        # exactly 0, the density's value there: such an overflow is no error.
+        with np.errstate(over="ignore"):
+            sigma_p = self.sigma_p(v_q)
+            return _normal_1d(self.sigma_q, v_q) * np.exp(
+                -math.pi * np.square(v_p - self.mean_p(v_q)) / sigma_p
+            ) / np.sqrt(sigma_p)
 
 
 # ---------------------------------------------------------------------------

@@ -243,6 +243,21 @@ def condition_on_homodyne(
     return CovState(sigma_c), gain
 
 
+def biasing_identity_residual(lam: float) -> float:
+    """Max-abs residual of biasing_update(0.21, lam) against conditioning on the
+    ancilla's q: a biased ancilla diag(Delta^2, Delta^2/lam) through cx(1), on the
+    data mode's Sigma_00, Sigma_11 and Sigma_01, and an unbiased ancilla through
+    cx(sqrt(lam)), on Sigma_00 and Sigma_11."""
+    delta = 0.21
+    dq, dp = biasing_update(delta, lam)
+    biased = CovState(np.diag([delta**2, delta**2 / lam, delta**2, lam * delta**2]))
+    cond, _ = condition_on_homodyne(biased.propagate(cx(1.0, 0, 1, 2)), [1])
+    unbiased = CovState(delta**2 * np.eye(4))
+    cond2, _ = condition_on_homodyne(unbiased.propagate(cx(math.sqrt(lam), 0, 1, 2)), [1])
+    return float(max(abs(cond.Sigma[0, 0] - dq**2), abs(cond.Sigma[1, 1] - dp**2), abs(cond.Sigma[0, 1]),
+                     abs(cond2.Sigma[0, 0] - dq**2), abs(cond2.Sigma[1, 1] - dp**2)))
+
+
 def nogo_check(circuit: GaussianOp, n_ancilla: int, delta: float) -> float:
     """det of the data mode's conditional noise covariance after the circuit.
 
@@ -283,6 +298,20 @@ def random_circuit(
             else:
                 ops.append(feedforward(float(rng.uniform(-1, 1)), int(i), int(j), n_modes))
     return compose(ops) if ops else identity_op(n_modes)
+
+
+def nogo_residual(n_circuits: int, seed: int) -> float:
+    """Worst relative error of nogo_check against Delta^4 over n_circuits random
+    circuits from default_rng(seed), at Delta in {0.1, 0.25, 0.5}."""
+    rng = np.random.default_rng(seed)
+    worst = 0.0
+    for _ in range(n_circuits):
+        n_anc = int(rng.integers(1, 5))
+        circ = random_circuit(1 + n_anc, int(rng.integers(4, 12)), rng)
+        for delta in (0.1, 0.25, 0.5):
+            det = nogo_check(circ, n_anc, delta)
+            worst = max(worst, abs(det - delta**4) / delta**4)
+    return worst
 
 
 @dataclass(frozen=True)

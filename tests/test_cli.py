@@ -203,6 +203,32 @@ def test_verify_circuits(tmp_path):
     assert all(c["max_residual"] <= c["tolerance"] for c in data["checks"])
 
 
+def test_verify_circuits_output_is_fixed_by_its_seed(tmp_path):
+    # the no-go circuits are the one random input; another seed moves only
+    # their row (1.77e-13 at seed 7 against 3.77e-15 at the default 12345)
+    runs = [run(tmp_path, "verify-circuits", "--nogo-circuits", "25", "--seed", seed, name=str(k))
+            for k, seed in enumerate(("7", "7", "12345"))]
+    assert [code for code, _ in runs] == [0, 0, 0]
+    assert runs[0][1] == runs[1][1]
+    seven, default = (json.loads(text)["checks"] for _, text in runs[1:])
+    assert [a["name"] for a, b in zip(seven, default) if a != b] == ["nogo-sweep-25-circuits"]
+
+
+def test_verify_circuits_loads_no_scipy():
+    # a fresh interpreter, since this test process has scipy loaded already
+    script = """
+import sys
+from gkpphase import cli
+assert cli.dispatch(["verify-circuits", "--nogo-circuits", "3"]) == 0
+print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+"""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
+
+
 def test_moments_json(tmp_path):
     code, text = run(tmp_path, "moments", "--gate", "T3", "--delta", "0.25", "--lam", "2")
     assert code == 0
@@ -242,6 +268,18 @@ def test_twirl_density_csv(tmp_path):
     lines = text.strip().splitlines()
     assert lines[1] == "v_q,v_p,density"
     assert len(lines) == 2 + 49
+
+
+def test_twirl_density_whose_variances_overflow(tmp_path, capsys):
+    # sigma_p off the origin and the origin row's exponent overflow to +inf,
+    # which makes their factors exactly 0; numpy printed two overflow warnings
+    code, text = run(tmp_path, "twirl-density", "--delta", "1e-100", "--lam", "1e-100",
+                     "--span", "1e10", "--points", "3")
+    assert code == 0 and capsys.readouterr().err == ""
+    grid = ("-1e+10", "0", "1e+10")
+    rows = [f"{q},{p},{'2.000000000000e+200' if q == p == '0' else '0.000000000000e+00'}"
+            for q in grid for p in grid]
+    assert text == "\n".join(["# schema_version=1", "v_q,v_p,density", *rows]) + "\n"
 
 
 @pytest.mark.parametrize("span", ["nan", "inf", "0"])
