@@ -8,9 +8,9 @@ ideal-QEC logical state through the smeared Pauli measurement operators with
 surrounding QEC rounds).  Everything downstream — average gate fidelity
 from one engine's readout, T-state fidelity, (n̄, λ) sweeps whose rows mark
 each (gate, n̄)'s optimal λ, and the vacuum-state baseline — is assembled
-from single-state Pauli expectations.  That readout model is the only one: the
-engine reads Σ from the config's (Δ, λ) and each gate, of `GATE_TABLE`, the
-one gate vocabulary, from its caller.
+from single-state Pauli expectations, range-checked where they are computed.
+That readout model is the only one: the engine reads Σ from the config's
+(Δ, λ) and each gate, of `GATE_TABLE`, the one gate vocabulary, from its caller.
 
 The heavy objects, the position eigensystems at d_out and at the readout
 dimension (of each, the first d_out eigenvector rows), depend only on the
@@ -48,14 +48,13 @@ PAULI = {
     "Z": np.array([[1, 0], [0, -1]], dtype=complex),
 }
 
-# Pure-state inputs whose projectors span the qubit operator space.
+# Pure-state inputs whose projectors span the qubit operator space, in readout order.
 INPUT_STATES = {
     "one": np.array([0.0, 1.0], dtype=complex),
     "plus": np.array([1.0, 1.0], dtype=complex) / math.sqrt(2.0),
     "plus_i": np.array([1.0, 1.0j], dtype=complex) / math.sqrt(2.0),
     "zero": np.array([1.0, 0.0], dtype=complex),
 }
-INPUT_ORDER = ("one", "plus", "plus_i", "zero")
 
 NORM_LOSS_LIMIT = 1e-3
 
@@ -75,21 +74,6 @@ class ChannelConfig:
     params: fock.GkpParams
     plan: fock.TruncationPlan = fock.TruncationPlan(d_init=256)
     target: str = "I"
-
-
-@dataclass(frozen=True)
-class LogicalReadout:
-    """Pauli expectations of the channel output for the four basis inputs."""
-
-    expectations: dict[str, dict[str, float]]
-
-    def __post_init__(self):
-        for state, row in self.expectations.items():
-            for pauli, val in row.items():
-                if abs(val) > 1.0 + 1e-6:
-                    raise NumericFailure(
-                        f"expectation <{pauli}> = {val} out of range for input {state}"
-                    )
 
 
 class ChannelEngine:
@@ -159,10 +143,11 @@ class ChannelEngine:
             )
         return out
 
-    def pauli_expectations(self, qubit, phase: np.ndarray) -> dict[str, float]:
-        """<I, X, Y, Z> of the channel output for a pure qubit input, through the
-        gate of diagonal `phase` (from `gate_phase`)."""
-        psi = self._apply_gate(self._gate_input(np.asarray(qubit, dtype=complex)), phase)
+    def pauli_expectations(self, name: str, phase: np.ndarray) -> dict[str, float]:
+        """<I, X, Y, Z> of the channel output for the input `INPUT_STATES[name]`,
+        through the gate of diagonal `phase` (from `gate_phase`).  A value outside
+        [-1, 1] by more than 1e-6 raises `NumericFailure`."""
+        psi = self._apply_gate(self._gate_input(INPUT_STATES[name]), phase)
         norm2 = float(np.vdot(psi, psi).real)
         # Z_m is diagonal in the q eigenbasis, X_m in the p one (= R q R†).
         wz = self._rmatvec(self.v2.T, psi)
@@ -172,14 +157,16 @@ class ChannelEngine:
         exp_z = float(np.vdot(psi, z_psi).real) / norm2
         exp_x = float(np.vdot(psi, x_psi).real) / norm2
         exp_y = -float(np.vdot(x_psi, z_psi).imag) / norm2
-        return {"I": 1.0, "X": exp_x, "Y": exp_y, "Z": exp_z}
+        exps = {"I": 1.0, "X": exp_x, "Y": exp_y, "Z": exp_z}
+        for pauli, val in exps.items():
+            if abs(val) > 1.0 + 1e-6:
+                raise NumericFailure(f"expectation <{pauli}> = {val} out of range for input {name}")
+        return exps
 
-    def readout(self, gate: RationalPolynomial) -> LogicalReadout:
-        """The four basis inputs through a gate."""
+    def readout(self, gate: RationalPolynomial) -> dict[str, dict[str, float]]:
+        """The four basis inputs through a gate: input name -> its Pauli expectations."""
         phase = self.gate_phase(gate)
-        return LogicalReadout(
-            {name: self.pauli_expectations(INPUT_STATES[name], phase) for name in INPUT_ORDER}
-        )
+        return {name: self.pauli_expectations(name, phase) for name in INPUT_STATES}
 
 
 # ---------------------------------------------------------------------------
@@ -189,12 +176,7 @@ class ChannelEngine:
 
 def _dual_frame():
     """Coefficients α with σ_j = Σ_k α_{jk}|ψ_k><ψ_k| and the duals V_k."""
-    basis = np.column_stack(
-        [
-            np.outer(INPUT_STATES[k], INPUT_STATES[k].conj()).reshape(-1)
-            for k in INPUT_ORDER
-        ]
-    )
+    basis = np.column_stack([np.outer(v, v.conj()).reshape(-1) for v in INPUT_STATES.values()])
     alpha = np.zeros((4, 4))
     for j, p in enumerate(("I", "X", "Y", "Z")):
         alpha[j] = np.linalg.solve(basis, PAULI[p].reshape(-1)).real
@@ -206,13 +188,14 @@ def _dual_frame():
 _DUALS = _dual_frame()[1]
 
 
-def average_gate_fidelity_from_readout(readout: LogicalReadout, target: str) -> float:
-    """F = 1/3 + (1/12) Σ_{k,l} tr(U V_k U† σ_l) tr(σ_l E(|ψ_k><ψ_k|))."""
+def average_gate_fidelity_from_readout(readout: dict[str, dict[str, float]], target: str) -> float:
+    """F = 1/3 + (1/12) Σ_{k,l} tr(U V_k U† σ_l) tr(σ_l E(|ψ_k><ψ_k|)), from `readout`'s
+    input name -> Pauli expectations."""
     u = target_unitary(target)
     total = 0.0
-    for k, name in enumerate(INPUT_ORDER):
-        conj = u @ _DUALS[k] @ u.conj().T
-        row = readout.expectations[name]
+    for dual, name in zip(_DUALS, INPUT_STATES):
+        conj = u @ dual @ u.conj().T
+        row = readout[name]
         for p in ("I", "X", "Y", "Z"):
             total += float(np.trace(conj @ PAULI[p]).real) * row[p]
     return 1.0 / 3.0 + total / 12.0
@@ -226,7 +209,7 @@ def t_state_fidelity_from_expectations(exps: dict[str, float]) -> float:
 def t_state_fidelity(config: ChannelConfig) -> float:
     """<T| E(|+><+|) |T> through a fresh engine for the config's gate."""
     engine = ChannelEngine(config)
-    exps = engine.pauli_expectations(INPUT_STATES["plus"], engine.gate_phase(config.gate))
+    exps = engine.pauli_expectations("plus", engine.gate_phase(config.gate))
     return t_state_fidelity_from_expectations(exps)
 
 
@@ -288,7 +271,7 @@ def _sweep_group(args) -> dict[str, tuple[float, float | None] | str]:
         except NumericFailure as exc:
             out[label] = str(exc)
             continue
-        t_inf = 1.0 - t_state_fidelity_from_expectations(readout.expectations["plus"])
+        t_inf = 1.0 - t_state_fidelity_from_expectations(readout["plus"])
         avg_inf = 1.0 - average_gate_fidelity_from_readout(readout, label)
         # the level-3 gates implement T, so only their rows carry a T-state infidelity
         out[label] = (avg_inf, t_inf if level == 3 else None)
@@ -310,9 +293,11 @@ def sweep(
     grids.  The order of the gates and of the n̄ changes no value, for any
     worker count.  The points of one (n̄, λ) form one work unit that builds
     one engine and runs every gate through it.  Each (gate, n̄)'s optimum is
-    its λ-grid argmin row (`is_optimal`), with `boundary_flag` set when it
-    sits on the grid's boundary.  With `workers` > 1 this process solves the
-    plan's eigensystems first and the pool forks, so no worker solves its own.
+    its λ-grid argmin row (`is_optimal`), a failed point counting as +inf,
+    with `boundary_flag` set when it sits on the grid's boundary or next to a
+    failed λ, where the true optimum may lie.  With `workers` > 1 this process
+    solves the plan's eigensystems first and the pool forks, so no worker
+    solves its own.
     """
     plan = plan or fock.TruncationPlan(d_init=256)
     gates = list(gates)
@@ -346,8 +331,11 @@ def sweep(
     rows, failures = [], {}
     for g, nb in itertools.product(gates, n_bars):
         line = [got[g, nb, lam] for lam in lams]
-        best = int(np.argmin([math.inf if isinstance(res, str) else res[0] for res in line]))
-        boundary = best in (0, len(lams) - 1) and len(lams) > 1
+        scores = [math.inf if isinstance(res, str) else res[0] for res in line]
+        best = int(np.argmin(scores))
+        # off the grid and failed neighbours alike are +inf
+        edged = [math.inf, *scores, math.inf]
+        boundary = len(lams) > 1 and math.inf in (edged[best], edged[best + 2])
         params = fock.GkpParams.from_n_bar(nb)
         for li, (lam, res) in enumerate(zip(lams, line)):
             if isinstance(res, str):

@@ -49,10 +49,10 @@ def _emit_json(args, payload: dict) -> None:
     _atomic_write(args.out, json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-def _emit_csv(args, header: list[str], rows: list[list]) -> None:
+def _emit_csv(args, header: list[str], rows: list[list[str]]) -> None:
     lines = [f"# schema_version={SCHEMA_VERSION}", ",".join(header)]
     for row in rows:
-        lines.append(",".join("" if v is None else str(v) for v in row))
+        lines.append(",".join(row))
     _atomic_write(args.out, "\n".join(lines) + "\n")
 
 

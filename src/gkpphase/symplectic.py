@@ -65,10 +65,6 @@ class GaussianOp:
         return self.S.shape[0] // 2
 
 
-def identity_op(n_modes: int) -> GaussianOp:
-    return GaussianOp(np.eye(2 * n_modes))
-
-
 def _check_mode(i: int, n_modes: int):
     if not 0 <= i < n_modes:
         raise ValueError(f"mode index {i} out of range for {n_modes} modes")
@@ -297,7 +293,7 @@ def random_circuit(
                 ops.append(cx(float(rng.uniform(-1, 1)), int(i), int(j), n_modes))
             else:
                 ops.append(feedforward(float(rng.uniform(-1, 1)), int(i), int(j), n_modes))
-    return compose(ops) if ops else identity_op(n_modes)
+    return compose(ops)
 
 
 def nogo_residual(n_circuits: int, seed: int) -> float:

@@ -521,13 +521,13 @@ def pauli_measurement_operator(
 # ---------------------------------------------------------------------------
 
 
-def logical_expectation(config: ch.ChannelConfig, qubit, pauli: str) -> float:
-    """tr(σ E(|ψ><ψ|)) for a pure qubit input through the configured channel."""
+def logical_expectation(config: ch.ChannelConfig, state: str, pauli: str) -> float:
+    """tr(σ E(|ψ><ψ|)) for the input `channel.INPUT_STATES[state]` through the configured channel."""
     pauli = pauli.upper()
     if pauli not in ch.PAULI:
         raise ValueError(f"pauli must be one of I, X, Y, Z; got {pauli!r}")
     engine = ch.ChannelEngine(config)
-    return engine.pauli_expectations(np.asarray(qubit, dtype=complex), engine.gate_phase(config.gate))[pauli]
+    return engine.pauli_expectations(state, engine.gate_phase(config.gate))[pauli]
 
 
 def average_gate_fidelity(config: ch.ChannelConfig, cache_dir=None) -> float:
@@ -536,9 +536,10 @@ def average_gate_fidelity(config: ch.ChannelConfig, cache_dir=None) -> float:
     return ch.average_gate_fidelity_from_readout(engine.readout(config.gate), config.target)
 
 
-def output_density(readout: ch.LogicalReadout, state: str) -> np.ndarray:
-    """The 2x2 channel output for one basis input, (I + <X>X + <Y>Y + <Z>Z)/2."""
-    row = readout.expectations[state]
+def output_density(readout: dict[str, dict[str, float]], state: str) -> np.ndarray:
+    """The 2x2 channel output for one basis input of a readout (input name -> Pauli
+    expectations), (I + <X>X + <Y>Y + <Z>Z)/2."""
+    row = readout[state]
     return sum(row[p] * ch.PAULI[p] for p in ("I", "X", "Y", "Z")) / 2.0
 
 
@@ -552,7 +553,7 @@ def optima(result: ch.SweepResult) -> dict[str, dict[float, tuple[float, float, 
     return out
 
 
-def average_gate_fidelity_reconstructed(readout: ch.LogicalReadout, target) -> float:
+def average_gate_fidelity_reconstructed(readout: dict[str, dict[str, float]], target) -> float:
     """`channel.average_gate_fidelity_from_readout` through explicit reconstruction.
 
     Reconstructs E(σ_j) by linearity from the four output density matrices
@@ -560,10 +561,10 @@ def average_gate_fidelity_reconstructed(readout: ch.LogicalReadout, target) -> f
     """
     alpha, _duals = ch._dual_frame()
     u = ch.target_unitary(target)
-    outs = {name: output_density(readout, name) for name in ch.INPUT_ORDER}
+    outs = {name: output_density(readout, name) for name in ch.INPUT_STATES}
     total = 0.0
     for j, p in enumerate(("I", "X", "Y", "Z")):
-        e_sigma = sum(alpha[j, k] * outs[name] for k, name in enumerate(ch.INPUT_ORDER))
+        e_sigma = sum(alpha[j, k] * outs[name] for k, name in enumerate(ch.INPUT_STATES))
         total += float(np.trace(u @ ch.PAULI[p] @ u.conj().T @ e_sigma).real)
     return (total + 4.0) / 12.0
 
@@ -650,10 +651,12 @@ def _edge_mass(density: np.ndarray) -> float:
 
 
 @dataclass(frozen=True)
-class GridReadout(ch.LogicalReadout):
-    """A readout with its window: the grid (n, half_width) and the largest x-
+class GridReadout:
+    """A readout (input name -> Pauli expectations, as `ChannelEngine.readout`
+    returns it) with its window: the grid (n, half_width) and the largest x-
     and p-edge masses over the four post-gate inputs (`_edge_mass`)."""
 
+    expectations: dict[str, dict[str, float]]
     n: int
     half_width: float
     x_edge: float
@@ -701,8 +704,7 @@ def grid_readout(gate: str | RationalPolynomial, delta: float, lam: float, n: in
     phase = fk.phase_profile(ch.GATE_TABLE[gate][0] if isinstance(gate, str) else gate, lam, x)
     out = {}
     x_edge = p_edge = 0.0
-    for name in ch.INPUT_ORDER:
-        a, b = ch.INPUT_STATES[name]
+    for name, (a, b) in ch.INPUT_STATES.items():
         vec = a * e0.amplitudes + b * e1.amplitudes
         psi = phase * (vec / np.linalg.norm(vec))
         norm2 = float(np.vdot(psi, psi).real)

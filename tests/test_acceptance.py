@@ -418,7 +418,7 @@ def test_criterion_12_companion_at_delta_0_1_below_grid_channel():
     f_patch = oracles.ft_patch_fidelity(0.1)
     grid = oracles.grid_readout("T3", 0.1, bound.lam_of_delta, 4096, 80.0)
     assert max(grid.x_edge, grid.p_edge) <= oracles.EDGE_LIMIT, (grid.x_edge, grid.p_edge)
-    f_grid = ch.average_gate_fidelity_from_readout(grid, "T3")
+    f_grid = ch.average_gate_fidelity_from_readout(grid.expectations, "T3")
     assert bound.f_lower_bound == 1.0 / 3.0 < f_patch < f_grid, (f_patch, f_grid)
 
 
@@ -435,7 +435,7 @@ def test_t3_without_bias_has_an_error_floor():
     for n_bar in (5.0, 10.0, 20.0, 40.0, 80.0):
         grid = oracles.sized_grid_readout("T3", fk.GkpParams.from_n_bar(n_bar, 1.0).delta, 1.0)
         assert max(grid.x_edge, grid.p_edge) <= oracles.EDGE_LIMIT, (n_bar, grid.n, grid.half_width)
-        infidelities.append(1.0 - ch.average_gate_fidelity_from_readout(grid, "T3"))
+        infidelities.append(1.0 - ch.average_gate_fidelity_from_readout(grid.expectations, "T3"))
     steps = [a - b for a, b in zip(infidelities, infidelities[1:])]
     assert all(step > 0 for step in steps), infidelities
     assert all(later < earlier for earlier, later in zip(steps, steps[1:])), steps
@@ -461,7 +461,7 @@ def test_t3_error_vanishes_at_the_bounds_bias():
     for delta in (0.3, 0.2, 0.15, 0.1, 0.07, 0.05):
         grid = oracles.sized_grid_readout("T3", delta, an.ft_lambda_ansatz(delta))
         assert max(grid.x_edge, grid.p_edge) <= oracles.EDGE_LIMIT, (delta, grid.n, grid.half_width)
-        infidelity = 1.0 - ch.average_gate_fidelity_from_readout(grid, "T3")
+        infidelity = 1.0 - ch.average_gate_fidelity_from_readout(grid.expectations, "T3")
         assert infidelity < 1.0 - oracles.ft_patch_fidelity(delta), (delta, infidelity)
         infidelities.append(infidelity)
     assert all(later < earlier for earlier, later in zip(infidelities, infidelities[1:])), infidelities
@@ -479,7 +479,7 @@ def _optimum_over_lambda(gate, target, delta):
     def infidelity(log_lam):
         grid = oracles.sized_grid_readout(gate, delta, math.exp(log_lam))
         assert max(grid.x_edge, grid.p_edge) <= oracles.EDGE_LIMIT, (str(gate), delta, grid.n, grid.half_width)
-        return 1.0 - ch.average_gate_fidelity_from_readout(grid, target)
+        return 1.0 - ch.average_gate_fidelity_from_readout(grid.expectations, target)
 
     log_lam, value = oracles.golden_section(infidelity, *map(math.log, REPRESENTATION_BRACKET), 0.01)
     return math.exp(log_lam), value

@@ -30,26 +30,26 @@ def cfg(gate="I", delta=0.25, lam=1.0, plan=PLAN_SMALL, **kw):
 
 
 def test_idle_channel_preserves_z():
-    val = logical_expectation(cfg(), (1.0, 0.0), "Z")
+    val = logical_expectation(cfg(), "zero", "Z")
     assert 0.9 < val <= 1.0 + 1e-9
 
 
 def test_idle_channel_has_no_x_coherence_on_z_eigenstate():
-    val = logical_expectation(cfg(), (1.0, 0.0), "X")
+    val = logical_expectation(cfg(), "zero", "X")
     assert abs(val) < 1e-3
 
 
 def test_readout_within_bloch_ball():
     config = cfg("T3", lam=2.0)
     ro = ch.ChannelEngine(config).readout(config.gate)
-    for row in ro.expectations.values():
+    for row in ro.values():
         assert all(abs(v) <= 1.0 + 1e-6 for v in row.values())
 
 
 def test_reconstructed_outputs_positive_semidefinite():
     config = cfg("T3", lam=2.0)
     ro = ch.ChannelEngine(config).readout(config.gate)
-    for name in ch.INPUT_ORDER:
+    for name in ch.INPUT_STATES:
         rho = oracles.output_density(ro, name)
         rho = rho / np.trace(rho).real
         eigs = np.linalg.eigvalsh((rho + rho.conj().T) / 2)
@@ -59,7 +59,7 @@ def test_reconstructed_outputs_positive_semidefinite():
 def test_t3_rotates_plus_by_pi_over_4():
     config = cfg("T3", delta=0.2, lam=2.5, plan=PLAN_DESK)
     engine = ch.ChannelEngine(config)
-    exps = engine.pauli_expectations(ch.INPUT_STATES["plus"], engine.gate_phase(config.gate))
+    exps = engine.pauli_expectations("plus", engine.gate_phase(config.gate))
     assert exps["X"] > 0.6 and exps["Y"] > 0.6
     assert abs(math.atan2(exps["Y"], exps["X"]) - math.pi / 4) < 5e-3
 
@@ -81,10 +81,9 @@ def test_exact_unitary_readout_gives_unit_fidelity():
         exps[name] = {
             p: float(np.vdot(out, ch.PAULI[p] @ out).real) for p in ("I", "X", "Y", "Z")
         }
-    ro = ch.LogicalReadout(exps)
-    assert abs(ch.average_gate_fidelity_from_readout(ro, "T3") - 1.0) < 1e-12
+    assert abs(ch.average_gate_fidelity_from_readout(exps, "T3") - 1.0) < 1e-12
     # and a T state fidelity of one when fed |+>
-    row = ro.expectations["plus"]
+    row = exps["plus"]
     f = 0.5 + (row["X"] + row["Y"]) / (2 * math.sqrt(2))
     assert abs(f - 1.0) < 1e-12
 
@@ -262,11 +261,10 @@ def test_engine_matches_dense_oracles():
     e0 = fk.gkp_codeword(0, 0.35, lam, plan.d_init)
     e1 = fk.gkp_codeword(1, 0.35, lam, plan.d_init)
     e0, e1 = fk.orthonormalize(e0, e1)
-    for name in ch.INPUT_ORDER:
-        a, b = ch.INPUT_STATES[name]
+    for name, (a, b) in ch.INPUT_STATES.items():
         vec = a * e0.amplitudes + b * e1.amplitudes
         psi = gate @ (vec / np.linalg.norm(vec))
-        exps = engine.pauli_expectations(ch.INPUT_STATES[name], engine.gate_phase(config.gate))
+        exps = engine.pauli_expectations(name, engine.gate_phase(config.gate))
         for p, op in paulis.items():
             dense = np.vdot(psi, op @ psi).real / np.vdot(psi, psi).real
             assert abs(exps[p] - dense) <= 1e-12, (name, p, exps[p], dense)
@@ -301,7 +299,7 @@ def test_grid_oracle_pins_the_converged_fock_engine():
     delta = fk.GkpParams.from_n_bar(6.0, 2.0).delta
     readout = oracles.grid_readout("T3", delta, 2.0, GRID_N, GRID_HALF_WIDTH)
     _assert_window(readout)
-    grid = _infidelity(readout, "T3")
+    grid = _infidelity(readout.expectations, "T3")
     fock = _infidelity(_fock_readout("T3", 6.0, 2.0, 400), "T3")
     assert abs(grid - fock) <= 1e-12 * grid, (grid, fock)
 
@@ -313,7 +311,7 @@ def test_grid_oracle_is_converged_in_its_point_count():
     delta = fk.GkpParams.from_n_bar(9.0, 1.0).delta
     coarse, fine = (oracles.grid_readout("T3", delta, 1.0, n, GRID_HALF_WIDTH) for n in (4096, 8192))
     _assert_window(fine)
-    for name in ch.INPUT_ORDER:
+    for name in ch.INPUT_STATES:
         for p in ("X", "Y", "Z"):
             a, b = coarse.expectations[name][p], fine.expectations[name][p]
             assert abs(a - b) <= 1e-12, (name, p, a, b)
@@ -325,7 +323,7 @@ def test_fock_engine_approaches_the_grid_as_d_init_grows():
     # while the value moves by 3.3e-14 at N = 8192, far below the 1e-4 scale
     # this ordering works at.
     delta = fk.GkpParams.from_n_bar(9.0, 1.0).delta
-    grid = _infidelity(oracles.grid_readout("T3", delta, 1.0, GRID_N, GRID_HALF_WIDTH), "T3")
+    grid = _infidelity(oracles.grid_readout("T3", delta, 1.0, GRID_N, GRID_HALF_WIDTH).expectations, "T3")
     off = {d: abs(_infidelity(_fock_readout("T3", 9.0, 1.0, d), "T3") - grid) for d in (256, 400)}
     assert off[400] < off[256], (grid, off)
 
@@ -367,7 +365,8 @@ def test_window_rule_flags_a_short_window_that_n_doubling_passes():
     short = oracles.grid_readout("T3", 0.05, lam, 8192, 80.0)
     sized = oracles.sized_grid_readout("T3", 0.05, lam)
     assert short.x_edge > oracles.EDGE_LIMIT
-    assert abs(_infidelity(short, "T3") - _infidelity(sized, "T3")) > 1e-3 * _infidelity(sized, "T3")
+    short_inf, sized_inf = _infidelity(short.expectations, "T3"), _infidelity(sized.expectations, "T3")
+    assert abs(short_inf - sized_inf) > 1e-3 * sized_inf
     with pytest.raises(fk.TruncationLeakageError, match="edge masses x"):
         oracles.sized_grid_readout("T3", fk.GkpParams.from_n_bar(40.0, 1.0).delta, 1.0, max_n=16384)
 
@@ -380,7 +379,7 @@ def test_grid_readout_does_not_wrap_x_shifts_onto_the_codewords():
     # the wrapped value's 1.2e-4 offset.
     grid = oracles.sized_grid_readout("T3", 0.1, ch.analytic.ft_lambda_ansatz(0.1))
     _assert_window(grid)
-    assert abs(_infidelity(grid, "T3") - 5.0234770409e-3) <= 1e-9 * 5.0234770409e-3, (grid.n, grid.half_width)
+    assert abs(_infidelity(grid.expectations, "T3") - 5.0234770409e-3) <= 1e-9 * 5.0234770409e-3, (grid.n, grid.half_width)
 
 
 GROUP_GATES = ["TGKP", "T3", "I"]
@@ -505,13 +504,37 @@ def test_sweep_propagates_programming_errors(monkeypatch):
 
 
 def test_expectation_range_error_is_a_point_failure(monkeypatch):
-    with pytest.raises(NumericFailure):
-        ch.LogicalReadout({"plus": {"I": 1.0, "X": 1.5, "Y": 0.0, "Z": 0.0}})
-    monkeypatch.setattr(ch.ChannelEngine, "readout",
-                        lambda self, poly: ch.LogicalReadout({"plus": {"X": 1.5}}))
+    # doubled Pauli profiles take <Z> of input one to about -1.96; the check sits
+    # where the expectations are computed, so the T-state path (criterion 10's,
+    # which reads input plus alone) refuses too, where it once returned F = 1.9
+    real = fk.pauli_profiles
+    monkeypatch.setattr(fk, "pauli_profiles", lambda *args: tuple(2.0 * v for v in real(*args)))
     res = ch.sweep(["T3"], [3.0], [1.5], GROUP_PLAN)
     assert res.rows == ()
-    assert res.failures == {("T3", 3.0, 1.5): "expectation <X> = 1.5 out of range for input plus"}
+    ((key, reason),) = res.failures.items()
+    assert key == ("T3", 3.0, 1.5)
+    assert reason.startswith("expectation <Z> = -1.9") and reason.endswith(" out of range for input one")
+    with pytest.raises(NumericFailure, match=r"expectation <X> = 1\.\d+ out of range for input plus"):
+        ch.t_state_fidelity(cfg("T3", lam=2.0, plan=GROUP_PLAN))
+
+
+def test_optimum_next_to_a_failed_lam_is_flagged(monkeypatch):
+    # T3 at n̄ 3 and d_init 64 has its optimum at λ 1.5 of 1 to 3 (4.69e-2, with
+    # 5.62e-2 at λ 1): once λ 1 fails, it scores +inf in the argmin, so the true
+    # optimum may lie there and the λ 1.5 optimum is flagged as on an edge
+    real = fk.gkp_codeword
+
+    def failing_at_lam_1(bit, delta, lam, d):
+        if lam == 1.0:
+            raise fk.TruncationLeakageError("codeword probe failure")
+        return real(bit, delta, lam, d)
+
+    lams = [1.0, 1.5, 2.0, 2.5, 3.0]
+    assert oracles.optima(ch.sweep(["T3"], [3.0], lams, GROUP_PLAN))["T3"][3.0][::2] == (1.5, False)
+    monkeypatch.setattr(fk, "gkp_codeword", failing_at_lam_1)
+    res = ch.sweep(["T3"], [3.0], lams, GROUP_PLAN)
+    assert list(res.failures) == [("T3", 3.0, 1.0)]
+    assert oracles.optima(res)["T3"][3.0][::2] == (1.5, True)
 
 
 def _blas_threads():

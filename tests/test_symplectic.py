@@ -151,7 +151,7 @@ def test_singular_conditioning_reports_indices():
 
 def test_nogo_identity_circuit():
     delta = 0.25
-    det = sp.nogo_check(sp.identity_op(2), 1, delta)
+    det = sp.nogo_check(sp.GaussianOp(np.eye(4)), 1, delta)
     assert abs(det - delta**4) / delta**4 < 1e-12
 
 
