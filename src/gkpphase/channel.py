@@ -15,7 +15,8 @@ That readout model is the only one: the engine reads Σ from the config's
 The heavy objects, the position eigensystems at d_out and at the readout
 dimension (of each, the first d_out eigenvector rows), depend only on the
 truncation; `fock.q_eigensystem` keeps them per process and, given a cache
-directory, on disk; a pooled sweep solves them before its workers fork.  The
+directory, on disk; a sweep solves them before its worker threads or
+processes start, so no two of them solve d = 2304 at once.  The
 Pauli diagonals are one matvec per (Δ, λ) with kernels that depend on λ alone,
 which `fock` keeps per process for the last 16 λ (at most 35 MB at d_init
 256): a sweep visits its (n̄, λ) points λ by λ, and criterion 10's two Δ over
@@ -32,7 +33,7 @@ import itertools
 import math
 import multiprocessing
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -239,19 +240,28 @@ class SweepResult:
     failures: dict[tuple[str, float, float], str]
 
 
-def _pin_blas_threads() -> None:
-    """Pool initializer: numpy's OpenBLAS at one thread per worker; a no-op without it.
+def _pin_blas_threads(threads: int = 1) -> int:
+    """Set numpy's OpenBLAS to `threads` threads and return the count it had
+    (at start-up `OPENBLAS_NUM_THREADS`, else the core count); without its
+    ctypes symbols (another BLAS), set nothing and return 1.
 
-    The pin is what makes the pool fast.  Unpinned, each worker's GEMVs run as
-    many OpenBLAS threads as the machine has cores, so N workers start
-    N × (BLAS threads) threads on N cores, which contend for them.  The workers
-    solve no eigensystem: `sweep` solves both in the parent, whose
-    scipy OpenBLAS keeps its thread count, and the forked workers inherit them.
-    That is why `--workers 2` prints `--workers 1`'s bytes; at
-    OPENBLAS_NUM_THREADS=1 the d = 2304 solve differs from the 2- and 4-thread
-    one in the last bits."""
+    `sweep` pins that BLAS to one thread while its units run, in the calling
+    process and, as the initializer, in each pool worker, so N units in
+    flight use N cores, not N × (BLAS threads), which contend: on a 2-core
+    Xeon, 2 unit threads over a 2-thread BLAS took the criterion-08 grid 13.7 s
+    against 7.5 s pinned.  scipy's eigensolver runs in scipy's own OpenBLAS,
+    which keeps its thread count, and `sweep` solves before any unit starts;
+    that is why `--workers 2` prints `--workers 1`'s bytes.  At
+    OPENBLAS_NUM_THREADS=1 the d = 2304 solve differs from the 2- and
+    4-thread one in the last bits."""
     lib = ctypes.CDLL(np.linalg._umath_linalg.__file__)
-    getattr(lib, "scipy_openblas_set_num_threads64_", lambda _n: None)(1)
+    get = getattr(lib, "scipy_openblas_get_num_threads64_", None)
+    set_threads = getattr(lib, "scipy_openblas_set_num_threads64_", None)
+    if get is None or set_threads is None:
+        return 1
+    before = get()
+    set_threads(threads)
+    return before
 
 
 def _sweep_group(args) -> dict[str, tuple[float, float | None] | str]:
@@ -295,9 +305,16 @@ def sweep(
     one engine and runs every gate through it.  Each (gate, n̄)'s optimum is
     its λ-grid argmin row (`is_optimal`), a failed point counting as +inf,
     with `boundary_flag` set when it sits on the grid's boundary or next to a
-    failed λ, where the true optimum may lie.  With `workers` > 1 this process
-    solves the plan's eigensystems first and the pool forks, so no worker
-    solves its own.
+    failed λ, where the true optimum may lie.
+
+    This process solves the plan's eigensystems first, so no unit solves its
+    own.  With `workers` > 1 the units run in a forked process pool of that
+    size.  With one worker they run in a thread pool of as many threads as
+    numpy's OpenBLAS had (`OPENBLAS_NUM_THREADS`, else the core count), with
+    that BLAS pinned to one thread until the pool is done: one unit at a time
+    where the count is 1 or the BLAS is not numpy's OpenBLAS.  An error other
+    than `NumericFailure` in a unit ends the sweep: units not yet started are
+    cancelled, and the BLAS count is restored on every exit.
     """
     plan = plan or fock.TruncationPlan(d_init=256)
     gates = list(gates)
@@ -314,18 +331,22 @@ def sweep(
             raise ValueError(f"sweep repeats {axis} {repeated[0]!r}")
 
     # One task per (n̄, λ), λ-major, so consecutive engines share their λ's
-    # Pauli kernels in `fock`'s provider; pool workers take them in that order too.
+    # Pauli kernels in `fock`'s provider; the pools take them in that order too
+    # (two units of one λ in flight at once may both build its kernels, to the same bits).
     tasks = [(nb, lam) for lam in lams for nb in n_bars]
     groups = [(gates, ChannelConfig(GATE_TABLE[gates[0]][0], fock.GkpParams.from_n_bar(nb, lam), plan),
                cache_dir) for nb, lam in tasks]
-    if workers > 1:
-        for d, rows in plan.eigensystem_dims:  # solved once here; the forked workers inherit them
-            fock.q_eigensystem(d, rows, cache_dir)
-        with ProcessPoolExecutor(max_workers=workers, mp_context=multiprocessing.get_context("fork"),
-                                 initializer=_pin_blas_threads) as pool:
-            outcomes = pool.map(_sweep_group, groups)
-    else:
-        outcomes = map(_sweep_group, groups)
+    for d, rows in plan.eigensystem_dims:  # solved once here; every unit reads them
+        fock.q_eigensystem(d, rows, cache_dir)
+    threads = _pin_blas_threads()
+    pool = (ProcessPoolExecutor(max_workers=workers, mp_context=multiprocessing.get_context("fork"),
+                                initializer=_pin_blas_threads)
+            if workers > 1 else ThreadPoolExecutor(max_workers=threads))
+    try:
+        outcomes = list(pool.map(_sweep_group, groups))
+    finally:
+        pool.shutdown(cancel_futures=True)  # after an error, no queued unit starts
+        _pin_blas_threads(threads)
     got = {(g, nb, lam): res for (nb, lam), group in zip(tasks, outcomes) for g, res in group.items()}
 
     rows, failures = [], {}

@@ -6,6 +6,7 @@ import itertools
 import json
 import math
 import os
+import threading
 import time
 from concurrent.futures import ProcessPoolExecutor
 
@@ -538,15 +539,16 @@ def test_optimum_next_to_a_failed_lam_is_flagged(monkeypatch):
 
 
 def _blas_threads():
+    """numpy's OpenBLAS thread count; None when numpy's BLAS is not scipy-openblas."""
     lib = ctypes.CDLL(np.linalg._umath_linalg.__file__)
-    return lib.scipy_openblas_get_num_threads64_()
+    get = getattr(lib, "scipy_openblas_get_num_threads64_", None)
+    return None if get is None else get()
 
 
 def test_pool_workers_pin_blas_to_one_thread():
-    lib = ctypes.CDLL(np.linalg._umath_linalg.__file__)
-    if not hasattr(lib, "scipy_openblas_get_num_threads64_"):
-        pytest.skip("numpy's BLAS is not scipy-openblas")
     before = _blas_threads()
+    if before is None:
+        pytest.skip("numpy's BLAS is not scipy-openblas")
     with ProcessPoolExecutor(max_workers=1, initializer=ch._pin_blas_threads) as pool:
         assert pool.submit(_blas_threads).result() == 1
     assert _blas_threads() == before  # the calling process keeps its threads
@@ -565,6 +567,86 @@ def test_pool_workers_inherit_the_eigensystems(monkeypatch):
     plan = fk.TruncationPlan(d_init=40)
     pooled = ch.sweep(["T3", "I"], [2.0, 3.0], [1.0, 2.0], plan, workers=2)
     assert pooled == ch.sweep(["T3", "I"], [2.0, 3.0], [1.0, 2.0], plan, workers=1)
+
+
+def _hex_rows(res):
+    return [tuple(v.hex() if isinstance(v, float) else v for v in vars(r).values()) for r in res.rows]
+
+
+@pytest.fixture
+def two_blas_threads():
+    """numpy's OpenBLAS at 2 threads, so a one-worker sweep runs a pool of 2 threads;
+    yields that count (None without scipy-openblas) and restores the old one after."""
+    before = ch._pin_blas_threads(2)
+    yield _blas_threads()
+    ch._pin_blas_threads(before)
+
+
+def test_threaded_sweep_equals_one_unit_at_a_time(monkeypatch, two_blas_threads):
+    # numpy's BLAS at one thread makes a one-thread pool, which runs the units one
+    # at a time; the default pool runs them concurrently, to the same bits, with
+    # numpy's BLAS pinned to one thread inside every unit
+    real, units = ch._sweep_group, []
+
+    def recording(args):
+        units.append((threading.get_ident(), _blas_threads()))
+        return real(args)
+
+    monkeypatch.setattr(ch, "_sweep_group", recording)
+    n_bars, lams = [2.0, 5.0], [1.0, 2.5, 4.0]
+    ch._pin_blas_threads(1)
+    serial = ch.sweep(GROUP_GATES, n_bars, lams, GROUP_PLAN)
+    ch._pin_blas_threads(2)
+    assert len({ident for ident, _ in units}) == 1
+    units.clear()
+    threaded = ch.sweep(GROUP_GATES, n_bars, lams, GROUP_PLAN)
+    assert len({ident for ident, _ in units}) <= 2
+    assert {pinned for _, pinned in units} <= {1, None}
+    assert _blas_threads() == two_blas_threads
+    assert serial.failures and list(threaded.failures.items()) == list(serial.failures.items())
+    assert _hex_rows(threaded) == _hex_rows(serial)
+
+
+def test_cold_threaded_sweep_solves_each_eigensystem_once(monkeypatch, two_blas_threads):
+    # the calling thread solves both before the pool starts, so no unit thread
+    # solves one, and the BLAS count comes back as it was
+    solve, solvers = scipy.linalg.eigh_tridiagonal, []
+
+    def recording(*args, **kwargs):
+        solvers.append(threading.current_thread())
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", recording)
+    fk._q_eigensystem.cache_clear()
+    ch.sweep(["T3", "I"], [2.0, 3.0], [1.0, 2.0], fk.TruncationPlan(d_init=48))
+    assert fk._q_eigensystem.cache_info().misses == 2
+    assert solvers == [threading.main_thread()] * 2
+    assert _blas_threads() == two_blas_threads
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_failing_unit_stops_the_sweep(monkeypatch, tmp_path, two_blas_threads, workers):
+    # an error other than NumericFailure in the second unit ends the sweep, in
+    # threads or processes: the units still queued when it arrives never start
+    # (each started unit leaves a line in the log), and the BLAS count comes back
+    real, log = ch.ChannelEngine, tmp_path / "built"
+    n_bars, lams = [2.0, 3.0, 4.0, 5.0], [1.0, 1.5, 2.0, 2.5, 3.0]
+    second = fk.GkpParams.from_n_bar(n_bars[1], lams[0])  # units run λ-major
+
+    def engine(config, cache_dir=None):
+        with open(log, "a") as fh:
+            fh.write(f"{config.params}\n")
+        if config.params == second:
+            raise RuntimeError("unit probe failure")
+        time.sleep(0.05)
+        return real(config, cache_dir)
+
+    monkeypatch.setattr(ch, "ChannelEngine", engine)
+    with pytest.raises(RuntimeError, match="unit probe failure"):
+        ch.sweep(["T3"], n_bars, lams, GROUP_PLAN, workers=workers)
+    built = log.read_text().splitlines()
+    assert f"{second}" in built and len(built) < len(n_bars) * len(lams)
+    assert _blas_threads() == two_blas_threads
 
 
 def test_clifford_t_orbit_size():
