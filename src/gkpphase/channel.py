@@ -245,15 +245,14 @@ def _pin_blas_threads(threads: int = 1) -> int:
     (at start-up `OPENBLAS_NUM_THREADS`, else the core count); without its
     ctypes symbols (another BLAS), set nothing and return 1.
 
-    `sweep` pins that BLAS to one thread while its units run, in the calling
-    process and, as the initializer, in each pool worker, so N units in
-    flight use N cores, not N × (BLAS threads), which contend: on a 2-core
-    Xeon, 2 unit threads over a 2-thread BLAS took the criterion-08 grid 13.7 s
-    against 7.5 s pinned.  scipy's eigensolver runs in scipy's own OpenBLAS,
-    which keeps its thread count, and `sweep` solves before any unit starts;
-    that is why `--workers 2` prints `--workers 1`'s bytes.  At
-    OPENBLAS_NUM_THREADS=1 the d = 2304 solve differs from the 2- and
-    4-thread one in the last bits."""
+    `sweep` pins that BLAS to one thread before its pool starts (forked
+    workers inherit the pin), so N units in flight use N cores, not N × (BLAS
+    threads), which contend: on a 2-core Xeon, 2 unit threads over a 2-thread
+    BLAS took the criterion-08 grid 13.7 s against 7.5 s pinned.  scipy's
+    eigensolver runs in scipy's own OpenBLAS, which keeps its thread count,
+    and `sweep` solves before any unit starts; that is why `--workers 2`
+    prints `--workers 1`'s bytes.  At OPENBLAS_NUM_THREADS=1 the d = 2304
+    solve differs from the 2- and 4-thread one in the last bits."""
     lib = ctypes.CDLL(np.linalg._umath_linalg.__file__)
     get = getattr(lib, "scipy_openblas_get_num_threads64_", None)
     set_threads = getattr(lib, "scipy_openblas_set_num_threads64_", None)
@@ -304,17 +303,17 @@ def sweep(
     worker count.  The points of one (n̄, λ) form one work unit that builds
     one engine and runs every gate through it.  Each (gate, n̄)'s optimum is
     its λ-grid argmin row (`is_optimal`), a failed point counting as +inf,
-    with `boundary_flag` set when it sits on the grid's boundary or next to a
-    failed λ, where the true optimum may lie.
+    with `boundary_flag` set when it sits on the grid's boundary (so a one-λ
+    grid's only row) or next to a failed λ, where the true optimum may lie.
 
     This process solves the plan's eigensystems first, so no unit solves its
-    own.  With `workers` > 1 the units run in a forked process pool of that
-    size.  With one worker they run in a thread pool of as many threads as
-    numpy's OpenBLAS had (`OPENBLAS_NUM_THREADS`, else the core count), with
-    that BLAS pinned to one thread until the pool is done: one unit at a time
-    where the count is 1 or the BLAS is not numpy's OpenBLAS.  An error other
-    than `NumericFailure` in a unit ends the sweep: units not yet started are
-    cancelled, and the BLAS count is restored on every exit.
+    own, and pins numpy's OpenBLAS to one thread until the pool is done.
+    With `workers` > 1 the units run in a forked process pool of that size.
+    With one worker they run in a thread pool of as many threads as that
+    BLAS had (`OPENBLAS_NUM_THREADS`, else the core count): one unit at a
+    time where the count is 1 or the BLAS is not numpy's OpenBLAS.  An error
+    other than `NumericFailure` in a unit ends the sweep before the queued
+    units start; the BLAS count is restored on every exit.
     """
     plan = plan or fock.TruncationPlan(d_init=256)
     gates = list(gates)
@@ -338,14 +337,13 @@ def sweep(
                cache_dir) for nb, lam in tasks]
     for d, rows in plan.eigensystem_dims:  # solved once here; every unit reads them
         fock.q_eigensystem(d, rows, cache_dir)
-    threads = _pin_blas_threads()
-    pool = (ProcessPoolExecutor(max_workers=workers, mp_context=multiprocessing.get_context("fork"),
-                                initializer=_pin_blas_threads)
-            if workers > 1 else ThreadPoolExecutor(max_workers=threads))
+    threads = _pin_blas_threads()  # before any pool, so forked workers start pinned
     try:
-        outcomes = list(pool.map(_sweep_group, groups))
+        pool = (ProcessPoolExecutor(max_workers=workers, mp_context=multiprocessing.get_context("fork"))
+                if workers > 1 else ThreadPoolExecutor(max_workers=threads))
+        with pool:  # a unit's error cancels the units not yet started
+            outcomes = list(pool.map(_sweep_group, groups))
     finally:
-        pool.shutdown(cancel_futures=True)  # after an error, no queued unit starts
         _pin_blas_threads(threads)
     got = {(g, nb, lam): res for (nb, lam), group in zip(tasks, outcomes) for g, res in group.items()}
 
@@ -356,7 +354,7 @@ def sweep(
         best = int(np.argmin(scores))
         # off the grid and failed neighbours alike are +inf
         edged = [math.inf, *scores, math.inf]
-        boundary = len(lams) > 1 and math.inf in (edged[best], edged[best + 2])
+        boundary = math.inf in (edged[best], edged[best + 2])
         params = fock.GkpParams.from_n_bar(nb)
         for li, (lam, res) in enumerate(zip(lams, line)):
             if isinstance(res, str):

@@ -8,7 +8,6 @@ import math
 import os
 import threading
 import time
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -538,20 +537,31 @@ def test_optimum_next_to_a_failed_lam_is_flagged(monkeypatch):
     assert oracles.optima(res)["T3"][3.0][::2] == (1.5, True)
 
 
+def test_one_lam_grid_flags_its_only_row():
+    # no λ on either side brackets the only row, so it is a boundary optimum
+    res = ch.sweep(["T3", "I"], [3.0], [2.0], GROUP_PLAN)
+    assert [(r.gate, r.is_optimal, r.boundary_flag) for r in res.rows] == [
+        ("T3", True, True), ("I", True, True)]
+
+
+@pytest.mark.parametrize("grid, message", [
+    ((["T3"], [], [2.0]), "nonempty gate, n_bar and lam grids"),
+    ((["T3", "T5"], [3.0], [2.0]), "unknown gate 'T5'"),
+], ids=["empty-n_bar", "unknown-gate"])
+def test_sweep_refuses_a_grid_it_cannot_run(monkeypatch, grid, message):
+    def no_engine(*args, **kwargs):
+        raise AssertionError("engine built")
+
+    monkeypatch.setattr(ch, "ChannelEngine", no_engine)
+    with pytest.raises(ValueError, match=message):
+        ch.sweep(*grid, GROUP_PLAN)
+
+
 def _blas_threads():
     """numpy's OpenBLAS thread count; None when numpy's BLAS is not scipy-openblas."""
     lib = ctypes.CDLL(np.linalg._umath_linalg.__file__)
     get = getattr(lib, "scipy_openblas_get_num_threads64_", None)
     return None if get is None else get()
-
-
-def test_pool_workers_pin_blas_to_one_thread():
-    before = _blas_threads()
-    if before is None:
-        pytest.skip("numpy's BLAS is not scipy-openblas")
-    with ProcessPoolExecutor(max_workers=1, initializer=ch._pin_blas_threads) as pool:
-        assert pool.submit(_blas_threads).result() == 1
-    assert _blas_threads() == before  # the calling process keeps its threads
 
 
 def test_pool_workers_inherit_the_eigensystems(monkeypatch):
@@ -622,6 +632,27 @@ def test_cold_threaded_sweep_solves_each_eigensystem_once(monkeypatch, two_blas_
     assert fk._q_eigensystem.cache_info().misses == 2
     assert solvers == [threading.main_thread()] * 2
     assert _blas_threads() == two_blas_threads
+
+
+def test_sweep_pool_workers_inherit_the_blas_pin(monkeypatch, tmp_path, two_blas_threads):
+    # the caller pins numpy's BLAS before its process pool forks, so every worker
+    # runs its units at one thread, and the caller gets its count back after
+    if two_blas_threads is None:
+        pytest.skip("numpy's BLAS is not scipy-openblas")
+    real, log = ch.ChannelEngine, tmp_path / "units"
+
+    def engine(config, cache_dir=None):
+        with open(log, "a") as fh:
+            fh.write(f"{os.getpid()} {_blas_threads()}\n")
+        return real(config, cache_dir)
+
+    monkeypatch.setattr(ch, "ChannelEngine", engine)
+    ch.sweep(["T3"], [2.0, 3.0], [1.0, 2.0], GROUP_PLAN, workers=2)
+    units = [line.split() for line in log.read_text().splitlines()]
+    assert len(units) == 4
+    assert {pid for pid, _ in units} - {str(os.getpid())}
+    assert {count for _, count in units} == {"1"}
+    assert _blas_threads() == two_blas_threads == 2
 
 
 @pytest.mark.parametrize("workers", [1, 2])

@@ -356,6 +356,19 @@ def test_sweep_several_gates_equal_single_gate_runs(tmp_path):
     assert both.splitlines() == t3.splitlines() + idle.splitlines()[2:]
 
 
+def test_sweep_flags_the_optimum_of_a_one_lam_grid(tmp_path):
+    # the only λ has no neighbour on either side, so its row is flagged as the
+    # same point is on a 2-λ grid, where it sits on the lower edge
+    grid = ["--nbar-min", "3", "--nbar-max", "3", "--lam-min", "2", "--dinit", "64"]
+    code, one = run(tmp_path, "sweep", "--gate", "T3", *grid, "--lam-max", "2", "--lam-count", "1")
+    assert code == 0
+    _, two = run(tmp_path, "sweep", "--gate", "T3", *grid, "--lam-max", "3", "--lam-count", "2",
+                 name="two.csv")
+    (row,) = [line.split(",") for line in one.splitlines()[2:]]
+    assert row[4] == "2" and row[7] == "1"
+    assert one.splitlines()[2] == two.splitlines()[2]
+
+
 def test_sweep_reports_failed_points_and_exits_2(tmp_path, capsys):
     # TGKP at n_bar 3, lam 1 reaches the top of the d_init 64 output window
     grid = ["--nbar-min", "3", "--nbar-max", "3", "--lam-min", "1", "--lam-max", "2",
@@ -512,6 +525,7 @@ def test_non_finite_inputs_exit_1(tmp_path, capsys, argv):
     (("moments", "--gate", "T8th", "--delta", "0.3", "--lam", "1e-100"), "take e_vp2 out of float range"),
     # v_q^2 overflowed: nan densities with exit 0
     (("twirl-density", "--delta", "0.3", "--lam", "1", "--span", "1e160", "--points", "3"), "--span 1e+160"),
+    (("synth", "--level", "3", "--start", "foo"), "unknown start spec 'foo'"),
 ])
 def test_out_of_range_inputs_exit_1_with_one_error_line(tmp_path, capsys, argv, message):
     code, text = run_under_alarm(tmp_path, *argv)
