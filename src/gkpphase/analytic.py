@@ -185,6 +185,8 @@ class TwirledCubicDensity:
         if not (0 < self.delta < math.inf and 0 < self.lam < math.inf):
             raise ValueError("TwirledCubicDensity needs positive finite delta and lam, "
                              f"got {self.delta}, {self.lam}")
+        if not self.delta < math.sqrt(sys.float_info.max):
+            raise ValueError(f"delta {self.delta:g} takes delta^2 out of float range")
         t = math.tanh(self.delta**2 / 2.0)  # the variances below scale with t/λ and λt
         if not all(sys.float_info.min <= v < math.inf for v in (t / self.lam, self.lam * t)):
             raise ValueError(f"delta {self.delta:g} and lam {self.lam:g} take tanh(delta^2/2)/lam "
@@ -273,14 +275,6 @@ def ft_lower_bound(delta: float) -> BoundResult:
 # ---------------------------------------------------------------------------
 
 
-_PAULI_STAB_SIGNS = {
-    "I": lambda sq, sp: np.ones_like(sq, dtype=float),
-    "X": lambda sq, sp: (-1.0) ** np.abs(sp),
-    "Y": lambda sq, sp: (-1.0) ** (np.abs(sq) + np.abs(sp)),
-    "Z": lambda sq, sp: (-1.0) ** np.abs(sq),
-}
-
-
 # Stabiliser shells |s_q|, |s_p| <= 4 of the vacuum posterior.  Each term
 # carries exp(-πκ|u_s|²) with κ = tanh(Δ²/2) + 1/2 in [1/2, 3/2) for every Δ,
 # so no input widens the sum: the outermost kept shell is below 5e-17 of the
@@ -294,18 +288,19 @@ def _posterior_sums(delta: float, vq_axis: np.ndarray, vp_axis: np.ndarray):
 
     Π_μ = σ̄_μ Σ_s W(sqrt(2) s) gives g_μ(v) = Σ_s sign_μ(s)
     e^{-2πi v∧u_s} χ(u_s) with u_s = l_μ + sqrt(2) s and the thermal χ.
-    Separability in (s_q, s_p) turns the grid evaluation into two small
-    matrix products per Pauli.
+    sign_μ(s) is the parity of l_μ ∧ sqrt(2) s: an offset along q flips
+    with |s_p|, one along p with |s_q|.  Separability in (s_q, s_p) turns
+    the grid evaluation into two small matrix products per Pauli.
     """
     n_bar = math.tanh(delta**2 / 2.0)
     kappa = n_bar + 0.5
     ss = np.arange(-VACUUM_LATTICE_CUT, VACUUM_LATTICE_CUT + 1)
+    sq, sp = np.abs(np.meshgrid(ss, ss, indexing="ij"))
     out = {}
     for mu, (lq, lp) in PAULI_OFFSETS.items():
         uq = lq + math.sqrt(2.0) * ss  # indexed by s_q
         up = lp + math.sqrt(2.0) * ss  # indexed by s_p
-        sq, sp = np.meshgrid(ss, ss, indexing="ij")
-        coeff = _PAULI_STAB_SIGNS[mu](sq, sp) * np.exp(
+        coeff = (-1.0) ** (sp * (lq != 0) + sq * (lp != 0)) * np.exp(
             -math.pi * kappa * (uq[:, None] ** 2 + up[None, :] ** 2)
         )
         a = np.exp(-2j * math.pi * np.outer(vq_axis, up))  # (Nq, s_p)

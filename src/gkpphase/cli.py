@@ -330,13 +330,11 @@ def cmd_twirl_density(args) -> int:
     if not math.pi * offset * offset < math.inf:
         raise ValueError(f"--span {args.span:g} takes (v_p - mean_p)^2 out of float range")
     dens = analytic.TwirledCubicDensity(args.delta, args.lam)
-    vq = np.linspace(-args.span, args.span, points)
-    vp = np.linspace(-args.span, args.span, points)
-    rows = []
-    for q in vq:
-        vals = dens(np.full_like(vp, q), vp)
-        for p, val in zip(vp, vals):
-            rows.append([f"{q:.9g}", f"{p:.9g}", f"{val:.12e}"])
+    axis = np.linspace(-args.span, args.span, points)  # the same for v_q and v_p
+    vq, vp = np.meshgrid(axis, axis, indexing="ij")  # rows in v_q order, v_p within
+    vals = dens(vq, vp)
+    rows = [[f"{q:.9g}", f"{p:.9g}", f"{val:.12e}"]
+            for q, p, val in zip(vq.ravel(), vp.ravel(), vals.ravel())]
     _emit_csv(args, ["v_q", "v_p", "density"], rows)
     return 0
 

@@ -53,6 +53,8 @@ class GaussianOp:
         S = np.asarray(self.S, dtype=float)
         if S.ndim != 2 or S.shape[0] != S.shape[1] or S.shape[0] % 2:
             raise ValueError(f"S must be square 2N x 2N, got {S.shape}")
+        if not np.isfinite(S).all():  # a NaN would pass the residual test below
+            raise ValueError("S has a non-finite entry")
         n = S.shape[0] // 2
         om = omega(n)
         resid = np.max(np.abs(S.T @ om @ S - om))
@@ -65,18 +67,19 @@ class GaussianOp:
         return self.S.shape[0] // 2
 
 
-def _check_mode(i: int, n_modes: int):
-    if not 0 <= i < n_modes:
-        raise ValueError(f"mode index {i} out of range for {n_modes} modes")
+def _checked_identity(name: str, n_modes: int, *modes: int) -> np.ndarray:
+    """Identity on n_modes modes, once the generator `name`'s modes are in range and distinct."""
+    for i in modes:
+        if not 0 <= i < n_modes:
+            raise ValueError(f"mode index {i} out of range for {n_modes} modes")
+    if len(set(modes)) < len(modes):
+        raise ValueError(f"{name} needs two distinct modes")
+    return np.eye(2 * n_modes)
 
 
 def beam_splitter(theta: float, i: int, j: int, n_modes: int) -> GaussianOp:
     """BS(theta) = exp(i theta (p_i q_j - q_i p_j)): rotation in the (i, j) plane."""
-    _check_mode(i, n_modes)
-    _check_mode(j, n_modes)
-    if i == j:
-        raise ValueError("beam splitter needs two distinct modes")
-    S = np.eye(2 * n_modes)
+    S = _checked_identity("beam splitter", n_modes, i, j)
     c, s = math.cos(theta), math.sin(theta)
     for off in (0, n_modes):  # same rotation block on q and on p
         S[off + i, off + i] = c
@@ -90,8 +93,7 @@ def squeezer(alpha: float, i: int, n_modes: int) -> GaussianOp:
     """Single-mode squeeze: q_i -> alpha q_i, p_i -> p_i / alpha (alpha > 0)."""
     if alpha <= 0:
         raise ValueError(f"squeezer requires alpha > 0, got {alpha}")
-    _check_mode(i, n_modes)
-    S = np.eye(2 * n_modes)
+    S = _checked_identity("squeezer", n_modes, i)
     S[i, i] = alpha
     S[n_modes + i, n_modes + i] = 1.0 / alpha
     return GaussianOp(S)
@@ -99,11 +101,7 @@ def squeezer(alpha: float, i: int, n_modes: int) -> GaussianOp:
 
 def cx(g: float, i: int, j: int, n_modes: int) -> GaussianOp:
     """Logical CX generated by exp(-i g q_i p_j): q_j += g q_i, p_i -= g p_j."""
-    _check_mode(i, n_modes)
-    _check_mode(j, n_modes)
-    if i == j:
-        raise ValueError("cx needs two distinct modes")
-    S = np.eye(2 * n_modes)
+    S = _checked_identity("cx", n_modes, i, j)
     S[j, i] = g
     S[n_modes + i, n_modes + j] = -g
     return GaussianOp(S)
@@ -111,11 +109,7 @@ def cx(g: float, i: int, j: int, n_modes: int) -> GaussianOp:
 
 def feedforward(xi: float, i: int, j: int, n_modes: int) -> GaussianOp:
     """exp(i xi p_i q_j): q_i -= xi q_j, p_j += xi p_i."""
-    _check_mode(i, n_modes)
-    _check_mode(j, n_modes)
-    if i == j:
-        raise ValueError("feedforward needs two distinct modes")
-    S = np.eye(2 * n_modes)
+    S = _checked_identity("feedforward", n_modes, i, j)
     S[i, j] = -xi
     S[n_modes + j, n_modes + i] = xi
     return GaussianOp(S)
@@ -201,6 +195,8 @@ class CovState:
         Sigma = np.asarray(self.Sigma, dtype=float)
         if Sigma.ndim != 2 or Sigma.shape[0] != Sigma.shape[1]:
             raise ValueError("Sigma must be square")
+        if not np.isfinite(Sigma).all():  # a NaN would pass the checks below
+            raise ValueError("Sigma has a non-finite entry")
         if np.max(np.abs(Sigma - Sigma.T)) > 1e-10 * max(1.0, np.max(np.abs(Sigma))):
             raise ValueError("Sigma must be symmetric")
         eigs = np.linalg.eigvalsh((Sigma + Sigma.T) / 2)
@@ -280,19 +276,16 @@ def random_circuit(
     # Parameter ranges are kept moderate so products stay well scaled; the
     # bound is universal, but determinant checks at 1e-10 relative need
     # condition numbers a few orders below 1/eps.
+    two_mode = ((beam_splitter, 0, np.pi), (cx, -1, 1), (feedforward, -1, 1))  # kinds 1-3
     ops = []
     for _ in range(n_gates):
         kind = rng.integers(0, 4)
         if kind == 0:
             ops.append(squeezer(float(np.exp(rng.uniform(-0.5, 0.5))), int(rng.integers(n_modes)), n_modes))
         else:
-            i, j = rng.choice(n_modes, size=2, replace=False)
-            if kind == 1:
-                ops.append(beam_splitter(float(rng.uniform(0, np.pi)), int(i), int(j), n_modes))
-            elif kind == 2:
-                ops.append(cx(float(rng.uniform(-1, 1)), int(i), int(j), n_modes))
-            else:
-                ops.append(feedforward(float(rng.uniform(-1, 1)), int(i), int(j), n_modes))
+            i, j = rng.choice(n_modes, size=2, replace=False)  # drawn before the parameter
+            gen, low, high = two_mode[kind - 1]
+            ops.append(gen(float(rng.uniform(low, high)), int(i), int(j), n_modes))
     return compose(ops)
 
 

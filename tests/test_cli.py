@@ -6,6 +6,7 @@ import hashlib
 import importlib
 import inspect
 import json
+import math
 import os
 import signal
 import subprocess
@@ -526,6 +527,10 @@ def test_non_finite_inputs_exit_1(tmp_path, capsys, argv):
     # v_q^2 overflowed: nan densities with exit 0
     (("twirl-density", "--delta", "0.3", "--lam", "1", "--span", "1e160", "--points", "3"), "--span 1e+160"),
     (("synth", "--level", "3", "--start", "foo"), "unknown start spec 'foo'"),
+    # error: OverflowError: (34, 'Numerical result out of range'), naming no flag
+    (("twirl-density", "--delta", "1e200", "--lam", "1"), "delta 1e+200"),
+    (("vacuum", "--delta", "0.25", "--postselect", "1.5"), "postselect_fraction must lie in [0, 1]"),
+    (("vacuum", "--delta", "0.25", "--postselect", "nan"), "postselect_fraction must lie in [0, 1]"),
 ])
 def test_out_of_range_inputs_exit_1_with_one_error_line(tmp_path, capsys, argv, message):
     code, text = run_under_alarm(tmp_path, *argv)
@@ -599,6 +604,16 @@ def test_numeric_failure_exits_2(monkeypatch):
     # dispatch rebuilds the parser, which resolves handlers from cli globals
     monkeypatch.setattr(cli, "cmd_moments", boom)
     assert cli.dispatch(["moments", "--delta", "0.2"]) == 2
+
+
+def test_arithmetic_error_exits_1_with_its_type(monkeypatch, capsys):
+    # a closed form that leaves float range past every up-front check
+    def boom(args):
+        return math.exp(1000.0)
+
+    monkeypatch.setattr(cli, "cmd_moments", boom)
+    assert cli.dispatch(["moments", "--delta", "0.2"]) == 1
+    assert capsys.readouterr().err == "error: OverflowError: math range error\n"
 
 
 def test_singular_conditioning_exits_2(monkeypatch, capsys):

@@ -64,6 +64,44 @@ def test_compose_refuses_mixed_mode_counts():
         sp.compose([sp.squeezer(2.0, 0, 1), sp.beam_splitter(0.3, 0, 1, 2)])
 
 
+@pytest.mark.parametrize("build, message", [
+    pytest.param(lambda: sp.GaussianOp(np.eye(2)[:, :1]), r"square 2N x 2N", id="op-not-square"),
+    pytest.param(lambda: sp.beam_splitter(0.3, 1, 1, 2), "beam splitter needs two distinct modes",
+                 id="bs-same-mode"),
+    pytest.param(lambda: sp.cx(1.0, 0, 0, 2), "cx needs two distinct modes", id="cx-same-mode"),
+    pytest.param(lambda: sp.feedforward(0.5, 1, 1, 2), "feedforward needs two distinct modes",
+                 id="ff-same-mode"),
+    pytest.param(lambda: sp.squeezer(2.0, 1, 1), "mode index 1 out of range for 1 modes",
+                 id="squeezer-mode"),
+    pytest.param(lambda: sp.cx(1.0, 0, -1, 2), "mode index -1 out of range for 2 modes", id="cx-mode"),
+    pytest.param(lambda: sp.compose([]), "compose needs at least one op", id="compose-empty"),
+    pytest.param(lambda: sp.CovState(np.ones((2, 3))), "Sigma must be square", id="cov-not-square"),
+    pytest.param(lambda: sp.CovState(np.array([[1.0, 0.5], [0.0, 1.0]])), "Sigma must be symmetric",
+                 id="cov-asymmetric"),
+    pytest.param(lambda: sp.CovState(np.diag([1.0, -1.0])), "positive semi-definite", id="cov-not-psd"),
+    pytest.param(lambda: sp.condition_on_homodyne(sp.CovState(np.eye(4)), [4]),
+                 r"measured indices \[4\] out of range for dim 4", id="homodyne-index"),
+    pytest.param(lambda: sp.nogo_check(sp.squeezer(2.0, 0, 1), 1, 0.25),
+                 "circuit acts on 1 modes, expected 2", id="nogo-mode-count"),
+])
+def test_refusals_name_their_input(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()
+
+
+# a NaN passes the residual, symmetry and eigenvalue tests; squeezer(inf) was diag(inf, 0)
+@pytest.mark.parametrize("build", [
+    pytest.param(lambda: sp.squeezer(math.inf, 0, 1), id="squeezer-inf"),
+    pytest.param(lambda: sp.cx(math.nan, 0, 1, 2), id="cx-nan"),
+    pytest.param(lambda: sp.GaussianOp(np.full((2, 2), np.nan)), id="op-nan"),
+    pytest.param(lambda: sp.CovState(np.full((2, 2), np.nan)), id="cov-nan"),
+    pytest.param(lambda: sp.CovState(np.diag([math.inf, 1.0])), id="cov-inf"),
+])
+def test_non_finite_gaussian_objects_are_refused(build):
+    with pytest.raises(ValueError, match="non-finite entry"):
+        build()
+
+
 # lam = 1 is the q-Steane rewrite
 @pytest.mark.parametrize("lam", [0.5, 1.0, 2.0, 3.0, 7.0]
                          # 1/lam: the breeding round from asymmetry lam
