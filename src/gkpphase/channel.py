@@ -176,17 +176,17 @@ class ChannelEngine:
 
 
 def _dual_frame():
-    """Coefficients α with σ_j = Σ_k α_{jk}|ψ_k><ψ_k| and the duals V_k."""
+    """The duals V_k = Σ_j α_{jk} σ_j / 2 of the input projectors, α solved from
+    σ_j = Σ_k α_{jk}|ψ_k><ψ_k|."""
     basis = np.column_stack([np.outer(v, v.conj()).reshape(-1) for v in INPUT_STATES.values()])
     alpha = np.zeros((4, 4))
     for j, p in enumerate(("I", "X", "Y", "Z")):
         alpha[j] = np.linalg.solve(basis, PAULI[p].reshape(-1)).real
-    duals = [sum(alpha[j, k] * PAULI[p] for j, p in enumerate(("I", "X", "Y", "Z"))) / 2.0
-             for k in range(4)]
-    return alpha, duals
+    return [sum(alpha[j, k] * PAULI[p] for j, p in enumerate(("I", "X", "Y", "Z"))) / 2.0
+            for k in range(4)]
 
 
-_DUALS = _dual_frame()[1]
+_DUALS = _dual_frame()
 
 
 def average_gate_fidelity_from_readout(readout: dict[str, dict[str, float]], target: str) -> float:

@@ -135,7 +135,7 @@ def cmd_synth(args) -> int:
             prev = _lift_input(args.start.split(":", 1)[1])
             start = polyalg.lift_representation(prev, m - 1)
         elif args.start == "power":
-            start = polyalg.starting_representation(m)
+            start = polyalg.control_gate_start(1, m)
         else:
             raise ValueError(f"unknown start spec {args.start!r}")
         outcome = polyalg.reduce(start)
@@ -174,6 +174,8 @@ def cmd_verify_circuits(args) -> int:
     from . import symplectic
 
     _count("--nogo-circuits", args.nogo_circuits)
+    if args.seed < 0:
+        raise ValueError(f"--seed must be non-negative, got {args.seed}")
     lams = (0.5, 1.0, 2.0, 3.0, 7.0)
     rows = [
         ("q-steane-rewrite", symplectic.morphing_identity_residual(1.0), 1e-12),

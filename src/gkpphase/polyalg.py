@@ -9,9 +9,9 @@ Python ints over one common denominator inside the reduction.  It provides
   the N = 1 case,
 * the integer-valued basis polynomials L_n (Pólya's binomial-type basis,
   leading coefficient exactly 1/n!), built one linear factor at a time,
-* starting representations x^(2^(m-1))/2^m of the level-m diagonal gate,
-  the squaring lift between levels, and (x1···xN)^(2^(m-1))/2^m of the
-  controlled gate C^{N-1}Λ_m,
+* one starting representation, (x1···xN)^(2^(m-1))/2^m of the controlled
+  gate C^{N-1}Λ_m (the level-m diagonal gate Λ_m is the N = 1 case), and
+  the squaring lift between levels,
 * one coefficient reduction for one and for many variables: it subtracts
   integer multiples of L_{e1}(x1)···L_{eN}(xN) from the highest monomial
   downward until every |a_e| <= 1/(2 e1!···eN!), forking at exact boundary
@@ -90,10 +90,6 @@ class RationalPolynomial:
         poly = cls()
         poly.n_vars, poly.terms = n_vars, {e: c for e, c in out.items() if c}
         return poly
-
-    @classmethod
-    def monomial(cls, degree: int, coefficient) -> "RationalPolynomial":
-        return cls.from_terms(1, {(degree,): coefficient})
 
     # -- queries ------------------------------------------------------------
 
@@ -175,7 +171,7 @@ class BranchStep:
 
 @dataclass(frozen=True)
 class ReductionOutcome:
-    """All lexicographically minimal survivors of a coefficient reduction."""
+    """The lexicographically minimal survivors of a reduction and the first one's steps."""
 
     minima: tuple
     branch_log: tuple[BranchStep, ...]
@@ -210,13 +206,6 @@ def _scaled_bases(n: int) -> list[list[int]]:
 # ---------------------------------------------------------------------------
 
 
-def starting_representation(m: int) -> RationalPolynomial:
-    """Trivial representation x^(2^(m-1)) / 2^m of the level-m diagonal gate."""
-    if not isinstance(m, int) or m < 1:
-        raise ValueError(f"starting_representation requires m >= 1, got {m!r}")
-    return RationalPolynomial.monomial(2 ** (m - 1), Fraction(1, 2**m))
-
-
 def lift_representation(poly: RationalPolynomial, m: int) -> RationalPolynomial:
     """Square a level-m representation into a level-(m+1) starting point.
 
@@ -237,7 +226,7 @@ def lift_representation(poly: RationalPolynomial, m: int) -> RationalPolynomial:
 
 
 def control_gate_start(n_qubits: int, m: int) -> RationalPolynomial:
-    """Starting representation (x1···xN)^(2^(m-1)) / 2^m of C^{N-1}Λ_m."""
+    """Power start (x1···xN)^(2^(m-1)) / 2^m of C^{N-1}Λ_m; N = 1 is Λ_m's."""
     if not isinstance(n_qubits, int) or n_qubits < 1:
         raise ValueError(f"control_gate_start requires N >= 1, got {n_qubits!r}")
     if not isinstance(m, int) or m < 1:
@@ -307,9 +296,7 @@ def _multipliers(c: int, q: int) -> list[tuple[int, bool]]:
     return [(n if 2 * r < q else n + 1, False)]
 
 
-def _reduce(
-    terms: Mapping[Exponent, Fraction], n_vars: int
-) -> tuple[list[dict[Exponent, Fraction]], tuple[BranchStep, ...]]:
+def _reduce(poly: RationalPolynomial) -> list[tuple[RationalPolynomial, tuple[BranchStep, ...]]]:
     """Branch-and-prune reduction of the polynomial sum_e a_e x^e in N variables.
 
     Visits every monomial e <= some start monomial componentwise, by total
@@ -330,9 +317,9 @@ def _reduce(
     D*L_{e1}···L_{eN} = q*(e1!·L_{e1})···(eN!·L_{eN}) is integral and
     |r| <= 1/(2 e1!···eN!) reads |A_e - n*q| <= q/2.
 
-    Returns the minima in fork order and the first survivor's steps.
+    Returns each minimum with its own steps, the constant's last, in fork order.
     """
-    zero = (0,) * n_vars
+    terms, zero = poly.terms, (0,) * poly.n_vars
     monos = sorted({f for e in terms for f in product(*(range(k + 1) for k in e))} | {zero},
                    key=lambda f: (sum(f), f), reverse=True)  # the walk, then the constant
     denom = lcm(*(prod(map(factorial, e)) for e in terms), *(c.denominator for c in terms.values()))
@@ -356,26 +343,27 @@ def _reduce(
         if len(branches) > MAX_BRANCHES:
             raise NumericFailure(f"reduction branch explosion: {len(branches)} active branches")
 
-    first, log = branches[0]
-    n0 = first[-1] // denom
-    log += (BranchStep(zero, n0, False),) if n0 else ()
-    minima = [{f: Fraction(c, denom) for f, c in zip(monos[:-1], cur) if c} for cur, _ in branches]
-    return minima, log
+    minima = []
+    for cur, log in branches:
+        n0 = cur[-1] // denom
+        minimum = {f: Fraction(c, denom) for f, c in zip(monos[:-1], cur) if c}
+        minima.append((RationalPolynomial.from_terms(poly.n_vars, minimum),
+                       log + ((BranchStep(zero, n0, False),) if n0 else ())))
+    return minima
 
 
 def reduce(poly: RationalPolynomial) -> ReductionOutcome:
-    """The lexicographically minimal gate polynomials of one variable
-    (`_reduce`), positive leading coefficient first; a constant reduces to 0."""
+    """The lexicographically minimal gate polynomials of one variable (`_reduce`),
+    positive leading coefficient first, with its steps; a constant reduces to 0."""
     if poly.degree <= 0:
         return ReductionOutcome((RationalPolynomial(),), ())
-    minima, log = _reduce(poly.terms, 1)
-    polys = sorted((RationalPolynomial.from_terms(1, t) for t in minima),
-                   key=lambda p: (p.coeff(p.degree) < 0, p.coeffs))
-    return ReductionOutcome(tuple(polys), log)
+    minima = sorted(_reduce(poly), key=lambda pair: (pair[0].coeff(pair[0].degree) < 0,
+                                                     pair[0].coeffs))
+    return ReductionOutcome(tuple(p for p, _ in minima), minima[0][1])
 
 
 def multivariate_reduce(poly: RationalPolynomial) -> ReductionOutcome:
     """The lexicographically minimal polynomials of N variables (`_reduce`),
-    in fork order: the smaller |n| at each tie first."""
-    minima, log = _reduce(poly.terms, poly.n_vars)
-    return ReductionOutcome(tuple(RationalPolynomial.from_terms(poly.n_vars, t) for t in minima), log)
+    in fork order (the smaller |n| at each tie first), with the first one's steps."""
+    minima = _reduce(poly)
+    return ReductionOutcome(tuple(p for p, _ in minima), minima[0][1])

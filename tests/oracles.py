@@ -3,8 +3,11 @@ and the forms of them that only tests call.
 
 * `reduce`: the coefficient reduction in `Fraction` arithmetic, each L_j a
   dense product of j linear factors and the lexicographic pruning over the
-  whole fixed profile of degrees >= j.  It shares no arithmetic with the
-  integer `polyalg.reduce` it checks, and m = 8 takes seconds.
+  whole fixed profile of degrees >= j, with the steps of its first minimum.
+  It shares no arithmetic with the integer `polyalg.reduce` it checks.
+* `replay_branch_log`: a start minus each logged step's
+  n·L_{e1}(x1)···L_{eN}(xN) (`basis_product`, on the dense-product `basis`),
+  without its constant: the polynomial a printed `branch_log` reaches.
 * `multivariate_minima`: the multivariate reduction with no pruning, every
   boundary choice followed to the end in `Fraction` arithmetic, and the
   lexicographic minima taken over the finished polynomials.
@@ -25,7 +28,8 @@ and the forms of them that only tests call.
   `average_gate_fidelity_reconstructed`: one Pauli expectation and the
   average gate fidelity through a fresh engine per config, and the average
   gate fidelity through explicit reconstruction of the 2x2 outputs
-  (`output_density`); `grid_readout`, the four-input readout of a gate
+  (`output_density`, combined by the written-out `PAULI_FROM_INPUTS`, not
+  by the channel's solved frame); `grid_readout`, the four-input readout of a gate
   label or polynomial on a uniform position grid (the Fourier-grid,
   split-operator form of the channel: Poisson-resummed lattice codewords,
   `_resummed_codeword`, pinned to the direct sum `_grid_codeword`;
@@ -88,20 +92,40 @@ def basis(n: int) -> RationalPolynomial:
     """L_n = (1/n!) prod_{i=1..n} (x + i - s), s = n/2 (n even) or (n+1)/2 (n odd).
 
     Integer-valued with leading coefficient exactly 1/n!; n must be an integer >= 1.
+    s is an integer either way, so the n factors are multiplied out in integers,
+    constant term first, and the product is divided by n! once.
     """
     if not isinstance(n, int) or n < 1:
         raise ValueError(f"basis requires an integer n >= 1, got {n!r}")
     cached = _BASIS_CACHE.get(n)
     if cached is not None:
         return cached
-    shift = Fraction(n, 2) if n % 2 == 0 else Fraction(n + 1, 2)
-    poly = RationalPolynomial((1,))
-    x = RationalPolynomial((0, 1))
-    for i in range(1, n + 1):
-        poly = poly * (x + RationalPolynomial((Fraction(i) - shift,)))
-    poly = poly * Fraction(1, factorial(n))
+    shift = n // 2 if n % 2 == 0 else (n + 1) // 2
+    coeffs = [1]
+    for i in range(1, n + 1):  # times (x + i - s)
+        a = i - shift
+        coeffs = [a * coeffs[0], *(lo + a * hi for lo, hi in zip(coeffs, coeffs[1:])), coeffs[-1]]
+    poly = RationalPolynomial([Fraction(c, factorial(n)) for c in coeffs])
     _BASIS_CACHE[n] = poly
     return poly
+
+
+def basis_product(e: tuple[int, ...]) -> RationalPolynomial:
+    """L_{e1}(x1)···L_{eN}(xN) from the dense-product `basis`, with L_0 = 1."""
+    terms: dict[tuple[int, ...], Fraction] = {(): Fraction(1)}
+    for k in e:
+        coeffs = basis(k).coeffs if k else (Fraction(1),)
+        terms = {f + (i,): c * b for f, c in terms.items() for i, b in enumerate(coeffs) if b}
+    return RationalPolynomial.from_terms(len(e), terms)
+
+
+def replay_branch_log(start: RationalPolynomial, log) -> RationalPolynomial:
+    """The polynomial a reduction's steps reach from `start`: each step's
+    n·L_{e1}(x1)···L_{eN}(xN) (`basis_product`) subtracted, then the constant dropped."""
+    out = start
+    for step in log:
+        out = out - step.multiplier * basis_product(step.monomial)
+    return RationalPolynomial.from_terms(out.n_vars, {e: c for e, c in out.terms.items() if any(e)})
 
 
 def value(poly: RationalPolynomial, x) -> Fraction:
@@ -128,7 +152,8 @@ def split_coefficient(a: Fraction, lead: Fraction) -> list[tuple[int, Fraction, 
 
 
 def reduce(poly: RationalPolynomial) -> ReductionOutcome:
-    """The lexicographically minimal gate polynomials, in Fraction arithmetic."""
+    """The lexicographically minimal gate polynomials, in Fraction arithmetic,
+    positive leading coefficient first, with the steps that reach the first."""
     deg = poly.degree
     if deg <= 0:
         return ReductionOutcome((drop_constant(poly),), ())
@@ -160,16 +185,13 @@ def reduce(poly: RationalPolynomial) -> ReductionOutcome:
                 f"reduction branch explosion: {len(branches)} active branches"
             )
 
-    c0 = branches[0][0].coeff(0)
-    n0 = c0.numerator // c0.denominator
-    log0 = branches[0][1] + ((BranchStep((0,), n0, False),) if n0 else ())
-    uniq: list[RationalPolynomial] = []
-    for b, _log in branches:
-        p = drop_constant(b)
-        if p not in uniq:
-            uniq.append(p)
-    uniq.sort(key=lambda p: (p.coeff(p.degree) < 0, p.coeffs))
-    return ReductionOutcome(tuple(uniq), log0)
+    logs: dict[RationalPolynomial, tuple[BranchStep, ...]] = {}  # each minimum's own steps
+    for b, log in branches:
+        c0 = b.coeff(0)
+        n0 = c0.numerator // c0.denominator
+        logs.setdefault(drop_constant(b), log + ((BranchStep((0,), n0, False),) if n0 else ()))
+    uniq = sorted(logs, key=lambda p: (p.coeff(p.degree) < 0, p.coeffs))
+    return ReductionOutcome(tuple(uniq), logs[uniq[0]])
 
 
 def multivariate_minima(poly: RationalPolynomial) -> set[RationalPolynomial]:
@@ -189,10 +211,7 @@ def multivariate_minima(poly: RationalPolynomial) -> set[RationalPolynomial]:
     leaves = [dict(poly.terms)]
     for e in walk:
         lead = Fraction(1, math.prod(factorial(k) for k in e))
-        terms: dict[tuple[int, ...], Fraction] = {(): Fraction(1)}
-        for k in e:
-            coeffs = basis(k).coeffs if k else (Fraction(1),)
-            terms = {f + (i,): c * b for f, c in terms.items() for i, b in enumerate(coeffs) if b}
+        terms = basis_product(e).terms
         grown = []
         for cur in leaves:
             for n, _r, _boundary in split_coefficient(Fraction(cur.get(e, 0)), lead):
@@ -553,18 +572,27 @@ def optima(result: ch.SweepResult) -> dict[str, dict[float, tuple[float, float, 
     return out
 
 
+# Each Pauli as a combination of the input projectors, written out rather than
+# solved: I = |0><0| + |1><1|, X = 2|+><+| - I, Y = 2|+i><+i| - I, Z = |0><0| - |1><1|.
+PAULI_FROM_INPUTS = {
+    "I": {"one": 1.0, "zero": 1.0},
+    "X": {"one": -1.0, "plus": 2.0, "zero": -1.0},
+    "Y": {"one": -1.0, "plus_i": 2.0, "zero": -1.0},
+    "Z": {"one": -1.0, "zero": 1.0},
+}
+
+
 def average_gate_fidelity_reconstructed(readout: dict[str, dict[str, float]], target) -> float:
     """`channel.average_gate_fidelity_from_readout` through explicit reconstruction.
 
     Reconstructs E(σ_j) by linearity from the four output density matrices
-    and applies the Nielsen formula F = [Σ_j tr(U σ_j U† E(σ_j)) + 4]/12.
+    (`PAULI_FROM_INPUTS`) and applies the Nielsen formula
+    F = [Σ_j tr(U σ_j U† E(σ_j)) + 4]/12.
     """
-    alpha, _duals = ch._dual_frame()
     u = ch.target_unitary(target)
-    outs = {name: output_density(readout, name) for name in ch.INPUT_STATES}
     total = 0.0
-    for j, p in enumerate(("I", "X", "Y", "Z")):
-        e_sigma = sum(alpha[j, k] * outs[name] for k, name in enumerate(ch.INPUT_STATES))
+    for p, weights in PAULI_FROM_INPUTS.items():
+        e_sigma = sum(w * output_density(readout, name) for name, w in weights.items())
         total += float(np.trace(u @ ch.PAULI[p] @ u.conj().T @ e_sigma).real)
     return (total + 4.0) / 12.0
 

@@ -68,20 +68,20 @@ class Budget:
 
 def test_criterion_01_polynomial_table_exact():
     with Budget(1, 1.0) as b:
-        assert pa.reduce(pa.starting_representation(3)).minima[0] == T3
+        assert pa.reduce(pa.control_gate_start(1, 3)).minima[0] == T3
         assert T3 in pa.reduce(TGKP).minima
-        assert pa.reduce(pa.starting_representation(4)).minima == (SQRT_T,)
+        assert pa.reduce(pa.control_gate_start(1, 4)).minima == (SQRT_T,)
         assert 2 * SQRT_T == T4
-        m5 = pa.reduce(pa.starting_representation(5)).minima
+        m5 = pa.reduce(pa.control_gate_start(1, 5)).minima
         assert T4TH in m5 and T4TH_MIRROR in m5
-        assert T8TH in pa.reduce(pa.starting_representation(6)).minima
+        assert T8TH in pa.reduce(pa.control_gate_start(1, 6)).minima
         b.check_time()
 
 
 def test_criterion_02_degree_theorem():
     with Budget(2, 10.0) as b:
         for m in range(1, 9):
-            out = pa.reduce(pa.starting_representation(m))
+            out = pa.reduce(pa.control_gate_start(1, m))
             for p in out.minima:
                 assert p.degree == m
                 for k in range(1, m + 1):

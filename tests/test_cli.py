@@ -47,6 +47,10 @@ def test_synth_level_3_contains_table_entry(tmp_path):
     assert data["tied"]
     prettys = [m["pretty"] for m in data["minima"]]
     assert "x^3/12 + x^2/8 - x/12" in prettys
+    # the log is the printed polynomial's: from x^4/8 it takes -2·L_3 at the
+    # degree-3 boundary, where -1 would reach the mirror -x^3/12 + x^2/8 + x/12
+    assert data["polynomial"]["pretty"] == "x^3/12 + x^2/8 - x/12"
+    assert [s["multiplier"] for s in data["branch_log"] if s["degree"] == 3] == [-2]
 
 
 def test_synth_multiqubit_cs(tmp_path):
@@ -126,21 +130,21 @@ def test_synth_lift_start_refuses_a_lift_longer_than_the_power_start(tmp_path, c
 SYNTH_STDOUT_SHA256 = {
     "level 1": "623606924889b33376d0dd1c0d81237435df7a350028964529738fe62516147e",
     "level 2": "ccb0d9d2b4d1e02dc32c4379f05c443685d48cb6cc2d5c240e5099fbe5fa2f5f",
-    "level 3": "f375d0ce56de0da88355362953fa7158a5900e8b373f0cce2f7245e1f20ef05c",
+    "level 3": "218bd41d3cd5ba5c74934a842b46f77f871f6ac7540828156cfd6f3578d6d3f0",
     "level 4": "25c3aa3489b4de6caf39eeab847033b0609899bf9c45258f52aac376eb8d0eb2",
-    "level 5": "8d7ebb00df9ebaf8fbafac13012954b7e9a3030875d315a2fe819ce4072549d6",
+    "level 5": "3f73067a829488c4960d97e419c37306339c989cc27485959c74be251af8b413",
     "level 6": "45251012bf614816a85b88de1c5d1fa37e41c8d2174cd72ac40667a75cfd5e8a",
-    "level 7": "c05830107ad3487fe3b97bf5f0bb715faddb88ac5b9a747e5f3b7059ae64c56a",
+    "level 7": "5dbc0e781006b85eae835a2dc4c37460607ffae93ad9577aab02bb22aabbcc3f",
     "level 8": "1cd78c525c1a62e0deb281675dd2d0877abeac3c08322a261d5713268c941338",
-    "level 9": "ff17f15bd86cff2623d67eaee7b8c59aa4003a06d1f098b47a740f8bb3134b52",
+    "level 9": "0a4755e62a9c57e5f78dc51005904968e3aec2823f1d5543e1568141d2ca7e61",
     "level 2 lift": "ccb0d9d2b4d1e02dc32c4379f05c443685d48cb6cc2d5c240e5099fbe5fa2f5f",
-    "level 3 lift": "f375d0ce56de0da88355362953fa7158a5900e8b373f0cce2f7245e1f20ef05c",
+    "level 3 lift": "218bd41d3cd5ba5c74934a842b46f77f871f6ac7540828156cfd6f3578d6d3f0",
     "level 4 lift": "373ef3f94bc5168315fd3e6203c3dc2a427494c11170cb10bbae62610db55833",
-    "level 5 lift": "aa3b773e2c15aae694f60f155bed0c65f7ab4d6b5311df35c56a4434b4496441",
+    "level 5 lift": "a0f3d6f6e03b27ea8148f3ed5eb6d8b5c777714ed9f263a5c642c39573972e8e",
     "level 6 lift": "04d2aef5325d62f1fa80c4f639154539aea1a04d34d0f126c82ebb1a01ad2d86",
-    "level 7 lift": "0a213fc82d54e81efe03a2dcc18a4945883eca3c64544292ece9710568cdd419",
+    "level 7 lift": "2f4893c08736390e09987ee4a8bbe9ce875fe91232872896222b35cfa73847e9",
     "level 8 lift": "659e0cfb2d04a4f2df595fa37c57c518a88c0dd8aad0e16322fc7d20b82aae89",
-    "level 9 lift": "4de71f43e1d0cd0b722cd6570d4e4465b5df5aaabb51deb5cbf9f57659f2b86b",
+    "level 9 lift": "0482def9a98d1d93ce9356f34edc8985542bc7ba8f5a28392e97e522befb4157",
     "level 1 qubits 2": "fd4912cedae6cfe3fab9802083a3573e375a01fb0767ac4cf2a0134b31848095",
     "level 2 qubits 2": "3bd2c5c6d3a1f02403caaab6baf5b897f25038149b2d552b60ee4238f2296b35",
     "level 3 qubits 2": "0bd97cc61b841ef07fd8cd5e77b807b283d5136b88b91ceb2fff2200bcf5c84a",
@@ -531,6 +535,8 @@ def test_non_finite_inputs_exit_1(tmp_path, capsys, argv):
     (("twirl-density", "--delta", "1e200", "--lam", "1"), "delta 1e+200"),
     (("vacuum", "--delta", "0.25", "--postselect", "1.5"), "postselect_fraction must lie in [0, 1]"),
     (("vacuum", "--delta", "0.25", "--postselect", "nan"), "postselect_fraction must lie in [0, 1]"),
+    # error: expected non-negative integer, numpy's message, naming no flag
+    (("verify-circuits", "--seed", "-1"), "--seed must be non-negative, got -1"),
 ])
 def test_out_of_range_inputs_exit_1_with_one_error_line(tmp_path, capsys, argv, message):
     code, text = run_under_alarm(tmp_path, *argv)

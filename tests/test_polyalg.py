@@ -85,11 +85,12 @@ def test_integer_combinations_are_integer_valued(coeffs, probe):
 
 
 def test_starting_representation_values():
-    assert pa.starting_representation(1) == poly(0, "1/2")
-    assert pa.starting_representation(2) == poly(0, 0, "1/4")
-    assert pa.starting_representation(4) == Poly.monomial(8, F(1, 16))
+    # the start of Λ_m is the N = 1 case of C^{N-1}Λ_m: x^(2^(m-1))/2^m
+    assert pa.control_gate_start(1, 1) == poly(0, "1/2")
+    assert pa.control_gate_start(1, 2) == poly(0, 0, "1/4")
+    assert pa.control_gate_start(1, 4) == Poly.from_terms(1, {(8,): F(1, 16)})
     with pytest.raises(ValueError):
-        pa.starting_representation(0)
+        pa.control_gate_start(1, 0)
 
 
 def test_lift_worked_example():
@@ -100,7 +101,7 @@ def test_lift_worked_example():
 
 def test_lift_low_levels():
     assert pa.lift_representation(poly(0, "1/2"), 1) == poly(0, 0, "1/4")
-    assert pa.lift_representation(poly(0, 0, "1/4"), 2) == Poly.monomial(4, F(1, 8))
+    assert pa.lift_representation(poly(0, 0, "1/4"), 2) == Poly.from_terms(1, {(4,): F(1, 8)})
 
 
 def test_lift_rejects_wrong_level():
@@ -127,9 +128,9 @@ def test_verify_gate_is_exact_above_degree_49():
     wrong = oracles.basis(101) * F(1, 2)
     assert all(oracles.value(wrong, k) == 0 for k in range(-50, 51))
     assert oracles.value(wrong, 51) == F(1, 2)
-    assert not pa.verify_gate(Poly.monomial(128, F(1, 256)) + wrong, 8)
+    assert not pa.verify_gate(Poly.from_terms(1, {(128,): F(1, 256)}) + wrong, 8)
     assert not pa.verify_gate(T3 + wrong, 3)
-    assert pa.verify_gate(Poly.monomial(128, F(1, 256)), 8)
+    assert pa.verify_gate(Poly.from_terms(1, {(128,): F(1, 256)}), 8)
     assert pa.verify_gate(T3 + wrong + wrong, 3)  # L_101 itself is a stabilizer
 
 
@@ -179,7 +180,7 @@ def test_minimal_table_entries_are_fixed_points():
 
 def test_degree_theorem_and_leading_law():
     for m in range(1, 9):
-        out = pa.reduce(pa.starting_representation(m))
+        out = pa.reduce(pa.control_gate_start(1, m))
         for p in out.minima:
             assert p.degree == m
             assert abs(p.coeff(m)) == F(1, 2 * factorial(m))
@@ -190,7 +191,7 @@ def test_degree_theorem_and_leading_law():
 
 def test_degree_theorem_and_leading_law_at_level_10():
     # start degree 512; the integer reduction takes about a second
-    out = pa.reduce(pa.starting_representation(10))
+    out = pa.reduce(pa.control_gate_start(1, 10))
     for p in out.minima:
         assert p.degree == 10
         assert abs(p.coeff(10)) == F(1, 2 * factorial(10))
@@ -201,14 +202,38 @@ def test_degree_theorem_and_leading_law_at_level_10():
 
 @pytest.mark.parametrize("m", range(1, 8))
 def test_reduce_equals_fraction_oracle_up_the_hierarchy(m):
-    start = pa.starting_representation(m)
+    start = pa.control_gate_start(1, m)
     assert pa.reduce(start) == oracles.reduce(start)  # minima and branch_log
     lifted = pa.lift_representation(pa.reduce(start).minima[0], m)
     assert pa.reduce(lifted) == oracles.reduce(lifted)
 
 
+def _printed_start(m: int, start: str) -> Poly:
+    """The power start of Λ_m, or the lift of the printed level-(m-1) minimum."""
+    if start == "power":
+        return pa.control_gate_start(1, m)
+    return pa.lift_representation(pa.reduce(pa.control_gate_start(1, m - 1)).minimum, m - 1)
+
+
+@pytest.mark.parametrize("n_qubits, m, start", [
+    *((1, m, "power") for m in range(1, 10)),
+    *((1, m, "lift") for m in range(2, 10)),
+    *((n, m, "power") for n, m in ((2, 1), (2, 2), (2, 3), (2, 4), (3, 1), (3, 2))),
+])
+def test_branch_log_reproduces_the_printed_minimum(n_qubits, m, start):
+    # the log a command prints beside its polynomial must reduce the start to
+    # that polynomial, replayed on the dense-product basis, not the scaled one
+    if n_qubits == 1:
+        begin = _printed_start(m, start)
+        out = pa.reduce(begin)
+    else:
+        begin = pa.control_gate_start(n_qubits, m)
+        out = pa.multivariate_reduce(begin)
+    assert oracles.replay_branch_log(begin, out.branch_log) == out.minimum
+
+
 def test_reflection_symmetry_of_tied_minima():
-    out = pa.reduce(pa.starting_representation(5))
+    out = pa.reduce(pa.control_gate_start(1, 5))
     assert T4TH in out.minima and T4TH_MIRROR in out.minima
     assert oracles.lex_compare(T4TH, T4TH_MIRROR) is LexOrder.EQUAL
     assert T4TH_MIRROR == oracles.scale_argument(T4TH, -1)
@@ -349,7 +374,7 @@ def test_verify_gate_equals_box_oracle(stabilizer, stabilizer_1, m, broken):
     terms[(1, 1)] = terms.get((1, 1), 0) + F(broken, 2 ** (m + 1))
     q = pa.RationalPolynomial.from_terms(2, terms)
     assert pa.verify_gate(q, m) == oracles.phase_check_on_box(q, m, k_range=5) == (not broken)
-    single = pa.reduce(pa.starting_representation(m)).minimum + poly(0, F(broken, 2 ** (m + 1)))
+    single = pa.reduce(pa.control_gate_start(1, m)).minimum + poly(0, F(broken, 2 ** (m + 1)))
     for a, n in stabilizer_1.items():
         single = single + n * (oracles.basis(a) if a else poly(1))
     assert pa.verify_gate(single, m) == oracles.phase_check_on_box(single, m, k_range=8) == (not broken)
