@@ -28,7 +28,13 @@ class NumericFailure(RuntimeError):
 
 def write_atomically(path: Path, data: bytes | memoryview) -> None:
     """Write through a temp file renamed into place.  The temp file is created
-    as open() would create it, with mode 0o666 less the umask."""
+    as open() would create it, with mode 0o666 less the umask.  A target that
+    exists and is not a regular file (a device, a FIFO) is written in place,
+    so a rename never replaces it."""
+    if path.exists() and not path.is_file():
+        with open(path, "wb") as fh:
+            fh.write(data)
+        return
     tmp = path.with_name(f".{path.name}.{os.urandom(8).hex()}.tmp")
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:

@@ -72,7 +72,7 @@ class ChannelConfig:
 
     gate: RationalPolynomial
     params: fock.GkpParams
-    plan: fock.TruncationPlan = fock.TruncationPlan(d_init=256)
+    plan: fock.TruncationPlan
     target: str = "I"
 
 
@@ -124,7 +124,7 @@ class ChannelEngine:
         key = qubit.tobytes()
         if key not in self._gate_inputs:
             a, b = qubit
-            vec = a * self.e0.amplitudes + b * self.e1.amplitudes
+            vec = a * self.e0 + b * self.e1
             self._gate_inputs[key] = self._rmatvec(self.v1[: self.d_init, :].T,
                                                    vec / np.linalg.norm(vec))
         return self._gate_inputs[key]
@@ -287,7 +287,7 @@ def sweep(
     gates,
     n_bar_grid,
     lam_grid,
-    plan: fock.TruncationPlan | None = None,
+    plan: fock.TruncationPlan,
     workers: int = 1,
     cache_dir=None,
 ) -> SweepResult:
@@ -308,7 +308,6 @@ def sweep(
     other than `NumericFailure` in a unit ends the sweep before the queued
     units start; the BLAS count is restored on every exit.
     """
-    plan = plan or fock.TruncationPlan(d_init=256)
     gates = list(gates)
     n_bars = [float(x) for x in n_bar_grid]
     lams = [float(x) for x in lam_grid]

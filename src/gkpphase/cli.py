@@ -201,7 +201,7 @@ def cmd_verify_circuits(args) -> int:
 
 
 def _nbar_grid(lo: float, hi: float, step: float) -> list[float]:
-    """lo, lo + step, ... through hi, accumulated as nb += step."""
+    """lo + k·step for k = 0, 1, ... through hi, each rounded to 9 decimals."""
     if not lo > 0:
         raise ValueError(f"--nbar-min must be positive, got {lo}")
     if step <= 0:
@@ -210,14 +210,7 @@ def _nbar_grid(lo: float, hi: float, step: float) -> list[float]:
     if not math.isfinite(count) or count > MAX_GRID_POINTS:
         raise ValueError(f"--nbar-min {lo} --nbar-max {hi} --nbar-step {step} give "
                          f"{count:.3g} n_bar points; at most {MAX_GRID_POINTS} are allowed")
-    n_bars = []
-    nb = lo
-    while nb <= hi + 1e-9:
-        n_bars.append(round(nb, 9))
-        if nb + step == nb:
-            raise ValueError(f"--nbar-step {step} does not advance n_bar past {nb}")
-        nb += step
-    return n_bars
+    return [round(lo + k * step, 9) for k in range(math.floor(count))]
 
 
 def _square_grid_side(flag: str, n: int) -> int:
@@ -356,38 +349,17 @@ def cmd_twirl_density(args) -> int:
 
 def cmd_cache(args) -> int:
     from . import fock
-    from .opcache import OperatorCache
 
     if args.cache_dir is None:
         raise ValueError(f"cache {args.action} needs --cache-dir")
-    if args.action == "prewarm":
-        # the two eigensystems a sweep reads, in the order its engines solve them
-        dims = fock.TruncationPlan(d_init=args.dinit).eigensystem_dims
-        t0 = time.time()
-        for d, rows in dims:
-            fock.q_eigensystem(d, rows, args.cache_dir)
-        # two entries (values, vectors) per eigensystem
-        _emit_json(args, {"prewarmed": 2 * len(dims), "seconds": time.time() - t0})
-        return 0
-    cache = OperatorCache(args.cache_dir)
-    if args.action == "list":
-        entries = [
-            {
-                "file": e.path.name,
-                "kind": e.kind,
-                "digest": e.digest_hex,
-                "shape": list(e.shape),
-                "bytes": e.nbytes,
-            }
-            for e in cache.entries()
-        ]
-        _emit_json(args, {"entries": entries, "count": len(entries)})
-        return 0
-    if args.action == "purge":
-        n = cache.purge()
-        _emit_json(args, {"purged": n})
-        return 0
-    raise ValueError(f"unknown cache action {args.action!r}")
+    # the two eigensystems a sweep reads, in the order its engines solve them
+    dims = fock.TruncationPlan(d_init=args.dinit).eigensystem_dims
+    t0 = time.time()
+    for d, rows in dims:
+        fock.q_eigensystem(d, rows, args.cache_dir)
+    # two entries (values, vectors) per eigensystem
+    _emit_json(args, {"prewarmed": 2 * len(dims), "seconds": time.time() - t0})
+    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -462,11 +434,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--points", type=int, default=81)
     p.set_defaults(func=cmd_twirl_density)
 
-    p = sub.add_parser("cache", parents=[grid], help="operator cache maintenance")
+    p = sub.add_parser("cache", parents=[grid], help="operator cache prewarming")
     common(p)
-    p.add_argument("action", choices=("list", "purge", "prewarm"),
-                   help="every action needs --cache-dir; prewarm reads only --dinit "
-                        "of the sweep flags")
+    p.add_argument("action", choices=("prewarm",),
+                   help="needs --cache-dir; reads only --dinit of the sweep flags")
     p.set_defaults(func=cmd_cache)
 
     return top

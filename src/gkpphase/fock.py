@@ -35,7 +35,7 @@ at a readout dimension of 2304 (d_init 256).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
 
@@ -65,7 +65,7 @@ class TruncationLeakageError(NumericFailure):
 class TruncationPlan:
     """Fock truncation ladder: d_init for states, x EXPAND_FACTOR per stage."""
 
-    d_init: int = 400
+    d_init: int
 
     def __post_init__(self):
         if self.d_init < 16:
@@ -109,33 +109,6 @@ class GkpParams:
         return cls(1.0 / math.sqrt(2.0 * n_bar + 1.0), lam)
 
 
-@dataclass(frozen=True)
-class FockVector:
-    """Dense complex amplitudes in the number basis."""
-
-    amplitudes: np.ndarray
-    meta: dict = field(default=None, compare=False)  # type: ignore[assignment]
-
-    def __post_init__(self):
-        amps = np.asarray(self.amplitudes)
-        if not np.issubdtype(amps.dtype, np.complexfloating):
-            amps = amps.astype(complex)
-        if amps.ndim != 1:
-            raise ValueError("amplitudes must be a 1-d array")
-        if not np.all(np.isfinite(amps.real)) or not np.all(np.isfinite(amps.imag)):
-            raise ValueError("non-finite amplitudes")
-        object.__setattr__(self, "amplitudes", amps)
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
-
-    def normalized(self) -> "FockVector":
-        n = self.norm()
-        if n == 0:
-            raise ValueError("cannot normalise the zero vector")
-        return FockVector(self.amplitudes / n, self.meta)
-
-
 # ---------------------------------------------------------------------------
 # Position eigensystem
 # ---------------------------------------------------------------------------
@@ -157,8 +130,7 @@ def _q_eigensystem(d: int, rows: int, directory: Path | None) -> tuple[np.ndarra
     return x, v
 
 
-def q_eigensystem(d: int, rows: int,
-                  cache_dir: str | Path | None = None) -> tuple[np.ndarray, np.ndarray]:
+def q_eigensystem(d: int, rows: int, cache_dir: str | Path | None) -> tuple[np.ndarray, np.ndarray]:
     """All d eigenvalues of the truncated position matrix, and the first `rows`
     rows of its eigenvectors as one column-major, read-only block.
 
@@ -194,7 +166,7 @@ def number_parity_phases(d: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def default_lattice_cut(delta: float, lam: float = 1.0) -> tuple[int, int]:
+def default_lattice_cut(delta: float, lam: float) -> tuple[int, int]:
     """Per-axis lattice cuts keeping every dropped c_{m,n} below ~1e-12."""
     w = 1.0 - math.exp(-2.0 * delta**2)
     cut_m = math.ceil(3.0 / math.sqrt(lam * w)) + 1
@@ -272,13 +244,9 @@ def _coherent_block(
     return out, dropped, dropped_weight
 
 
-def gkp_codeword(
-    bit: int,
-    delta: float,
-    lam: float = 1.0,
-    d: int = 400,
-) -> FockVector:
-    """Unnormalised approximate codeword of the rectangular code.
+def gkp_codeword(bit: int, delta: float, lam: float, d: int) -> np.ndarray:
+    """Unnormalised approximate codeword of the rectangular code, as d complex
+    number-basis amplitudes.
 
     Lattice-of-coherent-states form: the bit-b codeword is the sum over
     (m, n) of c_{mu,n} * phase * W(e^{-Δ²} (mu sqrt(λ/2), n/sqrt(2λ))) |vac>,
@@ -287,7 +255,7 @@ def gkp_codeword(
     envelope through the displacement; without it the construction drifts
     from Env|comb> at the percent level.  The lattice is cut at
     `default_lattice_cut`, and the weight left out is checked against
-    `MAX_DROPPED_WEIGHT`.
+    `MAX_DROPPED_WEIGHT`; non-finite amplitudes raise `NumericFailure`.
     """
     if bit not in (0, 1):
         raise ValueError(f"bit must be 0 or 1, got {bit!r}")
@@ -317,32 +285,27 @@ def gkp_codeword(
     alpha = math.sqrt(math.pi) * shrink * (v_q[keep] + 1j * v_p[keep])
     # c is even in n, so each m row keeps a run of terms closed under α -> α*
     runs = keep.reshape(m.size, n.size).sum(axis=1)
-    amps, dropped, dropped_weight = _coherent_block(alpha, (c * phase)[keep], d, runs)
-    dropped += int(np.sum(~keep))
+    amps, _, dropped_weight = _coherent_block(alpha, (c * phase)[keep], d, runs)
     dropped_weight += skipped_weight
     if total > 0 and dropped_weight / total > MAX_DROPPED_WEIGHT:
         raise TruncationLeakageError(
             f"dropped lattice weight {dropped_weight/total:.2e} exceeds {MAX_DROPPED_WEIGHT}"
         )
-    return FockVector(
-        amps,
-        meta={
-            "dropped_terms": dropped,
-            "dropped_weight": dropped_weight,
-            "total_weight": total,
-            "lattice_cut": (cut_m, cut_n),
-        },
-    )
+    if not np.all(np.isfinite(amps)):
+        raise NumericFailure("non-finite codeword amplitudes")
+    return amps
 
 
-def orthonormalize(psi0: FockVector, psi1: FockVector) -> tuple[FockVector, FockVector]:
-    """Löwdin pair orthonormalisation of two codewords.
+def orthonormalize(psi0: np.ndarray, psi1: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Löwdin pair orthonormalisation of two codewords (complex amplitude arrays).
 
     With θ = arg<ψ0|ψ1>, the normalised states |±> ∝ |ψ0> ± e^{-iθ}|ψ1> are
     orthogonal; returns e0 = (|+>+|->)/√2 and e1 = e^{iθ}(|+>-|->)/√2.
     """
-    a = psi0.normalized().amplitudes
-    b = psi1.normalized().amplitudes
+    norm0, norm1 = np.linalg.norm(psi0), np.linalg.norm(psi1)
+    if norm0 == 0 or norm1 == 0:
+        raise ValueError("cannot normalise the zero vector")
+    a, b = psi0 / norm0, psi1 / norm1
     ov = np.vdot(a, b)
     if abs(abs(ov) - 1.0) < 1e-12:
         raise NumericFailure("codewords are numerically parallel")
@@ -353,7 +316,7 @@ def orthonormalize(psi0: FockVector, psi1: FockVector) -> tuple[FockVector, Fock
     minus /= np.linalg.norm(minus)
     e0 = (plus + minus) / math.sqrt(2.0)
     e1 = np.exp(1j * theta) * (plus - minus) / math.sqrt(2.0)
-    return FockVector(e0), FockVector(e1)
+    return e0, e1
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ as the stored array.
 Reads go through `numpy.lib.format.open_memmap`, which accepts `.npy` files
 only and refuses object arrays, so nothing in the store is ever unpickled.  A
 file it refuses (another format, an object array, a truncated file) is a
-miss, is skipped by `entries` and is overwritten on the next write.
+miss and is overwritten on the next write.
 
 Files are written to a temp file and renamed into place, so concurrent
 readers never see partial data and concurrent writers race benignly (last
@@ -23,7 +23,6 @@ import hashlib
 import io
 import json
 import os
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -44,15 +43,6 @@ def _load(path: Path) -> np.ndarray | None:
         return np.asarray(open_memmap(path, mode="r"))
     except (FileNotFoundError, ValueError):
         return None
-
-
-@dataclass(frozen=True)
-class CacheEntry:
-    path: Path
-    kind: str
-    digest_hex: str
-    shape: tuple[int, ...]
-    nbytes: int
 
 
 class OperatorCache:
@@ -81,20 +71,3 @@ class OperatorCache:
             self.put(kind, params, arr)
         return arr
 
-    def entries(self) -> list[CacheEntry]:
-        """Readable entries; files that are not plain `.npy` arrays are skipped."""
-        out = []
-        for path in sorted(self.directory.glob("*.opc")):
-            arr = _load(path)
-            if arr is None:
-                continue
-            kind, _, digest_hex = path.stem.rpartition("-")
-            out.append(CacheEntry(path, kind, digest_hex, arr.shape, arr.nbytes))
-        return out
-
-    def purge(self) -> int:
-        n = 0
-        for path in self.directory.glob("*.opc"):
-            path.unlink()
-            n += 1
-        return n

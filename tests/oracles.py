@@ -78,7 +78,6 @@ import scipy.fft
 import scipy.special
 
 from gkpphase import NumericFailure, analytic as an, channel as ch, fock as fk, symplectic as sp
-from gkpphase.fock import FockVector
 from gkpphase.polyalg import (
     BranchStep, RationalPolynomial, ReductionOutcome,
 )
@@ -301,10 +300,10 @@ def symplectic_inverse(op: sp.GaussianOp) -> sp.GaussianOp:
     return sp.GaussianOp(-om @ op.S.T @ om)
 
 
-def overlap(a: FockVector, b: FockVector) -> complex:
+def overlap(a: np.ndarray, b: np.ndarray) -> complex:
     """<a|b> over the dimensions both vectors have."""
-    n = min(a.amplitudes.size, b.amplitudes.size)
-    return complex(np.vdot(a.amplitudes[:n], b.amplitudes[:n]))
+    n = min(a.size, b.size)
+    return complex(np.vdot(a[:n], b[:n]))
 
 
 def coherent_block(alpha: np.ndarray, coeff: np.ndarray, d: int) -> tuple[np.ndarray, int, float]:
@@ -343,7 +342,7 @@ def gkp_codeword_position_oracle(
     lam: float = 1.0,
     d: int = 400,
     grid_points: int = 1 << 14,
-) -> FockVector:
+) -> np.ndarray:
     """Independent codeword construction through the position wavefunction.
 
     Applies the harmonic heat kernel (Mehler form) of exp(-Δ² a†a) to the
@@ -377,8 +376,7 @@ def gkp_codeword_position_oracle(
         amps[k] = np.sum(phi * psi) * dx
         phi_next = math.sqrt(2.0 / (k + 1)) * xs * phi - math.sqrt(k / (k + 1.0)) * phi_prev
         phi_prev, phi = phi, phi_next
-    vec = FockVector(amps)
-    return vec.normalized()
+    return amps / np.linalg.norm(amps)
 
 
 # ---------------------------------------------------------------------------
@@ -427,7 +425,7 @@ def displacement(v: tuple[float, float], d: int, plan: fk.TruncationPlan) -> Foc
     if not (math.isfinite(v_q) and math.isfinite(v_p)):
         raise ValueError("displacement needs finite components")
     dt = plan.d_temp(d)
-    x, vecs = fk.q_eigensystem(dt, dt)
+    x, vecs = fk.q_eigensystem(dt, dt, None)
     head = vecs[:d]
     w = (head * np.exp(1j * fk.SQRT2PI * math.hypot(v_q, v_p) * x)) @ head.T
     r = np.exp(-1j * math.atan2(v_q, v_p) * np.arange(d))
@@ -446,7 +444,7 @@ def poly_phase_gate(
     `channel.ChannelEngine` applies the same gate matrix-free.
     """
     dt = plan.d_temp(plan.d_init)
-    x, v = fk.q_eigensystem(dt, dt)
+    x, v = fk.q_eigensystem(dt, dt, None)
     phases = fk.phase_profile(poly, lam, x)
     u = (v * phases) @ v.T
     return FockOperator(u[: plan.d_out, : plan.d_init])
@@ -524,7 +522,7 @@ def pauli_measurement_operator(
         y = 0.5j * (xm.matrix @ zm.matrix - zm.matrix @ xm.matrix)
         return FockOperator(y)
     dt = fk.EXPAND_FACTOR * d
-    x, v = fk.q_eigensystem(dt, dt)
+    x, v = fk.q_eigensystem(dt, dt, None)
     g, h = pauli_series_profiles(lam, smear, x, n_cut)
     if which == "Z":
         mat = (v * g) @ v.T
@@ -728,12 +726,12 @@ def grid_readout(gate: str | RationalPolynomial, delta: float, lam: float, n: in
     sigma = math.sqrt(math.pi * math.tanh(delta**2 / 2.0))
     g = _smeared_square_wave(x * math.sqrt(math.pi / lam), sigma)
     h = _smeared_square_wave(p * math.sqrt(math.pi * lam), sigma)
-    e0, e1 = fk.orthonormalize(*(FockVector(_resummed_codeword(bit, delta, lam, x)) for bit in (0, 1)))
+    e0, e1 = fk.orthonormalize(*(_resummed_codeword(bit, delta, lam, x) for bit in (0, 1)))
     phase = fk.phase_profile(ch.GATE_TABLE[gate][0] if isinstance(gate, str) else gate, lam, x)
     out = {}
     x_edge = p_edge = 0.0
     for name, (a, b) in ch.INPUT_STATES.items():
-        vec = a * e0.amplitudes + b * e1.amplitudes
+        vec = a * e0 + b * e1
         psi = phase * (vec / np.linalg.norm(vec))
         norm2 = float(np.vdot(psi, psi).real)
         z_psi = g * psi

@@ -9,6 +9,7 @@ import json
 import math
 import os
 import signal
+import stat
 import subprocess
 import sys
 import textwrap
@@ -441,13 +442,21 @@ def test_sweep_rejects_nonpositive_nbar_step(tmp_path, capsys, step):
 @pytest.mark.parametrize("grid, message", [
     (["--nbar-max", "inf"], "n_bar points"),  # no finite point count
     (["--nbar-step", "1e-300"], "n_bar points"),  # 1e301 points
-    (["--nbar-min", "1e17", "--nbar-max", "1e17"], "does not advance"),  # 1e17 + 1 == 1e17
+    # 1e17 + 1 == 1e17; the grid is the one point 1e17, whose lattice cannot be sized
+    (["--nbar-min", "1e17", "--nbar-max", "1e17"], "lattice terms"),
 ], ids=["max-inf", "step-1e-300", "step-below-spacing"])
 def test_sweep_rejects_unbounded_nbar_grid(tmp_path, capsys, grid, message):
     # each of these grids used to loop forever before the first point ran
     code, text = run_under_alarm(tmp_path, "sweep", "--gate", "I", *grid)
     assert code == 1 and text == ""
     assert message in capsys.readouterr().err
+
+
+def test_nbar_grid_is_indexed_not_accumulated():
+    # accumulated as nb += 0.1, the grid lost its last point (99999 of them)
+    grid = cli._nbar_grid(0.1, 10000.0, 0.1)
+    assert len(grid) == 100000 and grid[-1] == 10000.0
+    assert grid[:3] == [0.1, 0.2, 0.3] and len(set(grid)) == len(grid)
 
 
 @pytest.mark.parametrize("count", ["0", "-1", str(10**12)])
@@ -575,10 +584,9 @@ def test_count_flags_below_one_exit_1(tmp_path, capsys, argv):
 
 
 def test_cache_roundtrip(tmp_path):
+    import numpy as np
+
     cache_dir = tmp_path / "cache"
-    code, text = run(tmp_path, "cache", "purge", "--cache-dir", str(cache_dir))
-    assert code == 0
-    assert json.loads(text)["purged"] == 0
     code, text = run(
         tmp_path, "cache", "prewarm", "--cache-dir", str(cache_dir),
         "--dinit", "32",
@@ -587,31 +595,33 @@ def test_cache_roundtrip(tmp_path):
     )
     assert code == 0
     assert json.loads(text)["prewarmed"] == 4
-    code, text = run(tmp_path, "cache", "list", "--cache-dir", str(cache_dir))
-    data = json.loads(text)
     # the two eigensystems a sweep reads, d_out = 96 and d_temp = 288, each
     # with its first d_out eigenvector rows
-    assert data["count"] == 4
-    shapes = sorted((e["kind"], tuple(e["shape"])) for e in data["entries"])
+    shapes = sorted((path.name.rsplit("-", 1)[0], np.load(path).shape)
+                    for path in cache_dir.glob("*.opc"))
     assert shapes == [("qeig-values", (96,)), ("qeig-values", (288,)),
                       ("qeig-vectors", (96, 96)), ("qeig-vectors", (96, 288))]
-    code, text = run(tmp_path, "cache", "purge", "--cache-dir", str(cache_dir))
-    assert json.loads(text)["purged"] == 4
-
-
-def test_cache_list_and_purge_leave_a_missing_dir_missing(tmp_path):
-    cache_dir = tmp_path / "a" / "b"
-    code, text = run(tmp_path, "cache", "list", "--cache-dir", str(cache_dir))
-    assert code == 0 and json.loads(text)["count"] == 0
-    code, text = run(tmp_path, "cache", "purge", "--cache-dir", str(cache_dir))
-    assert code == 0 and json.loads(text)["purged"] == 0
-    assert not (tmp_path / "a").exists()
 
 
 def test_cache_needs_cache_dir(tmp_path):
-    for action in ("list", "purge", "prewarm"):
-        code, text = run(tmp_path, "cache", action, "--dinit", "32")
-        assert code == 1 and text == ""
+    code, text = run(tmp_path, "cache", "prewarm", "--dinit", "32")
+    assert code == 1 and text == ""
+
+
+def test_out_to_a_fifo_writes_into_it(tmp_path):
+    # a rename would replace the FIFO (or, as root, a device such as /dev/null)
+    # with a regular file; the read end is open, non-blocking, before the write
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+    try:
+        assert cli.dispatch(["ft-bound", "--delta", "0.2", "--out", str(fifo)]) == 0
+        got = os.read(reader, 1 << 16)
+    finally:
+        os.close(reader)
+    assert stat.S_ISFIFO(os.stat(fifo).st_mode)
+    assert got.decode().startswith("# schema_version=1\ndelta,lam_of_delta,f_lower_bound,validity\n0.2,")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["fifo"]
 
 
 def test_numeric_failure_exits_2(monkeypatch):

@@ -31,8 +31,7 @@ through an attribute (`x.name(...)`) for every member of that name.  A
 default no caller overrides is a constant; one only tests override belongs
 in the tests.  The mirror holds too: a default that every such call
 overrides is used by no caller, and the parameter is made required
-(`overridden`; `FROZEN_OVERRIDDEN` lists the ones that go with the Fock
-engine's code).
+(`overridden`).
 """
 
 from __future__ import annotations
@@ -362,26 +361,11 @@ def test_every_default_is_passed_by_a_caller():
     assert not unset, f"defaults no command and no benchmark overrides (make them constants): {sorted(unset)}"
 
 
-# Defaults every call overrides that stay until their code goes with the
-# Fock engine (ROADMAP direction 1); nothing else may join them.
-FROZEN_OVERRIDDEN = {
-    "channel.ChannelConfig.plan",
-    "channel.sweep.plan",
-    "fock.TruncationPlan.d_init",
-    "fock.default_lattice_cut.lam",
-    "fock.gkp_codeword.d",
-    "fock.gkp_codeword.lam",
-    "fock.q_eigensystem.cache_dir",
-}
-
-
 def test_no_default_is_overridden_by_every_caller():
     sources = _package_sources()
     roots, names, calls = _perfbench_roots(sources)
     dead = overridden(sources, roots | _command_roots(), names, calls)
-    assert dead == FROZEN_OVERRIDDEN, (
-        f"defaults every command and benchmark call overrides (make them required): "
-        f"{sorted(dead - FROZEN_OVERRIDDEN)}; no longer overridden: {sorted(FROZEN_OVERRIDDEN - dead)}")
+    assert not dead, f"defaults every command and benchmark call overrides (make them required): {sorted(dead)}"
 
 
 def test_walker_flags_exactly_the_unreached_function():
