@@ -27,10 +27,11 @@ class NumericFailure(RuntimeError):
 
 
 def write_atomically(path: Path, data: bytes | memoryview) -> None:
-    """Write through a temp file renamed into place.  The temp file is created
-    as open() would create it, with mode 0o666 less the umask.  A target that
-    exists and is not a regular file (a device, a FIFO) is written in place,
-    so a rename never replaces it."""
+    """Write through a temp file renamed into place beside the resolved path, so
+    a symlink stays a link to the new bytes.  The temp file is created as open()
+    would create it, with mode 0o666 less the umask.  A target that exists and
+    is not a regular file (a device, a FIFO) is written in place, not replaced."""
+    path = Path(os.path.realpath(path))
     if path.exists() and not path.is_file():
         with open(path, "wb") as fh:
             fh.write(data)

@@ -31,7 +31,6 @@ import sys
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erf, gamma
 
 from . import NumericFailure
 from .polyalg import RationalPolynomial
@@ -74,6 +73,7 @@ def beta_coefficient(k: int) -> float:
 def _x_plus_moment(k: int, delta_p: float) -> float:
     """E[x₊^k] of the width-sqrt(2)/Δ_p Gaussian; vanishes for odd k.  A Python
     float, so an overflow gives inf (which `moments` refuses), not a numpy warning."""
+    from scipy.special import gamma  # here and `erf` in `ft_lower_bound`: a sweep loads no scipy.special
     if k % 2:
         return 0.0
     try:
@@ -253,6 +253,7 @@ def ft_lower_bound(delta: float) -> BoundResult:
     and the same chain on the true mass gives F = 0.8945 there, below the
     engine's T3 fidelity 0.9744.
     """
+    from scipy.special import erf
     delta = float(delta)  # an np.float64 would overflow to inf with a warning
     if not 0 < delta < math.inf:
         raise ValueError(f"delta must be positive and finite, got {delta}")

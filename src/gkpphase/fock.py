@@ -22,7 +22,8 @@ displacement, gate and Pauli-operator matrices live in `tests/oracles.py`.
 Codewords, sums of a few hundred to a thousand lattice coherent states, are
 evaluated in blocks of terms with one `np.exp` and one log-amplitude row per
 conjugate pair of centres, bitwise equal to a one-term-at-a-time loop
-(`_coherent_block`), over the lattice rectangle of `default_lattice_cut`.
+(`_coherent_block`), over the lattice rectangle of `default_lattice_cut`.  Their
+log n! is a port of cephes `lgam` (S. L. Moshier, 1989), bitwise scipy's `gammaln`.
 The Pauli measurement operators use one displacement series, cut at
 |2n+1| <= 59 (`PAULI_ODD`, `PAULI_WEIGHTS`), weighted by the readout smear
 Σ = tanh(Δ²/2) diag(λ, 1/λ) and symmetric under u -> -u, so their kernels
@@ -40,8 +41,6 @@ from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
-import scipy.linalg
-import scipy.special
 
 from . import NumericFailure
 from .opcache import OperatorCache
@@ -117,6 +116,7 @@ class GkpParams:
 @lru_cache(maxsize=6)
 def _q_eigensystem(d: int, rows: int, directory: Path | None) -> tuple[np.ndarray, np.ndarray]:
     if directory is None:
+        import scipy.linalg  # here, so a sweep whose eigensystems are on disk loads no scipy
         off = np.sqrt(np.arange(1.0, d) / 2.0)
         x, v = scipy.linalg.eigh_tridiagonal(np.zeros(d), off)
         v = np.asfortranarray(v[:rows])  # packed (a no-op at rows == d): the d² matrix is freed
@@ -174,6 +174,24 @@ def default_lattice_cut(delta: float, lam: float) -> tuple[int, int]:
     return cut_m, cut_n
 
 
+def _log_factorial(n: int) -> float:
+    """log n! as cephes `lgam(n + 1)`: exact below 12, then Stirling's series in 1/x², x = n + 1."""
+    if n < 12:
+        return math.log(math.factorial(n))
+    x = n + 1.0
+    q, p = (x - 0.5) * math.log(x) - x + 0.91893853320467274178, 1.0 / (x * x)
+    if x >= 1000.0:  # cephes' three terms (its literals are 1/1260, 1/360, 1/12 bitwise); past 1e8, q alone
+        return q if x > 1e8 else q + ((1 / 1260 * p - 1 / 360) * p + 1 / 12) / x
+    return q + ((((8.11614167470508450300e-4 * p - 5.95061904284301438324e-4) * p + 7.93650340457716943945e-4)
+                 * p - 2.77777777730099687205e-3) * p + 8.33333333333331927722e-2) / x
+
+
+@lru_cache(maxsize=4)
+def _half_log_factorials(d: int) -> np.ndarray:
+    """½ log n! for n < d (`_log_factorial`), one per d; a view of bytes, so read-only for good."""
+    return np.frombuffer(np.array([0.5 * _log_factorial(n) for n in range(d)]).tobytes())
+
+
 def _coherent_block(
     alpha: np.ndarray, coeff: np.ndarray, d: int, run_sizes: np.ndarray
 ) -> tuple[np.ndarray, int, float]:
@@ -195,7 +213,7 @@ def _coherent_block(
     """
     n = np.arange(d)
     n_c = n.astype(complex)
-    log_fact_half = 0.5 * scipy.special.gammaln(n + 1.0)
+    log_fact_half = _half_log_factorials(d)
     out = np.zeros(d, dtype=complex)
     dropped = 0
     dropped_weight = 0.0

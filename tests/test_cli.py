@@ -235,6 +235,35 @@ print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
     assert proc.stdout.splitlines()[-1] == "[]"
 
 
+def test_channel_import_loads_no_scipy():
+    # a fresh interpreter, since this test process has scipy loaded already
+    script = "import sys, gkpphase.channel; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    src = str(Path(cli.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
+
+
+def test_cached_sweep_loads_no_scipy(tmp_path):
+    # its eigensystems come from the cache, so nothing solves; the forked pool
+    # workers inherit -X importtime, so an import there would show too.  A
+    # `from . import` of a package module is not timed, but what it imports is
+    grid = ["--nbar-min", "3", "--nbar-max", "3", "--lam-min", "1", "--lam-max", "2",
+            "--lam-count", "2", "--dinit", "64", "--cache-dir", str(tmp_path / "cache")]
+    assert run(tmp_path, "cache", "prewarm", *grid)[0] == 0
+    src = str(Path(cli.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-X", "importtime", "-m", "gkpphase.cli", "sweep", "--gate", "T3",
+                           *grid, "--out", str(tmp_path / "sweep.csv")],
+                          capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    imported = [line.rsplit("|", 1)[1].strip() for line in proc.stderr.splitlines()
+                if line.startswith("import time:")]
+    assert "numpy" in imported
+    assert [m for m in imported if m.split(".")[0] == "scipy"] == []
+    assert len((tmp_path / "sweep.csv").read_text().splitlines()) == 4
+
+
 def test_moments_json(tmp_path):
     code, text = run(tmp_path, "moments", "--gate", "T3", "--delta", "0.25", "--lam", "2")
     assert code == 0
@@ -622,6 +651,18 @@ def test_out_to_a_fifo_writes_into_it(tmp_path):
     assert stat.S_ISFIFO(os.stat(fifo).st_mode)
     assert got.decode().startswith("# schema_version=1\ndelta,lam_of_delta,f_lower_bound,validity\n0.2,")
     assert sorted(p.name for p in tmp_path.iterdir()) == ["fifo"]
+
+
+def test_out_through_a_symlink_writes_its_target(tmp_path):
+    # a rename over the link would replace it with a regular file and leave the target stale
+    real, link = tmp_path / "real.csv", tmp_path / "link.csv"
+    real.write_text("stale\n")
+    link.symlink_to(real.name)
+    code, text = run(tmp_path, "ft-bound", "--delta", "0.2", name="link.csv")
+    assert code == 0 and text.startswith("# schema_version=1\n")
+    assert link.is_symlink() and os.readlink(link) == "real.csv"
+    assert real.read_text() == text == run(tmp_path, "ft-bound", "--delta", "0.2", name="plain.csv")[1]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["link.csv", "plain.csv", "real.csv"]
 
 
 def test_numeric_failure_exits_2(monkeypatch):

@@ -85,6 +85,31 @@ def test_displacement_composition_seeded_pairs():
         assert np.max(np.abs((wu @ wv - phase * wuv)[:96, :96])) < 1e-8
 
 
+def test_log_factorial_is_gammaln_bitwise():
+    # cephes `lgam(n + 1)` through each branch: exact below n = 12, five series
+    # terms below x = n + 1 = 1000, three from there, and past x = 1e8 none
+    import scipy.special
+
+    ns = [*range(2**15), 10**8 - 2, 10**8 - 1, 10**8, 10**8 + 1, 3 * 10**9, 2**53]
+    assert [fk._log_factorial(n).hex() for n in ns] == [
+        float(v).hex() for v in scipy.special.gammaln(np.array(ns) + 1.0)]
+
+
+def test_half_log_factorials_is_one_read_only_table_per_d():
+    import scipy.special
+
+    fk._half_log_factorials.cache_clear()
+    table = fk._half_log_factorials(40)
+    assert table.tobytes() == (0.5 * scipy.special.gammaln(np.arange(40) + 1.0)).tobytes()
+    assert not table.flags.writeable
+    with pytest.raises(ValueError):
+        table.flags.writeable = True
+    for bit in (0, 1):
+        fk.gkp_codeword(bit, 0.3, 1.0, 40)
+    assert fk._half_log_factorials(40) is table
+    assert fk._half_log_factorials.cache_info().misses == 1
+
+
 def test_codeword_parity_and_diagnostics(monkeypatch):
     # parity, and the weight `_coherent_block` drops against the weight it was given
     real, seen = fk._coherent_block, []
