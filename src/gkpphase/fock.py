@@ -342,19 +342,12 @@ def orthonormalize(psi0: np.ndarray, psi1: np.ndarray) -> tuple[np.ndarray, np.n
 # ---------------------------------------------------------------------------
 
 
-def _poly_floats(poly: RationalPolynomial) -> np.ndarray:
-    return np.array([float(c) for c in poly.coeffs], dtype=float)
-
-
 def phase_profile(poly: RationalPolynomial, lam: float, x: np.ndarray) -> np.ndarray:
     """exp(2πi P(x / sqrt(λπ))) evaluated on an array of position values."""
-    cs = _poly_floats(poly)
-    if cs.size == 0:
-        return np.ones_like(x, dtype=complex)
     arg = x / math.sqrt(lam * math.pi)
     val = np.zeros_like(x)
-    for c in cs[::-1]:
-        val = val * arg + c
+    for c in reversed(poly.coeffs):
+        val = val * arg + float(c)
     return np.exp(2j * math.pi * val)
 
 

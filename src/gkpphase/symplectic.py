@@ -133,19 +133,6 @@ def compose(ops) -> GaussianOp:
 # ---------------------------------------------------------------------------
 
 
-def biasing_update(delta: float, lam: float) -> tuple[float, float]:
-    """Output squeezing of the biased q-Steane round with ancilla asymmetry lam.
-
-    (delta_q, delta_p) = (Delta/sqrt(1+lam), Delta*sqrt(1+lam)); the product
-    stays Delta^2, saturating the Gaussian trade-off bound.
-    """
-    if not (0 < delta < math.inf and 0 < lam < math.inf):
-        raise ValueError("biasing_update requires finite delta > 0 and lam > 0, "
-                         f"got {delta}, {lam}")
-    r = math.sqrt(1.0 + lam)
-    return delta / r, delta * r
-
-
 def morphing_params(lam: float) -> tuple[float, float, float, float]:
     """Beam-splitter rearrangement of the asymmetry-lam biasing circuit.
 
@@ -219,6 +206,8 @@ def condition_on_homodyne(
     conditional covariance is outcome independent.
     """
     meas = sorted(set(int(i) for i in measured_indices))
+    if not meas:
+        raise ValueError("condition_on_homodyne needs at least one measured index")
     dim = state.Sigma.shape[0]
     if any(i < 0 or i >= dim for i in meas):
         raise ValueError(f"measured indices {meas} out of range for dim {dim}")
@@ -236,12 +225,14 @@ def condition_on_homodyne(
 
 
 def biasing_identity_residual(lam: float) -> float:
-    """Max-abs residual of biasing_update(0.21, lam) against conditioning on the
-    ancilla's q: a biased ancilla diag(Delta^2, Delta^2/lam) through cx(1), on the
-    data mode's Sigma_00, Sigma_11 and Sigma_01, and an unbiased ancilla through
-    cx(sqrt(lam)), on Sigma_00 and Sigma_11."""
+    """Max-abs residual of the biased q-Steane round's output split,
+    BiasParams(0.21, 1 + lam), against conditioning on the ancilla's q: a biased
+    ancilla diag(Delta^2, Delta^2/lam) through cx(1), on the data mode's Sigma_00,
+    Sigma_11 and Sigma_01, and an unbiased ancilla through cx(sqrt(lam)), on
+    Sigma_00 and Sigma_11."""
     delta = 0.21
-    dq, dp = biasing_update(delta, lam)
+    split = BiasParams(delta, 1.0 + lam)
+    dq, dp = split.delta_q, split.delta_p
     biased = CovState(np.diag([delta**2, delta**2 / lam, delta**2, lam * delta**2]))
     cond, _ = condition_on_homodyne(biased.propagate(cx(1.0, 0, 1, 2)), [1])
     unbiased = CovState(delta**2 * np.eye(4))
@@ -250,18 +241,14 @@ def biasing_identity_residual(lam: float) -> float:
                      abs(cond2.Sigma[0, 0] - dq**2), abs(cond2.Sigma[1, 1] - dp**2)))
 
 
-def nogo_check(circuit: GaussianOp, n_ancilla: int, delta: float) -> float:
+def nogo_check(circuit: GaussianOp, delta: float) -> float:
     """det of the data mode's conditional noise covariance after the circuit.
 
-    Input noise Delta^2 * Id on 1 data + n_ancilla modes, all ancilla
-    position quadratures measured.  The Gaussian no-go bound makes this
-    determinant exactly Delta^4 for every symplectic circuit.
+    Input noise Delta^2 * Id on the circuit's modes; mode 0 is the data and
+    every other mode's position quadrature is measured.  The Gaussian no-go
+    bound makes this determinant exactly Delta^4 for every symplectic circuit.
     """
-    n = 1 + n_ancilla
-    if circuit.n_modes != n:
-        raise ValueError(
-            f"circuit acts on {circuit.n_modes} modes, expected {n}"
-        )
+    n = circuit.n_modes
     state = CovState(delta**2 * np.eye(2 * n)).propagate(circuit)
     cond, _gain = condition_on_homodyne(state, range(1, n))  # ancilla q's
     # Remaining quadratures are ordered (q_data, p_data, p_anc...); the bound
@@ -295,18 +282,19 @@ def nogo_residual(n_circuits: int, seed: int) -> float:
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(n_circuits):
-        n_anc = int(rng.integers(1, 5))
-        circ = random_circuit(1 + n_anc, int(rng.integers(4, 12)), rng)
+        circ = random_circuit(1 + int(rng.integers(1, 5)), int(rng.integers(4, 12)), rng)  # 1-4 ancillas
         for delta in (0.1, 0.25, 0.5):
-            det = nogo_check(circ, n_anc, delta)
+            det = nogo_check(circ, delta)
             worst = max(worst, abs(det - delta**4) / delta**4)
     return worst
 
 
 @dataclass(frozen=True)
 class BiasParams:
-    """Base squeezing Delta split asymmetrically over the two quadratures; the
-    split widths' squares, which the twirled moments read, must be normal floats."""
+    """Base squeezing Delta split asymmetrically over the two quadratures, as
+    (Delta/sqrt(lam), Delta*sqrt(lam)); the biased q-Steane round with ancilla
+    asymmetry lam leaves the data at the split at 1 + lam.  The split widths'
+    squares, which the twirled moments read, must be normal floats."""
 
     delta: float
     lam: float

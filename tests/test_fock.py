@@ -8,7 +8,7 @@ import pytest
 
 import oracles
 from gkpphase import NumericFailure, fock as fk
-from gkpphase.polyalg import RationalPolynomial
+from gkpphase.polyalg import GATE_TABLE, RationalPolynomial
 
 T3 = RationalPolynomial([0, F(-1, 12), F(1, 8), F(1, 12)])
 
@@ -297,6 +297,14 @@ def test_poly_phase_gate_columns_orthonormal():
     gate = oracles.poly_phase_gate(T3, 2.0, plan)
     gram = gate.matrix.conj().T @ gate.matrix
     assert np.max(np.abs(gram - np.eye(160))) < 1e-6
+
+
+def test_identity_gate_phase_is_exactly_one():
+    """Horner over gate I's empty coefficient list is exp(2πi·0): bitwise 1 + 0j, imaginary part +0.0."""
+    x = fk.q_eigensystem(288, 288, None)[0]
+    for lam in (0.5, 1.0, 2.0):
+        phase = fk.phase_profile(GATE_TABLE["I"][0], lam, x)
+        assert phase.tobytes() == np.ones_like(x, dtype=complex).tobytes()
 
 
 def test_pauli_operator_validation():

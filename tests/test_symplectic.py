@@ -81,8 +81,11 @@ def test_compose_refuses_mixed_mode_counts():
     pytest.param(lambda: sp.CovState(np.diag([1.0, -1.0])), "positive semi-definite", id="cov-not-psd"),
     pytest.param(lambda: sp.condition_on_homodyne(sp.CovState(np.eye(4)), [4]),
                  r"measured indices \[4\] out of range for dim 4", id="homodyne-index"),
-    pytest.param(lambda: sp.nogo_check(sp.squeezer(2.0, 0, 1), 1, 0.25),
-                 "circuit acts on 1 modes, expected 2", id="nogo-mode-count"),
+    # a one-mode circuit has no ancilla to measure
+    pytest.param(lambda: sp.nogo_check(sp.squeezer(2.0, 0, 1), 0.25),
+                 "condition_on_homodyne needs at least one measured index", id="nogo-mode-count"),
+    pytest.param(lambda: sp.condition_on_homodyne(sp.CovState(np.eye(4)), []),
+                 "condition_on_homodyne needs at least one measured index", id="homodyne-empty"),
 ])
 def test_refusals_name_their_input(build, message):
     with pytest.raises(ValueError, match=message):
@@ -123,19 +126,21 @@ def test_morphing_params_values():
 
 
 def test_biasing_update_values():
-    dq, dp = sp.biasing_update(1.0, 1.0)
-    assert np.allclose([dq, dp], [1 / math.sqrt(2), math.sqrt(2)])
-    assert np.allclose(sp.biasing_update(0.2, 3.0), (0.1, 0.4))
-    dq, dp = sp.biasing_update(0.31, 1e-9)  # lam -> 0: no measurement information
-    assert np.allclose([dq, dp], [0.31, 0.31], atol=1e-8)
+    # the biased round with ancilla asymmetry lam leaves the data at BiasParams(delta, 1 + lam)
+    bp = sp.BiasParams(1.0, 1.0 + 1.0)
+    assert np.allclose([bp.delta_q, bp.delta_p], [1 / math.sqrt(2), math.sqrt(2)])
+    bp = sp.BiasParams(0.2, 1.0 + 3.0)
+    assert np.allclose([bp.delta_q, bp.delta_p], (0.1, 0.4))
+    bp = sp.BiasParams(0.31, 1.0 + 1e-9)  # lam -> 0: no measurement information
+    assert np.allclose([bp.delta_q, bp.delta_p], [0.31, 0.31], atol=1e-8)
     # product saturates the trade-off bound
     for lam in (0.3, 1.0, 4.2):
-        dq, dp = sp.biasing_update(0.27, lam)
-        assert abs(dq * dp - 0.27**2) < 1e-15
-    for bad in (0.0, math.nan, math.inf):  # NaN used to return (nan, nan)
-        for args in ((bad, 1.0), (0.2, bad)):
-            with pytest.raises(ValueError):
-                sp.biasing_update(*args)
+        bp = sp.BiasParams(0.27, 1.0 + lam)
+        assert abs(bp.delta_q * bp.delta_p - 0.27**2) < 1e-15
+    # lam 0 gives the unbiased split at 1; NaN and inf lam are refused
+    for delta, lam in ((0.0, 1.0), (math.nan, 1.0), (math.inf, 1.0), (0.2, math.nan), (0.2, math.inf)):
+        with pytest.raises(ValueError):
+            sp.BiasParams(delta, 1.0 + lam)
 
 
 def test_condition_no_correlation_leaves_data_unchanged():
@@ -149,7 +154,8 @@ def test_condition_no_correlation_leaves_data_unchanged():
 @pytest.mark.parametrize("lam", [0.5, 1.0, 2.0, 3.0, 7.0])
 def test_conditioning_matches_biasing_update(lam):
     delta = 0.2
-    dq, dp = sp.biasing_update(delta, lam)
+    split = sp.BiasParams(delta, 1.0 + lam)
+    dq, dp = split.delta_q, split.delta_p
     # biased ancilla + unit-gain cx
     state = sp.CovState(
         np.diag([delta**2, delta**2 / lam, delta**2, lam * delta**2])
@@ -189,13 +195,13 @@ def test_singular_conditioning_reports_indices():
 
 def test_nogo_identity_circuit():
     delta = 0.25
-    det = sp.nogo_check(sp.GaussianOp(np.eye(4)), 1, delta)
+    det = sp.nogo_check(sp.GaussianOp(np.eye(4)), delta)
     assert abs(det - delta**4) / delta**4 < 1e-12
 
 
 def test_nogo_biased_qsteane_saturates():
     for lam in (1.0, 2.5, 6.0):
-        det = sp.nogo_check(sp.cx(math.sqrt(lam), 0, 1, 2), 1, 0.2)
+        det = sp.nogo_check(sp.cx(math.sqrt(lam), 0, 1, 2), 0.2)
         assert abs(det - 0.2**4) / 0.2**4 < 1e-10
 
 
@@ -203,7 +209,7 @@ def test_nogo_random_circuits_three_ancillas():
     rng = np.random.default_rng(99)
     for _ in range(10):
         circ = sp.random_circuit(4, 10, rng)
-        det = sp.nogo_check(circ, 3, 0.25)
+        det = sp.nogo_check(circ, 0.25)
         assert abs(det - 0.25**4) / 0.25**4 < 1e-10
 
 
