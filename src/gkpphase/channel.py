@@ -396,9 +396,9 @@ def _ranked_cells(delta: float, grid: int) -> tuple[np.ndarray, np.ndarray]:
     One entry, read-only: the match fraction and every postselection at one
     (Δ, grid) share one posterior evaluation and one sort."""
     weights, bloch = analytic.vacuum_posterior_grid(delta, grid)
-    # the max over targets per 2^15 cells, so no (grid², 12) product is formed, then
-    # the monotone map 0.5 (1 + .): bitwise equal to mapping first
-    fid = np.concatenate([(bloch[s : s + (1 << 15)] @ CLIFFORD_T_TARGETS.T).max(axis=1)
+    # per 2^15 cells, the (12, cells) product and its max down the columns, bitwise
+    # the (cells, 12) product's row max; then the monotone map 0.5 (1 + .), bitwise mapping first
+    fid = np.concatenate([(CLIFFORD_T_TARGETS @ bloch[s : s + (1 << 15)].T).max(axis=0)
                           for s in range(0, len(bloch), 1 << 15)])
     fid = 0.5 * (1.0 + fid)
     order = np.argsort(-fid)

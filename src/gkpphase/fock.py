@@ -19,11 +19,11 @@ the first d_out eigenvector rows, all a channel reads), which equals
 exponentiating the same truncated generator.  The dense quadrature,
 displacement, gate and Pauli-operator matrices live in `tests/oracles.py`.
 
-Codewords, sums of a few hundred to a thousand lattice coherent states, are
-evaluated in blocks of terms with one `np.exp` and one log-amplitude row per
-conjugate pair of centres, bitwise equal to a one-term-at-a-time loop
-(`_coherent_block`), over the lattice rectangle of `default_lattice_cut`.  Their
-log n! is a port of cephes `lgam` (S. L. Moshier, 1989), bitwise scipy's `gammaln`.
+Codewords, sums of a few hundred to a thousand lattice coherent states over
+`default_lattice_cut`'s rectangle, are evaluated in blocks with one `np.exp` per
+conjugate pair of centres and summed by row reductions in term order, bitwise a
+one-term-at-a-time loop (`_coherent_block`).  Their log n! is a port of cephes
+`lgam` (S. L. Moshier, 1989), bitwise scipy's `gammaln`.
 The Pauli measurement operators use one displacement series, cut at
 |2n+1| <= 59 (`PAULI_ODD`, `PAULI_WEIGHTS`), weighted by the readout smear
 Σ = tanh(Δ²/2) diag(λ, 1/λ) and symmetric under u -> -u, so their kernels
@@ -197,28 +197,24 @@ def _coherent_block(
 ) -> tuple[np.ndarray, int, float]:
     """Sum coeff_k * |alpha_k> over a batch of coherent states, in log domain.
 
-    Coherent amplitudes <n|alpha> = exp(-|alpha|²/2) alpha^n / sqrt(n!) are
-    assembled from their logarithms so no intermediate can overflow; terms
-    whose peak magnitude (including the lattice coefficient) underflows are
-    dropped and accounted to the caller.
-
-    Coefficients are nonzero, and the terms come in runs of `run_sizes`,
-    each closed under conjugation: in a run spanning [s, e) the term at α* of
-    term k is s + e - 1 - k (the kept terms of one lattice row).  Blocks of whole runs (about 2 MB of rows) go
-    through each step at once, every element computed as a one-term loop
-    computes it, and the sum runs in term order, so the result is bitwise
-    that loop's (kept in `tests/oracles.py`).  Log amplitudes, peaks and
-    `np.exp` are evaluated only for imag α >= 0: the term at α* has the same
-    log-amplitude row and takes the conjugate exponential.
+    Amplitudes <n|alpha> = exp(-|alpha|²/2) alpha^n / sqrt(n!) are built from
+    logarithms, so nothing overflows; terms whose peak magnitude times |c|
+    underflows are dropped and accounted to the caller.  Coefficients are
+    nonzero, and the terms come in runs of `run_sizes`, each closed under
+    conjugation: in a run spanning [s, e) the term at α* of term k is
+    s + e - 1 - k (the kept terms of one lattice row).  Blocks of whole runs
+    (about 2 MB of rows) go through each step at once; log amplitudes, peaks
+    and `np.exp` run only for imag α >= 0, the term at α* taking the conjugate.
+    Each element is computed as the one-term loop of `tests/oracles.py` does,
+    and the sum is bitwise its `out += c * amps`: per 64 terms, `np.add.reduce`
+    adds down rows, one at a time in order, the running sum and each term's
+    c * amps (c the left operand, as numpy's complex multiply is not symmetric
+    to the bit; the α = 0 term is c at n = 0 over -0.0, the additive identity).
     """
-    n = np.arange(d)
-    n_c = n.astype(complex)
-    log_fact_half = _half_log_factorials(d)
+    n, log_fact_half = np.arange(d), _half_log_factorials(d)
     out = np.zeros(d, dtype=complex)
-    dropped = 0
-    dropped_weight = 0.0
-    mag = np.abs(alpha)
-    theta = np.angle(alpha)
+    dropped, dropped_weight = 0, 0.0
+    mag, theta = np.abs(alpha), np.angle(alpha)
     with np.errstate(divide="ignore"):
         log_mag = np.log(np.where(mag > 0, mag, 1.0))
     ends = np.cumsum(run_sizes)
@@ -247,18 +243,22 @@ def _coherent_block(
         for c in coeff[low]:
             dropped_weight += abs(c)
         used = np.setdiff1d(k[start:stop], low, assume_unique=True)
-        need = np.unique(source[used[mag[used] != 0]])
-        exps = np.zeros((need.size, d), dtype=complex)
+        need = np.unique(source[used])
         log_amp = log_amp[np.searchsorted(upper, need)]
-        np.exp(log_amp + (1j * theta[need])[:, None] * n_c, out=exps, where=log_amp > -745.0)
-        # out += c * amps, one term at a time in the given order
-        for j, c, i in zip(used, coeff[used], np.searchsorted(need, source[used])):
-            if mag[j] == 0:
-                out[0] += c
-            elif lower[j]:
-                out += c * exps[i].conj()
-            else:
-                out += c * exps[i]
+        exps = np.empty((need.size, d), dtype=complex)
+        exps.real, exps.imag = log_amp, theta[need, None] * n
+        np.exp(exps, out=exps)
+        exps[log_amp <= -745.0] = 0.0
+        # out += c * amps in term order, 64 terms a block below the running sum in row 0
+        for j in np.split(used, range(64, used.size, 64)):
+            rows = np.empty((j.size + 1, d), dtype=complex)
+            rows[0], terms = out, rows[1:]
+            np.take(exps, np.searchsorted(need, source[j]), axis=0, out=terms)
+            np.negative(terms.imag, out=terms.imag, where=lower[j, None])
+            np.multiply(coeff[j, None], terms, out=terms)
+            at_zero = mag[j] == 0
+            terms[at_zero] = np.where(n == 0, coeff[j[at_zero], None], complex(-0.0, -0.0))
+            out = np.add.reduce(rows, axis=0)
     return out, dropped, dropped_weight
 
 

@@ -804,6 +804,20 @@ def test_ranked_cells_fidelity_bitwise_with_max_first(delta):
     ch._ranked_cells.cache_clear()
 
 
+@pytest.mark.parametrize("delta, grid", [(0.3, 90), (0.1, 300)])
+def test_ranked_cells_bitwise_with_full_product(delta, grid):
+    # 90² cells are one partial 2^15 chunk, 300² two full chunks and a partial
+    # one: each against the row max of the whole (cells, 12) product
+    weights, bloch = ch.analytic.vacuum_posterior_grid(delta, grid)
+    fid = 0.5 * (1.0 + (bloch @ ch.CLIFFORD_T_TARGETS.T).max(axis=1))
+    order = np.argsort(-fid)
+    ch._ranked_cells.cache_clear()
+    got = ch._ranked_cells(delta, grid)
+    assert got[0].tobytes() == fid[order].tobytes()
+    assert got[1].tobytes() == weights[order].tobytes()
+    ch._ranked_cells.cache_clear()
+
+
 def test_ranked_cells_one_posterior_per_delta_and_grid(monkeypatch):
     # the match fraction and two postselections at one (Δ, grid) evaluate the
     # posterior once; a new Δ or a new grid evaluates it again

@@ -206,6 +206,23 @@ def test_codeword_bitwise_with_dropped_terms(monkeypatch):
         assert repr(got_drops) == repr(want_drops)
 
 
+@pytest.mark.parametrize("d", [17, 67, 1023, 1024])
+def test_codeword_bitwise_at_odd_and_wide_dimensions(monkeypatch, d):
+    # odd d reach the SIMD loops' tails; at d = 1024 a cut block holds about 128
+    # terms, so the sum's 64-term blocks split it
+    for delta in (0.25, 1 / math.sqrt(5)):
+        for lam in (1.0, 5.0):
+            for bit in (0, 1):
+                got_drops, want_drops = [], []
+                with monkeypatch.context() as m:
+                    m.setattr(fk, "_coherent_block", _recording(fk._coherent_block, got_drops))
+                    got = fk.gkp_codeword(bit, delta, lam, d)
+                    m.setattr(fk, "_coherent_block", _recording(_loop_oracle, want_drops))
+                    want = fk.gkp_codeword(bit, delta, lam, d)
+                assert got.tobytes() == want.tobytes(), (delta, lam, bit)
+                assert repr(got_drops) == repr(want_drops)
+
+
 def test_number_parity_phases_shared_and_read_only():
     r = fk.number_parity_phases(40)
     assert r is fk.number_parity_phases(40)
