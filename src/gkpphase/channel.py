@@ -13,21 +13,18 @@ That readout model is the only one: the engine reads Σ from the config's
 (Δ, λ) and each gate, of `GATE_TABLE`, the one gate vocabulary, from its caller.
 
 The heavy objects, the position eigensystems at d_out and at the readout
-dimension (of each, the first d_out eigenvector rows), depend only on the
-truncation; `fock.q_eigensystem` keeps them per process and, given a cache
-directory, on disk, and a sweep solves them before its workers fork.  The
-Pauli diagonals are one matvec per (Δ, λ) with kernels that depend on λ alone,
-which `fock` keeps per process for the last 16 λ (at most 35 MB at d_init
-256): a sweep visits its (n̄, λ) points λ by λ, so each worker builds each λ's
-kernels once, as criterion 10's two Δ over one λ grid do.  The vacuum
-baseline keeps one ranking of the posterior cells, that of the last (Δ, grid)
-(`_ranked_cells`), so the match fraction and every postselection at one Δ
-share one posterior evaluation and one sort.
+dimension, depend only on the truncation; `fock.q_eigensystem` keeps them per
+process and, given a cache directory, on disk, and a sweep solves them before
+it pins numpy's BLAS and forks its workers.  The Pauli diagonals are one
+matvec per (Δ, λ) with kernels that depend on λ alone, which `fock` keeps for
+the last 16 λ: a sweep visits its points λ by λ, so each worker builds each
+λ's kernels once.  The vacuum baseline keeps one ranking of the posterior
+cells, that of the last (Δ, grid) (`_ranked_cells`), so the match fraction and
+every postselection at one Δ share one posterior evaluation and one sort.
 """
 
 from __future__ import annotations
 
-import ctypes
 import itertools
 import math
 import multiprocessing
@@ -87,9 +84,8 @@ class ChannelEngine:
 
     The build (eigensystems, Pauli profiles, codeword pair) is gate-free, and
     each call takes its gate (`pauli_expectations` its phase), so one engine
-    serves every gate at its (Δ, λ).  Its
-    Pauli kernels come from `fock`'s per-process provider, so engines at one λ
-    and any Δ exponentiate them once.
+    serves every gate at its (Δ, λ).  Its Pauli kernels come from `fock`'s
+    per-process provider, so engines at one λ and any Δ exponentiate them once.
     """
 
     def __init__(self, config: ChannelConfig, cache_dir=None):
@@ -244,14 +240,11 @@ def _pin_blas_threads(threads: int = 1) -> int:
     (at start-up `OPENBLAS_NUM_THREADS`, else the core count); without its
     ctypes symbols (another BLAS), set nothing and return 1.
 
-    `sweep` pins that BLAS to one thread before its pool forks, so N workers
-    use N cores, not N × (BLAS threads).  scipy's eigensolver runs in scipy's
-    own OpenBLAS, which keeps its count, so every worker count reads the same
-    eigensystems.  At OPENBLAS_NUM_THREADS=1 the d = 2304 solve differs from
-    the 2- and 4-thread one in the last bits."""
-    lib = ctypes.CDLL(np.linalg._umath_linalg.__file__)
-    get = getattr(lib, "scipy_openblas_get_num_threads64_", None)
-    set_threads = getattr(lib, "scipy_openblas_set_num_threads64_", None)
+    `sweep` pins it to one thread before its pool forks, so N workers use N
+    cores, not N × (BLAS threads).  The q eigensolve runs there too, and its
+    d = 2304 solve moves in the last bits at one thread, so it comes first."""
+    get = getattr(fock.NUMPY_BLAS, "scipy_openblas_get_num_threads64_", None)
+    set_threads = getattr(fock.NUMPY_BLAS, "scipy_openblas_set_num_threads64_", None)
     if get is None or set_threads is None:
         return 1
     before = get()

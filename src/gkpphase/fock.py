@@ -14,27 +14,24 @@ then cut back, and gates keep their full output rows (d_out x d_init) so the
 output state lives at the higher dimension.  Every operator here is a
 function of one (possibly rotated) quadrature: polynomial phase gates and
 single-axis displacement sums are built from the eigensystem of the
-tridiagonal position matrix (`q_eigensystem`, the one provider of it; it keeps
-the first d_out eigenvector rows, all a channel reads), which equals
-exponentiating the same truncated generator.  The dense quadrature,
+tridiagonal position matrix, which equals exponentiating the same truncated
+generator.  `q_eigensystem` is its one provider, and LAPACK `dstevd` in
+numpy's own BLAS solves it (`_solve_q`).  The dense quadrature,
 displacement, gate and Pauli-operator matrices live in `tests/oracles.py`.
 
-Codewords, sums of a few hundred to a thousand lattice coherent states over
-`default_lattice_cut`'s rectangle, are evaluated in blocks with one `np.exp` per
-conjugate pair of centres and summed by row reductions in term order, bitwise a
-one-term-at-a-time loop (`_coherent_block`).  Their log n! is a port of cephes
-`lgam` (S. L. Moshier, 1989), bitwise scipy's `gammaln`.
-The Pauli measurement operators use one displacement series, cut at
-|2n+1| <= 59 (`PAULI_ODD`, `PAULI_WEIGHTS`), weighted by the readout smear
-Σ = tanh(Δ²/2) diag(λ, 1/λ) and symmetric under u -> -u, so their kernels
-exponentiate half the columns and mirror the other half as conjugates
-(`pauli_kernels`).  The exponentiated halves depend on λ and x alone; one
-bounded per-process provider keeps those of the last 16 (λ, x), at most 35 MB
-at a readout dimension of 2304 (d_init 256).
+Codewords, sums of a few hundred to a thousand lattice coherent states, are
+summed in blocks, bitwise a one-term-at-a-time loop (`_coherent_block`); their
+log n! is a port of cephes `lgam` (S. L. Moshier, 1989), bitwise scipy's
+`gammaln`.  The Pauli measurement operators use one displacement series, cut
+at |2n+1| <= 59 and weighted by the readout smear Σ = tanh(Δ²/2) diag(λ, 1/λ);
+their kernels exponentiate half the columns and mirror the rest
+(`pauli_kernels`), and one per-process provider keeps those halves for the
+last 16 (λ, x), at most 35 MB at a readout dimension of 2304 (d_init 256).
 """
 
 from __future__ import annotations
 
+import ctypes
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -54,6 +51,8 @@ MAX_DROPPED_WEIGHT = 1e-6
 
 # Each stage of the truncation ladder is this many times the one before.
 EXPAND_FACTOR = 3
+
+NUMPY_BLAS = ctypes.CDLL(np.linalg._umath_linalg.__file__)  # numpy's own LAPACK: scipy-openblas in its wheels
 
 
 class TruncationLeakageError(NumericFailure):
@@ -113,40 +112,48 @@ class GkpParams:
 # ---------------------------------------------------------------------------
 
 
+def _solve_q(d: int) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues and F-ordered eigenvectors of the d x d q matrix: LAPACK dstevd in numpy's BLAS
+    as `scipy.linalg.eigh_tridiagonal` calls it (so its bits), or that function where the BLAS lacks it."""
+    off = np.sqrt(np.arange(1.0, d) / 2.0)
+    dstevd = getattr(NUMPY_BLAS, "scipy_dstevd_64_", None)
+    if dstevd is None:
+        import scipy.linalg
+        return scipy.linalg.eigh_tridiagonal(np.zeros(d), off)
+    dstevd.restype, dstevd.argtypes = None, [ctypes.c_char_p, *[ctypes.c_void_p] * 10, ctypes.c_size_t]
+    x, v = np.zeros(d), np.empty((d, d), order="F")
+    work, iwork = np.empty(1 + 4 * d + d * d), np.empty(3 + 5 * d, dtype=np.int64)
+    n, lwork, liwork, info = (ctypes.c_int64(k) for k in (d, work.size, iwork.size, 0))
+    dstevd(b"V", ctypes.byref(n), x.ctypes, off.ctypes, v.ctypes, ctypes.byref(n), work.ctypes,
+           ctypes.byref(lwork), iwork.ctypes, ctypes.byref(liwork), ctypes.byref(info), 1)  # len(JOBZ)
+    if info.value:
+        raise np.linalg.LinAlgError(f"dstevd (q eigensystem at d {d}) failed with info {info.value}")
+    return x, v
+
+
 @lru_cache(maxsize=6)
 def _q_eigensystem(d: int, rows: int, directory: Path | None) -> tuple[np.ndarray, np.ndarray]:
     if directory is None:
-        import scipy.linalg  # here, so a sweep whose eigensystems are on disk loads no scipy
-        off = np.sqrt(np.arange(1.0, d) / 2.0)
-        x, v = scipy.linalg.eigh_tridiagonal(np.zeros(d), off)
+        x, v = _solve_q(d)
         v = np.asfortranarray(v[:rows])  # packed (a no-op at rows == d): the d² matrix is freed
-        # shared by every caller, like the read-only disk copy
-        x.flags.writeable = v.flags.writeable = False
+        x.flags.writeable = v.flags.writeable = False  # shared by every caller, like the disk copy
         return x, v
-    cache = OperatorCache(directory)
-    x = cache.get_or_create("qeig-values", {"d": d}, lambda: _q_eigensystem(d, rows, None)[0])
-    v = cache.get_or_create("qeig-vectors", {"d": d, "rows": rows},
-                            lambda: _q_eigensystem(d, rows, None)[1])
+    cache, solved = OperatorCache(directory), lambda: _q_eigensystem(d, rows, None)
+    x = cache.get_or_create("qeig-values", {"d": d}, lambda: solved()[0])
+    v = cache.get_or_create("qeig-vectors", {"d": d, "rows": rows}, lambda: solved()[1])
     return x, v
 
 
 def q_eigensystem(d: int, rows: int, cache_dir: str | Path | None) -> tuple[np.ndarray, np.ndarray]:
-    """All d eigenvalues of the truncated position matrix, and the first `rows`
-    rows of its eigenvectors as one column-major, read-only block.
+    """All d eigenvalues of the truncated position matrix (tridiagonal: zero
+    diagonal, off-diagonal sqrt((n+1)/2)), and the first `rows` rows of its
+    eigenvectors as one column-major, read-only block.  A channel reads d_out
+    rows (`TruncationPlan.eigensystem_dims`): 768 x 2304, 14 MB, at d_init 256.
 
-    q is real symmetric tridiagonal (zero diagonal, off-diagonal
-    sqrt((n+1)/2)), so this is cheap even at d of a few thousand.  The
-    p eigensystem follows from p = R q R† with R = diag(i^n).  A channel reads
-    d_out rows (`TruncationPlan.eigensystem_dims`): 768 x 2304, 14 MB, at d_init 256.
-
-    This is the package's one provider of the object, backed by one bounded
-    in-process map keyed by (d, rows) and the cache directory.  With a
-    `cache_dir`, the first call reads each half from the `OperatorCache` there
-    (values keyed by d, vectors by d and rows; a memory map in the same
-    column-major layout, so results are bitwise those of a fresh solve) or,
-    when the file is missing, writes it, taking the solution from memory when
-    it is already held there.  Later calls return the same arrays, so a mapped
-    copy is faulted in once per process.
+    One bounded in-process map keyed by (d, rows) and `cache_dir` returns the
+    same arrays to every call.  With a `cache_dir`, each half is read from the
+    `OperatorCache` there (a memory map in the solve's layout, so its bits), or
+    written there from memory or a fresh `_solve_q` when missing.
     """
     if not 0 < rows <= d:
         raise ValueError(f"rows must lie in [1, {d}], got {rows}")

@@ -10,7 +10,6 @@ import time
 
 import numpy as np
 import pytest
-import scipy.linalg
 
 import oracles
 from gkpphase import NumericFailure, channel as ch, fock as fk
@@ -234,7 +233,7 @@ def test_no_eigensolve_after_prewarm(tmp_path, monkeypatch):
     def no_solve(*args, **kwargs):
         raise AssertionError("eigensolve after prewarm")
 
-    monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", no_solve)
+    monkeypatch.setattr(fk, "_solve_q", no_solve)
     res = ch.sweep(["T3", "I"], [4.0], [1.0, 2.0], plan, cache_dir=tmp_path)
     assert len(res.rows) + len(res.failures) == 4 and res.rows
     assert res.rows == plain.rows  # equal as floats, not just close
@@ -613,13 +612,13 @@ def _blas_threads():
 def test_pool_workers_inherit_the_eigensystems(monkeypatch):
     # the calling process solves the plan's eigensystems before the pool forks;
     # a worker that solved one would fail its point here (a plan no other test uses)
-    parent, solve = os.getpid(), scipy.linalg.eigh_tridiagonal
+    parent, solve = os.getpid(), fk._solve_q
 
     def parent_only(*args, **kwargs):
         assert os.getpid() == parent, "a pool worker solved an eigensystem"
         return solve(*args, **kwargs)
 
-    monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", parent_only)
+    monkeypatch.setattr(fk, "_solve_q", parent_only)
     plan = fk.TruncationPlan(d_init=40)
     pooled = ch.sweep(["T3", "I"], [2.0, 3.0], [1.0, 2.0], plan, workers=2)
     assert pooled == ch.sweep(["T3", "I"], [2.0, 3.0], [1.0, 2.0], plan, workers=1)
@@ -675,14 +674,14 @@ def test_one_worker_sweep_forks_as_many_processes_as_blas_threads(monkeypatch, t
 def test_cold_sweep_solves_each_eigensystem_once_in_the_caller(monkeypatch, tmp_path, two_blas_threads):
     # the caller solves both before its pool forks, so no worker solves one,
     # and the BLAS count comes back as it was
-    solve, log = scipy.linalg.eigh_tridiagonal, tmp_path / "solvers"
+    solve, log = fk._solve_q, tmp_path / "solvers"
 
     def recording(*args, **kwargs):
         with open(log, "a") as fh:
             fh.write(f"{os.getpid()}\n")
         return solve(*args, **kwargs)
 
-    monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", recording)
+    monkeypatch.setattr(fk, "_solve_q", recording)
     fk._q_eigensystem.cache_clear()
     ch.sweep(["T3", "I"], [2.0, 3.0], [1.0, 2.0], fk.TruncationPlan(d_init=48))
     assert fk._q_eigensystem.cache_info().misses == 2

@@ -264,6 +264,29 @@ def test_cached_sweep_loads_no_scipy(tmp_path):
     assert len((tmp_path / "sweep.csv").read_text().splitlines()) == 4
 
 
+def test_solving_commands_load_no_scipy(tmp_path):
+    # an uncached sweep and `cache prewarm` solve in numpy's own LAPACK; the forked
+    # pool workers inherit -X importtime, so an import there would show too
+    from gkpphase import fock
+
+    if getattr(fock.NUMPY_BLAS, "scipy_dstevd_64_", None) is None:
+        pytest.skip("numpy's BLAS is not scipy-openblas")
+    grid = ["--nbar-min", "3", "--nbar-max", "3", "--lam-min", "1", "--lam-max", "2",
+            "--lam-count", "2", "--dinit", "64"]
+    src = str(Path(cli.__file__).resolve().parents[1])
+    for argv in (["sweep", "--gate", "T3", *grid], ["cache", "prewarm", *grid, "--cache-dir", str(tmp_path)]):
+        proc = subprocess.run([sys.executable, "-X", "importtime", "-m", "gkpphase.cli", *argv,
+                               "--out", str(tmp_path / argv[0])],
+                              capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        imported = [line.rsplit("|", 1)[1].strip() for line in proc.stderr.splitlines()
+                    if line.startswith("import time:")]
+        assert "numpy" in imported
+        assert [m for m in imported if m.split(".")[0] == "scipy"] == []
+    assert len((tmp_path / "sweep").read_text().splitlines()) == 4
+    assert json.loads((tmp_path / "cache").read_text())["prewarmed"] == 4
+
+
 def test_moments_json(tmp_path):
     code, text = run(tmp_path, "moments", "--gate", "T3", "--delta", "0.25", "--lam", "2")
     assert code == 0

@@ -1,6 +1,7 @@
 """Truncated-Fock engine: operators, codewords, orthonormalisation, gates."""
 
 import math
+import types
 from fractions import Fraction as F
 
 import numpy as np
@@ -241,6 +242,44 @@ def test_q_eigensystem_block_is_leading_rows_of_full_solve():
     for rows in (0, 289):
         with pytest.raises(ValueError):
             fk.q_eigensystem(288, rows, None)
+
+
+Q_SOLVE_DIMS = (16, 97, 288, 768, 2304)  # 16 is below dstevd's divide-and-conquer cut-off; 2304 a readout solve
+
+
+@pytest.fixture(scope="module")
+def scipy_q_solves():
+    import scipy.linalg
+
+    return {d: scipy.linalg.eigh_tridiagonal(np.zeros(d), np.sqrt(np.arange(1.0, d) / 2.0)) for d in Q_SOLVE_DIMS}
+
+
+@pytest.mark.parametrize("path", ["dstevd", "fallback"])
+def test_solve_q_is_eigh_tridiagonal_bitwise(monkeypatch, scipy_q_solves, path):
+    # each path's solves run back to back: on 2 cores, alternating numpy's and
+    # scipy's OpenBLAS call by call cost up to 0.3 s a call
+    if path == "dstevd" and getattr(fk.NUMPY_BLAS, "scipy_dstevd_64_", None) is None:
+        pytest.skip("numpy's BLAS is not scipy-openblas")
+    if path == "fallback":
+        monkeypatch.setattr(fk, "NUMPY_BLAS", object())  # a BLAS without the symbol
+    for d, (x, v) in ((d, fk._solve_q(d)) for d in Q_SOLVE_DIMS):
+        want_x, want_v = scipy_q_solves[d]
+        assert x.tobytes() == want_x.tobytes(), d
+        assert v.flags.f_contiguous and v.tobytes(order="F") == want_v.tobytes(order="F"), d
+
+
+def test_solve_q_failure_is_a_linalg_error(monkeypatch):
+    # scipy's wrapper arguments (JOBZ V, LWORK 1 + 4d + d², LIWORK 3 + 5d), and info != 0 raises
+    seen = []
+
+    def dstevd(jobz, n, *args):
+        seen.append((jobz, n._obj.value, args[5]._obj.value, args[7]._obj.value))
+        args[8]._obj.value = 3
+
+    monkeypatch.setattr(fk, "NUMPY_BLAS", types.SimpleNamespace(scipy_dstevd_64_=dstevd))
+    with pytest.raises(np.linalg.LinAlgError, match="info 3"):
+        fk._solve_q(20)
+    assert seen == [(b"V", 20, 1 + 4 * 20 + 20**2, 3 + 5 * 20)]
 
 
 def test_orthonormalize_contract():
