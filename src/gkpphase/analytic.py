@@ -14,7 +14,8 @@ Contents:
   characteristic functions.
 
 The moments, the twirled density and the bound refuse a width or an
-asymmetry that is not positive and finite.  The leading-order shear terms, the asymptotic optimal asymmetry, the
+asymmetry that is not positive and finite.  Γ and erf come from `math`, so
+no command that reads this module loads scipy.  The leading-order shear terms, the asymptotic optimal asymmetry, the
 logical characteristic functions and the pointwise posterior are test
 oracles (`tests/oracles.py`).
 
@@ -72,21 +73,20 @@ def beta_coefficient(k: int) -> float:
 
 def _x_plus_moment(k: int, delta_p: float) -> float:
     """E[x₊^k] of the width-sqrt(2)/Δ_p Gaussian; vanishes for odd k.  A Python
-    float, so an overflow gives inf (which `moments` refuses), not a numpy warning."""
-    from scipy.special import gamma  # here and `erf` in `ft_lower_bound`: a sweep loads no scipy.special
+    float, so an overflow of Γ or of Δ_p^-k gives inf (which `moments` refuses),
+    not a numpy warning."""
     if k % 2:
         return 0.0
     try:
-        scale = delta_p ** (-k)
+        return (
+            2.0 ** (k / 2.0 - 1.0)
+            * 2.0
+            * math.pi ** (-(1.0 + k) / 2.0)
+            * math.gamma((1.0 + k) / 2.0)
+            * delta_p ** (-k)
+        )
     except OverflowError:
-        scale = math.inf
-    return (
-        2.0 ** (k / 2.0 - 1.0)
-        * 2.0
-        * math.pi ** (-(1.0 + k) / 2.0)
-        * float(gamma((1.0 + k) / 2.0))
-        * scale
-    )
+        return math.inf
 
 
 def moments(
@@ -253,16 +253,15 @@ def ft_lower_bound(delta: float) -> BoundResult:
     and the same chain on the true mass gives F = 0.8945 there, below the
     engine's T3 fidelity 0.9744.
     """
-    from scipy.special import erf
     delta = float(delta)  # an np.float64 would overflow to inf with a warning
     if not 0 < delta < math.inf:
         raise ValueError(f"delta must be positive and finite, got {delta}")
     try:
         lam = ft_lambda_ansatz(delta)
         t = math.tanh(delta**2 / 2.0)
-        erf1 = erf(math.sqrt(math.pi) / (t / lam) ** 0.25)
+        erf1 = math.erf(math.sqrt(math.pi) / (t / lam) ** 0.25)
         inner = math.sqrt(t / lam) / (2.0 * lam * t) + lam * t
-        erf2 = erf(math.sqrt(math.pi) / (4.0 * math.sqrt(8.0) * math.sqrt(inner)))
+        erf2 = math.erf(math.sqrt(math.pi) / (4.0 * math.sqrt(8.0) * math.sqrt(inner)))
         p0 = erf1 * erf2
         core = max(0.0, 2.0 * p0 - 1.0) / chi_norm_constant(delta, lam)
     except (OverflowError, ZeroDivisionError):

@@ -178,7 +178,6 @@ def cmd_verify_circuits(args) -> int:
         raise ValueError(f"--seed must be non-negative, got {args.seed}")
     lams = (0.5, 1.0, 2.0, 3.0, 7.0)
     rows = [
-        ("q-steane-rewrite", symplectic.morphing_identity_residual(1.0), 1e-12),
         *((f"rearrangement-lam={lam}", symplectic.morphing_identity_residual(lam), 1e-12)
           for lam in lams),
         # breeding from asymmetry lam >= 1: the rearrangement identity at 1/lam

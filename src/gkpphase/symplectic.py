@@ -133,19 +133,18 @@ def compose(ops) -> GaussianOp:
 # ---------------------------------------------------------------------------
 
 
-def morphing_params(lam: float) -> tuple[float, float, float, float]:
+def morphing_params(lam: float) -> tuple[float, float, float]:
     """Beam-splitter rearrangement of the asymmetry-lam biasing circuit.
 
-    Returns (xi, theta, alpha1, alpha2) = (sqrt(lam)/(lam+1), arctan(sqrt(lam)),
-    sqrt(lam+1), 1/sqrt(lam+1)); with these, cx(sqrt(lam)) followed by
-    feedforward(xi) equals beam_splitter(theta) followed by squeezer(1/alpha1)
-    on the data mode and squeezer(1/alpha2) on the ancilla, see
-    morphing_identity_residual().
+    Returns (xi, theta, alpha) = (sqrt(lam)/(lam+1), arctan(sqrt(lam)),
+    sqrt(lam+1)); with these, cx(sqrt(lam)) followed by feedforward(xi) equals
+    beam_splitter(theta) followed by squeezer(1/alpha) on the data mode and
+    squeezer(alpha) on the ancilla, see morphing_identity_residual().
     """
     if not 0 < lam < math.inf:
         raise ValueError(f"morphing_params requires finite lam > 0, got {lam}")
     rt = math.sqrt(lam)
-    return rt / (lam + 1.0), math.atan(rt), math.sqrt(lam + 1.0), 1.0 / math.sqrt(lam + 1.0)
+    return rt / (lam + 1.0), math.atan(rt), math.sqrt(lam + 1.0)
 
 
 def morphing_identity_residual(lam: float) -> float:
@@ -157,9 +156,9 @@ def morphing_identity_residual(lam: float) -> float:
     cx(1/sqrt(lam)) and feedforward(sqrt(lam)/(lam+1)) as a beam splitter at
     arctan(1/sqrt(lam)) and squeezes, one round from asymmetry lam to lam + 1.
     """
-    xi, theta, a1, a2 = morphing_params(lam)
+    xi, theta, alpha = morphing_params(lam)
     lhs = compose([cx(math.sqrt(lam), 0, 1, 2), feedforward(xi, 0, 1, 2)])
-    rhs = compose([beam_splitter(theta, 0, 1, 2), squeezer(1.0 / a1, 0, 2), squeezer(1.0 / a2, 1, 2)])
+    rhs = compose([beam_splitter(theta, 0, 1, 2), squeezer(1.0 / alpha, 0, 2), squeezer(alpha, 1, 2)])
     return float(np.max(np.abs(lhs.S - rhs.S)))
 
 

@@ -33,11 +33,13 @@ and the forms of them that only tests call.
   label or polynomial on a uniform position grid (the Fourier-grid,
   split-operator form of the channel: Poisson-resummed lattice codewords,
   `_resummed_codeword`, pinned to the direct sum `_grid_codeword`;
-  closed-form smeared Pauli profiles; one FFT pair per input, zero-padded
-  so that no X_m shift wraps onto the codewords), the
+  closed-form smeared Pauli profiles through `_ndtr`, a numpy port of cephes
+  `ndtr`; one FFT pair per input, zero-padded to a `_fast_len` so that no
+  X_m shift wraps onto the codewords), the
   converged reference the Fock engine approaches as d_init grows, as a
   `GridReadout` that reports its window's edge masses against `EDGE_LIMIT`,
-  and `sized_grid_readout`, which grows the window until they pass;
+  `sized_grid_readout`, which grows the window until they pass, and
+  `grid_unit`, which sizes every gate at one (Δ, λ) on shared windows;
   `optima`, a sweep's per-(gate, n̄) optimum rows;
   `clifford_t_orbit`, the <H, S> search behind `channel.CLIFFORD_T_TARGETS`.
 * `basis` (the dense-product L_n, n >= 1), `value` (P(x) in one variable),
@@ -65,6 +67,7 @@ package free of such names.
 
 from __future__ import annotations
 
+import bisect
 import enum
 import functools
 import math
@@ -74,7 +77,6 @@ from itertools import product
 from math import factorial
 
 import numpy as np
-import scipy.fft
 import scipy.special
 
 from gkpphase import NumericFailure, analytic as an, channel as ch, fock as fk, symplectic as sp
@@ -595,14 +597,70 @@ def average_gate_fidelity_reconstructed(readout: dict[str, dict[str, float]], ta
     return (total + 4.0) / 12.0
 
 
+# cephes `ndtr` (S. L. Moshier, Methods and Programs for Mathematical Functions,
+# 1989): erf's rational form below 1, erfc's P/Q below 8 and R/S above.
+_ERF_T = (9.60497373987051638749e0, 9.00260197203842689217e1, 2.23200534594684319226e3,
+          7.00332514112805075473e3, 5.55923013010394962768e4)
+_ERF_U = (3.35617141647503099647e1, 5.21357949780152679795e2, 4.59432382970980127987e3,
+          2.26290000613890934246e4, 4.92673942608635921086e4)
+_ERFC_P = (2.46196981473530512524e-10, 5.64189564831068821977e-1, 7.46321056442269912687e0,
+           4.86371970985681366614e1, 1.96520832956077098242e2, 5.26445194995477358631e2,
+           9.34528527171957607540e2, 1.02755188689515710272e3, 5.57535335369399327526e2)
+_ERFC_Q = (1.32281951154744992508e1, 8.67072140885989742329e1, 3.54937778887819891062e2,
+           9.75708501743205489753e2, 1.82390916687909736289e3, 2.24633760818710981792e3,
+           1.65666309194161350182e3, 5.57535340817727675546e2)
+_ERFC_R = (5.64189583547755073984e-1, 1.27536670759978104416e0, 5.01905042251180477414e0,
+           6.16021097993053585195e0, 7.40974269950448939160e0, 2.97886665372100240670e0)
+_ERFC_S = (2.26052863220117276590e0, 9.39603524938001434673e0, 1.20489539808096656605e1,
+           1.70814450747565897222e1, 9.60896809063285878198e0, 3.36907645100081516050e0)
+_MAXLOG = 7.09782712893383996843e2
+
+
+def _polevl(x: np.ndarray, coeffs, monic: bool = False) -> np.ndarray:
+    """cephes `polevl` (Horner from the leading coefficient), or `p1evl` when the
+    leading 1 is implicit."""
+    out = x + coeffs[0] if monic else np.full_like(x, coeffs[0])
+    for c in coeffs[1:]:
+        out = out * x + c
+    return out
+
+
+def _erf_small(x: np.ndarray) -> np.ndarray:
+    """cephes `erf` for |x| <= 1: x T(x²)/U(x²)."""
+    z = x * x
+    return x * _polevl(z, _ERF_T) / _polevl(z, _ERF_U, monic=True)
+
+
+def _ndtr(a: np.ndarray) -> np.ndarray:
+    """Φ(a) as cephes `ndtr`: 0.5 + 0.5 erf(a/√2) for |a| < 1, else 0.5 erfc(|a|/√2),
+    reflected for a > 0.  Only the exponential, `np.exp`, is not libm's, so it is
+    within a few ulps of `scipy.special.ndtr`, not bitwise.  Each branch runs on
+    its own elements; past erfc's underflow, and above a = 6√2 where 1 - Φ(-a)
+    < 2^-54 rounds to 1, the values are exact without it."""
+    x = a * math.sqrt(0.5)
+    z = np.abs(x)
+    out = (x > 0).astype(float)
+    inner = z < math.sqrt(0.5)
+    out[inner] = 0.5 + 0.5 * _erf_small(x[inner])
+    near = ~inner & (z < 1.0)
+    half = 0.5 * (1.0 - _erf_small(z[near]))
+    out[near] = np.where(x[near] > 0, 1.0 - half, half)
+    tail = (z >= 1.0) & (x < 6.0) & (z * z <= _MAXLOG)
+    for sel, num, den in ((tail & (z < 8.0), _ERFC_P, _ERFC_Q), (tail & (z >= 8.0), _ERFC_R, _ERFC_S)):
+        zs = z[sel]
+        half = 0.5 * (np.exp(-zs * zs) * _polevl(zs, num) / _polevl(zs, den, monic=True))
+        out[sel] = np.where(x[sel] > 0, 1.0 - half, half)
+    return out
+
+
 def _smeared_square_wave(theta: np.ndarray, sigma: float) -> np.ndarray:
     """E[sign cos(θ + σZ)], Z standard normal, in closed form: one minus twice
     the normal mass of θ + σZ in (π/2, 3π/2) + 2πk, θ reduced mod 2π, |k| <= 3."""
     theta = np.mod(theta, 2.0 * math.pi)
+    start = (0.5 * math.pi + 2.0 * math.pi * np.arange(-3.0, 4.0))[:, None] - theta
     out = np.ones_like(theta)
-    for k in range(-3, 4):
-        start = 0.5 * math.pi + 2.0 * math.pi * k - theta
-        out -= 2.0 * (scipy.special.ndtr((start + math.pi) / sigma) - scipy.special.ndtr(start / sigma))
+    for upper, lower in zip(*_ndtr(np.stack([(start + math.pi) / sigma, start / sigma]))):
+        out -= 2.0 * (upper - lower)
     return out
 
 
@@ -700,8 +758,43 @@ def _x_reach(delta: float, lam: float) -> float:
     return k * math.sqrt(math.pi * lam)
 
 
+@functools.cache
+def _smooth_lengths(bits: int) -> list[int]:
+    """The 2·3·5·7·11-smooth integers up to 2**bits, ascending."""
+    out = [1]
+    for prime in (2, 3, 5, 7, 11):
+        grown = []
+        for m in out:
+            while m <= 1 << bits:
+                grown.append(m)
+                m *= prime
+        out = grown
+    return sorted(out)
+
+
+def _fast_len(n: int) -> int:
+    """The smallest 2·3·5·7·11-smooth integer >= n, the length pocketfft
+    transforms fastest: `scipy.fft.next_fast_len` for a complex transform."""
+    lengths = _smooth_lengths((n - 1).bit_length())
+    return lengths[bisect.bisect_left(lengths, n)]
+
+
+def _grid_window(delta: float, lam: float, n: int, half_width: float):
+    """What `grid_readout` shares across gates at one (Δ, λ, N, L): the grid x,
+    the padded FFT length, the profiles g and h, and the orthonormal codewords."""
+    dx = 2.0 * half_width / n
+    x = -half_width + np.arange(n) * dx
+    n_pad = _fast_len(n + math.ceil(_x_reach(delta, lam) / dx))
+    p = 2.0 * math.pi * np.fft.fftfreq(n_pad, dx)
+    sigma = math.sqrt(math.pi * math.tanh(delta**2 / 2.0))
+    g = _smeared_square_wave(x * math.sqrt(math.pi / lam), sigma)
+    h = _smeared_square_wave(p * math.sqrt(math.pi * lam), sigma)
+    e0, e1 = fk.orthonormalize(*(_resummed_codeword(bit, delta, lam, x) for bit in (0, 1)))
+    return x, n_pad, g, h, e0, e1
+
+
 def grid_readout(gate: str | RationalPolynomial, delta: float, lam: float, n: int,
-                 half_width: float) -> GridReadout:
+                 half_width: float, window=None) -> GridReadout:
     """The channel's four-input readout on a uniform position grid, sharing no
     arithmetic with the Fock engine but `fock.orthonormalize` and `fock.phase_profile`.
     The gate is a `GATE_TABLE` label or any one-variable polynomial.
@@ -717,16 +810,10 @@ def grid_readout(gate: str | RationalPolynomial, delta: float, lam: float, n: in
     codewords, which overlap themselves at whole multiples of √(πλ) (unpadded,
     T3 at Δ = 0.1, λ(Δ) and (6144, 90) reads 1 - F 1.2e-4 relative low).  Nothing
     checks the window here: a caller asserts the reported edge masses, and a
-    grid can pass an N-doubling check while L is too small.
+    grid can pass an N-doubling check while L is too small.  `window` is this
+    (Δ, λ, N, L)'s `_grid_window`, built here when not given.
     """
-    dx = 2.0 * half_width / n
-    x = -half_width + np.arange(n) * dx
-    n_pad = scipy.fft.next_fast_len(n + math.ceil(_x_reach(delta, lam) / dx))
-    p = 2.0 * math.pi * np.fft.fftfreq(n_pad, dx)
-    sigma = math.sqrt(math.pi * math.tanh(delta**2 / 2.0))
-    g = _smeared_square_wave(x * math.sqrt(math.pi / lam), sigma)
-    h = _smeared_square_wave(p * math.sqrt(math.pi * lam), sigma)
-    e0, e1 = fk.orthonormalize(*(_resummed_codeword(bit, delta, lam, x) for bit in (0, 1)))
+    x, n_pad, g, h, e0, e1 = window or _grid_window(delta, lam, n, half_width)
     phase = fk.phase_profile(ch.GATE_TABLE[gate][0] if isinstance(gate, str) else gate, lam, x)
     out = {}
     x_edge = p_edge = 0.0
@@ -746,13 +833,18 @@ def grid_readout(gate: str | RationalPolynomial, delta: float, lam: float, n: in
 
 
 def sized_grid_readout(gate: str | RationalPolynomial, delta: float, lam: float, n: int = 4096,
-                       half_width: float = 60.0, max_n: int = 1 << 17) -> GridReadout:
+                       half_width: float = 60.0, max_n: int = 1 << 17,
+                       windows: dict | None = None) -> GridReadout:
     """`grid_readout` on the first window, from (n, half_width), whose edge
     masses are both at most EDGE_LIMIT.  A wide x-edge grows L and N by 3/2
     (dx kept, so the p band too), a wide p-edge doubles N (the band doubles);
-    past `max_n` points it fails with both masses named."""
+    past `max_n` points it fails with both masses named.  `windows`, keyed by
+    (N, L), keeps each `_grid_window` for the next gate at this (Δ, λ)."""
+    windows = {} if windows is None else windows
     while True:
-        readout = grid_readout(gate, delta, lam, n, half_width)
+        if (n, half_width) not in windows:
+            windows[n, half_width] = _grid_window(delta, lam, n, half_width)
+        readout = grid_readout(gate, delta, lam, n, half_width, windows[n, half_width])
         if max(readout.x_edge, readout.p_edge) <= EDGE_LIMIT:
             return readout
         if readout.x_edge > EDGE_LIMIT:
@@ -763,6 +855,13 @@ def sized_grid_readout(gate: str | RationalPolynomial, delta: float, lam: float,
             raise fk.TruncationLeakageError(
                 f"no grid up to {max_n} points holds {gate} at delta {delta}, lam {lam}: edge "
                 f"masses x {readout.x_edge:.2e}, p {readout.p_edge:.2e} above {EDGE_LIMIT}")
+
+
+def grid_unit(gates, delta: float, lam: float) -> list[GridReadout]:
+    """`sized_grid_readout` for each gate at one (Δ, λ), each sizing its own
+    window, with the codewords, profiles and pad length built once per (N, L)."""
+    windows: dict = {}
+    return [sized_grid_readout(gate, delta, lam, windows=windows) for gate in gates]
 
 
 def clifford_t_orbit() -> np.ndarray:

@@ -54,6 +54,10 @@ def test_widths_must_be_positive_and_finite(bad):
                  lambda: an.ft_lower_bound(bad)):
         with pytest.raises(ValueError):
             call()
+    # finite widths whose Γ((1 + k)/2) is past float range, at k = 396: an
+    # OverflowError from `math.gamma`, refused as the inf it stands for
+    with pytest.raises(ValueError, match="take e_vp2 out of float range"):
+        an.moments(RationalPolynomial([0] * 200 + [1]), 0.3, 0.3)
 
 
 @pytest.mark.parametrize("delta", [1e155, 1e-160])

@@ -10,6 +10,8 @@ import time
 
 import numpy as np
 import pytest
+import scipy.fft
+import scipy.special
 
 import oracles
 from gkpphase import NumericFailure, channel as ch, fock as fk
@@ -395,6 +397,60 @@ def test_grid_readout_does_not_wrap_x_shifts_onto_the_codewords():
     grid = oracles.sized_grid_readout("T3", 0.1, ch.analytic.ft_lambda_ansatz(0.1))
     _assert_window(grid)
     assert abs(_infidelity(grid.expectations, "T3") - 5.0234770409e-3) <= 1e-9 * 5.0234770409e-3, (grid.n, grid.half_width)
+
+
+# The grid oracle in the shape the engine will ship: Φ from the `_ndtr` port,
+# pad lengths from `_fast_len`, and `grid_unit`, each pinned to the form it
+# replaces.  Criterion-08 points (n̄, λ = 1 + 4k/15) where every gate starts at
+# (4096, 60): at (2, 0) TGKP grows to 8192 points, at (9, 0) T3 to 8192 and
+# TGKP to 32768, and at (10, 15) no window grows.
+CRITERION_08_SUBSET = [(2.0, 0), (9.0, 0), (10.0, 15)]
+GRID_GATES = ("T3", "TGKP", "I")
+
+
+def _criterion_08_point(n_bar, k):
+    lam = 1.0 + 4 * k / 15
+    return fk.GkpParams.from_n_bar(n_bar, lam).delta, lam
+
+
+@pytest.mark.parametrize("n_bar, k", CRITERION_08_SUBSET)
+def test_grid_unit_is_sized_grid_readout_for_every_gate(n_bar, k):
+    delta, lam = _criterion_08_point(n_bar, k)
+    assert oracles.grid_unit(GRID_GATES, delta, lam) == [
+        oracles.sized_grid_readout(g, delta, lam) for g in GRID_GATES]
+
+
+@pytest.mark.parametrize("n_bar, k", CRITERION_08_SUBSET)
+def test_grid_rows_are_bitwise_with_scipy_ndtr(monkeypatch, n_bar, k):
+    # the rows are the average and T-state infidelities; single expectations may
+    # move by an ulp (188 of the 432 criterion-08 readouts do), no row of the 432 does
+    def rows():
+        return [(_infidelity(r.expectations, g), 1.0 - ch.t_state_fidelity_from_expectations(r.expectations["plus"]))
+                for g, r in zip(GRID_GATES, oracles.grid_unit(GRID_GATES, *_criterion_08_point(n_bar, k)))]
+
+    ported = rows()
+    monkeypatch.setattr(oracles, "_ndtr", scipy.special.ndtr)
+    assert rows() == ported
+
+
+def test_ndtr_port_is_within_4_ulps_of_scipy():
+    # The profiles take Φ at (π/2 + 2πk - θ)/σ and that plus π/σ, |k| <= 3 and
+    # θ in [0, 2π): below 23.6/σ in size, 86.2 at the criterion-08 grid's least
+    # σ, 0.2735.  Over these 2·10⁶ + 1 points across ±90 the port measured at
+    # most 4 ulps (4 points; 159 at 3), those all below -1, where erfc takes
+    # `np.exp`.  The bound is that maximum, with no margin: a fifth ulp is a finding.
+    x = np.linspace(-90.0, 90.0, 2_000_001)
+    ours, theirs = oracles._ndtr(x), scipy.special.ndtr(x)
+    assert np.all(np.abs(ours - theirs) <= 4 * np.spacing(np.abs(theirs)))
+
+
+def test_fast_len_is_next_fast_len():
+    # every length the sized grid can ask for: up to 2¹⁷ points plus the widest
+    # pad, `_x_reach` over the finest dx under 2¹⁷ points, 120/2¹⁷, at the
+    # criterion-08 points (99568)
+    pad = max(math.ceil(oracles._x_reach(*_criterion_08_point(n_bar, k)) / (120.0 / 2**17))
+              for n_bar in range(2, 11) for k in range(16))
+    assert [n for n in range(1, (1 << 17) + pad + 1) if oracles._fast_len(n) != scipy.fft.next_fast_len(n)] == []
 
 
 GROUP_GATES = ["TGKP", "T3", "I"]

@@ -220,71 +220,57 @@ def test_verify_circuits_output_is_fixed_by_its_seed(tmp_path):
     assert [a["name"] for a, b in zip(seven, default) if a != b] == ["nogo-sweep-25-circuits"]
 
 
-def test_verify_circuits_loads_no_scipy():
-    # a fresh interpreter, since this test process has scipy loaded already
-    script = """
-import sys
-from gkpphase import cli
-assert cli.dispatch(["verify-circuits", "--nogo-circuits", "3"]) == 0
-print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
-"""
+# Each command in a fresh interpreter (this test process has scipy loaded
+# already) under -X importtime: numpy loads and no scipy module does.  Forked
+# pool workers inherit the flag, so an import there would show too; a
+# `from . import` of a package module is not timed, but what it imports is.
+# An uncached sweep and `cache prewarm` solve in numpy's own LAPACK, which only
+# scipy-openblas provides.  `synth` has its own, stricter test below.
+GRID = ["--nbar-min", "3", "--nbar-max", "3", "--lam-min", "1", "--lam-max", "2",
+        "--lam-count", "2", "--dinit", "64"]
+NO_SCIPY_CASES = {  # case -> (interpreter arguments, solves a q eigensystem)
+    "import-channel": (["-c", "import gkpphase.channel"], False),
+    "verify-circuits": (["-m", "gkpphase.cli", "verify-circuits", "--nogo-circuits", "3"], False),
+    "sweep": (["-m", "gkpphase.cli", "sweep", "--gate", "T3", *GRID], True),
+    "cached-sweep": (["-m", "gkpphase.cli", "sweep", "--gate", "T3", *GRID, "--cache-dir", "CACHE"], False),
+    "cache": (["-m", "gkpphase.cli", "cache", "prewarm", *GRID, "--cache-dir", "CACHE"], True),
+    "vacuum": (["-m", "gkpphase.cli", "vacuum", "--delta", "0.3", "--grid", "40"], False),
+    "moments": (["-m", "gkpphase.cli", "moments", "--gate", "T4", "--delta", "0.3", "--lam", "2"], False),
+    "ft-bound": (["-m", "gkpphase.cli", "ft-bound", "--delta", "0.2", "0.3"], False),
+    "twirl-density": (["-m", "gkpphase.cli", "twirl-density", "--delta", "0.3", "--lam", "2",
+                       "--points", "5"], False),
+}
+
+
+def test_no_scipy_cases_cover_every_subcommand_but_synth():
+    sub = next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    covered = {argv[2] for argv, _ in NO_SCIPY_CASES.values() if argv[0] == "-m"}
+    assert covered == set(sub.choices) - {"synth"}
+
+
+@pytest.mark.parametrize("case", NO_SCIPY_CASES)
+def test_command_loads_no_scipy(tmp_path, case):
+    from gkpphase import fock
+
+    argv, solves = NO_SCIPY_CASES[case]
+    if solves and getattr(fock.NUMPY_BLAS, "scipy_dstevd_64_", None) is None:
+        pytest.skip("numpy's BLAS is not scipy-openblas")
+    cache, out = tmp_path / "cache", tmp_path / "out"
+    if case == "cached-sweep":  # its eigensystems come from the cache, so nothing solves
+        assert cli.dispatch(["cache", "prewarm", *GRID, "--cache-dir", str(cache), "--out", str(out)]) == 0
+    argv = [str(cache) if a == "CACHE" else a for a in argv] + (["--out", str(out)] if argv[0] == "-m" else [])
     src = str(Path(cli.__file__).resolve().parents[1])
-    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
-                          env={**os.environ, "PYTHONPATH": src}, timeout=60)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "[]"
-
-
-def test_channel_import_loads_no_scipy():
-    # a fresh interpreter, since this test process has scipy loaded already
-    script = "import sys, gkpphase.channel; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
-    src = str(Path(cli.__file__).resolve().parents[1])
-    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
-                          env={**os.environ, "PYTHONPATH": src}, timeout=60)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "[]"
-
-
-def test_cached_sweep_loads_no_scipy(tmp_path):
-    # its eigensystems come from the cache, so nothing solves; the forked pool
-    # workers inherit -X importtime, so an import there would show too.  A
-    # `from . import` of a package module is not timed, but what it imports is
-    grid = ["--nbar-min", "3", "--nbar-max", "3", "--lam-min", "1", "--lam-max", "2",
-            "--lam-count", "2", "--dinit", "64", "--cache-dir", str(tmp_path / "cache")]
-    assert run(tmp_path, "cache", "prewarm", *grid)[0] == 0
-    src = str(Path(cli.__file__).resolve().parents[1])
-    proc = subprocess.run([sys.executable, "-X", "importtime", "-m", "gkpphase.cli", "sweep", "--gate", "T3",
-                           *grid, "--out", str(tmp_path / "sweep.csv")],
-                          capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, timeout=120)
+    proc = subprocess.run([sys.executable, "-X", "importtime", *argv], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, timeout=120)
     assert proc.returncode == 0, proc.stderr
     imported = [line.rsplit("|", 1)[1].strip() for line in proc.stderr.splitlines()
                 if line.startswith("import time:")]
     assert "numpy" in imported
     assert [m for m in imported if m.split(".")[0] == "scipy"] == []
-    assert len((tmp_path / "sweep.csv").read_text().splitlines()) == 4
-
-
-def test_solving_commands_load_no_scipy(tmp_path):
-    # an uncached sweep and `cache prewarm` solve in numpy's own LAPACK; the forked
-    # pool workers inherit -X importtime, so an import there would show too
-    from gkpphase import fock
-
-    if getattr(fock.NUMPY_BLAS, "scipy_dstevd_64_", None) is None:
-        pytest.skip("numpy's BLAS is not scipy-openblas")
-    grid = ["--nbar-min", "3", "--nbar-max", "3", "--lam-min", "1", "--lam-max", "2",
-            "--lam-count", "2", "--dinit", "64"]
-    src = str(Path(cli.__file__).resolve().parents[1])
-    for argv in (["sweep", "--gate", "T3", *grid], ["cache", "prewarm", *grid, "--cache-dir", str(tmp_path)]):
-        proc = subprocess.run([sys.executable, "-X", "importtime", "-m", "gkpphase.cli", *argv,
-                               "--out", str(tmp_path / argv[0])],
-                              capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, timeout=120)
-        assert proc.returncode == 0, proc.stderr
-        imported = [line.rsplit("|", 1)[1].strip() for line in proc.stderr.splitlines()
-                    if line.startswith("import time:")]
-        assert "numpy" in imported
-        assert [m for m in imported if m.split(".")[0] == "scipy"] == []
-    assert len((tmp_path / "sweep").read_text().splitlines()) == 4
-    assert json.loads((tmp_path / "cache").read_text())["prewarmed"] == 4
+    if case in ("sweep", "cached-sweep"):
+        assert len(out.read_text().splitlines()) == 4
+    if case == "cache":
+        assert json.loads(out.read_text())["prewarmed"] == 4
 
 
 def test_moments_json(tmp_path):
