@@ -180,9 +180,9 @@ def cmd_verify_circuits(args) -> int:
     rows = [
         *((f"rearrangement-lam={lam}", symplectic.morphing_identity_residual(lam), 1e-12)
           for lam in lams),
-        # breeding from asymmetry lam >= 1: the rearrangement identity at 1/lam
+        # breeding from asymmetry lam >= 1 is the identity at 1/lam: only a new 1/lam gets a row
         *((f"breeding-lam={lam}", symplectic.morphing_identity_residual(1.0 / lam), 1e-12)
-          for lam in lams[1:]),
+          for lam in lams if 1.0 / lam not in lams),
         ("biasing-vs-conditioning", max(map(symplectic.biasing_identity_residual, lams)), 1e-12),
         (f"nogo-sweep-{args.nogo_circuits}-circuits",
          symplectic.nogo_residual(args.nogo_circuits, args.seed), 1e-10),

@@ -354,9 +354,8 @@ def _reduce(poly: RationalPolynomial) -> list[tuple[RationalPolynomial, tuple[Br
 
 def reduce(poly: RationalPolynomial) -> ReductionOutcome:
     """The lexicographically minimal gate polynomials of one variable (`_reduce`),
-    positive leading coefficient first, with its steps; a constant reduces to 0."""
-    if poly.degree <= 0:
-        return ReductionOutcome((RationalPolynomial(),), ())
+    positive leading coefficient first, with its steps; a constant reduces to 0,
+    its integer part logged as any input's is."""
     minima = sorted(_reduce(poly), key=lambda pair: (pair[0].coeff(pair[0].degree) < 0,
                                                      pair[0].coeffs))
     return ReductionOutcome(tuple(p for p, _ in minima), minima[0][1])

@@ -40,6 +40,9 @@ and the forms of them that only tests call.
   `GridReadout` that reports its window's edge masses against `EDGE_LIMIT`,
   `sized_grid_readout`, which grows the window until they pass, and
   `grid_unit`, which sizes every gate at one (Δ, λ) on shared windows;
+  `six_axis_identity_infidelity`, the identity gate's 1 - F on that grid as
+  a mean over the six Pauli-axis inputs, each term a sum of nonnegative
+  numbers (the ndtr complements `_square_wave_complements`), in any dtype;
   `optima`, a sweep's per-(gate, n̄) optimum rows;
   `clifford_t_orbit`, the <H, S> search behind `channel.CLIFFORD_T_TARGETS`.
 * `basis` (the dense-product L_n, n >= 1), `value` (P(x) in one variable),
@@ -156,9 +159,6 @@ def reduce(poly: RationalPolynomial) -> ReductionOutcome:
     """The lexicographically minimal gate polynomials, in Fraction arithmetic,
     positive leading coefficient first, with the steps that reach the first."""
     deg = poly.degree
-    if deg <= 0:
-        return ReductionOutcome((drop_constant(poly),), ())
-
     branches: list[tuple[RationalPolynomial, tuple[BranchStep, ...]]] = [(poly, ())]
     for j in range(deg, 0, -1):
         lead = Fraction(1, factorial(j))
@@ -639,7 +639,7 @@ def _ndtr(a: np.ndarray) -> np.ndarray:
     < 2^-54 rounds to 1, the values are exact without it."""
     x = a * math.sqrt(0.5)
     z = np.abs(x)
-    out = (x > 0).astype(float)
+    out = (x > 0).astype(x.dtype)
     inner = z < math.sqrt(0.5)
     out[inner] = 0.5 + 0.5 * _erf_small(x[inner])
     near = ~inner & (z < 1.0)
@@ -709,7 +709,7 @@ def _resummed_codeword(bit: int, delta: float, lam: float, x: np.ndarray) -> np.
     a = math.pi * w / (4.0 * lam)
     j_max = math.ceil(0.5 + math.sqrt(160.0 * a) / (2.0 * math.pi))
     shifts = 2.0 * math.pi * np.arange(-j_max, j_max + 1)
-    psi = np.zeros(x.size, dtype=complex)
+    psi = np.zeros(x.size, dtype=np.result_type(x, 1j))
     for m in range(-cut_m, cut_m + 1):
         mu = 2 * m + bit
         q0 = shrink * mu * math.sqrt(lam / 2.0)
@@ -779,13 +779,14 @@ def _fast_len(n: int) -> int:
     return lengths[bisect.bisect_left(lengths, n)]
 
 
-def _grid_window(delta: float, lam: float, n: int, half_width: float):
+def _grid_window(delta: float, lam: float, n: int, half_width: float, dtype=np.float64):
     """What `grid_readout` shares across gates at one (Δ, λ, N, L): the grid x,
-    the padded FFT length, the profiles g and h, and the orthonormal codewords."""
+    the padded FFT length, the profiles g and h, and the orthonormal codewords,
+    every array in `dtype` from the float64 grid."""
     dx = 2.0 * half_width / n
-    x = -half_width + np.arange(n) * dx
+    x = (-half_width + np.arange(n) * dx).astype(dtype)
     n_pad = _fast_len(n + math.ceil(_x_reach(delta, lam) / dx))
-    p = 2.0 * math.pi * np.fft.fftfreq(n_pad, dx)
+    p = (2.0 * math.pi * np.fft.fftfreq(n_pad, dx)).astype(dtype)
     sigma = math.sqrt(math.pi * math.tanh(delta**2 / 2.0))
     g = _smeared_square_wave(x * math.sqrt(math.pi / lam), sigma)
     h = _smeared_square_wave(p * math.sqrt(math.pi * lam), sigma)
@@ -862,6 +863,89 @@ def grid_unit(gates, delta: float, lam: float) -> list[GridReadout]:
     window, with the codewords, profiles and pad length built once per (N, L)."""
     windows: dict = {}
     return [sized_grid_readout(gate, delta, lam, windows=windows) for gate in gates]
+
+
+def _interval_mass(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The standard normal mass of (a, b), a < b, from the two lower tails
+    Φ(-|a|) and Φ(-|b|) alone, so a small mass keeps its relative precision."""
+    ta, tb = _ndtr(-np.abs(a)), _ndtr(-np.abs(b))
+    return np.where(a >= 0, ta - tb, np.where(b <= 0, tb - ta, 1.0 - ta - tb))
+
+
+def _square_wave_complements(theta: np.ndarray, sigma: float) -> tuple[np.ndarray, np.ndarray]:
+    """1 - g and 1 + g for g = `_smeared_square_wave`(θ, σ): twice the normal
+    mass of θ + σZ in (π/2, 3π/2) + 2πk and in (-π/2, π/2) + 2πk, |k| <= 3,
+    each a sum of nonnegative terms."""
+    theta = np.mod(theta, 2.0 * math.pi)
+    out = []
+    for offset in (0.5 * math.pi, -0.5 * math.pi):
+        start = (offset + 2.0 * math.pi * np.arange(-3.0, 4.0))[:, None] - theta
+        out.append(2.0 * _interval_mass(start / sigma, (start + math.pi) / sigma).sum(axis=0))
+    return out[0], out[1]
+
+
+# The six Pauli-axis inputs as (a, b) in a|0> + b|1>, unnormalised (each axis
+# term is a ratio), with the Bloch axis each points along and its sign.
+AXIS_INPUTS = {
+    "zero": ((1.0, 0.0), "Z", 1), "one": ((0.0, 1.0), "Z", -1),
+    "plus": ((1.0, 1.0), "X", 1), "minus": ((1.0, -1.0), "X", -1),
+    "plus_i": ((1.0, 1j), "Y", 1), "minus_i": ((1.0, -1j), "Y", -1),
+}
+
+
+@dataclass(frozen=True)
+class AxisInfidelity:
+    """1 - F from the six Pauli-axis inputs, with its window as in `GridReadout`
+    (the edge masses over the six inputs)."""
+
+    infidelity: float
+    n: int
+    half_width: float
+    x_edge: float
+    p_edge: float
+
+
+def six_axis_identity_infidelity(delta: float, lam: float, n: int, half_width: float,
+                                 dtype=np.float64) -> AxisInfidelity:
+    """The identity gate's 1 - F on `grid_readout`'s grid, as the mean of
+    (1 - n·r)/2 over the six Pauli-axis inputs, a 2-design (Bowdrey et al.,
+    Phys. Lett. A 294, 258 (2002)), with every array operation in `dtype`.
+
+    Each 1 - n·r is a sum of nonnegative numbers, so no term cancels:
+    - ±z: 1 ∓ <Z_m> = Σ|ψ|²(1 ∓ g)/Σ|ψ|²;
+    - ±x: 1 ∓ <X_m> = Σ|ψ̃|²(1 ∓ h)/Σ|ψ̃|², ψ̃ the padded FFT of ψ;
+    - ±y: 1 ∓ <Y_m> = ½‖(X_m ∓ iZ_m)ψ‖²/Σ|ψ|² + ½Σ|ψ̃|²(1 - h²)/Σ|ψ̃|²
+      + ½Σ|ψ|²(1 - g²)/Σ|ψ|², where X_m ψ is the whole padded inverse FFT;
+      its cross term is `grid_readout`'s <Y_m>, and its square the p-side sum.
+    1 ∓ g and 1 ∓ h come from `_square_wave_complements`.  The grid, Δ, λ and
+    the scalar constants are float64 whatever `dtype` is, so a float64 and a
+    longdouble evaluation differ only by their arithmetic's rounding.
+    """
+    x, n_pad, g, h, e0, e1 = _grid_window(delta, lam, n, half_width, dtype)
+    p = (2.0 * math.pi * np.fft.fftfreq(n_pad, 2.0 * half_width / n)).astype(dtype)
+    sigma = math.sqrt(math.pi * math.tanh(delta**2 / 2.0))
+    g_minus, g_plus = _square_wave_complements(x * math.sqrt(math.pi / lam), sigma)
+    h_minus, h_plus = _square_wave_complements(p * math.sqrt(math.pi * lam), sigma)
+    total = x_edge = p_edge = 0.0
+    for (a, b), axis, sign in AXIS_INPUTS.values():
+        psi = a * e0 + b * e1
+        dens = np.abs(psi) ** 2
+        psi_p = np.fft.fft(psi, n_pad)
+        dens_p = np.abs(psi_p) ** 2
+        if axis == "Z":
+            term = (dens * (g_minus if sign > 0 else g_plus)).sum() / dens.sum()
+        elif axis == "X":
+            term = (dens_p * (h_minus if sign > 0 else h_plus)).sum() / dens_p.sum()
+        else:
+            rotated = np.fft.ifft(h * psi_p)
+            rotated[:n] -= sign * 1j * g * psi
+            term = 0.5 * ((np.abs(rotated) ** 2).sum() / dens.sum()
+                          + (dens_p * h_minus * h_plus).sum() / dens_p.sum()
+                          + (dens * g_minus * g_plus).sum() / dens.sum())
+        total += term
+        x_edge = max(x_edge, _edge_mass(dens))
+        p_edge = max(p_edge, _edge_mass(np.fft.fftshift(dens_p)))
+    return AxisInfidelity(float(total / 12.0), n, half_width, x_edge, p_edge)
 
 
 def clifford_t_orbit() -> np.ndarray:

@@ -345,6 +345,43 @@ def test_default_engine_error_is_bounded(gate, n_bar, lam):
     assert abs(fock - want) <= 2e-3 * want, (fock, want)
 
 
+@pytest.mark.parametrize("sigma", [0.1, 0.28, 1.0, math.sqrt(math.pi)])
+def test_square_wave_complements_are_one_minus_and_plus_the_profile(sigma):
+    # σ from Δ → 0 up to its cap √π (0.28 is n̄ 10); measured 6.7e-16 and
+    # 7.2e-16 at most, against the bound 2e-15 (a 2.8x margin)
+    theta = np.linspace(-20.0, 20.0, 20001)
+    minus, plus = oracles._square_wave_complements(theta, sigma)
+    assert (minus >= 0).all() and (plus >= 0).all()
+    assert np.abs(minus + plus - 2.0).max() <= 2e-15
+    assert np.abs(0.5 * (plus - minus) - oracles._smeared_square_wave(theta, sigma)).max() <= 2e-15
+
+
+# The six-axis 1 - F (oracles.six_axis_identity_infidelity) at the five
+# criterion-08 rows with 1 - F < 3e-4, all gate I and all sized (4096, 60).
+# Measured: float64 against longdouble 0 to 4.0e-16 relative (the bound 1e-14
+# has a 25x margin; on a platform whose longdouble is float64 this check is
+# vacuous); N against 2N 0 to 7.4e-16 relative (1e-14, 13x), where the
+# four-input 1 - F moves by up to 2.2e-12; and the four-input value within
+# 2.0e-16 absolute of the longdouble one (1e-15, 4.9x).  That value is formed
+# as 1 - F, so it carries F's rounding, 1.1e-16 a unit below 1: its bound is
+# absolute.  A failure is a finding about the form, not a bound to move.
+@pytest.mark.parametrize("n_bar, lam", [
+    (10.0, 1.0), (10.0, 1.0 + 4 / 15), (9.0, 1.0), (10.0, 1.0 + 8 / 15), (9.0, 1.0 + 4 / 15),
+])
+def test_six_axis_infidelity_keeps_float64_at_the_low_rows(n_bar, lam):
+    delta = fk.GkpParams.from_n_bar(n_bar, lam).delta
+    readout = oracles.sized_grid_readout("I", delta, lam)
+    assert (readout.n, readout.half_width) == (4096, 60.0)
+    six, wide, long = (oracles.six_axis_identity_infidelity(delta, lam, n, 60.0, dtype)
+                       for n, dtype in ((4096, np.float64), (8192, np.float64), (4096, np.longdouble)))
+    for value in (readout, six, wide, long):
+        _assert_window(value)
+    want = long.infidelity
+    assert abs(six.infidelity - want) <= 1e-14 * want, (six.infidelity, want)
+    assert abs(wide.infidelity - six.infidelity) <= 1e-14 * want, (wide.infidelity, six.infidelity)
+    assert abs(_infidelity(readout.expectations, "I") - want) <= 1e-15, want
+
+
 @pytest.mark.parametrize("delta, lam, n, half_width", [
     (fk.GkpParams.from_n_bar(6.0, 2.0).delta, 2.0, 4096, 40.0),
     (0.05, ch.analytic.ft_lambda_ansatz(0.05), 8192, 120.0),

@@ -220,6 +220,23 @@ def test_verify_circuits_output_is_fixed_by_its_seed(tmp_path):
     assert [a["name"] for a, b in zip(seven, default) if a != b] == ["nogo-sweep-25-circuits"]
 
 
+def test_verify_circuits_runs_each_identity_once(tmp_path, monkeypatch):
+    # a breeding round from asymmetry lam is the identity at 1/lam, so lam 1 and
+    # 2 would re-run the rearrangement rows at 1 and 0.5
+    from gkpphase import symplectic
+
+    seen = []
+    residual = symplectic.morphing_identity_residual
+    monkeypatch.setattr(symplectic, "morphing_identity_residual",
+                        lambda lam: seen.append(lam) or residual(lam))
+    code, text = run(tmp_path, "verify-circuits", "--nogo-circuits", "3")
+    assert code == 0
+    assert len(seen) == len(set(seen)) == 7
+    assert [c["name"] for c in json.loads(text)["checks"]] == [
+        *(f"rearrangement-lam={lam}" for lam in (0.5, 1.0, 2.0, 3.0, 7.0)),
+        "breeding-lam=3.0", "breeding-lam=7.0", "biasing-vs-conditioning", "nogo-sweep-3-circuits"]
+
+
 # Each command in a fresh interpreter (this test process has scipy loaded
 # already) under -X importtime: numpy loads and no scipy module does.  Forked
 # pool workers inherit the flag, so an import there would show too; a

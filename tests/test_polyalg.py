@@ -168,6 +168,15 @@ def test_reduce_trivial_fixed_point():
     assert poly(0, "1/2") in out.minima
 
 
+def test_reduce_logs_a_constant_like_multivariate_reduce():
+    # a constant is a global phase: it reduces to 0, its integer part logged
+    for c, n0 in ((3, 3), ("-1/3", -1), ("5/2", 2)):
+        out = pa.reduce(poly(c))
+        assert out == pa.multivariate_reduce(poly(c)) == oracles.reduce(poly(c))
+        assert out.minima == (Poly(),)
+        assert out.branch_log == (pa.BranchStep((0,), n0, False),)
+
+
 def test_reduce_t4_reaches_t3():
     # the even quartic T gate is not minimal; it reduces back to the cubic
     assert T3 in pa.reduce(T4).minima

@@ -107,8 +107,8 @@ def test_non_finite_gaussian_objects_are_refused(build):
 
 # lam = 1 is the q-Steane rewrite
 @pytest.mark.parametrize("lam", [0.5, 1.0, 2.0, 3.0, 7.0]
-                         # 1/lam: the breeding round from asymmetry lam
-                         + [pytest.param(1.0 / lam, id=f"1/{lam}") for lam in (1.0, 2.0, 3.0, 7.0)])
+                         # 1/lam: the breeding round from asymmetry lam (lam 1 and 2 are above)
+                         + [pytest.param(1.0 / lam, id=f"1/{lam}") for lam in (3.0, 7.0)])
 def test_rearrangement_identity(lam):
     assert sp.morphing_identity_residual(lam) < 1e-12
 
