@@ -89,9 +89,7 @@ def _x_plus_moment(k: int, delta_p: float) -> float:
         return math.inf
 
 
-def moments(
-    poly: RationalPolynomial, delta_q: float, delta_p: float
-) -> MomentSummary:
+def moments(poly: RationalPolynomial, delta_q: float, delta_p: float) -> MomentSummary:
     """Exact closed-form second moments for the gate polynomial `poly`.
 
     E(v_q²) = Δ_q²/(4π) is gate independent.  The momentum variance carries

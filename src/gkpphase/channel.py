@@ -15,16 +15,19 @@ That readout model is the only one: the engine reads Σ from the config's
 The heavy objects, the position eigensystems at d_out and at the readout
 dimension, depend only on the truncation; `fock.q_eigensystem` keeps them per
 process and, given a cache directory, on disk, and a sweep solves them before
-it pins numpy's BLAS and forks its workers.  The Pauli diagonals are one
-matvec per (Δ, λ) with kernels that depend on λ alone, which `fock` keeps for
-the last 16 λ: a sweep visits its points λ by λ, so each worker builds each
-λ's kernels once.  The vacuum baseline keeps one ranking of the posterior
-cells, that of the last (Δ, grid) (`_ranked_cells`), so the match fraction and
-every postselection at one Δ share one posterior evaluation and one sort.
+it pins numpy's BLAS and forks its workers.  A readout's four inputs share
+each cache-sized column block of them, at the bits of one input at a time.
+The Pauli diagonals are one matvec per (Δ, λ) with kernels that depend on λ
+alone, which `fock` keeps for the last 16 λ: a sweep visits its points λ by λ,
+so each worker builds each λ's kernels once.  The vacuum baseline keeps one
+ranking of the posterior cells, that of the last (Δ, grid) (`_ranked_cells`),
+so the match fraction and every postselection at one Δ share one posterior
+evaluation and one sort.
 """
 
 from __future__ import annotations
 
+import ctypes
 import itertools
 import math
 import multiprocessing
@@ -55,6 +58,10 @@ INPUT_STATES = {
 
 NORM_LOSS_LIMIT = 1e-3
 
+# Eigenvector-matrix columns a multi-input readout reads at a time (`_rmatvecs`): at d_init 256 a
+# 768 x 256 block of v2 is 1.5 MB, inside a 2 MB L2 (384 columns ran slower, 128 and 192 no faster).
+READOUT_BLOCK = 256
+
 def target_unitary(label: str) -> np.ndarray:
     """2x2 target of a `GATE_TABLE` gate: diag(1, e^{2πi/2^m}) at its hierarchy level m."""
     m = GATE_TABLE[label][1]
@@ -80,7 +87,10 @@ class ChannelEngine:
     dimension d_out, and the smeared X/Z measurement operators are diagonal
     in the p/q eigenbases at dimension d_temp(d_out).  Only matrix-vector
     products with the first d_out rows of those eigenvector matrices touch the
-    state, so a single evaluation costs a few d_out·d_temp flops.
+    state.  At one BLAS thread a readout reads each matrix `READOUT_BLOCK` columns
+    at a time for all four inputs (`_rmatvecs`), at the bits of numpy's per-input
+    whole-matrix products; one input (`pauli_expectations`), more BLAS threads
+    (whose row split moves those bits) or a BLAS without dgemv take the latter.
 
     The build (eigensystems, Pauli profiles, codeword pair) is gate-free, and
     each call takes its gate (`pauli_expectations` its phase), so one engine
@@ -89,80 +99,92 @@ class ChannelEngine:
     """
 
     def __init__(self, config: ChannelConfig, cache_dir=None):
-        self.config = config
-        plan = config.plan
-        lam = config.params.lam
+        self.config, plan, delta, lam = config, config.plan, config.params.delta, config.params.lam
         self.d_init = plan.d_init
         (self.d_temp, self.d_out), _ = plan.eigensystem_dims
         # the readout's (x2, v2) and the gate's (x1, v1), each its first d_out vector rows
         (self.x2, self.v2), (self.x1, self.v1) = (
             fock.q_eigensystem(d, rows, cache_dir) for d, rows in plan.eigensystem_dims)
         self.r2 = fock.number_parity_phases(self.d_temp)
-
-        self.g_z, self.h_x = fock.pauli_profiles(lam, config.params.delta, self.x2)
-
-        c0 = fock.gkp_codeword(0, config.params.delta, lam, self.d_init)
-        c1 = fock.gkp_codeword(1, config.params.delta, lam, self.d_init)
-        self.e0, self.e1 = fock.orthonormalize(c0, c1)
-        self._gate_inputs: dict[bytes, np.ndarray] = {}
-
-    @staticmethod
-    def _rmatvec(m_real: np.ndarray, vec: np.ndarray) -> np.ndarray:
-        # real matrix x complex vector without promoting the (large) matrix
-        return m_real @ vec.real + 1j * (m_real @ vec.imag)
+        self.g_z, self.h_x = fock.pauli_profiles(lam, delta, self.x2)
+        codewords = (fock.gkp_codeword(bit, delta, lam, self.d_init) for bit in (0, 1))
+        self.e0, self.e1 = fock.orthonormalize(*codewords)
+        self._gate_inputs: dict[str, np.ndarray] = {}  # input name -> V1[:d_init]ᵀ times the encoded input
 
     def gate_phase(self, gate: RationalPolynomial) -> np.ndarray:
         """Diagonal of a gate in the d_out q eigenbasis."""
         return fock.phase_profile(gate, self.config.params.lam, self.x1)
 
-    def _gate_input(self, qubit: np.ndarray) -> np.ndarray:
-        """V1[:d_init]ᵀ times the encoded qubit, kept per input: every gate starts from it."""
-        key = qubit.tobytes()
-        if key not in self._gate_inputs:
-            a, b = qubit
-            vec = a * self.e0 + b * self.e1
-            self._gate_inputs[key] = self._rmatvec(self.v1[: self.d_init, :].T,
-                                                   vec / np.linalg.norm(vec))
-        return self._gate_inputs[key]
-
-    def _apply_gate(self, w: np.ndarray, phase: np.ndarray) -> np.ndarray:
-        out = self._rmatvec(self.v1, phase * w)
-        # The gate is exactly unitary at its build dimension, so norm loss
-        # proper is roundoff; what signals an untrustworthy truncation is
-        # amplitude reaching the top of the output window.
-        loss = abs(1.0 - float(np.vdot(out, out).real))
-        tail = float(np.sum(np.abs(out[7 * self.d_out // 8 :]) ** 2))
-        if max(loss, tail) > NORM_LOSS_LIMIT:
-            raise fock.TruncationLeakageError(
-                f"post-gate norm loss {loss:.2e} / edge mass {tail:.2e} "
-                f"exceeds {NORM_LOSS_LIMIT}"
-            )
-        return out
+    def _expectations(self, names: list[str], phase: np.ndarray) -> dict[str, dict[str, float]]:
+        """Input name -> <I, X, Y, Z> for each input of `names`; input by input, a
+        leaking gate output raises, then a value past ±(1 + 1e-6)."""
+        k, r = len(names), self.r2[: self.d_out]
+        for name in set(names) - self._gate_inputs.keys():  # kept: every gate starts from them
+            vec = INPUT_STATES[name][0] * self.e0 + INPUT_STATES[name][1] * self.e1
+            self._gate_inputs[name] = _rmatvecs(self.v1[: self.d_init, :].T, [vec / np.linalg.norm(vec)])[0]
+        psis = _rmatvecs(self.v1, [phase * self._gate_inputs[name] for name in names], k > 1)
+        # Z_m is diagonal in the q eigenbasis, X_m in the p one (= R q R†).
+        w = _rmatvecs(self.v2.T, psis + [r.conj() * psi for psi in psis], k > 1)
+        back = _rmatvecs(self.v2, [self.g_z * wz for wz in w[:k]] + [self.h_x * wx for wx in w[k:]], k > 1)
+        readout = {}
+        for name, psi, z_psi, x_psi in zip(names, psis, back[:k], [r * x for x in back[k:]]):
+            # The gate is exactly unitary at its build dimension, so norm loss proper is roundoff;
+            # what signals an untrustworthy truncation is amplitude reaching the top of the output window.
+            norm2 = float(np.vdot(psi, psi).real)
+            loss, tail = abs(1.0 - norm2), float(np.sum(np.abs(psi[7 * self.d_out // 8 :]) ** 2))
+            if max(loss, tail) > NORM_LOSS_LIMIT:
+                raise fock.TruncationLeakageError(f"post-gate norm loss {loss:.2e} / edge mass {tail:.2e} "
+                                                  f"exceeds {NORM_LOSS_LIMIT}")
+            readout[name] = {"I": 1.0, "X": float(np.vdot(psi, x_psi).real) / norm2,
+                             "Y": -float(np.vdot(x_psi, z_psi).imag) / norm2,
+                             "Z": float(np.vdot(psi, z_psi).real) / norm2}
+            for pauli, val in readout[name].items():
+                if abs(val) > 1.0 + 1e-6:
+                    raise NumericFailure(f"expectation <{pauli}> = {val} out of range for input {name}")
+        return readout
 
     def pauli_expectations(self, name: str, phase: np.ndarray) -> dict[str, float]:
         """<I, X, Y, Z> of the channel output for the input `INPUT_STATES[name]`,
         through the gate of diagonal `phase` (from `gate_phase`).  A value outside
         [-1, 1] by more than 1e-6 raises `NumericFailure`."""
-        psi = self._apply_gate(self._gate_input(INPUT_STATES[name]), phase)
-        norm2 = float(np.vdot(psi, psi).real)
-        # Z_m is diagonal in the q eigenbasis, X_m in the p one (= R q R†).
-        wz = self._rmatvec(self.v2.T, psi)
-        z_psi = self._rmatvec(self.v2, self.g_z * wz)
-        wx = self._rmatvec(self.v2.T, self.r2[: self.d_out].conj() * psi)
-        x_psi = self.r2[: self.d_out] * self._rmatvec(self.v2, self.h_x * wx)
-        exp_z = float(np.vdot(psi, z_psi).real) / norm2
-        exp_x = float(np.vdot(psi, x_psi).real) / norm2
-        exp_y = -float(np.vdot(x_psi, z_psi).imag) / norm2
-        exps = {"I": 1.0, "X": exp_x, "Y": exp_y, "Z": exp_z}
-        for pauli, val in exps.items():
-            if abs(val) > 1.0 + 1e-6:
-                raise NumericFailure(f"expectation <{pauli}> = {val} out of range for input {name}")
-        return exps
+        return self._expectations([name], phase)[name]
 
     def readout(self, gate: RationalPolynomial) -> dict[str, dict[str, float]]:
         """The four basis inputs through a gate: input name -> its Pauli expectations."""
-        phase = self.gate_phase(gate)
-        return {name: self.pauli_expectations(name, phase) for name in INPUT_STATES}
+        return self._expectations(list(INPUT_STATES), self.gate_phase(gate))
+
+
+def _rmatvecs(m: np.ndarray, vecs: list[np.ndarray], blocked: bool = False) -> list[np.ndarray]:
+    """Real m times each complex vector, without promoting the (large) matrix: numpy's
+    whole-matrix products, or `blocked`, their bits at one BLAS thread from numpy's own
+    `dgemv` reading m's F-ordered storage (m, or mᵀ for a C-ordered m) `READOUT_BLOCK`
+    columns at a time (Goto & van de Geijn, ACM TOMS 34(3), 2008), each part read at
+    stride 2 as numpy passes it.  Transposed, each output is its own column's dot
+    product; untransposed, OpenBLAS adds column groups into y in order, so blocks after
+    the first continue the sums at β = 1, and the last rows mod 4, summed outside its
+    4-row kernel, take one whole-width call."""
+    dgemv = getattr(fock.NUMPY_BLAS, "scipy_dgemv_64_", None) if blocked else None
+    if dgemv is None or fock.NUMPY_BLAS.scipy_openblas_get_num_threads64_() > 1:
+        return [m @ vec.real + 1j * (m @ vec.imag) for vec in vecs]
+    dgemv.restype, dgemv.argtypes = None, [ctypes.c_char_p, *[ctypes.c_void_p] * 10, ctypes.c_size_t]
+    f, vecs = m.T if m.flags.c_contiguous else m, [np.ascontiguousarray(vec, dtype=complex) for vec in vecs]
+    (rows, cols), ref, i64, dbl = f.shape, ctypes.byref, ctypes.c_int64, ctypes.c_double
+    main = rows - rows % 4 if f is m else rows
+    n_rows, n_main, one, inc_x, inc_y = ref(i64(rows)), ref(i64(main)), ref(dbl(1.0)), ref(i64(2)), ref(i64(1))
+    beta = ref(dbl(0.0)), ref(dbl(1.0))
+    out = np.zeros((2 * len(vecs), m.shape[0]))  # each vector's real part, then its imaginary part
+    xs, ys = [vec.ctypes.data + 8 * part for vec in vecs for part in (0, 1)], [y.ctypes.data for y in out]
+    for col in range(0, cols, READOUT_BLOCK):
+        a, n = f.ctypes.data + 8 * col * rows, ref(i64(min(READOUT_BLOCK, cols - col)))
+        for x, y in zip(xs, ys):
+            if f is m:
+                dgemv(b"N", n_main, n, one, a, n_rows, x + 16 * col, inc_x, beta[col > 0], y, inc_y, 1)
+            else:
+                dgemv(b"T", n_rows, n, one, a, n_rows, x, inc_x, beta[0], y + 8 * col, inc_y, 1)
+    for x, y in zip(xs, ys) if main < rows else ():
+        dgemv(b"N", ref(i64(rows - main)), ref(i64(cols)), one, f.ctypes.data + 8 * main, n_rows, x, inc_x,
+              beta[0], y + 8 * main, inc_y, 1)
+    return [re + 1j * im for re, im in zip(out[::2], out[1::2])]
 
 
 # ---------------------------------------------------------------------------
@@ -276,14 +298,8 @@ def _sweep_group(args) -> dict[str, tuple[float, float | None] | str]:
     return out
 
 
-def sweep(
-    gates,
-    n_bar_grid,
-    lam_grid,
-    plan: fock.TruncationPlan,
-    workers: int = 1,
-    cache_dir=None,
-) -> SweepResult:
+def sweep(gates, n_bar_grid, lam_grid, plan: fock.TruncationPlan, workers: int = 1,
+          cache_dir=None) -> SweepResult:
     """Average-gate / T-state infidelities over a (gate, n̄, λ) grid.
 
     Each point is keyed by its (gate, n̄, λ): a repeated gate, n̄ or λ is
@@ -301,9 +317,7 @@ def sweep(
     other than `NumericFailure` in a unit ends the sweep before the queued
     units start; the BLAS count is restored on every exit.
     """
-    gates = list(gates)
-    n_bars = [float(x) for x in n_bar_grid]
-    lams = [float(x) for x in lam_grid]
+    gates, n_bars, lams = list(gates), [float(x) for x in n_bar_grid], [float(x) for x in lam_grid]
     if not gates or not n_bars or not lams:
         raise ValueError("sweep needs nonempty gate, n_bar and lam grids")
     for g in gates:

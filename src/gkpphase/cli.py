@@ -50,9 +50,7 @@ def _emit_json(args, payload: dict) -> None:
 
 
 def _emit_csv(args, header: list[str], rows: list[list[str]]) -> None:
-    lines = [f"# schema_version={SCHEMA_VERSION}", ",".join(header)]
-    for row in rows:
-        lines.append(",".join(row))
+    lines = [f"# schema_version={SCHEMA_VERSION}", ",".join(header), *map(",".join, rows)]
     _atomic_write(args.out, "\n".join(lines) + "\n")
 
 
@@ -261,20 +259,15 @@ def cmd_sweep(args) -> int:
 def cmd_vacuum(args) -> int:
     from . import channel
 
-    cfg = channel.VacuumMethodConfig(
-        delta=args.delta, grid=_square_grid_side("--grid", args.grid),
-        postselect_fraction=args.postselect,
-    )
+    cfg = channel.VacuumMethodConfig(delta=args.delta, grid=_square_grid_side("--grid", args.grid),
+                                     postselect_fraction=args.postselect)
     res = channel.vacuum_state_method(cfg)
     if args.grid < COARSE_GRID:
         print(f"vacuum: warning: --grid {args.grid} is below {COARSE_GRID} cells "
               "per axis; the syndrome grid is coarse", file=sys.stderr)
-    _emit_csv(
-        args,
-        ["delta", "p", "infidelity", "acceptance_prob"],
-        [[f"{args.delta:.12g}", f"{args.postselect:.12g}",
-          f"{res.infidelity:.12e}", f"{res.acceptance_probability:.12e}"]],
-    )
+    _emit_csv(args, ["delta", "p", "infidelity", "acceptance_prob"],
+              [[f"{args.delta:.12g}", f"{args.postselect:.12g}",
+                f"{res.infidelity:.12e}", f"{res.acceptance_probability:.12e}"]])
     return 0
 
 
@@ -309,13 +302,8 @@ def cmd_moments(args) -> int:
 def cmd_ft_bound(args) -> int:
     from . import analytic
 
-    rows = []
-    for delta in args.delta:
-        b = analytic.ft_lower_bound(delta)
-        rows.append(
-            [f"{b.delta:.12g}", f"{b.lam_of_delta:.12g}",
-             f"{b.f_lower_bound:.12e}", "1" if b.validity else "0"]
-        )
+    rows = [[f"{b.delta:.12g}", f"{b.lam_of_delta:.12g}", f"{b.f_lower_bound:.12e}",
+             "1" if b.validity else "0"] for b in map(analytic.ft_lower_bound, args.delta)]
     _emit_csv(args, ["delta", "lam_of_delta", "f_lower_bound", "validity"], rows)
     return 0
 

@@ -49,9 +49,7 @@ MAX_BRANCHES = 65536
 def _as_fraction(x) -> Fraction:
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, int):
-        return Fraction(x)
-    if isinstance(x, str):
+    if isinstance(x, (int, str)):
         return Fraction(x)
     raise TypeError(f"expected an exact rational, got {type(x).__name__}")
 
@@ -213,12 +211,13 @@ def lift_representation(poly: RationalPolynomial, m: int) -> RationalPolynomial:
     integers.  P must implement the level-m gate, which `verify_gate` checks
     exactly at any degree, and its lift may not pass 2^m, the level-(m+1)
     power start's degree, which every minimum's lift meets (a minimum at level
-    m has degree <= 2^(m-1)).  A P that fails either is refused with ValueError.
+    m has degree <= 2^(m-1)).  A P that fails either, or m < 1, is refused with ValueError.
     """
+    if m < 1:
+        raise ValueError(f"lift_representation: level {m} has no lift to level {m + 1}; "
+                         "lifts start at level 1")
     if not verify_gate(poly, m):
-        raise ValueError(
-            f"lift_representation: polynomial does not implement the level-{m} gate"
-        )
+        raise ValueError(f"lift_representation: polynomial does not implement the level-{m} gate")
     if 2 * poly.degree > 2**m:
         raise ValueError(f"lift_representation: the degree-{poly.degree} input lifts to degree "
                          f"{2 * poly.degree}, above the level-{m + 1} power start's {2**m}")

@@ -549,6 +549,28 @@ def logical_expectation(config: ch.ChannelConfig, state: str, pauli: str) -> flo
     return engine.pauli_expectations(state, engine.gate_phase(config.gate))[pauli]
 
 
+def per_input_readout(engine: ch.ChannelEngine, gate: RationalPolynomial) -> dict[str, dict[str, float]]:
+    """`engine.readout(gate)` one input at a time, each real-matrix product two
+    whole-matrix numpy calls: the form the blocked readout must equal bit for bit.
+    No range or leakage check."""
+    phase, r = engine.gate_phase(gate), engine.r2[: engine.d_out]
+
+    def rmatvec(m, vec):
+        return m @ vec.real + 1j * (m @ vec.imag)
+
+    readout = {}
+    for name, (a, b) in ch.INPUT_STATES.items():
+        vec = a * engine.e0 + b * engine.e1
+        psi = rmatvec(engine.v1, phase * rmatvec(engine.v1[: engine.d_init, :].T, vec / np.linalg.norm(vec)))
+        norm2 = float(np.vdot(psi, psi).real)
+        z_psi = rmatvec(engine.v2, engine.g_z * rmatvec(engine.v2.T, psi))
+        x_psi = r * rmatvec(engine.v2, engine.h_x * rmatvec(engine.v2.T, r.conj() * psi))
+        readout[name] = {"I": 1.0, "X": float(np.vdot(psi, x_psi).real) / norm2,
+                         "Y": -float(np.vdot(x_psi, z_psi).imag) / norm2,
+                         "Z": float(np.vdot(psi, z_psi).real) / norm2}
+    return readout
+
+
 def average_gate_fidelity(config: ch.ChannelConfig, cache_dir=None) -> float:
     """Average gate fidelity of the config's gate against `config.target`, through a fresh engine."""
     engine = ch.ChannelEngine(config, cache_dir)

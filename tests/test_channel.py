@@ -292,6 +292,73 @@ def _infidelity(readout, gate):
     return 1.0 - ch.average_gate_fidelity_from_readout(readout, gate)
 
 
+def _hex_readout(readout):
+    return {name: {p: v.hex() for p, v in row.items()} for name, row in readout.items()}
+
+
+# d_init 16-19 give every d_out mod 4, and at 16 columns a block each matrix spans
+# several blocks; 256 is the benchmark's size at the fixed width
+BLOCKED_READOUT_CASES = [*itertools.product((16, 17, 18, 19), (16, None)), (256, None)]
+
+
+@pytest.mark.parametrize("path", ["dgemv", "fallback"])
+def test_blocked_readout_is_bitwise_the_per_input_products(monkeypatch, path):
+    # at one BLAS thread a readout's four inputs share each column block of v1 and v2:
+    # every blocked product equals the whole-matrix one amplitude by amplitude, every
+    # expectation the per-input oracle's, and each input's `pauli_expectations` (one
+    # input, one block) its readout row; at 2 threads and without dgemv the same hold
+    if path == "dgemv" and getattr(fk.NUMPY_BLAS, "scipy_dgemv_64_", None) is None:
+        pytest.skip("numpy's BLAS is not scipy-openblas")
+    real, checked = ch._rmatvecs, []
+
+    def spy(m, vecs, blocked=False):
+        got = real(m, vecs, blocked)
+        if blocked:
+            checked.append([v.tobytes() for v in got] == [v.tobytes() for v in real(m, vecs)])
+        return got
+
+    before = ch._pin_blas_threads(1)
+    try:
+        for d_init, width in BLOCKED_READOUT_CASES:
+            n_bar, lam = (1.0, 1.5) if d_init < 256 else (6.0, 2.0)
+            engine = ch.ChannelEngine(cfg(delta=fk.GkpParams.from_n_bar(n_bar).delta, lam=lam,
+                                          plan=fk.TruncationPlan(d_init)))
+            for threads in (1, 2):
+                ch._pin_blas_threads(threads)
+                with monkeypatch.context() as mp:
+                    mp.setattr(ch, "_rmatvecs", spy)
+                    mp.setattr(ch, "READOUT_BLOCK", width or ch.READOUT_BLOCK)
+                    if path == "fallback":
+                        mp.setattr(fk, "NUMPY_BLAS", object())  # a BLAS without dgemv
+                    for gate in ("T3", "TGKP", "I"):
+                        poly = ch.GATE_TABLE[gate][0]
+                        readout = _hex_readout(engine.readout(poly))
+                        assert readout == _hex_readout(oracles.per_input_readout(engine, poly)), (d_init, gate)
+                        phase = engine.gate_phase(poly)
+                        singles = {name: engine.pauli_expectations(name, phase) for name in ch.INPUT_STATES}
+                        assert _hex_readout(singles) == readout
+    finally:
+        ch._pin_blas_threads(before)
+    assert len(checked) == 3 * 3 * 2 * len(BLOCKED_READOUT_CASES) and all(checked)
+
+
+def test_readout_blocks_only_at_one_blas_thread():
+    # at 2 threads OpenBLAS splits a product's rows between its threads, and at
+    # d_out 765 blocked products would move the bits of whole-matrix ones
+    if _blas_threads() is None:
+        pytest.skip("numpy's BLAS is not scipy-openblas")
+    _, v1 = fk.q_eigensystem(*fk.TruncationPlan(255).eigensystem_dims[1], None)
+    rng = np.random.default_rng(7)
+    before = ch._pin_blas_threads(2)
+    try:
+        for m in (v1, v1.T):
+            vecs = list(rng.standard_normal((4, m.shape[1])) + 1j * rng.standard_normal((4, m.shape[1])))
+            whole = [m @ v.real + 1j * (m @ v.imag) for v in vecs]
+            assert [v.tobytes() for v in ch._rmatvecs(m, vecs, True)] == [v.tobytes() for v in whole]
+    finally:
+        ch._pin_blas_threads(before)
+
+
 def test_grid_oracle_pins_the_converged_fock_engine():
     # at (T3, n̄ 6, λ 2) the Fock engine has converged by d_init 400 (8.5e-14 measured)
     # (edge masses 5e-31 in x and 1e-31 in p)

@@ -126,6 +126,16 @@ def test_synth_lift_start_refuses_a_lift_longer_than_the_power_start(tmp_path, c
     assert "lifts to degree 600, above the level-3 power start's 4" in capsys.readouterr().err
 
 
+def test_synth_lift_start_refuses_level_1(tmp_path, capsys):
+    # no gate below level 1 lifts; an integer constant once lifted to a constant,
+    # reduced to 0 and failed the phase check with exit 2
+    start = tmp_path / "three.json"
+    start.write_text(json.dumps({"coefficients": ["3", "0"]}))
+    code, text = run(tmp_path, "synth", "--level", "1", "--start", f"lift:{start}")
+    assert code == 1 and text == ""
+    assert "level 0 has no lift to level 1" in capsys.readouterr().err
+
+
 # sha-256 of `synth` stdout, so any change to the printed bytes shows; a
 # "lift" run starts from the level below's power-start output
 SYNTH_STDOUT_SHA256 = {
