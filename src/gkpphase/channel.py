@@ -313,9 +313,9 @@ def sweep(gates, n_bar_grid, lam_grid, plan: fock.TruncationPlan, workers: int =
 
     This process solves the plan's eigensystems, pins numpy's OpenBLAS to one
     thread and forks a pool of `workers` processes, or at one worker of as many
-    as that BLAS had threads (1 where it is not numpy's OpenBLAS).  An error
-    other than `NumericFailure` in a unit ends the sweep before the queued
-    units start; the BLAS count is restored on every exit.
+    as that BLAS had threads (1 where it is not numpy's OpenBLAS), never more
+    than the units or the cores.  An error other than `NumericFailure` in a unit
+    ends the sweep before the queued units start; the BLAS count is restored on every exit.
     """
     gates, n_bars, lams = list(gates), [float(x) for x in n_bar_grid], [float(x) for x in lam_grid]
     if not gates or not n_bars or not lams:
@@ -337,8 +337,8 @@ def sweep(gates, n_bar_grid, lam_grid, plan: fock.TruncationPlan, workers: int =
         fock.q_eigensystem(d, rows, cache_dir)
     threads = _pin_blas_threads()  # before any pool, so forked workers start pinned
     try:
-        pool = ProcessPoolExecutor(max_workers=workers if workers > 1 else threads,
-                                   mp_context=multiprocessing.get_context("fork"))
+        width = min(workers if workers > 1 else threads, len(tasks), multiprocessing.cpu_count())
+        pool = ProcessPoolExecutor(max_workers=width, mp_context=multiprocessing.get_context("fork"))
         with pool:  # a unit's error cancels the units not yet started
             outcomes = list(pool.map(_sweep_group, groups))
     finally:

@@ -43,6 +43,10 @@ and the forms of them that only tests call.
   `six_axis_identity_infidelity`, the identity gate's 1 - F on that grid as
   a mean over the six Pauli-axis inputs, each term a sum of nonnegative
   numbers (the ndtr complements `_square_wave_complements`), in any dtype;
+  `two_mode_grid_readout`, the same grid channel for a two-variable gate
+  polynomial, as a `TwoModeReadout` of the 16 two-mode Pauli matrices over
+  the product codewords with both axes' edge masses, and
+  `two_mode_average_fidelity`, its F against a 4 x 4 target;
   `optima`, a sweep's per-(gate, n̄) optimum rows;
   `clifford_t_orbit`, the <H, S> search behind `channel.CLIFFORD_T_TARGETS`.
 * `basis` (the dense-product L_n, n >= 1), `value` (P(x) in one variable),
@@ -968,6 +972,85 @@ def six_axis_identity_infidelity(delta: float, lam: float, n: int, half_width: f
         x_edge = max(x_edge, _edge_mass(dens))
         p_edge = max(p_edge, _edge_mass(np.fft.fftshift(dens_p)))
     return AxisInfidelity(float(total / 12.0), n, half_width, x_edge, p_edge)
+
+
+@dataclass(frozen=True)
+class TwoModeReadout:
+    """A two-mode gate's logical readout: `paulis` maps each two-mode Pauli, its
+    mode-1 letter first ("XZ" is X_m ⊗ Z_m), to its 4 x 4 matrix <Uφ_i|P|Uφ_j>
+    over the product codewords φ_{2a+b} = e_a ⊗ e_b; with its window, the grid
+    (n, half_width) and each axis's largest x- and p-edge mass over the four
+    post-gate codewords (`_edge_mass` of their marginals)."""
+
+    paulis: dict[str, np.ndarray]
+    n: int
+    half_width: float
+    x_edges: tuple[float, float]
+    p_edges: tuple[float, float]
+
+
+def two_mode_grid_readout(poly: RationalPolynomial, delta: float, lam: float, n: int,
+                          half_width: float) -> TwoModeReadout:
+    """`grid_readout` for a polynomial in two variables, on the n x n grid of
+    `grid_readout`'s x in each mode: each mode's orthonormal codewords from
+    `_resummed_codeword`, the gate exp(2πi P(x₁/√(λπ), x₂/√(λπ))), Z_m
+    pointwise and X_m through a padded FFT pair along its own axis, and
+    Y_m = (iX_mZ_m - iZ_mX_m)/2, the Hermitian part of iX_mZ_m, whose
+    expectation is `grid_readout`'s <Y>.  Each Pauli is applied to each
+    post-gate codeword and read against all four; mode 1's operators, on the
+    strided axis, go first, so a codeword takes 2 FFT pairs on axis 0 and 8 on
+    axis 1, and besides the codewords about eight N x N arrays are live at once.
+    Nothing checks the window here: a caller asserts the edge masses."""
+    x, n_pad, g, h, e0, e1 = _grid_window(delta, lam, n, half_width)
+    arg = x / math.sqrt(lam * math.pi)
+    kets = np.array([e0, e0, e1, e1])[:, :, None] * np.array([e0, e1, e0, e1])[:, None, :]
+    kets *= np.exp(2j * math.pi * sum(float(c) * np.outer(arg**k1, arg**k2)
+                                      for (k1, k2), c in poly.terms.items()))
+
+    def on_mode(psi: np.ndarray, axis: int):
+        """Yield I, Z_m, X_m and Y_m of the mode along `axis` applied to `psi`,
+        each made only when the previous one has been read."""
+        shape = (-1, 1) if axis == 0 else (1, -1)
+        g_k, h_k = g.reshape(shape), h.reshape(shape)
+
+        def x_m(v):
+            v_p = np.fft.fft(v, n_pad, axis=axis)
+            v_p *= h_k
+            return np.fft.ifft(v_p, axis=axis, out=v_p).take(range(n), axis=axis)
+
+        yield "I", psi
+        yield "Z", g_k * psi
+        x_psi = x_m(psi)
+        yield "X", x_psi
+        y_psi = x_m(g_k * psi)
+        y_psi -= g_k * x_psi
+        y_psi *= 0.5j
+        yield "Y", y_psi
+
+    bras = kets.reshape(4, -1)
+    paulis = {p1 + p2: np.empty((4, 4), dtype=complex) for p1 in "IXYZ" for p2 in "IXYZ"}
+    for j, ket in enumerate(kets):
+        for p1, once in on_mode(ket, 0):
+            for p2, twice in on_mode(once, 1):
+                paulis[p1 + p2][:, j] = np.conj(bras @ np.conj(twice.ravel()))
+    x_edges, p_edges = [0.0, 0.0], [0.0, 0.0]
+    for ket in kets:
+        dens = np.abs(ket) ** 2
+        for axis in (0, 1):
+            x_edges[axis] = max(x_edges[axis], _edge_mass(dens.sum(axis=1 - axis)))
+            dens_p = (np.abs(np.fft.fft(ket, n_pad, axis=axis)) ** 2).sum(axis=1 - axis)
+            p_edges[axis] = max(p_edges[axis], _edge_mass(np.fft.fftshift(dens_p)))
+    return TwoModeReadout(paulis, n, half_width, tuple(x_edges), tuple(p_edges))
+
+
+def two_mode_average_fidelity(readout: TwoModeReadout, target: np.ndarray) -> float:
+    """F = (4F_e + 1)/5 against the 4 x 4 unitary `target` V, with the entanglement
+    fidelity F_e = Σ_P tr(M_P V†σ_P V)/64 over the readout's Pauli matrices M_P and
+    σ_P = σ_{P1} ⊗ σ_{P2}: the channel is E(ρ) = Σ_P tr(P U ρ U†) σ_P / 4 on the
+    codewords."""
+    f_e = sum(np.trace(m @ target.conj().T @ np.kron(ch.PAULI[p[0]], ch.PAULI[p[1]]) @ target).real
+              for p, m in readout.paulis.items()) / 64.0
+    return (4.0 * f_e + 1.0) / 5.0
 
 
 def clifford_t_orbit() -> np.ndarray:

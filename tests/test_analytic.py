@@ -224,28 +224,18 @@ def test_char_function_matches_fock_brute_force():
     nbar = math.tanh(0.25**2 / 2)
     n = np.arange(d)
     rho = np.diag(((nbar**n) / (1 + nbar) ** (n + 1)).astype(complex))
-    dt = 3 * d
-    x2, v2 = fk.q_eigensystem(dt, dt, None)
-    r2 = fk.number_parity_phases(dt)
+    plan = fk.TruncationPlan(d_init=d)  # W(u) built at d_temp 900, cut to d
     sq2 = math.sqrt(2.0)
-
-    def w_mat(u):
-        # the d x d head of W(u) = W_p W_q at dt: the first d rows of W_p
-        # times the first d columns of W_q
-        wq = (v2 * np.exp(1j * fk.SQRT2PI * u[1] * x2)) @ v2[:d].T
-        vp_ = r2[:, None] * v2
-        wp = (vp_[:d] * np.exp(-1j * fk.SQRT2PI * u[0] * x2)) @ vp_.conj().T
-        return np.exp(1j * math.pi * u[0] * u[1]) * (wp @ wq)
 
     chi = oracles.thermal_characteristic(nbar)
     v = (0.1, -0.07)
-    wv = w_mat((-v[0], -v[1]))
+    wv = oracles.displacement((-v[0], -v[1]), d, plan).matrix
     for mu in ("I", "X", "Z"):
         lq, lp = an.PAULI_OFFSETS[mu]
         pi = np.zeros((d, d), complex)
         for s_q, s_p in itertools.product(range(-cut, cut + 1), repeat=2):
             sign = np.exp(-1j * math.pi * (lq * sq2 * s_p - lp * sq2 * s_q))
-            pi += sign * w_mat((lq + sq2 * s_q, lp + sq2 * s_p))
+            pi += sign * oracles.displacement((lq + sq2 * s_q, lp + sq2 * s_p), d, plan).matrix
         fock_val = np.trace(pi @ wv @ rho)
         lat_val = oracles.logical_char_function(chi, mu, v, lattice_cut=6)
         assert abs(fock_val - lat_val) < 1e-7
@@ -319,18 +309,8 @@ def test_posterior_matches_fock_brute_force():
     nbar = math.tanh(0.25**2 / 2)
     n = np.arange(d)
     rho_diag = (nbar**n) / (1 + nbar) ** (n + 1)
-    dt = 3 * d
-    x2, v2 = fk.q_eigensystem(dt, dt, None)
-    r2 = fk.number_parity_phases(dt)
+    plan = fk.TruncationPlan(d_init=d)  # W(u) built at d_temp 900, cut to d
     sq2 = math.sqrt(2.0)
-
-    def w_diagonal(u):
-        # diagonal of W(u) in the Fock basis, via the two eigenbasis routes:
-        # only the first d rows of W_p and the first d columns of W_q enter
-        wq = (v2 * np.exp(1j * fk.SQRT2PI * u[1] * x2)) @ v2[:d].T
-        vp_ = r2[:, None] * v2
-        wp = (vp_[:d] * np.exp(-1j * fk.SQRT2PI * u[0] * x2)) @ vp_.conj().T
-        return np.exp(1j * math.pi * u[0] * u[1]) * np.einsum("ik,ki->i", wp, wq)
 
     v = (0.1, -0.07)
     vals = {}
@@ -341,7 +321,7 @@ def test_posterior_matches_fock_brute_force():
             u = (lq + sq2 * s_q, lp + sq2 * s_p)
             sign = np.exp(-1j * math.pi * (lq * sq2 * s_p - lp * sq2 * s_q))
             phase = np.exp(-2j * math.pi * (v[0] * u[1] - v[1] * u[0]))
-            total += sign * phase * np.sum(rho_diag * w_diagonal(u))
+            total += sign * phase * np.sum(rho_diag * np.diag(oracles.displacement(u, d, plan).matrix))
         vals[mu] = total.real
     g, bloch = oracles.vacuum_posterior(0.25, v)
     assert abs(vals["I"] - g) < 1e-6

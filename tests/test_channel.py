@@ -15,6 +15,7 @@ import scipy.special
 
 import oracles
 from gkpphase import NumericFailure, channel as ch, fock as fk
+from gkpphase.polyalg import RationalPolynomial, control_gate_start, multivariate_reduce
 from oracles import average_gate_fidelity_reconstructed, logical_expectation
 
 PLAN_SMALL = fk.TruncationPlan(d_init=160)
@@ -557,6 +558,49 @@ def test_fast_len_is_next_fast_len():
     assert [n for n in range(1, (1 << 17) + pad + 1) if oracles._fast_len(n) != scipy.fft.next_fast_len(n)] == []
 
 
+# The two-mode grid channel at n̄ 6 and λ 2, one readout taking 3 to 6 s.
+TWO_MODE_DELTA = fk.GkpParams.from_n_bar(6.0, 2.0).delta
+
+
+def _assert_two_mode_window(readout):
+    assert max(*readout.x_edges, *readout.p_edges) <= oracles.EDGE_LIMIT, (
+        readout.n, readout.half_width, readout.x_edges, readout.p_edges)
+
+
+def test_two_mode_readout_of_a_product_gate_is_the_product_of_one_mode_readouts():
+    # T3 ⊗ I on the product codewords: F_e = (5F - 1)/4 is F_e(T3)·F_e(I), each
+    # F_e = (3F - 1)/2 from `grid_readout` on the same window; measured 4.4e-16 relative
+    t3 = ch.GATE_TABLE["T3"][0]
+    poly = RationalPolynomial.from_terms(2, {(k, 0): c for (k,), c in t3.terms.items()})
+    two = oracles.two_mode_grid_readout(poly, TWO_MODE_DELTA, 2.0, 1024, 30.0)
+    _assert_two_mode_window(two)
+    f_e = (5.0 * oracles.two_mode_average_fidelity(two, np.kron(ch.target_unitary("T3"), np.eye(2))) - 1.0) / 4.0
+    product = 1.0
+    for gate in ("T3", "I"):
+        one = oracles.grid_readout(gate, TWO_MODE_DELTA, 2.0, 1024, 30.0)
+        _assert_window(one)
+        product *= (3.0 * ch.average_gate_fidelity_from_readout(one.expectations, gate) - 1.0) / 2.0
+    assert abs(f_e - product) <= 1e-12 * product, (f_e, product)
+
+
+def test_two_mode_readout_of_the_printed_cs_minimum_is_the_cs_gate():
+    # `synth --qubits 2 --level 2` prints -(x1x2 + x1x2² + x1²x2)/4.  Its 1 - F
+    # against CS, first measured as 5.8665e-2, is held to those five digits
+    # (this window reads 5.86645469e-2, as (1024, 20), (1024, 22) and (1536, 30)
+    # do to 1e-12); CS†, I and CZ read 0.598, 0.3283 and 0.3285, so the measured
+    # gap to the nearest is 0.2697 and the bound 0.25.  At λ 2 no L holds both
+    # edges at N = 1024 (p-edge 7.1e-9 at (1024, 30), 6.3e-11 at (1024, 24), and
+    # x-edge 8.6e-11 at (1024, 22)); (1152, 24) does, at 4.4e-13 and 3.3e-12.
+    cs = multivariate_reduce(control_gate_start(2, 2)).minimum
+    assert str(cs) == "-x1^2*x2/4 - x1*x2^2/4 - x1*x2/4"
+    readout = oracles.two_mode_grid_readout(cs, TWO_MODE_DELTA, 2.0, 1152, 24.0)
+    _assert_two_mode_window(readout)
+    infidelity = {name: 1.0 - oracles.two_mode_average_fidelity(readout, np.diag([1, 1, 1, phase]).astype(complex))
+                  for name, phase in (("CS", 1j), ("CS†", -1j), ("I", 1), ("CZ", -1))}
+    assert abs(infidelity["CS"] - 5.8665e-2) <= 1e-4 * 5.8665e-2, infidelity
+    assert min(v for name, v in infidelity.items() if name != "CS") - infidelity["CS"] > 0.25, infidelity
+
+
 GROUP_GATES = ["TGKP", "T3", "I"]
 GROUP_PLAN = fk.TruncationPlan(d_init=64)
 
@@ -782,6 +826,31 @@ def test_pool_workers_inherit_the_eigensystems(monkeypatch):
     plan = fk.TruncationPlan(d_init=40)
     pooled = ch.sweep(["T3", "I"], [2.0, 3.0], [1.0, 2.0], plan, workers=2)
     assert pooled == ch.sweep(["T3", "I"], [2.0, 3.0], [1.0, 2.0], plan, workers=1)
+
+
+def test_sweep_pool_is_never_wider_than_its_units_or_the_cores(monkeypatch):
+    # a stand-in pool records its width and runs the units in this process, so
+    # a width of 10**6 forks nothing here; a real pool forks all of its workers
+    # at the first unit, so an unbounded one would fork 10**6 for one unit
+    widths = []
+
+    class InProcessPool:
+        def __init__(self, max_workers, mp_context):
+            widths.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, units):
+            return map(fn, units)
+
+    monkeypatch.setattr(ch, "ProcessPoolExecutor", InProcessPool)
+    ch.sweep(["I"], [2.0], [1.0], GROUP_PLAN, workers=10**6)
+    ch.sweep(["I"], [2.0, 3.0, 4.0], [1.0, 2.0], GROUP_PLAN, workers=10**6)
+    assert widths == [1, min(6, os.cpu_count())]
 
 
 def _hex_rows(res):

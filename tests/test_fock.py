@@ -62,12 +62,20 @@ def test_displacement_identity_and_unitarity():
     assert np.max(np.abs(gram[:96, :96] - np.eye(128)[:96, :96])) < 1e-10
 
 
-def test_displacement_composition_rule():
-    plan = fk.TruncationPlan(d_init=128)
-    u, v = (0.3, 0.0), (0.0, 0.4)
-    wu = oracles.displacement(u, 128, plan).matrix
-    wv = oracles.displacement(v, 128, plan).matrix
-    wuv = oracles.displacement((0.3, 0.4), 128, plan).matrix
+# The analytic brute-force checks' largest lattice shift, 1/√2 + 2√2 on each
+# axis, needs d 300: at d 128 its low block is off by 4.1e-2 (7.5e-15 at 300).
+LATTICE_SHIFT = 1 / math.sqrt(2.0) + 2 * math.sqrt(2.0)
+
+
+@pytest.mark.parametrize("d, u, v", [
+    pytest.param(128, (0.3, 0.0), (0.0, 0.4), id="d128"),
+    pytest.param(300, (LATTICE_SHIFT, 0.0), (0.0, LATTICE_SHIFT), id="d300-lattice-shift"),
+])
+def test_displacement_composition_rule(d, u, v):
+    plan = fk.TruncationPlan(d_init=d)
+    wu = oracles.displacement(u, d, plan).matrix
+    wv = oracles.displacement(v, d, plan).matrix
+    wuv = oracles.displacement((u[0] + v[0], u[1] + v[1]), d, plan).matrix
     phase = np.exp(-1j * math.pi * (u[0] * v[1] - u[1] * v[0]))
     resid = np.max(np.abs((wu @ wv - phase * wuv)[:96, :96]))
     assert resid < 1e-8
