@@ -29,20 +29,21 @@ and the forms of them that only tests call.
   average gate fidelity through a fresh engine per config, and the average
   gate fidelity through explicit reconstruction of the 2x2 outputs
   (`output_density`, combined by the written-out `PAULI_FROM_INPUTS`, not
-  by the channel's solved frame); `grid_readout`, the four-input readout of a gate
-  label or polynomial on a uniform position grid (the Fourier-grid,
+  by the channel's solved frame); `grid_readout`, a gate label or polynomial
+  through the channel on a uniform position grid (the Fourier-grid,
   split-operator form of the channel: Poisson-resummed lattice codewords,
-  `_resummed_codeword`, pinned to the direct sum `_grid_codeword`;
-  closed-form smeared Pauli profiles through `_ndtr`, a numpy port of cephes
-  `ndtr`; one FFT pair per input, zero-padded to a `_fast_len` so that no
-  X_m shift wraps onto the codewords), the
-  converged reference the Fock engine approaches as d_init grows, as a
-  `GridReadout` that reports its window's edge masses against `EDGE_LIMIT`,
-  `sized_grid_readout`, which grows the window until they pass, and
-  `grid_unit`, which sizes every gate at one (Δ, λ) on shared windows;
-  `six_axis_identity_infidelity`, the identity gate's 1 - F on that grid as
-  a mean over the six Pauli-axis inputs, each term a sum of nonnegative
-  numbers (the ndtr complements `_square_wave_complements`), in any dtype;
+  `_resummed_codeword`, pinned to the direct sum `_grid_codeword`; smeared
+  Pauli profiles from their closed-form complements 1 ∓ g and 1 ∓ h,
+  `_square_wave_complements`, through `_ndtr`, a numpy port of cephes `ndtr`;
+  one FFT pair per gated codeword, zero-padded to a `_fast_len` so that no
+  X_m shift wraps onto the codewords), the converged reference the Fock
+  engine approaches as d_init grows, as a `GridReadout`: each input's Pauli
+  expectations from the two gated codewords' 2 x 2 forms, and 1 - F and the
+  T-state 1 - F, each a mean over Pauli-axis inputs of sums of nonnegative
+  numbers, in float64 or `np.longdouble`, with the window's edge masses
+  against `EDGE_LIMIT`; `sized_grid_readout`, which grows the window until
+  they pass, and `grid_unit`, which sizes every gate at one (Δ, λ) on shared
+  windows (`GridWindow`);
   `two_mode_grid_readout`, the same grid channel for a two-variable gate
   polynomial, as a `TwoModeReadout` of the 16 two-mode Pauli matrices over
   the product codewords with both axes' edge masses, and
@@ -82,6 +83,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from math import factorial
+from typing import NamedTuple
 
 import numpy as np
 import scipy.special
@@ -681,13 +683,33 @@ def _ndtr(a: np.ndarray) -> np.ndarray:
 
 def _smeared_square_wave(theta: np.ndarray, sigma: float) -> np.ndarray:
     """E[sign cos(θ + σZ)], Z standard normal, in closed form: one minus twice
-    the normal mass of θ + σZ in (π/2, 3π/2) + 2πk, θ reduced mod 2π, |k| <= 3."""
+    the normal mass of θ + σZ in (π/2, 3π/2) + 2πk, θ reduced mod 2π, |k| <= 3;
+    the one-pass reference of `GridWindow`'s g."""
     theta = np.mod(theta, 2.0 * math.pi)
     start = (0.5 * math.pi + 2.0 * math.pi * np.arange(-3.0, 4.0))[:, None] - theta
     out = np.ones_like(theta)
     for upper, lower in zip(*_ndtr(np.stack([(start + math.pi) / sigma, start / sigma]))):
         out -= 2.0 * (upper - lower)
     return out
+
+
+def _interval_mass(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The standard normal mass of (a, b), a < b, from the two lower tails
+    Φ(-|a|) and Φ(-|b|) alone, so a small mass keeps its relative precision."""
+    ta, tb = _ndtr(-np.abs(a)), _ndtr(-np.abs(b))
+    return np.where(a >= 0, ta - tb, np.where(b <= 0, tb - ta, 1.0 - ta - tb))
+
+
+def _square_wave_complements(theta: np.ndarray, sigma: float) -> tuple[np.ndarray, np.ndarray]:
+    """1 - g and 1 + g for g = `_smeared_square_wave`(θ, σ): twice the normal
+    mass of θ + σZ in (π/2, 3π/2) + 2πk and in (-π/2, π/2) + 2πk, |k| <= 3,
+    each a sum of nonnegative terms."""
+    theta = np.mod(theta, 2.0 * math.pi)
+    out = []
+    for offset in (0.5 * math.pi, -0.5 * math.pi):
+        start = (offset + 2.0 * math.pi * np.arange(-3.0, 4.0))[:, None] - theta
+        out.append(2.0 * _interval_mass(start / sigma, (start + math.pi) / sigma).sum(axis=0))
+    return out[0], out[1]
 
 
 def _grid_codeword(bit: int, delta: float, lam: float, x: np.ndarray) -> np.ndarray:
@@ -762,11 +784,16 @@ def _edge_mass(density: np.ndarray) -> float:
 
 @dataclass(frozen=True)
 class GridReadout:
-    """A readout (input name -> Pauli expectations, as `ChannelEngine.readout`
-    returns it) with its window: the grid (n, half_width) and the largest x-
-    and p-edge masses over the four post-gate inputs (`_edge_mass`)."""
+    """A gate's readout on a grid: `expectations` (input name -> Pauli
+    expectations, as `ChannelEngine.readout` returns it) and the sweep row's
+    two columns, 1 - F against the target (`infidelity`) and, for a level-3
+    target, 1 - <T|E(|+><+|)|T> (`t_state_infidelity`, else None); with its
+    window, the grid (n, half_width) and the largest x- and p-edge masses over
+    the four inputs of `expectations` (`_edge_mass`)."""
 
     expectations: dict[str, dict[str, float]]
+    infidelity: float
+    t_state_infidelity: float | None
     n: int
     half_width: float
     x_edge: float
@@ -805,26 +832,47 @@ def _fast_len(n: int) -> int:
     return lengths[bisect.bisect_left(lengths, n)]
 
 
-def _grid_window(delta: float, lam: float, n: int, half_width: float, dtype=np.float64):
+class GridWindow(NamedTuple):
     """What `grid_readout` shares across gates at one (Δ, λ, N, L): the grid x,
-    the padded FFT length, the profiles g and h, and the orthonormal codewords,
-    every array in `dtype` from the float64 grid."""
+    the padded FFT length, the Pauli profiles g and h, taken as
+    ((1 + g) - (1 - g))/2 from their complements (`_square_wave_complements`),
+    the complements themselves, and the orthonormal codewords."""
+
+    x: np.ndarray
+    n_pad: int
+    g: np.ndarray
+    h: np.ndarray
+    g_minus: np.ndarray
+    g_plus: np.ndarray
+    h_minus: np.ndarray
+    h_plus: np.ndarray
+    e0: np.ndarray
+    e1: np.ndarray
+
+
+def _grid_window(delta: float, lam: float, n: int, half_width: float, dtype=np.float64) -> GridWindow:
+    """`grid_readout`'s window at (Δ, λ, N, L), every array in `dtype`.  The
+    grid, Δ, λ and the scalar constants are float64 whatever `dtype` is, so a
+    float64 and a longdouble readout differ only by their arithmetic's rounding."""
     dx = 2.0 * half_width / n
     x = (-half_width + np.arange(n) * dx).astype(dtype)
     n_pad = _fast_len(n + math.ceil(_x_reach(delta, lam) / dx))
     p = (2.0 * math.pi * np.fft.fftfreq(n_pad, dx)).astype(dtype)
     sigma = math.sqrt(math.pi * math.tanh(delta**2 / 2.0))
-    g = _smeared_square_wave(x * math.sqrt(math.pi / lam), sigma)
-    h = _smeared_square_wave(p * math.sqrt(math.pi * lam), sigma)
+    g_minus, g_plus = _square_wave_complements(x * math.sqrt(math.pi / lam), sigma)
+    h_minus, h_plus = _square_wave_complements(p * math.sqrt(math.pi * lam), sigma)
     e0, e1 = fk.orthonormalize(*(_resummed_codeword(bit, delta, lam, x) for bit in (0, 1)))
-    return x, n_pad, g, h, e0, e1
+    return GridWindow(x, n_pad, 0.5 * (g_plus - g_minus), 0.5 * (h_plus - h_minus),
+                      g_minus, g_plus, h_minus, h_plus, e0, e1)
 
 
 def grid_readout(gate: str | RationalPolynomial, delta: float, lam: float, n: int,
-                 half_width: float, window=None) -> GridReadout:
-    """The channel's four-input readout on a uniform position grid, sharing no
-    arithmetic with the Fock engine but `fock.orthonormalize` and `fock.phase_profile`.
-    The gate is a `GATE_TABLE` label or any one-variable polynomial.
+                 half_width: float, window: GridWindow | None = None,
+                 target: str | None = None) -> GridReadout:
+    """The channel on a uniform position grid, sharing no arithmetic with the
+    Fock engine but `fock.orthonormalize` and `fock.phase_profile`.  The gate
+    is a `GATE_TABLE` label, read against itself, or any one-variable
+    polynomial, read against the label `target`.
 
     x_j = -L + j·2L/N.  The codewords are the coherent-state lattice on the
     grid, each row Poisson-resummed (`_resummed_codeword`); the gate
@@ -835,43 +883,76 @@ def grid_readout(gate: str | RationalPolynomial, delta: float, lam: float, n: in
     runs on ψ zero-padded by `_x_reach`, at p = 2π·fftfreq(N', dx): on the
     bare 2L period, a shift by k√(πλ) near 2L would wrap back onto the
     codewords, which overlap themselves at whole multiples of √(πλ) (unpadded,
-    T3 at Δ = 0.1, λ(Δ) and (6144, 90) reads 1 - F 1.2e-4 relative low).  Nothing
+    T3 at Δ = 0.1, λ(Δ) and (6144, 90) reads 1 - F 1.2e-4 relative low).
+
+    The gate goes onto the two codewords e_i alone, one FFT pair each.  An
+    input c reads <P> = c†B_P c / c†B_I c from the forms B_P[i, j] =
+    <Ue_i|P_m|Ue_j>, Y_m the Hermitian part of iX_mZ_m.  1 - F against the
+    target diag(1, e^{iφ}) is the mean of (1 - n'·r)/2 over the six Pauli-axis
+    inputs, a 2-design (Bowdrey et al., Phys. Lett. A 294, 258 (2002)), n' the
+    target's image of the input's Bloch vector, each term a sum of nonnegative
+    numbers, so that none cancels:
+    - ±z: 1 ∓ <Z_m> = Σ|ψ|²(1 ∓ g)/Σ|ψ|²;
+    - n' = (cos ϑ, sin ϑ, 0): 1 - cos ϑ<X_m> - sin ϑ<Y_m> =
+      ½‖(X_m - i sin ϑ Z_m - cos ϑ)ψ‖²/Σ|ψ|² + ½Σ|ψ̃|²(1 - h)(1 + h)/Σ|ψ̃|²
+      + ½ sin²ϑ Σ|ψ|²(1 - g)(1 + g)/Σ|ψ|², ψ̃ the padded FFT of ψ and X_mψ
+      the whole padded inverse FFT, so that ‖X_mψ‖² is the p-side Σ|ψ̃|²h².
+    Every input's ψ, ψ̃ and X_mψ come from the codewords' by linearity.  Nothing
     checks the window here: a caller asserts the reported edge masses, and a
     grid can pass an N-doubling check while L is too small.  `window` is this
     (Δ, λ, N, L)'s `_grid_window`, built here when not given.
     """
-    x, n_pad, g, h, e0, e1 = window or _grid_window(delta, lam, n, half_width)
-    phase = fk.phase_profile(ch.GATE_TABLE[gate][0] if isinstance(gate, str) else gate, lam, x)
-    out = {}
-    x_edge = p_edge = 0.0
-    for name, (a, b) in ch.INPUT_STATES.items():
-        vec = a * e0 + b * e1
-        psi = phase * (vec / np.linalg.norm(vec))
-        norm2 = float(np.vdot(psi, psi).real)
-        z_psi = g * psi
-        psi_p = np.fft.fft(psi, n_pad)
-        x_psi = np.fft.ifft(h * psi_p)[:n]
-        out[name] = {"I": 1.0, "X": float(np.vdot(psi, x_psi).real) / norm2,
-                     "Y": -float(np.vdot(x_psi, z_psi).imag) / norm2,
-                     "Z": float(np.vdot(psi, z_psi).real) / norm2}
-        x_edge = max(x_edge, _edge_mass(np.abs(psi) ** 2))
-        p_edge = max(p_edge, _edge_mass(np.fft.fftshift(np.abs(psi_p) ** 2)))
-    return GridReadout(out, n, half_width, x_edge, p_edge)
+    w = window or _grid_window(delta, lam, n, half_width)
+    label = gate if target is None else target
+    psi = fk.phase_profile(ch.GATE_TABLE[gate][0] if isinstance(gate, str) else gate, lam, w.x) * np.array([w.e0, w.e1])
+    psi_p = np.fft.fft(psi, w.n_pad)
+    x_psi = np.fft.ifft(w.h * psi_p)
+    z_psi = w.g * psi
+    cross = x_psi[:, :n].conj() @ z_psi.T  # <X_m Ue_i|Z_m Ue_j>
+    forms = {"I": psi.conj() @ psi.T, "X": psi.conj() @ x_psi[:, :n].T,
+             "Y": 0.5j * (cross - cross.conj().T), "Z": psi.conj() @ z_psi.T}
+    expectations = {}
+    for name, c in ch.INPUT_STATES.items():
+        norm2 = (c.conj() @ forms["I"] @ c).real
+        expectations[name] = {"I": 1.0, **{p: float((c.conj() @ forms[p] @ c).real / norm2) for p in "XYZ"}}
+
+    dens, dens_p = np.abs(psi) ** 2, np.abs(psi_p) ** 2
+    total = (dens[0] * w.g_minus).sum() / dens[0].sum() + (dens[1] * w.g_plus).sum() / dens[1].sum()
+    edges = [(dens[0], dens_p[0]), (dens[1], dens_p[1])]
+    turn = complex(ch.target_unitary(label)[1, 1])
+    for b in (1, -1, 1j, -1j):  # |0> + b|1>, Bloch vector (Re b, Im b, 0), turned to b·e^{iφ}
+        unit = b * turn
+        mixed, mixed_p = psi[0] + b * psi[1], psi_p[0] + b * psi_p[1]
+        rotated = x_psi[0] + b * x_psi[1]
+        rotated[:n] -= (unit.real + 1j * unit.imag * w.g) * mixed
+        d, d_p = np.abs(mixed) ** 2, np.abs(mixed_p) ** 2
+        term = 0.5 * ((np.abs(rotated) ** 2).sum() / d.sum() + (d_p * w.h_minus * w.h_plus).sum() / d_p.sum()
+                      + unit.imag**2 * (d * w.g_minus * w.g_plus).sum() / d.sum())
+        total += term
+        if b == 1:
+            plus = term
+        if b in (1, 1j):  # the inputs of `expectations`
+            edges.append((d, d_p))
+    return GridReadout(expectations, float(total / 12.0),
+                       float(plus / 2.0) if ch.GATE_TABLE[label][1] == 3 else None, n, half_width,
+                       max(_edge_mass(d) for d, _ in edges),
+                       max(_edge_mass(np.fft.fftshift(d_p)) for _, d_p in edges))
 
 
 def sized_grid_readout(gate: str | RationalPolynomial, delta: float, lam: float, n: int = 4096,
                        half_width: float = 60.0, max_n: int = 1 << 17,
-                       windows: dict | None = None) -> GridReadout:
+                       windows: dict | None = None, target: str | None = None) -> GridReadout:
     """`grid_readout` on the first window, from (n, half_width), whose edge
     masses are both at most EDGE_LIMIT.  A wide x-edge grows L and N by 3/2
     (dx kept, so the p band too), a wide p-edge doubles N (the band doubles);
     past `max_n` points it fails with both masses named.  `windows`, keyed by
-    (N, L), keeps each `_grid_window` for the next gate at this (Δ, λ)."""
+    (N, L), keeps each `_grid_window` for the next gate at this (Δ, λ); a
+    polynomial gate is read against `target`."""
     windows = {} if windows is None else windows
     while True:
         if (n, half_width) not in windows:
             windows[n, half_width] = _grid_window(delta, lam, n, half_width)
-        readout = grid_readout(gate, delta, lam, n, half_width, windows[n, half_width])
+        readout = grid_readout(gate, delta, lam, n, half_width, windows[n, half_width], target)
         if max(readout.x_edge, readout.p_edge) <= EDGE_LIMIT:
             return readout
         if readout.x_edge > EDGE_LIMIT:
@@ -889,89 +970,6 @@ def grid_unit(gates, delta: float, lam: float) -> list[GridReadout]:
     window, with the codewords, profiles and pad length built once per (N, L)."""
     windows: dict = {}
     return [sized_grid_readout(gate, delta, lam, windows=windows) for gate in gates]
-
-
-def _interval_mass(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """The standard normal mass of (a, b), a < b, from the two lower tails
-    Φ(-|a|) and Φ(-|b|) alone, so a small mass keeps its relative precision."""
-    ta, tb = _ndtr(-np.abs(a)), _ndtr(-np.abs(b))
-    return np.where(a >= 0, ta - tb, np.where(b <= 0, tb - ta, 1.0 - ta - tb))
-
-
-def _square_wave_complements(theta: np.ndarray, sigma: float) -> tuple[np.ndarray, np.ndarray]:
-    """1 - g and 1 + g for g = `_smeared_square_wave`(θ, σ): twice the normal
-    mass of θ + σZ in (π/2, 3π/2) + 2πk and in (-π/2, π/2) + 2πk, |k| <= 3,
-    each a sum of nonnegative terms."""
-    theta = np.mod(theta, 2.0 * math.pi)
-    out = []
-    for offset in (0.5 * math.pi, -0.5 * math.pi):
-        start = (offset + 2.0 * math.pi * np.arange(-3.0, 4.0))[:, None] - theta
-        out.append(2.0 * _interval_mass(start / sigma, (start + math.pi) / sigma).sum(axis=0))
-    return out[0], out[1]
-
-
-# The six Pauli-axis inputs as (a, b) in a|0> + b|1>, unnormalised (each axis
-# term is a ratio), with the Bloch axis each points along and its sign.
-AXIS_INPUTS = {
-    "zero": ((1.0, 0.0), "Z", 1), "one": ((0.0, 1.0), "Z", -1),
-    "plus": ((1.0, 1.0), "X", 1), "minus": ((1.0, -1.0), "X", -1),
-    "plus_i": ((1.0, 1j), "Y", 1), "minus_i": ((1.0, -1j), "Y", -1),
-}
-
-
-@dataclass(frozen=True)
-class AxisInfidelity:
-    """1 - F from the six Pauli-axis inputs, with its window as in `GridReadout`
-    (the edge masses over the six inputs)."""
-
-    infidelity: float
-    n: int
-    half_width: float
-    x_edge: float
-    p_edge: float
-
-
-def six_axis_identity_infidelity(delta: float, lam: float, n: int, half_width: float,
-                                 dtype=np.float64) -> AxisInfidelity:
-    """The identity gate's 1 - F on `grid_readout`'s grid, as the mean of
-    (1 - n·r)/2 over the six Pauli-axis inputs, a 2-design (Bowdrey et al.,
-    Phys. Lett. A 294, 258 (2002)), with every array operation in `dtype`.
-
-    Each 1 - n·r is a sum of nonnegative numbers, so no term cancels:
-    - ±z: 1 ∓ <Z_m> = Σ|ψ|²(1 ∓ g)/Σ|ψ|²;
-    - ±x: 1 ∓ <X_m> = Σ|ψ̃|²(1 ∓ h)/Σ|ψ̃|², ψ̃ the padded FFT of ψ;
-    - ±y: 1 ∓ <Y_m> = ½‖(X_m ∓ iZ_m)ψ‖²/Σ|ψ|² + ½Σ|ψ̃|²(1 - h²)/Σ|ψ̃|²
-      + ½Σ|ψ|²(1 - g²)/Σ|ψ|², where X_m ψ is the whole padded inverse FFT;
-      its cross term is `grid_readout`'s <Y_m>, and its square the p-side sum.
-    1 ∓ g and 1 ∓ h come from `_square_wave_complements`.  The grid, Δ, λ and
-    the scalar constants are float64 whatever `dtype` is, so a float64 and a
-    longdouble evaluation differ only by their arithmetic's rounding.
-    """
-    x, n_pad, g, h, e0, e1 = _grid_window(delta, lam, n, half_width, dtype)
-    p = (2.0 * math.pi * np.fft.fftfreq(n_pad, 2.0 * half_width / n)).astype(dtype)
-    sigma = math.sqrt(math.pi * math.tanh(delta**2 / 2.0))
-    g_minus, g_plus = _square_wave_complements(x * math.sqrt(math.pi / lam), sigma)
-    h_minus, h_plus = _square_wave_complements(p * math.sqrt(math.pi * lam), sigma)
-    total = x_edge = p_edge = 0.0
-    for (a, b), axis, sign in AXIS_INPUTS.values():
-        psi = a * e0 + b * e1
-        dens = np.abs(psi) ** 2
-        psi_p = np.fft.fft(psi, n_pad)
-        dens_p = np.abs(psi_p) ** 2
-        if axis == "Z":
-            term = (dens * (g_minus if sign > 0 else g_plus)).sum() / dens.sum()
-        elif axis == "X":
-            term = (dens_p * (h_minus if sign > 0 else h_plus)).sum() / dens_p.sum()
-        else:
-            rotated = np.fft.ifft(h * psi_p)
-            rotated[:n] -= sign * 1j * g * psi
-            term = 0.5 * ((np.abs(rotated) ** 2).sum() / dens.sum()
-                          + (dens_p * h_minus * h_plus).sum() / dens_p.sum()
-                          + (dens * g_minus * g_plus).sum() / dens.sum())
-        total += term
-        x_edge = max(x_edge, _edge_mass(dens))
-        p_edge = max(p_edge, _edge_mass(np.fft.fftshift(dens_p)))
-    return AxisInfidelity(float(total / 12.0), n, half_width, x_edge, p_edge)
 
 
 @dataclass(frozen=True)
@@ -1001,7 +999,7 @@ def two_mode_grid_readout(poly: RationalPolynomial, delta: float, lam: float, n:
     strided axis, go first, so a codeword takes 2 FFT pairs on axis 0 and 8 on
     axis 1, and besides the codewords about eight N x N arrays are live at once.
     Nothing checks the window here: a caller asserts the edge masses."""
-    x, n_pad, g, h, e0, e1 = _grid_window(delta, lam, n, half_width)
+    x, n_pad, g, h, *_, e0, e1 = _grid_window(delta, lam, n, half_width)
     arg = x / math.sqrt(lam * math.pi)
     kets = np.array([e0, e0, e1, e1])[:, :, None] * np.array([e0, e1, e0, e1])[:, None, :]
     kets *= np.exp(2j * math.pi * sum(float(c) * np.outer(arg**k1, arg**k2)

@@ -169,7 +169,7 @@ def test_headline_on_the_grid_at_12db():
     def infidelity(lam):
         grid = oracles.sized_grid_readout("T3", delta, lam)
         assert max(grid.x_edge, grid.p_edge) <= oracles.EDGE_LIMIT, (lam, grid.n, grid.half_width)
-        return 1.0 - ch.average_gate_fidelity_from_readout(grid.expectations, "T3")
+        return grid.infidelity
 
     lam, value = oracles.golden_section(infidelity, 1.0, 5.0, 1e-3)
     assert 1.0 < lam < 5.0 and value < 1e-2, (lam, value)
@@ -437,7 +437,7 @@ def test_criterion_12_companion_at_delta_0_1_below_grid_channel():
     f_patch = oracles.ft_patch_fidelity(0.1)
     grid = oracles.grid_readout("T3", 0.1, bound.lam_of_delta, 4096, 80.0)
     assert max(grid.x_edge, grid.p_edge) <= oracles.EDGE_LIMIT, (grid.x_edge, grid.p_edge)
-    f_grid = ch.average_gate_fidelity_from_readout(grid.expectations, "T3")
+    f_grid = 1.0 - grid.infidelity
     assert bound.f_lower_bound == 1.0 / 3.0 < f_patch < f_grid, (f_patch, f_grid)
 
 
@@ -454,7 +454,7 @@ def test_t3_without_bias_has_an_error_floor():
     for n_bar in (5.0, 10.0, 20.0, 40.0, 80.0):
         grid = oracles.sized_grid_readout("T3", fk.GkpParams.from_n_bar(n_bar, 1.0).delta, 1.0)
         assert max(grid.x_edge, grid.p_edge) <= oracles.EDGE_LIMIT, (n_bar, grid.n, grid.half_width)
-        infidelities.append(1.0 - ch.average_gate_fidelity_from_readout(grid.expectations, "T3"))
+        infidelities.append(grid.infidelity)
     steps = [a - b for a, b in zip(infidelities, infidelities[1:])]
     assert all(step > 0 for step in steps), infidelities
     assert all(later < earlier for earlier, later in zip(steps, steps[1:])), steps
@@ -480,7 +480,7 @@ def test_t3_error_vanishes_at_the_bounds_bias():
     for delta in (0.3, 0.2, 0.15, 0.1, 0.07, 0.05):
         grid = oracles.sized_grid_readout("T3", delta, an.ft_lambda_ansatz(delta))
         assert max(grid.x_edge, grid.p_edge) <= oracles.EDGE_LIMIT, (delta, grid.n, grid.half_width)
-        infidelity = 1.0 - ch.average_gate_fidelity_from_readout(grid.expectations, "T3")
+        infidelity = grid.infidelity
         assert infidelity < 1.0 - oracles.ft_patch_fidelity(delta), (delta, infidelity)
         infidelities.append(infidelity)
     assert all(later < earlier for earlier, later in zip(infidelities, infidelities[1:])), infidelities
@@ -496,9 +496,9 @@ REPRESENTATION_DELTA, REPRESENTATION_BRACKET = 0.25, (0.7, 8.0)
 
 def _optimum_over_lambda(gate, target, delta):
     def infidelity(log_lam):
-        grid = oracles.sized_grid_readout(gate, delta, math.exp(log_lam))
+        grid = oracles.sized_grid_readout(gate, delta, math.exp(log_lam), target=target)
         assert max(grid.x_edge, grid.p_edge) <= oracles.EDGE_LIMIT, (str(gate), delta, grid.n, grid.half_width)
-        return 1.0 - ch.average_gate_fidelity_from_readout(grid.expectations, target)
+        return grid.infidelity
 
     log_lam, value = oracles.golden_section(infidelity, *map(math.log, REPRESENTATION_BRACKET), 0.01)
     return math.exp(log_lam), value

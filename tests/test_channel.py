@@ -366,7 +366,7 @@ def test_grid_oracle_pins_the_converged_fock_engine():
     delta = fk.GkpParams.from_n_bar(6.0, 2.0).delta
     readout = oracles.grid_readout("T3", delta, 2.0, GRID_N, GRID_HALF_WIDTH)
     _assert_window(readout)
-    grid = _infidelity(readout.expectations, "T3")
+    grid = readout.infidelity
     fock = _infidelity(_fock_readout("T3", 6.0, 2.0, 400), "T3")
     assert abs(grid - fock) <= 1e-12 * grid, (grid, fock)
 
@@ -390,7 +390,7 @@ def test_fock_engine_approaches_the_grid_as_d_init_grows():
     # while the value moves by 3.3e-14 at N = 8192, far below the 1e-4 scale
     # this ordering works at.
     delta = fk.GkpParams.from_n_bar(9.0, 1.0).delta
-    grid = _infidelity(oracles.grid_readout("T3", delta, 1.0, GRID_N, GRID_HALF_WIDTH).expectations, "T3")
+    grid = oracles.grid_readout("T3", delta, 1.0, GRID_N, GRID_HALF_WIDTH).infidelity
     off = {d: abs(_infidelity(_fock_readout("T3", 9.0, 1.0, d), "T3") - grid) for d in (256, 400)}
     assert off[400] < off[256], (grid, off)
 
@@ -409,7 +409,7 @@ def test_default_engine_error_is_bounded(gate, n_bar, lam):
     fock = _infidelity(_fock_readout(gate, n_bar, lam, 256), gate)
     grid = oracles.sized_grid_readout(gate, fk.GkpParams.from_n_bar(n_bar, lam).delta, lam)
     _assert_window(grid)
-    want = _infidelity(grid.expectations, gate)
+    want = grid.infidelity
     assert abs(fock - want) <= 2e-3 * want, (fock, want)
 
 
@@ -424,30 +424,56 @@ def test_square_wave_complements_are_one_minus_and_plus_the_profile(sigma):
     assert np.abs(0.5 * (plus - minus) - oracles._smeared_square_wave(theta, sigma)).max() <= 2e-15
 
 
-# The six-axis 1 - F (oracles.six_axis_identity_infidelity) at the five
-# criterion-08 rows with 1 - F < 3e-4, all gate I and all sized (4096, 60).
-# Measured: float64 against longdouble 0 to 4.0e-16 relative (the bound 1e-14
-# has a 25x margin; on a platform whose longdouble is float64 this check is
-# vacuous); N against 2N 0 to 7.4e-16 relative (1e-14, 13x), where the
-# four-input 1 - F moves by up to 2.2e-12; and the four-input value within
-# 2.0e-16 absolute of the longdouble one (1e-15, 4.9x).  That value is formed
-# as 1 - F, so it carries F's rounding, 1.1e-16 a unit below 1: its bound is
-# absolute.  A failure is a finding about the form, not a bound to move.
-@pytest.mark.parametrize("n_bar, lam", [
-    (10.0, 1.0), (10.0, 1.0 + 4 / 15), (9.0, 1.0), (10.0, 1.0 + 8 / 15), (9.0, 1.0 + 4 / 15),
-])
+# The five criterion-08 rows with 1 - F < 3e-4, all gate I and all sized (4096, 60).
+LOW_IDENTITY_ROWS = [(10.0, 1.0), (10.0, 1.0 + 4 / 15), (9.0, 1.0), (10.0, 1.0 + 8 / 15), (9.0, 1.0 + 4 / 15)]
+
+
+def _longdouble_readout(gate, delta, lam, readout):
+    """`grid_readout` on `readout`'s window, every array in np.longdouble."""
+    n, half_width = readout.n, readout.half_width
+    return oracles.grid_readout(gate, delta, lam, n, half_width,
+                                oracles._grid_window(delta, lam, n, half_width, np.longdouble))
+
+
+# The grid's 1 - F, a mean of nonnegative sums, at the low rows.  Measured:
+# float64 against longdouble 0 to 4.0e-16 relative (the bound 1e-14 has a 25x
+# margin; on a platform whose longdouble is float64 this check is vacuous); N
+# against 2N 0 to 8.7e-16 relative (1e-14, 11x), where 1 - F formed from the
+# expectations moves by up to 2.2e-12; and that formed value within 1.5e-16
+# absolute of the longdouble one (1e-15, 6.7x).  It carries F's rounding,
+# 1.1e-16 a unit below 1, so its bound is absolute.  A failure is a finding
+# about the form, not a bound to move.
+@pytest.mark.parametrize("n_bar, lam", LOW_IDENTITY_ROWS)
 def test_six_axis_infidelity_keeps_float64_at_the_low_rows(n_bar, lam):
     delta = fk.GkpParams.from_n_bar(n_bar, lam).delta
     readout = oracles.sized_grid_readout("I", delta, lam)
     assert (readout.n, readout.half_width) == (4096, 60.0)
-    six, wide, long = (oracles.six_axis_identity_infidelity(delta, lam, n, 60.0, dtype)
-                       for n, dtype in ((4096, np.float64), (8192, np.float64), (4096, np.longdouble)))
-    for value in (readout, six, wide, long):
+    wide, long = oracles.grid_readout("I", delta, lam, 8192, 60.0), _longdouble_readout("I", delta, lam, readout)
+    for value in (readout, wide, long):
         _assert_window(value)
     want = long.infidelity
-    assert abs(six.infidelity - want) <= 1e-14 * want, (six.infidelity, want)
-    assert abs(wide.infidelity - six.infidelity) <= 1e-14 * want, (wide.infidelity, six.infidelity)
+    assert abs(readout.infidelity - want) <= 1e-14 * want, (readout.infidelity, want)
+    assert abs(wide.infidelity - readout.infidelity) <= 1e-14 * want, (wide.infidelity, readout.infidelity)
     assert abs(_infidelity(readout.expectations, "I") - want) <= 1e-15, want
+
+
+# float64 against longdouble where the equatorial targets lie off the axes,
+# at ϑ = π/4 + kπ/2, each on its sized window; 1 - F and the T-state 1 - F
+# measured 1.25e-15 and 1.19e-15 relative at (T3, n̄ 9, λ 1), 3.2e-16 and
+# 4.2e-16 at (TGKP, n̄ 10, λ 5), and 2.2e-16 and 2.9e-16 at the 12 dB headline
+# point (T3, Δ of n̄ 7.42 at λ 1, λ 2.02).  The bound 5e-15 has a 4x margin.
+@pytest.mark.parametrize("gate, delta, lam", [
+    ("T3", fk.GkpParams.from_n_bar(9.0, 1.0).delta, 1.0),
+    ("TGKP", fk.GkpParams.from_n_bar(10.0, 5.0).delta, 5.0),
+    ("T3", fk.GkpParams.from_n_bar(7.42, 1.0).delta, 2.02),
+])
+def test_grid_rows_keep_float64_off_the_axes(gate, delta, lam):
+    readout = oracles.sized_grid_readout(gate, delta, lam)
+    long = _longdouble_readout(gate, delta, lam, readout)
+    for value in (readout, long):
+        _assert_window(value)
+    for ours, want in ((readout.infidelity, long.infidelity), (readout.t_state_infidelity, long.t_state_infidelity)):
+        assert abs(ours - want) <= 5e-15 * want, (ours, want)
 
 
 @pytest.mark.parametrize("delta, lam, n, half_width", [
@@ -487,8 +513,7 @@ def test_window_rule_flags_a_short_window_that_n_doubling_passes():
     short = oracles.grid_readout("T3", 0.05, lam, 8192, 80.0)
     sized = oracles.sized_grid_readout("T3", 0.05, lam)
     assert short.x_edge > oracles.EDGE_LIMIT
-    short_inf, sized_inf = _infidelity(short.expectations, "T3"), _infidelity(sized.expectations, "T3")
-    assert abs(short_inf - sized_inf) > 1e-3 * sized_inf
+    assert abs(short.infidelity - sized.infidelity) > 1e-3 * sized.infidelity
     with pytest.raises(fk.TruncationLeakageError, match="edge masses x"):
         oracles.sized_grid_readout("T3", fk.GkpParams.from_n_bar(40.0, 1.0).delta, 1.0, max_n=16384)
 
@@ -501,7 +526,7 @@ def test_grid_readout_does_not_wrap_x_shifts_onto_the_codewords():
     # the wrapped value's 1.2e-4 offset.
     grid = oracles.sized_grid_readout("T3", 0.1, ch.analytic.ft_lambda_ansatz(0.1))
     _assert_window(grid)
-    assert abs(_infidelity(grid.expectations, "T3") - 5.0234770409e-3) <= 1e-9 * 5.0234770409e-3, (grid.n, grid.half_width)
+    assert abs(grid.infidelity - 5.0234770409e-3) <= 1e-9 * 5.0234770409e-3, (grid.n, grid.half_width)
 
 
 # The grid oracle in the shape the engine will ship: Φ from the `_ndtr` port,
@@ -527,8 +552,10 @@ def test_grid_unit_is_sized_grid_readout_for_every_gate(n_bar, k):
 
 @pytest.mark.parametrize("n_bar, k", CRITERION_08_SUBSET)
 def test_grid_rows_are_bitwise_with_scipy_ndtr(monkeypatch, n_bar, k):
-    # the rows are the average and T-state infidelities; single expectations may
-    # move by an ulp (188 of the 432 criterion-08 readouts do), no row of the 432 does
+    # the average and T-state infidelities formed from the expectations; single
+    # expectations may move by an ulp (142 of the 432 criterion-08 readouts do),
+    # no such row of the 432 does.  The readout's own `infidelity` and
+    # `t_state_infidelity` keep that ulp: 5 of 432 and 2 of 288 move, by <= 2.9e-16
     def rows():
         return [(_infidelity(r.expectations, g), 1.0 - ch.t_state_fidelity_from_expectations(r.expectations["plus"]))
                 for g, r in zip(GRID_GATES, oracles.grid_unit(GRID_GATES, *_criterion_08_point(n_bar, k)))]
@@ -536,6 +563,24 @@ def test_grid_rows_are_bitwise_with_scipy_ndtr(monkeypatch, n_bar, k):
     ported = rows()
     monkeypatch.setattr(oracles, "_ndtr", scipy.special.ndtr)
     assert rows() == ported
+
+
+# Both row columns hold from (N, L) to (2N, L), N the sized count, to 1e-13
+# relative: every gate at CRITERION_08_SUBSET and I at the low rows, where the
+# columns formed from the expectations move by up to 2.2e-12.  Measured at most
+# 8.7e-16; the bound has a 115x margin.
+@pytest.mark.parametrize("gates, n_bar, lam", [
+    *((GRID_GATES, n_bar, _criterion_08_point(n_bar, k)[1]) for n_bar, k in CRITERION_08_SUBSET),
+    *((("I",), n_bar, lam) for n_bar, lam in LOW_IDENTITY_ROWS),
+])
+def test_grid_rows_hold_from_n_to_2n(gates, n_bar, lam):
+    delta = fk.GkpParams.from_n_bar(n_bar, lam).delta
+    for gate, readout in zip(gates, oracles.grid_unit(gates, delta, lam)):
+        wide = oracles.grid_readout(gate, delta, lam, 2 * readout.n, readout.half_width)
+        for value in (readout, wide):
+            _assert_window(value)
+        for a, b in ((readout.infidelity, wide.infidelity), (readout.t_state_infidelity, wide.t_state_infidelity)):
+            assert (a is None and b is None) or abs(b - a) <= 1e-13 * a, (gate, a, b)
 
 
 def test_ndtr_port_is_within_4_ulps_of_scipy():
@@ -579,7 +624,7 @@ def test_two_mode_readout_of_a_product_gate_is_the_product_of_one_mode_readouts(
     for gate in ("T3", "I"):
         one = oracles.grid_readout(gate, TWO_MODE_DELTA, 2.0, 1024, 30.0)
         _assert_window(one)
-        product *= (3.0 * ch.average_gate_fidelity_from_readout(one.expectations, gate) - 1.0) / 2.0
+        product *= (3.0 * (1.0 - one.infidelity) - 1.0) / 2.0
     assert abs(f_e - product) <= 1e-12 * product, (f_e, product)
 
 
