@@ -20,10 +20,10 @@ Python ints over one common denominator inside the reduction.  It provides
   gate C^{N-1}Λ_m alike (Λ_m is the N = 1 case), read from the terms,
 * `GATE_TABLE`, the simulated gate polynomials.
 
-The dense-product L_n, the integer-valued membership test, the
-lexicographic comparison, the reduction in `Fraction` arithmetic, the
-brute-force tie enumeration and the phase check on a symmetric box are
-test oracles (`tests/oracles.py`).
+The dense-product L_n, Pólya's integer-valued test (P(0), ..., P(deg P)
+integers), the one reduction in `Fraction` arithmetic (every boundary
+choice enumerated, each minimum with its steps) and the phase check on a
+symmetric box are test oracles (`tests/oracles.py`).
 
 Conventions: a term is keyed by its exponent tuple, (k,) in one variable,
 where dense coefficient lists run by degree with the constant at index 0;

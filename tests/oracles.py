@@ -1,16 +1,13 @@
 """Test oracles: slower or more direct routes to figures the package computes,
 and the forms of them that only tests call.
 
-* `reduce`: the coefficient reduction in `Fraction` arithmetic, each L_j a
-  dense product of j linear factors and the lexicographic pruning over the
-  whole fixed profile of degrees >= j, with the steps of its first minimum.
-  It shares no arithmetic with the integer `polyalg.reduce` it checks.
-* `replay_branch_log`: a start minus each logged step's
-  n·L_{e1}(x1)···L_{eN}(xN) (`basis_product`, on the dense-product `basis`),
-  without its constant: the polynomial a printed `branch_log` reaches.
-* `multivariate_minima`: the multivariate reduction with no pruning, every
-  boundary choice followed to the end in `Fraction` arithmetic, and the
-  lexicographic minima taken over the finished polynomials.
+* `multivariate_minima`: the one reduction reference, for one and for many
+  variables, with no pruning: every boundary choice followed to the end in
+  `Fraction` arithmetic, each step subtracting n·L_{e1}(x1)···L_{eN}(xN)
+  (`basis_product`, on the dense-product `basis`) from the start, and every
+  lexicographic minimum of the finished polynomials returned with its own
+  steps, in fork order.  It shares no arithmetic with the integer `_reduce`
+  behind `polyalg.reduce` and `polyalg.multivariate_reduce`.
 * `coherent_block`: the coherent-lattice codeword sum one term at a time,
   the form `fock._coherent_block` must reproduce bit for bit.
 * `gkp_codeword_position_oracle`: the codeword through its position
@@ -51,10 +48,10 @@ and the forms of them that only tests call.
   `optima`, a sweep's per-(gate, n̄) optimum rows;
   `clifford_t_orbit`, the <H, S> search behind `channel.CLIFFORD_T_TARGETS`.
 * `basis` (the dense-product L_n, n >= 1), `value` (P(x) in one variable),
-  `is_integer_valued`, `lex_compare` with `LexOrder`, `scale_argument` and
-  `phase_check_on_box`: exact-algebra checks no command needs, the last the
-  phase check of a C^{N-1}Λ_m polynomial (N = 1 included) on a symmetric box
-  of integers.
+  `is_integer_valued` (Pólya's test: P(0), ..., P(deg P) are integers, with
+  no `basis`), `scale_argument` and `phase_check_on_box`: exact-algebra checks
+  no command needs, the last the phase check of a C^{N-1}Λ_m polynomial
+  (N = 1 included) on a symmetric box of integers.
 * `overlap` of two Fock vectors, and `symplectic_inverse` of a Gaussian op.
 * `shear_variance_leading`, `shear_variance_ratio`, `vp2_leading`,
   `lambda_opt_asymptotic` (with `NotApplicableError`): the leading-order
@@ -76,7 +73,6 @@ package free of such names.
 from __future__ import annotations
 
 import bisect
-import enum
 import functools
 import math
 from dataclasses import dataclass
@@ -89,9 +85,7 @@ import numpy as np
 import scipy.special
 
 from gkpphase import NumericFailure, analytic as an, channel as ch, fock as fk, symplectic as sp
-from gkpphase.polyalg import (
-    BranchStep, RationalPolynomial, ReductionOutcome,
-)
+from gkpphase.polyalg import BranchStep, RationalPolynomial
 
 MAX_BRANCHES = 65536
 
@@ -129,150 +123,79 @@ def basis_product(e: tuple[int, ...]) -> RationalPolynomial:
     return RationalPolynomial.from_terms(len(e), terms)
 
 
-def replay_branch_log(start: RationalPolynomial, log) -> RationalPolynomial:
-    """The polynomial a reduction's steps reach from `start`: each step's
-    n·L_{e1}(x1)···L_{eN}(xN) (`basis_product`) subtracted, then the constant dropped."""
-    out = start
-    for step in log:
-        out = out - step.multiplier * basis_product(step.monomial)
-    return RationalPolynomial.from_terms(out.n_vars, {e: c for e, c in out.terms.items() if any(e)})
-
-
 def value(poly: RationalPolynomial, x) -> Fraction:
     """P(x) in one variable, exactly, from the terms."""
     return sum((c * Fraction(x) ** k for (k,), c in poly.terms.items()), Fraction(0))
 
 
-def drop_constant(poly: RationalPolynomial) -> RationalPolynomial:
-    """P - P(0), a one-variable polynomial without its global phase."""
-    return poly - RationalPolynomial((poly.coeff(0),))
-
-
-def split_coefficient(a: Fraction, lead: Fraction) -> list[tuple[int, Fraction, bool]]:
-    """Decompose a = n*lead + r with |r| <= lead/2; both n at exact boundary."""
+def split_coefficient(a: Fraction, lead: Fraction) -> list[tuple[int, bool]]:
+    """The n of a = n*lead + r with |r| <= lead/2, as (n, boundary) choices;
+    both n at an exact boundary, the smaller |n| first."""
     t = a / lead
     n_floor = t.numerator // t.denominator
     frac = t - n_floor
     if frac == Fraction(1, 2):
-        lo = (n_floor, a - n_floor * lead, True)
-        hi = (n_floor + 1, a - (n_floor + 1) * lead, True)
+        lo, hi = (n_floor, True), (n_floor + 1, True)
         return [lo, hi] if abs(n_floor) <= abs(n_floor + 1) else [hi, lo]
-    n = n_floor if frac < Fraction(1, 2) else n_floor + 1
-    return [(n, a - n * lead, False)]
+    return [(n_floor if frac < Fraction(1, 2) else n_floor + 1, False)]
 
 
-def reduce(poly: RationalPolynomial) -> ReductionOutcome:
-    """The lexicographically minimal gate polynomials, in Fraction arithmetic,
-    positive leading coefficient first, with the steps that reach the first."""
-    deg = poly.degree
-    branches: list[tuple[RationalPolynomial, tuple[BranchStep, ...]]] = [(poly, ())]
-    for j in range(deg, 0, -1):
-        lead = Fraction(1, factorial(j))
-        grown: list[tuple[RationalPolynomial, tuple[BranchStep, ...]]] = []
-        for cur, log in branches:
-            for n_j, _r, boundary in split_coefficient(cur.coeff(j), lead):
-                nxt = cur - n_j * basis(j) if n_j else cur
-                grown.append((nxt, log + (BranchStep((j,), n_j, boundary),)))
-        profiles = [
-            tuple(abs(b.coeff(k)) for k in range(deg, j - 1, -1)) for b, _ in grown
-        ]
-        best = min(profiles)
-        branches = []
-        seen: set[tuple[Fraction, ...]] = set()
-        for (b, log), prof in zip(grown, profiles):
-            if prof != best:
-                continue
-            key = b.coeffs
-            if key in seen:
-                continue
-            seen.add(key)
-            branches.append((b, log))
-        if len(branches) > min(MAX_BRANCHES, 2 ** max(deg, 1)):
-            raise RuntimeError(
-                f"reduction branch explosion: {len(branches)} active branches"
-            )
-
-    logs: dict[RationalPolynomial, tuple[BranchStep, ...]] = {}  # each minimum's own steps
-    for b, log in branches:
-        c0 = b.coeff(0)
-        n0 = c0.numerator // c0.denominator
-        logs.setdefault(drop_constant(b), log + ((BranchStep((0,), n0, False),) if n0 else ()))
-    uniq = sorted(logs, key=lambda p: (p.coeff(p.degree) < 0, p.coeffs))
-    return ReductionOutcome(tuple(uniq), logs[uniq[0]])
-
-
-def multivariate_minima(poly: RationalPolynomial) -> set[RationalPolynomial]:
-    """Every multiplier choice at every boundary followed to the end, in
-    `Fraction` arithmetic with dense-product bases; the lexicographic minima.
+def multivariate_minima(poly: RationalPolynomial) -> dict[RationalPolynomial, tuple[BranchStep, ...]]:
+    """The reduction with no pruning, in one or many variables: every
+    lexicographic minimum with its own steps, in fork order.
 
     Monomials are taken by total degree, then exponent tuple, both descending,
     over every exponent <= a start monomial componentwise; at each one the
-    coefficient a_e is split as n/(e1!···eN!) + r (both n on the boundary) and
-    n L_{e1}(x1)···L_{eN}(xN) subtracted.  No branch is dropped before the end,
-    where the magnitude profiles in walk order are compared whole.
+    coefficient a_e is split as n/(e1!···eN!) + r (both n on the boundary, the
+    smaller |n| first) and n L_{e1}(x1)···L_{eN}(xN) (`basis_product`)
+    subtracted, in `Fraction` arithmetic.  No branch is dropped before the
+    end, where the magnitude profiles in walk order are compared whole.  The
+    constant is a global phase: its integer part is logged last and the term
+    dropped.  A leaf's steps are a linked list, so that no step tuple is
+    copied at every monomial.
     """
     walk = sorted(
         {f for e in poly.terms for f in product(*(range(k + 1) for k in e)) if any(f)},
         key=lambda f: (sum(f), f), reverse=True,
     )
-    leaves = [dict(poly.terms)]
+    leaves = [(dict(poly.terms), None)]
     for e in walk:
         lead = Fraction(1, math.prod(factorial(k) for k in e))
         terms = basis_product(e).terms
         grown = []
-        for cur in leaves:
-            for n, _r, _boundary in split_coefficient(Fraction(cur.get(e, 0)), lead):
-                nxt = dict(cur)
-                for f, c in terms.items():
-                    nxt[f] = nxt.get(f, 0) - n * c
-                grown.append(nxt)
+        for cur, steps in leaves:
+            for n, boundary in split_coefficient(Fraction(cur.get(e, 0)), lead):
+                nxt = cur
+                if n:
+                    nxt = dict(cur)
+                    for f, c in terms.items():
+                        nxt[f] = nxt.get(f, 0) - n * c
+                grown.append((nxt, (steps, BranchStep(e, n, boundary))))
         leaves = grown
         if len(leaves) > MAX_BRANCHES:
             raise RuntimeError(f"tie enumeration explosion: {len(leaves)} leaves")
-    finals = {RationalPolynomial.from_terms(poly.n_vars, {f: c for f, c in leaf.items() if any(f)})
-              for leaf in leaves}
-    profiles = {p: tuple(abs(p.terms.get(f, 0)) for f in walk) for p in finals}
-    best = min(profiles.values())
-    return {p for p, prof in profiles.items() if prof == best}
+    profiles = [tuple(abs(leaf.get(f, 0)) for f in walk) for leaf, _ in leaves]
+    best = min(profiles)
+    zero = (0,) * poly.n_vars
+    minima: dict[RationalPolynomial, tuple[BranchStep, ...]] = {}
+    for (leaf, steps), profile in zip(leaves, profiles):
+        if profile != best:
+            continue
+        n0 = math.floor(leaf.get(zero, 0))
+        log = [BranchStep(zero, n0, False)] if n0 else []
+        while steps:
+            steps, step = steps
+            log.append(step)
+        minimum = RationalPolynomial.from_terms(poly.n_vars, {f: c for f, c in leaf.items() if any(f)})
+        minima[minimum] = tuple(reversed(log))
+    return minima
 
 
 def is_integer_valued(poly: RationalPolynomial) -> bool:
-    """Exact test for P(Z) ⊆ Z via greedy expansion in the L_n basis.
-
-    The expansion is triangular (L_n has leading coefficient 1/n!), so the
-    coefficients c_n = a_n * n! are forced; P is integer-valued iff every
-    c_n and the residual constant are integers.
-    """
-    rem = poly
-    for j in range(poly.degree, 0, -1):
-        c = rem.coeff(j) * factorial(j)
-        if c.denominator != 1:
-            return False
-        if c != 0:
-            rem = rem - c * basis(j)
-    return rem.coeff(0).denominator == 1
-
-
-class LexOrder(enum.Enum):
-    LESS = "less"
-    GREATER = "greater"
-    EQUAL = "equal"
-
-
-def lex_compare(p: RationalPolynomial, q: RationalPolynomial) -> LexOrder:
-    """Compare coefficient magnitudes from the highest degree downward.
-
-    The first strict |coefficient| difference decides; full magnitude ties
-    are EQUAL (sign variants of one minimum compare equal).
-    """
-    top = max(p.degree, q.degree, 0)
-    for k in range(top, -1, -1):
-        a, b = abs(p.coeff(k)), abs(q.coeff(k))
-        if a < b:
-            return LexOrder.LESS
-        if a > b:
-            return LexOrder.GREATER
-    return LexOrder.EQUAL
+    """Exact test for P(Z) ⊆ Z in one variable, by Pólya's criterion
+    (Rend. Circ. Mat. Palermo 40, 1 (1915)): a polynomial of degree d is
+    integer-valued iff P(0), ..., P(d) are integers."""
+    return all(value(poly, k).denominator == 1 for k in range(poly.degree + 1))
 
 
 def scale_argument(poly: RationalPolynomial, s) -> RationalPolynomial:
