@@ -1,5 +1,6 @@
 """Exact-arithmetic tests for the polynomial stabilizer algebra."""
 
+import functools
 from fractions import Fraction as F
 from math import factorial
 
@@ -137,7 +138,7 @@ def test_verify_gate_is_exact_above_degree_49():
     assert pa.verify_gate(T3 + wrong + wrong, 3)  # L_101 itself is a stabilizer
 
 
-# -- coefficient reduction -------------------------------------------------------
+# -- lexicographic order --------------------------------------------------------
 
 
 def _magnitudes(p: Poly) -> tuple[F, ...]:
@@ -145,10 +146,23 @@ def _magnitudes(p: Poly) -> tuple[F, ...]:
     return tuple(abs(c) for c in reversed(p.coeffs))
 
 
+def test_lex_compare_examples():
+    assert _magnitudes(T3) < _magnitudes(TGKP)
+    assert _magnitudes(TGKP) > _magnitudes(T3)
+    assert _magnitudes(T3) == _magnitudes(T3)
+    other = poly(0, "1/12", "1/8", "-1/12")
+    assert _magnitudes(other) == _magnitudes(T3)  # magnitude tie
+
+
+# -- coefficient reduction -------------------------------------------------------
+
+
+@functools.cache
 def _enumerated(start: Poly) -> pa.ReductionOutcome:
     """The unpruned enumeration's outcome in the order the package documents:
     `reduce`'s (one variable, positive leading coefficient first) or
-    `multivariate_reduce`'s (fork order), with the first minimum's steps."""
+    `multivariate_reduce`'s (fork order), with the first minimum's steps.
+    Cached: the hierarchy test and the printed-minimum test share starts."""
     minima = oracles.multivariate_minima(start)
     order = list(minima)
     if start.n_vars == 1:
@@ -218,6 +232,14 @@ def test_degree_theorem_and_leading_law_at_level_10():
         for k in range(1, 11):
             assert abs(p.coeff(k)) <= F(1, 2 * factorial(k))
         assert pa.verify_gate(p, 10)
+
+
+@pytest.mark.parametrize("m", range(1, 8))
+def test_reduce_equals_fraction_oracle_up_the_hierarchy(m):
+    start = pa.control_gate_start(1, m)
+    assert pa.reduce(start) == _enumerated(start)  # minima and branch_log
+    lifted = pa.lift_representation(pa.reduce(start).minima[0], m)
+    assert pa.reduce(lifted) == _enumerated(lifted)
 
 
 def _printed_start(m: int, start: str) -> Poly:
