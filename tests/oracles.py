@@ -62,9 +62,10 @@ and the forms of them that only tests call.
   `ft_erf_product`, the Erf-product lower bound on that mass inside
   `analytic.ft_lower_bound`, and `ft_patch_fidelity`, the bound's chain run
   on the true mass.
-* `thermal_characteristic`, `logical_char_function` and `vacuum_posterior`:
-  square-lattice logical characteristic functions, and the vacuum posterior
-  at one syndrome, the pointwise form of `analytic.vacuum_posterior_grid`.
+* `position_space_vacuum_cells`: the vacuum method's syndrome-cell weights
+  and Bloch vectors from the thermal state's position kernel on the shifted
+  ideal codewords, with no characteristic function or Pauli sign table; the
+  one reference for `analytic.vacuum_posterior_grid` and criterion 10.
 
 Everything here is reached only from tests; `test_surface.py` keeps the
 package free of such names.
@@ -84,7 +85,7 @@ from typing import NamedTuple
 import numpy as np
 import scipy.special
 
-from gkpphase import NumericFailure, analytic as an, channel as ch, fock as fk, symplectic as sp
+from gkpphase import analytic as an, channel as ch, fock as fk, symplectic as sp
 from gkpphase.polyalg import BranchStep, RationalPolynomial
 
 MAX_BRANCHES = 65536
@@ -1143,68 +1144,44 @@ def golden_section(f, a: float, b: float, tol: float) -> tuple[float, float]:
     return (c, fc) if fc < fd else (d, fd)
 
 
-def thermal_characteristic(n_bar: float):
-    """χ(v) = exp(-π |v|² (n̄ + 1/2)) of the thermal state, real and even."""
+def position_space_vacuum_cells(
+    delta: float, n_grid: int, cut: int = 6
+) -> tuple[np.ndarray, np.ndarray]:
+    """Test oracle: syndrome-cell weights and Bloch vectors of the vacuum method.
 
-    def chi(v_q, v_p):
-        return np.exp(-math.pi * (np.square(v_q) + np.square(v_p)) * (n_bar + 0.5))
-
-    return chi
-
-
-def _wedge(aq, ap, bq, bp):
-    return aq * bp - ap * bq
-
-
-def logical_char_function(
-    chi, pauli: str, v: tuple[float, float], lattice_cut: int = 6
-) -> complex:
-    """ξ^σ(v) = Σ_n e^{iθ(v,σ,n)} χ(v + l_σ + sqrt(2) n) over the square lattice.
-
-    θ = π[v ∧ l_σ + (v + l_σ) ∧ sqrt(2)n] follows from the displacement
-    composition rule with σ̄ = W(l_σ).  Raises `NumericFailure` when
-    the outermost lattice shell still contributes at the 1e-12 level.
+    Built in position space, with no characteristic functions or Pauli sign
+    tables.  The smeared vacuum is the thermal state with n_bar =
+    tanh(Delta^2/2) and variance s2 = n_bar + 1/2 per quadrature, whose kernel
+    is rho(x, y) ∝ exp(-((x+y)/2)^2/(2 s2) - s2 (x-y)^2/2).  Conditioning on
+    syndrome v projects it onto the shifted ideal square-GKP codewords
+    W(v)|j> ∝ e^{i b q} sum_k |q = (2k+j) sqrt(pi) + a>, with
+    a = sqrt(2 pi) v_q and b = sqrt(2 pi) v_p, so the logical matrix is
+    rho_L[i, j](v) = sum_{k,l} e^{-i b (x-y)} rho(x, y) at x = (2k+i)
+    sqrt(pi) + a, y = (2l+j) sqrt(pi) + a.  In m = k+l and n = k-l (equal
+    parity) the sum splits into a v_q factor times a v_p factor.  At cut 6
+    the dropped terms are below e^-80 for Delta <= 0.3.
     """
-    pauli = pauli.upper()
-    if pauli not in an.PAULI_OFFSETS:
-        raise ValueError(f"pauli must be one of I, X, Y, Z; got {pauli!r}")
-    v_q, v_p = float(v[0]), float(v[1])
-    if not (-an.PATCH_HALF < v_q <= an.PATCH_HALF and -an.PATCH_HALF < v_p <= an.PATCH_HALF):
-        raise ValueError(f"v = {v} lies outside the correctable patch")
-    lq, lp = an.PAULI_OFFSETS[pauli]
-    ns = np.arange(-lattice_cut, lattice_cut + 1)
-    nq, np_ = np.meshgrid(ns, ns, indexing="ij")
-    uq = v_q + lq + math.sqrt(2.0) * nq
-    up = v_p + lp + math.sqrt(2.0) * np_
-    theta = math.pi * (
-        _wedge(v_q, v_p, lq, lp)
-        + _wedge(v_q + lq, v_p + lp, math.sqrt(2.0) * nq, math.sqrt(2.0) * np_)
-    )
-    terms = np.exp(1j * theta) * chi(uq, up)
-    total = complex(np.sum(terms))
-    shell = np.abs(terms)[(np.abs(nq) == lattice_cut) | (np.abs(np_) == lattice_cut)]
-    if shell.sum() > 1e-12 * max(abs(total), 1e-300):
-        raise NumericFailure(
-            f"lattice sum not converged at cut {lattice_cut} (shell {shell.sum():.2e})"
-        )
-    return total
-
-
-def vacuum_posterior(
-    delta: float, v: tuple[float, float]
-) -> tuple[float, tuple[float, float, float]]:
-    """Unnormalised syndrome density and conditional Bloch vector at one v.
-
-    The state is the measurement-noise-smeared vacuum, a thermal state with
-    n̄ = tanh(Δ²/2); conditioning on syndrome v and applying the corrective
-    displacement leaves the logical state with Bloch components
-    g_μ(v)/g_I(v).  `analytic.vacuum_posterior_grid` evaluates the same sums
-    over a grid of cell centres and normalises the weights.
-    """
-    v_q, v_p = float(v[0]), float(v[1])
-    if not (-an.PATCH_HALF < v_q <= an.PATCH_HALF and -an.PATCH_HALF < v_p <= an.PATCH_HALF):
-        raise ValueError(f"v = {v} lies outside the correctable patch")
-    sums = an._posterior_sums(delta, np.array([v_q]), np.array([v_p]))
-    g_i = float(sums["I"][0, 0])
-    bloch = tuple(float(sums[mu][0, 0]) / g_i for mu in ("X", "Y", "Z"))
-    return g_i, bloch  # type: ignore[return-value]
+    s2 = math.tanh(delta**2 / 2.0) + 0.5
+    root_pi = math.sqrt(math.pi)
+    half = 1.0 / math.sqrt(8.0)  # the correctable patch (-half, half]^2
+    centers = (np.arange(n_grid) + 0.5) / n_grid * 2.0 * half - half
+    shift = math.sqrt(2.0 * math.pi) * centers  # a on the q axis, b on the p axis
+    ms = np.arange(-cut, cut + 1)
+    rho = {}
+    for i in (0, 1):
+        for j in (0, 1):
+            rho[i, j] = 0.0
+            for parity in (0, 1):
+                m = ms[ms % 2 == parity]
+                half_sum = (m + (i + j) / 2.0) * root_pi  # (x+y)/2 - a, m = k+l
+                diff = (2.0 * m + i - j) * root_pi  # x - y, m = k-l
+                f_q = np.exp(-np.square(half_sum[None, :] + shift[:, None]) / (2.0 * s2))
+                g_p = np.exp(-s2 * diff**2 / 2.0)[None, :] * np.exp(-1j * np.outer(shift, diff))
+                rho[i, j] = rho[i, j] + np.outer(f_q.sum(axis=1), g_p.sum(axis=1))
+    trace = (rho[0, 0] + rho[1, 1]).real
+    bloch = np.stack([
+        (2.0 * rho[0, 1].real / trace).ravel(),
+        (-2.0 * rho[0, 1].imag / trace).ravel(),
+        ((rho[0, 0] - rho[1, 1]).real / trace).ravel(),
+    ], axis=1)
+    return (trace / trace.sum()).ravel(), bloch

@@ -10,7 +10,9 @@ at grid 500 is 0.1875 at Delta = 0.24, 0.19995 at 0.245, 0.2051 at 0.247
 and 0.2130 at 0.25: it crosses 20% at Delta ~ 0.245, not at 0.25.  The
 < 20% claim is therefore asserted at Delta = 0.24 (the companion test),
 while the Delta = 0.25 test checks the program's fraction against an
-independent position-space oracle of the same model.  The paper's abstract
+independent position-space oracle of the same model
+(`oracles.position_space_vacuum_cells`, which `test_analytic.py` also pins
+`analytic.vacuum_posterior_grid` to cell by cell).  The paper's abstract
 names no vacuum noise model, so whether its 20% figure rests on another one
 cannot be told from here; the fraction is steep in that noise (doubling the
 smear, n_bar = tanh(Delta^2), gives 0.060 at Delta = 0.25: a one-off
@@ -238,49 +240,6 @@ def _t3_state_infidelity(delta: float, d_init: int = 256) -> float:
     return best
 
 
-def _position_space_vacuum_cells(
-    delta: float, n_grid: int, cut: int = 6
-) -> tuple[np.ndarray, np.ndarray]:
-    """Test oracle: syndrome-cell weights and Bloch vectors of the vacuum method.
-
-    Built in position space, with no characteristic functions or Pauli sign
-    tables.  The smeared vacuum is the thermal state with n_bar =
-    tanh(Delta^2/2) and variance s2 = n_bar + 1/2 per quadrature, whose kernel
-    is rho(x, y) ∝ exp(-((x+y)/2)^2/(2 s2) - s2 (x-y)^2/2).  Conditioning on
-    syndrome v projects it onto the shifted ideal square-GKP codewords
-    W(v)|j> ∝ e^{i b q} sum_k |q = (2k+j) sqrt(pi) + a>, with
-    a = sqrt(2 pi) v_q and b = sqrt(2 pi) v_p, so the logical matrix is
-    rho_L[i, j](v) = sum_{k,l} e^{-i b (x-y)} rho(x, y) at x = (2k+i)
-    sqrt(pi) + a, y = (2l+j) sqrt(pi) + a.  In m = k+l and n = k-l (equal
-    parity) the sum splits into a v_q factor times a v_p factor.  At cut 6
-    the dropped terms are below e^-80 for Delta <= 0.3.
-    """
-    s2 = math.tanh(delta**2 / 2.0) + 0.5
-    root_pi = math.sqrt(math.pi)
-    half = 1.0 / math.sqrt(8.0)  # the correctable patch (-half, half]^2
-    centers = (np.arange(n_grid) + 0.5) / n_grid * 2.0 * half - half
-    shift = math.sqrt(2.0 * math.pi) * centers  # a on the q axis, b on the p axis
-    ms = np.arange(-cut, cut + 1)
-    rho = {}
-    for i in (0, 1):
-        for j in (0, 1):
-            rho[i, j] = 0.0
-            for parity in (0, 1):
-                m = ms[ms % 2 == parity]
-                half_sum = (m + (i + j) / 2.0) * root_pi  # (x+y)/2 - a, m = k+l
-                diff = (2.0 * m + i - j) * root_pi  # x - y, m = k-l
-                f_q = np.exp(-np.square(half_sum[None, :] + shift[:, None]) / (2.0 * s2))
-                g_p = np.exp(-s2 * diff**2 / 2.0)[None, :] * np.exp(-1j * np.outer(shift, diff))
-                rho[i, j] = rho[i, j] + np.outer(f_q.sum(axis=1), g_p.sum(axis=1))
-    trace = (rho[0, 0] + rho[1, 1]).real
-    bloch = np.stack([
-        (2.0 * rho[0, 1].real / trace).ravel(),
-        (-2.0 * rho[0, 1].imag / trace).ravel(),
-        ((rho[0, 0] - rho[1, 1]).real / trace).ravel(),
-    ], axis=1)
-    return (trace / trace.sum()).ravel(), bloch
-
-
 def _whole_cell_match_fraction(weights: np.ndarray, bloch: np.ndarray, target: float) -> float:
     """Probability mass of the best whole cells whose mean infidelity <= target.
 
@@ -302,11 +261,12 @@ def test_criterion_10_vacuum_match_fraction():
     # At Delta = 0.25 the fraction is 0.2130, above the 20% line, which this
     # model crosses at Delta ~ 0.245 (see the module docstring); the < 20%
     # claim is asserted by the companion test at Delta = 0.24.  Here the
-    # program's fraction is checked against the position-space oracle above.
+    # program's fraction is checked against the position-space oracle,
+    # `oracles.position_space_vacuum_cells`.
     with Budget(10, 900.0) as b:
         target = _t3_state_infidelity(0.25)
         frac = ch.vacuum_match_fraction(0.25, target, grid=500)
-        oracle = _whole_cell_match_fraction(*_position_space_vacuum_cells(0.25, 500), target)
+        oracle = _whole_cell_match_fraction(*oracles.position_space_vacuum_cells(0.25, 500), target)
         print(f"    T3 t-state infidelity {target:.4e}; vacuum match fraction {frac:.4f} "
               f"against the 0.20 line (position-space oracle {oracle:.4f})")
         assert abs(frac - oracle) <= 1e-9 * oracle, (

@@ -1,4 +1,4 @@
-"""Closed-form moments, twirled density, FT bound, lattice sums, posterior."""
+"""Closed-form moments, twirled density, FT bound, vacuum posterior."""
 
 import math
 from fractions import Fraction as F
@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import oracles
-from gkpphase import NumericFailure, analytic as an
+from gkpphase import analytic as an
 from gkpphase.polyalg import RationalPolynomial
 
 T3 = RationalPolynomial([0, F(-1, 12), F(1, 8), F(1, 12)])
@@ -176,95 +176,38 @@ def test_ft_bound_lambda_ansatz():
     assert abs(b.lam_of_delta - expected) < 1e-12
 
 
-# -- logical characteristic functions ------------------------------------------------
-
-
-def test_char_function_identity_positive_at_origin():
-    chi = oracles.thermal_characteristic(math.tanh(0.25**2 / 2))
-    val = oracles.logical_char_function(chi, "I", (0.0, 0.0))
-    assert abs(val.imag) < 1e-14
-    assert val.real > 0.0
-
-
-def test_char_function_evenness_for_real_even_chi():
-    chi = oracles.thermal_characteristic(math.tanh(0.25**2 / 2))
-    for mu in ("I", "X", "Y", "Z"):
-        for v in ((0.1, -0.07), (0.2, 0.13)):
-            a = oracles.logical_char_function(chi, mu, v)
-            b = oracles.logical_char_function(chi, mu, (-v[0], -v[1]))
-            assert abs(a - b) < 1e-13
-
-
-def test_char_function_lattice_cut_converged():
-    chi = oracles.thermal_characteristic(math.tanh(0.25**2 / 2))
-    a = oracles.logical_char_function(chi, "Z", (0.1, -0.07), lattice_cut=5)
-    b = oracles.logical_char_function(chi, "Z", (0.1, -0.07), lattice_cut=10)
-    assert abs(a - b) < 1e-10
-
-
-def test_char_function_raises_outside_patch():
-    chi = oracles.thermal_characteristic(0.03)
-    with pytest.raises(ValueError):
-        oracles.logical_char_function(chi, "I", (0.9, 0.0))
-
-
-def test_char_function_raises_on_unconverged_cut():
-    slow = lambda vq, vp: np.exp(-0.01 * (np.square(vq) + np.square(vp)))
-    with pytest.raises(NumericFailure, match="not converged"):
-        oracles.logical_char_function(slow, "I", (0.0, 0.0), lattice_cut=2)
-
-
-def test_char_function_matches_fock_brute_force():
-    """Defining trace tr[Pi_mu W(-v) rho] in a 300-dim Fock space."""
-    import itertools
-
-    from gkpphase import fock as fk
-
-    d, cut = 300, 2
-    nbar = math.tanh(0.25**2 / 2)
-    n = np.arange(d)
-    rho = np.diag(((nbar**n) / (1 + nbar) ** (n + 1)).astype(complex))
-    plan = fk.TruncationPlan(d_init=d)  # W(u) built at d_temp 900, cut to d
-    sq2 = math.sqrt(2.0)
-
-    chi = oracles.thermal_characteristic(nbar)
-    v = (0.1, -0.07)
-    wv = oracles.displacement((-v[0], -v[1]), d, plan).matrix
-    for mu in ("I", "X", "Z"):
-        lq, lp = an.PAULI_OFFSETS[mu]
-        pi = np.zeros((d, d), complex)
-        for s_q, s_p in itertools.product(range(-cut, cut + 1), repeat=2):
-            sign = np.exp(-1j * math.pi * (lq * sq2 * s_p - lp * sq2 * s_q))
-            pi += sign * oracles.displacement((lq + sq2 * s_q, lp + sq2 * s_p), d, plan).matrix
-        fock_val = np.trace(pi @ wv @ rho)
-        lat_val = oracles.logical_char_function(chi, mu, v, lattice_cut=6)
-        assert abs(fock_val - lat_val) < 1e-7
-
-
 # -- vacuum posterior ------------------------------------------------------------------
+
+# The whole grid against the position-space cells, weights by relative and Bloch
+# vectors by absolute error: at most 1.11e-15 and 1.0e-15 measured over
+# Δ ∈ {0.05, 0.1, 0.2, 0.24, 0.25, 0.3} at grids 21 and 500, so 1e-14 leaves 9×.
+POSTERIOR_GRID_TOL = 1e-14
+
+
+@pytest.mark.parametrize("grid", [21, 500])
+@pytest.mark.parametrize("delta", [0.05, 0.25, 0.3])
+def test_posterior_grid_matches_position_space_cells(delta, grid):
+    weights, bloch = an.vacuum_posterior_grid(delta, grid)
+    want_w, want_b = oracles.position_space_vacuum_cells(delta, grid)
+    assert np.max(np.abs(weights / want_w - 1.0)) <= POSTERIOR_GRID_TOL
+    assert np.max(np.abs(bloch - want_b)) <= POSTERIOR_GRID_TOL
 
 
 def test_posterior_origin_symmetry_and_hadamard_direction():
-    g, bloch = oracles.vacuum_posterior(0.25, (0.0, 0.0))
-    assert g > 0
+    # the centre cell of an odd grid sits at v = 0
+    weights, bloch = an.vacuum_posterior_grid(0.25, 21)
+    w, b = weights[10 * 21 + 10], bloch[10 * 21 + 10]
+    assert w > 0
     # q<->p symmetry of the thermal state exchanges X and Z
-    assert abs(bloch[0] - bloch[2]) < 1e-12
-    assert abs(bloch[1]) < 1e-12
-    assert np.linalg.norm(bloch) <= 1.0 + 1e-9
+    assert abs(b[0] - b[2]) < 1e-12
+    assert abs(b[1]) < 1e-12
+    assert np.linalg.norm(b) <= 1.0 + 1e-9
 
 
 def test_posterior_grid_normalised_and_physical():
     w, bloch = an.vacuum_posterior_grid(0.3, 51)
     assert abs(w.sum() - 1.0) < 1e-12
     assert np.all(np.linalg.norm(bloch, axis=1) <= 1.0 + 1e-9)
-
-
-def test_posterior_matches_pointwise():
-    w, bloch = an.vacuum_posterior_grid(0.25, 21)
-    centers = (np.arange(21) + 0.5) / 21 * 2 * an.PATCH_HALF - an.PATCH_HALF
-    i, j = 4, 13
-    _g, b = oracles.vacuum_posterior(0.25, (centers[i], centers[j]))
-    assert np.allclose(bloch[i * 21 + j], b, atol=1e-12)
 
 
 def test_posterior_cut_4_equals_cut_6_bitwise(monkeypatch):
@@ -299,31 +242,3 @@ def test_posterior_bloch_columns_bitwise_stacked_quotients(delta):
     assert weights.tobytes() == (sums["I"] / sums["I"].sum()).ravel().tobytes()
 
 
-def test_posterior_matches_fock_brute_force():
-    """g_mu(v) = tr[rho W(v) Pi_mu W(v)^dag] at d = 300."""
-    import itertools
-
-    from gkpphase import fock as fk
-
-    d, cut = 300, 2
-    nbar = math.tanh(0.25**2 / 2)
-    n = np.arange(d)
-    rho_diag = (nbar**n) / (1 + nbar) ** (n + 1)
-    plan = fk.TruncationPlan(d_init=d)  # W(u) built at d_temp 900, cut to d
-    sq2 = math.sqrt(2.0)
-
-    v = (0.1, -0.07)
-    vals = {}
-    for mu in ("I", "X", "Y", "Z"):
-        lq, lp = an.PAULI_OFFSETS[mu]
-        total = 0.0j
-        for s_q, s_p in itertools.product(range(-cut, cut + 1), repeat=2):
-            u = (lq + sq2 * s_q, lp + sq2 * s_p)
-            sign = np.exp(-1j * math.pi * (lq * sq2 * s_p - lp * sq2 * s_q))
-            phase = np.exp(-2j * math.pi * (v[0] * u[1] - v[1] * u[0]))
-            total += sign * phase * np.sum(rho_diag * np.diag(oracles.displacement(u, d, plan).matrix))
-        vals[mu] = total.real
-    g, bloch = oracles.vacuum_posterior(0.25, v)
-    assert abs(vals["I"] - g) < 1e-6
-    for k, mu in enumerate(("X", "Y", "Z")):
-        assert abs(vals[mu] / vals["I"] - bloch[k]) < 1e-6

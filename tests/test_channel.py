@@ -1064,31 +1064,40 @@ def test_vacuum_match_fraction_consistency():
     assert ch.vacuum_match_fraction(0.25, 0.5, grid=100) == 1.0
 
 
-@pytest.mark.parametrize("delta", [0.25, 0.24])
-def test_ranked_cells_fidelity_bitwise_with_max_first(delta):
-    # the max over targets taken before the map 0.5 (1 + .), against adding 1 first
-    weights, bloch = ch.analytic.vacuum_posterior_grid(delta, 500)
-    fid = 0.5 * (1.0 + bloch @ ch.CLIFFORD_T_TARGETS.T).max(axis=1)
-    order = np.argsort(-fid)
-    ch._ranked_cells.cache_clear()
-    got = ch._ranked_cells(delta, 500)
-    assert got[0].tobytes() == fid[order].tobytes()
-    assert got[1].tobytes() == weights[order].tobytes()
-    ch._ranked_cells.cache_clear()
-
-
-@pytest.mark.parametrize("delta, grid", [(0.3, 90), (0.1, 300)])
+@pytest.mark.parametrize("delta, grid", [(0.25, 500), (0.24, 500), (0.3, 90), (0.1, 300)])
 def test_ranked_cells_bitwise_with_full_product(delta, grid):
     # 90² cells are one partial 2^15 chunk, 300² two full chunks and a partial
-    # one: each against the row max of the whole (cells, 12) product
+    # one, 500² seven full and a partial: each against the row max of the whole
+    # (cells, 12) product, with 1 added after the max and before it
     weights, bloch = ch.analytic.vacuum_posterior_grid(delta, grid)
-    fid = 0.5 * (1.0 + (bloch @ ch.CLIFFORD_T_TARGETS.T).max(axis=1))
-    order = np.argsort(-fid)
+    products = bloch @ ch.CLIFFORD_T_TARGETS.T
     ch._ranked_cells.cache_clear()
     got = ch._ranked_cells(delta, grid)
-    assert got[0].tobytes() == fid[order].tobytes()
-    assert got[1].tobytes() == weights[order].tobytes()
+    for fid in (0.5 * (1.0 + products.max(axis=1)), 0.5 * (1.0 + products).max(axis=1)):
+        order = np.argsort(-fid)
+        assert got[0].tobytes() == fid[order].tobytes()
+        assert got[1].tobytes() == weights[order].tobytes()
     ch._ranked_cells.cache_clear()
+
+
+# `vacuum_state_method` against the position-space cells ranked the same way.
+# Measured relative gaps: at p = 0, 1.0e-13 and 0 (Δ 0.25, 0.3) for the best
+# cell's 1 - F and ≤ 4.5e-16 for its weight; at p = 1, 6.7e-13 and 2.6e-13 for
+# 1 - F (the boundary cell's kept weight comes from `np.cumsum`, which ends
+# 5.1e-14 past 1 at Δ 0.25) and 0 for the acceptance.  2e-12 leaves 3×.
+VACUUM_METHOD_TOL = 2e-12
+
+
+@pytest.mark.parametrize("delta", [0.25, 0.3])
+def test_vacuum_state_method_matches_position_space_cells(delta):
+    weights, bloch = oracles.position_space_vacuum_cells(delta, 500)
+    fid = 0.5 * (1.0 + (bloch @ ch.CLIFFORD_T_TARGETS.T).max(axis=1))
+    best = int(np.argmax(fid))
+    for p, infidelity, acceptance in ((1.0, 1.0 - np.sum(weights * fid), 1.0),
+                                      (0.0, 1.0 - fid[best], weights[best])):
+        got = ch.vacuum_state_method(ch.VacuumMethodConfig(delta, 500, p))
+        assert abs(got.infidelity / infidelity - 1.0) <= VACUUM_METHOD_TOL, (p, got)
+        assert abs(got.acceptance_probability / acceptance - 1.0) <= VACUUM_METHOD_TOL, (p, got)
 
 
 def test_ranked_cells_one_posterior_per_delta_and_grid(monkeypatch):
